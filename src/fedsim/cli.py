@@ -25,7 +25,13 @@ import sys
 from concurrent.futures import ProcessPoolExecutor
 
 from .config import ConfigError, ExperimentConfig, echo_dict, load_config
-from .engine import ExperimentResult, Strategy, build_state, run_experiment
+from .engine import (
+    ExperimentResult,
+    FreezeOffload,
+    Strategy,
+    build_state,
+    run_experiment,
+)
 from .similarity import SimilarityMatrix
 
 
@@ -178,7 +184,11 @@ def _similarity_lines(matrix: SimilarityMatrix) -> list[str]:
 def _cmd_inspect(args: argparse.Namespace) -> int:
     config = load_config(args.config)
     seed = args.seed if args.seed is not None else config.seed
-    strategy = config.strategies[0]
+    # The similarity matrix exists only in a freeze_offload state.
+    strategy = next(
+        (s for s in config.strategies if isinstance(s, FreezeOffload)),
+        config.strategies[0],
+    )
     state = build_state(config, strategy, seed)
 
     print(f"seed {seed}: {len(state.clients)} clients,"

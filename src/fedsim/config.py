@@ -21,6 +21,7 @@ Example::
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -116,14 +117,25 @@ _STRATEGY_NAMES = (
 )
 
 
+def _is_number(value: Any) -> bool:
+    """An int or float from the document. YAML reads `true` as a bool, an int
+    subclass, and "16" as a string; neither counts as a number."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 def _get(raw: dict, section: str, key: str, default, kind, problems: list[str]):
     value = raw.get(key, default)
     if value is None and default is None:
         return None
     try:
+        if kind in (int, float) and not _is_number(value):
+            raise ValueError
         if kind is int:
-            # Reject silent float truncation such as rounds: 2.5.
-            if isinstance(value, float) and value != int(value):
+            # Reject silent float truncation such as rounds: 2.5, and
+            # .inf, which has no int.
+            if isinstance(value, float) and not (
+                math.isfinite(value) and value == int(value)
+            ):
                 raise ValueError
             return int(value)
         if kind is float:
@@ -281,7 +293,7 @@ def parse_config(raw: Any) -> ExperimentConfig:
             f"partition.sizes: expected 'equal' or a list of weights, got {part.sizes!r}"
         )
     elif isinstance(part.sizes, list):
-        numeric = all(isinstance(w, (int, float)) and w > 0 for w in part.sizes)
+        numeric = all(_is_number(w) and w > 0 for w in part.sizes)
         if not numeric:
             problems.append("partition.sizes: weights must be positive numbers")
 
@@ -293,17 +305,13 @@ def parse_config(raw: Any) -> ExperimentConfig:
                 f"clients.speed_factors: expected a non-empty list, got {factors!r}"
             )
             factors = None
+        elif not all(_is_number(f) for f in factors):
+            problems.append("clients.speed_factors: entries must be numbers")
+            factors = None
         else:
-            try:
-                factors = tuple(float(f) for f in factors)
-            except (TypeError, ValueError):
-                problems.append("clients.speed_factors: entries must be numbers")
-                factors = None
-            else:
-                if any(not 0 < f <= 1 for f in factors):
-                    problems.append(
-                        "clients.speed_factors: entries must be in (0, 1]"
-                    )
+            factors = tuple(float(f) for f in factors)
+            if any(not 0 < f <= 1 for f in factors):
+                problems.append("clients.speed_factors: entries must be in (0, 1]")
     clients = ClientsConfig(
         count=_get(cl, "clients", "count", 24, int, problems),
         per_round=_get(cl, "clients", "per_round", 3, int, problems),
@@ -360,15 +368,18 @@ def parse_config(raw: Any) -> ExperimentConfig:
     base = DEFAULT_BASE_TIMINGS
     if base_raw is not None:
         if isinstance(base_raw, dict) and set(base_raw) == {"ff", "fc", "bc", "bf"}:
-            try:
-                base = PhaseTimings(
-                    ff=float(base_raw["ff"]),
-                    fc=float(base_raw["fc"]),
-                    bc=float(base_raw["bc"]),
-                    bf=float(base_raw["bf"]),
-                )
-            except (TypeError, ValueError) as exc:
-                problems.append(f"profile.base: {exc}")
+            if not all(_is_number(v) for v in base_raw.values()):
+                problems.append(f"profile.base: entries must be numbers, got {base_raw!r}")
+            else:
+                try:
+                    base = PhaseTimings(
+                        ff=float(base_raw["ff"]),
+                        fc=float(base_raw["fc"]),
+                        bc=float(base_raw["bc"]),
+                        bf=float(base_raw["bf"]),
+                    )
+                except ValueError as exc:
+                    problems.append(f"profile.base: {exc}")
         else:
             problems.append(
                 "profile.base: expected a mapping with keys ff, fc, bc, bf,"

@@ -1,10 +1,23 @@
 """Virtual-time federated training engine.
 
-Rounds are simulated with a discrete-event queue ordered by (virtual time,
-sequence number). Training itself is real: every selected client runs SGD on
-its own partition, so round durations *and* model quality react to the
-scheduling strategy. Virtual time never waits on wall-clock time; per-batch
-costs come from the four-phase timing model in `profiling`.
+A round runs in two passes.
+
+* The event pass (`plan_round`) simulates the round with a discrete-event
+  queue ordered by (virtual time, sequence number). Per-batch costs come from
+  the four-phase timing model in `profiling`, so every event time, the
+  freeze_offload schedule, the handoffs and the deadline drops follow from
+  timings alone, never from model values. The pass trains nothing: it returns
+  a `RoundPlan` that gives each selected client its full, frozen and donated
+  step counts, the receiver of its donated steps, its submit times and
+  whether it is dropped. Virtual time never waits on wall-clock time.
+* The executor trains the plan. Training is real: every client the plan
+  keeps runs SGD on its own partition, so model quality reacts to the
+  strategy as round durations do. A dropped client runs no steps. Clients
+  that run the same number of steps in the same phase train stacked: one
+  `local_train` or `execute_offloaded` call moves all of them in lockstep,
+  their parameters and batches carrying a leading cohort axis (see `model`).
+  Each member draws its batches from its own stream in the order it would
+  alone, and comes out bitwise equal to training alone.
 
 Strategies
 ----------
@@ -36,7 +49,7 @@ import heapq
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Any
+from typing import Any, Callable
 
 import numpy as np
 
@@ -202,20 +215,61 @@ class BatchCursor:
         self._pos = 0
 
     def _take(self, n: int) -> np.ndarray:
-        out: list[np.ndarray] = []
-        while n > 0:
-            if self._pos >= self._order.shape[0]:
-                self._order = self._rng.permutation(self._indices)
-                self._pos = 0
-            chunk = self._order[self._pos : self._pos + n]
-            out.append(chunk)
-            self._pos += chunk.shape[0]
-            n -= chunk.shape[0]
-        return np.concatenate(out)
+        """The next n sample indices.
+
+        Each pass over the samples is a fresh permutation, drawn when the
+        previous pass is used up. The passes one take needs are drawn in one
+        `permuted` call, which shuffles row after row with the same draws as
+        that many `permutation` calls.
+        """
+        pos, size = self._pos, self._order.shape[0]
+        if pos + n <= size:
+            self._pos = pos + n
+            return self._order[pos : pos + n]
+        head = self._order[pos:]
+        n -= size - pos
+        passes = -(-n // size)
+        fresh = self._rng.permuted(np.tile(self._indices, (passes, 1)), axis=1)
+        self._order = fresh[-1]
+        self._pos = n - (passes - 1) * size
+        return np.concatenate([head, fresh.ravel()[:n]])
 
     def next_batch(self) -> Batch:
         idx = self._take(self._batch_size)
         return Batch(inputs=self._inputs[idx], labels=self._labels[idx])
+
+
+class CohortCursor(BatchCursor):
+    """Stacked batches of a cohort that trains in lockstep.
+
+    On construction it draws the next `steps` batches of every member cursor,
+    in one gather over the shared data arrays. `next_batch` then serves one
+    step at a time as a Batch of shape (K, batch_size, input_dim) whose slice
+    k is the batch member k's cursor would have served at that step.
+    """
+
+    def __init__(self, cursors: list[BatchCursor], steps: int) -> None:
+        first = cursors[0]
+        size = first._batch_size
+        for c in cursors:
+            if c._inputs is not first._inputs or c._labels is not first._labels:
+                raise ValueError("cohort members must draw from the same data arrays")
+            if c._batch_size != size:
+                raise ValueError("cohort members must share one batch size")
+        idx = np.stack([c._take(steps * size) for c in cursors])
+        # Step-major, so that each step's batch is one contiguous block.
+        idx = idx.reshape(len(cursors), steps, size).swapaxes(0, 1)
+        self.members = tuple(cursors)
+        self._inputs = first._inputs[idx]
+        self._labels = first._labels[idx]
+        self._batch_size = size
+        self._step = 0
+
+    def _take(self, n: int) -> int:
+        """Index of the next step's block in the gathered arrays."""
+        step = self._step
+        self._step += 1
+        return step
 
 
 @dataclass
@@ -224,9 +278,9 @@ class ClientState:
     speed_factor: float
     timings: PhaseTimings
     partition: ClientPartition
-    model: PartitionedModel | None = None
+    # The client's batch stream in the current round; None if it does not
+    # train in that round.
     cursor: BatchCursor | None = None
-    remaining_updates: int = 0
 
     @property
     def num_samples(self) -> int:
@@ -238,21 +292,23 @@ def local_train(
     cursor: BatchCursor,
     updates: int,
     learning_rate: float,
-    timings: PhaseTimings,
+    timings: PhaseTimings | None = None,
     mode: str = "full",
     prox_mu: float = 0.0,
     anchor: PartitionedModel | None = None,
-) -> tuple[PartitionedModel, float]:
+) -> tuple[PartitionedModel, float | None]:
     """Run `updates` SGD steps and return (new model, virtual seconds spent).
 
     In "frozen" mode only the classifier block moves and the per-batch cost
-    drops to the three non-bf phases.
+    drops to the three non-bf phases. A stacked model trained on a
+    `CohortCursor` moves every member in lockstep; its members run at
+    different speeds, so such a call passes no `timings` and gets None for
+    the seconds.
     """
     if updates < 0:
         raise ValueError(f"updates must be >= 0, got {updates}")
     if mode not in ("full", "frozen"):
         raise ValueError(f"unknown training mode {mode!r}")
-    per_batch = timings.full_time if mode == "full" else timings.frozen_time
     for _ in range(updates):
         batch = cursor.next_batch()
         if mode == "full":
@@ -273,6 +329,9 @@ def local_train(
         else:
             grads = backward_frozen(model, batch)
         model = sgd_step(model, grads, learning_rate)
+    if timings is None:
+        return model, None
+    per_batch = timings.full_time if mode == "full" else timings.frozen_time
     return model, updates * per_batch
 
 
@@ -282,13 +341,14 @@ def execute_offloaded(
     cursor: BatchCursor,
     updates: int,
     learning_rate: float,
-    timings: PhaseTimings,
-) -> tuple[FeatureBlock, float]:
+    timings: PhaseTimings | None = None,
+) -> tuple[FeatureBlock, float | None]:
     """Train someone else's feature block on local data.
 
     The donated classifier snapshot stays fixed; only the feature block
     moves. Virtual cost is the backward-feature phase per batch, the only
-    phase the receiving client runs that it would not otherwise run.
+    phase the receiving client runs that it would not otherwise run. Stacked
+    blocks on a `CohortCursor` train in lockstep, as in `local_train`.
     """
     if updates < 0:
         raise ValueError(f"updates must be >= 0, got {updates}")
@@ -297,8 +357,8 @@ def execute_offloaded(
         batch = cursor.next_batch()
         grads = backward_full(model, batch)
         if not (
-            np.all(np.isfinite(grads.feature_weights))
-            and np.all(np.isfinite(grads.feature_bias))
+            np.isfinite(grads.feature_weights).all()
+            and np.isfinite(grads.feature_bias).all()
         ):
             raise ValueError("non-finite gradient values")
         model = PartitionedModel(
@@ -309,7 +369,7 @@ def execute_offloaded(
             num_classes=model.num_classes,
         )
     trained, _ = split(model)
-    return trained, updates * timings.bf
+    return trained, None if timings is None else updates * timings.bf
 
 
 # --------------------------------------------------------------------------
@@ -517,25 +577,68 @@ def build_tiers(clients: list[ClientState], num_tiers: int) -> list[list[int]]:
 
 
 # --------------------------------------------------------------------------
-# Round execution
+# Round planning
 # --------------------------------------------------------------------------
 
 
-class _RoundRunner:
-    """Event handlers and bookkeeping for a single round."""
+@dataclass(frozen=True)
+class ClientPlan:
+    """One selected client's part in a round, worked out from timings alone.
+
+    The client runs `full_steps` full SGD steps on its copy of the global
+    model. After an executed handoff it runs `frozen_steps` classifier-only
+    steps, and `receiver` trains its feature block for `donated_steps` steps
+    once the receiver's own budget is done. `submit_times` are relative to
+    the round start: the whole model's, or the classifier part's and the
+    feature part's after a handoff. A dropped client runs no steps.
+    """
+
+    client_id: int
+    full_steps: int
+    submit_times: tuple[float, ...]
+    frozen_steps: int = 0
+    donated_steps: int = 0
+    receiver: int | None = None
+    dropped: bool = False
+
+    @property
+    def completion(self) -> float:
+        return max(self.submit_times)
+
+
+@dataclass(frozen=True)
+class RoundPlan:
+    round_index: int
+    clients: tuple[ClientPlan, ...]  # in selection order
+    deadline: float | None
+    schedule: OffloadSchedule | None
+    offload_records: tuple[OffloadRecord, ...]
+
+    @property
+    def duration(self) -> float:
+        included = [p.completion for p in self.clients if not p.dropped]
+        if included:
+            return max(included)
+        # Every contribution missed the deadline; the round closes at the
+        # deadline with the global model unchanged.
+        return self.deadline if self.deadline is not None else 0.0
+
+
+class _RoundPlanner:
+    """Event handlers and bookkeeping of one round's event pass."""
 
     def __init__(self, state: ExperimentState, round_index: int) -> None:
         self.state = state
         self.strategy = state.strategy
         self.round_index = round_index
         self.start = state.clock
-        cfg = state.config
-        self.updates = cfg.training.local_updates
-        self.lr = cfg.training.learning_rate
+        self.updates = state.config.training.local_updates
         self.queue = EventQueue()
         self.selected: list[int] = []
-        # Per-client submitted parts: client -> {part kind: (object, rel time)}
-        self.parts: dict[int, dict[str, tuple[Any, float]]] = {}
+        # Per client: submitted part kind -> virtual time since round start.
+        self.parts: dict[int, dict[str, float]] = {}
+        # Weak client -> (receiver, full batches, remaining batches).
+        self.handoffs: dict[int, tuple[int, int, int]] = {}
         self.expected_parts: int | None = None
         self.seen_parts = 0
         self.dropped: tuple[int, ...] = ()
@@ -543,68 +646,24 @@ class _RoundRunner:
         self.schedule: OffloadSchedule | None = None
         self.records: list[OffloadRecord] = []
         self.profile_reports: set[int] = set()
-        # Clients whose planned full-budget completion was overtaken by an
-        # offload instruction; their pending submit event is void.
-        self.redirected: set[int] = set()
-        self.whole_done: set[int] = set()
-        self.trace: RoundTrace | None = None
+        self.plan: RoundPlan | None = None
 
     # -- helpers ----------------------------------------------------------
 
-    def _reset_client(self, cid: int) -> ClientState:
-        c = self.state.client(cid)
-        c.model = self.state.global_model.copy()
-        c.cursor = BatchCursor(
-            self.state.dataset.inputs,
-            self.state.dataset.labels,
-            c.partition.sample_indices,
-            self.state.config.training.batch_size,
-            spawn_rng(self.state.seed, TAG_BATCHES, self.round_index, cid),
-        )
-        c.remaining_updates = self.updates
-        return c
-
-    def _submit(self, time: float, cid: int, kind: str, payload: Any) -> None:
+    def _submit(self, time: float, cid: int, kind: str) -> None:
         self.queue.push(
             time,
             Event(
                 EventKind.MODEL_SUBMIT,
                 round_index=self.round_index,
                 client_id=cid,
-                payload=(kind, payload),
+                payload=kind,
             ),
         )
 
-    def _push_pending_whole(self, cid: int) -> None:
-        """Announce the client's full-budget completion time up front.
-
-        The model itself is trained lazily when the event pops (or earlier if
-        an offload handler needs the client's cursor state first); the virtual
-        completion time is fixed either way.
-        """
+    def _submit_whole(self, cid: int) -> None:
         c = self.state.client(cid)
-        done_t = self.start + self.updates * c.timings.full_time
-        self._submit(done_t, cid, "whole_pending", None)
-
-    def _train_whole_now(self, cid: int) -> None:
-        """Run the client's full local budget if it has not run yet."""
-        if cid in self.whole_done:
-            return
-        c = self.state.client(cid)
-        prox_mu = self.strategy.mu if isinstance(self.strategy, FedProx) else 0.0
-        model, _ = local_train(
-            c.model,
-            c.cursor,
-            self.updates,
-            self.lr,
-            c.timings,
-            mode="full",
-            prox_mu=prox_mu,
-            anchor=self.state.global_model if prox_mu != 0.0 else None,
-        )
-        c.model = model
-        c.remaining_updates = 0
-        self.whole_done.add(cid)
+        self._submit(self.start + self.updates * c.timings.full_time, cid, "whole")
 
     # -- event handlers ----------------------------------------------------
 
@@ -616,7 +675,7 @@ class _RoundRunner:
             self.expected_parts = None
             for cid in self.selected:
                 c = self.state.client(cid)
-                self._push_pending_whole(cid)
+                self._submit_whole(cid)
                 report_t = (
                     self.start
                     + self.strategy.profile_batches * c.timings.full_time
@@ -645,7 +704,7 @@ class _RoundRunner:
 
         self.expected_parts = len(self.selected)
         for cid in self.selected:
-            self._push_pending_whole(cid)
+            self._submit_whole(cid)
 
     def on_profile_report(self, time: float, cid: int) -> None:
         self.profile_reports.add(cid)
@@ -665,14 +724,12 @@ class _RoundRunner:
     def on_schedule_dispatch(self, arrival: float, computed_at: float) -> None:
         assert isinstance(self.strategy, FreezeOffload)
         strat = self.strategy
-        executed: dict[int, int] = {}
         profiles: list[ClientProfile] = []
         for cid in self.selected:
             c = self.state.client(cid)
             done = _batches_done(
                 self.start, c.timings.full_time, computed_at, self.updates
             )
-            executed[cid] = done
             profiles.append(
                 measure(
                     cid,
@@ -698,14 +755,13 @@ class _RoundRunner:
                 self.start, c.timings.full_time, arrival, self.updates
             )
             if done_now >= self.updates:
-                # Finished before the instruction arrived; its pending whole
+                # Finished before the instruction arrived; its whole
                 # submission stands and nothing is offloaded.
                 continue
             planned = self.updates - a.offload_point
             full_batches = min(self.updates, max(done_now, planned))
             remaining = self.updates - full_batches
             handoff_t = max(arrival, self.start + full_batches * c.timings.full_time)
-            self.redirected.add(cid)
             expected += 1  # the weak client now submits two parts
             self.queue.push(
                 handoff_t,
@@ -723,9 +779,6 @@ class _RoundRunner:
         assignment, full_batches, remaining = payload
         weak = self.state.client(cid)
         strong = self.state.client(assignment.strong_client_id)
-        model_full, _ = local_train(
-            weak.model, weak.cursor, full_batches, self.lr, weak.timings, mode="full"
-        )
         self.records.append(
             OffloadRecord(
                 weak_client_id=cid,
@@ -737,41 +790,22 @@ class _RoundRunner:
                 handoff_time=handoff_t - self.start,
             )
         )
-
-        feature_block, classifier_snapshot = split(model_full)
-        frozen_model, frozen_spent = local_train(
-            model_full, weak.cursor, remaining, self.lr, weak.timings, mode="frozen"
+        self.handoffs[cid] = (strong.client_id, full_batches, remaining)
+        self._submit(
+            handoff_t + remaining * weak.timings.frozen_time, cid, "classifier_part"
         )
-        weak.model = frozen_model
-        weak.remaining_updates = 0
-        self._submit(handoff_t + frozen_spent, cid, "classifier_part", frozen_model)
-
-        # The receiver trains the donated block only after its own budget; it
-        # must therefore consume its own batches from the stream first.
-        self._train_whole_now(strong.client_id)
+        # The receiver trains the donated block only after its own budget.
         block_arrival = handoff_t + self.state.config.latency.transfer
         own_done = self.start + self.updates * strong.timings.full_time
         offload_start = max(block_arrival, own_done)
-        trained_block, offload_spent = execute_offloaded(
-            feature_block,
-            classifier_snapshot,
-            strong.cursor,
-            remaining,
-            self.lr,
-            strong.timings,
-        )
-        self._submit(offload_start + offload_spent, cid, "feature_part", trained_block)
+        self._submit(offload_start + remaining * strong.timings.bf, cid, "feature_part")
 
-    def on_model_submit(self, time: float, cid: int, payload: Any) -> None:
-        kind, obj = payload
-        if kind == "whole_pending":
-            if cid in self.redirected:
-                # An offload instruction reached this client before it
-                # finished, so this completion never happens.
-                return
-            self._train_whole_now(cid)
-            kind, obj = "whole", self.state.client(cid).model
-        self.parts.setdefault(cid, {})[kind] = (obj, time - self.start)
+    def on_model_submit(self, time: float, cid: int, kind: str) -> None:
+        if kind == "whole" and cid in self.handoffs:
+            # The handoff came before the client finished its budget, so
+            # this completion never happens.
+            return
+        self.parts.setdefault(cid, {})[kind] = time - self.start
         self.seen_parts += 1
         self._maybe_finish(time)
 
@@ -783,60 +817,42 @@ class _RoundRunner:
             self.expected_parts = -1  # push exactly once
 
     def on_round_end(self) -> None:
-        contributions: dict[int, tuple[PartitionedModel, float]] = {}
+        clients = []
         for cid in self.selected:
             parts = self.parts[cid]
-            if "whole" in parts:
-                model, t = parts["whole"]
-                contributions[cid] = (model, t)
-            else:
-                classifier_model, t1 = parts["classifier_part"]
-                feature_block, t2 = parts["feature_part"]
-                _, classifier_block = split(classifier_model)
-                contributions[cid] = (
-                    merge(feature_block, classifier_block),
-                    max(t1, t2),
-                )
-
-        included = [cid for cid in self.selected if cid not in set(self.dropped)]
-        models = [contributions[cid][0] for cid in included]
-        weights = [float(self.state.client(cid).num_samples) for cid in included]
-
-        if models:
-            if isinstance(self.strategy, FedNova):
-                new_global = aggregate_fednova(
-                    self.state.global_model,
-                    models,
-                    weights,
-                    [self.updates] * len(models),
+            if cid in self.handoffs:
+                receiver, full_batches, remaining = self.handoffs[cid]
+                clients.append(
+                    ClientPlan(
+                        client_id=cid,
+                        full_steps=full_batches,
+                        submit_times=(parts["classifier_part"], parts["feature_part"]),
+                        frozen_steps=remaining,
+                        donated_steps=remaining,
+                        receiver=receiver,
+                    )
                 )
             else:
-                new_global = aggregate_fedavg(models, weights)
-            self.state.global_model = new_global
-            duration = max(contributions[cid][1] for cid in included)
-        else:
-            # Every contribution missed the deadline; the round closes at the
-            # deadline with the global model unchanged.
-            duration = self.deadline if self.deadline is not None else 0.0
-
-        accuracy = evaluate_accuracy(self.state.global_model, self.state.dataset)
-        self.trace = RoundTrace(
+                dropped = cid in self.dropped
+                clients.append(
+                    ClientPlan(
+                        client_id=cid,
+                        full_steps=0 if dropped else self.updates,
+                        submit_times=(parts["whole"],),
+                        dropped=dropped,
+                    )
+                )
+        self.plan = RoundPlan(
             round_index=self.round_index,
-            duration=duration,
-            accuracy=accuracy,
-            selected=tuple(self.selected),
-            completion_times={
-                cid: contributions[cid][1] for cid in self.selected
-            },
-            dropped=self.dropped,
-            num_offloads=len(self.schedule.assignments) if self.schedule else 0,
+            clients=tuple(clients),
+            deadline=self.deadline,
             schedule=self.schedule,
             offload_records=tuple(self.records),
         )
 
     # -- driver -------------------------------------------------------------
 
-    def run(self) -> RoundTrace:
+    def run(self) -> RoundPlan:
         cfg = self.state.config
         if isinstance(self.strategy, Tifl):
             assert self.state.tiers is not None
@@ -853,8 +869,6 @@ class _RoundRunner:
                 self.round_index,
                 self.state.seed,
             )
-        for cid in self.selected:
-            self._reset_client(cid)
 
         self.queue.push(
             self.start, Event(EventKind.ROUND_START, round_index=self.round_index)
@@ -876,15 +890,150 @@ class _RoundRunner:
                 self.on_model_submit(time, event.client_id, event.payload)
             elif event.kind is EventKind.ROUND_END:
                 self.on_round_end()
-        if self.trace is None:
+        if self.plan is None:
             raise RuntimeError("round finished without a round-end event")
-        self.state.clock = self.start + self.trace.duration
-        return self.trace
+        return self.plan
+
+
+def plan_round(state: ExperimentState, round_index: int) -> RoundPlan:
+    """Run the event pass of a round from the state's clock; trains nothing."""
+    return _RoundPlanner(state, round_index).run()
+
+
+# --------------------------------------------------------------------------
+# Round execution
+# --------------------------------------------------------------------------
+
+
+def _stack(models: list[PartitionedModel]) -> PartitionedModel:
+    arrays = [np.stack(parts) for parts in zip(*(m.arrays() for m in models))]
+    return PartitionedModel(*arrays, num_classes=models[0].num_classes)
+
+
+def _rows(model: PartitionedModel, rows: int | slice) -> PartitionedModel:
+    """One member (an int) or a sub-stack (a slice) of a stacked model."""
+    return PartitionedModel(*(a[rows] for a in model.arrays()), num_classes=model.num_classes)
+
+
+def _lockstep(
+    start: dict[int, PartitionedModel],
+    steps: dict[int, int],
+    train: Callable[[PartitionedModel, list[int], int], PartitionedModel],
+) -> dict[int, PartitionedModel]:
+    """Train the clients of one phase stacked, in lockstep; return their models.
+
+    `train(model, members, n)` runs n steps of a stacked model whose rows are
+    `members`. The clients that run the fewest steps sit first, and each
+    leaves the stack once it has run its steps, so every distinct step count
+    ends one call and each call moves every client still running. Clients
+    with no steps are left out.
+    """
+    members = sorted((cid for cid, n in steps.items() if n > 0), key=steps.__getitem__)
+    trained: dict[int, PartitionedModel] = {}
+    if not members:
+        return trained
+    model = _stack([start[cid] for cid in members])
+    ran = 0
+    while members:
+        target = steps[members[0]]
+        model = train(model, members, target - ran)
+        ran = target
+        finished = sum(1 for cid in members if steps[cid] == target)
+        for k, cid in enumerate(members[:finished]):
+            trained[cid] = _rows(model, k)
+        members = members[finished:]
+        model = _rows(model, slice(finished, None))
+    return trained
+
+
+def _train_plan(state: ExperimentState, plan: RoundPlan) -> dict[int, PartitionedModel]:
+    """Run the plan's steps stacked; return every kept client's trained model.
+
+    Phases run in the order each client's batch stream serves them: full
+    steps, then a weak client's classifier-only steps, then the receiver's
+    steps on the donated feature block, which follow the receiver's own
+    budget. `build_schedule` gives a receiver at most one block per round, so
+    no cursor serves two members of one call.
+    """
+    training = state.config.training
+    lr = training.learning_rate
+    prox_mu = state.strategy.mu if isinstance(state.strategy, FedProx) else 0.0
+    anchor = state.global_model if prox_mu != 0.0 else None
+    for p in plan.clients:
+        c = state.client(p.client_id)
+        c.cursor = None if p.dropped else BatchCursor(
+            state.dataset.inputs,
+            state.dataset.labels,
+            c.partition.sample_indices,
+            training.batch_size,
+            spawn_rng(state.seed, TAG_BATCHES, plan.round_index, p.client_id),
+        )
+    weak = [p for p in plan.clients if p.receiver is not None]
+    receiver = {p.client_id: p.receiver for p in weak}
+
+    def cohort(members: list[int], steps: int) -> CohortCursor:
+        return CohortCursor([state.client(cid).cursor for cid in members], steps)
+
+    def full(model: PartitionedModel, members: list[int], n: int) -> PartitionedModel:
+        return local_train(
+            model, cohort(members, n), n, lr, mode="full", prox_mu=prox_mu, anchor=anchor
+        )[0]
+
+    def frozen(model: PartitionedModel, members: list[int], n: int) -> PartitionedModel:
+        return local_train(model, cohort(members, n), n, lr, mode="frozen")[0]
+
+    def donated(model: PartitionedModel, members: list[int], n: int) -> PartitionedModel:
+        feature, snapshot = split(model)
+        block, _ = execute_offloaded(
+            feature, snapshot, cohort([receiver[cid] for cid in members], n), n, lr
+        )
+        return merge(block, snapshot)
+
+    trained = _lockstep(
+        {p.client_id: state.global_model for p in plan.clients},
+        {p.client_id: p.full_steps for p in plan.clients},
+        full,
+    )
+    classifier_parts = _lockstep(trained, {p.client_id: p.frozen_steps for p in weak}, frozen)
+    feature_parts = _lockstep(trained, {p.client_id: p.donated_steps for p in weak}, donated)
+    for p in weak:
+        feature, _ = split(feature_parts[p.client_id])
+        _, classifier = split(classifier_parts[p.client_id])
+        trained[p.client_id] = merge(feature, classifier)
+    return trained
 
 
 def run_round(state: ExperimentState, round_index: int) -> RoundTrace:
     """Simulate one round under the state's strategy and advance the clock."""
-    return _RoundRunner(state, round_index).run()
+    plan = plan_round(state, round_index)
+    trained = _train_plan(state, plan)
+    included = [p.client_id for p in plan.clients if not p.dropped]
+    if included:
+        models = [trained[cid] for cid in included]
+        weights = [float(state.client(cid).num_samples) for cid in included]
+        if isinstance(state.strategy, FedNova):
+            state.global_model = aggregate_fednova(
+                state.global_model,
+                models,
+                weights,
+                [state.config.training.local_updates] * len(models),
+            )
+        else:
+            state.global_model = aggregate_fedavg(models, weights)
+
+    trace = RoundTrace(
+        round_index=round_index,
+        duration=plan.duration,
+        accuracy=evaluate_accuracy(state.global_model, state.dataset),
+        selected=tuple(p.client_id for p in plan.clients),
+        completion_times={p.client_id: p.completion for p in plan.clients},
+        dropped=tuple(p.client_id for p in plan.clients if p.dropped),
+        num_offloads=len(plan.schedule.assignments) if plan.schedule else 0,
+        schedule=plan.schedule,
+        offload_records=plan.offload_records,
+    )
+    state.clock = state.clock + trace.duration
+    return trace
 
 
 # --------------------------------------------------------------------------

@@ -6,6 +6,14 @@ layer plus softmax the *classifier block*. The two blocks can be detached,
 trained on different machines and recombined, which is what the offloading
 strategies in the engine rely on.
 
+Every array may carry a leading cohort axis: a model whose arrays have shapes
+(K, input_dim, hidden_dim), (K, hidden_dim), (K, hidden_dim, num_classes) and
+(K, num_classes), trained on batches of shape (K, batch, input_dim), is K
+independent models stepped in lockstep. Each of the K slices comes out
+bitwise equal to training that model alone, because every product is a
+per-slice matmul and every reduction runs over the same axis in the same
+order as in the unstacked case.
+
 Checkpoint binary layout (little endian):
 
     bytes 0..3    magic ``b"PMC1"``
@@ -21,7 +29,6 @@ All arithmetic is float64.
 
 from __future__ import annotations
 
-import json
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -46,37 +53,43 @@ class Batch:
     """A mini-batch of training data.
 
     Attributes:
-        inputs: float array of shape (batch, input_dim).
-        labels: int array of shape (batch,) with values in [0, num_classes).
+        inputs: float array of shape (..., batch, input_dim).
+        labels: int array of shape (..., batch) with values in
+            [0, num_classes).
     """
 
     inputs: np.ndarray
     labels: np.ndarray
 
     def __post_init__(self) -> None:
-        if self.inputs.ndim != 2:
-            raise ShapeError(f"batch inputs must be 2-D, got shape {self.inputs.shape}")
-        if self.labels.ndim != 1:
-            raise ShapeError(f"batch labels must be 1-D, got shape {self.labels.shape}")
-        if self.inputs.shape[0] != self.labels.shape[0]:
+        if self.inputs.ndim < 2:
             raise ShapeError(
-                f"batch size mismatch: {self.inputs.shape[0]} inputs vs "
-                f"{self.labels.shape[0]} labels"
+                f"batch inputs must be at least 2-D, got shape {self.inputs.shape}"
             )
-        if self.inputs.shape[0] < 1:
+        if self.labels.ndim != self.inputs.ndim - 1:
+            raise ShapeError(
+                f"batch labels must have one axis less than inputs, got shapes "
+                f"{self.labels.shape} and {self.inputs.shape}"
+            )
+        if self.inputs.shape[:-1] != self.labels.shape:
+            raise ShapeError(
+                f"batch size mismatch: inputs {self.inputs.shape[:-1]} vs "
+                f"labels {self.labels.shape}"
+            )
+        if self.labels.shape[-1] < 1:
             raise ShapeError("batch must contain at least one sample")
 
 
 @dataclass
 class FeatureBlock:
-    weights: np.ndarray  # (input_dim, hidden_dim)
-    bias: np.ndarray  # (hidden_dim,)
+    weights: np.ndarray  # (..., input_dim, hidden_dim)
+    bias: np.ndarray  # (..., hidden_dim)
 
 
 @dataclass
 class ClassifierBlock:
-    weights: np.ndarray  # (hidden_dim, num_classes)
-    bias: np.ndarray  # (num_classes,)
+    weights: np.ndarray  # (..., hidden_dim, num_classes)
+    bias: np.ndarray  # (..., num_classes)
 
 
 @dataclass
@@ -91,11 +104,11 @@ class PartitionedModel:
 
     @property
     def input_dim(self) -> int:
-        return self.feature_weights.shape[0]
+        return self.feature_weights.shape[-2]
 
     @property
     def hidden_dim(self) -> int:
-        return self.feature_weights.shape[1]
+        return self.feature_weights.shape[-1]
 
     def arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         return (
@@ -148,9 +161,9 @@ def init_model(input_dim: int, hidden_dim: int, num_classes: int, seed: int) -> 
 
 
 def _check_batch(model: PartitionedModel, batch: Batch) -> None:
-    if batch.inputs.shape[1] != model.input_dim:
+    if batch.inputs.shape[-1] != model.input_dim:
         raise ShapeError(
-            f"batch input_dim {batch.inputs.shape[1]} does not match model "
+            f"batch input_dim {batch.inputs.shape[-1]} does not match model "
             f"input_dim {model.input_dim}"
         )
     if batch.labels.min() < 0 or batch.labels.max() >= model.num_classes:
@@ -163,11 +176,11 @@ def _check_batch(model: PartitionedModel, batch: Batch) -> None:
 def forward(model: PartitionedModel, batch: Batch) -> tuple[np.ndarray, np.ndarray]:
     """Run the network and return (hidden activations, class probabilities)."""
     _check_batch(model, batch)
-    hidden = np.tanh(batch.inputs @ model.feature_weights + model.feature_bias)
-    logits = hidden @ model.classifier_weights + model.classifier_bias
-    shifted = logits - logits.max(axis=1, keepdims=True)
+    hidden = np.tanh(batch.inputs @ model.feature_weights + model.feature_bias[..., None, :])
+    logits = hidden @ model.classifier_weights + model.classifier_bias[..., None, :]
+    shifted = logits - logits.max(axis=-1, keepdims=True)
     exp = np.exp(shifted)
-    probs = exp / exp.sum(axis=1, keepdims=True)
+    probs = exp / exp.sum(axis=-1, keepdims=True)
     return hidden, probs
 
 
@@ -199,22 +212,23 @@ def cross_entropy(
 def _classifier_grads(
     hidden: np.ndarray, probs: np.ndarray, labels: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    batch = labels.shape[0]
-    dlogits = probs.copy()
-    dlogits[np.arange(batch), labels] -= 1.0
+    batch = labels.shape[-1]
+    # Subtracting the one-hot labels takes exactly 1.0 off each picked
+    # probability and leaves every other entry as it is (x - 0.0 == x).
+    dlogits = probs - (labels[..., None] == np.arange(probs.shape[-1]))
     dlogits /= batch
-    return hidden.T @ dlogits, dlogits.sum(axis=0), dlogits
+    return np.swapaxes(hidden, -1, -2) @ dlogits, dlogits.sum(axis=-2), dlogits
 
 
 def backward_full(model: PartitionedModel, batch: Batch) -> Gradients:
     """Gradients of the mean cross entropy for every parameter."""
     hidden, probs = forward(model, batch)
     d_w2, d_b2, dlogits = _classifier_grads(hidden, probs, batch.labels)
-    dhidden = dlogits @ model.classifier_weights.T
+    dhidden = dlogits @ np.swapaxes(model.classifier_weights, -1, -2)
     dpre = dhidden * (1.0 - hidden * hidden)
     return Gradients(
-        feature_weights=batch.inputs.T @ dpre,
-        feature_bias=dpre.sum(axis=0),
+        feature_weights=np.swapaxes(batch.inputs, -1, -2) @ dpre,
+        feature_bias=dpre.sum(axis=-2),
         classifier_weights=d_w2,
         classifier_bias=d_b2,
     )
@@ -248,7 +262,7 @@ def sgd_step(model: PartitionedModel, grads: Gradients, lr: float) -> Partitione
         if g is not None
     ]
     for g in present:
-        if not np.all(np.isfinite(g)):
+        if not np.isfinite(g).all():
             raise ValueError("non-finite gradient values")
     if grads.feature_weights is None:
         fw = model.feature_weights.copy()
@@ -275,17 +289,17 @@ def split(model: PartitionedModel) -> tuple[FeatureBlock, ClassifierBlock]:
 
 def merge(feature: FeatureBlock, classifier: ClassifierBlock) -> PartitionedModel:
     """Recombine two blocks into a model; inverse of split()."""
-    if feature.weights.shape[1] != classifier.weights.shape[0]:
+    if feature.weights.shape[-1] != classifier.weights.shape[-2]:
         raise ShapeError(
-            f"hidden dim mismatch: feature block has {feature.weights.shape[1]}, "
-            f"classifier block expects {classifier.weights.shape[0]}"
+            f"hidden dim mismatch: feature block has {feature.weights.shape[-1]}, "
+            f"classifier block expects {classifier.weights.shape[-2]}"
         )
     return PartitionedModel(
         feature_weights=feature.weights.copy(),
         feature_bias=feature.bias.copy(),
         classifier_weights=classifier.weights.copy(),
         classifier_bias=classifier.bias.copy(),
-        num_classes=classifier.weights.shape[1],
+        num_classes=classifier.weights.shape[-1],
     )
 
 
@@ -329,20 +343,3 @@ def load_checkpoint(path: str | Path) -> tuple[PartitionedModel, int]:
     )
     return model, seed
 
-
-def debug_dump(model: PartitionedModel, seed: int = 0) -> str:
-    """JSON rendering of the full parameter set, for eyeballing checkpoints."""
-    return json.dumps(
-        {
-            "input_dim": model.input_dim,
-            "hidden_dim": model.hidden_dim,
-            "num_classes": model.num_classes,
-            "seed": seed,
-            "feature_weights": model.feature_weights.tolist(),
-            "feature_bias": model.feature_bias.tolist(),
-            "classifier_weights": model.classifier_weights.tolist(),
-            "classifier_bias": model.classifier_bias.tolist(),
-        },
-        indent=2,
-        sort_keys=True,
-    )

@@ -108,18 +108,16 @@ class SimilarityOracle:
             missing = [c for c in self._expected if c not in self._counts]
             if missing:
                 raise ValueError(f"missing submissions from clients {missing}")
-            normalized = {
-                c: self._counts[c] / self._counts[c].sum() for c in self._expected
-            }
+            normalized = np.stack(
+                [self._counts[c] / self._counts[c].sum() for c in self._expected]
+            )
         m = len(self._expected)
         values = np.zeros((m, m))
-        for i in range(m):
-            for j in range(i + 1, m):
-                d = float(
-                    np.abs(
-                        normalized[self._expected[i]] - normalized[self._expected[j]]
-                    ).sum()
-                )
-                values[i, j] = d
-                values[j, i] = d
+        # One row of the upper triangle at a time: each distance is the sum of
+        # one contiguous row of absolute differences, which sums in the same
+        # order as histogram_distance does for a single pair.
+        for i in range(m - 1):
+            d = np.abs(normalized[i] - normalized[i + 1 :]).sum(axis=1)
+            values[i, i + 1 :] = d
+            values[i + 1 :, i] = d
         return SimilarityMatrix(values=values, client_ids=self._expected)

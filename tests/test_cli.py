@@ -81,6 +81,51 @@ class TestParseConfig:
     def test_accepts_whole_float(self):
         assert parse_config({"training": {"rounds": 2.0}}).training.rounds == 2
 
+    @pytest.mark.parametrize(
+        "raw, where",
+        [
+            ({"training": {"rounds": True}}, "training.rounds"),
+            ({"training": {"rounds": float("inf")}}, "training.rounds"),
+            ({"training": {"local_updates": "16"}}, "training.local_updates"),
+            ({"training": {"learning_rate": "0.05"}}, "training.learning_rate"),
+            ({"latency": {"transfer": False}}, "latency.transfer"),
+            ({"seed": True}, "top level.seed"),
+            ({"strategies": [{"name": "fedprox", "mu": "0.1"}]}, "strategies[0].mu"),
+            ({"strategies": [{"name": "tifl", "tiers": True}]}, "strategies[0].tiers"),
+            (
+                {"clients": {"count": 2, "per_round": 2}, "partition": {"sizes": [True, 3]}},
+                "partition.sizes",
+            ),
+            (
+                {"clients": {"count": 2, "per_round": 2, "speed_factors": [True, 0.5]}},
+                "clients.speed_factors",
+            ),
+            (
+                {"clients": {"count": 2, "per_round": 2, "speed_factors": ["0.5", 0.5]}},
+                "clients.speed_factors",
+            ),
+            (
+                {"profile": {"base": {"ff": "0.1", "fc": 0.1, "bc": 0.1, "bf": 0.7}}},
+                "profile.base",
+            ),
+        ],
+    )
+    def test_rejects_bools_and_strings_as_numbers(self, raw, where):
+        with pytest.raises(ConfigError) as info:
+            parse_config(raw)
+        assert len(info.value.problems) == 1
+        assert info.value.problems[0].startswith(where)
+
+    def test_accepts_ints_for_float_fields(self):
+        cfg = parse_config(
+            {"training": {"learning_rate": 1}, "latency": {"dispatch": 2},
+             "strategies": [{"name": "deadline", "multiplier": 2}]}
+        )
+        assert cfg.training.learning_rate == 1.0
+        assert isinstance(cfg.training.learning_rate, float)
+        assert cfg.latency.dispatch == 2.0
+        assert cfg.strategies[0].multiplier == 2.0
+
     def test_unknown_key_in_section(self):
         with pytest.raises(ConfigError) as info:
             parse_config({"clients": {"counts": 5}})
@@ -395,6 +440,17 @@ class TestInspectCommand:
         assert len(doc["clients"]) == 6
         assert doc["similarity"] is not None
         assert len(doc["similarity"]["client_ids"]) == 6
+
+    def test_similarity_from_freeze_offload_listed_second(self, tmp_path, capsys):
+        raw = dict(FAST_RAW, strategies=[{"name": "fedavg"}, {"name": "freeze_offload"}])
+        config_path = write_yaml(tmp_path / "exp.yaml", raw)
+        report = tmp_path / "report.json"
+        code = main(["inspect", "--config", config_path, "--json", str(report)])
+        assert code == 0
+        doc = json.loads(report.read_text())
+        assert doc["similarity"] is not None
+        assert len(doc["similarity"]["client_ids"]) == 6
+        assert "label-distribution distance" in capsys.readouterr().out
 
     def test_similarity_null_without_freeze_offload(self, tmp_path, capsys):
         config_path = write_yaml(tmp_path / "exp.yaml", FAST_RAW)

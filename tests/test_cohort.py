@@ -1,0 +1,357 @@
+"""Round planning and stacked cohort training.
+
+The golden digests below were recorded before rounds were split into a
+timing-only plan and a stacked executor; they pin traces and final models of
+a small config under every strategy, so any change to the arithmetic or the
+event order shows up as a digest mismatch.
+"""
+
+import hashlib
+import json
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from fedsim import engine
+from fedsim.config import parse_config
+from fedsim.engine import (
+    BatchCursor,
+    CohortCursor,
+    DeadlineDrop,
+    FedAvg,
+    FedNova,
+    FedProx,
+    FreezeOffload,
+    Tifl,
+    build_state,
+    execute_offloaded,
+    local_train,
+    plan_round,
+    run_round,
+)
+from fedsim.model import PartitionedModel, init_model, split
+from fedsim.profiling import PhaseTimings
+
+
+def small_config(latency=None, **training):
+    return parse_config(
+        {
+            "latency": latency or {},
+            "dataset": {"num_classes": 4, "samples_per_class": 60, "input_dim": 4},
+            "partition": {"mode": "noniid", "classes_per_client": 2},
+            "clients": {"count": 10, "per_round": 5},
+            "training": {
+                "rounds": 4,
+                "local_updates": 8,
+                "batch_size": 8,
+                "learning_rate": 0.05,
+                "hidden_dim": 8,
+                **training,
+            },
+        }
+    )
+
+
+def run_digest(config, strategy, seed):
+    """sha256 over every trace field and the final global model's bytes."""
+    state = build_state(config, strategy, seed)
+    h = hashlib.sha256()
+    for r in range(config.training.rounds):
+        t = run_round(state, r)
+        row = {
+            "round": t.round_index,
+            "duration": repr(t.duration),
+            "accuracy": repr(t.accuracy),
+            "selected": list(t.selected),
+            "dropped": list(t.dropped),
+            "completion": [[c, repr(v)] for c, v in sorted(t.completion_times.items())],
+            "num_offloads": t.num_offloads,
+            "schedule": None if t.schedule is None else t.schedule.to_dict(),
+            "records": [rec.to_dict() for rec in t.offload_records],
+        }
+        h.update(json.dumps(row, sort_keys=True).encode())
+    for a in state.global_model.arrays():
+        h.update(f"{a.dtype.str}{a.shape}".encode() + a.tobytes())
+    return h.hexdigest()
+
+
+GOLDEN = {
+    "fedavg": "9b5d88e016668b80fac944ebdfd2874159bde48ea0bbf6e75553cc2e5213686c",
+    "fedprox_mu0.01": "94d7db22b819402ec96e105ee2eadd765ef82dd125ce3653b3307c8fd6c6f405",
+    "fednova": "ab8ee9a0ba773e270b234f202f68eb7643e39ccd8db1a649207df031acfc81b5",
+    "tifl_t2": "c09f583e8e5a8f3e2ae4998a0c93ddfb53d412a5c94c0efbbc46e41d06b64ec9",
+    "deadline_m1": "123a5ee070742a11cf26c9fec2f8df5ba92b8875e01a8aa77584eb3d4c4cd9bf",
+    "freeze_offload_f1": "b099af4b829da81e3742b07aa516b8d28ccf69ce4138a019690afc70c3a412ce",
+}
+# freeze_offload with transfer latency, noisy two-batch profiles and a slow
+# dispatch: at 6 s some weak clients have passed their offload point when the
+# schedule arrives; at 40 s most have finished and their offloads are skipped.
+GOLDEN_LATENCY = {
+    6.0: "41fc5d623979449569e0257475a8795a8c9e1fb1578a5ae9eeb651b30887849c",
+    40.0: "eecf7ffc3696aee05a5fcc83e2b119c3b55552d1f654b2a7b543ad07ddeb0455",
+}
+
+STRATEGIES = [
+    FedAvg(),
+    FedProx(mu=0.01),
+    FedNova(),
+    Tifl(num_tiers=2),
+    DeadlineDrop(multiplier=1.0),
+    FreezeOffload(similarity_factor=1.0),
+]
+
+
+@pytest.mark.parametrize("strategy", STRATEGIES, ids=lambda s: s.label)
+def test_golden_digest(strategy):
+    assert run_digest(small_config(), strategy, seed=3) == GOLDEN[strategy.label]
+
+
+@pytest.mark.parametrize("dispatch", sorted(GOLDEN_LATENCY))
+def test_golden_digest_freeze_offload_with_latency(dispatch):
+    config = small_config(latency={"dispatch": dispatch, "transfer": 2.0}, local_updates=12)
+    strategy = FreezeOffload(profile_batches=2, profile_noise_sigma=0.2)
+    assert run_digest(config, strategy, seed=4) == GOLDEN_LATENCY[dispatch]
+
+
+# --------------------------------------------------------------------------
+# Stacked training equals per-client training
+# --------------------------------------------------------------------------
+
+DATA_RNG = np.random.default_rng(11)
+INPUTS = DATA_RNG.standard_normal((60, 4))
+LABELS = DATA_RNG.integers(0, 3, size=60)
+# Members with partitions smaller than, near and well above the batch size,
+# so that some streams reshuffle inside a step and some between steps.
+MEMBER_INDICES = [np.arange(0, 5), np.arange(5, 18), np.arange(18, 58), np.arange(58, 60)]
+
+
+def member_cursors():
+    return [
+        BatchCursor(INPUTS, LABELS, idx, 8, np.random.default_rng(100 + k))
+        for k, idx in enumerate(MEMBER_INDICES)
+    ]
+
+
+def member_models():
+    return [init_model(4, 6, 3, seed=20 + k) for k in range(len(MEMBER_INDICES))]
+
+
+def stack(models):
+    arrays = [np.stack(parts) for parts in zip(*(m.arrays() for m in models))]
+    return PartitionedModel(*arrays, num_classes=models[0].num_classes)
+
+
+def assert_rows_equal(stacked_arrays, per_member):
+    for k, member_arrays in enumerate(per_member):
+        for a, b in zip(stacked_arrays, member_arrays):
+            assert a[k].tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize(
+    "mode, prox_mu", [("full", 0.0), ("frozen", 0.0), ("full", 0.01), ("full", 0.5)]
+)
+def test_local_train_stacked_matches_per_client(mode, prox_mu):
+    anchor = init_model(4, 6, 3, seed=99) if prox_mu else None
+    timings = PhaseTimings(ff=0.1, fc=0.1, bc=0.1, bf=0.7)
+    cursors = member_cursors()
+    # Two calls on the same streams: the second starts where the first ended.
+    reference = []
+    for model, cursor in zip(member_models(), cursors):
+        for steps in (5, 3):
+            model, _ = local_train(
+                model, cursor, steps, 0.1, timings, mode=mode, prox_mu=prox_mu, anchor=anchor
+            )
+        reference.append(model.arrays())
+
+    stacked = stack(member_models())
+    cursors = member_cursors()
+    for steps in (5, 3):
+        stacked, spent = local_train(
+            stacked,
+            CohortCursor(cursors, steps),
+            steps,
+            0.1,
+            mode=mode,
+            prox_mu=prox_mu,
+            anchor=anchor,
+        )
+        assert spent is None
+    assert_rows_equal(stacked.arrays(), reference)
+
+
+def test_execute_offloaded_stacked_matches_per_client():
+    timings = PhaseTimings(ff=0.1, fc=0.1, bc=0.1, bf=0.7)
+    reference = []
+    for model, cursor in zip(member_models(), member_cursors()):
+        feature, snapshot = split(model)
+        trained, _ = execute_offloaded(feature, snapshot, cursor, 6, 0.1, timings)
+        reference.append((trained.weights, trained.bias))
+
+    feature, snapshot = split(stack(member_models()))
+    trained, spent = execute_offloaded(
+        feature, snapshot, CohortCursor(member_cursors(), 6), 6, 0.1
+    )
+    assert spent is None
+    assert_rows_equal((trained.weights, trained.bias), reference)
+
+
+@pytest.mark.parametrize("size", [1, 5, 16, 40])
+def test_cursor_take_matches_step_by_step_loop(size):
+    # Reference: the stream as first written, one chunk of a pass at a time.
+    def reference_takes(rng, indices, counts):
+        order, pos = rng.permutation(indices), 0
+        for n in counts:
+            out = []
+            while n > 0:
+                if pos >= order.shape[0]:
+                    order, pos = rng.permutation(indices), 0
+                chunk = order[pos : pos + n]
+                out.append(chunk)
+                pos += chunk.shape[0]
+                n -= chunk.shape[0]
+            yield np.concatenate(out)
+
+    indices = np.arange(10, 10 + size)
+    counts = [int(n) for n in np.random.default_rng(size).integers(1, 3 * size + 2, size=60)]
+    counts += [size, size, 2 * size, 1]
+    cursor = BatchCursor(INPUTS, LABELS, indices, 8, np.random.default_rng(7))
+    expected = reference_takes(np.random.default_rng(7), indices, counts)
+    for n, want in zip(counts, expected):
+        assert np.array_equal(cursor._take(n), want)
+
+
+def test_cohort_cursor_serves_each_members_batches():
+    plain = member_cursors()
+    cohort = CohortCursor(member_cursors(), 4)
+    for _ in range(4):
+        batch = cohort.next_batch()
+        assert batch.inputs.shape == (len(MEMBER_INDICES), 8, 4)
+        for k, cursor in enumerate(plain):
+            expected = cursor.next_batch()
+            assert np.array_equal(batch.inputs[k], expected.inputs)
+            assert np.array_equal(batch.labels[k], expected.labels)
+
+
+def test_cohort_cursor_rejects_mixed_batch_sizes():
+    cursors = member_cursors()[:1] + [
+        BatchCursor(INPUTS, LABELS, np.arange(10), 4, np.random.default_rng(0))
+    ]
+    with pytest.raises(ValueError):
+        CohortCursor(cursors, 2)
+
+
+# --------------------------------------------------------------------------
+# Dropped deadline clients are never trained
+# --------------------------------------------------------------------------
+
+
+def test_deadline_round_never_trains_dropped_clients(monkeypatch):
+    trained_cursors = []
+    original = engine.local_train
+
+    def recording(model, cursor, updates, *args, **kwargs):
+        trained_cursors.extend(cursor.members)
+        return original(model, cursor, updates, *args, **kwargs)
+
+    monkeypatch.setattr(engine, "local_train", recording)
+    config = small_config()
+    state = build_state(config, DeadlineDrop(multiplier=1.0), seed=3)
+    drops = 0
+    for r in range(config.training.rounds):
+        before = len(trained_cursors)
+        trace = run_round(state, r)
+        members = trained_cursors[before:]
+        trained = {
+            cid for cid in trace.selected if any(state.client(cid).cursor is m for m in members)
+        }
+        assert trained == set(trace.selected) - set(trace.dropped)
+        assert all(state.client(cid).cursor is None for cid in trace.dropped)
+        drops += len(trace.dropped)
+    assert drops > 0
+    # Skipping the dropped clients changes no output.
+    assert run_digest(config, DeadlineDrop(multiplier=1.0), seed=3) == GOLDEN["deadline_m1"]
+
+
+# --------------------------------------------------------------------------
+# Plan invariants on random small configs
+# --------------------------------------------------------------------------
+
+
+@st.composite
+def configs(draw):
+    count = draw(st.integers(2, 8))
+    updates = draw(st.integers(2, 10))
+    raw = {
+        "dataset": {"num_classes": 3, "samples_per_class": 30, "input_dim": 3},
+        "partition": draw(
+            st.sampled_from([{"mode": "iid"}, {"mode": "noniid", "classes_per_client": 2}])
+        ),
+        "clients": {"count": count, "per_round": draw(st.integers(min(2, count), count))},
+        "training": {
+            "rounds": 2,
+            "local_updates": updates,
+            "batch_size": draw(st.integers(1, 6)),
+            "hidden_dim": 4,
+        },
+        "profile": {"batches": draw(st.integers(1, updates - 1))},
+        "latency": {
+            "dispatch": draw(st.sampled_from([0.0, 0.5, 3.0, 20.0])),
+            "transfer": draw(st.sampled_from([0.0, 1.0, 5.0])),
+        },
+        # freeze_offload first and twice, as the plan varies most under it.
+        "strategies": [
+            draw(
+                st.sampled_from(
+                    [
+                        {"name": "freeze_offload", "similarity_factor": 1.0},
+                        {"name": "freeze_offload", "similarity_factor": 0.0},
+                        {"name": "fedavg"},
+                        {"name": "fedprox", "mu": 0.1},
+                        {"name": "fednova"},
+                        {"name": "tifl", "tiers": min(2, count)},
+                        {"name": "deadline", "multiplier": 1.0},
+                    ]
+                )
+            )
+        ],
+    }
+    return parse_config(raw), draw(st.integers(0, 2**16))
+
+
+@settings(max_examples=40, deadline=None)
+@given(configs())
+def test_plan_invariants(case):
+    config, seed = case
+    updates = config.training.local_updates
+    state = build_state(config, config.strategies[0], seed)
+    for r in range(config.training.rounds):
+        plan = plan_round(state, r)
+        trace = run_round(state, r)
+        assert [p.client_id for p in plan.clients] == list(trace.selected)
+        weak = [p for p in plan.clients if p.receiver is not None]
+        receivers = [p.receiver for p in weak]
+        assert len(set(receivers)) == len(receivers)
+        assert not set(receivers) & {p.client_id for p in weak}
+        for p in plan.clients:
+            assert all(t >= 0.0 for t in p.submit_times)
+            assert p.completion == trace.completion_times[p.client_id]
+            if p.receiver is not None:
+                assert p.full_steps + p.frozen_steps == updates
+                assert p.donated_steps == p.frozen_steps >= 1
+                assert p.receiver in trace.selected
+                assert len(p.submit_times) == 2
+            elif p.dropped:
+                assert p.full_steps == 0
+            else:
+                assert (p.full_steps, p.frozen_steps, p.donated_steps) == (updates, 0, 0)
+        records = {rec.weak_client_id: rec for rec in trace.offload_records}
+        assert set(records) == {p.client_id for p in weak}
+        for p in weak:
+            assert records[p.client_id].full_batches == p.full_steps
+            assert records[p.client_id].offloaded_batches == p.donated_steps
+        included = [trace.completion_times[c] for c in trace.selected if c not in trace.dropped]
+        if included:
+            assert trace.duration == max(included)
+        assert trace.dropped == tuple(p.client_id for p in plan.clients if p.dropped)

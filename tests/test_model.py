@@ -124,6 +124,23 @@ class TestBatchValidation:
         with pytest.raises(ValueError):
             Batch(inputs=np.zeros(3), labels=np.zeros(3, dtype=int))
 
+    def test_stacked_batch_shapes(self):
+        Batch(inputs=np.zeros((3, 4, 2)), labels=np.zeros((3, 4), dtype=int))
+        with pytest.raises(ShapeError):
+            Batch(inputs=np.zeros((3, 4, 2)), labels=np.zeros(4, dtype=int))
+        with pytest.raises(ShapeError):
+            Batch(inputs=np.zeros((3, 4, 2)), labels=np.zeros((2, 4), dtype=int))
+
+    def test_stacked_forward_checks_every_member(self):
+        stacked = PartitionedModel(
+            *(np.stack([a, a]) for a in init_model(4, 3, 2, seed=1).arrays()), num_classes=2
+        )
+        labels = np.array([[0, 1], [1, 2]])
+        with pytest.raises(ValueError):
+            forward(stacked, Batch(inputs=np.zeros((2, 2, 4)), labels=labels))
+        with pytest.raises(ShapeError):
+            forward(stacked, Batch(inputs=np.zeros((2, 2, 5)), labels=labels % 2))
+
 
 class TestCrossEntropy:
     def test_matches_manual_value(self):

@@ -72,6 +72,38 @@ class TestOracle:
                     histogram_distance(counts[a], counts[b])
                 )
 
+    @pytest.mark.parametrize("num_classes", [1, 2, 3, 7, 10, 17])
+    def test_matrix_bytes_match_pair_loop(self, num_classes):
+        # Reference: one histogram pair at a time, as the matrix was first
+        # computed. The row-wise computation must reproduce it byte for byte.
+        rng = np.random.default_rng(num_classes)
+        counts = {}
+        for cid in range(40):
+            kind = cid % 4
+            if kind == 0:  # single class
+                c = np.zeros(num_classes, dtype=np.int64)
+                c[rng.integers(num_classes)] = rng.integers(1, 500)
+            elif kind == 1:  # disjoint halves
+                c = np.zeros(num_classes, dtype=np.int64)
+                half = slice(0, max(1, num_classes // 2)) if cid % 8 == 1 else slice(
+                    num_classes // 2, num_classes
+                )
+                c[half] = rng.integers(1, 50, size=c[half].shape)
+            else:
+                c = rng.integers(0, 1000, size=num_classes)
+                c[rng.integers(num_classes)] += 1
+            counts[cid] = tuple(int(x) for x in c)
+        ids = sorted(counts)
+        normalized = [np.asarray(counts[c]) / np.asarray(counts[c]).sum() for c in ids]
+        expected = np.zeros((len(ids), len(ids)))
+        for i in range(len(ids)):
+            for j in range(i + 1, len(ids)):
+                d = float(np.abs(normalized[i] - normalized[j]).sum())
+                expected[i, j] = d
+                expected[j, i] = d
+        matrix = filled_oracle(counts, num_classes).compute_matrix()
+        assert matrix.values.tobytes() == expected.tobytes()
+
     def test_receipt_names_client(self):
         oracle = SimilarityOracle([4], 2)
         receipt = oracle.submit(ClassCountSubmission(client_id=4, counts=(1, 1)))
