@@ -9,7 +9,9 @@ Subcommands::
 `run` executes every configured strategy for every replicate seed and writes
 one trace CSV per (strategy, seed) plus summary.json and config_echo.json.
 Replicates fan out over a process pool; all outputs are deterministic given
-the config, so reruns produce byte-identical files.
+the config, so reruns produce byte-identical files. Each file is written to a
+temp file in the same directory and then renamed over its final name, so an
+interrupted run leaves whole files or none, never a truncated one.
 
 Exit codes: 0 on success, 1 for configuration problems, 2 for runtime
 failures such as missing files.
@@ -18,6 +20,7 @@ failures such as missing files.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import json
 import os
@@ -39,6 +42,23 @@ def _format_float(x: float) -> str:
     return repr(float(x))
 
 
+def _write_atomic(path: str, text: str) -> None:
+    """Write `text` to `path` through a temp file renamed into place."""
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(tmp)
+        raise
+
+
+def _write_json(path: str, doc) -> None:
+    _write_atomic(path, json.dumps(doc, indent=2, sort_keys=True) + "\n")
+
+
 def trace_path(out_dir: str, label: str, seed: int) -> str:
     return os.path.join(out_dir, f"trace_{label}_{seed}.csv")
 
@@ -53,8 +73,7 @@ def write_trace(out_dir: str, result: ExperimentResult) -> str:
             f"{t.round_index},{_format_float(t.duration)},"
             f"{_format_float(t.accuracy)},{dropped},{t.num_offloads}"
         )
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+    _write_atomic(path, "\n".join(lines) + "\n")
     return path
 
 
@@ -107,12 +126,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
             / len(rows),
         }
     summary_doc = {"experiments": summaries, "aggregates": aggregates}
-    with open(os.path.join(args.out, "summary.json"), "w", encoding="utf-8") as fh:
-        json.dump(summary_doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    with open(os.path.join(args.out, "config_echo.json"), "w", encoding="utf-8") as fh:
-        json.dump(echo_dict(config), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json(os.path.join(args.out, "summary.json"), summary_doc)
+    _write_json(os.path.join(args.out, "config_echo.json"), echo_dict(config))
     print(f"wrote {len(tasks)} trace file(s), summary.json, config_echo.json to {args.out}")
     return 0
 
@@ -222,9 +237,7 @@ def _cmd_inspect(args: argparse.Namespace) -> int:
             if state.similarity is None
             else state.similarity.to_dict(),
         }
-        with open(args.json, "w", encoding="utf-8") as fh:
-            json.dump(doc, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        _write_json(args.json, doc)
         print(f"wrote {args.json}")
     return 0
 

@@ -139,6 +139,10 @@ def _get(raw: dict, section: str, key: str, default, kind, problems: list[str]):
                 raise ValueError
             return int(value)
         if kind is float:
+            if not math.isfinite(value):
+                # .nan and .inf pass every range check, then break the run.
+                problems.append(f"{section}.{key}: must be finite, got {value!r}")
+                return default
             return float(value)
         if kind is str:
             if not isinstance(value, str):

@@ -12,12 +12,16 @@ A round runs in two passes.
   whether it is dropped. Virtual time never waits on wall-clock time.
 * The executor trains the plan. Training is real: every client the plan
   keeps runs SGD on its own partition, so model quality reacts to the
-  strategy as round durations do. A dropped client runs no steps. Clients
-  that run the same number of steps in the same phase train stacked: one
-  `local_train` or `execute_offloaded` call moves all of them in lockstep,
-  their parameters and batches carrying a leading cohort axis (see `model`).
-  Each member draws its batches from its own stream in the order it would
-  alone, and comes out bitwise equal to training alone.
+  strategy as round durations do. A dropped client runs no steps. Each
+  phase (full steps, classifier-only steps, steps on a donated feature
+  block) trains its clients stacked, in lockstep: their parameters and
+  batches carry a leading cohort axis (see `model`), and a client leaves
+  the stack when it has run its steps, so each `local_train` or
+  `execute_offloaded` call moves every client still running. Each kept
+  client's stream draws all its batches of the round in one take; these
+  are split by phase, and each phase gathers its clients' batches once,
+  into one `CohortCursor`. Every client sees the batches it would draw
+  alone, in the same order, and comes out bitwise equal to training alone.
 
 Strategies
 ----------
@@ -240,36 +244,41 @@ class BatchCursor:
 
 
 class CohortCursor(BatchCursor):
-    """Stacked batches of a cohort that trains in lockstep.
+    """Stacked batches of one phase of a cohort that trains in lockstep.
 
-    On construction it draws the next `steps` batches of every member cursor,
-    in one gather over the shared data arrays. `next_batch` then serves one
-    step at a time as a Batch of shape (K, batch_size, input_dim) whose slice
-    k is the batch member k's cursor would have served at that step.
+    `blocks` holds each member's sample indices for the phase, one row of
+    `batch_size` indices per step, with the members in order of step count.
+    On construction they are gathered from the shared data arrays in one go,
+    step-major, so that each step is one contiguous block. `next_batch` then
+    serves one step at a time as a Batch of shape (K, batch_size, input_dim)
+    whose row k is what member k's own cursor serves at that step. Only the
+    members that still have the step are served, as a view of a suffix of
+    the stack: the members that have run all their steps leave from the
+    front.
     """
 
-    def __init__(self, cursors: list[BatchCursor], steps: int) -> None:
-        first = cursors[0]
-        size = first._batch_size
-        for c in cursors:
-            if c._inputs is not first._inputs or c._labels is not first._labels:
-                raise ValueError("cohort members must draw from the same data arrays")
-            if c._batch_size != size:
-                raise ValueError("cohort members must share one batch size")
-        idx = np.stack([c._take(steps * size) for c in cursors])
-        # Step-major, so that each step's batch is one contiguous block.
-        idx = idx.reshape(len(cursors), steps, size).swapaxes(0, 1)
-        self.members = tuple(cursors)
-        self._inputs = first._inputs[idx]
-        self._labels = first._labels[idx]
+    def __init__(self, inputs: np.ndarray, labels: np.ndarray, blocks: list[np.ndarray]) -> None:
+        steps = [b.shape[0] for b in blocks]
+        if steps != sorted(steps):
+            raise ValueError("cohort members must come in order of step count")
+        size = blocks[0].shape[1]
+        if any(b.shape[1] != size for b in blocks):
+            raise ValueError("cohort members must share one batch size")
+        idx = np.zeros((steps[-1], len(blocks), size), dtype=np.int64)
+        # Steps a member does not run read sample 0 and are never served.
+        running = np.arange(steps[-1]) < np.asarray(steps)[:, None]
+        idx.swapaxes(0, 1)[running] = np.concatenate(blocks)
+        self._inputs = inputs.take(idx, axis=0)
+        self._labels = labels.take(idx)
         self._batch_size = size
+        self._first = np.searchsorted(steps, np.arange(steps[-1]), side="right").tolist()
         self._step = 0
 
-    def _take(self, n: int) -> int:
-        """Index of the next step's block in the gathered arrays."""
+    def _take(self, n: int) -> tuple[int, slice]:
+        """Where the next step's batches of the members still running lie."""
         step = self._step
         self._step += 1
-        return step
+        return step, slice(self._first[step], None)
 
 
 @dataclass
@@ -917,26 +926,30 @@ def _rows(model: PartitionedModel, rows: int | slice) -> PartitionedModel:
 
 def _lockstep(
     start: dict[int, PartitionedModel],
-    steps: dict[int, int],
-    train: Callable[[PartitionedModel, list[int], int], PartitionedModel],
+    blocks: dict[int, np.ndarray],
+    dataset: Dataset,
+    train: Callable[[PartitionedModel, CohortCursor, int], PartitionedModel],
 ) -> dict[int, PartitionedModel]:
     """Train the clients of one phase stacked, in lockstep; return their models.
 
-    `train(model, members, n)` runs n steps of a stacked model whose rows are
-    `members`. The clients that run the fewest steps sit first, and each
-    leaves the stack once it has run its steps, so every distinct step count
-    ends one call and each call moves every client still running. Clients
-    with no steps are left out.
+    `blocks[cid]` holds client cid's batch indices for the phase, one row per
+    step. They are gathered into one `CohortCursor`, and `train(model,
+    cursor, n)` runs n steps of a stacked model on it. The clients that run the
+    fewest steps sit first, and each leaves the stack once it has run its
+    steps, so every distinct step count ends one call and each call moves
+    every client still running. Clients with no steps are left out.
     """
+    steps = {cid: len(b) for cid, b in blocks.items()}
     members = sorted((cid for cid, n in steps.items() if n > 0), key=steps.__getitem__)
     trained: dict[int, PartitionedModel] = {}
     if not members:
         return trained
+    cursor = CohortCursor(dataset.inputs, dataset.labels, [blocks[cid] for cid in members])
     model = _stack([start[cid] for cid in members])
     ran = 0
     while members:
         target = steps[members[0]]
-        model = train(model, members, target - ran)
+        model = train(model, cursor, target - ran)
         ran = target
         finished = sum(1 for cid in members if steps[cid] == target)
         for k, cid in enumerate(members[:finished]):
@@ -946,60 +959,81 @@ def _lockstep(
     return trained
 
 
+def _phase_blocks(
+    state: ExperimentState, plan: RoundPlan
+) -> tuple[dict[int, np.ndarray], dict[int, np.ndarray], dict[int, np.ndarray]]:
+    """Each phase's batch indices per client, from one take per stream.
+
+    Gives every kept client its round's batch stream (`ClientState.cursor`;
+    None for every other client) and draws all the batches that stream serves
+    in the round at once: a weak client's full and classifier-only steps,
+    a receiver's full steps and then the donated block's steps, which follow
+    its own budget. `build_schedule` gives a receiver at most one block per
+    round. A take of a + b indices is the take of a followed by the take of
+    b, so the stream serves each phase the batches it would serve alone.
+    Returns the (steps, batch_size) index blocks of the full, frozen and
+    donated phases, each keyed by the client whose model trains on them.
+    """
+    size = state.config.training.batch_size
+    weak = [p for p in plan.clients if p.receiver is not None]
+    donated_to = {p.receiver: p.donated_steps for p in weak}
+    full_steps = {p.client_id: p.full_steps for p in plan.clients}
+    draws: dict[int, np.ndarray] = {}
+    # A stream lasts one round; release the last round's.
+    for c in state.clients:
+        c.cursor = None
+    for p in plan.clients:
+        if p.dropped:
+            continue
+        c = state.client(p.client_id)
+        c.cursor = BatchCursor(
+            state.dataset.inputs,
+            state.dataset.labels,
+            c.partition.sample_indices,
+            size,
+            spawn_rng(state.seed, TAG_BATCHES, plan.round_index, p.client_id),
+        )
+        steps = p.full_steps + p.frozen_steps + donated_to.get(p.client_id, 0)
+        draws[p.client_id] = c.cursor._take(steps * size).reshape(steps, size)
+    full = {cid: rows[: full_steps[cid]] for cid, rows in draws.items()}
+    frozen = {p.client_id: draws[p.client_id][p.full_steps :] for p in weak}
+    donated = {p.client_id: draws[p.receiver][full_steps[p.receiver] :] for p in weak}
+    return full, frozen, donated
+
+
 def _train_plan(state: ExperimentState, plan: RoundPlan) -> dict[int, PartitionedModel]:
     """Run the plan's steps stacked; return every kept client's trained model.
 
     Phases run in the order each client's batch stream serves them: full
     steps, then a weak client's classifier-only steps, then the receiver's
-    steps on the donated feature block, which follow the receiver's own
-    budget. `build_schedule` gives a receiver at most one block per round, so
-    no cursor serves two members of one call.
+    steps on the donated feature block. `_phase_blocks` draws the batches,
+    and each phase gathers them into one `CohortCursor`.
     """
-    training = state.config.training
-    lr = training.learning_rate
+    lr = state.config.training.learning_rate
     prox_mu = state.strategy.mu if isinstance(state.strategy, FedProx) else 0.0
     anchor = state.global_model if prox_mu != 0.0 else None
-    for p in plan.clients:
-        c = state.client(p.client_id)
-        c.cursor = None if p.dropped else BatchCursor(
-            state.dataset.inputs,
-            state.dataset.labels,
-            c.partition.sample_indices,
-            training.batch_size,
-            spawn_rng(state.seed, TAG_BATCHES, plan.round_index, p.client_id),
-        )
-    weak = [p for p in plan.clients if p.receiver is not None]
-    receiver = {p.client_id: p.receiver for p in weak}
+    full_blocks, frozen_blocks, donated_blocks = _phase_blocks(state, plan)
 
-    def cohort(members: list[int], steps: int) -> CohortCursor:
-        return CohortCursor([state.client(cid).cursor for cid in members], steps)
+    def full(model: PartitionedModel, cursor: CohortCursor, n: int) -> PartitionedModel:
+        return local_train(model, cursor, n, lr, mode="full", prox_mu=prox_mu, anchor=anchor)[0]
 
-    def full(model: PartitionedModel, members: list[int], n: int) -> PartitionedModel:
-        return local_train(
-            model, cohort(members, n), n, lr, mode="full", prox_mu=prox_mu, anchor=anchor
-        )[0]
+    def frozen(model: PartitionedModel, cursor: CohortCursor, n: int) -> PartitionedModel:
+        return local_train(model, cursor, n, lr, mode="frozen")[0]
 
-    def frozen(model: PartitionedModel, members: list[int], n: int) -> PartitionedModel:
-        return local_train(model, cohort(members, n), n, lr, mode="frozen")[0]
-
-    def donated(model: PartitionedModel, members: list[int], n: int) -> PartitionedModel:
+    def donated(model: PartitionedModel, cursor: CohortCursor, n: int) -> PartitionedModel:
         feature, snapshot = split(model)
-        block, _ = execute_offloaded(
-            feature, snapshot, cohort([receiver[cid] for cid in members], n), n, lr
-        )
+        block, _ = execute_offloaded(feature, snapshot, cursor, n, lr)
         return merge(block, snapshot)
 
     trained = _lockstep(
-        {p.client_id: state.global_model for p in plan.clients},
-        {p.client_id: p.full_steps for p in plan.clients},
-        full,
+        {p.client_id: state.global_model for p in plan.clients}, full_blocks, state.dataset, full
     )
-    classifier_parts = _lockstep(trained, {p.client_id: p.frozen_steps for p in weak}, frozen)
-    feature_parts = _lockstep(trained, {p.client_id: p.donated_steps for p in weak}, donated)
-    for p in weak:
-        feature, _ = split(feature_parts[p.client_id])
-        _, classifier = split(classifier_parts[p.client_id])
-        trained[p.client_id] = merge(feature, classifier)
+    classifier_parts = _lockstep(trained, frozen_blocks, state.dataset, frozen)
+    feature_parts = _lockstep(trained, donated_blocks, state.dataset, donated)
+    for cid in frozen_blocks:
+        feature, _ = split(feature_parts[cid])
+        _, classifier = split(classifier_parts[cid])
+        trained[cid] = merge(feature, classifier)
     return trained
 
 

@@ -15,12 +15,19 @@ updates) and evaluates
 where t_a, t_b are full per-batch times, x_b is the receiver's backward
 feature phase time and r_a, r_b are remaining update counts. The scan exits
 as soon as the cost rises, which is safe because both arms are linear in d.
+
+`find_offload_point` is that scan for one pair. `build_schedule` evaluates
+every sender x receiver pair of a round at once as one cost matrix
+(`offload_points`), with the same float expressions, so both give bitwise
+the same estimates.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+
+import numpy as np
 
 from .profiling import ClientProfile
 from .similarity import SimilarityMatrix
@@ -115,6 +122,37 @@ def find_offload_point(
     return best, d
 
 
+def offload_points(
+    weak_batch_time,
+    strong_batch_time,
+    strong_offload_batch_time,
+    weak_remaining,
+    strong_remaining,
+) -> tuple[np.ndarray, np.ndarray]:
+    """`find_offload_point` over broadcast arrays of pairs.
+
+    Every offload point d = 1..min(r_a, r_b) of every pair is costed at once
+    along a trailing axis, and each pair keeps the d where the scalar scan
+    stops: the first d whose successor costs strictly more, else the last
+    one. Returns (estimated completion times, offload points), bitwise equal
+    to the scalar scan pair by pair. The inputs must be ones the scalar scan
+    accepts: positive times and remaining counts of at least 1.
+    """
+    t_a = np.asarray(weak_batch_time, dtype=np.float64)[..., None]
+    t_b = np.asarray(strong_batch_time, dtype=np.float64)[..., None]
+    x_b = np.asarray(strong_offload_batch_time, dtype=np.float64)[..., None]
+    r_a = np.asarray(weak_remaining, dtype=np.int64)[..., None]
+    r_b = np.asarray(strong_remaining, dtype=np.int64)[..., None]
+    limit = np.minimum(r_a, r_b)
+    # d runs one past the largest limit. Points past a pair's limit cost
+    # +inf, so every pair's scan stops at its limit at the latest.
+    d = np.arange(1, int(limit.max()) + 2)
+    cost = np.where(d <= limit, np.maximum((r_a - d) * t_a + d * x_b, (r_b - d) * t_b), np.inf)
+    best = (cost[..., 1:] > cost[..., :-1]).argmax(axis=-1)
+    flat = cost.reshape(-1, cost.shape[-1])
+    return flat[np.arange(flat.shape[0]), best.ravel()].reshape(best.shape), best + 1
+
+
 def build_schedule(
     profiles: list[ClientProfile],
     similarity: SimilarityMatrix,
@@ -127,7 +165,7 @@ def build_schedule(
     still-unused receiver is scored with the offload-point estimate scaled by
     ``1 + ln(S * f + 1)`` and the cheapest receiver wins (ties go to the
     lower client id). With f == 0 the similarity term vanishes and the choice
-    depends on timing alone.
+    depends on timing alone. Clients with no remaining updates take no part.
     """
     if similarity_factor < 0:
         raise ValueError(f"similarity_factor must be >= 0, got {similarity_factor}")
@@ -138,47 +176,40 @@ def build_schedule(
 
     mean = mean_completion_time(profiles)
     sending, receiving = split_sending_receiving(profiles, mean)
-    available = list(receiving)
+    senders = [p for p in sending if p.remaining_updates >= 1]
+    # Columns in id order, so that the first minimum of a row is the
+    # lowest-id receiver among equal costs.
+    receivers = sorted(
+        (p for p in receiving if p.remaining_updates >= 1), key=lambda p: p.client_id
+    )
     assignments: list[OffloadAssignment] = []
-
-    for weak in sending:
-        if not available:
-            break
-        if weak.remaining_updates < 1:
-            continue
-        best_cost = math.inf
-        best_pick: tuple[ClientProfile, float, int] | None = None
-        for strong in available:
-            if strong.remaining_updates < 1:
-                continue
-            completion, point = find_offload_point(
-                weak.timings.full_time,
-                strong.timings.full_time,
-                strong.timings.bf,
-                weak.remaining_updates,
-                strong.remaining_updates,
-            )
-            s = similarity.get(weak.client_id, strong.client_id)
-            cost = completion * (1.0 + math.log(s * similarity_factor + 1.0))
-            if cost < best_cost or (
-                cost == best_cost
-                and best_pick is not None
-                and strong.client_id < best_pick[0].client_id
-            ):
-                best_cost = cost
-                best_pick = (strong, completion, point)
-        if best_pick is None:
-            continue
-        strong, completion, point = best_pick
-        assignments.append(
-            OffloadAssignment(
-                weak_client_id=weak.client_id,
-                strong_client_id=strong.client_id,
-                offload_point=point,
-                estimated_completion=completion,
-            )
+    if senders and receivers:
+        completion, point = offload_points(
+            [[p.timings.full_time] for p in senders],
+            [p.timings.full_time for p in receivers],
+            [p.timings.bf for p in receivers],
+            [[p.remaining_updates] for p in senders],
+            [p.remaining_updates for p in receivers],
         )
-        available.remove(strong)
+        scaled = (
+            similarity.block([p.client_id for p in senders], [p.client_id for p in receivers])
+            * similarity_factor
+            + 1.0
+        )
+        # math.log per pair, as np.log need not round like it.
+        discount = 1.0 + np.array([math.log(v) for v in scaled.ravel().tolist()])
+        cost = completion * discount.reshape(scaled.shape)
+        for row, weak in enumerate(senders[: len(receivers)]):
+            col = int(cost[row].argmin())
+            cost[:, col] = np.inf
+            assignments.append(
+                OffloadAssignment(
+                    weak_client_id=weak.client_id,
+                    strong_client_id=receivers[col].client_id,
+                    offload_point=int(point[row, col]),
+                    estimated_completion=float(completion[row, col]),
+                )
+            )
 
     return OffloadSchedule(
         assignments=tuple(assignments),

@@ -66,6 +66,11 @@ class SimilarityMatrix:
     def get(self, client_a: int, client_b: int) -> float:
         return float(self.values[self._index[client_a], self._index[client_b]])
 
+    def block(self, rows, cols) -> np.ndarray:
+        """Distances between the clients `rows` and `cols`, as a matrix."""
+        index = self._index
+        return self.values[[index[c] for c in rows]][:, [index[c] for c in cols]]
+
     def to_dict(self) -> dict:
         return {"client_ids": list(self.client_ids), "values": self.values.tolist()}
 

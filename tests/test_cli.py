@@ -1,10 +1,12 @@
 """Tests for config parsing and the command line interface."""
 
 import json
+import os
 
 import pytest
 import yaml
 
+from fedsim import cli
 from fedsim.cli import main, trace_path, write_trace
 from fedsim.config import (
     ConfigError,
@@ -108,6 +110,9 @@ class TestParseConfig:
                 {"profile": {"base": {"ff": "0.1", "fc": 0.1, "bc": 0.1, "bf": 0.7}}},
                 "profile.base",
             ),
+            ({"dataset": {"noise_sigma": float("nan")}}, "dataset.noise_sigma"),
+            ({"latency": {"dispatch": float("inf")}}, "latency.dispatch"),
+            ({"strategies": [{"name": "fedprox", "mu": float("nan")}]}, "strategies[0].mu"),
         ],
     )
     def test_rejects_bools_and_strings_as_numbers(self, raw, where):
@@ -357,6 +362,42 @@ class TestRunCommand:
         code, _ = self.run_cli(tmp_path, raw)
         assert code == 1
         assert "invalid configuration" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "raw",
+        [
+            {"dataset": {"noise_sigma": float("nan")}},
+            {"latency": {"dispatch": float("inf")}},
+            {"strategies": [{"name": "fedprox", "mu": float("nan")}]},
+        ],
+        ids=["noise_sigma-nan", "dispatch-inf", "mu-nan"],
+    )
+    def test_non_finite_float_exits_1(self, tmp_path, capsys, raw):
+        code, out = self.run_cli(tmp_path, dict(FAST_RAW, **raw))
+        assert code == 1
+        assert "must be finite" in capsys.readouterr().err
+        assert not out.exists() or not any(out.iterdir())
+
+    def test_leaves_no_temp_files(self, tmp_path):
+        raw = dict(FAST_RAW, replicates=2)
+        code, out = self.run_cli(tmp_path, raw)
+        assert code == 0
+        assert sorted(p.name for p in out.iterdir()) == [
+            "config_echo.json", "summary.json", "trace_fedavg_7.csv", "trace_fedavg_8.csv"
+        ]
+
+    def test_failed_write_keeps_old_file(self, tmp_path, monkeypatch):
+        path = tmp_path / "summary.json"
+        path.write_text("old\n")
+
+        def failing_replace(src, dst):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(os, "replace", failing_replace)
+        with pytest.raises(OSError):
+            cli._write_atomic(str(path), "new\n")
+        assert path.read_text() == "old\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["summary.json"]
 
     def test_missing_config_exits_2(self, tmp_path):
         code = main(["run", "--config", str(tmp_path / "nope.yaml"),

@@ -8,6 +8,7 @@ event order shows up as a digest mismatch.
 
 import hashlib
 import json
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -33,6 +34,7 @@ from fedsim.engine import (
 )
 from fedsim.model import PartitionedModel, init_model, split
 from fedsim.profiling import PhaseTimings
+from fedsim.seeding import TAG_BATCHES, spawn_rng
 
 
 def small_config(latency=None, **training):
@@ -93,6 +95,31 @@ GOLDEN_LATENCY = {
     40.0: "eecf7ffc3696aee05a5fcc83e2b119c3b55552d1f654b2a7b543ad07ddeb0455",
 }
 
+# freeze_offload at a larger scale: 40 of 200 clients per round, with a slow
+# dispatch and noisy profiles, gives 8-14 offloads per round and four or five
+# distinct step counts in each phase, with partitions smaller than a batch.
+GOLDEN_COHORT_40 = "3b7fd70615fc92c93048dd4db6f41dea8c31edb6076cccddffb6ab5143973dc6"
+COHORT_40_STRATEGY = FreezeOffload(profile_batches=2, profile_noise_sigma=0.2)
+
+
+def cohort_40_config():
+    return parse_config(
+        {
+            "latency": {"dispatch": 3.0, "transfer": 1.0},
+            "dataset": {"num_classes": 4, "samples_per_class": 300, "input_dim": 4},
+            "partition": {"mode": "noniid", "classes_per_client": 2},
+            "clients": {"count": 200, "per_round": 40},
+            "training": {
+                "rounds": 3,
+                "local_updates": 12,
+                "batch_size": 8,
+                "learning_rate": 0.05,
+                "hidden_dim": 8,
+            },
+        }
+    )
+
+
 STRATEGIES = [
     FedAvg(),
     FedProx(mu=0.01),
@@ -115,6 +142,10 @@ def test_golden_digest_freeze_offload_with_latency(dispatch):
     assert run_digest(config, strategy, seed=4) == GOLDEN_LATENCY[dispatch]
 
 
+def test_golden_digest_freeze_offload_cohort_of_40():
+    assert run_digest(cohort_40_config(), COHORT_40_STRATEGY, seed=6) == GOLDEN_COHORT_40
+
+
 # --------------------------------------------------------------------------
 # Stacked training equals per-client training
 # --------------------------------------------------------------------------
@@ -132,6 +163,11 @@ def member_cursors():
         BatchCursor(INPUTS, LABELS, idx, 8, np.random.default_rng(100 + k))
         for k, idx in enumerate(MEMBER_INDICES)
     ]
+
+
+def draw_blocks(cursors, steps):
+    """Each cursor's next `steps` batches as a (steps, batch_size) index block."""
+    return [c._take(steps * 8).reshape(steps, 8) for c in cursors]
 
 
 def member_models():
@@ -170,7 +206,7 @@ def test_local_train_stacked_matches_per_client(mode, prox_mu):
     for steps in (5, 3):
         stacked, spent = local_train(
             stacked,
-            CohortCursor(cursors, steps),
+            CohortCursor(INPUTS, LABELS, draw_blocks(cursors, steps)),
             steps,
             0.1,
             mode=mode,
@@ -191,7 +227,7 @@ def test_execute_offloaded_stacked_matches_per_client():
 
     feature, snapshot = split(stack(member_models()))
     trained, spent = execute_offloaded(
-        feature, snapshot, CohortCursor(member_cursors(), 6), 6, 0.1
+        feature, snapshot, CohortCursor(INPUTS, LABELS, draw_blocks(member_cursors(), 6)), 6, 0.1
     )
     assert spent is None
     assert_rows_equal((trained.weights, trained.bias), reference)
@@ -223,23 +259,29 @@ def test_cursor_take_matches_step_by_step_loop(size):
 
 
 def test_cohort_cursor_serves_each_members_batches():
+    # Members with 1, 2, 2 and 4 steps: each step serves the members that
+    # still have it, as a suffix of the stack.
+    steps = [1, 2, 2, 4]
     plain = member_cursors()
-    cohort = CohortCursor(member_cursors(), 4)
-    for _ in range(4):
+    cohort = CohortCursor(
+        INPUTS, LABELS, [c._take(n * 8).reshape(n, 8) for c, n in zip(member_cursors(), steps)]
+    )
+    for step in range(4):
         batch = cohort.next_batch()
-        assert batch.inputs.shape == (len(MEMBER_INDICES), 8, 4)
-        for k, cursor in enumerate(plain):
-            expected = cursor.next_batch()
-            assert np.array_equal(batch.inputs[k], expected.inputs)
-            assert np.array_equal(batch.labels[k], expected.labels)
+        running = [k for k, n in enumerate(steps) if n > step]
+        assert batch.inputs.shape == (len(running), 8, 4)
+        for row, k in enumerate(running):
+            expected = plain[k].next_batch()
+            assert np.array_equal(batch.inputs[row], expected.inputs)
+            assert np.array_equal(batch.labels[row], expected.labels)
 
 
 def test_cohort_cursor_rejects_mixed_batch_sizes():
-    cursors = member_cursors()[:1] + [
-        BatchCursor(INPUTS, LABELS, np.arange(10), 4, np.random.default_rng(0))
-    ]
-    with pytest.raises(ValueError):
-        CohortCursor(cursors, 2)
+    blocks = [np.arange(16).reshape(2, 8), np.arange(8).reshape(2, 4)]
+    with pytest.raises(ValueError, match="batch size"):
+        CohortCursor(INPUTS, LABELS, blocks)
+    with pytest.raises(ValueError, match="step count"):
+        CohortCursor(INPUTS, LABELS, [np.arange(16).reshape(2, 8), np.arange(8).reshape(1, 8)])
 
 
 # --------------------------------------------------------------------------
@@ -247,31 +289,103 @@ def test_cohort_cursor_rejects_mixed_batch_sizes():
 # --------------------------------------------------------------------------
 
 
+def lone_batches(state, round_index, cid, steps):
+    """The first `steps` batches of client cid's stream in a round, drawn alone."""
+    cursor = BatchCursor(
+        state.dataset.inputs,
+        state.dataset.labels,
+        state.client(cid).partition.sample_indices,
+        state.config.training.batch_size,
+        spawn_rng(state.seed, TAG_BATCHES, round_index, cid),
+    )
+    return [cursor.next_batch() for _ in range(steps)]
+
+
+def batch_rows(batch):
+    """One key per member row of a (possibly stacked) batch."""
+    inputs = batch.inputs.reshape(-1, *batch.inputs.shape[-2:])
+    labels = batch.labels.reshape(-1, batch.labels.shape[-1])
+    return [x.tobytes() + y.tobytes() for x, y in zip(inputs, labels)]
+
+
 def test_deadline_round_never_trains_dropped_clients(monkeypatch):
-    trained_cursors = []
+    # Every batch row local_train consumes is recorded; over a round they
+    # must be exactly the batches of the kept clients' own streams, so no
+    # dropped client's stream reaches training.
+    served = []
     original = engine.local_train
 
     def recording(model, cursor, updates, *args, **kwargs):
-        trained_cursors.extend(cursor.members)
+        next_batch = cursor.next_batch
+
+        def serve():
+            batch = next_batch()
+            served.extend(batch_rows(batch))
+            return batch
+
+        cursor.next_batch = serve
         return original(model, cursor, updates, *args, **kwargs)
 
     monkeypatch.setattr(engine, "local_train", recording)
     config = small_config()
+    updates = config.training.local_updates
     state = build_state(config, DeadlineDrop(multiplier=1.0), seed=3)
     drops = 0
     for r in range(config.training.rounds):
-        before = len(trained_cursors)
+        served.clear()
         trace = run_round(state, r)
-        members = trained_cursors[before:]
-        trained = {
-            cid for cid in trace.selected if any(state.client(cid).cursor is m for m in members)
-        }
-        assert trained == set(trace.selected) - set(trace.dropped)
-        assert all(state.client(cid).cursor is None for cid in trace.dropped)
+        kept = set(trace.selected) - set(trace.dropped)
+        expected = Counter(
+            row for cid in kept for b in lone_batches(state, r, cid, updates) for row in batch_rows(b)
+        )
+        assert Counter(served) == expected
+        for cid in trace.dropped:
+            assert state.client(cid).cursor is None
+            dropped_rows = {row for b in lone_batches(state, r, cid, updates) for row in batch_rows(b)}
+            assert not dropped_rows & set(served)
         drops += len(trace.dropped)
     assert drops > 0
     # Skipping the dropped clients changes no output.
     assert run_digest(config, DeadlineDrop(multiplier=1.0), seed=3) == GOLDEN["deadline_m1"]
+
+
+def test_phase_gathers_serve_each_stream_in_phase_order(monkeypatch):
+    # Each kept client's stream is drawn from once per round; its phases'
+    # index blocks, in phase order, are the batches the stream serves alone:
+    # full then classifier-only steps for a weak client, full steps then the
+    # donated block's steps for its receiver.
+    takes = Counter()
+    original_take = BatchCursor._take
+
+    def counting(self, n):
+        takes[id(self)] += 1
+        return original_take(self, n)
+
+    monkeypatch.setattr(BatchCursor, "_take", counting)
+    config = cohort_40_config()
+    state = build_state(config, COHORT_40_STRATEGY, seed=6)
+    frozen_counts = set()
+    for r in range(config.training.rounds):
+        plan = plan_round(state, r)
+        takes.clear()
+        full, frozen, donated = engine._phase_blocks(state, plan)
+        weak = {p.client_id: p.receiver for p in plan.clients if p.receiver is not None}
+        assert len(weak) >= 8
+        frozen_counts |= {len(b) for b in frozen.values()}
+        sequences = {cid: [full[cid]] for cid in full}
+        for cid, receiver in weak.items():
+            sequences[cid].append(frozen[cid])
+            sequences[receiver].append(donated[cid])
+        assert set(sequences) == {p.client_id for p in plan.clients if not p.dropped}
+        assert sorted(takes) == sorted(id(state.client(cid).cursor) for cid in sequences)
+        assert set(takes.values()) == {1}
+        for cid, blocks in sequences.items():
+            rows = np.concatenate(blocks)
+            for row, batch in zip(rows, lone_batches(state, r, cid, len(rows)), strict=True):
+                assert np.array_equal(state.dataset.inputs[row], batch.inputs)
+                assert np.array_equal(state.dataset.labels[row], batch.labels)
+        run_round(state, r)
+    assert len(frozen_counts) >= 3
 
 
 # --------------------------------------------------------------------------

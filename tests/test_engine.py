@@ -295,6 +295,16 @@ class TestAggregation:
         for a, b in zip(nova.arrays(), avg.arrays()):
             assert np.allclose(a, b, atol=1e-12)
 
+    def test_fednova_equals_fedavg_while_every_client_runs_its_budget(self):
+        # Every client runs local_updates steps, so FedNova's normalization
+        # cancels: the same durations and accuracies as FedAvg.
+        config = tiny_config(training={"rounds": 6}, clients={"count": 8, "per_round": 4})
+        avg = run_experiment(config, FedAvg(), seed=2)
+        nova = run_experiment(config, FedNova(), seed=2)
+        assert [t.duration for t in nova.traces] == [t.duration for t in avg.traces]
+        assert [t.accuracy for t in nova.traces] == [t.accuracy for t in avg.traces]
+        assert len({t.accuracy for t in avg.traces}) > 1
+
     def test_fednova_rejects_bad_steps(self):
         base = init_model(3, 4, 2, seed=99)
         with pytest.raises(ValueError):

@@ -9,12 +9,16 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fedsim.profiling import ClientProfile, PhaseTimings
 from fedsim.scheduling import (
+    OffloadAssignment,
     build_schedule,
     find_offload_point,
     mean_completion_time,
+    offload_points,
     split_sending_receiving,
 )
 from fedsim.similarity import SimilarityMatrix
@@ -333,3 +337,128 @@ class TestBuildSchedule:
     def test_negative_factor_rejected(self):
         with pytest.raises(ValueError):
             build_schedule([profile(0, 3.0, 5)], uniform_matrix([0]), -0.1)
+
+
+# --------------------------------------------------------------------------
+# The cost-matrix schedule is bitwise equal to the pair-by-pair loop
+# --------------------------------------------------------------------------
+
+# Times from a small grid of dyadic values, so that many pairs cost exactly
+# the same and the arms of the scan meet in plateaus.
+batch_times = st.sampled_from([0.25, 0.5, 0.75, 1.0, 1.5, 2.0, 3.0])
+
+
+@st.composite
+def offload_pairs(draw):
+    t_b = draw(batch_times)
+    return (
+        draw(batch_times),
+        t_b,
+        draw(st.sampled_from([t_b, t_b / 2, t_b / 4, t_b * 0.65])),
+        draw(st.integers(1, 20)),
+        draw(st.integers(1, 20)),
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(offload_pairs(), min_size=1, max_size=12))
+def test_offload_points_match_scalar_scan(pairs):
+    columns = [np.asarray(c) for c in zip(*pairs)]
+    completion, point = offload_points(*columns)
+    for k, pair in enumerate(pairs):
+        cost, d = find_offload_point(*pair)
+        assert completion[k].tobytes() == np.float64(cost).tobytes()
+        assert point[k] == d
+
+
+def test_offload_points_plateau_and_single_batch():
+    # d=1: max(5+1, 4) = 6, d=2: max(4+2, 2) = 6, d=3: max(3+3, 0) = 6: a
+    # plateau to the end, which the scan walks through.
+    assert find_offload_point(1.0, 2.0, 1.0, 6, 3) == (6.0, 3)
+    # d=1: max(2+2, 5) = 5, d=2: max(1+4, 4) = 5, d=3: max(0+6, 3) = 6: flat,
+    # then a rise, so the scan keeps d=2.
+    assert find_offload_point(1.0, 1.0, 2.0, 3, 6) == (5.0, 2)
+    completion, point = offload_points(
+        [1.0, 1.0, 5.0], [2.0, 1.0, 2.0], [1.0, 2.0, 3.0], [6, 3, 1], [3, 6, 1]
+    )
+    assert completion.tolist() == [6.0, 5.0, 3.0]
+    assert point.tolist() == [3, 2, 1]
+
+
+def reference_schedule(profiles, similarity, factor):
+    """The greedy pass as a loop over pairs, one `find_offload_point` each."""
+    mean = mean_completion_time(profiles)
+    sending, receiving = split_sending_receiving(profiles, mean)
+    available = list(receiving)
+    assignments = []
+    for weak in sending:
+        if not available:
+            break
+        if weak.remaining_updates < 1:
+            continue
+        best_cost = math.inf
+        best_pick = None
+        for strong in available:
+            if strong.remaining_updates < 1:
+                continue
+            completion, point = find_offload_point(
+                weak.timings.full_time,
+                strong.timings.full_time,
+                strong.timings.bf,
+                weak.remaining_updates,
+                strong.remaining_updates,
+            )
+            s = similarity.get(weak.client_id, strong.client_id)
+            cost = completion * (1.0 + math.log(s * factor + 1.0))
+            if cost < best_cost or (
+                cost == best_cost
+                and best_pick is not None
+                and strong.client_id < best_pick[0].client_id
+            ):
+                best_cost = cost
+                best_pick = (strong, completion, point)
+        if best_pick is None:
+            continue
+        strong, completion, point = best_pick
+        assignments.append(
+            OffloadAssignment(weak.client_id, strong.client_id, point, completion)
+        )
+        available.remove(strong)
+    return assignments
+
+
+@st.composite
+def schedule_cases(draw):
+    n = draw(st.integers(1, 24))
+    ids = draw(st.permutations(range(n)))
+    profiles = [
+        profile(cid, draw(batch_times), draw(st.integers(0, 12))) for cid in ids
+    ]
+    # Few distinct distances, so that equal costs are common.
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    values = np.triu(rng.choice([0.0, 0.5, 2.0], size=(n, n)), 1)
+    values += values.T
+    matrix = SimilarityMatrix(values=values, client_ids=tuple(range(n)))
+    return profiles, matrix, draw(st.sampled_from([0.0, 1.0, 3.0]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(schedule_cases())
+def test_build_schedule_matches_pairwise_loop(case):
+    profiles, matrix, factor = case
+    got = build_schedule(profiles, matrix, factor).assignments
+    want = reference_schedule(profiles, matrix, factor)
+    assert [a.to_dict() for a in got] == [a.to_dict() for a in want]
+    for a, b in zip(got, want):
+        assert type(a.offload_point) is int and type(a.estimated_completion) is float
+        assert np.float64(a.estimated_completion).tobytes() == np.float64(b.estimated_completion).tobytes()
+
+
+def test_build_schedule_matches_pairwise_loop_at_scale():
+    rng = np.random.default_rng(5)
+    for _ in range(5):
+        profiles = random_profiles(rng, 100)
+        matrix = random_matrix(rng, [p.client_id for p in profiles])
+        got = build_schedule(profiles, matrix, 1.0).assignments
+        assert len(got) > 20
+        assert got == tuple(reference_schedule(profiles, matrix, 1.0))
