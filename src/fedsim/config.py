@@ -27,7 +27,7 @@ from typing import Any
 
 import yaml
 
-from .data import TRAIN_FRACTION
+from .data import client_quotas, train_count
 from .engine import (
     DeadlineDrop,
     FedAvg,
@@ -37,15 +37,8 @@ from .engine import (
     Strategy,
     Tifl,
 )
+from .errors import ConfigError
 from .profiling import DEFAULT_BASE_TIMINGS, PhaseTimings
-
-
-class ConfigError(ValueError):
-    """Raised with every validation problem found, one per line."""
-
-    def __init__(self, problems: list[str]) -> None:
-        self.problems = list(problems)
-        super().__init__("invalid configuration:\n" + "\n".join(f"  - {p}" for p in problems))
 
 
 @dataclass(frozen=True)
@@ -221,6 +214,54 @@ def _parse_strategy(entry: Any, index: int, profile: ProfileConfig, problems: li
     return strategy
 
 
+def _check_quotas(
+    dataset: DatasetConfig, part: PartitionConfig, count: int, problems: list[str]
+) -> None:
+    """Apportion the train split as `data.partition` will and check each share.
+
+    Every client needs at least one sample, and in noniid mode one of each
+    of its classes. Runs on an otherwise valid document only.
+    """
+    where = "partition" if part.sizes == "equal" else "partition.sizes"
+    n_train = train_count(dataset.num_classes * dataset.samples_per_class)
+    try:
+        quotas = client_quotas(n_train, count, part.sizes)
+    except ArithmeticError:
+        problems.append(f"{where}: the weights cannot apportion {n_train} samples")
+        return
+    need = part.classes_per_client if part.mode == "noniid" else 1
+    if min(quotas) < need:
+        problems.append(
+            f"{where}: the smallest of {count} clients gets {min(quotas)} of the"
+            f" {n_train} training samples, needs at least {need}"
+        )
+
+
+def _check_horizon(
+    clients: ClientsConfig,
+    training: TrainingConfig,
+    profile: ProfileConfig,
+    latency: LatencyConfig,
+    problems: list[str],
+) -> None:
+    """Check that every event time of the run is finite.
+
+    Bounds them from above: in each round (and the one after the last) the
+    slowest client runs its budget and at most as many donated steps
+    again, and waits out the dispatch and transfer latencies. Runs on an
+    otherwise valid document.
+    """
+    slowest = min(clients.speed_factors) if clients.speed_factors else clients.speed_low
+    per_batch = profile.base.full_time / slowest
+    per_round = 2 * training.local_updates * per_batch + latency.dispatch + latency.transfer
+    if not math.isfinite((training.rounds + 1) * per_round):
+        problems.append(
+            f"virtual time overflows: {training.rounds} rounds of up to"
+            f" 2 x {training.local_updates} batches of {per_batch:g} s at speed {slowest:g},"
+            f" plus {latency.dispatch:g} s dispatch and {latency.transfer:g} s transfer"
+        )
+
+
 def parse_config(raw: Any) -> ExperimentConfig:
     """Build a validated ExperimentConfig from a parsed YAML document."""
     if raw is None:
@@ -297,9 +338,9 @@ def parse_config(raw: Any) -> ExperimentConfig:
             f"partition.sizes: expected 'equal' or a list of weights, got {part.sizes!r}"
         )
     elif isinstance(part.sizes, list):
-        numeric = all(_is_number(w) and w > 0 for w in part.sizes)
+        numeric = all(_is_number(w) and 0 < w < math.inf for w in part.sizes)
         if not numeric:
-            problems.append("partition.sizes: weights must be positive numbers")
+            problems.append("partition.sizes: weights must be positive finite numbers")
 
     cl = section("clients")
     factors = cl.get("speed_factors")
@@ -440,20 +481,14 @@ def parse_config(raw: Any) -> ExperimentConfig:
     if replicates is not None and replicates < 1:
         problems.append(f"replicates: must be >= 1, got {replicates}")
 
-    if part.mode == "noniid" and part.classes_per_client is not None:
-        # Every client needs at least one sample of each chosen class.
-        train_total = int(dataset.num_classes * dataset.samples_per_class * TRAIN_FRACTION)
-        per_client = train_total // max(clients.count, 1)
-        if per_client < max(part.classes_per_client, 1):
-            problems.append(
-                "partition: dataset too small to give every client"
-                f" {part.classes_per_client} classes"
-            )
-
     if isinstance(part.sizes, list) and len(part.sizes) != clients.count:
         problems.append(
             f"partition.sizes: expected {clients.count} weights, got {len(part.sizes)}"
         )
+    elif not problems:
+        _check_quotas(dataset, part, clients.count, problems)
+    if not problems:
+        _check_horizon(clients, training, profile, latency, problems)
 
     tifl_tiers = [s.num_tiers for s in strategies if isinstance(s, Tifl)]
     if any(t > clients.count for t in tifl_tiers):

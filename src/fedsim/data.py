@@ -85,7 +85,7 @@ def generate_synthetic(
     inputs = means[labels] + noise_sigma * rng.standard_normal((labels.shape[0], input_dim))
 
     order = rng.permutation(labels.shape[0])
-    n_train = int(round(TRAIN_FRACTION * labels.shape[0]))
+    n_train = train_count(labels.shape[0])
     return Dataset(
         inputs=inputs,
         labels=labels,
@@ -95,7 +95,12 @@ def generate_synthetic(
     )
 
 
-def _quotas(total: int, num_clients: int, sizes) -> list[int]:
+def train_count(num_samples: int) -> int:
+    """Size of the train split of a dataset with `num_samples` samples."""
+    return int(round(TRAIN_FRACTION * num_samples))
+
+
+def client_quotas(total: int, num_clients: int, sizes) -> list[int]:
     """Integer per-client sample targets, either equal or weight-proportional."""
     if sizes is None or (isinstance(sizes, str) and sizes == "equal"):
         weights = [1.0] * num_clients
@@ -140,12 +145,20 @@ def _partition_iid(
     for c in range(dataset.num_classes):
         pool = dataset.train_indices[train_labels == c]
         pool = rng.permutation(pool)
+        # Each class is dealt in proportion to the quotas.
         takes = _largest_remainder(weights, pool.shape[0])
-        # Trim so no client exceeds its overall quota by more than rounding.
         start = 0
         for cid, take in enumerate(takes):
             assigned[cid].extend(pool[start : start + take].tolist())
             start += take
+    # Class pools smaller than the client count can round a client down to
+    # no sample at all, though every quota is at least 1. Each such client
+    # takes the last sample dealt to the client holding the most (the lowest
+    # id among equals), so every client has data to train on.
+    for cid in range(num_clients):
+        if not assigned[cid]:
+            donor = max(range(num_clients), key=lambda i: (len(assigned[i]), -i))
+            assigned[cid].append(assigned[donor].pop())
     return _counts_from_assignment(assigned, dataset.labels, dataset.num_classes)
 
 
@@ -258,7 +271,7 @@ def partition(
         raise PartitionError(
             f"cannot split {n_train} training samples across {num_clients} clients"
         )
-    quotas = _quotas(n_train, num_clients, sizes)
+    quotas = client_quotas(n_train, num_clients, sizes)
     if min(quotas) < 1:
         raise PartitionError("every client needs at least one sample; adjust sizes")
     rng = spawn_rng(seed, TAG_PARTITION)

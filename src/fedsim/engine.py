@@ -16,12 +16,15 @@ A round runs in two passes.
   phase (full steps, classifier-only steps, steps on a donated feature
   block) trains its clients stacked, in lockstep: their parameters and
   batches carry a leading cohort axis (see `model`), and a client leaves
-  the stack when it has run its steps, so each `local_train` or
-  `execute_offloaded` call moves every client still running. Each kept
-  client's stream draws all its batches of the round in one take; these
-  are split by phase, and each phase gathers its clients' batches once,
-  into one `CohortCursor`. Every client sees the batches it would draw
-  alone, in the same order, and comes out bitwise equal to training alone.
+  the stack when it has run its steps: each lockstep step moves only the
+  clients still running, a suffix of the stack, so one `local_train` or
+  `execute_offloaded` call trains a whole phase. The call trains a copy of
+  the stack in place, in one `model.Workspace` that holds every per-step
+  intermediate, so the steps allocate no arrays. Each kept client's stream
+  draws all its batches of the round in one take; these are split by
+  phase, and each phase gathers its clients' batches once, into one
+  `CohortCursor`. Every client sees the batches it would draw alone, in the
+  same order, and comes out bitwise equal to training alone.
 
 Strategies
 ----------
@@ -57,21 +60,24 @@ from typing import Any, Callable
 
 import numpy as np
 
-from .data import ClientPartition, Dataset, generate_synthetic, partition
+from .data import ClientPartition, Dataset, PartitionError, generate_synthetic, partition
+from .errors import ConfigError
 from .model import (
     Batch,
     ClassifierBlock,
     FeatureBlock,
-    Gradients,
     PartitionedModel,
-    backward_frozen,
-    backward_full,
+    Workspace,
     forward,
     init_model,
     merge,
-    sgd_step,
-    split,
+    sgd_step_in_place,
 )
+
+# The allocating reference step functions. Training runs through
+# `sgd_step_in_place`; these stay bound here because perfbench/tracer.py
+# looks them up on this module.
+from .model import backward_frozen, backward_full, sgd_step, split  # noqa: F401
 from .profiling import ClientProfile, PhaseTimings, measure, scale_timings
 from .scheduling import OffloadSchedule, build_schedule
 from .seeding import (
@@ -218,6 +224,10 @@ class BatchCursor:
         self._order = self._rng.permutation(self._indices)
         self._pos = 0
 
+    @property
+    def batch_size(self) -> int:
+        return self._batch_size
+
     def _take(self, n: int) -> np.ndarray:
         """The next n sample indices.
 
@@ -309,35 +319,24 @@ def local_train(
     """Run `updates` SGD steps and return (new model, virtual seconds spent).
 
     In "frozen" mode only the classifier block moves and the per-batch cost
-    drops to the three non-bf phases. A stacked model trained on a
-    `CohortCursor` moves every member in lockstep; its members run at
-    different speeds, so such a call passes no `timings` and gets None for
-    the seconds.
+    drops to the three non-bf phases. The model passed in is left as it is:
+    the steps train a copy of it in place, in one `Workspace` for the call.
+    A stacked model on a `CohortCursor` trains in lockstep: each step moves
+    the members that still have that step, a suffix of the stack, so one
+    call trains a whole phase and each member comes out trained on its own
+    steps only. The members run at different speeds, so such a call passes
+    no `timings` and gets None for the seconds.
     """
     if updates < 0:
         raise ValueError(f"updates must be >= 0, got {updates}")
     if mode not in ("full", "frozen"):
         raise ValueError(f"unknown training mode {mode!r}")
+    model = model.copy()
+    workspace = Workspace(model, cursor.batch_size)
     for _ in range(updates):
-        batch = cursor.next_batch()
-        if mode == "full":
-            grads = backward_full(model, batch)
-            if prox_mu != 0.0:
-                if anchor is None:
-                    raise ValueError("proximal training requires an anchor model")
-                grads = Gradients(
-                    feature_weights=grads.feature_weights
-                    + prox_mu * (model.feature_weights - anchor.feature_weights),
-                    feature_bias=grads.feature_bias
-                    + prox_mu * (model.feature_bias - anchor.feature_bias),
-                    classifier_weights=grads.classifier_weights
-                    + prox_mu * (model.classifier_weights - anchor.classifier_weights),
-                    classifier_bias=grads.classifier_bias
-                    + prox_mu * (model.classifier_bias - anchor.classifier_bias),
-                )
-        else:
-            grads = backward_frozen(model, batch)
-        model = sgd_step(model, grads, learning_rate)
+        sgd_step_in_place(
+            model, cursor.next_batch(), workspace, learning_rate, mode, prox_mu, anchor
+        )
     if timings is None:
         return model, None
     per_batch = timings.full_time if mode == "full" else timings.frozen_time
@@ -355,29 +354,18 @@ def execute_offloaded(
     """Train someone else's feature block on local data.
 
     The donated classifier snapshot stays fixed; only the feature block
-    moves. Virtual cost is the backward-feature phase per batch, the only
-    phase the receiving client runs that it would not otherwise run. Stacked
-    blocks on a `CohortCursor` train in lockstep, as in `local_train`.
+    moves, trained in place on a copy of both blocks. Virtual cost is the
+    backward-feature phase per batch, the only phase the receiving client
+    runs that it would not otherwise run. Stacked blocks on a `CohortCursor`
+    train in lockstep, as in `local_train`.
     """
     if updates < 0:
         raise ValueError(f"updates must be >= 0, got {updates}")
     model = merge(feature, classifier_snapshot)
+    workspace = Workspace(model, cursor.batch_size)
     for _ in range(updates):
-        batch = cursor.next_batch()
-        grads = backward_full(model, batch)
-        if not (
-            np.isfinite(grads.feature_weights).all()
-            and np.isfinite(grads.feature_bias).all()
-        ):
-            raise ValueError("non-finite gradient values")
-        model = PartitionedModel(
-            feature_weights=model.feature_weights - learning_rate * grads.feature_weights,
-            feature_bias=model.feature_bias - learning_rate * grads.feature_bias,
-            classifier_weights=model.classifier_weights,
-            classifier_bias=model.classifier_bias,
-            num_classes=model.num_classes,
-        )
-    trained, _ = split(model)
+        sgd_step_in_place(model, cursor.next_batch(), workspace, learning_rate, mode="feature")
+    trained = FeatureBlock(model.feature_weights, model.feature_bias)
     return trained, None if timings is None else updates * timings.bf
 
 
@@ -733,12 +721,15 @@ class _RoundPlanner:
     def on_schedule_dispatch(self, arrival: float, computed_at: float) -> None:
         assert isinstance(self.strategy, FreezeOffload)
         strat = self.strategy
+        noisy = strat.profile_noise_sigma != 0.0
         profiles: list[ClientProfile] = []
         for cid in self.selected:
             c = self.state.client(cid)
             done = _batches_done(
                 self.start, c.timings.full_time, computed_at, self.updates
             )
+            # Noiseless profiles draw nothing, so they need no stream.
+            rng = spawn_rng(self.state.seed, TAG_PROFILE, self.round_index, cid) if noisy else None
             profiles.append(
                 measure(
                     cid,
@@ -746,7 +737,7 @@ class _RoundPlanner:
                     self.updates,
                     strat.profile_batches,
                     strat.profile_noise_sigma,
-                    spawn_rng(self.state.seed, TAG_PROFILE, self.round_index, cid),
+                    rng,
                     batches_awaiting_schedule=done - strat.profile_batches,
                 )
             )
@@ -919,8 +910,8 @@ def _stack(models: list[PartitionedModel]) -> PartitionedModel:
     return PartitionedModel(*arrays, num_classes=models[0].num_classes)
 
 
-def _rows(model: PartitionedModel, rows: int | slice) -> PartitionedModel:
-    """One member (an int) or a sub-stack (a slice) of a stacked model."""
+def _rows(model: PartitionedModel, rows: int) -> PartitionedModel:
+    """One member of a stacked model, as views."""
     return PartitionedModel(*(a[rows] for a in model.arrays()), num_classes=model.num_classes)
 
 
@@ -934,29 +925,20 @@ def _lockstep(
 
     `blocks[cid]` holds client cid's batch indices for the phase, one row per
     step. They are gathered into one `CohortCursor`, and `train(model,
-    cursor, n)` runs n steps of a stacked model on it. The clients that run the
-    fewest steps sit first, and each leaves the stack once it has run its
-    steps, so every distinct step count ends one call and each call moves
-    every client still running. Clients with no steps are left out.
+    cursor, n)` runs n lockstep steps of the stack on it. The clients that
+    run the fewest steps sit first, and each leaves the stack once it has run
+    its steps: every later step serves and moves only the clients still
+    running, a suffix of the stack. So one call trains the whole phase, and
+    each client's row comes out as trained on its own steps. Clients with no
+    steps are left out.
     """
     steps = {cid: len(b) for cid, b in blocks.items()}
     members = sorted((cid for cid, n in steps.items() if n > 0), key=steps.__getitem__)
-    trained: dict[int, PartitionedModel] = {}
     if not members:
-        return trained
+        return {}
     cursor = CohortCursor(dataset.inputs, dataset.labels, [blocks[cid] for cid in members])
-    model = _stack([start[cid] for cid in members])
-    ran = 0
-    while members:
-        target = steps[members[0]]
-        model = train(model, cursor, target - ran)
-        ran = target
-        finished = sum(1 for cid in members if steps[cid] == target)
-        for k, cid in enumerate(members[:finished]):
-            trained[cid] = _rows(model, k)
-        members = members[finished:]
-        model = _rows(model, slice(finished, None))
-    return trained
+    model = train(_stack([start[cid] for cid in members]), cursor, steps[members[-1]])
+    return {cid: _rows(model, k) for k, cid in enumerate(members)}
 
 
 def _phase_blocks(
@@ -1007,7 +989,9 @@ def _train_plan(state: ExperimentState, plan: RoundPlan) -> dict[int, Partitione
     Phases run in the order each client's batch stream serves them: full
     steps, then a weak client's classifier-only steps, then the receiver's
     steps on the donated feature block. `_phase_blocks` draws the batches,
-    and each phase gathers them into one `CohortCursor`.
+    and each phase gathers them into one `CohortCursor` and trains in one
+    `Workspace`. A weak client's model joins the feature block of its
+    donated phase to the classifier of its frozen phase, both as views.
     """
     lr = state.config.training.learning_rate
     prox_mu = state.strategy.mu if isinstance(state.strategy, FedProx) else 0.0
@@ -1021,9 +1005,20 @@ def _train_plan(state: ExperimentState, plan: RoundPlan) -> dict[int, Partitione
         return local_train(model, cursor, n, lr, mode="frozen")[0]
 
     def donated(model: PartitionedModel, cursor: CohortCursor, n: int) -> PartitionedModel:
-        feature, snapshot = split(model)
-        block, _ = execute_offloaded(feature, snapshot, cursor, n, lr)
-        return merge(block, snapshot)
+        block, _ = execute_offloaded(
+            FeatureBlock(model.feature_weights, model.feature_bias),
+            ClassifierBlock(model.classifier_weights, model.classifier_bias),
+            cursor,
+            n,
+            lr,
+        )
+        return PartitionedModel(
+            block.weights,
+            block.bias,
+            model.classifier_weights,
+            model.classifier_bias,
+            model.num_classes,
+        )
 
     trained = _lockstep(
         {p.client_id: state.global_model for p in plan.clients}, full_blocks, state.dataset, full
@@ -1031,9 +1026,14 @@ def _train_plan(state: ExperimentState, plan: RoundPlan) -> dict[int, Partitione
     classifier_parts = _lockstep(trained, frozen_blocks, state.dataset, frozen)
     feature_parts = _lockstep(trained, donated_blocks, state.dataset, donated)
     for cid in frozen_blocks:
-        feature, _ = split(feature_parts[cid])
-        _, classifier = split(classifier_parts[cid])
-        trained[cid] = merge(feature, classifier)
+        feature, classifier = feature_parts[cid], classifier_parts[cid]
+        trained[cid] = PartitionedModel(
+            feature.feature_weights,
+            feature.feature_bias,
+            classifier.classifier_weights,
+            classifier.classifier_bias,
+            classifier.num_classes,
+        )
     return trained
 
 
@@ -1095,14 +1095,19 @@ def build_state(config, strategy: Strategy, seed: int) -> ExperimentState:
         seed=seed,
         noise_sigma=config.dataset.noise_sigma,
     )
-    partitions = partition(
-        dataset,
-        config.clients.count,
-        mode=config.partition.mode,
-        classes_per_client=config.partition.classes_per_client,
-        sizes=config.partition.sizes,
-        seed=seed,
-    )
+    try:
+        partitions = partition(
+            dataset,
+            config.clients.count,
+            mode=config.partition.mode,
+            classes_per_client=config.partition.classes_per_client,
+            sizes=config.partition.sizes,
+            seed=seed,
+        )
+    except PartitionError as exc:
+        # Whether a noniid partition can be drawn depends on the seed's
+        # random train split, so only the seed's own data can tell.
+        raise ConfigError([f"partition: {exc} (seed {seed})"]) from exc
     speeds = _draw_speed_factors(config, seed)
     base = config.profile.base
     clients = [

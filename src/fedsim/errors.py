@@ -1,0 +1,16 @@
+"""Errors shared by the config parser and the engine."""
+
+from __future__ import annotations
+
+
+class ConfigError(ValueError):
+    """Raised with every validation problem found, one per line."""
+
+    def __init__(self, problems: list[str]) -> None:
+        self.problems = list(problems)
+        super().__init__("invalid configuration:\n" + "\n".join(f"  - {p}" for p in problems))
+
+    def __reduce__(self):
+        # Rebuild from the problem list, so that an error raised in a pool
+        # worker reaches the parent process unchanged.
+        return (type(self), (self.problems,))

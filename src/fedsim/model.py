@@ -14,6 +14,15 @@ bitwise equal to training that model alone, because every product is a
 per-slice matmul and every reduction runs over the same axis in the same
 order as in the unstacked case.
 
+`forward`, `backward_full`, `backward_frozen` and `sgd_step` allocate their
+results and are the reference. Training runs `sgd_step_in_place` instead:
+a `Workspace` preallocates every intermediate of a step for the largest
+stack of a training phase, and each step writes into it with `out=` and
+updates the parameters in place, with the same ufuncs on the same operands
+in the same order, so the bytes are those of the reference. A step on k
+members uses the last k rows of the stack and of every buffer, so members
+can leave the front of the stack as they finish and keep their bytes.
+
 Checkpoint binary layout (little endian):
 
     bytes 0..3    magic ``b"PMC1"``
@@ -277,6 +286,140 @@ def sgd_step(model: PartitionedModel, grads: Gradients, lr: float) -> Partitione
         classifier_bias=model.classifier_bias - lr * grads.classifier_bias,
         num_classes=model.num_classes,
     )
+
+
+class Workspace:
+    """Preallocated buffers for in-place SGD steps of one model or one stack.
+
+    A lockstep phase makes one workspace and runs every step in it: the
+    hidden activations and their gradient, the logits (which become the
+    probabilities and then their gradient), each row's max and sum, the
+    one-hot label mask, the four gradient arrays and the proximal
+    differences, all sized for the phase's largest stack. A batch of k
+    members, the ones still running, uses the last k rows of every buffer
+    and moves the last k models of the stack; members leave from the front
+    and keep their bytes.
+    """
+
+    def __init__(self, model: PartitionedModel, batch_size: int) -> None:
+        lead = model.feature_weights.shape[:-2]
+        if len(lead) > 1:
+            raise ShapeError(f"a workspace serves one model or one stack, got shape {lead}")
+        rows = (*lead, batch_size)
+        self.stack = lead[0] if lead else None
+        self.batch_size = batch_size
+        self.classes = np.arange(model.num_classes)
+        self._buffers = (
+            np.empty((*rows, model.hidden_dim)),  # hidden
+            np.empty((*rows, model.hidden_dim)),  # dhidden
+            np.empty((*rows, model.num_classes)),  # logits
+            np.empty((*rows, 1)),  # each row's max, then its sum
+            np.empty((*rows, model.num_classes), dtype=bool),  # one-hot labels
+            tuple(np.empty(a.shape) for a in model.arrays()),  # gradients
+            tuple(np.empty(a.shape) for a in model.arrays()),  # proximal differences
+        )
+        self._views = {self.stack: self._buffers}
+
+    def views(self, batch: Batch) -> tuple:
+        """The buffers' rows that train on `batch`: the last k for k members."""
+        labels = batch.labels
+        stacked = self.stack is not None
+        if labels.shape[-1] != self.batch_size or labels.ndim != 1 + stacked:
+            raise ShapeError(
+                f"a workspace for {self.stack or 'a lone'} model(s) and batches of "
+                f"{self.batch_size} cannot train on labels of shape {labels.shape}"
+            )
+        k = labels.shape[0] if stacked else None
+        views = self._views.get(k)
+        if views is None:
+            if not 1 <= k <= self.stack:
+                raise ShapeError(f"{k} members do not fit a stack of {self.stack}")
+            views = tuple(
+                tuple(a[-k:] for a in buf) if isinstance(buf, tuple) else buf[-k:]
+                for buf in self._buffers
+            )
+            self._views[k] = views
+        return views
+
+
+# Indices into PartitionedModel.arrays() of the parameters each mode moves.
+_MOVING = {"full": (0, 1, 2, 3), "frozen": (2, 3), "feature": (0, 1)}
+
+
+def sgd_step_in_place(
+    model: PartitionedModel,
+    batch: Batch,
+    workspace: Workspace,
+    lr: float,
+    mode: str = "full",
+    prox_mu: float = 0.0,
+    anchor: PartitionedModel | None = None,
+) -> None:
+    """One SGD step that writes the new parameters into `model`'s arrays.
+
+    Modes: "full" moves both blocks, as `sgd_step(model, backward_full(model,
+    batch), lr)`; "frozen" moves the classifier only, as with
+    `backward_frozen`; "feature" moves the feature block only, with full
+    gradients and a fixed classifier (a donated block). In "full" mode a
+    nonzero `prox_mu` adds `prox_mu * (p - anchor)` to each gradient. A stacked
+    batch of k members moves the last k models of the stack.
+
+    Every intermediate lives in `workspace`, and each is computed with the
+    ufunc, operands, order and reduction axis of the allocating functions
+    above (`ndarray.max` and `ndarray.sum` are `maximum.reduce` and
+    `add.reduce`), so the new parameters are bitwise theirs. Every gradient
+    the step applies is checked to be finite before any parameter moves.
+    """
+    moving = _MOVING.get(mode)
+    if moving is None:
+        raise ValueError(f"unknown training mode {mode!r}")
+    if mode == "full" and prox_mu != 0.0 and anchor is None:
+        raise ValueError("proximal training requires an anchor model")
+    _check_batch(model, batch)
+    hidden, dhidden, logits, reduced, onehot, grads, diffs = workspace.views(batch)
+    k = hidden.shape[0] if workspace.stack is not None else None
+    params = model.arrays() if k == workspace.stack else tuple(a[-k:] for a in model.arrays())
+    fw, fb, cw, cb = params
+    g_fw, g_fb, g_cw, g_cb = grads
+    inputs = batch.inputs
+    np.matmul(inputs, fw, out=hidden)
+    np.add(hidden, fb[..., None, :], out=hidden)
+    np.tanh(hidden, out=hidden)
+    np.matmul(hidden, cw, out=logits)
+    np.add(logits, cb[..., None, :], out=logits)
+    np.maximum.reduce(logits, axis=-1, keepdims=True, out=reduced)
+    np.subtract(logits, reduced, out=logits)
+    np.exp(logits, out=logits)
+    np.add.reduce(logits, axis=-1, keepdims=True, out=reduced)
+    # From here on `logits` holds the probabilities, then their gradient.
+    np.divide(logits, reduced, out=logits)
+    np.equal(batch.labels[..., None], workspace.classes, out=onehot)
+    np.subtract(logits, onehot, out=logits)
+    np.divide(logits, batch.labels.shape[-1], out=logits)
+    if mode != "feature":
+        np.matmul(hidden.swapaxes(-1, -2), logits, out=g_cw)
+        np.add.reduce(logits, axis=-2, out=g_cb)
+    if mode != "frozen":
+        np.matmul(logits, cw.swapaxes(-1, -2), out=dhidden)
+        # hidden -> 1 - hidden**2, the tanh derivative; dhidden -> dpre.
+        np.multiply(hidden, hidden, out=hidden)
+        np.subtract(1.0, hidden, out=hidden)
+        np.multiply(dhidden, hidden, out=dhidden)
+        np.matmul(inputs.swapaxes(-1, -2), dhidden, out=g_fw)
+        np.add.reduce(dhidden, axis=-2, out=g_fb)
+    if mode == "full" and prox_mu != 0.0:
+        # The anchor is one model, broadcast over the stack.
+        for g, p, a, diff in zip(grads, params, anchor.arrays(), diffs):
+            np.subtract(p, a, out=diff)
+            np.multiply(prox_mu, diff, out=diff)
+            np.add(g, diff, out=g)
+    for i in moving:
+        if not np.isfinite(grads[i]).all():
+            raise ValueError("non-finite gradient values")
+    for i in moving:
+        # g *= lr; p -= g is bitwise p - lr * g.
+        np.multiply(grads[i], lr, out=grads[i])
+        np.subtract(params[i], grads[i], out=params[i])
 
 
 def split(model: PartitionedModel) -> tuple[FeatureBlock, ClassifierBlock]:

@@ -86,7 +86,7 @@ def measure(
     total_updates: int,
     profile_batches: int,
     noise_sigma: float,
-    rng: int | np.random.Generator,
+    rng: int | np.random.Generator | None,
     batches_awaiting_schedule: int = 0,
 ) -> ClientProfile:
     """Profile a client over its first `profile_batches` updates.
@@ -95,6 +95,9 @@ def measure(
     Gaussian noise, clamped positive); the reported value is the per-phase
     mean. remaining_updates subtracts both the profiled batches and any
     batches the client executed while the schedule was being computed.
+
+    With zero noise every sample is 1.0 + 0.0 * z == 1.0, so the true
+    timings come back exactly and `rng` is never drawn from; it may be None.
     """
     if total_updates < 1:
         raise ValueError(f"total_updates must be >= 1, got {total_updates}")
@@ -114,6 +117,12 @@ def measure(
             f"client {client_id} executed more batches than its budget of "
             f"{total_updates}"
         )
+    if noise_sigma == 0.0:
+        return ClientProfile(
+            client_id=client_id, timings=true_timings, remaining_updates=remaining
+        )
+    if rng is None:
+        raise ValueError("a noisy measurement needs an rng")
     gen = rng if isinstance(rng, np.random.Generator) else np.random.default_rng(rng)
     factors = np.maximum(
         gen.normal(1.0, noise_sigma, size=(profile_batches, 4)), _NOISE_FLOOR

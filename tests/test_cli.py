@@ -113,6 +113,30 @@ class TestParseConfig:
             ({"dataset": {"noise_sigma": float("nan")}}, "dataset.noise_sigma"),
             ({"latency": {"dispatch": float("inf")}}, "latency.dispatch"),
             ({"strategies": [{"name": "fedprox", "mu": float("nan")}]}, "strategies[0].mu"),
+            (dict(FAST_RAW, partition={"sizes": [1, 1, 1, 1, 1, 1000]}), "partition.sizes"),
+            (
+                dict(FAST_RAW, partition={"mode": "noniid", "classes_per_client": 3,
+                                          "sizes": [1, 1, 1, 1, 1, 60]}),
+                "partition.sizes",
+            ),
+            (dict(FAST_RAW, clients={"count": 200, "per_round": 2}), "partition"),
+            (
+                {"clients": {"count": 2, "per_round": 2}, "partition": {"sizes": [1e-320, 1e-320]}},
+                "partition.sizes",
+            ),
+            (
+                {"clients": {"count": 2, "per_round": 2}, "partition": {"sizes": [float("inf"), 1]}},
+                "partition.sizes",
+            ),
+            (
+                {"profile": {"base": {"ff": 1e308, "fc": 1e308, "bc": 0.1, "bf": 0.1}}},
+                "virtual time overflows",
+            ),
+            (
+                {"clients": {"count": 2, "per_round": 2, "speed_factors": [1e-320, 0.5]}},
+                "virtual time overflows",
+            ),
+            ({"latency": {"dispatch": 1e308}, "training": {"rounds": 2}}, "virtual time overflows"),
         ],
     )
     def test_rejects_bools_and_strings_as_numbers(self, raw, where):
@@ -377,6 +401,36 @@ class TestRunCommand:
         assert code == 1
         assert "must be finite" in capsys.readouterr().err
         assert not out.exists() or not any(out.iterdir())
+
+    def test_infeasible_sizes_exit_1(self, tmp_path, capsys):
+        raw = dict(FAST_RAW, partition={"sizes": [1, 1, 1, 1, 1, 1000]})
+        code, out = self.run_cli(tmp_path, raw)
+        assert code == 1
+        assert "partition.sizes: the smallest of 6 clients gets 0" in capsys.readouterr().err
+        assert not out.exists() or not any(out.iterdir())
+
+    # 24 training samples in 2 classes: every one of 12 clients needs both,
+    # which seed 7's split allows and seed 8's does not.
+    UNDRAWABLE = dict(
+        FAST_RAW,
+        dataset={"num_classes": 2, "samples_per_class": 15, "input_dim": 3},
+        clients={"count": 12, "per_round": 3},
+        partition={"mode": "noniid", "classes_per_client": 2},
+    )
+
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_partition_the_seed_cannot_draw_exits_1(self, tmp_path, capsys, workers):
+        for name in ("ok", "bad"):
+            (tmp_path / name).mkdir()
+        ok, _ = self.run_cli(tmp_path / "ok", dict(self.UNDRAWABLE, seed=7))
+        assert ok == 0
+        code, _ = self.run_cli(
+            tmp_path / "bad", dict(self.UNDRAWABLE, seed=7, replicates=2), extra=("--workers", workers)
+        )
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "invalid configuration:\n  - partition: could not draw feasible class choices" in err
+        assert "(seed 8)" in err
 
     def test_leaves_no_temp_files(self, tmp_path):
         raw = dict(FAST_RAW, replicates=2)

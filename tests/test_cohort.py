@@ -32,7 +32,19 @@ from fedsim.engine import (
     plan_round,
     run_round,
 )
-from fedsim.model import PartitionedModel, init_model, split
+from fedsim.model import (
+    Batch,
+    Gradients,
+    PartitionedModel,
+    ShapeError,
+    Workspace,
+    backward_frozen,
+    backward_full,
+    init_model,
+    sgd_step,
+    sgd_step_in_place,
+    split,
+)
 from fedsim.profiling import PhaseTimings
 from fedsim.seeding import TAG_BATCHES, spawn_rng
 
@@ -233,6 +245,28 @@ def test_execute_offloaded_stacked_matches_per_client():
     assert_rows_equal((trained.weights, trained.bias), reference)
 
 
+def test_local_train_ragged_stack_matches_per_client():
+    # One call trains members with 1, 3, 3 and 6 steps: each leaves the
+    # stack after its own steps and comes out as trained alone.
+    steps = [1, 3, 3, 6]
+    anchor = init_model(4, 6, 3, seed=99)
+    reference = []
+    for model, cursor, n in zip(member_models(), member_cursors(), steps):
+        model, _ = local_train(model, cursor, n, 0.1, prox_mu=0.01, anchor=anchor)
+        reference.append(model.arrays())
+    start = stack(member_models())
+    before = [a.copy() for a in start.arrays()]
+    blocks = [c._take(n * 8).reshape(n, 8) for c, n in zip(member_cursors(), steps)]
+    trained, _ = local_train(
+        start, CohortCursor(INPUTS, LABELS, blocks), max(steps), 0.1, prox_mu=0.01, anchor=anchor
+    )
+    assert_rows_equal(trained.arrays(), reference)
+    # The model passed in is left as it was and shares nothing with the result.
+    for a, b, c in zip(start.arrays(), before, trained.arrays()):
+        assert a.tobytes() == b.tobytes()
+        assert not np.shares_memory(a, c)
+
+
 @pytest.mark.parametrize("size", [1, 5, 16, 40])
 def test_cursor_take_matches_step_by_step_loop(size):
     # Reference: the stream as first written, one chunk of a pass at a time.
@@ -282,6 +316,128 @@ def test_cohort_cursor_rejects_mixed_batch_sizes():
         CohortCursor(INPUTS, LABELS, blocks)
     with pytest.raises(ValueError, match="step count"):
         CohortCursor(INPUTS, LABELS, [np.arange(16).reshape(2, 8), np.arange(8).reshape(1, 8)])
+
+
+# --------------------------------------------------------------------------
+# In-place steps equal the allocating reference
+# --------------------------------------------------------------------------
+
+
+def reference_step(model, batch, lr, mode, prox_mu=0.0, anchor=None):
+    """One step through the allocating functions, as the engine took it before."""
+    if mode == "frozen":
+        return sgd_step(model, backward_frozen(model, batch), lr)
+    grads = backward_full(model, batch)
+    if mode == "feature":
+        return PartitionedModel(
+            model.feature_weights - lr * grads.feature_weights,
+            model.feature_bias - lr * grads.feature_bias,
+            model.classifier_weights,
+            model.classifier_bias,
+            model.num_classes,
+        )
+    if prox_mu != 0.0:
+        raw = (grads.feature_weights, grads.feature_bias, grads.classifier_weights, grads.classifier_bias)
+        grads = Gradients(
+            *(g + prox_mu * (p - a) for g, p, a in zip(raw, model.arrays(), anchor.arrays()))
+        )
+    return sgd_step(model, grads, lr)
+
+
+MODES = [("full", 0.0), ("full", 0.01), ("frozen", 0.0), ("feature", 0.0)]
+
+
+@pytest.mark.parametrize("mode, prox_mu", MODES)
+@pytest.mark.parametrize("members", [1, 3, 32, 100])
+def test_in_place_step_matches_reference_as_members_leave(mode, prox_mu, members):
+    # Batch 32 and hidden 32: at 32 members and up, each (K, batch, hidden)
+    # buffer is 256 KB or more, past glibc's 128 KB mmap threshold.
+    input_dim, hidden, classes, batch = 8, 32, 10, 32
+    rng = np.random.default_rng(members)
+    steps = np.sort(rng.integers(1, 6, size=members))
+    steps[-1] = 6
+    models = [init_model(input_dim, hidden, classes, seed=k) for k in range(members)]
+    anchor = init_model(input_dim, hidden, classes, seed=1000)
+    inputs = rng.standard_normal((6, members, batch, input_dim))
+    labels = rng.integers(0, classes, size=(6, members, batch))
+
+    stacked = stack(models)
+    workspace = Workspace(stacked, batch)
+    left = {}
+    for step in range(6):
+        first = int(np.searchsorted(steps, step, side="right"))
+        for k in range(first):
+            left.setdefault(k, [a[k].copy() for a in stacked.arrays()])
+        sgd_step_in_place(
+            stacked,
+            Batch(inputs[step, first:], labels[step, first:]),
+            workspace,
+            0.05,
+            mode,
+            prox_mu,
+            anchor,
+        )
+    for k, model in enumerate(models):
+        for step in range(steps[k]):
+            model = reference_step(
+                model, Batch(inputs[step, k], labels[step, k]), 0.05, mode, prox_mu, anchor
+            )
+        for a, b in zip(stacked.arrays(), model.arrays()):
+            assert a[k].tobytes() == b.tobytes()
+        # A member that left kept its bytes while the rest trained on.
+        for a, kept in zip(stacked.arrays(), left.get(k, ())):
+            assert a[k].tobytes() == kept.tobytes()
+    assert len(left) == int(np.sum(steps < 6))
+
+
+@pytest.mark.parametrize("mode, prox_mu", MODES)
+def test_in_place_step_matches_reference_on_a_lone_model(mode, prox_mu):
+    # Batch 9, so that dividing by the batch size and multiplying by its
+    # inexact inverse would differ.
+    rng = np.random.default_rng(3)
+    model = init_model(5, 7, 4, seed=8)
+    anchor = init_model(5, 7, 4, seed=9)
+    trained = model.copy()
+    workspace = Workspace(trained, 9)
+    for _ in range(4):
+        batch = Batch(rng.standard_normal((9, 5)), rng.integers(0, 4, size=9))
+        model = reference_step(model, batch, 0.1, mode, prox_mu, anchor)
+        sgd_step_in_place(trained, batch, workspace, 0.1, mode, prox_mu, anchor)
+    for a, b in zip(trained.arrays(), model.arrays()):
+        assert a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("mode", ["full", "frozen", "feature"])
+def test_in_place_step_checks_every_member(mode):
+    rng = np.random.default_rng(5)
+    stacked = stack([init_model(4, 6, 3, seed=k) for k in range(5)])
+    before = [a.copy() for a in stacked.arrays()]
+    workspace = Workspace(stacked, 8)
+    inputs = rng.standard_normal((3, 8, 4))
+    labels = rng.integers(0, 3, size=(3, 8))
+    bad_labels = labels.copy()
+    bad_labels[1, 4] = 3
+    with pytest.raises(ValueError, match="labels must lie"):
+        sgd_step_in_place(stacked, Batch(inputs, bad_labels), workspace, 0.1, mode)
+    bad_inputs = inputs.copy()
+    bad_inputs[2, 0, 1] = np.nan
+    with pytest.raises(ValueError, match="non-finite gradient"):
+        sgd_step_in_place(stacked, Batch(bad_inputs, labels), workspace, 0.1, mode)
+    # Neither failed step moved a parameter of any member.
+    for a, b in zip(stacked.arrays(), before):
+        assert a.tobytes() == b.tobytes()
+    with pytest.raises(ValueError, match="mode"):
+        sgd_step_in_place(stacked, Batch(inputs, labels), workspace, 0.1, "half")
+
+
+def test_workspace_rejects_batches_that_do_not_fit():
+    stacked = stack([init_model(4, 6, 3, seed=k) for k in range(3)])
+    workspace = Workspace(stacked, 8)
+    rng = np.random.default_rng(0)
+    for shape in [(4, 8), (3, 7), (8,)]:
+        batch = Batch(rng.standard_normal((*shape, 4)), np.zeros(shape, dtype=np.int64))
+        with pytest.raises(ShapeError):
+            sgd_step_in_place(stacked, batch, workspace, 0.1)
 
 
 # --------------------------------------------------------------------------

@@ -1,0 +1,142 @@
+"""Config fuzzer: every document either raises ConfigError or runs.
+
+A document starts from values each field accepts on its own, drawn so that
+the fields can still disagree with one another (partition weights against
+the dataset size, classes per client against the client count, profile
+batches against local updates, tiers against clients). Up to two fields are
+then replaced with a value of the wrong type, a non-finite float or a
+boundary number. A document that parses must run each of its strategies for
+its rounds (at most 2) to completion; any other exception is an escape that
+`fedsim run` would report through its catch-all with exit 2.
+"""
+
+import math
+
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from fedsim.config import ConfigError, parse_config
+from fedsim.engine import run_experiment
+
+BAD = st.one_of(
+    st.sampled_from([None, True, False, "2", [], {}, [1], {"a": 1}]),
+    st.sampled_from([math.nan, math.inf, -math.inf]),
+    st.sampled_from([0, -1, 0.0, -1.0, 2.5, 1e-320]),
+)
+
+# Where a bad value may go: (section or None for the top level, key).
+FIELDS = [
+    ("dataset", "num_classes"),
+    ("dataset", "samples_per_class"),
+    ("dataset", "input_dim"),
+    ("dataset", "noise_sigma"),
+    ("clients", "count"),
+    ("clients", "per_round"),
+    ("clients", "speed_low"),
+    ("clients", "speed_high"),
+    ("clients", "speed_factors"),
+    ("partition", "mode"),
+    ("partition", "classes_per_client"),
+    ("partition", "sizes"),
+    ("training", "rounds"),
+    ("training", "local_updates"),
+    ("training", "batch_size"),
+    ("training", "learning_rate"),
+    ("training", "hidden_dim"),
+    ("profile", "batches"),
+    ("profile", "noise_sigma"),
+    ("profile", "base"),
+    ("latency", "dispatch"),
+    ("latency", "transfer"),
+    (None, "strategies"),
+    (None, "seed"),
+]
+
+STRATEGIES = st.one_of(
+    st.sampled_from(["fedavg", "fednova", {"name": "fedavg"}]),
+    st.builds(lambda mu: {"name": "fedprox", "mu": mu}, st.sampled_from([0.0, 0.01, 1.0])),
+    st.builds(lambda t: {"name": "tifl", "tiers": t}, st.integers(1, 4)),
+    st.builds(lambda m: {"name": "deadline", "multiplier": m}, st.floats(0.1, 3.0)),
+    st.builds(
+        lambda f, b, s: {
+            "name": "freeze_offload",
+            "similarity_factor": f,
+            "profile_batches": b,
+            "profile_noise_sigma": s,
+        },
+        st.floats(0.0, 2.0),
+        st.integers(1, 4),
+        st.sampled_from([0.0, 0.2]),
+    ),
+)
+
+
+@st.composite
+def documents(draw):
+    num_classes = draw(st.integers(2, 5))
+    count = draw(st.integers(1, 12))
+    updates = draw(st.integers(2, 6))
+    low = draw(st.floats(0.05, 1.0))
+    doc = {
+        "dataset": {
+            "num_classes": num_classes,
+            "samples_per_class": draw(st.integers(2, 30)),
+            "input_dim": draw(st.integers(1, 4)),
+            "noise_sigma": draw(st.floats(0.0, 3.0)),
+        },
+        "clients": {
+            "count": count,
+            "per_round": draw(st.integers(1, count)),
+            "speed_low": low,
+            "speed_high": draw(st.floats(low, 1.0)),
+        },
+        "partition": {"mode": draw(st.sampled_from(["iid", "noniid"]))},
+        "training": {
+            "rounds": draw(st.integers(1, 2)),
+            "local_updates": updates,
+            "batch_size": draw(st.integers(1, 9)),
+            "learning_rate": draw(st.floats(1e-3, 1.0)),
+            "hidden_dim": draw(st.integers(1, 6)),
+        },
+        "profile": {
+            "batches": draw(st.integers(1, updates - 1)),
+            "noise_sigma": draw(st.sampled_from([0.0, 0.1])),
+        },
+        "latency": {
+            "dispatch": draw(st.sampled_from([0.0, 0.5, 3.0, 30.0])),
+            "transfer": draw(st.sampled_from([0.0, 1.0, 10.0])),
+        },
+        "strategies": draw(st.lists(STRATEGIES, min_size=1, max_size=3)),
+        "seed": draw(st.integers(0, 1000)),
+    }
+    if doc["partition"]["mode"] == "noniid":
+        doc["partition"]["classes_per_client"] = draw(st.integers(1, num_classes))
+    if draw(st.booleans()):
+        weight = st.one_of(st.floats(0.5, 50.0), st.sampled_from([1000.0, 1e-3]))
+        doc["partition"]["sizes"] = draw(st.lists(weight, min_size=count, max_size=count))
+    if draw(st.booleans()):
+        factor = st.floats(0.01, 1.0)
+        doc["clients"]["speed_factors"] = draw(st.lists(factor, min_size=count, max_size=count))
+    if draw(st.booleans()):
+        phase = st.floats(1e-3, 2.0)
+        doc["profile"]["base"] = draw(
+            st.fixed_dictionaries({"ff": phase, "fc": phase, "bc": phase, "bf": phase})
+        )
+    for section, key in draw(st.lists(st.sampled_from(FIELDS), max_size=2, unique=True)):
+        (doc if section is None else doc[section])[key] = draw(BAD)
+    return doc
+
+
+@settings(max_examples=400, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(documents())
+def test_every_document_raises_config_error_or_runs(doc):
+    try:
+        config = parse_config(doc)
+        assert config.training.rounds <= 2
+        for strategy in config.strategies:
+            # A noniid partition the seed's train split cannot realise is
+            # a ConfigError from building the experiment.
+            result = run_experiment(config, strategy, config.seed)
+            assert len(result.traces) == config.training.rounds
+    except ConfigError:
+        pass

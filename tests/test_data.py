@@ -5,11 +5,14 @@ import pytest
 
 from fedsim.data import (
     PartitionError,
+    _largest_remainder,
     class_means,
+    client_quotas,
     generate_synthetic,
     manifest,
     partition,
 )
+from fedsim.seeding import TAG_PARTITION, spawn_rng
 
 
 @pytest.fixture(scope="module")
@@ -101,6 +104,33 @@ class TestIidPartition:
         b = partition(dataset, 6, mode="iid", seed=4)
         for x, y in zip(a, b):
             assert np.array_equal(x.sample_indices, y.sample_indices)
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_every_client_gets_a_sample_from_tiny_class_pools(self, seed):
+        # 8 training samples in 5 classes over 6 clients: dealing each class
+        # on its own can round a client down to nothing.
+        tiny = generate_synthetic(num_classes=5, samples_per_class=2, input_dim=2, seed=seed)
+        parts = partition(tiny, 6, mode="iid", seed=seed)
+        assert min(p.size for p in parts) >= 1
+        all_idx = np.concatenate([p.sample_indices for p in parts])
+        assert np.array_equal(np.sort(all_idx), tiny.train_indices)
+
+    @pytest.mark.parametrize("clients, sizes", [(4, "equal"), (6, "equal"), (5, [4, 1, 1, 2, 9])])
+    def test_per_class_deal_unchanged_when_no_client_is_empty(self, dataset, clients, sizes):
+        # Reference: the deal without the empty-client repair.
+        rng = spawn_rng(7, TAG_PARTITION)
+        weights = [float(q) for q in client_quotas(160, clients, sizes)]
+        train_labels = dataset.labels[dataset.train_indices]
+        expected = [[] for _ in range(clients)]
+        for c in range(dataset.num_classes):
+            pool = rng.permutation(dataset.train_indices[train_labels == c])
+            start = 0
+            for cid, take in enumerate(_largest_remainder(weights, pool.shape[0])):
+                expected[cid].extend(pool[start : start + take].tolist())
+                start += take
+        parts = partition(dataset, clients, mode="iid", sizes=sizes, seed=7)
+        for part, want in zip(parts, expected, strict=True):
+            assert part.sample_indices.tolist() == sorted(want)
 
     def test_partition_seed_independent_of_dataset(self, dataset):
         a = partition(dataset, 6, mode="iid", seed=4)

@@ -69,6 +69,32 @@ class TestMeasure:
         assert profile.timings == truth
         assert profile.remaining_updates == 14
 
+    def test_zero_noise_draws_nothing(self):
+        class Untouchable:
+            def __getattr__(self, name):
+                raise AssertionError(f"rng.{name} used")
+
+        truth = scale_timings(DEFAULT_BASE_TIMINGS, 0.37)
+        for rng in (Untouchable(), None):
+            profile = measure(0, truth, total_updates=16, profile_batches=3,
+                              noise_sigma=0.0, rng=rng, batches_awaiting_schedule=2)
+            assert profile.timings == truth
+            assert profile.remaining_updates == 11
+
+    @pytest.mark.parametrize("batches", [1, 2, 3, 7, 16, 100])
+    def test_zero_noise_draw_would_give_the_truth(self, batches):
+        # What a sigma-0 measurement drew before it stopped drawing: every
+        # factor is 1.0 + 0.0 * z, so each mean and product is exact.
+        factors = np.random.default_rng(batches).normal(1.0, 0.0, size=(batches, 4))
+        means = np.maximum(factors, 1e-9).mean(axis=0)
+        truth = scale_timings(DEFAULT_BASE_TIMINGS, 0.37)
+        assert [truth.ff * means[0], truth.fc * means[1], truth.bc * means[2],
+                truth.bf * means[3]] == [truth.ff, truth.fc, truth.bc, truth.bf]
+
+    def test_noise_needs_an_rng(self):
+        with pytest.raises(ValueError, match="rng"):
+            measure(0, DEFAULT_BASE_TIMINGS, 16, 2, 0.1, rng=None)
+
     def test_awaiting_batches_reduce_remaining(self):
         truth = scale_timings(DEFAULT_BASE_TIMINGS, 0.5)
         profile = measure(0, truth, total_updates=16, profile_batches=2,
