@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import dataclasses
 import json
 import os
 import sys
@@ -84,15 +83,15 @@ def _run_one(task: tuple[ExperimentConfig, Strategy, int, str]) -> dict:
     return result.summary.to_dict()
 
 
+def _load(args: argparse.Namespace) -> ExperimentConfig:
+    """The config file with --seed and --replicates, where given, in place
+    of the document's own values, validated with the rest of it."""
+    flags = {k: getattr(args, k, None) for k in ("seed", "replicates")}
+    return load_config(args.config, **{k: v for k, v in flags.items() if v is not None})
+
+
 def _cmd_run(args: argparse.Namespace) -> int:
-    config = load_config(args.config)
-    if args.seed is not None:
-        config = dataclasses.replace(config, seed=args.seed)
-    if args.replicates is not None:
-        if args.replicates < 1:
-            print("error: --replicates must be >= 1", file=sys.stderr)
-            return 1
-        config = dataclasses.replace(config, replicates=args.replicates)
+    config = _load(args)
 
     os.makedirs(args.out, exist_ok=True)
     tasks = [
@@ -197,8 +196,8 @@ def _similarity_lines(matrix: SimilarityMatrix) -> list[str]:
 
 
 def _cmd_inspect(args: argparse.Namespace) -> int:
-    config = load_config(args.config)
-    seed = args.seed if args.seed is not None else config.seed
+    config = _load(args)
+    seed = config.seed
     # The similarity matrix exists only in a freeze_offload state.
     strategy = next(
         (s for s in config.strategies if isinstance(s, FreezeOffload)),

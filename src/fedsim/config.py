@@ -22,31 +22,29 @@ Example::
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Any
+from dataclasses import Field, asdict, dataclass, field, fields
+from typing import Any, Callable
 
 import yaml
 
 from .data import client_quotas, train_count
-from .engine import (
-    DeadlineDrop,
-    FedAvg,
-    FedNova,
-    FedProx,
-    FreezeOffload,
-    Strategy,
-    Tifl,
-)
+from .engine import STRATEGIES, FedAvg, FreezeOffload, Strategy, Tifl
 from .errors import ConfigError
 from .profiling import DEFAULT_BASE_TIMINGS, PhaseTimings
+
+# Each dataclass field below is one YAML key: the field's default is the
+# key's default, and its metadata holds a lower bound (`ge` or `gt`) that
+# the value must meet on its own. Rules that tie fields together are
+# written out in `parse_config`. The strategies in `engine` follow the same
+# scheme.
 
 
 @dataclass(frozen=True)
 class DatasetConfig:
-    num_classes: int = 10
-    samples_per_class: int = 240
-    input_dim: int = 8
-    noise_sigma: float = 0.8
+    num_classes: int = field(default=10, metadata={"ge": 2})
+    samples_per_class: int = field(default=240, metadata={"ge": 2})
+    input_dim: int = field(default=8, metadata={"ge": 1})
+    noise_sigma: float = field(default=0.8, metadata={"ge": 0})
 
 
 @dataclass(frozen=True)
@@ -58,7 +56,7 @@ class PartitionConfig:
 
 @dataclass(frozen=True)
 class ClientsConfig:
-    count: int = 24
+    count: int = field(default=24, metadata={"ge": 1})
     per_round: int = 3
     speed_low: float = 0.1
     speed_high: float = 1.0
@@ -67,24 +65,24 @@ class ClientsConfig:
 
 @dataclass(frozen=True)
 class TrainingConfig:
-    rounds: int = 100
-    local_updates: int = 16
-    batch_size: int = 32
-    learning_rate: float = 0.05
-    hidden_dim: int = 32
+    rounds: int = field(default=100, metadata={"ge": 1})
+    local_updates: int = field(default=16, metadata={"ge": 1})
+    batch_size: int = field(default=32, metadata={"ge": 1})
+    learning_rate: float = field(default=0.05, metadata={"gt": 0})
+    hidden_dim: int = field(default=32, metadata={"ge": 1})
 
 
 @dataclass(frozen=True)
 class ProfileConfig:
-    batches: int = 1
-    noise_sigma: float = 0.0
+    batches: int = field(default=1, metadata={"ge": 1})
+    noise_sigma: float = field(default=0.0, metadata={"ge": 0})
     base: PhaseTimings = DEFAULT_BASE_TIMINGS
 
 
 @dataclass(frozen=True)
 class LatencyConfig:
-    dispatch: float = 0.0
-    transfer: float = 0.0
+    dispatch: float = field(default=0.0, metadata={"ge": 0})
+    transfer: float = field(default=0.0, metadata={"ge": 0})
 
 
 @dataclass(frozen=True)
@@ -96,18 +94,21 @@ class ExperimentConfig:
     profile: ProfileConfig = field(default_factory=ProfileConfig)
     latency: LatencyConfig = field(default_factory=LatencyConfig)
     strategies: tuple[Strategy, ...] = (FedAvg(),)
-    seed: int = 42
-    replicates: int = 1
+    seed: int = field(default=42, metadata={"ge": 0})
+    replicates: int = field(default=1, metadata={"ge": 1})
 
 
-_STRATEGY_NAMES = (
-    "fedavg",
-    "fedprox",
-    "fednova",
-    "tifl",
-    "deadline",
-    "freeze_offload",
-)
+# The scalar field types `_read` parses, by annotation. Fields of any other
+# type (sections, strategies, sizes, speed_factors, base) are parsed by hand.
+_KINDS = {"int": int, "int | None": int, "float": float, "str": str}
+
+
+def _key(f: Field) -> str:
+    return f.metadata.get("key", f.name)
+
+
+def _keys(cls) -> set[str]:
+    return {_key(f) for f in fields(cls)}
 
 
 def _is_number(value: Any) -> bool:
@@ -120,34 +121,55 @@ def _get(raw: dict, section: str, key: str, default, kind, problems: list[str]):
     value = raw.get(key, default)
     if value is None and default is None:
         return None
-    try:
-        if kind in (int, float) and not _is_number(value):
-            raise ValueError
-        if kind is int:
-            # Reject silent float truncation such as rounds: 2.5, and
-            # .inf, which has no int.
-            if isinstance(value, float) and not (
-                math.isfinite(value) and value == int(value)
-            ):
-                raise ValueError
-            return int(value)
-        if kind is float:
-            if not math.isfinite(value):
-                # .nan and .inf pass every range check, then break the run.
-                problems.append(f"{section}.{key}: must be finite, got {value!r}")
-                return default
-            return float(value)
-        if kind is str:
-            if not isinstance(value, str):
-                raise ValueError
+    if kind is str:
+        if isinstance(value, str):
             return value
-    except (TypeError, ValueError):
-        problems.append(f"{section}.{key}: expected {kind.__name__}, got {value!r}")
+    elif _is_number(value) and math.isfinite(value):
+        if kind is float:
+            return float(value)
+        # Reject silent float truncation such as rounds: 2.5.
+        if value == int(value):
+            if -(2**63) <= value < 2**63:
+                return int(value)
+            # Larger ints overflow numpy and file names downstream.
+            problems.append(f"{section}.{key}: expected a 64-bit int, got {value!r}")
+            return default
+    elif kind is float and _is_number(value):
+        # .nan and .inf pass every range check, then break the run.
+        problems.append(f"{section}.{key}: must be finite, got {value!r}")
         return default
-    raise AssertionError(f"unsupported kind {kind}")
+    problems.append(f"{section}.{key}: expected {kind.__name__}, got {value!r}")
+    return default
 
 
-def _parse_strategy(entry: Any, index: int, profile: ProfileConfig, problems: list[str]) -> Strategy | None:
+def _read(cls, raw: dict, where: str, defaults: dict, problems: list[str]) -> tuple[dict, bool]:
+    """Read the scalar fields of dataclass `cls` from the mapping `raw`, each
+    checked by `_get` and then against its field's bound. `defaults`
+    overrides field defaults by field name. Returns the values by field name
+    and whether every bound held."""
+    values, ok = {}, True
+    for f in fields(cls):
+        kind = _KINDS.get(f.type)
+        if kind is None:
+            continue
+        key = _key(f)
+        default = defaults.get(f.name, f.default)
+        value = values[f.name] = _get(raw, where, key, default, kind, problems)
+        # A top-level bound names the key alone ("seed: must be >= 0").
+        name = key if where == "top level" else f"{where}.{key}"
+        if "ge" in f.metadata and value < f.metadata["ge"]:
+            problems.append(f"{name}: must be >= {f.metadata['ge']}, got {value}")
+            ok = False
+        if "gt" in f.metadata and not value > f.metadata["gt"]:
+            problems.append(f"{name}: must be > {f.metadata['gt']}, got {value}")
+            ok = False
+    return values, ok
+
+
+def _parse_strategy(
+    entry: Any, index: int, inherited: dict, problems: list[str]
+) -> Strategy | None:
+    """One `strategies` entry; None when it names no strategy or breaks a bound."""
     where = f"strategies[{index}]"
     if isinstance(entry, str):
         entry = {"name": entry}
@@ -155,63 +177,48 @@ def _parse_strategy(entry: Any, index: int, profile: ProfileConfig, problems: li
         problems.append(f"{where}: expected a mapping or name string, got {entry!r}")
         return None
     name = entry.get("name")
-    if name not in _STRATEGY_NAMES:
-        problems.append(
-            f"{where}.name: expected one of {', '.join(_STRATEGY_NAMES)}, got {name!r}"
-        )
+    cls = next((c for c in STRATEGIES if c.name == name), None)
+    if cls is None:
+        names = ", ".join(c.name for c in STRATEGIES)
+        problems.append(f"{where}.name: expected one of {names}, got {name!r}")
         return None
-    known = {"name"}
-    strategy: Strategy | None = None
-    if name == "fedavg":
-        strategy = FedAvg()
-    elif name == "fednova":
-        strategy = FedNova()
-    elif name == "fedprox":
-        known |= {"mu"}
-        mu = _get(entry, where, "mu", 0.01, float, problems)
-        if mu is not None and mu < 0:
-            problems.append(f"{where}.mu: must be >= 0, got {mu}")
-        else:
-            strategy = FedProx(mu=mu)
-    elif name == "tifl":
-        known |= {"tiers"}
-        tiers = _get(entry, where, "tiers", 3, int, problems)
-        if tiers is not None and tiers < 1:
-            problems.append(f"{where}.tiers: must be >= 1, got {tiers}")
-        else:
-            strategy = Tifl(num_tiers=tiers)
-    elif name == "deadline":
-        known |= {"multiplier"}
-        mult = _get(entry, where, "multiplier", 1.0, float, problems)
-        if mult is not None and mult <= 0:
-            problems.append(f"{where}.multiplier: must be > 0, got {mult}")
-        else:
-            strategy = DeadlineDrop(multiplier=mult)
-    elif name == "freeze_offload":
-        known |= {"similarity_factor", "profile_batches", "profile_noise_sigma"}
-        factor = _get(entry, where, "similarity_factor", 1.0, float, problems)
-        batches = _get(entry, where, "profile_batches", profile.batches, int, problems)
-        sigma = _get(entry, where, "profile_noise_sigma", profile.noise_sigma, float, problems)
-        ok = True
-        if factor is not None and factor < 0:
-            problems.append(f"{where}.similarity_factor: must be >= 0, got {factor}")
-            ok = False
-        if batches is not None and batches < 1:
-            problems.append(f"{where}.profile_batches: must be >= 1, got {batches}")
-            ok = False
-        if sigma is not None and sigma < 0:
-            problems.append(f"{where}.profile_noise_sigma: must be >= 0, got {sigma}")
-            ok = False
-        if ok:
-            strategy = FreezeOffload(
-                similarity_factor=factor,
-                profile_batches=batches,
-                profile_noise_sigma=sigma,
-            )
-    unknown = set(entry) - known
+    values, ok = _read(cls, entry, where, inherited, problems)
+    unknown = set(entry) - _keys(cls) - {"name"}
     if unknown:
         problems.append(f"{where}: unknown keys {sorted(unknown)}")
-    return strategy
+    return cls(**values) if ok else None
+
+
+def _speed_factors(clients: dict, problems: list[str]) -> tuple[float, ...] | None:
+    factors = clients.get("speed_factors")
+    if factors is None:
+        return None
+    if not isinstance(factors, list) or not factors:
+        problems.append(f"clients.speed_factors: expected a non-empty list, got {factors!r}")
+        return None
+    if not all(_is_number(f) for f in factors):
+        problems.append("clients.speed_factors: entries must be numbers")
+        return None
+    factors = tuple(float(f) for f in factors)
+    if any(not 0 < f <= 1 for f in factors):
+        problems.append("clients.speed_factors: entries must be in (0, 1]")
+    return factors
+
+
+def _base(profile: dict, problems: list[str]) -> PhaseTimings:
+    base = profile.get("base")
+    if base is None:
+        return DEFAULT_BASE_TIMINGS
+    if not (isinstance(base, dict) and set(base) == {"ff", "fc", "bc", "bf"}):
+        problems.append(f"profile.base: expected a mapping with keys ff, fc, bc, bf, got {base!r}")
+    elif not all(_is_number(v) for v in base.values()):
+        problems.append(f"profile.base: entries must be numbers, got {base!r}")
+    else:
+        try:
+            return PhaseTimings(**{k: float(v) for k, v in base.items()})
+        except ValueError as exc:
+            problems.append(f"profile.base: {exc}")
+    return DEFAULT_BASE_TIMINGS
 
 
 def _check_quotas(
@@ -238,11 +245,8 @@ def _check_quotas(
 
 
 def _check_horizon(
-    clients: ClientsConfig,
-    training: TrainingConfig,
-    profile: ProfileConfig,
-    latency: LatencyConfig,
-    problems: list[str],
+    clients: ClientsConfig, training: TrainingConfig, profile: ProfileConfig,
+    latency: LatencyConfig, problems: list[str],
 ) -> None:
     """Check that every event time of the run is finite.
 
@@ -269,65 +273,32 @@ def parse_config(raw: Any) -> ExperimentConfig:
     if not isinstance(raw, dict):
         raise ConfigError([f"top level: expected a mapping, got {type(raw).__name__}"])
     problems: list[str] = []
-    known_sections = {
-        "dataset",
-        "partition",
-        "clients",
-        "training",
-        "profile",
-        "latency",
-        "strategies",
-        "seed",
-        "replicates",
-    }
-    for key in set(raw) - known_sections:
+    for key in set(raw) - _keys(ExperimentConfig):
         problems.append(f"top level: unknown section {key!r}")
 
-    def section(name: str) -> dict:
-        value = raw.get(name, {})
-        if value is None:
-            return {}
-        if not isinstance(value, dict):
-            problems.append(f"{name}: expected a mapping, got {value!r}")
-            return {}
-        return value
+    def section(cls, name: str, **by_hand: Callable[[dict, list[str]], Any]):
+        """Read section `name` into `cls`; `by_hand` parses the fields that
+        are not scalars, each from the section's mapping."""
+        mapping = raw.get(name, {})
+        if mapping is None:
+            mapping = {}
+        elif not isinstance(mapping, dict):
+            problems.append(f"{name}: expected a mapping, got {mapping!r}")
+            mapping = {}
+        for key in set(mapping) - _keys(cls):
+            problems.append(f"{name}: unknown key {key!r}")
+        values, _ = _read(cls, mapping, name, {}, problems)
+        return cls(**values, **{k: parse(mapping, problems) for k, parse in by_hand.items()})
 
-    ds = section("dataset")
-    dataset = DatasetConfig(
-        num_classes=_get(ds, "dataset", "num_classes", 10, int, problems),
-        samples_per_class=_get(ds, "dataset", "samples_per_class", 240, int, problems),
-        input_dim=_get(ds, "dataset", "input_dim", 8, int, problems),
-        noise_sigma=_get(ds, "dataset", "noise_sigma", 0.8, float, problems),
-    )
-    for key in set(ds) - {"num_classes", "samples_per_class", "input_dim", "noise_sigma"}:
-        problems.append(f"dataset: unknown key {key!r}")
-    if dataset.num_classes < 2:
-        problems.append(f"dataset.num_classes: must be >= 2, got {dataset.num_classes}")
-    if dataset.samples_per_class < 2:
-        problems.append(
-            f"dataset.samples_per_class: must be >= 2, got {dataset.samples_per_class}"
-        )
-    if dataset.input_dim < 1:
-        problems.append(f"dataset.input_dim: must be >= 1, got {dataset.input_dim}")
-    if dataset.noise_sigma < 0:
-        problems.append(f"dataset.noise_sigma: must be >= 0, got {dataset.noise_sigma}")
+    dataset = section(DatasetConfig, "dataset")
 
-    pt = section("partition")
-    part = PartitionConfig(
-        mode=_get(pt, "partition", "mode", "iid", str, problems),
-        classes_per_client=_get(pt, "partition", "classes_per_client", None, int, problems),
-        sizes=pt.get("sizes", "equal"),
-    )
-    for key in set(pt) - {"mode", "classes_per_client", "sizes"}:
-        problems.append(f"partition: unknown key {key!r}")
+    part = section(PartitionConfig, "partition", sizes=lambda m, _: m.get("sizes", "equal"))
     if part.mode not in ("iid", "noniid"):
         problems.append(f"partition.mode: expected iid or noniid, got {part.mode!r}")
     if part.mode == "noniid":
         k = part.classes_per_client
         if k is None or k < 1:
-            problems.append(
-                f"partition.classes_per_client: must be >= 1 for noniid, got {k}"
-            )
+            problems.append(f"partition.classes_per_client: must be >= 1 for noniid, got {k}")
         elif k > dataset.num_classes:
             problems.append(
                 f"partition.classes_per_client: must be <= num_classes"
@@ -337,37 +308,12 @@ def parse_config(raw: Any) -> ExperimentConfig:
         problems.append(
             f"partition.sizes: expected 'equal' or a list of weights, got {part.sizes!r}"
         )
-    elif isinstance(part.sizes, list):
-        numeric = all(_is_number(w) and 0 < w < math.inf for w in part.sizes)
-        if not numeric:
-            problems.append("partition.sizes: weights must be positive finite numbers")
+    elif isinstance(part.sizes, list) and not all(
+        _is_number(w) and 0 < w < math.inf for w in part.sizes
+    ):
+        problems.append("partition.sizes: weights must be positive finite numbers")
 
-    cl = section("clients")
-    factors = cl.get("speed_factors")
-    if factors is not None:
-        if not isinstance(factors, list) or not factors:
-            problems.append(
-                f"clients.speed_factors: expected a non-empty list, got {factors!r}"
-            )
-            factors = None
-        elif not all(_is_number(f) for f in factors):
-            problems.append("clients.speed_factors: entries must be numbers")
-            factors = None
-        else:
-            factors = tuple(float(f) for f in factors)
-            if any(not 0 < f <= 1 for f in factors):
-                problems.append("clients.speed_factors: entries must be in (0, 1]")
-    clients = ClientsConfig(
-        count=_get(cl, "clients", "count", 24, int, problems),
-        per_round=_get(cl, "clients", "per_round", 3, int, problems),
-        speed_low=_get(cl, "clients", "speed_low", 0.1, float, problems),
-        speed_high=_get(cl, "clients", "speed_high", 1.0, float, problems),
-        speed_factors=factors,
-    )
-    for key in set(cl) - {"count", "per_round", "speed_low", "speed_high", "speed_factors"}:
-        problems.append(f"clients: unknown key {key!r}")
-    if clients.count < 1:
-        problems.append(f"clients.count: must be >= 1, got {clients.count}")
+    clients = section(ClientsConfig, "clients", speed_factors=_speed_factors)
     if not 1 <= clients.per_round <= max(clients.count, 1):
         problems.append(
             f"clients.per_round: must be in [1, {clients.count}], got {clients.per_round}"
@@ -383,103 +329,33 @@ def parse_config(raw: Any) -> ExperimentConfig:
             f" got {len(clients.speed_factors)}"
         )
 
-    tr = section("training")
-    training = TrainingConfig(
-        rounds=_get(tr, "training", "rounds", 100, int, problems),
-        local_updates=_get(tr, "training", "local_updates", 16, int, problems),
-        batch_size=_get(tr, "training", "batch_size", 32, int, problems),
-        learning_rate=_get(tr, "training", "learning_rate", 0.05, float, problems),
-        hidden_dim=_get(tr, "training", "hidden_dim", 32, int, problems),
-    )
-    for key in set(tr) - {"rounds", "local_updates", "batch_size", "learning_rate", "hidden_dim"}:
-        problems.append(f"training: unknown key {key!r}")
-    if training.rounds < 1:
-        problems.append(f"training.rounds: must be >= 1, got {training.rounds}")
-    if training.local_updates < 1:
-        problems.append(
-            f"training.local_updates: must be >= 1, got {training.local_updates}"
-        )
-    if training.batch_size < 1:
-        problems.append(f"training.batch_size: must be >= 1, got {training.batch_size}")
-    if not training.learning_rate > 0:
-        problems.append(
-            f"training.learning_rate: must be > 0, got {training.learning_rate}"
-        )
-    if training.hidden_dim < 1:
-        problems.append(f"training.hidden_dim: must be >= 1, got {training.hidden_dim}")
+    training = section(TrainingConfig, "training")
 
-    pf = section("profile")
-    base_raw = pf.get("base")
-    base = DEFAULT_BASE_TIMINGS
-    if base_raw is not None:
-        if isinstance(base_raw, dict) and set(base_raw) == {"ff", "fc", "bc", "bf"}:
-            if not all(_is_number(v) for v in base_raw.values()):
-                problems.append(f"profile.base: entries must be numbers, got {base_raw!r}")
-            else:
-                try:
-                    base = PhaseTimings(
-                        ff=float(base_raw["ff"]),
-                        fc=float(base_raw["fc"]),
-                        bc=float(base_raw["bc"]),
-                        bf=float(base_raw["bf"]),
-                    )
-                except ValueError as exc:
-                    problems.append(f"profile.base: {exc}")
-        else:
-            problems.append(
-                "profile.base: expected a mapping with keys ff, fc, bc, bf,"
-                f" got {base_raw!r}"
-            )
-    profile = ProfileConfig(
-        batches=_get(pf, "profile", "batches", 1, int, problems),
-        noise_sigma=_get(pf, "profile", "noise_sigma", 0.0, float, problems),
-        base=base,
-    )
-    for key in set(pf) - {"batches", "noise_sigma", "base"}:
-        problems.append(f"profile: unknown key {key!r}")
-    if profile.batches < 1:
-        problems.append(f"profile.batches: must be >= 1, got {profile.batches}")
+    profile = section(ProfileConfig, "profile", base=_base)
     if profile.batches >= training.local_updates:
         problems.append(
             f"profile.batches: must be < training.local_updates"
             f" ({training.local_updates}), got {profile.batches}"
         )
-    if profile.noise_sigma < 0:
-        problems.append(f"profile.noise_sigma: must be >= 0, got {profile.noise_sigma}")
 
-    lt = section("latency")
-    latency = LatencyConfig(
-        dispatch=_get(lt, "latency", "dispatch", 0.0, float, problems),
-        transfer=_get(lt, "latency", "transfer", 0.0, float, problems),
-    )
-    for key in set(lt) - {"dispatch", "transfer"}:
-        problems.append(f"latency: unknown key {key!r}")
-    if latency.dispatch < 0:
-        problems.append(f"latency.dispatch: must be >= 0, got {latency.dispatch}")
-    if latency.transfer < 0:
-        problems.append(f"latency.transfer: must be >= 0, got {latency.transfer}")
+    latency = section(LatencyConfig, "latency")
 
     raw_strategies = raw.get("strategies", [{"name": "fedavg"}])
     strategies: list[Strategy] = []
     if not isinstance(raw_strategies, list) or not raw_strategies:
-        problems.append(
-            f"strategies: expected a non-empty list, got {raw_strategies!r}"
-        )
+        problems.append(f"strategies: expected a non-empty list, got {raw_strategies!r}")
     else:
+        # freeze_offload's profiling knobs default to the profile section.
+        inherited = {"profile_batches": profile.batches, "profile_noise_sigma": profile.noise_sigma}
         for i, entry in enumerate(raw_strategies):
-            strategy = _parse_strategy(entry, i, profile, problems)
+            strategy = _parse_strategy(entry, i, inherited, problems)
             if strategy is not None:
                 strategies.append(strategy)
         labels = [s.label for s in strategies]
         for label in sorted({x for x in labels if labels.count(x) > 1}):
             problems.append(f"strategies: duplicate label {label!r}")
 
-    seed = _get(raw, "top level", "seed", 42, int, problems)
-    replicates = _get(raw, "top level", "replicates", 1, int, problems)
-    if seed is not None and seed < 0:
-        problems.append(f"seed: must be >= 0, got {seed}")
-    if replicates is not None and replicates < 1:
-        problems.append(f"replicates: must be >= 1, got {replicates}")
+    top, _ = _read(ExperimentConfig, raw, "top level", {}, problems)
 
     if isinstance(part.sizes, list) and len(part.sizes) != clients.count:
         problems.append(
@@ -490,11 +366,8 @@ def parse_config(raw: Any) -> ExperimentConfig:
     if not problems:
         _check_horizon(clients, training, profile, latency, problems)
 
-    tifl_tiers = [s.num_tiers for s in strategies if isinstance(s, Tifl)]
-    if any(t > clients.count for t in tifl_tiers):
-        problems.append(
-            f"strategies: tifl tiers cannot exceed clients.count ({clients.count})"
-        )
+    if any(s.num_tiers > clients.count for s in strategies if isinstance(s, Tifl)):
+        problems.append(f"strategies: tifl tiers cannot exceed clients.count ({clients.count})")
     for s in strategies:
         if isinstance(s, FreezeOffload) and s.profile_batches >= training.local_updates:
             problems.append(
@@ -505,97 +378,29 @@ def parse_config(raw: Any) -> ExperimentConfig:
     if problems:
         raise ConfigError(problems)
     return ExperimentConfig(
-        dataset=dataset,
-        partition=part,
-        clients=clients,
-        training=training,
-        profile=profile,
-        latency=latency,
-        strategies=tuple(strategies),
-        seed=seed,
-        replicates=replicates,
+        dataset=dataset, partition=part, clients=clients, training=training, profile=profile,
+        latency=latency, strategies=tuple(strategies), **top,
     )
 
 
-def load_config(path: str) -> ExperimentConfig:
-    """Parse and validate a YAML config file."""
+def load_config(path: str, **overrides: Any) -> ExperimentConfig:
+    """Parse and validate a YAML config file. `overrides` (the CLI's --seed
+    and --replicates) replace top-level keys before validation."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
             raw = yaml.safe_load(fh)
         except yaml.YAMLError as exc:
             raise ConfigError([f"not valid YAML: {exc}"]) from exc
+    if overrides and (raw is None or isinstance(raw, dict)):
+        raw = {**(raw or {}), **overrides}
     return parse_config(raw)
 
 
 def echo_dict(config: ExperimentConfig) -> dict:
     """Fully resolved configuration, defaults included, for config_echo.json."""
-    strategies = []
-    for s in config.strategies:
-        entry: dict[str, Any] = {"label": s.label}
-        if isinstance(s, FedAvg):
-            entry["name"] = "fedavg"
-        elif isinstance(s, FedProx):
-            entry["name"] = "fedprox"
-            entry["mu"] = s.mu
-        elif isinstance(s, FedNova):
-            entry["name"] = "fednova"
-        elif isinstance(s, Tifl):
-            entry["name"] = "tifl"
-            entry["tiers"] = s.num_tiers
-        elif isinstance(s, DeadlineDrop):
-            entry["name"] = "deadline"
-            entry["multiplier"] = s.multiplier
-        elif isinstance(s, FreezeOffload):
-            entry["name"] = "freeze_offload"
-            entry["similarity_factor"] = s.similarity_factor
-            entry["profile_batches"] = s.profile_batches
-            entry["profile_noise_sigma"] = s.profile_noise_sigma
-        strategies.append(entry)
-    return {
-        "dataset": {
-            "num_classes": config.dataset.num_classes,
-            "samples_per_class": config.dataset.samples_per_class,
-            "input_dim": config.dataset.input_dim,
-            "noise_sigma": config.dataset.noise_sigma,
-        },
-        "partition": {
-            "mode": config.partition.mode,
-            "classes_per_client": config.partition.classes_per_client,
-            "sizes": config.partition.sizes
-            if isinstance(config.partition.sizes, str)
-            else list(config.partition.sizes),
-        },
-        "clients": {
-            "count": config.clients.count,
-            "per_round": config.clients.per_round,
-            "speed_low": config.clients.speed_low,
-            "speed_high": config.clients.speed_high,
-            "speed_factors": None
-            if config.clients.speed_factors is None
-            else list(config.clients.speed_factors),
-        },
-        "training": {
-            "rounds": config.training.rounds,
-            "local_updates": config.training.local_updates,
-            "batch_size": config.training.batch_size,
-            "learning_rate": config.training.learning_rate,
-            "hidden_dim": config.training.hidden_dim,
-        },
-        "profile": {
-            "batches": config.profile.batches,
-            "noise_sigma": config.profile.noise_sigma,
-            "base": {
-                "ff": config.profile.base.ff,
-                "fc": config.profile.base.fc,
-                "bc": config.profile.base.bc,
-                "bf": config.profile.base.bf,
-            },
-        },
-        "latency": {
-            "dispatch": config.latency.dispatch,
-            "transfer": config.latency.transfer,
-        },
-        "strategies": strategies,
-        "seed": config.seed,
-        "replicates": config.replicates,
-    }
+    doc = asdict(config)
+    doc["strategies"] = [
+        {"label": s.label, "name": s.name, **{_key(f): getattr(s, f.name) for f in fields(s)}}
+        for s in config.strategies
+    ]
+    return doc

@@ -55,8 +55,8 @@ import enum
 import heapq
 import itertools
 import math
-from dataclasses import dataclass
-from typing import Any, Callable
+from dataclasses import dataclass, field
+from typing import Any, Callable, ClassVar, Union
 
 import numpy as np
 
@@ -94,10 +94,18 @@ from .similarity import ClassCountSubmission, SimilarityMatrix, SimilarityOracle
 # --------------------------------------------------------------------------
 # Strategies
 # --------------------------------------------------------------------------
+#
+# Each strategy is described once, here: `name` is its YAML name, and each
+# field is one YAML knob. The config parser and echo read them through
+# `dataclasses.fields`: a field's default is the knob's default, its metadata
+# holds its lower bound (`ge` or `gt`) and, where it differs from the field
+# name, its YAML key.
 
 
 @dataclass(frozen=True)
 class FedAvg:
+    name: ClassVar[str] = "fedavg"
+
     @property
     def label(self) -> str:
         return "fedavg"
@@ -105,7 +113,8 @@ class FedAvg:
 
 @dataclass(frozen=True)
 class FedProx:
-    mu: float = 0.01
+    name: ClassVar[str] = "fedprox"
+    mu: float = field(default=0.01, metadata={"ge": 0})
 
     @property
     def label(self) -> str:
@@ -114,6 +123,8 @@ class FedProx:
 
 @dataclass(frozen=True)
 class FedNova:
+    name: ClassVar[str] = "fednova"
+
     @property
     def label(self) -> str:
         return "fednova"
@@ -121,7 +132,8 @@ class FedNova:
 
 @dataclass(frozen=True)
 class Tifl:
-    num_tiers: int = 3
+    name: ClassVar[str] = "tifl"
+    num_tiers: int = field(default=3, metadata={"ge": 1, "key": "tiers"})
 
     @property
     def label(self) -> str:
@@ -130,7 +142,8 @@ class Tifl:
 
 @dataclass(frozen=True)
 class DeadlineDrop:
-    multiplier: float = 1.0
+    name: ClassVar[str] = "deadline"
+    multiplier: float = field(default=1.0, metadata={"gt": 0})
 
     @property
     def label(self) -> str:
@@ -139,16 +152,19 @@ class DeadlineDrop:
 
 @dataclass(frozen=True)
 class FreezeOffload:
-    similarity_factor: float = 1.0
-    profile_batches: int = 1
-    profile_noise_sigma: float = 0.0
+    name: ClassVar[str] = "freeze_offload"
+    similarity_factor: float = field(default=1.0, metadata={"ge": 0})
+    # The parser defaults these two to the `profile` section's values.
+    profile_batches: int = field(default=1, metadata={"ge": 1})
+    profile_noise_sigma: float = field(default=0.0, metadata={"ge": 0})
 
     @property
     def label(self) -> str:
         return f"freeze_offload_f{self.similarity_factor:g}"
 
 
-Strategy = FedAvg | FedProx | FedNova | Tifl | DeadlineDrop | FreezeOffload
+STRATEGIES = (FedAvg, FedProx, FedNova, Tifl, DeadlineDrop, FreezeOffload)
+Strategy = Union[STRATEGIES]
 
 
 # --------------------------------------------------------------------------

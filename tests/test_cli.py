@@ -137,6 +137,12 @@ class TestParseConfig:
                 "virtual time overflows",
             ),
             ({"latency": {"dispatch": 1e308}, "training": {"rounds": 2}}, "virtual time overflows"),
+            # Whole numbers no int64 holds.
+            ({"dataset": {"samples_per_class": 1e308}}, "dataset.samples_per_class"),
+            ({"training": {"local_updates": 1e308}}, "training.local_updates"),
+            ({"training": {"hidden_dim": 1e300}}, "training.hidden_dim"),
+            ({"seed": 1e300}, "top level.seed"),
+            (yaml.safe_load("dataset: {input_dim: 9223372036854775808}"), "dataset.input_dim"),
         ],
     )
     def test_rejects_bools_and_strings_as_numbers(self, raw, where):
@@ -402,6 +408,35 @@ class TestRunCommand:
         assert "must be finite" in capsys.readouterr().err
         assert not out.exists() or not any(out.iterdir())
 
+    @pytest.mark.parametrize(
+        "section, key, value",
+        [
+            ("dataset", "samples_per_class", 1e308),
+            ("training", "local_updates", 1e308),
+            ("training", "hidden_dim", 1e300),
+            (None, "seed", 1e300),
+        ],
+        ids=["samples_per_class", "local_updates", "hidden_dim", "seed"],
+    )
+    def test_int_outside_int64_exits_1(self, tmp_path, capsys, section, key, value):
+        raw = dict(FAST_RAW, dataset=dict(FAST_RAW["dataset"]), training=dict(FAST_RAW["training"]))
+        (raw if section is None else raw[section])[key] = value
+        code, out = self.run_cli(tmp_path, raw)
+        assert code == 1
+        assert f"{section or 'top level'}.{key}: expected a 64-bit int" in capsys.readouterr().err
+        assert not out.exists() or not any(out.iterdir())
+
+    @pytest.mark.parametrize(
+        "flag, value, problem",
+        [("--seed", "-1", "seed: must be >= 0, got -1"),
+         ("--replicates", "0", "replicates: must be >= 1, got 0")],
+    )
+    def test_bad_override_is_a_config_error(self, tmp_path, capsys, flag, value, problem):
+        code, out = self.run_cli(tmp_path, FAST_RAW, extra=(flag, value))
+        assert code == 1
+        assert f"invalid configuration:\n  - {problem}" in capsys.readouterr().err
+        assert not out.exists() or not any(out.iterdir())
+
     def test_infeasible_sizes_exit_1(self, tmp_path, capsys):
         raw = dict(FAST_RAW, partition={"sizes": [1, 1, 1, 1, 1, 1000]})
         code, out = self.run_cli(tmp_path, raw)
@@ -564,6 +599,17 @@ class TestInspectCommand:
         second = capsys.readouterr().out
         assert first != second
         assert "seed 1" in first and "seed 2" in second
+
+    def test_negative_seed_override_exits_1(self, tmp_path, capsys):
+        config_path = write_yaml(tmp_path / "exp.yaml", FAST_RAW)
+        assert main(["inspect", "--config", config_path, "--seed", "-1"]) == 1
+        assert "seed: must be >= 0, got -1" in capsys.readouterr().err
+
+    def test_seed_override_on_empty_document(self, tmp_path, capsys):
+        config_path = tmp_path / "empty.yaml"
+        config_path.write_text("", encoding="utf-8")
+        assert main(["inspect", "--config", str(config_path), "--seed", "3"]) == 0
+        assert "seed 3: 24 clients" in capsys.readouterr().out
 
 
 class TestArgumentErrors:

@@ -5,8 +5,9 @@ the fields can still disagree with one another (partition weights against
 the dataset size, classes per client against the client count, profile
 batches against local updates, tiers against clients). Up to two fields are
 then replaced with a value of the wrong type, a non-finite float or a
-boundary number. A document that parses must run each of its strategies for
-its rounds (at most 2) to completion; any other exception is an escape that
+boundary number, and an int field may also get a whole number outside
+int64. A document that parses must run each of its strategies for its
+rounds (at most 2) to completion; any other exception is an escape that
 `fedsim run` would report through its catch-all with exit 2.
 """
 
@@ -23,6 +24,10 @@ BAD = st.one_of(
     st.sampled_from([math.nan, math.inf, -math.inf]),
     st.sampled_from([0, -1, 0.0, -1.0, 2.5, 1e-320]),
 )
+
+# Whole numbers no int64 holds, drawn for int fields only: float fields
+# still accept magnitudes this large and overflow in training.
+OUT_OF_INT64 = st.sampled_from([2**63, 10**30, 1e300])
 
 # Where a bad value may go: (section or None for the top level, key).
 FIELDS = [
@@ -51,6 +56,20 @@ FIELDS = [
     (None, "strategies"),
     (None, "seed"),
 ]
+INT_FIELDS = {
+    ("dataset", "num_classes"),
+    ("dataset", "samples_per_class"),
+    ("dataset", "input_dim"),
+    ("clients", "count"),
+    ("clients", "per_round"),
+    ("partition", "classes_per_client"),
+    ("training", "rounds"),
+    ("training", "local_updates"),
+    ("training", "batch_size"),
+    ("training", "hidden_dim"),
+    ("profile", "batches"),
+    (None, "seed"),
+}
 
 STRATEGIES = st.one_of(
     st.sampled_from(["fedavg", "fednova", {"name": "fedavg"}]),
@@ -123,7 +142,8 @@ def documents(draw):
             st.fixed_dictionaries({"ff": phase, "fc": phase, "bc": phase, "bf": phase})
         )
     for section, key in draw(st.lists(st.sampled_from(FIELDS), max_size=2, unique=True)):
-        (doc if section is None else doc[section])[key] = draw(BAD)
+        bad = st.one_of(OUT_OF_INT64, BAD) if (section, key) in INT_FIELDS else BAD
+        (doc if section is None else doc[section])[key] = draw(bad)
     return doc
 
 
