@@ -28,7 +28,7 @@ from typing import Any, Callable
 import yaml
 
 from .data import client_quotas, train_count
-from .engine import STRATEGIES, FedAvg, FreezeOffload, Strategy, Tifl
+from .engine import STRATEGIES, FedAvg, Strategy
 from .errors import ConfigError
 from .profiling import DEFAULT_BASE_TIMINGS, PhaseTimings
 
@@ -185,7 +185,7 @@ def _parse_strategy(
     values, ok = _read(cls, entry, where, inherited, problems)
     unknown = set(entry) - _keys(cls) - {"name"}
     if unknown:
-        problems.append(f"{where}: unknown keys {sorted(unknown)}")
+        problems.append(f"{where}: unknown keys {sorted(unknown, key=str)}")
     return cls(**values) if ok else None
 
 
@@ -231,15 +231,19 @@ def _check_quotas(
     """
     where = "partition" if part.sizes == "equal" else "partition.sizes"
     n_train = train_count(dataset.num_classes * dataset.samples_per_class)
-    try:
-        quotas = client_quotas(n_train, count, part.sizes)
-    except ArithmeticError:
-        problems.append(f"{where}: the weights cannot apportion {n_train} samples")
-        return
+    if count > n_train:
+        # Some client gets nothing; apportioning would allocate count-sized arrays.
+        smallest = 0
+    else:
+        try:
+            smallest = min(client_quotas(n_train, count, part.sizes))
+        except ArithmeticError:
+            problems.append(f"{where}: the weights cannot apportion {n_train} samples")
+            return
     need = part.classes_per_client if part.mode == "noniid" else 1
-    if min(quotas) < need:
+    if smallest < need:
         problems.append(
-            f"{where}: the smallest of {count} clients gets {min(quotas)} of the"
+            f"{where}: the smallest of {count} clients gets {smallest} of the"
             f" {n_train} training samples, needs at least {need}"
         )
 
@@ -366,14 +370,7 @@ def parse_config(raw: Any) -> ExperimentConfig:
     if not problems:
         _check_horizon(clients, training, profile, latency, problems)
 
-    if any(s.num_tiers > clients.count for s in strategies if isinstance(s, Tifl)):
-        problems.append(f"strategies: tifl tiers cannot exceed clients.count ({clients.count})")
-    for s in strategies:
-        if isinstance(s, FreezeOffload) and s.profile_batches >= training.local_updates:
-            problems.append(
-                "strategies: freeze_offload profile_batches must be <"
-                f" training.local_updates ({training.local_updates})"
-            )
+    problems.extend(dict.fromkeys(p for s in strategies for p in s.check(clients, training)))
 
     if problems:
         raise ConfigError(problems)

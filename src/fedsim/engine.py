@@ -26,27 +26,9 @@ A round runs in two passes.
   `CohortCursor`. Every client sees the batches it would draw alone, in the
   same order, and comes out bitwise equal to training alone.
 
-Strategies
-----------
-* fedavg: every selected client trains its full budget; weighted average.
-* fedprox: fedavg plus a proximal pull toward the round's global model.
-* fednova: fedavg-style selection with normalized averaging.
-* tifl: clients pre-grouped into speed tiers; each round samples one tier.
-* deadline: fedavg, but contributions arriving after a deadline are dropped.
-* freeze_offload: clients profile their first batches, the federator pairs
-  stragglers with fast receivers, stragglers freeze their feature block and
-  finish classifier-only while the receiver trains the frozen block's
-  remaining updates on its own data; the federator recombines both parts.
-
-In a freeze_offload round a weak client with budget U and offload point op
-trains U - op full batches (batches already executed when the schedule
-arrives count toward that target; if it has been passed the handoff is
-immediate), hands its feature block plus a classifier snapshot to the
-receiver, and finishes its remaining updates classifier-only. The receiver
-first completes its own budget, then trains the received feature block for
-the same remaining updates on its own data. Every update of the weak
-client's budget therefore executes exactly once per block, split across the
-two machines after the handoff.
+Each strategy is a `Strategy` subclass below; its docstring says what it does
+in a round, and its methods are the only place the engine tells strategies
+apart.
 """
 
 from __future__ import annotations
@@ -56,7 +38,7 @@ import heapq
 import itertools
 import math
 from dataclasses import dataclass, field
-from typing import Any, Callable, ClassVar, Union
+from typing import Any, Callable, ClassVar
 
 import numpy as np
 
@@ -65,6 +47,7 @@ from .errors import ConfigError
 from .model import (
     Batch,
     ClassifierBlock,
+    DivergenceError,
     FeatureBlock,
     PartitionedModel,
     Workspace,
@@ -95,24 +78,62 @@ from .similarity import ClassCountSubmission, SimilarityMatrix, SimilarityOracle
 # Strategies
 # --------------------------------------------------------------------------
 #
-# Each strategy is described once, here: `name` is its YAML name, and each
-# field is one YAML knob. The config parser and echo read them through
-# `dataclasses.fields`: a field's default is the knob's default, its metadata
-# holds its lower bound (`ge` or `gt`) and, where it differs from the field
-# name, its YAML key.
+# Each strategy is one class, described once, here: `name` is its YAML name,
+# each field is one YAML knob, and its methods are its round behaviour. The
+# config parser and echo read the fields through `dataclasses.fields`: a
+# field's default is the knob's default, its metadata holds its lower bound
+# (`ge` or `gt`) and, where it differs from the field name, its YAML key.
 
 
-@dataclass(frozen=True)
-class FedAvg:
-    name: ClassVar[str] = "fedavg"
+class Strategy:
+    """A round strategy; the defaults are FedAvg's.
+
+    The engine tells strategies apart only through these: `setup` once per
+    experiment, then in each round `select`, `start_round` (the event pass),
+    `prox_mu` (training) and `aggregate`. The config parser adds the
+    problems `check` finds with the `clients` and `training` sections.
+    """
+
+    name: ClassVar[str]
+    prox_mu: ClassVar[float] = 0.0
 
     @property
     def label(self) -> str:
-        return "fedavg"
+        return self.name
+
+    def setup(self, state: ExperimentState) -> None:
+        """Build the per-experiment state the strategy needs."""
+
+    def select(self, state: ExperimentState, round_index: int) -> list[int]:
+        per_round = state.config.clients.per_round
+        return select_clients(len(state.clients), per_round, round_index, state.seed)
+
+    def start_round(self, planner: _RoundPlanner) -> None:
+        """Every selected client submits its whole model after its budget."""
+        planner.expected_parts = len(planner.selected)
+        for cid in planner.selected:
+            planner.submit_whole(cid)
+
+    def aggregate(self, global_model, models, weights, steps) -> PartitionedModel:
+        """The new global model from the kept clients' models, their sample
+        counts and the steps each ran on its own model."""
+        return aggregate_fedavg(models, weights)
+
+    def check(self, clients, training) -> list[str]:
+        return []
 
 
 @dataclass(frozen=True)
-class FedProx:
+class FedAvg(Strategy):
+    """Every selected client trains its full budget; weighted average."""
+
+    name: ClassVar[str] = "fedavg"
+
+
+@dataclass(frozen=True)
+class FedProx(Strategy):
+    """FedAvg plus a proximal pull toward the round's global model."""
+
     name: ClassVar[str] = "fedprox"
     mu: float = field(default=0.01, metadata={"ge": 0})
 
@@ -120,18 +141,26 @@ class FedProx:
     def label(self) -> str:
         return f"fedprox_mu{self.mu:g}"
 
+    @property
+    def prox_mu(self) -> float:
+        return self.mu
+
 
 @dataclass(frozen=True)
-class FedNova:
+class FedNova(Strategy):
+    """FedAvg's selection with normalized averaging by local step counts."""
+
     name: ClassVar[str] = "fednova"
 
-    @property
-    def label(self) -> str:
-        return "fednova"
+    def aggregate(self, global_model, models, weights, steps):
+        return aggregate_fednova(global_model, models, weights, steps)
 
 
 @dataclass(frozen=True)
-class Tifl:
+class Tifl(Strategy):
+    """Clients pre-grouped into speed tiers; each round samples one tier,
+    round-robin."""
+
     name: ClassVar[str] = "tifl"
     num_tiers: int = field(default=3, metadata={"ge": 1, "key": "tiers"})
 
@@ -139,9 +168,28 @@ class Tifl:
     def label(self) -> str:
         return f"tifl_t{self.num_tiers}"
 
+    def setup(self, state):
+        state.tiers = build_tiers(state.clients, self.num_tiers)
+
+    def select(self, state, round_index):
+        tier = state.tiers[round_index % len(state.tiers)]
+        take = min(state.config.clients.per_round, len(tier))
+        rng = spawn_rng(state.seed, TAG_SELECTION, round_index)
+        chosen = rng.choice(len(tier), size=take, replace=False)
+        return sorted(int(tier[int(i)]) for i in chosen)
+
+    def check(self, clients, training):
+        if self.num_tiers > clients.count:
+            return [f"strategies: tifl tiers cannot exceed clients.count ({clients.count})"]
+        return []
+
 
 @dataclass(frozen=True)
-class DeadlineDrop:
+class DeadlineDrop(Strategy):
+    """FedAvg, but contributions estimated to arrive after a deadline, a
+    multiple of the cohort's mean estimated completion, are dropped; a
+    dropped client trains nothing."""
+
     name: ClassVar[str] = "deadline"
     multiplier: float = field(default=1.0, metadata={"gt": 0})
 
@@ -149,9 +197,36 @@ class DeadlineDrop:
     def label(self) -> str:
         return f"deadline_m{self.multiplier:g}"
 
+    def start_round(self, planner):
+        completions = {
+            cid: planner.updates * planner.state.client(cid).timings.full_time
+            for cid in planner.selected
+        }
+        planner.deadline = self.multiplier * (sum(completions.values()) / len(completions))
+        planner.dropped = tuple(
+            cid for cid in planner.selected if completions[cid] > planner.deadline
+        )
+        super().start_round(planner)
+
 
 @dataclass(frozen=True)
-class FreezeOffload:
+class FreezeOffload(Strategy):
+    """Clients profile their first batches, the federator pairs stragglers
+    with fast receivers, stragglers freeze their feature block and finish
+    classifier-only while the receiver trains the frozen block's remaining
+    updates on its own data; the federator recombines both parts.
+
+    A weak client with budget U and offload point op trains U - op full
+    batches (batches already executed when the schedule arrives count toward
+    that target; if it has been passed the handoff is immediate), hands its
+    feature block plus a classifier snapshot to the receiver, and finishes
+    its remaining updates classifier-only. The receiver first completes its
+    own budget, then trains the received feature block for the same
+    remaining updates on its own data. Every update of the weak client's
+    budget therefore executes exactly once per block, split across the two
+    machines after the handoff.
+    """
+
     name: ClassVar[str] = "freeze_offload"
     similarity_factor: float = field(default=1.0, metadata={"ge": 0})
     # The parser defaults these two to the `profile` section's values.
@@ -162,9 +237,35 @@ class FreezeOffload:
     def label(self) -> str:
         return f"freeze_offload_f{self.similarity_factor:g}"
 
+    def setup(self, state):
+        oracle = SimilarityOracle([c.client_id for c in state.clients], state.dataset.num_classes)
+        for c in state.clients:
+            counts = tuple(int(x) for x in c.partition.class_counts)
+            oracle.submit(ClassCountSubmission(client_id=c.client_id, counts=counts))
+        state.similarity = oracle.compute_matrix()
+
+    def start_round(self, planner):
+        # Clients train from the first batch; the schedule only matters for
+        # those still running when it arrives. The part count is known once
+        # the schedule is built.
+        for cid in planner.selected:
+            planner.submit_whole(cid)
+            per_batch = planner.state.client(cid).timings.full_time
+            planner.queue.push(
+                planner.start + self.profile_batches * per_batch,
+                Event(EventKind.PROFILE_REPORT, round_index=planner.round_index, client_id=cid),
+            )
+
+    def check(self, clients, training):
+        if self.profile_batches >= training.local_updates:
+            return [
+                "strategies: freeze_offload profile_batches must be <"
+                f" training.local_updates ({training.local_updates})"
+            ]
+        return []
+
 
 STRATEGIES = (FedAvg, FedProx, FedNova, Tifl, DeadlineDrop, FreezeOffload)
-Strategy = Union[STRATEGIES]
 
 
 # --------------------------------------------------------------------------
@@ -235,14 +336,10 @@ class BatchCursor:
         self._inputs = inputs
         self._labels = labels
         self._indices = np.asarray(indices, dtype=np.int64)
-        self._batch_size = batch_size
+        self.batch_size = batch_size
         self._rng = rng
         self._order = self._rng.permutation(self._indices)
         self._pos = 0
-
-    @property
-    def batch_size(self) -> int:
-        return self._batch_size
 
     def _take(self, n: int) -> np.ndarray:
         """The next n sample indices.
@@ -265,11 +362,11 @@ class BatchCursor:
         return np.concatenate([head, fresh.ravel()[:n]])
 
     def next_batch(self) -> Batch:
-        idx = self._take(self._batch_size)
+        idx = self._take(self.batch_size)
         return Batch(inputs=self._inputs[idx], labels=self._labels[idx])
 
 
-class CohortCursor(BatchCursor):
+class CohortCursor:
     """Stacked batches of one phase of a cohort that trains in lockstep.
 
     `blocks` holds each member's sample indices for the phase, one row of
@@ -296,15 +393,14 @@ class CohortCursor(BatchCursor):
         idx.swapaxes(0, 1)[running] = np.concatenate(blocks)
         self._inputs = inputs.take(idx, axis=0)
         self._labels = labels.take(idx)
-        self._batch_size = size
+        self.batch_size = size
         self._first = np.searchsorted(steps, np.arange(steps[-1]), side="right").tolist()
         self._step = 0
 
-    def _take(self, n: int) -> tuple[int, slice]:
-        """Where the next step's batches of the members still running lie."""
-        step = self._step
+    def next_batch(self) -> Batch:
+        step, first = self._step, self._first[self._step]
         self._step += 1
-        return step, slice(self._first[step], None)
+        return Batch(inputs=self._inputs[step, first:], labels=self._labels[step, first:])
 
 
 @dataclass
@@ -324,24 +420,21 @@ class ClientState:
 
 def local_train(
     model: PartitionedModel,
-    cursor: BatchCursor,
+    cursor: BatchCursor | CohortCursor,
     updates: int,
     learning_rate: float,
-    timings: PhaseTimings | None = None,
     mode: str = "full",
     prox_mu: float = 0.0,
     anchor: PartitionedModel | None = None,
-) -> tuple[PartitionedModel, float | None]:
-    """Run `updates` SGD steps and return (new model, virtual seconds spent).
+) -> PartitionedModel:
+    """Run `updates` SGD steps and return the new model.
 
-    In "frozen" mode only the classifier block moves and the per-batch cost
-    drops to the three non-bf phases. The model passed in is left as it is:
-    the steps train a copy of it in place, in one `Workspace` for the call.
-    A stacked model on a `CohortCursor` trains in lockstep: each step moves
-    the members that still have that step, a suffix of the stack, so one
-    call trains a whole phase and each member comes out trained on its own
-    steps only. The members run at different speeds, so such a call passes
-    no `timings` and gets None for the seconds.
+    In "frozen" mode only the classifier block moves. The model passed in is
+    left as it is: the steps train a copy of it in place, in one `Workspace`
+    for the call. A stacked model on a `CohortCursor` trains in lockstep:
+    each step moves the members that still have that step, a suffix of the
+    stack, so one call trains a whole phase and each member comes out
+    trained on its own steps only.
     """
     if updates < 0:
         raise ValueError(f"updates must be >= 0, got {updates}")
@@ -353,27 +446,21 @@ def local_train(
         sgd_step_in_place(
             model, cursor.next_batch(), workspace, learning_rate, mode, prox_mu, anchor
         )
-    if timings is None:
-        return model, None
-    per_batch = timings.full_time if mode == "full" else timings.frozen_time
-    return model, updates * per_batch
+    return model
 
 
 def execute_offloaded(
     feature: FeatureBlock,
     classifier_snapshot: ClassifierBlock,
-    cursor: BatchCursor,
+    cursor: BatchCursor | CohortCursor,
     updates: int,
     learning_rate: float,
-    timings: PhaseTimings | None = None,
-) -> tuple[FeatureBlock, float | None]:
+) -> FeatureBlock:
     """Train someone else's feature block on local data.
 
     The donated classifier snapshot stays fixed; only the feature block
-    moves, trained in place on a copy of both blocks. Virtual cost is the
-    backward-feature phase per batch, the only phase the receiving client
-    runs that it would not otherwise run. Stacked blocks on a `CohortCursor`
-    train in lockstep, as in `local_train`.
+    moves, trained in place on a copy of both blocks. Stacked blocks on a
+    `CohortCursor` train in lockstep, as in `local_train`.
     """
     if updates < 0:
         raise ValueError(f"updates must be >= 0, got {updates}")
@@ -381,8 +468,7 @@ def execute_offloaded(
     workspace = Workspace(model, cursor.batch_size)
     for _ in range(updates):
         sgd_step_in_place(model, cursor.next_batch(), workspace, learning_rate, mode="feature")
-    trained = FeatureBlock(model.feature_weights, model.feature_bias)
-    return trained, None if timings is None else updates * timings.bf
+    return FeatureBlock(model.feature_weights, model.feature_bias)
 
 
 # --------------------------------------------------------------------------
@@ -535,6 +621,7 @@ class ExperimentState:
     dataset: Dataset
     clients: list[ClientState]
     global_model: PartitionedModel
+    # Built by `Strategy.setup`: freeze_offload's and tifl's.
     similarity: SimilarityMatrix | None = None
     tiers: list[list[int]] | None = None
     clock: float = 0.0
@@ -566,16 +653,6 @@ def select_clients(
     rng = spawn_rng(seed, TAG_SELECTION, round_index)
     chosen = rng.choice(num_clients, size=count, replace=False)
     return sorted(int(c) for c in chosen)
-
-
-def _select_tiered(
-    tiers: list[list[int]], count: int, round_index: int, seed: int
-) -> list[int]:
-    tier = tiers[round_index % len(tiers)]
-    take = min(count, len(tier))
-    rng = spawn_rng(seed, TAG_SELECTION, round_index)
-    chosen = rng.choice(len(tier), size=take, replace=False)
-    return sorted(int(tier[int(i)]) for i in chosen)
 
 
 def build_tiers(clients: list[ClientState], num_tiers: int) -> list[list[int]]:
@@ -664,60 +741,14 @@ class _RoundPlanner:
     # -- helpers ----------------------------------------------------------
 
     def _submit(self, time: float, cid: int, kind: str) -> None:
-        self.queue.push(
-            time,
-            Event(
-                EventKind.MODEL_SUBMIT,
-                round_index=self.round_index,
-                client_id=cid,
-                payload=kind,
-            ),
-        )
+        event = Event(EventKind.MODEL_SUBMIT, self.round_index, client_id=cid, payload=kind)
+        self.queue.push(time, event)
 
-    def _submit_whole(self, cid: int) -> None:
+    def submit_whole(self, cid: int) -> None:
         c = self.state.client(cid)
         self._submit(self.start + self.updates * c.timings.full_time, cid, "whole")
 
     # -- event handlers ----------------------------------------------------
-
-    def on_round_start(self) -> None:
-        if isinstance(self.strategy, FreezeOffload):
-            # Clients train from the first batch; the schedule only matters
-            # for those still running when it arrives. The part count is
-            # known once the schedule is built.
-            self.expected_parts = None
-            for cid in self.selected:
-                c = self.state.client(cid)
-                self._submit_whole(cid)
-                report_t = (
-                    self.start
-                    + self.strategy.profile_batches * c.timings.full_time
-                )
-                self.queue.push(
-                    report_t,
-                    Event(
-                        EventKind.PROFILE_REPORT,
-                        round_index=self.round_index,
-                        client_id=cid,
-                    ),
-                )
-            return
-
-        if isinstance(self.strategy, DeadlineDrop):
-            completions = {
-                cid: self.updates * self.state.client(cid).timings.full_time
-                for cid in self.selected
-            }
-            self.deadline = self.strategy.multiplier * (
-                sum(completions.values()) / len(completions)
-            )
-            self.dropped = tuple(
-                cid for cid in self.selected if completions[cid] > self.deadline
-            )
-
-        self.expected_parts = len(self.selected)
-        for cid in self.selected:
-            self._submit_whole(cid)
 
     def on_profile_report(self, time: float, cid: int) -> None:
         self.profile_reports.add(cid)
@@ -735,7 +766,6 @@ class _RoundPlanner:
         )
 
     def on_schedule_dispatch(self, arrival: float, computed_at: float) -> None:
-        assert isinstance(self.strategy, FreezeOffload)
         strat = self.strategy
         noisy = strat.profile_noise_sigma != 0.0
         profiles: list[ClientProfile] = []
@@ -869,22 +899,7 @@ class _RoundPlanner:
     # -- driver -------------------------------------------------------------
 
     def run(self) -> RoundPlan:
-        cfg = self.state.config
-        if isinstance(self.strategy, Tifl):
-            assert self.state.tiers is not None
-            self.selected = _select_tiered(
-                self.state.tiers,
-                cfg.clients.per_round,
-                self.round_index,
-                self.state.seed,
-            )
-        else:
-            self.selected = select_clients(
-                len(self.state.clients),
-                cfg.clients.per_round,
-                self.round_index,
-                self.state.seed,
-            )
+        self.selected = self.strategy.select(self.state, self.round_index)
 
         self.queue.push(
             self.start, Event(EventKind.ROUND_START, round_index=self.round_index)
@@ -895,7 +910,7 @@ class _RoundPlanner:
                 event.round_index == self.round_index
             ), f"stale event from round {event.round_index} in round {self.round_index}"
             if event.kind is EventKind.ROUND_START:
-                self.on_round_start()
+                self.strategy.start_round(self)
             elif event.kind is EventKind.PROFILE_REPORT:
                 self.on_profile_report(time, event.client_id)
             elif event.kind is EventKind.SCHEDULE_DISPATCH:
@@ -1010,18 +1025,18 @@ def _train_plan(state: ExperimentState, plan: RoundPlan) -> dict[int, Partitione
     donated phase to the classifier of its frozen phase, both as views.
     """
     lr = state.config.training.learning_rate
-    prox_mu = state.strategy.mu if isinstance(state.strategy, FedProx) else 0.0
+    prox_mu = state.strategy.prox_mu
     anchor = state.global_model if prox_mu != 0.0 else None
     full_blocks, frozen_blocks, donated_blocks = _phase_blocks(state, plan)
 
     def full(model: PartitionedModel, cursor: CohortCursor, n: int) -> PartitionedModel:
-        return local_train(model, cursor, n, lr, mode="full", prox_mu=prox_mu, anchor=anchor)[0]
+        return local_train(model, cursor, n, lr, mode="full", prox_mu=prox_mu, anchor=anchor)
 
     def frozen(model: PartitionedModel, cursor: CohortCursor, n: int) -> PartitionedModel:
-        return local_train(model, cursor, n, lr, mode="frozen")[0]
+        return local_train(model, cursor, n, lr, mode="frozen")
 
     def donated(model: PartitionedModel, cursor: CohortCursor, n: int) -> PartitionedModel:
-        block, _ = execute_offloaded(
+        block = execute_offloaded(
             FeatureBlock(model.feature_weights, model.feature_bias),
             ClassifierBlock(model.classifier_weights, model.classifier_bias),
             cursor,
@@ -1056,20 +1071,20 @@ def _train_plan(state: ExperimentState, plan: RoundPlan) -> dict[int, Partitione
 def run_round(state: ExperimentState, round_index: int) -> RoundTrace:
     """Simulate one round under the state's strategy and advance the clock."""
     plan = plan_round(state, round_index)
-    trained = _train_plan(state, plan)
-    included = [p.client_id for p in plan.clients if not p.dropped]
+    try:
+        trained = _train_plan(state, plan)
+    except DivergenceError as exc:
+        # Whether training diverges depends on the seed's data and draws.
+        problem = f"training: diverged in round {round_index} (seed {state.seed}): {exc}"
+        raise ConfigError([problem]) from exc
+    included = [p for p in plan.clients if not p.dropped]
     if included:
-        models = [trained[cid] for cid in included]
-        weights = [float(state.client(cid).num_samples) for cid in included]
-        if isinstance(state.strategy, FedNova):
-            state.global_model = aggregate_fednova(
-                state.global_model,
-                models,
-                weights,
-                [state.config.training.local_updates] * len(models),
-            )
-        else:
-            state.global_model = aggregate_fedavg(models, weights)
+        state.global_model = state.strategy.aggregate(
+            state.global_model,
+            [trained[p.client_id] for p in included],
+            [float(state.client(p.client_id).num_samples) for p in included],
+            [p.full_steps + p.frozen_steps for p in included],
+        )
 
     trace = RoundTrace(
         round_index=round_index,
@@ -1144,33 +1159,16 @@ def build_state(config, strategy: Strategy, seed: int) -> ExperimentState:
         config.dataset.num_classes,
         init_seed,
     )
-
-    similarity = None
-    if isinstance(strategy, FreezeOffload):
-        oracle = SimilarityOracle(
-            [c.client_id for c in clients], dataset.num_classes
-        )
-        for c in clients:
-            oracle.submit(
-                ClassCountSubmission(
-                    client_id=c.client_id,
-                    counts=tuple(int(x) for x in c.partition.class_counts),
-                )
-            )
-        similarity = oracle.compute_matrix()
-
-    tiers = build_tiers(clients, strategy.num_tiers) if isinstance(strategy, Tifl) else None
-
-    return ExperimentState(
+    state = ExperimentState(
         config=config,
         strategy=strategy,
         seed=seed,
         dataset=dataset,
         clients=clients,
         global_model=global_model,
-        similarity=similarity,
-        tiers=tiers,
     )
+    strategy.setup(state)
+    return state
 
 
 def run_experiment(config, strategy: Strategy, seed: int) -> ExperimentResult:

@@ -57,6 +57,10 @@ class ShapeError(ValueError):
     """Raised when array dimensions do not line up."""
 
 
+class DivergenceError(ValueError):
+    """Raised when a step's gradients are not finite; no parameter has moved."""
+
+
 @dataclass
 class Batch:
     """A mini-batch of training data.
@@ -272,7 +276,7 @@ def sgd_step(model: PartitionedModel, grads: Gradients, lr: float) -> Partitione
     ]
     for g in present:
         if not np.isfinite(g).all():
-            raise ValueError("non-finite gradient values")
+            raise DivergenceError("non-finite gradient values")
     if grads.feature_weights is None:
         fw = model.feature_weights.copy()
         fb = model.feature_bias.copy()
@@ -415,7 +419,7 @@ def sgd_step_in_place(
             np.add(g, diff, out=g)
     for i in moving:
         if not np.isfinite(grads[i]).all():
-            raise ValueError("non-finite gradient values")
+            raise DivergenceError("non-finite gradient values")
     for i in moving:
         # g *= lr; p -= g is bitwise p - lr * g.
         np.multiply(grads[i], lr, out=grads[i])

@@ -143,6 +143,11 @@ class TestParseConfig:
             ({"training": {"hidden_dim": 1e300}}, "training.hidden_dim"),
             ({"seed": 1e300}, "top level.seed"),
             (yaml.safe_load("dataset: {input_dim: 9223372036854775808}"), "dataset.input_dim"),
+            # Unknown keys of mixed types are still listed.
+            ({"strategies": [{"name": "fedavg", 1: "a", "b": 2}]}, "strategies[0]: unknown keys"),
+            # More clients than training samples, without apportioning them.
+            ({"clients": {"count": 2**63 - 1, "per_round": 2}}, "partition: the smallest of"),
+            ({"clients": {"count": 100_000_000, "per_round": 2}}, "partition: the smallest of"),
         ],
     )
     def test_rejects_bools_and_strings_as_numbers(self, raw, where):
@@ -251,6 +256,19 @@ class TestParseConfig:
                 {"training": {"local_updates": 4},
                  "strategies": [{"name": "freeze_offload", "profile_batches": 4}]}
             )
+
+    def test_strategy_rule_reported_once(self):
+        # Two strategies breaking the same cross-field rule give one line.
+        with pytest.raises(ConfigError) as info:
+            parse_config(
+                {"training": {"local_updates": 4},
+                 "strategies": [{"name": "freeze_offload", "profile_batches": 4},
+                                {"name": "freeze_offload", "profile_batches": 5,
+                                 "similarity_factor": 2.0}]}
+            )
+        assert info.value.problems == [
+            "strategies: freeze_offload profile_batches must be < training.local_updates (4)"
+        ]
 
     def test_profile_base_override(self):
         cfg = parse_config(
@@ -466,6 +484,18 @@ class TestRunCommand:
         err = capsys.readouterr().err
         assert "invalid configuration:\n  - partition: could not draw feasible class choices" in err
         assert "(seed 8)" in err
+
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    @pytest.mark.parametrize(
+        "section, key", [("training", "learning_rate"), ("dataset", "noise_sigma")]
+    )
+    def test_diverging_training_exits_1(self, tmp_path, capsys, workers, section, key):
+        raw = dict(FAST_RAW, replicates=2, **{section: {**FAST_RAW[section], key: 1e308}})
+        code, out = self.run_cli(tmp_path, raw, extra=("--workers", workers))
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "invalid configuration:\n  - training: diverged in round 0 (seed 7):" in err
+        assert "non-finite gradient values" in err
 
     def test_leaves_no_temp_files(self, tmp_path):
         raw = dict(FAST_RAW, replicates=2)

@@ -45,7 +45,6 @@ from fedsim.model import (
     sgd_step_in_place,
     split,
 )
-from fedsim.profiling import PhaseTimings
 from fedsim.seeding import TAG_BATCHES, spawn_rng
 
 
@@ -202,21 +201,20 @@ def assert_rows_equal(stacked_arrays, per_member):
 )
 def test_local_train_stacked_matches_per_client(mode, prox_mu):
     anchor = init_model(4, 6, 3, seed=99) if prox_mu else None
-    timings = PhaseTimings(ff=0.1, fc=0.1, bc=0.1, bf=0.7)
     cursors = member_cursors()
     # Two calls on the same streams: the second starts where the first ended.
     reference = []
     for model, cursor in zip(member_models(), cursors):
         for steps in (5, 3):
-            model, _ = local_train(
-                model, cursor, steps, 0.1, timings, mode=mode, prox_mu=prox_mu, anchor=anchor
+            model = local_train(
+                model, cursor, steps, 0.1, mode=mode, prox_mu=prox_mu, anchor=anchor
             )
         reference.append(model.arrays())
 
     stacked = stack(member_models())
     cursors = member_cursors()
     for steps in (5, 3):
-        stacked, spent = local_train(
+        stacked = local_train(
             stacked,
             CohortCursor(INPUTS, LABELS, draw_blocks(cursors, steps)),
             steps,
@@ -225,23 +223,20 @@ def test_local_train_stacked_matches_per_client(mode, prox_mu):
             prox_mu=prox_mu,
             anchor=anchor,
         )
-        assert spent is None
     assert_rows_equal(stacked.arrays(), reference)
 
 
 def test_execute_offloaded_stacked_matches_per_client():
-    timings = PhaseTimings(ff=0.1, fc=0.1, bc=0.1, bf=0.7)
     reference = []
     for model, cursor in zip(member_models(), member_cursors()):
         feature, snapshot = split(model)
-        trained, _ = execute_offloaded(feature, snapshot, cursor, 6, 0.1, timings)
+        trained = execute_offloaded(feature, snapshot, cursor, 6, 0.1)
         reference.append((trained.weights, trained.bias))
 
     feature, snapshot = split(stack(member_models()))
-    trained, spent = execute_offloaded(
+    trained = execute_offloaded(
         feature, snapshot, CohortCursor(INPUTS, LABELS, draw_blocks(member_cursors(), 6)), 6, 0.1
     )
-    assert spent is None
     assert_rows_equal((trained.weights, trained.bias), reference)
 
 
@@ -252,12 +247,12 @@ def test_local_train_ragged_stack_matches_per_client():
     anchor = init_model(4, 6, 3, seed=99)
     reference = []
     for model, cursor, n in zip(member_models(), member_cursors(), steps):
-        model, _ = local_train(model, cursor, n, 0.1, prox_mu=0.01, anchor=anchor)
+        model = local_train(model, cursor, n, 0.1, prox_mu=0.01, anchor=anchor)
         reference.append(model.arrays())
     start = stack(member_models())
     before = [a.copy() for a in start.arrays()]
     blocks = [c._take(n * 8).reshape(n, 8) for c, n in zip(member_cursors(), steps)]
-    trained, _ = local_train(
+    trained = local_train(
         start, CohortCursor(INPUTS, LABELS, blocks), max(steps), 0.1, prox_mu=0.01, anchor=anchor
     )
     assert_rows_equal(trained.arrays(), reference)
@@ -462,6 +457,27 @@ def batch_rows(batch):
     inputs = batch.inputs.reshape(-1, *batch.inputs.shape[-2:])
     labels = batch.labels.reshape(-1, batch.labels.shape[-1])
     return [x.tobytes() + y.tobytes() for x, y in zip(inputs, labels)]
+
+
+def test_fednova_tau_is_the_plans_step_count(monkeypatch):
+    # FedNova normalises each client's update by the steps it ran on its own
+    # model, which the round plan gives.
+    received = []
+    original = engine.aggregate_fednova
+
+    def recording(global_model, models, weights, local_steps):
+        received.append(list(local_steps))
+        return original(global_model, models, weights, local_steps)
+
+    monkeypatch.setattr(engine, "aggregate_fednova", recording)
+    config = small_config()
+    state = build_state(config, FedNova(), seed=3)
+    for r in range(config.training.rounds):
+        plan = plan_round(state, r)
+        run_round(state, r)
+        assert received[r] == [p.full_steps + p.frozen_steps for p in plan.clients if not p.dropped]
+    assert len(received) == config.training.rounds
+    assert {t for steps in received for t in steps} == {config.training.local_updates}
 
 
 def test_deadline_round_never_trains_dropped_clients(monkeypatch):

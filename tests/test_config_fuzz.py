@@ -6,9 +6,11 @@ the dataset size, classes per client against the client count, profile
 batches against local updates, tiers against clients). Up to two fields are
 then replaced with a value of the wrong type, a non-finite float or a
 boundary number, and an int field may also get a whole number outside
-int64. A document that parses must run each of its strategies for its
-rounds (at most 2) to completion; any other exception is an escape that
-`fedsim run` would report through its catch-all with exit 2.
+int64. The learning rate and the data noise may get 1e308, and the
+client count 2**63 - 1. A document that parses must run each of its
+strategies for its rounds (at most 2) to completion; any other exception
+is an escape that `fedsim run` would report through its catch-all with
+exit 2.
 """
 
 import math
@@ -25,9 +27,17 @@ BAD = st.one_of(
     st.sampled_from([0, -1, 0.0, -1.0, 2.5, 1e-320]),
 )
 
-# Whole numbers no int64 holds, drawn for int fields only: float fields
-# still accept magnitudes this large and overflow in training.
+# Whole numbers no int64 holds, drawn for int fields only.
 OUT_OF_INT64 = st.sampled_from([2**63, 10**30, 1e300])
+
+# Values each field accepts on its own that training or memory cannot: a
+# learning rate or data noise that makes training diverge, and more clients
+# than any partition can give samples to.
+HUGE = {
+    ("training", "learning_rate"): 1e308,
+    ("dataset", "noise_sigma"): 1e308,
+    ("clients", "count"): 2**63 - 1,
+}
 
 # Where a bad value may go: (section or None for the top level, key).
 FIELDS = [
@@ -142,8 +152,11 @@ def documents(draw):
             st.fixed_dictionaries({"ff": phase, "fc": phase, "bc": phase, "bf": phase})
         )
     for section, key in draw(st.lists(st.sampled_from(FIELDS), max_size=2, unique=True)):
-        bad = st.one_of(OUT_OF_INT64, BAD) if (section, key) in INT_FIELDS else BAD
-        (doc if section is None else doc[section])[key] = draw(bad)
+        # The narrow pools come before BAD so that hypothesis draws them often.
+        pools = [st.just(HUGE[section, key])] if (section, key) in HUGE else []
+        if (section, key) in INT_FIELDS:
+            pools.append(OUT_OF_INT64)
+        (doc if section is None else doc[section])[key] = draw(st.one_of(*pools, BAD))
     return doc
 
 
