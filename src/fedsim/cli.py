@@ -27,13 +27,7 @@ import sys
 from concurrent.futures import ProcessPoolExecutor
 
 from .config import ConfigError, ExperimentConfig, echo_dict, load_config
-from .engine import (
-    ExperimentResult,
-    FreezeOffload,
-    Strategy,
-    build_state,
-    run_experiment,
-)
+from .engine import ExperimentResult, Strategy, build_state, run_experiment
 from .similarity import SimilarityMatrix
 
 
@@ -198,12 +192,11 @@ def _similarity_lines(matrix: SimilarityMatrix) -> list[str]:
 def _cmd_inspect(args: argparse.Namespace) -> int:
     config = _load(args)
     seed = config.seed
-    # The similarity matrix exists only in a freeze_offload state.
-    strategy = next(
-        (s for s in config.strategies if isinstance(s, FreezeOffload)),
-        config.strategies[0],
-    )
-    state = build_state(config, strategy, seed)
+    # One state with every strategy's setup: the similarity matrix is there
+    # if any strategy needs it.
+    state = build_state(config, config.strategies[0], seed)
+    for strategy in config.strategies[1:]:
+        strategy.setup(state)
 
     print(f"seed {seed}: {len(state.clients)} clients,"
           f" {state.dataset.num_classes} classes, partition mode {config.partition.mode}")

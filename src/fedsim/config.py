@@ -25,6 +25,7 @@ import math
 from dataclasses import Field, asdict, dataclass, field, fields
 from typing import Any, Callable
 
+import numpy as np
 import yaml
 
 from .data import client_quotas, train_count
@@ -252,7 +253,7 @@ def _check_horizon(
     clients: ClientsConfig, training: TrainingConfig, profile: ProfileConfig,
     latency: LatencyConfig, problems: list[str],
 ) -> None:
-    """Check that every event time of the run is finite.
+    """Check that every time in the run's round plans is finite.
 
     Bounds them from above: in each round (and the one after the last) the
     slowest client runs its budget and at most as many donated steps
@@ -268,6 +269,32 @@ def _check_horizon(
             f" 2 x {training.local_updates} batches of {per_batch:g} s at speed {slowest:g},"
             f" plus {latency.dispatch:g} s dispatch and {latency.transfer:g} s transfer"
         )
+
+
+def _check_sizes(
+    dataset: DatasetConfig, clients: ClientsConfig, training: TrainingConfig, problems: list[str]
+) -> None:
+    """Check that the largest float64 arrays of a run each fit in one numpy
+    array; reports the first that does not. Runs on an otherwise valid
+    document."""
+    k, hidden, width = clients.per_round, training.hidden_dim, dataset.input_dim
+    arrays = {
+        "dataset (num_classes * samples_per_class, input_dim)": (
+            dataset.num_classes * dataset.samples_per_class, width
+        ),
+        "stacked models (per_round, max(input_dim, num_classes), hidden_dim)": (
+            k, max(width, dataset.num_classes), hidden
+        ),
+        "workspace (per_round, batch_size, hidden_dim)": (k, training.batch_size, hidden),
+    }
+    limit = np.iinfo(np.intp).max
+    for name, shape in arrays.items():
+        if 8 * math.prod(shape) > limit:
+            problems.append(
+                f"{name}: {' x '.join(map(str, shape))} float64 values exceed the"
+                f" {limit} bytes one array can hold"
+            )
+            return
 
 
 def parse_config(raw: Any) -> ExperimentConfig:
@@ -369,6 +396,7 @@ def parse_config(raw: Any) -> ExperimentConfig:
         _check_quotas(dataset, part, clients.count, problems)
     if not problems:
         _check_horizon(clients, training, profile, latency, problems)
+        _check_sizes(dataset, clients, training, problems)
 
     problems.extend(dict.fromkeys(p for s in strategies for p in s.check(clients, training)))
 

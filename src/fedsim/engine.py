@@ -2,14 +2,17 @@
 
 A round runs in two passes.
 
-* The event pass (`plan_round`) simulates the round with a discrete-event
-  queue ordered by (virtual time, sequence number). Per-batch costs come from
-  the four-phase timing model in `profiling`, so every event time, the
-  freeze_offload schedule, the handoffs and the deadline drops follow from
-  timings alone, never from model values. The pass trains nothing: it returns
-  a `RoundPlan` that gives each selected client its full, frozen and donated
-  step counts, the receiver of its donated steps, its submit times and
-  whether it is dropped. Virtual time never waits on wall-clock time.
+* The plan (`plan_round`) computes the round's timeline from the state's
+  clock. A round's steps come in a fixed order (clients profile, the
+  federator schedules once the last report is in, a straggler hands off and
+  then submits two parts), so each strategy's `plan` writes every time as a
+  closed-form expression of the per-batch costs of the four-phase timing
+  model in `profiling`: the submit times, the freeze_offload schedule, the
+  handoffs and the deadline drops follow from timings alone, never from
+  model values. The plan trains nothing: it is a `RoundPlan` that gives each
+  selected client its full, frozen and donated step counts, the receiver of
+  its donated steps, its submit times and whether it is dropped. Virtual
+  time never waits on wall-clock time.
 * The executor trains the plan. Training is real: every client the plan
   keeps runs SGD on its own partition, so model quality reacts to the
   strategy as round durations do. A dropped client runs no steps. Each
@@ -33,9 +36,6 @@ apart.
 
 from __future__ import annotations
 
-import enum
-import heapq
-import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Any, Callable, ClassVar
@@ -89,9 +89,10 @@ class Strategy:
     """A round strategy; the defaults are FedAvg's.
 
     The engine tells strategies apart only through these: `setup` once per
-    experiment, then in each round `select`, `start_round` (the event pass),
-    `prox_mu` (training) and `aggregate`. The config parser adds the
-    problems `check` finds with the `clients` and `training` sections.
+    experiment, then in each round `plan` (which calls `select` and returns
+    the round's `RoundPlan`), `prox_mu` (training) and `aggregate`. The
+    config parser adds the problems `check` finds with the `clients` and
+    `training` sections.
     """
 
     name: ClassVar[str]
@@ -108,11 +109,9 @@ class Strategy:
         per_round = state.config.clients.per_round
         return select_clients(len(state.clients), per_round, round_index, state.seed)
 
-    def start_round(self, planner: _RoundPlanner) -> None:
+    def plan(self, state: ExperimentState, round_index: int) -> RoundPlan:
         """Every selected client submits its whole model after its budget."""
-        planner.expected_parts = len(planner.selected)
-        for cid in planner.selected:
-            planner.submit_whole(cid)
+        return _whole_models(state, round_index, self.select(state, round_index))
 
     def aggregate(self, global_model, models, weights, steps) -> PartitionedModel:
         """The new global model from the kept clients' models, their sample
@@ -197,16 +196,13 @@ class DeadlineDrop(Strategy):
     def label(self) -> str:
         return f"deadline_m{self.multiplier:g}"
 
-    def start_round(self, planner):
-        completions = {
-            cid: planner.updates * planner.state.client(cid).timings.full_time
-            for cid in planner.selected
-        }
-        planner.deadline = self.multiplier * (sum(completions.values()) / len(completions))
-        planner.dropped = tuple(
-            cid for cid in planner.selected if completions[cid] > planner.deadline
-        )
-        super().start_round(planner)
+    def plan(self, state, round_index):
+        selected = self.select(state, round_index)
+        updates = state.config.training.local_updates
+        completions = {cid: updates * state.client(cid).timings.full_time for cid in selected}
+        deadline = self.multiplier * (sum(completions.values()) / len(completions))
+        dropped = frozenset(cid for cid in selected if completions[cid] > deadline)
+        return _whole_models(state, round_index, selected, deadline, dropped)
 
 
 @dataclass(frozen=True)
@@ -244,17 +240,94 @@ class FreezeOffload(Strategy):
             oracle.submit(ClassCountSubmission(client_id=c.client_id, counts=counts))
         state.similarity = oracle.compute_matrix()
 
-    def start_round(self, planner):
-        # Clients train from the first batch; the schedule only matters for
-        # those still running when it arrives. The part count is known once
-        # the schedule is built.
-        for cid in planner.selected:
-            planner.submit_whole(cid)
-            per_batch = planner.state.client(cid).timings.full_time
-            planner.queue.push(
-                planner.start + self.profile_batches * per_batch,
-                Event(EventKind.PROFILE_REPORT, round_index=planner.round_index, client_id=cid),
+    def plan(self, state, round_index):
+        selected = self.select(state, round_index)
+        start, updates = state.clock, state.config.training.local_updates
+        latency = state.config.latency
+        # A client the schedule leaves alone submits its whole model.
+        clients = {p.client_id: p for p in _whole_models(state, round_index, selected).clients}
+        # Clients train from the first batch and report once they have
+        # profiled; the federator schedules when the last report is in, and
+        # the schedule arrives a dispatch latency later.
+        computed_at = max(
+            start + self.profile_batches * state.client(cid).timings.full_time for cid in selected
+        )
+        arrival = computed_at + latency.dispatch
+        profiles = [self._profile(state, round_index, cid, computed_at) for cid in selected]
+        schedule = build_schedule(profiles, state.similarity, self.similarity_factor, round_index)
+
+        handoffs: list[tuple[float, OffloadRecord]] = []
+        for a in schedule.assignments:
+            weak, strong = state.client(a.weak_client_id), state.client(a.strong_client_id)
+            done = _batches_done(start, weak.timings.full_time, arrival, updates)
+            if done >= updates:
+                # Finished before the schedule arrived; its whole submission
+                # stands and nothing is offloaded.
+                continue
+            full = max(done, updates - a.offload_point)
+            remaining = updates - full
+            handoff = max(arrival, start + full * weak.timings.full_time)
+            # The receiver trains the donated block only after its own budget.
+            own_done = start + updates * strong.timings.full_time
+            donated_start = max(handoff + latency.transfer, own_done)
+            clients[weak.client_id] = ClientPlan(
+                client_id=weak.client_id,
+                full_steps=full,
+                submit_times=(
+                    (handoff + remaining * weak.timings.frozen_time) - start,
+                    (donated_start + remaining * strong.timings.bf) - start,
+                ),
+                frozen_steps=remaining,
+                donated_steps=remaining,
+                receiver=strong.client_id,
             )
+            record = OffloadRecord(
+                weak_client_id=weak.client_id,
+                strong_client_id=strong.client_id,
+                offload_point=a.offload_point,
+                full_batches=full,
+                frozen_batches=remaining,
+                offloaded_batches=remaining,
+                handoff_time=handoff - start,
+            )
+            handoffs.append((handoff, record))
+        # In handoff order; the sort is stable, so ties keep schedule order.
+        handoffs.sort(key=lambda h: h[0])
+        return RoundPlan(
+            round_index=round_index,
+            clients=tuple(clients.values()),
+            deadline=None,
+            schedule=schedule,
+            offload_records=tuple(record for _, record in handoffs),
+        )
+
+    def _profile(self, state, round_index, cid, computed_at) -> ClientProfile:
+        """Client cid's profile as the federator holds it at `computed_at`."""
+        c = state.client(cid)
+        updates = state.config.training.local_updates
+        done = _batches_done(state.clock, c.timings.full_time, computed_at, updates)
+        # Noiseless profiles draw nothing, so they need no stream.
+        noisy = self.profile_noise_sigma != 0.0
+        rng = spawn_rng(state.seed, TAG_PROFILE, round_index, cid) if noisy else None
+        try:
+            return measure(
+                cid,
+                c.timings,
+                updates,
+                self.profile_batches,
+                self.profile_noise_sigma,
+                rng,
+                batches_awaiting_schedule=done - self.profile_batches,
+            )
+        except ValueError as exc:
+            if not noisy:
+                raise
+            # The noise overflowed a profiled phase time.
+            problem = (
+                f"profile.noise_sigma: {self.profile_noise_sigma:g} breaks the profiles"
+                f" in round {round_index} (seed {state.seed}): {exc}"
+            )
+            raise ConfigError([problem]) from exc
 
     def check(self, clients, training):
         if self.profile_batches >= training.local_updates:
@@ -266,51 +339,6 @@ class FreezeOffload(Strategy):
 
 
 STRATEGIES = (FedAvg, FedProx, FedNova, Tifl, DeadlineDrop, FreezeOffload)
-
-
-# --------------------------------------------------------------------------
-# Events
-# --------------------------------------------------------------------------
-
-
-class EventKind(enum.Enum):
-    ROUND_START = "round_start"
-    PROFILE_REPORT = "profile_report"
-    SCHEDULE_DISPATCH = "schedule_dispatch"
-    OFFLOAD_HANDOFF = "offload_handoff"
-    MODEL_SUBMIT = "model_submit"
-    ROUND_END = "round_end"
-
-
-@dataclass(frozen=True)
-class Event:
-    kind: EventKind
-    round_index: int
-    client_id: int | None = None
-    payload: Any = None
-
-
-class EventQueue:
-    """Min-heap of events keyed by (time, insertion sequence)."""
-
-    def __init__(self) -> None:
-        self._heap: list[tuple[float, int, Event]] = []
-        self._seq = itertools.count()
-        self._last_popped = -math.inf
-
-    def push(self, time: float, event: Event) -> None:
-        if not math.isfinite(time):
-            raise ValueError(f"event time must be finite, got {time}")
-        heapq.heappush(self._heap, (time, next(self._seq), event))
-
-    def pop(self) -> tuple[float, Event]:
-        time, _, event = heapq.heappop(self._heap)
-        assert time >= self._last_popped, "event queue went backwards in time"
-        self._last_popped = time
-        return time, event
-
-    def __len__(self) -> int:
-        return len(self._heap)
 
 
 # --------------------------------------------------------------------------
@@ -698,11 +726,21 @@ class ClientPlan:
 
 @dataclass(frozen=True)
 class RoundPlan:
+    """A round's timeline; building one checks that every submit and handoff
+    time in it is finite."""
+
     round_index: int
     clients: tuple[ClientPlan, ...]  # in selection order
     deadline: float | None
     schedule: OffloadSchedule | None
     offload_records: tuple[OffloadRecord, ...]
+
+    def __post_init__(self) -> None:
+        times = [t for p in self.clients for t in p.submit_times]
+        times += [rec.handoff_time for rec in self.offload_records]
+        bad = next((t for t in times if not math.isfinite(t)), None)
+        if bad is not None:
+            raise ValueError(f"round {self.round_index}: plan times must be finite, got {bad}")
 
     @property
     def duration(self) -> float:
@@ -714,221 +752,31 @@ class RoundPlan:
         return self.deadline if self.deadline is not None else 0.0
 
 
-class _RoundPlanner:
-    """Event handlers and bookkeeping of one round's event pass."""
-
-    def __init__(self, state: ExperimentState, round_index: int) -> None:
-        self.state = state
-        self.strategy = state.strategy
-        self.round_index = round_index
-        self.start = state.clock
-        self.updates = state.config.training.local_updates
-        self.queue = EventQueue()
-        self.selected: list[int] = []
-        # Per client: submitted part kind -> virtual time since round start.
-        self.parts: dict[int, dict[str, float]] = {}
-        # Weak client -> (receiver, full batches, remaining batches).
-        self.handoffs: dict[int, tuple[int, int, int]] = {}
-        self.expected_parts: int | None = None
-        self.seen_parts = 0
-        self.dropped: tuple[int, ...] = ()
-        self.deadline: float | None = None
-        self.schedule: OffloadSchedule | None = None
-        self.records: list[OffloadRecord] = []
-        self.profile_reports: set[int] = set()
-        self.plan: RoundPlan | None = None
-
-    # -- helpers ----------------------------------------------------------
-
-    def _submit(self, time: float, cid: int, kind: str) -> None:
-        event = Event(EventKind.MODEL_SUBMIT, self.round_index, client_id=cid, payload=kind)
-        self.queue.push(time, event)
-
-    def submit_whole(self, cid: int) -> None:
-        c = self.state.client(cid)
-        self._submit(self.start + self.updates * c.timings.full_time, cid, "whole")
-
-    # -- event handlers ----------------------------------------------------
-
-    def on_profile_report(self, time: float, cid: int) -> None:
-        self.profile_reports.add(cid)
-        if len(self.profile_reports) < len(self.selected):
-            return
-        # Last report in: this moment is the schedule computation time.
-        dispatch_t = time + self.state.config.latency.dispatch
-        self.queue.push(
-            dispatch_t,
-            Event(
-                EventKind.SCHEDULE_DISPATCH,
-                round_index=self.round_index,
-                payload=time,
-            ),
+def _whole_models(
+    state: ExperimentState,
+    round_index: int,
+    selected: list[int],
+    deadline: float | None = None,
+    dropped: frozenset[int] = frozenset(),
+) -> RoundPlan:
+    """Each selected client submits its whole model after its budget; a
+    dropped one runs no steps."""
+    start, updates = state.clock, state.config.training.local_updates
+    clients = tuple(
+        ClientPlan(
+            client_id=cid,
+            full_steps=0 if cid in dropped else updates,
+            submit_times=((start + updates * state.client(cid).timings.full_time) - start,),
+            dropped=cid in dropped,
         )
-
-    def on_schedule_dispatch(self, arrival: float, computed_at: float) -> None:
-        strat = self.strategy
-        noisy = strat.profile_noise_sigma != 0.0
-        profiles: list[ClientProfile] = []
-        for cid in self.selected:
-            c = self.state.client(cid)
-            done = _batches_done(
-                self.start, c.timings.full_time, computed_at, self.updates
-            )
-            # Noiseless profiles draw nothing, so they need no stream.
-            rng = spawn_rng(self.state.seed, TAG_PROFILE, self.round_index, cid) if noisy else None
-            profiles.append(
-                measure(
-                    cid,
-                    c.timings,
-                    self.updates,
-                    strat.profile_batches,
-                    strat.profile_noise_sigma,
-                    rng,
-                    batches_awaiting_schedule=done - strat.profile_batches,
-                )
-            )
-        if self.state.similarity is None:
-            raise RuntimeError("freeze_offload requires a similarity matrix")
-        self.schedule = build_schedule(
-            profiles, self.state.similarity, strat.similarity_factor, self.round_index
-        )
-
-        expected = len(self.selected)
-        for a in self.schedule.assignments:
-            cid = a.weak_client_id
-            c = self.state.client(cid)
-            done_now = _batches_done(
-                self.start, c.timings.full_time, arrival, self.updates
-            )
-            if done_now >= self.updates:
-                # Finished before the instruction arrived; its whole
-                # submission stands and nothing is offloaded.
-                continue
-            planned = self.updates - a.offload_point
-            full_batches = min(self.updates, max(done_now, planned))
-            remaining = self.updates - full_batches
-            handoff_t = max(arrival, self.start + full_batches * c.timings.full_time)
-            expected += 1  # the weak client now submits two parts
-            self.queue.push(
-                handoff_t,
-                Event(
-                    EventKind.OFFLOAD_HANDOFF,
-                    round_index=self.round_index,
-                    client_id=cid,
-                    payload=(a, full_batches, remaining),
-                ),
-            )
-        self.expected_parts = expected
-        self._maybe_finish(arrival)
-
-    def on_offload_handoff(self, handoff_t: float, cid: int, payload: Any) -> None:
-        assignment, full_batches, remaining = payload
-        weak = self.state.client(cid)
-        strong = self.state.client(assignment.strong_client_id)
-        self.records.append(
-            OffloadRecord(
-                weak_client_id=cid,
-                strong_client_id=strong.client_id,
-                offload_point=assignment.offload_point,
-                full_batches=full_batches,
-                frozen_batches=remaining,
-                offloaded_batches=remaining,
-                handoff_time=handoff_t - self.start,
-            )
-        )
-        self.handoffs[cid] = (strong.client_id, full_batches, remaining)
-        self._submit(
-            handoff_t + remaining * weak.timings.frozen_time, cid, "classifier_part"
-        )
-        # The receiver trains the donated block only after its own budget.
-        block_arrival = handoff_t + self.state.config.latency.transfer
-        own_done = self.start + self.updates * strong.timings.full_time
-        offload_start = max(block_arrival, own_done)
-        self._submit(offload_start + remaining * strong.timings.bf, cid, "feature_part")
-
-    def on_model_submit(self, time: float, cid: int, kind: str) -> None:
-        if kind == "whole" and cid in self.handoffs:
-            # The handoff came before the client finished its budget, so
-            # this completion never happens.
-            return
-        self.parts.setdefault(cid, {})[kind] = time - self.start
-        self.seen_parts += 1
-        self._maybe_finish(time)
-
-    def _maybe_finish(self, now: float) -> None:
-        if self.expected_parts is not None and self.seen_parts == self.expected_parts:
-            self.queue.push(
-                now, Event(EventKind.ROUND_END, round_index=self.round_index)
-            )
-            self.expected_parts = -1  # push exactly once
-
-    def on_round_end(self) -> None:
-        clients = []
-        for cid in self.selected:
-            parts = self.parts[cid]
-            if cid in self.handoffs:
-                receiver, full_batches, remaining = self.handoffs[cid]
-                clients.append(
-                    ClientPlan(
-                        client_id=cid,
-                        full_steps=full_batches,
-                        submit_times=(parts["classifier_part"], parts["feature_part"]),
-                        frozen_steps=remaining,
-                        donated_steps=remaining,
-                        receiver=receiver,
-                    )
-                )
-            else:
-                dropped = cid in self.dropped
-                clients.append(
-                    ClientPlan(
-                        client_id=cid,
-                        full_steps=0 if dropped else self.updates,
-                        submit_times=(parts["whole"],),
-                        dropped=dropped,
-                    )
-                )
-        self.plan = RoundPlan(
-            round_index=self.round_index,
-            clients=tuple(clients),
-            deadline=self.deadline,
-            schedule=self.schedule,
-            offload_records=tuple(self.records),
-        )
-
-    # -- driver -------------------------------------------------------------
-
-    def run(self) -> RoundPlan:
-        self.selected = self.strategy.select(self.state, self.round_index)
-
-        self.queue.push(
-            self.start, Event(EventKind.ROUND_START, round_index=self.round_index)
-        )
-        while len(self.queue):
-            time, event = self.queue.pop()
-            assert (
-                event.round_index == self.round_index
-            ), f"stale event from round {event.round_index} in round {self.round_index}"
-            if event.kind is EventKind.ROUND_START:
-                self.strategy.start_round(self)
-            elif event.kind is EventKind.PROFILE_REPORT:
-                self.on_profile_report(time, event.client_id)
-            elif event.kind is EventKind.SCHEDULE_DISPATCH:
-                self.on_schedule_dispatch(time, event.payload)
-            elif event.kind is EventKind.OFFLOAD_HANDOFF:
-                self.on_offload_handoff(time, event.client_id, event.payload)
-            elif event.kind is EventKind.MODEL_SUBMIT:
-                self.on_model_submit(time, event.client_id, event.payload)
-            elif event.kind is EventKind.ROUND_END:
-                self.on_round_end()
-        if self.plan is None:
-            raise RuntimeError("round finished without a round-end event")
-        return self.plan
+        for cid in selected
+    )
+    return RoundPlan(round_index, clients, deadline, schedule=None, offload_records=())
 
 
 def plan_round(state: ExperimentState, round_index: int) -> RoundPlan:
-    """Run the event pass of a round from the state's clock; trains nothing."""
-    return _RoundPlanner(state, round_index).run()
+    """Plan a round from the state's clock under its strategy; trains nothing."""
+    return state.strategy.plan(state, round_index)
 
 
 # --------------------------------------------------------------------------

@@ -148,6 +148,10 @@ class TestParseConfig:
             # More clients than training samples, without apportioning them.
             ({"clients": {"count": 2**63 - 1, "per_round": 2}}, "partition: the smallest of"),
             ({"clients": {"count": 100_000_000, "per_round": 2}}, "partition: the smallest of"),
+            # Arrays larger than numpy can address.
+            ({"training": {"hidden_dim": 2**62}}, "stacked models"),
+            ({"training": {"batch_size": 2**60}}, "workspace"),
+            ({"dataset": {"samples_per_class": 2**60}}, "dataset (num_classes"),
         ],
     )
     def test_rejects_bools_and_strings_as_numbers(self, raw, where):
@@ -496,6 +500,26 @@ class TestRunCommand:
         err = capsys.readouterr().err
         assert "invalid configuration:\n  - training: diverged in round 0 (seed 7):" in err
         assert "non-finite gradient values" in err
+
+    @pytest.mark.parametrize(
+        "raw, problem",
+        [
+            (
+                dict(FAST_RAW, profile={"noise_sigma": 1e308}, strategies=["freeze_offload"]),
+                "profile.noise_sigma: 1e+308 breaks the profiles in round 0 (seed 7):",
+            ),
+            (
+                dict(FAST_RAW, training=dict(FAST_RAW["training"], hidden_dim=2**62)),
+                "stacked models (per_round, max(input_dim, num_classes), hidden_dim):"
+                " 2 x 4 x 4611686018427387904 float64 values exceed",
+            ),
+        ],
+        ids=["profile-noise_sigma", "hidden_dim"],
+    )
+    def test_value_too_large_to_run_exits_1(self, tmp_path, capsys, raw, problem):
+        code, out = self.run_cli(tmp_path, raw)
+        assert code == 1
+        assert f"invalid configuration:\n  - {problem}" in capsys.readouterr().err
 
     def test_leaves_no_temp_files(self, tmp_path):
         raw = dict(FAST_RAW, replicates=2)

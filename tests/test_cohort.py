@@ -3,11 +3,12 @@
 The golden digests below were recorded before rounds were split into a
 timing-only plan and a stacked executor; they pin traces and final models of
 a small config under every strategy, so any change to the arithmetic or the
-event order shows up as a digest mismatch.
+order of a round's steps shows up as a digest mismatch.
 """
 
 import hashlib
 import json
+import math
 from collections import Counter
 
 import numpy as np
@@ -581,7 +582,10 @@ def configs(draw):
             "batch_size": draw(st.integers(1, 6)),
             "hidden_dim": 4,
         },
-        "profile": {"batches": draw(st.integers(1, updates - 1))},
+        "profile": {
+            "batches": draw(st.integers(1, updates - 1)),
+            "noise_sigma": draw(st.sampled_from([0.0, 0.1, 0.5])),
+        },
         "latency": {
             "dispatch": draw(st.sampled_from([0.0, 0.5, 3.0, 20.0])),
             "transfer": draw(st.sampled_from([0.0, 1.0, 5.0])),
@@ -597,13 +601,21 @@ def configs(draw):
                         {"name": "fedprox", "mu": 0.1},
                         {"name": "fednova"},
                         {"name": "tifl", "tiers": min(2, count)},
-                        {"name": "deadline", "multiplier": 1.0},
+                        {"name": "deadline", "multiplier": draw(st.sampled_from([0.3, 0.8, 1.0]))},
                     ]
                 )
             )
         ],
     }
+    if draw(st.booleans()):
+        factors = st.lists(st.floats(0.01, 1.0), min_size=count, max_size=count)
+        raw["clients"]["speed_factors"] = draw(factors)
     return parse_config(raw), draw(st.integers(0, 2**16))
+
+
+def at_least(a, b, clock):
+    """a >= b up to the rounding of times taken relative to `clock`."""
+    return a >= b - 1e-12 * max(1.0, clock + abs(b))
 
 
 @settings(max_examples=40, deadline=None)
@@ -611,28 +623,39 @@ def configs(draw):
 def test_plan_invariants(case):
     config, seed = case
     updates = config.training.local_updates
+    transfer = config.latency.transfer
     state = build_state(config, config.strategies[0], seed)
     for r in range(config.training.rounds):
+        start = state.clock
         plan = plan_round(state, r)
         trace = run_round(state, r)
+        assert state.clock >= start
         assert [p.client_id for p in plan.clients] == list(trace.selected)
         weak = [p for p in plan.clients if p.receiver is not None]
         receivers = [p.receiver for p in weak]
         assert len(set(receivers)) == len(receivers)
         assert not set(receivers) & {p.client_id for p in weak}
+        records = {rec.weak_client_id: rec for rec in trace.offload_records}
+        handoffs = [rec.handoff_time for rec in trace.offload_records]
+        assert handoffs == sorted(handoffs)
         for p in plan.clients:
-            assert all(t >= 0.0 for t in p.submit_times)
+            assert all(math.isfinite(t) and t >= 0.0 for t in p.submit_times)
             assert p.completion == trace.completion_times[p.client_id]
             if p.receiver is not None:
                 assert p.full_steps + p.frozen_steps == updates
                 assert p.donated_steps == p.frozen_steps >= 1
                 assert p.receiver in trace.selected
                 assert len(p.submit_times) == 2
+                handoff = records[p.client_id].handoff_time
+                classifier_part, feature_part = p.submit_times
+                assert math.isfinite(handoff) and 0.0 <= handoff <= classifier_part
+                assert at_least(feature_part, handoff + transfer, start)
+                own_budget = updates * state.client(p.receiver).timings.full_time
+                assert at_least(feature_part, own_budget, start)
             elif p.dropped:
                 assert p.full_steps == 0
             else:
                 assert (p.full_steps, p.frozen_steps, p.donated_steps) == (updates, 0, 0)
-        records = {rec.weak_client_id: rec for rec in trace.offload_records}
         assert set(records) == {p.client_id for p in weak}
         for p in weak:
             assert records[p.client_id].full_batches == p.full_steps
@@ -641,3 +664,85 @@ def test_plan_invariants(case):
         if included:
             assert trace.duration == max(included)
         assert trace.dropped == tuple(p.client_id for p in plan.clients if p.dropped)
+
+
+# --------------------------------------------------------------------------
+# Golden plan digest over seeded random configs
+# --------------------------------------------------------------------------
+
+
+def random_plan_config(rng):
+    """A small valid config with a random strategy, latencies, timings and
+    profile noise: a plan is a function of these alone."""
+    count = int(rng.integers(2, 13))
+    updates = int(rng.integers(2, 13))
+    raw = {
+        "dataset": {"num_classes": 3, "samples_per_class": 30, "input_dim": 2},
+        "partition": [{"mode": "iid"}, {"mode": "noniid", "classes_per_client": 2}][
+            int(rng.integers(2))
+        ],
+        "clients": {"count": count, "per_round": int(rng.integers(min(2, count), count + 1))},
+        "training": {"rounds": 3, "local_updates": updates, "batch_size": 2, "hidden_dim": 2},
+        "profile": {
+            "batches": int(rng.integers(1, updates)),
+            "noise_sigma": float(rng.choice([0.0, 0.1, 0.5])),
+        },
+        "latency": {
+            "dispatch": float(rng.choice([0.0, 0.5, 3.0, 20.0])),
+            "transfer": float(rng.choice([0.0, 1.0, 5.0])),
+        },
+    }
+    if rng.random() < 0.5:
+        raw["clients"]["speed_factors"] = [float(f) for f in rng.uniform(0.01, 1.0, count)]
+    else:
+        low = float(rng.uniform(0.05, 1.0))
+        raw["clients"].update(speed_low=low, speed_high=float(rng.uniform(low, 1.0)))
+    if rng.random() < 0.3:
+        phases = ("ff", "fc", "bc", "bf")
+        raw["profile"]["base"] = {k: float(rng.uniform(1e-3, 2.0)) for k in phases}
+    factor = float(rng.choice([0.0, 0.5, 1.0, 2.0]))
+    raw["strategies"] = [
+        [
+            {"name": "freeze_offload", "similarity_factor": factor},
+            {"name": "freeze_offload", "similarity_factor": 1.0},
+            {"name": "deadline", "multiplier": float(rng.choice([0.5, 0.8, 1.0, 1.5]))},
+            {"name": "fedavg"},
+            {"name": "tifl", "tiers": min(3, count)},
+        ][int(rng.integers(5))]
+    ]
+    return parse_config(raw)
+
+
+def plan_doc(plan):
+    return {
+        "round": plan.round_index,
+        "clients": [
+            [p.client_id, p.full_steps, p.frozen_steps, p.donated_steps, p.receiver, p.dropped,
+             [repr(t) for t in p.submit_times]]
+            for p in plan.clients
+        ],
+        "deadline": repr(plan.deadline),
+        "schedule": None if plan.schedule is None else plan.schedule.to_dict(),
+        "records": [rec.to_dict() for rec in plan.offload_records],
+    }
+
+
+# Recorded before the event-queue planner gave way to straight-line plans.
+GOLDEN_PLANS = "0cccdb2fa9cd579e804b1f46e09673ece9e537b95cb1eef09c04ba2ca0954e6e"
+
+
+def test_golden_plan_digest():
+    rng = np.random.default_rng(2022)
+    h = hashlib.sha256()
+    handoffs = 0
+    for _ in range(200):
+        config = random_plan_config(rng)
+        state = build_state(config, config.strategies[0], int(rng.integers(2**16)))
+        state.clock = float(rng.choice([0.0, 0.1, 12345.678]))
+        for r in range(config.training.rounds):
+            plan = plan_round(state, r)
+            handoffs += len(plan.offload_records)
+            h.update(json.dumps(plan_doc(plan), sort_keys=True).encode())
+            state.clock = state.clock + plan.duration
+    assert handoffs > 100
+    assert h.hexdigest() == GOLDEN_PLANS

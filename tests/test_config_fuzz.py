@@ -6,11 +6,11 @@ the dataset size, classes per client against the client count, profile
 batches against local updates, tiers against clients). Up to two fields are
 then replaced with a value of the wrong type, a non-finite float or a
 boundary number, and an int field may also get a whole number outside
-int64. The learning rate and the data noise may get 1e308, and the
-client count 2**63 - 1. A document that parses must run each of its
-strategies for its rounds (at most 2) to completion; any other exception
-is an escape that `fedsim run` would report through its catch-all with
-exit 2.
+int64. The learning rate, the data noise and the profile noise may get
+1e308, the hidden width 2**62 and the client count 2**63 - 1. A document
+that parses must run each of its strategies for its rounds (at most 2) to
+completion; any other exception is an escape that `fedsim run` would
+report through its catch-all with exit 2.
 """
 
 import math
@@ -31,11 +31,14 @@ BAD = st.one_of(
 OUT_OF_INT64 = st.sampled_from([2**63, 10**30, 1e300])
 
 # Values each field accepts on its own that training or memory cannot: a
-# learning rate or data noise that makes training diverge, and more clients
-# than any partition can give samples to.
+# learning rate or data noise that makes training diverge, profile noise
+# that overflows the profiled times, a model wider than numpy can address,
+# and more clients than any partition can give samples to.
 HUGE = {
     ("training", "learning_rate"): 1e308,
     ("dataset", "noise_sigma"): 1e308,
+    ("profile", "noise_sigma"): 1e308,
+    ("training", "hidden_dim"): 2**62,
     ("clients", "count"): 2**63 - 1,
 }
 
@@ -86,16 +89,18 @@ STRATEGIES = st.one_of(
     st.builds(lambda mu: {"name": "fedprox", "mu": mu}, st.sampled_from([0.0, 0.01, 1.0])),
     st.builds(lambda t: {"name": "tifl", "tiers": t}, st.integers(1, 4)),
     st.builds(lambda m: {"name": "deadline", "multiplier": m}, st.floats(0.1, 3.0)),
+    # Without its own profile_noise_sigma, freeze_offload takes the
+    # profile section's.
     st.builds(
         lambda f, b, s: {
             "name": "freeze_offload",
             "similarity_factor": f,
             "profile_batches": b,
-            "profile_noise_sigma": s,
+            **({} if s is None else {"profile_noise_sigma": s}),
         },
         st.floats(0.0, 2.0),
         st.integers(1, 4),
-        st.sampled_from([0.0, 0.2]),
+        st.sampled_from([0.0, 0.2, None]),
     ),
 )
 
@@ -151,6 +156,11 @@ def documents(draw):
         doc["profile"]["base"] = draw(
             st.fixed_dictionaries({"ff": phase, "fc": phase, "bc": phase, "bf": phase})
         )
+    if draw(st.booleans()):
+        # Each huge value on its own, so that documents which otherwise
+        # parse reach it often.
+        section, key = draw(st.sampled_from(sorted(HUGE)))
+        doc[section][key] = HUGE[section, key]
     for section, key in draw(st.lists(st.sampled_from(FIELDS), max_size=2, unique=True)):
         # The narrow pools come before BAD so that hypothesis draws them often.
         pools = [st.just(HUGE[section, key])] if (section, key) in HUGE else []

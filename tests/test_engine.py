@@ -1,4 +1,4 @@
-"""Tests for the event engine, training paths, and aggregation rules."""
+"""Tests for round planning, training paths, and aggregation rules."""
 
 import numpy as np
 import pytest
@@ -7,9 +7,6 @@ from fedsim.config import parse_config
 from fedsim.engine import (
     BatchCursor,
     DeadlineDrop,
-    Event,
-    EventKind,
-    EventQueue,
     FedAvg,
     FedNova,
     FedProx,
@@ -22,6 +19,7 @@ from fedsim.engine import (
     evaluate_accuracy,
     execute_offloaded,
     local_train,
+    plan_round,
     run_experiment,
     run_round,
     select_clients,
@@ -51,39 +49,21 @@ def tiny_config(**overrides):
     return parse_config(raw)
 
 
-class TestEventQueue:
-    def test_orders_by_time(self):
-        q = EventQueue()
-        q.push(3.0, Event(EventKind.ROUND_END, 0))
-        q.push(1.0, Event(EventKind.ROUND_START, 0))
-        q.push(2.0, Event(EventKind.MODEL_SUBMIT, 0))
-        kinds = [q.pop()[1].kind for _ in range(3)]
-        assert kinds == [
-            EventKind.ROUND_START,
-            EventKind.MODEL_SUBMIT,
-            EventKind.ROUND_END,
-        ]
-
-    def test_fifo_among_equal_times(self):
-        q = EventQueue()
-        q.push(1.0, Event(EventKind.MODEL_SUBMIT, 0, client_id=0))
-        q.push(1.0, Event(EventKind.MODEL_SUBMIT, 0, client_id=1))
-        q.push(1.0, Event(EventKind.MODEL_SUBMIT, 0, client_id=2))
-        ids = [q.pop()[1].client_id for _ in range(3)]
-        assert ids == [0, 1, 2]
-
+class TestRoundPlan:
     def test_rejects_non_finite_time(self):
-        q = EventQueue()
-        with pytest.raises(ValueError):
-            q.push(float("nan"), Event(EventKind.ROUND_START, 0))
-
-    def test_monotonic_pop_assertion(self):
-        q = EventQueue()
-        q.push(5.0, Event(EventKind.ROUND_START, 0))
-        q.pop()
-        q.push(1.0, Event(EventKind.ROUND_START, 0))
-        with pytest.raises(AssertionError):
-            q.pop()
+        # One slow client's budget overflows the clock; the plan refuses it
+        # under every strategy rather than close the round at infinity.
+        cfg = tiny_config(
+            clients={"count": 3, "per_round": 3, "speed_factors": [1.0, 1.0, 1e-306]},
+            training={"rounds": 1},
+        )
+        strategies = [FedAvg(), FedProx(), FedNova(), Tifl(num_tiers=1), DeadlineDrop(),
+                      FreezeOffload()]
+        for strategy in strategies:
+            state = build_state(cfg, strategy, seed=0)
+            state.clock = 1.75e308
+            with pytest.raises(ValueError, match="plan times must be finite, got inf"):
+                plan_round(state, 0)
 
 
 class TestBatchCursor:
