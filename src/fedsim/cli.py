@@ -8,10 +8,12 @@ Subcommands::
 
 `run` executes every configured strategy for every replicate seed and writes
 one trace CSV per (strategy, seed) plus summary.json and config_echo.json.
-Replicates fan out over a process pool; all outputs are deterministic given
-the config, so reruns produce byte-identical files. Each file is written to a
-temp file in the same directory and then renamed over its final name, so an
-interrupted run leaves whole files or none, never a truncated one.
+Each (strategy, seed) experiment is a lane, and a process trains its lanes in
+lockstep (`engine.run_experiments`); with a process pool of W workers, lane i
+runs in worker i mod W. All outputs are deterministic given the config, so
+reruns produce byte-identical files, whatever the worker count. Each file is
+written to a temp file in the same directory and then renamed over its final
+name, so an interrupted run leaves whole files or none, never a truncated one.
 
 Exit codes: 0 on success, 1 for configuration problems, 2 for runtime
 failures such as missing files.
@@ -27,7 +29,11 @@ import sys
 from concurrent.futures import ProcessPoolExecutor
 
 from .config import ConfigError, ExperimentConfig, echo_dict, load_config
-from .engine import ExperimentResult, Strategy, build_state, run_experiment
+from .engine import ExperimentResult, Strategy, build_state, run_experiments
+
+# Bound here for perfbench/tracer.py, which wraps `cli.run_experiment`; `run`
+# itself calls `run_experiments`.
+from .engine import run_experiment  # noqa: F401
 from .similarity import SimilarityMatrix
 
 
@@ -70,11 +76,14 @@ def write_trace(out_dir: str, result: ExperimentResult) -> str:
     return path
 
 
-def _run_one(task: tuple[ExperimentConfig, Strategy, int, str]) -> dict:
-    config, strategy, seed, out_dir = task
-    result = run_experiment(config, strategy, seed)
-    write_trace(out_dir, result)
-    return result.summary.to_dict()
+def _run_group(task: tuple[ExperimentConfig, list[tuple[Strategy, int]], str]) -> list[dict]:
+    """Run a group of lanes in lockstep, write their traces and return their
+    summaries in lane order."""
+    config, lanes, out_dir = task
+    results = run_experiments(config, lanes)
+    for result in results:
+        write_trace(out_dir, result)
+    return [result.summary.to_dict() for result in results]
 
 
 def _load(args: argparse.Namespace) -> ExperimentConfig:
@@ -85,21 +94,25 @@ def _load(args: argparse.Namespace) -> ExperimentConfig:
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
+    if args.workers < 0:
+        raise ConfigError([f"workers: must be >= 0, got {args.workers}"])
     config = _load(args)
 
     os.makedirs(args.out, exist_ok=True)
     tasks = [
-        (config, strategy, config.seed + i, args.out)
+        (strategy, config.seed + i)
         for strategy in config.strategies
         for i in range(config.replicates)
     ]
     workers = args.workers if args.workers else (os.cpu_count() or 1)
     workers = max(1, min(workers, len(tasks)))
     if workers == 1:
-        summaries = [_run_one(t) for t in tasks]
+        summaries = _run_group((config, tasks, args.out))
     else:
+        groups = [(config, tasks[w::workers], args.out) for w in range(workers)]
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            summaries = list(pool.map(_run_one, tasks))
+            parts = list(pool.map(_run_group, groups))
+        summaries = [parts[i % workers][i // workers] for i in range(len(tasks))]
 
     for s in summaries:
         print(

@@ -272,20 +272,27 @@ def _check_horizon(
 
 
 def _check_sizes(
-    dataset: DatasetConfig, clients: ClientsConfig, training: TrainingConfig, problems: list[str]
+    dataset: DatasetConfig,
+    clients: ClientsConfig,
+    training: TrainingConfig,
+    lanes: int,
+    problems: list[str],
 ) -> None:
     """Check that the largest float64 arrays of a run each fit in one numpy
-    array; reports the first that does not. Runs on an otherwise valid
+    array; reports the first that does not. `fedsim run` trains the run's
+    `lanes` experiments (strategies x replicates) in lockstep, so one phase
+    may stack lanes * per_round models. Runs on an otherwise valid
     document."""
-    k, hidden, width = clients.per_round, training.hidden_dim, dataset.input_dim
+    k, hidden, width = lanes * clients.per_round, training.hidden_dim, dataset.input_dim
     arrays = {
         "dataset (num_classes * samples_per_class, input_dim)": (
             dataset.num_classes * dataset.samples_per_class, width
         ),
-        "stacked models (per_round, max(input_dim, num_classes), hidden_dim)": (
-            k, max(width, dataset.num_classes), hidden
+        "stacked models (strategies * replicates * per_round,"
+        " max(input_dim, num_classes), hidden_dim)": (k, max(width, dataset.num_classes), hidden),
+        "workspace (strategies * replicates * per_round, batch_size, hidden_dim)": (
+            k, training.batch_size, hidden
         ),
-        "workspace (per_round, batch_size, hidden_dim)": (k, training.batch_size, hidden),
     }
     limit = np.iinfo(np.intp).max
     for name, shape in arrays.items():
@@ -396,7 +403,7 @@ def parse_config(raw: Any) -> ExperimentConfig:
         _check_quotas(dataset, part, clients.count, problems)
     if not problems:
         _check_horizon(clients, training, profile, latency, problems)
-        _check_sizes(dataset, clients, training, problems)
+        _check_sizes(dataset, clients, training, len(strategies) * top["replicates"], problems)
 
     problems.extend(dict.fromkeys(p for s in strategies for p in s.check(clients, training)))
 

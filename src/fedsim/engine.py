@@ -29,6 +29,15 @@ A round runs in two passes.
   `CohortCursor`. Every client sees the batches it would draw alone, in the
   same order, and comes out bitwise equal to training alone.
 
+`run_experiments` runs several experiments, each a (strategy, seed) *lane*
+with its own state, in lockstep: round r of each lane is planned from that
+lane's own clock, then every phase of all lanes trains as one stack (the
+full phases as one stack per FedProx mu, each member pulled toward its own
+lane's global model), and each lane aggregates and evaluates on its own.
+A row of a stack trains as its lane alone would, so each lane's traces and models are bitwise
+those of running it alone; `run_experiment` and `run_round` are the
+one-lane case.
+
 Each strategy is a `Strategy` subclass below; its docstring says what it does
 in a round, and its methods are the only place the engine tells strategies
 apart.
@@ -634,6 +643,7 @@ class ExperimentResult:
     seed: int
     traces: list[RoundTrace]
     summary: ExperimentSummary
+    final_model: PartitionedModel | None = None
 
 
 # --------------------------------------------------------------------------
@@ -795,29 +805,30 @@ def _rows(model: PartitionedModel, rows: int) -> PartitionedModel:
 
 
 def _lockstep(
-    start: dict[int, PartitionedModel],
-    blocks: dict[int, np.ndarray],
-    dataset: Dataset,
-    train: Callable[[PartitionedModel, CohortCursor, int], PartitionedModel],
-) -> dict[int, PartitionedModel]:
-    """Train the clients of one phase stacked, in lockstep; return their models.
+    start: dict[Any, PartitionedModel],
+    blocks: dict[Any, np.ndarray],
+    data: _LaneData,
+    train: Callable[[list, PartitionedModel, CohortCursor, int], PartitionedModel],
+) -> dict[Any, PartitionedModel]:
+    """Train the members of one phase stacked, in lockstep; return their models.
 
-    `blocks[cid]` holds client cid's batch indices for the phase, one row per
-    step. They are gathered into one `CohortCursor`, and `train(model,
-    cursor, n)` runs n lockstep steps of the stack on it. The clients that
-    run the fewest steps sit first, and each leaves the stack once it has run
-    its steps: every later step serves and moves only the clients still
-    running, a suffix of the stack. So one call trains the whole phase, and
-    each client's row comes out as trained on its own steps. Clients with no
-    steps are left out.
+    A member is a (lane, client) pair. `blocks[m]` holds member m's batch
+    indices for the phase into `data`'s arrays, one row per step. They are
+    gathered into one `CohortCursor`, and `train(members, model, cursor, n)`
+    runs n lockstep steps of the stack on it, row k being `members[k]`. The
+    members that run the fewest steps sit first, and each leaves the stack
+    once it has run its steps: every later step serves and moves only the
+    members still running, a suffix of the stack. So one call trains the
+    whole phase, and each member's row comes out as trained on its own
+    steps. Members with no steps are left out.
     """
-    steps = {cid: len(b) for cid, b in blocks.items()}
-    members = sorted((cid for cid, n in steps.items() if n > 0), key=steps.__getitem__)
+    steps = {m: len(b) for m, b in blocks.items()}
+    members = sorted((m for m, n in steps.items() if n > 0), key=steps.__getitem__)
     if not members:
         return {}
-    cursor = CohortCursor(dataset.inputs, dataset.labels, [blocks[cid] for cid in members])
-    model = train(_stack([start[cid] for cid in members]), cursor, steps[members[-1]])
-    return {cid: _rows(model, k) for k, cid in enumerate(members)}
+    cursor = CohortCursor(data.inputs, data.labels, [blocks[m] for m in members])
+    model = train(members, _stack([start[m] for m in members]), cursor, steps[members[-1]])
+    return {m: _rows(model, k) for k, m in enumerate(members)}
 
 
 def _phase_blocks(
@@ -862,28 +873,77 @@ def _phase_blocks(
     return full, frozen, donated
 
 
-def _train_plan(state: ExperimentState, plan: RoundPlan) -> dict[int, PartitionedModel]:
-    """Run the plan's steps stacked; return every kept client's trained model.
+@dataclass(frozen=True)
+class _LaneData:
+    """The training data of a group of lanes as one pair of arrays.
+
+    Lane i's dataset is rows `bases[i]` onward, so that a phase of every
+    lane gathers its batches in one take. A lane's dataset is a function of
+    the config and its seed, so lanes of one seed share the seed's rows.
+    """
+
+    inputs: np.ndarray
+    labels: np.ndarray
+    bases: tuple[int, ...]
+
+    @classmethod
+    def of(cls, states: list[ExperimentState]) -> _LaneData:
+        if len(states) == 1:
+            return cls(states[0].dataset.inputs, states[0].dataset.labels, (0,))
+        first: dict[int, int] = {}
+        datasets: list[Dataset] = []
+        for state in states:
+            if state.seed not in first:
+                first[state.seed] = sum(len(d.labels) for d in datasets)
+                datasets.append(state.dataset)
+        return cls(
+            np.concatenate([d.inputs for d in datasets]),
+            np.concatenate([d.labels for d in datasets]),
+            tuple(first[state.seed] for state in states),
+        )
+
+
+def _train_lanes(
+    states: list[ExperimentState], plans: list[RoundPlan], data: _LaneData
+) -> list[dict[int, PartitionedModel]]:
+    """Run every lane's plan stacked; return each lane's kept clients' models.
 
     Phases run in the order each client's batch stream serves them: full
     steps, then a weak client's classifier-only steps, then the receiver's
-    steps on the donated feature block. `_phase_blocks` draws the batches,
-    and each phase gathers them into one `CohortCursor` and trains in one
-    `Workspace`. A weak client's model joins the feature block of its
-    donated phase to the classifier of its frozen phase, both as views.
+    steps on the donated feature block. `_phase_blocks` draws each lane's
+    batches, and each phase of all lanes gathers them into one
+    `CohortCursor` and trains in one `Workspace`; the full phases of lanes
+    with different FedProx mu train as one stack per mu, each member pulled
+    toward its own lane's global model. A weak client's model joins the
+    feature block of its donated phase to the classifier of its frozen
+    phase, both as views.
     """
-    lr = state.config.training.learning_rate
-    prox_mu = state.strategy.prox_mu
-    anchor = state.global_model if prox_mu != 0.0 else None
-    full_blocks, frozen_blocks, donated_blocks = _phase_blocks(state, plan)
+    lr = states[0].config.training.learning_rate
+    full_blocks: dict[float, dict[tuple[int, int], np.ndarray]] = {}
+    frozen_blocks: dict[tuple[int, int], np.ndarray] = {}
+    donated_blocks: dict[tuple[int, int], np.ndarray] = {}
+    for lane, (state, plan) in enumerate(zip(states, plans)):
+        base = data.bases[lane]
+        full_blocks.setdefault(state.strategy.prox_mu, {})
+        for into, phase in zip(
+            (full_blocks[state.strategy.prox_mu], frozen_blocks, donated_blocks),
+            _phase_blocks(state, plan),
+        ):
+            into.update(((lane, cid), rows + base if base else rows) for cid, rows in phase.items())
 
-    def full(model: PartitionedModel, cursor: CohortCursor, n: int) -> PartitionedModel:
-        return local_train(model, cursor, n, lr, mode="full", prox_mu=prox_mu, anchor=anchor)
+    def full(prox_mu: float):
+        def train(members, model, cursor, n):
+            anchor = None
+            if prox_mu != 0.0:
+                anchor = _stack([states[lane].global_model for lane, _ in members])
+            return local_train(model, cursor, n, lr, mode="full", prox_mu=prox_mu, anchor=anchor)
 
-    def frozen(model: PartitionedModel, cursor: CohortCursor, n: int) -> PartitionedModel:
+        return train
+
+    def frozen(members, model, cursor, n):
         return local_train(model, cursor, n, lr, mode="frozen")
 
-    def donated(model: PartitionedModel, cursor: CohortCursor, n: int) -> PartitionedModel:
+    def donated(members, model, cursor, n):
         block = execute_offloaded(
             FeatureBlock(model.feature_weights, model.feature_bias),
             ClassifierBlock(model.classifier_weights, model.classifier_bias),
@@ -899,32 +959,31 @@ def _train_plan(state: ExperimentState, plan: RoundPlan) -> dict[int, Partitione
             model.num_classes,
         )
 
-    trained = _lockstep(
-        {p.client_id: state.global_model for p in plan.clients}, full_blocks, state.dataset, full
-    )
-    classifier_parts = _lockstep(trained, frozen_blocks, state.dataset, frozen)
-    feature_parts = _lockstep(trained, donated_blocks, state.dataset, donated)
-    for cid in frozen_blocks:
-        feature, classifier = feature_parts[cid], classifier_parts[cid]
-        trained[cid] = PartitionedModel(
+    trained: dict[tuple[int, int], PartitionedModel] = {}
+    for prox_mu, blocks in full_blocks.items():
+        start = {m: states[m[0]].global_model for m in blocks}
+        trained.update(_lockstep(start, blocks, data, full(prox_mu)))
+    classifier_parts = _lockstep(trained, frozen_blocks, data, frozen)
+    feature_parts = _lockstep(trained, donated_blocks, data, donated)
+    for m in frozen_blocks:
+        feature, classifier = feature_parts[m], classifier_parts[m]
+        trained[m] = PartitionedModel(
             feature.feature_weights,
             feature.feature_bias,
             classifier.classifier_weights,
             classifier.classifier_bias,
             classifier.num_classes,
         )
-    return trained
+    lanes: list[dict[int, PartitionedModel]] = [{} for _ in states]
+    for (lane, cid), model in trained.items():
+        lanes[lane][cid] = model
+    return lanes
 
 
-def run_round(state: ExperimentState, round_index: int) -> RoundTrace:
-    """Simulate one round under the state's strategy and advance the clock."""
-    plan = plan_round(state, round_index)
-    try:
-        trained = _train_plan(state, plan)
-    except DivergenceError as exc:
-        # Whether training diverges depends on the seed's data and draws.
-        problem = f"training: diverged in round {round_index} (seed {state.seed}): {exc}"
-        raise ConfigError([problem]) from exc
+def _finish_round(
+    state: ExperimentState, plan: RoundPlan, trained: dict[int, PartitionedModel]
+) -> RoundTrace:
+    """Aggregate a lane's trained models, evaluate and advance its clock."""
     included = [p for p in plan.clients if not p.dropped]
     if included:
         state.global_model = state.strategy.aggregate(
@@ -935,7 +994,7 @@ def run_round(state: ExperimentState, round_index: int) -> RoundTrace:
         )
 
     trace = RoundTrace(
-        round_index=round_index,
+        round_index=plan.round_index,
         duration=plan.duration,
         accuracy=evaluate_accuracy(state.global_model, state.dataset),
         selected=tuple(p.client_id for p in plan.clients),
@@ -947,6 +1006,42 @@ def run_round(state: ExperimentState, round_index: int) -> RoundTrace:
     )
     state.clock = state.clock + trace.duration
     return trace
+
+
+def _run_lanes(
+    states: list[ExperimentState], round_index: int, data: _LaneData
+) -> list[RoundTrace]:
+    """Run round `round_index` of every lane: plan each, train all of them
+    stacked, then aggregate and evaluate each."""
+    plans = [plan_round(state, round_index) for state in states]
+    try:
+        trained = _train_lanes(states, plans, data)
+    except DivergenceError as exc:
+        # Whether training diverges depends on the seed's data and draws.
+        state, exc = _first_diverged(states, plans, exc)
+        problem = f"training: diverged in round {round_index} (seed {state.seed}): {exc}"
+        raise ConfigError([problem]) from exc
+    return [_finish_round(*lane) for lane in zip(states, plans, trained)]
+
+
+def _first_diverged(
+    states: list[ExperimentState], plans: list[RoundPlan], exc: DivergenceError
+) -> tuple[ExperimentState, DivergenceError]:
+    """The first lane, in lane order, whose round diverges when trained
+    alone, and its error; each row of a stack trains as its lane alone."""
+    if len(states) == 1:
+        return states[0], exc
+    for state, plan in zip(states, plans):
+        try:
+            _train_lanes([state], [plan], _LaneData.of([state]))
+        except DivergenceError as lane_exc:
+            return state, lane_exc
+    raise exc
+
+
+def run_round(state: ExperimentState, round_index: int) -> RoundTrace:
+    """Simulate one round under the state's strategy and advance the clock."""
+    return _run_lanes([state], round_index, _LaneData.of([state]))[0]
 
 
 # --------------------------------------------------------------------------
@@ -1019,15 +1114,34 @@ def build_state(config, strategy: Strategy, seed: int) -> ExperimentState:
     return state
 
 
+def run_experiments(config, tasks: list[tuple[Strategy, int]]) -> list[ExperimentResult]:
+    """Run all configured rounds for each (strategy, seed) task, in lockstep.
+
+    Each task is a lane with its own state. Round r of every lane is planned
+    from that lane's clock, and then all lanes train it together, one stack
+    per phase (see `_train_lanes`); each lane's results are bitwise those of
+    running it alone. Every lane's state is held for the whole run.
+    """
+    states = [build_state(config, strategy, seed) for strategy, seed in tasks]
+    data = _LaneData.of(states)
+    traces: list[list[RoundTrace]] = [[] for _ in states]
+    for r in range(config.training.rounds):
+        for lane, trace in zip(traces, _run_lanes(states, r, data)):
+            lane.append(trace)
+    return [_result(state, lane) for state, lane in zip(states, traces)]
+
+
 def run_experiment(config, strategy: Strategy, seed: int) -> ExperimentResult:
     """Run all configured rounds for one strategy and seed."""
-    state = build_state(config, strategy, seed)
-    traces = [run_round(state, r) for r in range(config.training.rounds)]
+    return run_experiments(config, [(strategy, seed)])[0]
+
+
+def _result(state: ExperimentState, traces: list[RoundTrace]) -> ExperimentResult:
     durations = np.asarray([t.duration for t in traces], dtype=np.float64)
     accuracies = [t.accuracy for t in traces]
     summary = ExperimentSummary(
-        strategy_label=strategy.label,
-        seed=seed,
+        strategy_label=state.strategy.label,
+        seed=state.seed,
         rounds=len(traces),
         total_time=float(durations.sum()),
         final_accuracy=accuracies[-1] if accuracies else 0.0,
@@ -1036,5 +1150,9 @@ def run_experiment(config, strategy: Strategy, seed: int) -> ExperimentResult:
         sd_round_duration=float(durations.std()) if len(durations) else 0.0,
     )
     return ExperimentResult(
-        strategy_label=strategy.label, seed=seed, traces=traces, summary=summary
+        strategy_label=state.strategy.label,
+        seed=state.seed,
+        traces=traces,
+        summary=summary,
+        final_model=state.global_model,
     )

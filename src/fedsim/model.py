@@ -365,8 +365,9 @@ def sgd_step_in_place(
     batch), lr)`; "frozen" moves the classifier only, as with
     `backward_frozen`; "feature" moves the feature block only, with full
     gradients and a fixed classifier (a donated block). In "full" mode a
-    nonzero `prox_mu` adds `prox_mu * (p - anchor)` to each gradient. A stacked
-    batch of k members moves the last k models of the stack.
+    nonzero `prox_mu` adds `prox_mu * (p - anchor)` to each gradient; the
+    anchor is one model for every member, or a stack of one per member. A
+    stacked batch of k members moves the last k models of the stack.
 
     Every intermediate lives in `workspace`, and each is computed with the
     ufunc, operands, order and reduction axis of the allocating functions
@@ -412,8 +413,13 @@ def sgd_step_in_place(
         np.matmul(inputs.swapaxes(-1, -2), dhidden, out=g_fw)
         np.add.reduce(dhidden, axis=-2, out=g_fb)
     if mode == "full" and prox_mu != 0.0:
-        # The anchor is one model, broadcast over the stack.
-        for g, p, a, diff in zip(grads, params, anchor.arrays(), diffs):
+        # The anchor is one model broadcast over the stack, or a stack with
+        # one row per member, sliced to the running members like the
+        # parameters.
+        anchors = anchor.arrays()
+        if k != workspace.stack and anchor.feature_weights.ndim == 3:
+            anchors = tuple(a[-k:] for a in anchors)
+        for g, p, a, diff in zip(grads, params, anchors, diffs):
             np.subtract(p, a, out=diff)
             np.multiply(prox_mu, diff, out=diff)
             np.add(g, diff, out=g)

@@ -394,6 +394,27 @@ class TestRunCommand:
                      "trace_freeze_offload_f1_7.csv", "summary.json"]:
             assert (serial / name).read_bytes() == (pooled / name).read_bytes()
 
+    def test_worker_counts_write_identical_files(self, tmp_path):
+        # Six lanes: one process trains them all in lockstep, two or three
+        # split them across workers.
+        raw = dict(FAST_RAW, replicates=2,
+                   strategies=["fedavg", {"name": "fedprox", "mu": 0.5}, "freeze_offload"])
+        config_path = write_yaml(tmp_path / "exp.yaml", raw)
+        outputs = []
+        for workers in ("1", "2", "3"):
+            out = tmp_path / f"w{workers}"
+            assert main(["run", "--config", config_path, "--out", str(out),
+                         "--workers", workers]) == 0
+            outputs.append({p.name: p.read_bytes() for p in sorted(out.iterdir())})
+        assert len(outputs[0]) == 6 + 2
+        assert outputs[0] == outputs[1] == outputs[2]
+
+    def test_negative_workers_exits_1(self, tmp_path, capsys):
+        code, out = self.run_cli(tmp_path, FAST_RAW, extra=("--workers", "-5"))
+        assert code == 1
+        assert "invalid configuration:\n  - workers: must be >= 0, got -5" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_seed_and_replicate_overrides(self, tmp_path):
         code, out = self.run_cli(
             tmp_path, FAST_RAW, extra=("--seed", "100", "--replicates", "2")
@@ -510,7 +531,8 @@ class TestRunCommand:
             ),
             (
                 dict(FAST_RAW, training=dict(FAST_RAW["training"], hidden_dim=2**62)),
-                "stacked models (per_round, max(input_dim, num_classes), hidden_dim):"
+                "stacked models (strategies * replicates * per_round,"
+                " max(input_dim, num_classes), hidden_dim):"
                 " 2 x 4 x 4611686018427387904 float64 values exceed",
             ),
         ],
@@ -520,6 +542,21 @@ class TestRunCommand:
         code, out = self.run_cli(tmp_path, raw)
         assert code == 1
         assert f"invalid configuration:\n  - {problem}" in capsys.readouterr().err
+
+    # Workspaces of 2 clients x 8 samples x 5e16 hidden units fit one array,
+    # twice that does not.
+    WIDE = dict(FAST_RAW, training=dict(FAST_RAW["training"], hidden_dim=5 * 10**16))
+
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_stack_of_the_whole_run_too_large_exits_1(self, tmp_path, capsys, workers):
+        parse_config(self.WIDE)  # one lane fits
+        code, out = self.run_cli(tmp_path, dict(self.WIDE, replicates=2), extra=("--workers", workers))
+        assert code == 1
+        assert (
+            "invalid configuration:\n  - workspace (strategies * replicates * per_round,"
+            " batch_size, hidden_dim): 4 x 8 x 50000000000000000 float64 values exceed"
+        ) in capsys.readouterr().err
+        assert not out.exists()
 
     def test_leaves_no_temp_files(self, tmp_path):
         raw = dict(FAST_RAW, replicates=2)

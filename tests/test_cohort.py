@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 
 from fedsim import engine
 from fedsim.config import parse_config
+from fedsim.errors import ConfigError
 from fedsim.engine import (
     BatchCursor,
     CohortCursor,
@@ -31,6 +32,8 @@ from fedsim.engine import (
     execute_offloaded,
     local_train,
     plan_round,
+    run_experiment,
+    run_experiments,
     run_round,
 )
 from fedsim.model import (
@@ -71,9 +74,13 @@ def small_config(latency=None, **training):
 def run_digest(config, strategy, seed):
     """sha256 over every trace field and the final global model's bytes."""
     state = build_state(config, strategy, seed)
+    traces = [run_round(state, r) for r in range(config.training.rounds)]
+    return trace_digest(traces, state.global_model)
+
+
+def trace_digest(traces, model):
     h = hashlib.sha256()
-    for r in range(config.training.rounds):
-        t = run_round(state, r)
+    for t in traces:
         row = {
             "round": t.round_index,
             "duration": repr(t.duration),
@@ -86,7 +93,7 @@ def run_digest(config, strategy, seed):
             "records": [rec.to_dict() for rec in t.offload_records],
         }
         h.update(json.dumps(row, sort_keys=True).encode())
-    for a in state.global_model.arrays():
+    for a in model.arrays():
         h.update(f"{a.dtype.str}{a.shape}".encode() + a.tobytes())
     return h.hexdigest()
 
@@ -156,6 +163,94 @@ def test_golden_digest_freeze_offload_with_latency(dispatch):
 
 def test_golden_digest_freeze_offload_cohort_of_40():
     assert run_digest(cohort_40_config(), COHORT_40_STRATEGY, seed=6) == GOLDEN_COHORT_40
+
+
+# --------------------------------------------------------------------------
+# Lanes trained in lockstep equal each lane alone
+# --------------------------------------------------------------------------
+
+
+def record_lockstep(monkeypatch):
+    """Record, per `_lockstep` call, the lanes in its stack and their step
+    counts."""
+    calls = []
+    original = engine._lockstep
+
+    def recording(start, blocks, data, train):
+        steps = {m: len(b) for m, b in blocks.items() if len(b)}
+        calls.append(({lane for lane, _ in steps}, set(steps.values())))
+        return original(start, blocks, data, train)
+
+    monkeypatch.setattr(engine, "_lockstep", recording)
+    return calls
+
+
+def assert_lanes_match_alone(config, tasks, results):
+    assert [(r.strategy_label, r.seed) for r in results] == [(s.label, seed) for s, seed in tasks]
+    for (strategy, seed), result in zip(tasks, results):
+        alone = run_experiment(config, strategy, seed)
+        assert trace_digest(result.traces, result.final_model) == trace_digest(
+            alone.traces, alone.final_model
+        )
+        assert json.dumps(result.summary.to_dict()) == json.dumps(alone.summary.to_dict())
+
+
+# Every strategy, FedProx at two mu values, so that the full phases train as
+# one stack per mu.
+LANE_STRATEGIES = [*STRATEGIES, FedProx(mu=0.5)]
+
+
+def test_lockstep_lanes_match_each_lane_alone(monkeypatch):
+    config = small_config()
+    tasks = [(strategy, seed) for strategy in LANE_STRATEGIES for seed in (3, 4)]
+    calls = record_lockstep(monkeypatch)
+    results = run_experiments(config, tasks)
+    # Each round, the full phases of all 14 lanes train as one stack per
+    # FedProx mu.
+    stacks = [lanes for lanes, _ in calls]
+    assert stacks.count({0, 1, 4, 5, 6, 7, 8, 9, 10, 11}) == config.training.rounds
+    assert stacks.count({2, 3}) == config.training.rounds  # mu 0.01
+    assert stacks.count({12, 13}) == config.training.rounds  # mu 0.5
+    monkeypatch.undo()
+    assert_lanes_match_alone(config, tasks, results)
+    # Seed 3 of each strategy is pinned by the golden digests, recorded
+    # before lanes trained together.
+    for (strategy, seed), result in zip(tasks, results):
+        if seed == 3 and strategy.label in GOLDEN:
+            digest = trace_digest(result.traces, result.final_model)
+            assert digest == GOLDEN[strategy.label]
+    deadline = [r for (s, _), r in zip(tasks, results) if isinstance(s, DeadlineDrop)]
+    assert all(any(t.dropped for t in r.traces) for r in deadline)
+
+
+def test_lockstep_ragged_freeze_offload_lanes_match_each_lane_alone(monkeypatch):
+    # The freeze_offload lanes stack their ragged full, frozen and donated
+    # phases together, the full ones with a FedAvg lane.
+    config = cohort_40_config()
+    tasks = [(COHORT_40_STRATEGY, 6), (FedAvg(), 6), (COHORT_40_STRATEGY, 7)]
+    calls = record_lockstep(monkeypatch)
+    results = run_experiments(config, tasks)
+    # Each round: one full stack of all three lanes, then the frozen and the
+    # donated stacks of both freeze_offload lanes, each with several step
+    # counts.
+    assert len(calls) == 3 * config.training.rounds
+    assert all(lanes == {0, 1, 2} for lanes, _ in calls[::3])
+    assert all(lanes == {0, 2} and len(steps) >= 3 for lanes, steps in calls[1::3] + calls[2::3])
+    monkeypatch.undo()
+    digest = trace_digest(results[0].traces, results[0].final_model)
+    assert digest == GOLDEN_COHORT_40
+    assert_lanes_match_alone(config, tasks, results)
+
+
+def test_divergence_names_the_first_diverged_lane_in_task_order():
+    config = small_config(learning_rate=1e308)
+    # A deadline this tight drops every client, so its lane trains nothing
+    # and cannot diverge; the next lane in task order is named.
+    tasks = [(DeadlineDrop(multiplier=0.01), 3), (FedAvg(), 5), (FedAvg(), 4)]
+    with pytest.raises(ConfigError, match=r"training: diverged in round 0 \(seed 5\): non-finite"):
+        run_experiments(config, tasks)
+    with pytest.raises(ConfigError, match=r"diverged in round 0 \(seed 4\)"):
+        run_experiments(config, tasks[::-1])
 
 
 # --------------------------------------------------------------------------
@@ -346,6 +441,16 @@ MODES = [("full", 0.0), ("full", 0.01), ("frozen", 0.0), ("feature", 0.0)]
 @pytest.mark.parametrize("mode, prox_mu", MODES)
 @pytest.mark.parametrize("members", [1, 3, 32, 100])
 def test_in_place_step_matches_reference_as_members_leave(mode, prox_mu, members):
+    check_members_leave(mode, prox_mu, members, per_member_anchor=False)
+
+
+@pytest.mark.parametrize("members", [3, 32, 100])
+def test_in_place_step_with_one_anchor_per_member(members):
+    # Lanes in lockstep pull each member toward its own lane's model.
+    check_members_leave("full", 0.01, members, per_member_anchor=True)
+
+
+def check_members_leave(mode, prox_mu, members, per_member_anchor):
     # Batch 32 and hidden 32: at 32 members and up, each (K, batch, hidden)
     # buffer is 256 KB or more, past glibc's 128 KB mmap threshold.
     input_dim, hidden, classes, batch = 8, 32, 10, 32
@@ -353,7 +458,9 @@ def test_in_place_step_matches_reference_as_members_leave(mode, prox_mu, members
     steps = np.sort(rng.integers(1, 6, size=members))
     steps[-1] = 6
     models = [init_model(input_dim, hidden, classes, seed=k) for k in range(members)]
-    anchor = init_model(input_dim, hidden, classes, seed=1000)
+    anchors = [init_model(input_dim, hidden, classes, seed=1000 + per_member_anchor * k)
+               for k in range(members)]
+    anchor = stack(anchors) if per_member_anchor else anchors[0]
     inputs = rng.standard_normal((6, members, batch, input_dim))
     labels = rng.integers(0, classes, size=(6, members, batch))
 
@@ -376,7 +483,7 @@ def test_in_place_step_matches_reference_as_members_leave(mode, prox_mu, members
     for k, model in enumerate(models):
         for step in range(steps[k]):
             model = reference_step(
-                model, Batch(inputs[step, k], labels[step, k]), 0.05, mode, prox_mu, anchor
+                model, Batch(inputs[step, k], labels[step, k]), 0.05, mode, prox_mu, anchors[k]
             )
         for a, b in zip(stacked.arrays(), model.arrays()):
             assert a[k].tobytes() == b.tobytes()

@@ -7,10 +7,12 @@ batches against local updates, tiers against clients). Up to two fields are
 then replaced with a value of the wrong type, a non-finite float or a
 boundary number, and an int field may also get a whole number outside
 int64. The learning rate, the data noise and the profile noise may get
-1e308, the hidden width 2**62 and the client count 2**63 - 1. A document
-that parses must run each of its strategies for its rounds (at most 2) to
-completion; any other exception is an escape that `fedsim run` would
-report through its catch-all with exit 2.
+1e308, the hidden width 2**62 and the client count 2**63 - 1; a document
+with that profile noise also gets a freeze_offload entry that inherits it,
+the one strategy that profiles. A document that parses must run all of its
+strategies for its rounds (at most 2) to completion, in lockstep as `fedsim
+run` does; any other exception is an escape that `fedsim run` would report
+through its catch-all with exit 2.
 """
 
 import math
@@ -19,7 +21,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from fedsim.config import ConfigError, parse_config
-from fedsim.engine import run_experiment
+from fedsim.engine import run_experiments
 
 BAD = st.one_of(
     st.sampled_from([None, True, False, "2", [], {}, [1], {"a": 1}]),
@@ -167,6 +169,11 @@ def documents(draw):
         if (section, key) in INT_FIELDS:
             pools.append(OUT_OF_INT64)
         (doc if section is None else doc[section])[key] = draw(st.one_of(*pools, BAD))
+    if doc["profile"]["noise_sigma"] == HUGE["profile", "noise_sigma"] and isinstance(
+        doc["strategies"], list
+    ):
+        # Its label is one no drawn entry has.
+        doc["strategies"].append({"name": "freeze_offload", "similarity_factor": 3.0})
     return doc
 
 
@@ -176,10 +183,9 @@ def test_every_document_raises_config_error_or_runs(doc):
     try:
         config = parse_config(doc)
         assert config.training.rounds <= 2
-        for strategy in config.strategies:
-            # A noniid partition the seed's train split cannot realise is
-            # a ConfigError from building the experiment.
-            result = run_experiment(config, strategy, config.seed)
-            assert len(result.traces) == config.training.rounds
+        # A noniid partition the seed's train split cannot realise is a
+        # ConfigError from building the experiment.
+        results = run_experiments(config, [(s, config.seed) for s in config.strategies])
+        assert [len(r.traces) for r in results] == [config.training.rounds] * len(results)
     except ConfigError:
         pass
