@@ -93,6 +93,13 @@ def _load(args: argparse.Namespace) -> ExperimentConfig:
     return load_config(args.config, **{k: v for k, v in flags.items() if v is not None})
 
 
+def _usable_cpus() -> int:
+    """The CPUs this process may run on, where the platform can tell."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def _cmd_run(args: argparse.Namespace) -> int:
     if args.workers < 0:
         raise ConfigError([f"workers: must be >= 0, got {args.workers}"])
@@ -104,7 +111,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
         for strategy in config.strategies
         for i in range(config.replicates)
     ]
-    workers = args.workers if args.workers else (os.cpu_count() or 1)
+    workers = args.workers if args.workers else _usable_cpus()
     workers = max(1, min(workers, len(tasks)))
     if workers == 1:
         summaries = _run_group((config, tasks, args.out))
@@ -206,7 +213,7 @@ def _cmd_inspect(args: argparse.Namespace) -> int:
     config = _load(args)
     seed = config.seed
     # One state with every strategy's setup: the similarity matrix is there
-    # if any strategy needs it.
+    # if any strategy needs it, computed once however many need it.
     state = build_state(config, config.strategies[0], seed)
     for strategy in config.strategies[1:]:
         strategy.setup(state)

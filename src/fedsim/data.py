@@ -9,6 +9,7 @@ label-skew mode where each client holds samples from exactly k classes.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -31,6 +32,15 @@ class Dataset:
     num_classes: int
     train_indices: np.ndarray  # (n_train,) int64
     test_indices: np.ndarray  # (n_test,) int64
+
+    @functools.cached_property
+    def test_rows(self) -> tuple[np.ndarray, np.ndarray]:
+        """The held-out inputs and labels, gathered on first use and kept;
+        every caller gets the same two arrays, so they are read-only."""
+        rows = self.inputs[self.test_indices], self.labels[self.test_indices]
+        for a in rows:
+            a.flags.writeable = False
+        return rows
 
 
 @dataclass

@@ -30,13 +30,14 @@ A round runs in two passes.
   same order, and comes out bitwise equal to training alone.
 
 `run_experiments` runs several experiments, each a (strategy, seed) *lane*
-with its own state, in lockstep: round r of each lane is planned from that
-lane's own clock, then every phase of all lanes trains as one stack (the
-full phases as one stack per FedProx mu, each member pulled toward its own
-lane's global model), and each lane aggregates and evaluates on its own.
-A row of a stack trains as its lane alone would, so each lane's traces and models are bitwise
-those of running it alone; `run_experiment` and `run_round` are the
-one-lane case.
+with its own state on its seed's shared data (`SeedData`, built once per
+seed), in lockstep: round r of each lane is planned from that lane's own
+clock, then every phase of all lanes trains as one stack (the full phases
+as one stack per FedProx mu, each member pulled toward its own lane's
+global model), and each lane aggregates and evaluates on its own. A row of
+a stack trains as its lane alone would, so each lane's traces and models
+are bitwise those of running it alone; `run_experiment` and `run_round`
+are the one-lane case.
 
 Each strategy is a `Strategy` subclass below; its docstring says what it does
 in a round, and its methods are the only place the engine tells strategies
@@ -61,6 +62,7 @@ from .model import (
     PartitionedModel,
     Workspace,
     forward,
+    forward_logits,
     init_model,
     merge,
     sgd_step_in_place,
@@ -243,11 +245,7 @@ class FreezeOffload(Strategy):
         return f"freeze_offload_f{self.similarity_factor:g}"
 
     def setup(self, state):
-        oracle = SimilarityOracle([c.client_id for c in state.clients], state.dataset.num_classes)
-        for c in state.clients:
-            counts = tuple(int(x) for x in c.partition.class_counts)
-            oracle.submit(ClassCountSubmission(client_id=c.client_id, counts=counts))
-        state.similarity = oracle.compute_matrix()
+        state.similarity = state.shared.similarity()
 
     def plan(self, state, round_index):
         selected = self.select(state, round_index)
@@ -564,11 +562,41 @@ def aggregate_fednova(
 
 
 def evaluate_accuracy(model: PartitionedModel, dataset: Dataset) -> float:
-    """Share of correctly classified held-out samples."""
-    idx = dataset.test_indices
-    batch = Batch(inputs=dataset.inputs[idx], labels=dataset.labels[idx])
-    _, probs = forward(model, batch)
-    return float(np.mean(np.argmax(probs, axis=1) == batch.labels))
+    """Share of correctly classified held-out samples.
+
+    A sample's prediction is the arg-max of its class probabilities from
+    `forward`, the first index on a tie. Most of the time it is read off the
+    logits instead, with the softmax skipped. That is exact when each row's
+    max logit m is finite and every other logit of the row is at most
+    m - 1e-6 * max(1, |m|): the softmax subtracts m, which leaves exactly 0
+    at the max and at most about -1e-6 elsewhere, so exp gives exactly 1 at
+    the max and less than 1 - 9e-7 elsewhere, and dividing all of them by the
+    same row sum keeps the max's quotient strictly the largest, since their
+    gap is some 1e9 ulps wide. The probabilities' arg-max is then the logits'
+    unique arg-max, and a row's label hits it iff its logit equals m. If any
+    row misses the lead (a tie, a lead inside the margin, a NaN or an
+    infinite max), every row takes the softmax path.
+    """
+    batch = Batch(*dataset.test_rows)
+    _, logits = forward_logits(model, batch)
+    # The row max, exact, as an elementwise chain over the few classes.
+    top = logits[:, 0].copy()
+    for c in range(1, logits.shape[1]):
+        np.maximum(top, logits[:, c], out=top)
+    exact = bool(np.isfinite(top).all())
+    if exact:
+        margin = np.abs(top)
+        np.maximum(margin, 1.0, out=margin)
+        margin *= 1e-6
+        # Each max is above max - margin itself, so the count is the number
+        # of rows iff no other logit of any row comes that close.
+        exact = np.count_nonzero(logits > (top - margin)[:, None]) == top.shape[0]
+    if exact:
+        hits = logits[np.arange(top.shape[0]), batch.labels] == top
+    else:
+        _, probs = forward(model, batch)
+        hits = np.argmax(probs, axis=1) == batch.labels
+    return float(np.mean(hits))
 
 
 # --------------------------------------------------------------------------
@@ -652,17 +680,78 @@ class ExperimentResult:
 
 
 @dataclass
+class SeedData:
+    """What every lane of one seed reads and none writes, built once.
+
+    The dataset, each client's partition, speed factor and phase timings are
+    a function of the config and the seed, and so is the clients x clients
+    similarity matrix, computed on first use. A lane keeps its own
+    `ClientState`s, model, clock and tiers on top of these.
+    """
+
+    seed: int
+    dataset: Dataset
+    partitions: list[ClientPartition]
+    speeds: list[float]
+    timings: list[PhaseTimings]
+    _similarity: SimilarityMatrix | None = field(default=None, init=False, repr=False)
+
+    @classmethod
+    def build(cls, config, seed: int) -> SeedData:
+        dataset = generate_synthetic(
+            num_classes=config.dataset.num_classes,
+            samples_per_class=config.dataset.samples_per_class,
+            input_dim=config.dataset.input_dim,
+            seed=seed,
+            noise_sigma=config.dataset.noise_sigma,
+        )
+        try:
+            partitions = partition(
+                dataset,
+                config.clients.count,
+                mode=config.partition.mode,
+                classes_per_client=config.partition.classes_per_client,
+                sizes=config.partition.sizes,
+                seed=seed,
+            )
+        except PartitionError as exc:
+            # Whether a noniid partition can be drawn depends on the seed's
+            # random train split, so only the seed's own data can tell.
+            raise ConfigError([f"partition: {exc} (seed {seed})"]) from exc
+        speeds = _draw_speed_factors(config, seed)
+        timings = [scale_timings(config.profile.base, speed) for speed in speeds]
+        return cls(seed, dataset, partitions, speeds, timings)
+
+    def similarity(self) -> SimilarityMatrix:
+        if self._similarity is None:
+            ids = [p.client_id for p in self.partitions]
+            oracle = SimilarityOracle(ids, self.dataset.num_classes)
+            for p in self.partitions:
+                counts = tuple(int(x) for x in p.class_counts)
+                oracle.submit(ClassCountSubmission(client_id=p.client_id, counts=counts))
+            self._similarity = oracle.compute_matrix()
+        return self._similarity
+
+
+@dataclass
 class ExperimentState:
     config: Any
     strategy: Strategy
-    seed: int
-    dataset: Dataset
+    shared: SeedData
     clients: list[ClientState]
     global_model: PartitionedModel
     # Built by `Strategy.setup`: freeze_offload's and tifl's.
     similarity: SimilarityMatrix | None = None
     tiers: list[list[int]] | None = None
     clock: float = 0.0
+
+    @property
+    def seed(self) -> int:
+        return self.shared.seed
+
+    @property
+    def dataset(self) -> Dataset:
+        return self.shared.dataset
 
     def client(self, client_id: int) -> ClientState:
         return self.clients[client_id]
@@ -888,17 +977,18 @@ class _LaneData:
 
     @classmethod
     def of(cls, states: list[ExperimentState]) -> _LaneData:
-        if len(states) == 1:
-            return cls(states[0].dataset.inputs, states[0].dataset.labels, (0,))
-        first: dict[int, int] = {}
-        datasets: list[Dataset] = []
+        datasets: dict[int, Dataset] = {}
         for state in states:
-            if state.seed not in first:
-                first[state.seed] = sum(len(d.labels) for d in datasets)
-                datasets.append(state.dataset)
+            datasets.setdefault(state.seed, state.dataset)
+        if len(datasets) == 1:
+            (only,) = datasets.values()
+            return cls(only.inputs, only.labels, (0,) * len(states))
+        first, rows = {}, 0
+        for seed, d in datasets.items():
+            first[seed], rows = rows, rows + len(d.labels)
         return cls(
-            np.concatenate([d.inputs for d in datasets]),
-            np.concatenate([d.labels for d in datasets]),
+            np.concatenate([d.inputs for d in datasets.values()]),
+            np.concatenate([d.labels for d in datasets.values()]),
             tuple(first[state.seed] for state in states),
         )
 
@@ -1062,39 +1152,22 @@ def _draw_speed_factors(config, seed: int) -> list[float]:
 
 def build_state(config, strategy: Strategy, seed: int) -> ExperimentState:
     """Materialize dataset, clients and the initial global model."""
-    dataset = generate_synthetic(
-        num_classes=config.dataset.num_classes,
-        samples_per_class=config.dataset.samples_per_class,
-        input_dim=config.dataset.input_dim,
-        seed=seed,
-        noise_sigma=config.dataset.noise_sigma,
-    )
-    try:
-        partitions = partition(
-            dataset,
-            config.clients.count,
-            mode=config.partition.mode,
-            classes_per_client=config.partition.classes_per_client,
-            sizes=config.partition.sizes,
-            seed=seed,
-        )
-    except PartitionError as exc:
-        # Whether a noniid partition can be drawn depends on the seed's
-        # random train split, so only the seed's own data can tell.
-        raise ConfigError([f"partition: {exc} (seed {seed})"]) from exc
-    speeds = _draw_speed_factors(config, seed)
-    base = config.profile.base
+    return _lane_state(config, strategy, SeedData.build(config, seed))
+
+
+def _lane_state(config, strategy: Strategy, shared: SeedData) -> ExperimentState:
+    """A lane's own state on its seed's shared data: clients, model, clock."""
     clients = [
         ClientState(
             client_id=i,
-            speed_factor=speeds[i],
-            timings=scale_timings(base, speeds[i]),
-            partition=partitions[i],
+            speed_factor=shared.speeds[i],
+            timings=shared.timings[i],
+            partition=shared.partitions[i],
         )
         for i in range(config.clients.count)
     ]
     init_seed = int(
-        np.random.SeedSequence([seed, TAG_MODEL_INIT]).generate_state(1)[0]
+        np.random.SeedSequence([shared.seed, TAG_MODEL_INIT]).generate_state(1)[0]
     )
     global_model = init_model(
         config.dataset.input_dim,
@@ -1105,8 +1178,7 @@ def build_state(config, strategy: Strategy, seed: int) -> ExperimentState:
     state = ExperimentState(
         config=config,
         strategy=strategy,
-        seed=seed,
-        dataset=dataset,
+        shared=shared,
         clients=clients,
         global_model=global_model,
     )
@@ -1117,12 +1189,18 @@ def build_state(config, strategy: Strategy, seed: int) -> ExperimentState:
 def run_experiments(config, tasks: list[tuple[Strategy, int]]) -> list[ExperimentResult]:
     """Run all configured rounds for each (strategy, seed) task, in lockstep.
 
-    Each task is a lane with its own state. Round r of every lane is planned
-    from that lane's clock, and then all lanes train it together, one stack
-    per phase (see `_train_lanes`); each lane's results are bitwise those of
-    running it alone. Every lane's state is held for the whole run.
+    Each task is a lane with its own state. The lanes of one seed share its
+    `SeedData`, built once. Round r of every lane is planned from that
+    lane's clock, and then all lanes train it together, one stack per phase
+    (see `_train_lanes`); each lane's results are bitwise those of running
+    it alone. Every lane's state is held for the whole run.
     """
-    states = [build_state(config, strategy, seed) for strategy, seed in tasks]
+    seeds: dict[int, SeedData] = {}
+    states = []
+    for strategy, seed in tasks:
+        if seed not in seeds:
+            seeds[seed] = SeedData.build(config, seed)
+        states.append(_lane_state(config, strategy, seeds[seed]))
     data = _LaneData.of(states)
     traces: list[list[RoundTrace]] = [[] for _ in states]
     for r in range(config.training.rounds):

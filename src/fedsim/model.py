@@ -186,11 +186,25 @@ def _check_batch(model: PartitionedModel, batch: Batch) -> None:
         )
 
 
+def forward_logits(model: PartitionedModel, batch: Batch) -> tuple[np.ndarray, np.ndarray]:
+    """Run the network up to the softmax: (hidden activations, logits).
+
+    `forward` takes its logits from here, so anything read off these is
+    bitwise what `forward` computes. The in-place adds and tanh are the
+    same ufuncs on the same operands as their allocating forms.
+    """
+    _check_batch(model, batch)
+    hidden = batch.inputs @ model.feature_weights
+    hidden += model.feature_bias[..., None, :]
+    np.tanh(hidden, out=hidden)
+    logits = hidden @ model.classifier_weights
+    logits += model.classifier_bias[..., None, :]
+    return hidden, logits
+
+
 def forward(model: PartitionedModel, batch: Batch) -> tuple[np.ndarray, np.ndarray]:
     """Run the network and return (hidden activations, class probabilities)."""
-    _check_batch(model, batch)
-    hidden = np.tanh(batch.inputs @ model.feature_weights + model.feature_bias[..., None, :])
-    logits = hidden @ model.classifier_weights + model.classifier_bias[..., None, :]
+    hidden, logits = forward_logits(model, batch)
     shifted = logits - logits.max(axis=-1, keepdims=True)
     exp = np.exp(shifted)
     probs = exp / exp.sum(axis=-1, keepdims=True)

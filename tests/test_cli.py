@@ -22,6 +22,7 @@ from fedsim.engine import (
     Tifl,
     run_experiment,
 )
+from fedsim.similarity import SimilarityOracle
 
 FAST_RAW = {
     "dataset": {"num_classes": 4, "samples_per_class": 40, "input_dim": 4},
@@ -409,6 +410,20 @@ class TestRunCommand:
         assert len(outputs[0]) == 6 + 2
         assert outputs[0] == outputs[1] == outputs[2]
 
+    def test_zero_workers_counts_the_affinity_cpus(self, tmp_path, monkeypatch):
+        # Pinned to one CPU, `--workers 0` runs every lane in this process,
+        # however many CPUs the machine has.
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a pinned run started a process pool")
+
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 8)
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", no_pool)
+        raw = dict(FAST_RAW, replicates=2)
+        code, out = self.run_cli(tmp_path, raw, extra=("--workers", "0"))
+        assert code == 0
+        assert (out / "trace_fedavg_7.csv").exists() and (out / "trace_fedavg_8.csv").exists()
+
     def test_negative_workers_exits_1(self, tmp_path, capsys):
         code, out = self.run_cli(tmp_path, FAST_RAW, extra=("--workers", "-5"))
         assert code == 1
@@ -671,6 +686,27 @@ class TestInspectCommand:
         doc = json.loads(report.read_text())
         assert doc["similarity"] is not None
         assert len(doc["similarity"]["client_ids"]) == 6
+        assert "label-distribution distance" in capsys.readouterr().out
+
+    def test_similarity_computed_once_for_several_freeze_offload_entries(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        calls = []
+        compute = SimilarityOracle.compute_matrix
+
+        def counting(oracle):
+            calls.append(oracle)
+            return compute(oracle)
+
+        monkeypatch.setattr(SimilarityOracle, "compute_matrix", counting)
+        raw = dict(FAST_RAW, strategies=[
+            {"name": "freeze_offload"},
+            {"name": "fedavg"},
+            {"name": "freeze_offload", "similarity_factor": 0.5},
+        ])
+        config_path = write_yaml(tmp_path / "exp.yaml", raw)
+        assert main(["inspect", "--config", config_path]) == 0
+        assert len(calls) == 1
         assert "label-distribution distance" in capsys.readouterr().out
 
     def test_similarity_null_without_freeze_offload(self, tmp_path, capsys):

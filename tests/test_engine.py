@@ -1,9 +1,13 @@
 """Tests for round planning, training paths, and aggregation rules."""
 
+from collections import Counter
+
 import numpy as np
 import pytest
 
+from fedsim import engine
 from fedsim.config import parse_config
+from fedsim.data import generate_synthetic
 from fedsim.engine import (
     BatchCursor,
     DeadlineDrop,
@@ -21,11 +25,13 @@ from fedsim.engine import (
     local_train,
     plan_round,
     run_experiment,
+    run_experiments,
     run_round,
     select_clients,
 )
-from fedsim.model import init_model, merge, split
+from fedsim.model import Batch, forward, init_model, merge, split
 from fedsim.seeding import TAG_BATCHES, spawn_rng
+from fedsim.similarity import SimilarityOracle
 
 
 def tiny_config(**overrides):
@@ -268,6 +274,148 @@ class TestAggregation:
         base = init_model(3, 4, 2, seed=99)
         with pytest.raises(ValueError):
             aggregate_fednova(base, self.models(2), [1.0, 1.0], [3, 0])
+
+
+class TestEvaluateAccuracy:
+    """Against the reference: `forward`, then the arg-max of the probabilities."""
+
+    # Test labels 0..3 occur 14, 10, 7 and 9 times, so predicting class 1
+    # and predicting class 2 score differently.
+    DATASET = generate_synthetic(num_classes=4, samples_per_class=50, input_dim=3, seed=0)
+
+    @staticmethod
+    def reference(model, dataset):
+        idx = dataset.test_indices
+        labels = dataset.labels[idx]
+        _, probs = forward(model, Batch(dataset.inputs[idx], labels))
+        return float(np.mean(np.argmax(probs, axis=1) == labels))
+
+    @pytest.fixture
+    def softmax_calls(self, monkeypatch):
+        """How many evaluations took the softmax path."""
+        calls = []
+
+        def counting(model, batch):
+            calls.append(batch)
+            return forward(model, batch)
+
+        monkeypatch.setattr(engine, "forward", counting)
+        return calls
+
+    def with_logits(self, bias):
+        """A model whose logits are `bias` on every row: zero classifier
+        weights leave exactly the bias."""
+        model = init_model(3, 5, 4, seed=1)
+        model.classifier_weights[...] = 0.0
+        model.classifier_bias[...] = bias
+        return model
+
+    def test_seeded_models_take_the_shortcut_and_match(self, softmax_calls):
+        scores = set()
+        for seed in range(30):
+            model = init_model(3, 5, 4, seed=seed)
+            model.classifier_weights *= 1 + seed  # wider logit spreads
+            accuracy = evaluate_accuracy(model, self.DATASET)
+            assert accuracy == self.reference(model, self.DATASET)
+            scores.add(accuracy)
+        assert softmax_calls == []
+        assert len(scores) > 5
+
+    def test_trained_models_match(self, softmax_calls):
+        cfg = tiny_config(training={"rounds": 4})
+        for seed in (1, 2, 3):
+            result = run_experiment(cfg, FedAvg(), seed=seed)
+            dataset = build_state(cfg, FedAvg(), seed).dataset
+            assert evaluate_accuracy(result.final_model, dataset) == self.reference(
+                result.final_model, dataset
+            )
+            assert result.traces[-1].accuracy == self.reference(result.final_model, dataset)
+        assert softmax_calls == []
+
+    @pytest.mark.parametrize(
+        "bias, predicted, softmax",
+        [
+            # An exact tie of the top two: the lower index wins.
+            ([0.5, 2.0, 2.0, -1.0], 1, True),
+            # A lead inside the margin, 1e-6 * max(1, |2|) ...
+            ([0.5, 2.0, 2.0 - 1e-6, -1.0], 1, True),
+            # ... and one just outside it.
+            ([0.5, 2.0, 2.0 - 3e-6, -1.0], 1, False),
+            ([0.5, 2.0 - 1e-6, 2.0, -1.0], 2, True),
+            ([0.5, -1e6, -1e6 + 0.5, 0.0], 0, False),
+            # NaN and +inf make every probability NaN: the first index wins.
+            ([0.0, np.nan, 3.0, 0.0], 0, True),
+            ([0.0, np.inf, 3.0, 0.0], 0, True),
+            # -inf logits get probability 0.
+            ([-np.inf, 3.0, -np.inf, 1.0], 1, False),
+        ],
+    )
+    def test_crafted_logits(self, softmax_calls, bias, predicted, softmax):
+        model = self.with_logits(bias)
+        labels = self.DATASET.labels[self.DATASET.test_indices]
+        accuracy = evaluate_accuracy(model, self.DATASET)
+        assert accuracy == self.reference(model, self.DATASET)
+        assert accuracy == np.mean(labels == predicted)
+        assert len(softmax_calls) == int(softmax)
+
+    def test_test_rows_are_gathered_once(self):
+        dataset = generate_synthetic(num_classes=4, samples_per_class=50, input_dim=3, seed=0)
+        model = init_model(3, 5, 4, seed=1)
+        evaluate_accuracy(model, dataset)
+        inputs, labels = dataset.test_rows
+        evaluate_accuracy(model, dataset)
+        assert dataset.test_rows[0] is inputs and dataset.test_rows[1] is labels
+        assert not inputs.flags.writeable and not labels.flags.writeable
+        assert np.array_equal(inputs, dataset.inputs[dataset.test_indices])
+        assert np.array_equal(labels, dataset.labels[dataset.test_indices])
+
+
+class TestSeedSharing:
+    def test_each_seed_builds_once_and_every_lane_runs_as_alone(self, monkeypatch):
+        cfg = tiny_config(
+            partition={"mode": "noniid", "classes_per_client": 2}, training={"rounds": 3}
+        )
+        strategies = [FedAvg(), Tifl(num_tiers=2), FreezeOffload(),
+                      FreezeOffload(similarity_factor=0.5)]
+        tasks = [(strategy, seed) for seed in (3, 4) for strategy in strategies]
+        alone = [run_experiment(cfg, strategy, seed) for strategy, seed in tasks]
+
+        calls = Counter()
+
+        def counting(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name, kwargs.get("seed")] += 1
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        monkeypatch.setattr(engine, "generate_synthetic",
+                            counting("generate_synthetic", engine.generate_synthetic))
+        monkeypatch.setattr(engine, "partition", counting("partition", engine.partition))
+        monkeypatch.setattr(SimilarityOracle, "compute_matrix",
+                            counting("compute_matrix", SimilarityOracle.compute_matrix))
+        together = run_experiments(cfg, tasks)
+        assert calls == {
+            ("generate_synthetic", 3): 1, ("generate_synthetic", 4): 1,
+            ("partition", 3): 1, ("partition", 4): 1,
+            ("compute_matrix", None): 2,
+        }
+        for a, b in zip(alone, together):
+            assert (a.strategy_label, a.seed) == (b.strategy_label, b.seed)
+            assert a.traces == b.traces
+            assert a.summary == b.summary
+            for x, y in zip(a.final_model.arrays(), b.final_model.arrays()):
+                assert x.tobytes() == y.tobytes()
+
+    def test_lanes_of_a_seed_keep_their_own_clients(self):
+        cfg = tiny_config()
+        shared = engine.SeedData.build(cfg, 3)
+        a = engine._lane_state(cfg, FedAvg(), shared)
+        b = engine._lane_state(cfg, FreezeOffload(), shared)
+        assert a.dataset is b.dataset
+        assert all(x is not y for x, y in zip(a.clients, b.clients))
+        assert a.clients[0].partition is b.clients[0].partition
+        assert a.global_model is not b.global_model
 
 
 class TestSelection:

@@ -12,6 +12,7 @@ from fedsim.model import (
     backward_full,
     cross_entropy,
     forward,
+    forward_logits,
     init_model,
     load_checkpoint,
     merge,
@@ -91,6 +92,21 @@ class TestForward:
         assert probs.shape == (9, 5)
         assert np.allclose(probs.sum(axis=1), 1.0)
         assert probs.min() >= 0.0
+
+    def test_logits_are_the_allocating_expressions_bitwise(self):
+        # forward_logits adds in place; the bytes must be those of the plain
+        # expressions, for one model and for a stack on stacked batches.
+        model = init_model(4, 7, 5, seed=1)
+        batch = random_batch(model, 9, seed=2)
+        stacked = PartitionedModel(*(np.stack([a, 2 * a]) for a in model.arrays()), 5)
+        inputs = np.stack([batch.inputs, -batch.inputs])
+        stacked_batch = Batch(inputs, np.stack([batch.labels, batch.labels]))
+        for m, b in ((model, batch), (stacked, stacked_batch)):
+            hidden, logits = forward_logits(m, b)
+            plain = np.tanh(b.inputs @ m.feature_weights + m.feature_bias[..., None, :])
+            assert hidden.tobytes() == plain.tobytes()
+            plain = plain @ m.classifier_weights + m.classifier_bias[..., None, :]
+            assert logits.tobytes() == plain.tobytes()
 
     def test_softmax_stable_for_large_logits(self):
         model = init_model(2, 2, 2, seed=1)
