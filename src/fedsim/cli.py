@@ -30,11 +30,12 @@ from concurrent.futures import ProcessPoolExecutor
 
 from .config import ConfigError, ExperimentConfig, echo_dict, load_config
 from .engine import ExperimentResult, Strategy, build_state, run_experiments
+from .errors import out_of_memory_as_config_error
 
 # Bound here for perfbench/tracer.py, which wraps `cli.run_experiment`; `run`
 # itself calls `run_experiments`.
 from .engine import run_experiment  # noqa: F401
-from .similarity import SimilarityMatrix
+from .similarity import HistogramDistances
 
 
 def _format_float(x: float) -> str:
@@ -198,13 +199,13 @@ def _cmd_compare(args: argparse.Namespace) -> int:
     return 0
 
 
-def _similarity_lines(matrix: SimilarityMatrix) -> list[str]:
-    ids = matrix.client_ids
+def _similarity_lines(similarity: HistogramDistances) -> list[str]:
+    ids, values = similarity.client_ids, similarity.values
     lines = ["similarity (label-distribution distance, 0=identical, 2=disjoint):"]
     header = "      " + " ".join(f"{cid:>5}" for cid in ids)
     lines.append(header)
     for i, cid in enumerate(ids):
-        row = " ".join(f"{matrix.values[i, j]:5.2f}" for j in range(len(ids)))
+        row = " ".join(f"{values[i, j]:5.2f}" for j in range(len(ids)))
         lines.append(f"{cid:>5} {row}")
     return lines
 
@@ -212,8 +213,8 @@ def _similarity_lines(matrix: SimilarityMatrix) -> list[str]:
 def _cmd_inspect(args: argparse.Namespace) -> int:
     config = _load(args)
     seed = config.seed
-    # One state with every strategy's setup: the similarity matrix is there
-    # if any strategy needs it, computed once however many need it.
+    # One state with every strategy's setup: the similarity distances are
+    # there if any strategy needs them, computed once however many need them.
     state = build_state(config, config.strategies[0], seed)
     for strategy in config.strategies[1:]:
         strategy.setup(state)
@@ -245,11 +246,18 @@ def _cmd_inspect(args: argparse.Namespace) -> int:
                 }
                 for c in state.clients
             ],
-            "similarity": None
-            if state.similarity is None
-            else state.similarity.to_dict(),
+            "similarity": None,
         }
-        _write_json(args.json, doc)
+        if state.similarity is None:
+            _write_json(args.json, doc)
+        else:
+            # The whole clients x clients table, as float64 and then as JSON.
+            n = len(state.similarity.client_ids)
+            with out_of_memory_as_config_error(
+                f"the {n} x {n} similarity table for --json", 8 * n * n
+            ):
+                doc["similarity"] = state.similarity.to_dict()
+                _write_json(args.json, doc)
         print(f"wrote {args.json}")
     return 0
 

@@ -10,6 +10,7 @@ label-skew mode where each client holds samples from exactly k classes.
 from __future__ import annotations
 
 import functools
+import heapq
 import math
 from dataclasses import dataclass
 
@@ -162,13 +163,19 @@ def _partition_iid(
             assigned[cid].extend(pool[start : start + take].tolist())
             start += take
     # Class pools smaller than the client count can round a client down to
-    # no sample at all, though every quota is at least 1. Each such client
-    # takes the last sample dealt to the client holding the most (the lowest
-    # id among equals), so every client has data to train on.
+    # no sample at all, though every quota is at least 1. Each such client,
+    # in id order, takes the last sample dealt to the client holding the most
+    # (the lowest id among equals), so every client has data to train on.
+    # The heap holds (-size, id) of every client with data; empty clients
+    # hold 0 and never win while it has an entry.
+    heap = [(-len(a), cid) for cid, a in enumerate(assigned) if a]
+    heapq.heapify(heap)
     for cid in range(num_clients):
         if not assigned[cid]:
-            donor = max(range(num_clients), key=lambda i: (len(assigned[i]), -i))
+            neg_size, donor = heap[0]
             assigned[cid].append(assigned[donor].pop())
+            heapq.heapreplace(heap, (neg_size + 1, donor))
+            heapq.heappush(heap, (-1, cid))
     return _counts_from_assignment(assigned, dataset.labels, dataset.num_classes)
 
 

@@ -53,7 +53,7 @@ from typing import Any, Callable, ClassVar
 import numpy as np
 
 from .data import ClientPartition, Dataset, PartitionError, generate_synthetic, partition
-from .errors import ConfigError
+from .errors import ConfigError, out_of_memory_as_config_error
 from .model import (
     Batch,
     ClassifierBlock,
@@ -82,7 +82,7 @@ from .seeding import (
     TAG_SPEEDS,
     spawn_rng,
 )
-from .similarity import ClassCountSubmission, SimilarityMatrix, SimilarityOracle
+from .similarity import ClassCountSubmission, HistogramDistances, SimilarityOracle
 
 
 # --------------------------------------------------------------------------
@@ -684,9 +684,11 @@ class SeedData:
     """What every lane of one seed reads and none writes, built once.
 
     The dataset, each client's partition, speed factor and phase timings are
-    a function of the config and the seed, and so is the clients x clients
-    similarity matrix, computed on first use. A lane keeps its own
-    `ClientState`s, model, clock and tiers on top of these.
+    a function of the config and the seed, and so are the similarity
+    distances: built on first use, they keep the clients' normalized class
+    histograms (clients x classes floats) and compute each round's cohort
+    block on demand. A lane keeps its own `ClientState`s, model, clock and
+    tiers on top of these.
     """
 
     seed: int
@@ -694,35 +696,41 @@ class SeedData:
     partitions: list[ClientPartition]
     speeds: list[float]
     timings: list[PhaseTimings]
-    _similarity: SimilarityMatrix | None = field(default=None, init=False, repr=False)
+    _similarity: HistogramDistances | None = field(default=None, init=False, repr=False)
 
     @classmethod
     def build(cls, config, seed: int) -> SeedData:
-        dataset = generate_synthetic(
-            num_classes=config.dataset.num_classes,
-            samples_per_class=config.dataset.samples_per_class,
-            input_dim=config.dataset.input_dim,
-            seed=seed,
-            noise_sigma=config.dataset.noise_sigma,
-        )
-        try:
-            partitions = partition(
-                dataset,
-                config.clients.count,
-                mode=config.partition.mode,
-                classes_per_client=config.partition.classes_per_client,
-                sizes=config.partition.sizes,
+        samples = config.dataset.num_classes * config.dataset.samples_per_class
+        with out_of_memory_as_config_error(
+            f"the dataset of seed {seed} and its partition: {samples} samples x"
+            f" {config.dataset.input_dim} inputs over {config.clients.count} clients",
+            8 * samples * (config.dataset.input_dim + 1),
+        ):
+            dataset = generate_synthetic(
+                num_classes=config.dataset.num_classes,
+                samples_per_class=config.dataset.samples_per_class,
+                input_dim=config.dataset.input_dim,
                 seed=seed,
+                noise_sigma=config.dataset.noise_sigma,
             )
-        except PartitionError as exc:
-            # Whether a noniid partition can be drawn depends on the seed's
-            # random train split, so only the seed's own data can tell.
-            raise ConfigError([f"partition: {exc} (seed {seed})"]) from exc
+            try:
+                partitions = partition(
+                    dataset,
+                    config.clients.count,
+                    mode=config.partition.mode,
+                    classes_per_client=config.partition.classes_per_client,
+                    sizes=config.partition.sizes,
+                    seed=seed,
+                )
+            except PartitionError as exc:
+                # Whether a noniid partition can be drawn depends on the seed's
+                # random train split, so only the seed's own data can tell.
+                raise ConfigError([f"partition: {exc} (seed {seed})"]) from exc
         speeds = _draw_speed_factors(config, seed)
         timings = [scale_timings(config.profile.base, speed) for speed in speeds]
         return cls(seed, dataset, partitions, speeds, timings)
 
-    def similarity(self) -> SimilarityMatrix:
+    def similarity(self) -> HistogramDistances:
         if self._similarity is None:
             ids = [p.client_id for p in self.partitions]
             oracle = SimilarityOracle(ids, self.dataset.num_classes)
@@ -741,7 +749,7 @@ class ExperimentState:
     clients: list[ClientState]
     global_model: PartitionedModel
     # Built by `Strategy.setup`: freeze_offload's and tifl's.
-    similarity: SimilarityMatrix | None = None
+    similarity: HistogramDistances | None = None
     tiers: list[list[int]] | None = None
     clock: float = 0.0
 

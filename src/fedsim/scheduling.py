@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .profiling import ClientProfile
-from .similarity import SimilarityMatrix
+from .similarity import HistogramDistances
 
 
 @dataclass(frozen=True)
@@ -155,7 +155,7 @@ def offload_points(
 
 def build_schedule(
     profiles: list[ClientProfile],
-    similarity: SimilarityMatrix,
+    similarity: HistogramDistances,
     similarity_factor: float,
     round_index: int = 0,
 ) -> OffloadSchedule:
@@ -166,13 +166,15 @@ def build_schedule(
     ``1 + ln(S * f + 1)`` and the cheapest receiver wins (ties go to the
     lower client id). With f == 0 the similarity term vanishes and the choice
     depends on timing alone. Clients with no remaining updates take no part.
+    S comes from `similarity.block(senders, receivers)`, the only distances a
+    round reads; `similarity` is otherwise read only for its `client_ids`.
     """
     if similarity_factor < 0:
         raise ValueError(f"similarity_factor must be >= 0, got {similarity_factor}")
     known = set(similarity.client_ids)
     for p in profiles:
         if p.client_id not in known:
-            raise ValueError(f"client {p.client_id} missing from similarity matrix")
+            raise ValueError(f"client {p.client_id} missing from the similarity distances")
 
     mean = mean_completion_time(profiles)
     sending, receiving = split_sending_receiving(profiles, mean)

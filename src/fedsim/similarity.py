@@ -1,9 +1,13 @@
 """Privacy-isolating store for client class histograms.
 
-Clients submit raw class counts exactly once; the only information that ever
-leaves this module is the pairwise distance matrix between normalized
-histograms. There is intentionally no accessor for stored counts, and the
-store is synchronized so submissions may arrive from concurrent contexts.
+Clients submit raw class counts exactly once. The oracle then hands out a
+`HistogramDistances`, which keeps the normalized histograms to itself and
+answers distances on demand: the only information that ever leaves this
+module is the distances between the clients asked for. A round asks for its
+cohort's senders x receivers block; only `fedsim inspect` asks for the whole
+clients x clients table. There is intentionally no accessor for stored counts
+or histograms, and the store is synchronized so submissions may arrive from
+concurrent contexts.
 
 The distance used is the L1 distance between the two normalized class
 histograms, which for histograms on a shared label set coincides with twice
@@ -13,7 +17,7 @@ the total variation distance and ranges over [0, 2].
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -22,11 +26,6 @@ import numpy as np
 class ClassCountSubmission:
     client_id: int
     counts: tuple[int, ...]
-
-
-@dataclass(frozen=True)
-class SubmissionReceipt:
-    client_id: int
 
 
 def histogram_distance(counts_a, counts_b) -> float:
@@ -38,38 +37,43 @@ def histogram_distance(counts_a, counts_b) -> float:
     return float(np.abs(a / a.sum() - b / b.sum()).sum())
 
 
-@dataclass
-class SimilarityMatrix:
-    """Pairwise histogram distances, indexed by client id."""
+class HistogramDistances:
+    """Pairwise histogram distances, indexed by client id, computed on demand.
 
-    values: np.ndarray
-    client_ids: tuple[int, ...]
-    _index: dict[int, int] = field(init=False, repr=False)
+    Every distance is the sum of one contiguous row of absolute differences,
+    `abs(n[i] - n[cols]).sum(axis=1)` for row client i, which sums in the same
+    order as `histogram_distance` does for a single pair. So `get`, `block`
+    and `values` agree bitwise, and since `abs(x - y) == abs(y - x)` exactly,
+    the distances are symmetric, zero on the diagonal and, for validated
+    submissions, finite and within [0, 2] up to a few ulps.
+    """
 
-    def __post_init__(self) -> None:
-        m = len(self.client_ids)
-        if self.values.shape != (m, m):
-            raise ValueError(
-                f"matrix shape {self.values.shape} does not match {m} client ids"
-            )
-        if not np.all(np.isfinite(self.values)):
-            raise ValueError("matrix entries must be finite")
-        # Disjoint histograms can land a few ulps above 2 after normalization.
-        if self.values.min() < 0.0 or self.values.max() > 2.0 + 1e-9:
-            raise ValueError("matrix entries must lie in [0, 2]")
-        if not np.array_equal(self.values, self.values.T):
-            raise ValueError("matrix must be symmetric")
-        if np.any(np.diagonal(self.values) != 0.0):
-            raise ValueError("matrix diagonal must be zero")
-        self._index = {cid: i for i, cid in enumerate(self.client_ids)}
+    def __init__(self, client_ids: tuple[int, ...], normalized: np.ndarray) -> None:
+        self.client_ids = client_ids
+        self._normalized = normalized
+        self._index = {cid: i for i, cid in enumerate(client_ids)}
+
+    def _rows(self, rows, cols) -> np.ndarray:
+        n = self._normalized
+        others = n[cols]
+        out = np.empty((len(rows), others.shape[0]))
+        for k, i in enumerate(rows):
+            out[k] = np.abs(n[i] - others).sum(axis=1)
+        return out
 
     def get(self, client_a: int, client_b: int) -> float:
-        return float(self.values[self._index[client_a], self._index[client_b]])
+        return float(self._rows([self._index[client_a]], [self._index[client_b]])[0, 0])
 
     def block(self, rows, cols) -> np.ndarray:
         """Distances between the clients `rows` and `cols`, as a matrix."""
         index = self._index
-        return self.values[[index[c] for c in rows]][:, [index[c] for c in cols]]
+        return self._rows([index[c] for c in rows], [index[c] for c in cols])
+
+    @property
+    def values(self) -> np.ndarray:
+        """The whole clients x clients table in `client_ids` order, built anew
+        on each read: N * N float64 values."""
+        return self._rows(range(len(self.client_ids)), slice(None))
 
     def to_dict(self) -> dict:
         return {"client_ids": list(self.client_ids), "values": self.values.tolist()}
@@ -79,8 +83,9 @@ class SimilarityOracle:
     """Collects one class-count submission per expected client."""
 
     def __init__(self, expected_client_ids, num_classes: int) -> None:
-        self._expected = tuple(sorted(int(c) for c in expected_client_ids))
-        if len(set(self._expected)) != len(self._expected):
+        ids = [int(c) for c in expected_client_ids]
+        self._expected = frozenset(ids)
+        if len(self._expected) != len(ids):
             raise ValueError("expected client ids must be unique")
         if num_classes < 1:
             raise ValueError(f"num_classes must be >= 1, got {num_classes}")
@@ -88,7 +93,7 @@ class SimilarityOracle:
         self._lock = threading.Lock()
         self._counts: dict[int, np.ndarray] = {}
 
-    def submit(self, submission: ClassCountSubmission) -> SubmissionReceipt:
+    def submit(self, submission: ClassCountSubmission) -> None:
         cid = int(submission.client_id)
         counts = np.asarray(submission.counts, dtype=np.int64)
         if cid not in self._expected:
@@ -106,23 +111,13 @@ class SimilarityOracle:
             if cid in self._counts:
                 raise ValueError(f"client {cid} already submitted")
             self._counts[cid] = counts
-        return SubmissionReceipt(client_id=cid)
 
-    def compute_matrix(self) -> SimilarityMatrix:
+    def compute_matrix(self) -> HistogramDistances:
+        """The distances between every expected client, once all submitted."""
+        ids = tuple(sorted(self._expected))
         with self._lock:
-            missing = [c for c in self._expected if c not in self._counts]
+            missing = [c for c in ids if c not in self._counts]
             if missing:
                 raise ValueError(f"missing submissions from clients {missing}")
-            normalized = np.stack(
-                [self._counts[c] / self._counts[c].sum() for c in self._expected]
-            )
-        m = len(self._expected)
-        values = np.zeros((m, m))
-        # One row of the upper triangle at a time: each distance is the sum of
-        # one contiguous row of absolute differences, which sums in the same
-        # order as histogram_distance does for a single pair.
-        for i in range(m - 1):
-            d = np.abs(normalized[i] - normalized[i + 1 :]).sum(axis=1)
-            values[i, i + 1 :] = d
-            values[i + 1 :, i] = d
-        return SimilarityMatrix(values=values, client_ids=self._expected)
+            normalized = np.stack([self._counts[c] / self._counts[c].sum() for c in ids])
+        return HistogramDistances(ids, normalized)

@@ -1,0 +1,19 @@
+"""A hand-written distance table, for tests that give `build_schedule` chosen
+distances. It answers `client_ids`, `get` and `block` as
+`fedsim.similarity.HistogramDistances` does, from a dense matrix."""
+
+import numpy as np
+
+
+class DistanceTable:
+    def __init__(self, values, client_ids) -> None:
+        self.values = np.asarray(values, dtype=np.float64)
+        self.client_ids = tuple(client_ids)
+        self._index = {cid: i for i, cid in enumerate(self.client_ids)}
+
+    def get(self, client_a: int, client_b: int) -> float:
+        return float(self.values[self._index[client_a], self._index[client_b]])
+
+    def block(self, rows, cols) -> np.ndarray:
+        index = self._index
+        return self.values[[index[c] for c in rows]][:, [index[c] for c in cols]]

@@ -31,7 +31,9 @@ from fedsim.engine import (
 from fedsim.model import Batch, backward_full, cross_entropy, forward, init_model
 from fedsim.profiling import ClientProfile, PhaseTimings
 from fedsim.scheduling import build_schedule, find_offload_point
-from fedsim.similarity import SimilarityMatrix, histogram_distance
+from fedsim.similarity import histogram_distance
+
+from distance_table import DistanceTable
 
 SEEDS = (5, 8, 12)
 
@@ -155,7 +157,7 @@ def test_criterion_02_schedule_invariants_and_f0_invariance():
         values = rng.uniform(0.0, 2.0, size=(n, n))
         values = (values + values.T) / 2.0
         np.fill_diagonal(values, 0.0)
-        return SimilarityMatrix(values=values, client_ids=tuple(range(n)))
+        return DistanceTable(values=values, client_ids=tuple(range(n)))
 
     for trial in range(500):
         n = int(rng.integers(2, 49))

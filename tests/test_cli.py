@@ -2,11 +2,14 @@
 
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 import yaml
 
-from fedsim import cli
+import fedsim
+from fedsim import cli, engine
 from fedsim.cli import main, trace_path, write_trace
 from fedsim.config import (
     ConfigError,
@@ -22,7 +25,7 @@ from fedsim.engine import (
     Tifl,
     run_experiment,
 )
-from fedsim.similarity import SimilarityOracle
+from fedsim.similarity import HistogramDistances, SimilarityOracle
 
 FAST_RAW = {
     "dataset": {"num_classes": 4, "samples_per_class": 40, "input_dim": 4},
@@ -737,6 +740,74 @@ class TestInspectCommand:
         config_path.write_text("", encoding="utf-8")
         assert main(["inspect", "--config", str(config_path), "--seed", "3"]) == 0
         assert "seed 3: 24 clients" in capsys.readouterr().out
+
+    def test_json_table_out_of_memory_exits_1(self, tmp_path, monkeypatch, capsys):
+        def no_memory(self):
+            raise MemoryError("Unable to allocate")
+
+        monkeypatch.setattr(HistogramDistances, "values", property(no_memory))
+        # Over 16 clients, so that only --json asks for the table.
+        raw = dict(FAST_RAW, clients={"count": 20, "per_round": 2},
+                   strategies=[{"name": "freeze_offload"}])
+        config_path = write_yaml(tmp_path / "exp.yaml", raw)
+        report = tmp_path / "report.json"
+        assert main(["inspect", "--config", config_path, "--json", str(report)]) == 1
+        err = capsys.readouterr().err
+        assert "out of memory building the 20 x 20 similarity table for --json" in err
+        assert not report.exists()
+
+
+class TestOutOfMemory:
+    def test_building_seed_data_exits_1(self, tmp_path, monkeypatch, capsys):
+        def no_memory(**kwargs):
+            raise MemoryError("Unable to allocate")
+
+        monkeypatch.setattr(engine, "generate_synthetic", no_memory)
+        config_path = write_yaml(tmp_path / "exp.yaml", FAST_RAW)
+        assert main(["run", "--config", config_path, "--out", str(tmp_path / "out"),
+                     "--workers", "1"]) == 1
+        err = capsys.readouterr().err
+        assert "out of memory building the dataset of seed 7 and its partition:" in err
+        assert "160 samples x 4 inputs over 6 clients" in err
+
+    @staticmethod
+    def run_limited(tmp_path, raw, *args):
+        """`fedsim` in a child process whose address space is capped at 3 GB."""
+        resource = pytest.importorskip("resource")
+        cap = 3 * 10**9
+
+        def limit():
+            resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
+
+        src = os.path.dirname(os.path.dirname(fedsim.__file__))
+        return subprocess.run(
+            [sys.executable, "-m", "fedsim.cli", *args,
+             "--config", write_yaml(tmp_path / "exp.yaml", raw)],
+            env=dict(os.environ, PYTHONPATH=src), preexec_fn=limit,
+            capture_output=True, text=True, timeout=300,
+        )
+
+    def test_huge_dataset_exits_1(self, tmp_path):
+        done = self.run_limited(tmp_path, {"dataset": {"samples_per_class": 10**9}},
+                                "run", "--out", str(tmp_path / "out"), "--workers", "1")
+        assert done.returncode == 1, done.stderr
+        assert "out of memory building the dataset of seed 42" in done.stderr
+
+    def test_thirty_thousand_clients_run_and_inspect_json(self, tmp_path):
+        # The whole 30 000 x 30 000 table would take 6.7 GiB: a run never
+        # builds it, and inspect --json, which has to, exits 1.
+        raw = {
+            "dataset": {"num_classes": 10, "samples_per_class": 4000, "input_dim": 2},
+            "clients": {"count": 30000, "per_round": 20},
+            "training": {"rounds": 2, "local_updates": 4, "batch_size": 1, "hidden_dim": 8},
+            "strategies": [{"name": "freeze_offload"}],
+        }
+        done = self.run_limited(tmp_path, raw, "run", "--out", str(tmp_path / "out"),
+                                "--workers", "1")
+        assert done.returncode == 0, done.stderr
+        done = self.run_limited(tmp_path, raw, "inspect", "--json", str(tmp_path / "r.json"))
+        assert done.returncode == 1, done.stderr
+        assert "out of memory building the 30000 x 30000 similarity table" in done.stderr
 
 
 class TestArgumentErrors:

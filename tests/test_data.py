@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fedsim.data import (
     PartitionError,
@@ -129,6 +131,46 @@ class TestIidPartition:
                 expected[cid].extend(pool[start : start + take].tolist())
                 start += take
         parts = partition(dataset, clients, mode="iid", sizes=sizes, seed=7)
+        for part, want in zip(parts, expected, strict=True):
+            assert part.sample_indices.tolist() == sorted(want)
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        num_classes=st.integers(2, 6),
+        samples_per_class=st.integers(1, 6),
+        data=st.data(),
+    )
+    def test_empty_client_repair_matches_full_rescan(self, num_classes, samples_per_class, data):
+        # Reference: the deal, then a repair that rescans every client for
+        # each empty one and takes from the largest (the lowest id among
+        # equals), as the partitioner first did.
+        tiny = generate_synthetic(num_classes, samples_per_class, 2, seed=1)
+        n_train = tiny.train_indices.shape[0]
+        clients = data.draw(st.integers(1, n_train))
+        sizes = data.draw(st.sampled_from(["equal", "weights"]))
+        if sizes == "weights":
+            sizes = data.draw(st.lists(st.integers(1, 9), min_size=clients, max_size=clients))
+        seed = data.draw(st.integers(0, 50))
+        quotas = client_quotas(n_train, clients, sizes)
+        if min(quotas) < 1:
+            with pytest.raises(PartitionError):
+                partition(tiny, clients, mode="iid", sizes=sizes, seed=seed)
+            return
+        rng = spawn_rng(seed, TAG_PARTITION)
+        weights = [float(q) for q in quotas]
+        train_labels = tiny.labels[tiny.train_indices]
+        expected = [[] for _ in range(clients)]
+        for c in range(num_classes):
+            pool = rng.permutation(tiny.train_indices[train_labels == c])
+            start = 0
+            for cid, take in enumerate(_largest_remainder(weights, pool.shape[0])):
+                expected[cid].extend(pool[start : start + take].tolist())
+                start += take
+        for cid in range(clients):
+            if not expected[cid]:
+                donor = max(range(clients), key=lambda i: (len(expected[i]), -i))
+                expected[cid].append(expected[donor].pop())
+        parts = partition(tiny, clients, mode="iid", sizes=sizes, seed=seed)
         for part, want in zip(parts, expected, strict=True):
             assert part.sample_indices.tolist() == sorted(want)
 

@@ -21,7 +21,8 @@ from fedsim.scheduling import (
     offload_points,
     split_sending_receiving,
 )
-from fedsim.similarity import SimilarityMatrix
+
+from distance_table import DistanceTable
 
 
 def profile(cid, full_time, remaining, bf=None):
@@ -42,7 +43,7 @@ def uniform_matrix(ids, value=0.0):
     m = len(ids)
     values = np.full((m, m), float(value))
     np.fill_diagonal(values, 0.0)
-    return SimilarityMatrix(values=values, client_ids=tuple(ids))
+    return DistanceTable(values=values, client_ids=tuple(ids))
 
 
 def matrix_from(ids, pairs):
@@ -52,7 +53,7 @@ def matrix_from(ids, pairs):
     for (a, b), d in pairs.items():
         values[index[a], index[b]] = d
         values[index[b], index[a]] = d
-    return SimilarityMatrix(values=values, client_ids=tuple(ids))
+    return DistanceTable(values=values, client_ids=tuple(ids))
 
 
 def brute_force_offload(t_a, t_b, x_b, r_a, r_b):
@@ -215,7 +216,7 @@ def random_matrix(rng, ids):
     for i in range(m):
         for j in range(i + 1, m):
             values[i, j] = values[j, i] = float(rng.uniform(0.0, 2.0))
-    return SimilarityMatrix(values=values, client_ids=tuple(sorted(ids)))
+    return DistanceTable(values=values, client_ids=tuple(sorted(ids)))
 
 
 class TestBuildSchedule:
@@ -438,7 +439,7 @@ def schedule_cases(draw):
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     values = np.triu(rng.choice([0.0, 0.5, 2.0], size=(n, n)), 1)
     values += values.T
-    matrix = SimilarityMatrix(values=values, client_ids=tuple(range(n)))
+    matrix = DistanceTable(values=values, client_ids=tuple(range(n)))
     return profiles, matrix, draw(st.sampled_from([0.0, 1.0, 3.0]))
 
 

@@ -1,14 +1,18 @@
 """Tests for the histogram-distance oracle and its isolation guarantees."""
 
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from fedsim.config import parse_config
 from fedsim.data import generate_synthetic, partition
+from fedsim.engine import build_state
 from fedsim.similarity import (
     ClassCountSubmission,
-    SimilarityMatrix,
     SimilarityOracle,
     histogram_distance,
 )
@@ -104,11 +108,6 @@ class TestOracle:
         matrix = filled_oracle(counts, num_classes).compute_matrix()
         assert matrix.values.tobytes() == expected.tobytes()
 
-    def test_receipt_names_client(self):
-        oracle = SimilarityOracle([4], 2)
-        receipt = oracle.submit(ClassCountSubmission(client_id=4, counts=(1, 1)))
-        assert receipt.client_id == 4
-
     def test_missing_submission_reported(self):
         oracle = SimilarityOracle([0, 1, 2], 2)
         oracle.submit(ClassCountSubmission(client_id=1, counts=(1, 1)))
@@ -173,26 +172,100 @@ class TestOracle:
 
 
 class TestMatrixValidation:
-    def test_rejects_asymmetric(self):
-        values = np.array([[0.0, 1.0], [0.5, 0.0]])
-        with pytest.raises(ValueError, match="symmetric"):
-            SimilarityMatrix(values=values, client_ids=(0, 1))
-
-    def test_rejects_nonzero_diagonal(self):
-        values = np.array([[0.1, 1.0], [1.0, 0.0]])
-        with pytest.raises(ValueError, match="diagonal"):
-            SimilarityMatrix(values=values, client_ids=(0, 1))
-
-    def test_rejects_out_of_range(self):
-        values = np.array([[0.0, 2.5], [2.5, 0.0]])
-        with pytest.raises(ValueError, match="0, 2"):
-            SimilarityMatrix(values=values, client_ids=(0, 1))
-
     def test_to_dict_roundtrips(self):
         matrix = filled_oracle({0: (1, 1), 3: (2, 0)}, 2).compute_matrix()
         doc = matrix.to_dict()
         assert doc["client_ids"] == [0, 3]
         assert doc["values"][0][1] == matrix.get(0, 3)
+
+
+@st.composite
+def histogram_queries(draw):
+    """Histograms of 1-300 classes (past numpy's 8-way unrolled and 128-value
+    pairwise summation blocks), with single-class and disjoint ones, and
+    rows/cols of their client ids in any order, with repeats."""
+    num_classes = draw(st.integers(1, 300))
+    ids = sorted(draw(st.sets(st.integers(0, 10**6), min_size=1, max_size=9)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    half = max(1, num_classes // 2)
+    counts = {}
+    for k, cid in enumerate(ids):
+        c = np.zeros(num_classes, dtype=np.int64)
+        if k % 3 == 0:  # a single class
+            c[rng.integers(num_classes)] = rng.integers(1, 10**6)
+        elif k % 3 == 1:  # halves, disjoint from the next such client's
+            part = np.arange(half) if k % 2 else np.arange(half, num_classes)
+            part = part if part.size else np.arange(num_classes)
+            c[part] = rng.integers(0, 50, size=part.size)
+            c[rng.choice(part)] += 1
+        else:  # anything, zeros included
+            c = rng.integers(0, 1000, size=num_classes) * rng.integers(0, 2, size=num_classes)
+            c[rng.integers(num_classes)] += 1
+        counts[cid] = tuple(int(x) for x in c)
+    rows = draw(st.lists(st.sampled_from(ids), max_size=12))
+    cols = draw(st.lists(st.sampled_from(ids), max_size=12))
+    return counts, rows, cols
+
+
+def pair_loop_distance(counts_a, counts_b) -> float:
+    """The distance as the first dense matrix computed it, one pair at a time."""
+    a, b = np.asarray(counts_a), np.asarray(counts_b)
+    return float(np.abs(a / a.sum() - b / b.sum()).sum())
+
+
+class TestOnDemandDistances:
+    @settings(max_examples=200, deadline=None)
+    @given(histogram_queries())
+    def test_block_and_get_match_pair_loop_bitwise(self, query):
+        counts, rows, cols = query
+        distances = filled_oracle(counts, len(next(iter(counts.values())))).compute_matrix()
+        want = np.array(
+            [[pair_loop_distance(counts[a], counts[b]) for b in cols] for a in rows]
+        ).reshape(len(rows), len(cols))
+        got = distances.block(rows, cols)
+        assert got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+        for a, b in zip(rows, cols):
+            assert np.float64(distances.get(a, b)).tobytes() == np.float64(
+                pair_loop_distance(counts[a], counts[b])
+            ).tobytes()
+
+    @settings(max_examples=100, deadline=None)
+    @given(histogram_queries())
+    def test_symmetric_zero_diagonal_and_in_range(self, query):
+        counts, _, _ = query
+        distances = filled_oracle(counts, len(next(iter(counts.values())))).compute_matrix()
+        ids = distances.client_ids
+        table = distances.block(ids, ids)
+        assert np.all(np.isfinite(table))
+        assert table.tobytes() == table.T.copy().tobytes()
+        assert np.all(np.diagonal(table) == 0.0)
+        # Disjoint histograms can land a few ulps above 2 after normalization.
+        assert table.min() >= 0.0 and table.max() <= 2.0 + 1e-9
+        assert distances.values.tobytes() == table.tobytes()
+
+    def test_unknown_client_raises(self):
+        distances = filled_oracle({0: (1, 1), 3: (2, 0)}, 2).compute_matrix()
+        with pytest.raises(KeyError):
+            distances.block([0], [5])
+
+    def test_freeze_offload_setup_never_builds_the_dense_table(self):
+        # 10 000 clients: a dense float64 table would take 800 MB, its
+        # former validation more. Set-up now keeps clients x classes floats.
+        config = parse_config({
+            "dataset": {"num_classes": 10, "samples_per_class": 5000, "input_dim": 2},
+            "clients": {"count": 10000, "per_round": 50},
+            "training": {"rounds": 1},
+            "strategies": [{"name": "freeze_offload"}],
+        })
+        tracemalloc.start()
+        try:
+            state = build_state(config, config.strategies[0], 5)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(state.similarity.client_ids) == 10000
+        assert peak < 64 * 2**20
 
 
 class TestPartitionDistances:
