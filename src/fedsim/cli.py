@@ -9,11 +9,13 @@ Subcommands::
 `run` executes every configured strategy for every replicate seed and writes
 one trace CSV per (strategy, seed) plus summary.json and config_echo.json.
 Each (strategy, seed) experiment is a lane, and a process trains its lanes in
-lockstep (`engine.run_experiments`); with a process pool of W workers, lane i
-runs in worker i mod W. All outputs are deterministic given the config, so
-reruns produce byte-identical files, whatever the worker count. Each file is
-written to a temp file in the same directory and then renamed over its final
-name, so an interrupted run leaves whole files or none, never a truncated one.
+lockstep (`engine.run_experiments`); with a process pool of W workers, each
+worker runs a contiguous slice of the lanes in seed-major order (see `_deal`),
+so that a seed's data is built in as few workers as the split allows. All
+outputs are deterministic given the config, so reruns produce byte-identical
+files, whatever the worker count. Each file is written to a temp file in the
+same directory and then renamed over its final name, so an interrupted run
+leaves whole files or none, never a truncated one.
 
 Exit codes: 0 on success, 1 for configuration problems, 2 for runtime
 failures such as missing files.
@@ -94,6 +96,16 @@ def _load(args: argparse.Namespace) -> ExperimentConfig:
     return load_config(args.config, **{k: v for k, v in flags.items() if v is not None})
 
 
+def _deal(tasks: list[tuple[Strategy, int]], workers: int) -> list[list[int]]:
+    """The task indices each of `workers` workers runs: near-equal contiguous
+    slices of the tasks in seed-major order, strategies in task order within
+    a seed, so that a seed's lanes share a worker where the split allows."""
+    order = sorted(range(len(tasks)), key=lambda i: tasks[i][1])
+    size, extra = divmod(len(order), workers)
+    bounds = [w * size + min(w, extra) for w in range(workers + 1)]
+    return [order[bounds[w] : bounds[w + 1]] for w in range(workers)]
+
+
 def _usable_cpus() -> int:
     """The CPUs this process may run on, where the platform can tell."""
     if hasattr(os, "sched_getaffinity"):
@@ -117,10 +129,12 @@ def _cmd_run(args: argparse.Namespace) -> int:
     if workers == 1:
         summaries = _run_group((config, tasks, args.out))
     else:
-        groups = [(config, tasks[w::workers], args.out) for w in range(workers)]
+        deal = _deal(tasks, workers)
+        groups = [(config, [tasks[i] for i in dealt], args.out) for dealt in deal]
         with ProcessPoolExecutor(max_workers=workers) as pool:
             parts = list(pool.map(_run_group, groups))
-        summaries = [parts[i % workers][i // workers] for i in range(len(tasks))]
+        by_task = {i: s for dealt, part in zip(deal, parts) for i, s in zip(dealt, part)}
+        summaries = [by_task[i] for i in range(len(tasks))]
 
     for s in summaries:
         print(

@@ -310,14 +310,3 @@ def partition(
         return _partition_label_skew(dataset, num_clients, k, quotas, rng)
     raise PartitionError(f"unknown partition mode {mode!r}")
 
-
-def manifest(partitions: list[ClientPartition]) -> list[dict]:
-    """JSON-friendly summary of a partition, one entry per client."""
-    return [
-        {
-            "client_id": p.client_id,
-            "size": p.size,
-            "class_counts": p.class_counts.tolist(),
-        }
-        for p in partitions
-    ]

@@ -20,24 +20,26 @@ A round runs in two passes.
   block) trains its clients stacked, in lockstep: their parameters and
   batches carry a leading cohort axis (see `model`), and a client leaves
   the stack when it has run its steps: each lockstep step moves only the
-  clients still running, a suffix of the stack, so one `local_train` or
-  `execute_offloaded` call trains a whole phase. The call trains a copy of
-  the stack in place, in one `model.Workspace` that holds every per-step
-  intermediate, so the steps allocate no arrays. Each kept client's stream
-  draws all its batches of the round in one take; these are split by
-  phase, and each phase gathers its clients' batches once, into one
-  `CohortCursor`. Every client sees the batches it would draw alone, in the
-  same order, and comes out bitwise equal to training alone.
+  clients still running, a suffix of the stack, so one `local_train` call
+  (full or classifier-only) or `execute_offloaded` call (donated) trains a
+  whole phase. The call trains a copy of the stack in place, in one
+  `model.Workspace` that holds every per-step intermediate, so the steps
+  allocate no arrays; the untouched stack is FedProx's anchor. Each kept
+  client's stream is opened for the round and draws all its batches in one
+  take; these are split by phase, and each phase gathers its clients'
+  batches once, into one `CohortCursor`. Every client sees the batches it
+  would draw alone, in the same order, and comes out bitwise equal to
+  training alone.
 
 `run_experiments` runs several experiments, each a (strategy, seed) *lane*
-with its own state on its seed's shared data (`SeedData`, built once per
-seed), in lockstep: round r of each lane is planned from that lane's own
-clock, then every phase of all lanes trains as one stack (the full phases
-as one stack per FedProx mu, each member pulled toward its own lane's
-global model), and each lane aggregates and evaluates on its own. A row of
-a stack trains as its lane alone would, so each lane's traces and models
-are bitwise those of running it alone; `run_experiment` and `run_round`
-are the one-lane case.
+with its own model and clock on its seed's shared data (`SeedData`, built
+once per seed: the dataset and the clients), in lockstep: round r of each
+lane is planned from that lane's own clock, then every phase of all lanes
+trains as one stack (the full phases as one stack per FedProx mu, each
+member pulled toward its own lane's global model), and each lane
+aggregates and evaluates on its own. A row of a stack trains as its lane
+alone would, so each lane's traces and models are bitwise those of running
+it alone; `run_experiment` and `run_round` are the one-lane case.
 
 Each strategy is a `Strategy` subclass below; its docstring says what it does
 in a round, and its methods are the only place the engine tells strategies
@@ -48,7 +50,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Any, Callable, ClassVar
+from typing import Any, ClassVar, Sequence
 
 import numpy as np
 
@@ -438,15 +440,15 @@ class CohortCursor:
         return Batch(inputs=self._inputs[step, first:], labels=self._labels[step, first:])
 
 
-@dataclass
+@dataclass(frozen=True)
 class ClientState:
     client_id: int
     speed_factor: float
     timings: PhaseTimings
     partition: ClientPartition
-    # The client's batch stream in the current round; None if it does not
-    # train in that round.
-    cursor: BatchCursor | None = None
+    # Read by perfbench/tracer.py's round hook for dropped clients. A
+    # client's batch stream lives only inside `_phase_blocks`.
+    cursor: ClassVar[None] = None
 
     @property
     def num_samples(self) -> int:
@@ -683,19 +685,17 @@ class ExperimentResult:
 class SeedData:
     """What every lane of one seed reads and none writes, built once.
 
-    The dataset, each client's partition, speed factor and phase timings are
-    a function of the config and the seed, and so are the similarity
-    distances: built on first use, they keep the clients' normalized class
-    histograms (clients x classes floats) and compute each round's cohort
-    block on demand. A lane keeps its own `ClientState`s, model, clock and
-    tiers on top of these.
+    The dataset and the clients (each one's partition, speed factor and
+    phase timings) are a function of the config and the seed, and so are the
+    similarity distances: built on first use, they keep the clients'
+    normalized class histograms (clients x classes floats) and compute each
+    round's cohort block on demand. Every lane of the seed reads the same
+    `ClientState`s; a lane keeps only its model, clock and tiers on top.
     """
 
     seed: int
     dataset: Dataset
-    partitions: list[ClientPartition]
-    speeds: list[float]
-    timings: list[PhaseTimings]
+    clients: tuple[ClientState, ...]
     _similarity: HistogramDistances | None = field(default=None, init=False, repr=False)
 
     @classmethod
@@ -727,16 +727,19 @@ class SeedData:
                 # random train split, so only the seed's own data can tell.
                 raise ConfigError([f"partition: {exc} (seed {seed})"]) from exc
         speeds = _draw_speed_factors(config, seed)
-        timings = [scale_timings(config.profile.base, speed) for speed in speeds]
-        return cls(seed, dataset, partitions, speeds, timings)
+        clients = tuple(
+            ClientState(i, speed, scale_timings(config.profile.base, speed), part)
+            for i, (part, speed) in enumerate(zip(partitions, speeds))
+        )
+        return cls(seed, dataset, clients)
 
     def similarity(self) -> HistogramDistances:
         if self._similarity is None:
-            ids = [p.client_id for p in self.partitions]
+            ids = [c.client_id for c in self.clients]
             oracle = SimilarityOracle(ids, self.dataset.num_classes)
-            for p in self.partitions:
-                counts = tuple(int(x) for x in p.class_counts)
-                oracle.submit(ClassCountSubmission(client_id=p.client_id, counts=counts))
+            for c in self.clients:
+                counts = tuple(int(x) for x in c.partition.class_counts)
+                oracle.submit(ClassCountSubmission(client_id=c.client_id, counts=counts))
             self._similarity = oracle.compute_matrix()
         return self._similarity
 
@@ -746,7 +749,6 @@ class ExperimentState:
     config: Any
     strategy: Strategy
     shared: SeedData
-    clients: list[ClientState]
     global_model: PartitionedModel
     # Built by `Strategy.setup`: freeze_offload's and tifl's.
     similarity: HistogramDistances | None = None
@@ -761,8 +763,12 @@ class ExperimentState:
     def dataset(self) -> Dataset:
         return self.shared.dataset
 
+    @property
+    def clients(self) -> tuple[ClientState, ...]:
+        return self.shared.clients
+
     def client(self, client_id: int) -> ClientState:
-        return self.clients[client_id]
+        return self.shared.clients[client_id]
 
 
 def _batches_done(start: float, per_batch: float, now: float, cap: int) -> int:
@@ -790,7 +796,7 @@ def select_clients(
     return sorted(int(c) for c in chosen)
 
 
-def build_tiers(clients: list[ClientState], num_tiers: int) -> list[list[int]]:
+def build_tiers(clients: Sequence[ClientState], num_tiers: int) -> list[list[int]]:
     """Near-equal-size groups ordered fastest to slowest by full batch time."""
     if not 1 <= num_tiers <= len(clients):
         raise ValueError(
@@ -905,26 +911,40 @@ def _lockstep(
     start: dict[Any, PartitionedModel],
     blocks: dict[Any, np.ndarray],
     data: _LaneData,
-    train: Callable[[list, PartitionedModel, CohortCursor, int], PartitionedModel],
+    mode: str,
+    learning_rate: float,
+    prox_mu: float = 0.0,
 ) -> dict[Any, PartitionedModel]:
     """Train the members of one phase stacked, in lockstep; return their models.
 
-    A member is a (lane, client) pair. `blocks[m]` holds member m's batch
-    indices for the phase into `data`'s arrays, one row per step. They are
-    gathered into one `CohortCursor`, and `train(members, model, cursor, n)`
-    runs n lockstep steps of the stack on it, row k being `members[k]`. The
+    A member is a (lane, client) pair that starts from `start[m]`.
+    `blocks[m]` holds member m's batch indices for the phase into `data`'s
+    arrays, one row per step. They are gathered into one `CohortCursor`, and
+    the stack of start models trains on it in one call: `local_train` in
+    "full" or "frozen" mode, `execute_offloaded` in "feature" mode, where
+    each member trains its feature block under its own classifier. The
     members that run the fewest steps sit first, and each leaves the stack
     once it has run its steps: every later step serves and moves only the
-    members still running, a suffix of the stack. So one call trains the
-    whole phase, and each member's row comes out as trained on its own
-    steps. Members with no steps are left out.
+    members still running, a suffix of the stack. So each member's row comes
+    out as trained on its own steps. Members with no steps are left out.
+    The FedProx anchor is the start stack itself, which training leaves as
+    it is.
     """
     steps = {m: len(b) for m, b in blocks.items()}
     members = sorted((m for m, n in steps.items() if n > 0), key=steps.__getitem__)
     if not members:
         return {}
     cursor = CohortCursor(data.inputs, data.labels, [blocks[m] for m in members])
-    model = train(members, _stack([start[m] for m in members]), cursor, steps[members[-1]])
+    model, n = _stack([start[m] for m in members]), steps[members[-1]]
+    if mode == "feature":
+        classifier = ClassifierBlock(model.classifier_weights, model.classifier_bias)
+        feature = FeatureBlock(model.feature_weights, model.feature_bias)
+        feature = execute_offloaded(feature, classifier, cursor, n, learning_rate)
+        model = PartitionedModel(
+            feature.weights, feature.bias, classifier.weights, classifier.bias, model.num_classes
+        )
+    else:
+        model = local_train(model, cursor, n, learning_rate, mode, prox_mu, anchor=model)
     return {m: _rows(model, k) for k, m in enumerate(members)}
 
 
@@ -933,13 +953,13 @@ def _phase_blocks(
 ) -> tuple[dict[int, np.ndarray], dict[int, np.ndarray], dict[int, np.ndarray]]:
     """Each phase's batch indices per client, from one take per stream.
 
-    Gives every kept client its round's batch stream (`ClientState.cursor`;
-    None for every other client) and draws all the batches that stream serves
-    in the round at once: a weak client's full and classifier-only steps,
-    a receiver's full steps and then the donated block's steps, which follow
-    its own budget. `build_schedule` gives a receiver at most one block per
-    round. A take of a + b indices is the take of a followed by the take of
-    b, so the stream serves each phase the batches it would serve alone.
+    Opens every kept client's batch stream for the round and draws all the
+    batches that stream serves in the round at once: a weak client's full
+    and classifier-only steps, a receiver's full steps and then the donated
+    block's steps, which follow its own budget. `build_schedule` gives a
+    receiver at most one block per round. A take of a + b indices is the
+    take of a followed by the take of b, so the stream serves each phase the
+    batches it would serve alone.
     Returns the (steps, batch_size) index blocks of the full, frozen and
     donated phases, each keyed by the client whose model trains on them.
     """
@@ -948,22 +968,18 @@ def _phase_blocks(
     donated_to = {p.receiver: p.donated_steps for p in weak}
     full_steps = {p.client_id: p.full_steps for p in plan.clients}
     draws: dict[int, np.ndarray] = {}
-    # A stream lasts one round; release the last round's.
-    for c in state.clients:
-        c.cursor = None
     for p in plan.clients:
         if p.dropped:
             continue
-        c = state.client(p.client_id)
-        c.cursor = BatchCursor(
+        cursor = BatchCursor(
             state.dataset.inputs,
             state.dataset.labels,
-            c.partition.sample_indices,
+            state.client(p.client_id).partition.sample_indices,
             size,
             spawn_rng(state.seed, TAG_BATCHES, plan.round_index, p.client_id),
         )
         steps = p.full_steps + p.frozen_steps + donated_to.get(p.client_id, 0)
-        draws[p.client_id] = c.cursor._take(steps * size).reshape(steps, size)
+        draws[p.client_id] = cursor._take(steps * size).reshape(steps, size)
     full = {cid: rows[: full_steps[cid]] for cid, rows in draws.items()}
     frozen = {p.client_id: draws[p.client_id][p.full_steps :] for p in weak}
     donated = {p.client_id: draws[p.receiver][full_steps[p.receiver] :] for p in weak}
@@ -1009,12 +1025,11 @@ def _train_lanes(
     Phases run in the order each client's batch stream serves them: full
     steps, then a weak client's classifier-only steps, then the receiver's
     steps on the donated feature block. `_phase_blocks` draws each lane's
-    batches, and each phase of all lanes gathers them into one
-    `CohortCursor` and trains in one `Workspace`; the full phases of lanes
-    with different FedProx mu train as one stack per mu, each member pulled
-    toward its own lane's global model. A weak client's model joins the
-    feature block of its donated phase to the classifier of its frozen
-    phase, both as views.
+    batches, and each phase of all lanes trains in one `_lockstep` call;
+    the full phases of lanes with different FedProx mu train as one stack
+    per mu, each member pulled toward its own lane's global model, its start
+    model. A weak client's model joins the feature block of its donated
+    phase to the classifier of its frozen phase, both as views.
     """
     lr = states[0].config.training.learning_rate
     full_blocks: dict[float, dict[tuple[int, int], np.ndarray]] = {}
@@ -1028,41 +1043,12 @@ def _train_lanes(
             _phase_blocks(state, plan),
         ):
             into.update(((lane, cid), rows + base if base else rows) for cid, rows in phase.items())
-
-    def full(prox_mu: float):
-        def train(members, model, cursor, n):
-            anchor = None
-            if prox_mu != 0.0:
-                anchor = _stack([states[lane].global_model for lane, _ in members])
-            return local_train(model, cursor, n, lr, mode="full", prox_mu=prox_mu, anchor=anchor)
-
-        return train
-
-    def frozen(members, model, cursor, n):
-        return local_train(model, cursor, n, lr, mode="frozen")
-
-    def donated(members, model, cursor, n):
-        block = execute_offloaded(
-            FeatureBlock(model.feature_weights, model.feature_bias),
-            ClassifierBlock(model.classifier_weights, model.classifier_bias),
-            cursor,
-            n,
-            lr,
-        )
-        return PartitionedModel(
-            block.weights,
-            block.bias,
-            model.classifier_weights,
-            model.classifier_bias,
-            model.num_classes,
-        )
-
     trained: dict[tuple[int, int], PartitionedModel] = {}
     for prox_mu, blocks in full_blocks.items():
         start = {m: states[m[0]].global_model for m in blocks}
-        trained.update(_lockstep(start, blocks, data, full(prox_mu)))
-    classifier_parts = _lockstep(trained, frozen_blocks, data, frozen)
-    feature_parts = _lockstep(trained, donated_blocks, data, donated)
+        trained.update(_lockstep(start, blocks, data, "full", lr, prox_mu))
+    classifier_parts = _lockstep(trained, frozen_blocks, data, "frozen", lr)
+    feature_parts = _lockstep(trained, donated_blocks, data, "feature", lr)
     for m in frozen_blocks:
         feature, classifier = feature_parts[m], classifier_parts[m]
         trained[m] = PartitionedModel(
@@ -1164,16 +1150,7 @@ def build_state(config, strategy: Strategy, seed: int) -> ExperimentState:
 
 
 def _lane_state(config, strategy: Strategy, shared: SeedData) -> ExperimentState:
-    """A lane's own state on its seed's shared data: clients, model, clock."""
-    clients = [
-        ClientState(
-            client_id=i,
-            speed_factor=shared.speeds[i],
-            timings=shared.timings[i],
-            partition=shared.partitions[i],
-        )
-        for i in range(config.clients.count)
-    ]
+    """A lane's own state on its seed's shared data: model, clock, tiers."""
     init_seed = int(
         np.random.SeedSequence([shared.seed, TAG_MODEL_INIT]).generate_state(1)[0]
     )
@@ -1187,7 +1164,6 @@ def _lane_state(config, strategy: Strategy, shared: SeedData) -> ExperimentState
         config=config,
         strategy=strategy,
         shared=shared,
-        clients=clients,
         global_model=global_model,
     )
     strategy.setup(state)

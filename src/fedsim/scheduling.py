@@ -167,13 +167,13 @@ def build_schedule(
     lower client id). With f == 0 the similarity term vanishes and the choice
     depends on timing alone. Clients with no remaining updates take no part.
     S comes from `similarity.block(senders, receivers)`, the only distances a
-    round reads; `similarity` is otherwise read only for its `client_ids`.
+    round reads; `similarity` is otherwise asked only whether it knows each
+    profiled client.
     """
     if similarity_factor < 0:
         raise ValueError(f"similarity_factor must be >= 0, got {similarity_factor}")
-    known = set(similarity.client_ids)
     for p in profiles:
-        if p.client_id not in known:
+        if p.client_id not in similarity:
             raise ValueError(f"client {p.client_id} missing from the similarity distances")
 
     mean = mean_completion_time(profiles)

@@ -53,6 +53,9 @@ class HistogramDistances:
         self._normalized = normalized
         self._index = {cid: i for i, cid in enumerate(client_ids)}
 
+    def __contains__(self, client_id: int) -> bool:
+        return client_id in self._index
+
     def _rows(self, rows, cols) -> np.ndarray:
         n = self._normalized
         others = n[cols]

@@ -1,5 +1,5 @@
 """A hand-written distance table, for tests that give `build_schedule` chosen
-distances. It answers `client_ids`, `get` and `block` as
+distances. It answers `client_ids`, `in`, `get` and `block` as
 `fedsim.similarity.HistogramDistances` does, from a dense matrix."""
 
 import numpy as np
@@ -10,6 +10,9 @@ class DistanceTable:
         self.values = np.asarray(values, dtype=np.float64)
         self.client_ids = tuple(client_ids)
         self._index = {cid: i for i, cid in enumerate(self.client_ids)}
+
+    def __contains__(self, client_id: int) -> bool:
+        return client_id in self._index
 
     def get(self, client_a: int, client_b: int) -> float:
         return float(self.values[self._index[client_a], self._index[client_b]])

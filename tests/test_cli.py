@@ -413,6 +413,41 @@ class TestRunCommand:
         assert len(outputs[0]) == 6 + 2
         assert outputs[0] == outputs[1] == outputs[2]
 
+    def test_pool_deals_each_worker_a_seed_major_slice(self, tmp_path, monkeypatch, capsys):
+        # Nine lanes over three seeds on two workers: contiguous slices of the
+        # lanes in seed-major order put only the seed the split falls inside
+        # in both workers, so 4 (worker, seed) pairs build seed data, not 6.
+        held = set()
+
+        class InProcessPool:
+            def __init__(self, max_workers):
+                pass
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, groups):
+                groups = list(groups)
+                held.update((w, seed) for w, (_, lanes, _) in enumerate(groups) for _, seed in lanes)
+                return map(fn, groups)
+
+        raw = dict(FAST_RAW, replicates=3, strategies=["fedavg", "fednova", "freeze_offload"])
+        config_path = write_yaml(tmp_path / "exp.yaml", raw)
+        outputs = []
+        for workers in ("1", "2"):
+            out = tmp_path / f"w{workers}"
+            if workers == "2":
+                monkeypatch.setattr(cli, "ProcessPoolExecutor", InProcessPool)
+            assert main(["run", "--config", config_path, "--out", str(out),
+                         "--workers", workers]) == 0
+            stdout = capsys.readouterr().out.replace(str(out), "OUT")
+            outputs.append((stdout, {p.name: p.read_bytes() for p in sorted(out.iterdir())}))
+        assert sorted(held) == [(0, 7), (0, 8), (1, 8), (1, 9)]
+        assert outputs[0] == outputs[1]
+
     def test_zero_workers_counts_the_affinity_cpus(self, tmp_path, monkeypatch):
         # Pinned to one CPU, `--workers 0` runs every lane in this process,
         # however many CPUs the machine has.

@@ -176,10 +176,10 @@ def record_lockstep(monkeypatch):
     calls = []
     original = engine._lockstep
 
-    def recording(start, blocks, data, train):
+    def recording(start, blocks, data, mode, learning_rate, prox_mu=0.0):
         steps = {m: len(b) for m, b in blocks.items() if len(b)}
         calls.append(({lane for lane, _ in steps}, set(steps.values())))
-        return original(start, blocks, data, train)
+        return original(start, blocks, data, mode, learning_rate, prox_mu)
 
     monkeypatch.setattr(engine, "_lockstep", recording)
     return calls
@@ -620,7 +620,6 @@ def test_deadline_round_never_trains_dropped_clients(monkeypatch):
         )
         assert Counter(served) == expected
         for cid in trace.dropped:
-            assert state.client(cid).cursor is None
             dropped_rows = {row for b in lone_batches(state, r, cid, updates) for row in batch_rows(b)}
             assert not dropped_rows & set(served)
         drops += len(trace.dropped)
@@ -634,11 +633,12 @@ def test_phase_gathers_serve_each_stream_in_phase_order(monkeypatch):
     # index blocks, in phase order, are the batches the stream serves alone:
     # full then classifier-only steps for a weak client, full steps then the
     # donated block's steps for its receiver.
-    takes = Counter()
+    # The cursors themselves, held so that no id is reused within a round.
+    takes = []
     original_take = BatchCursor._take
 
     def counting(self, n):
-        takes[id(self)] += 1
+        takes.append(self)
         return original_take(self, n)
 
     monkeypatch.setattr(BatchCursor, "_take", counting)
@@ -657,8 +657,15 @@ def test_phase_gathers_serve_each_stream_in_phase_order(monkeypatch):
             sequences[cid].append(frozen[cid])
             sequences[receiver].append(donated[cid])
         assert set(sequences) == {p.client_id for p in plan.clients if not p.dropped}
-        assert sorted(takes) == sorted(id(state.client(cid).cursor) for cid in sequences)
-        assert set(takes.values()) == {1}
+        # One take per kept client, each from its own stream over its own
+        # samples: the clients' partitions are disjoint.
+        assert len({id(cursor) for cursor in takes}) == len(takes) == len(sequences)
+        streamed = {cursor._indices.tobytes() for cursor in takes}
+        owned = {
+            state.client(cid).partition.sample_indices.astype(np.int64).tobytes()
+            for cid in sequences
+        }
+        assert streamed == owned
         for cid, blocks in sequences.items():
             rows = np.concatenate(blocks)
             for row, batch in zip(rows, lone_batches(state, r, cid, len(rows)), strict=True):

@@ -11,7 +11,6 @@ from fedsim.data import (
     class_means,
     client_quotas,
     generate_synthetic,
-    manifest,
     partition,
 )
 from fedsim.seeding import TAG_PARTITION, spawn_rng
@@ -254,11 +253,3 @@ class TestValidation:
         with pytest.raises(PartitionError):
             partition(dataset, 80, mode="noniid", classes_per_client=3)
 
-
-class TestManifest:
-    def test_json_friendly(self, dataset):
-        parts = partition(dataset, 3, mode="iid", seed=0)
-        entries = manifest(parts)
-        assert [e["client_id"] for e in entries] == [0, 1, 2]
-        assert all(isinstance(e["class_counts"], list) for e in entries)
-        assert sum(e["size"] for e in entries) == 160

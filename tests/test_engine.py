@@ -1,5 +1,6 @@
 """Tests for round planning, training paths, and aggregation rules."""
 
+import dataclasses
 from collections import Counter
 
 import numpy as np
@@ -407,15 +408,19 @@ class TestSeedSharing:
             for x, y in zip(a.final_model.arrays(), b.final_model.arrays()):
                 assert x.tobytes() == y.tobytes()
 
-    def test_lanes_of_a_seed_keep_their_own_clients(self):
+    def test_lanes_of_a_seed_share_its_clients_but_keep_their_own_model(self):
         cfg = tiny_config()
         shared = engine.SeedData.build(cfg, 3)
         a = engine._lane_state(cfg, FedAvg(), shared)
         b = engine._lane_state(cfg, FreezeOffload(), shared)
         assert a.dataset is b.dataset
-        assert all(x is not y for x, y in zip(a.clients, b.clients))
-        assert a.clients[0].partition is b.clients[0].partition
+        assert a.clients is b.clients is shared.clients
+        assert all(a.client(c.client_id) is c for c in shared.clients)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            a.clients[0].speed_factor = 2.0
         assert a.global_model is not b.global_model
+        a.global_model.feature_weights[0, 0] += 1.0
+        assert b.global_model.feature_weights[0, 0] != a.global_model.feature_weights[0, 0]
 
 
 class TestSelection:

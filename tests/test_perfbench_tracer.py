@@ -1,0 +1,89 @@
+"""The benchmark's tracer still fits the engine.
+
+`perfbench/tracer.py` wraps fedsim's functions by name and counts training
+steps from the calls it sees. These tests load it as it is and check that
+every name it wraps exists, and that its step counters see each lockstep
+phase once: one `local_train` call per full or classifier-only phase and one
+`execute_offloaded` call per donated phase, each running the longest
+member's steps.
+"""
+
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+from fedsim import engine
+from fedsim.config import parse_config
+from fedsim.engine import DeadlineDrop, FreezeOffload
+
+TRACER_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+
+
+@pytest.fixture(scope="module")
+def tracer_module():
+    spec = importlib.util.spec_from_file_location("perfbench_tracer_under_test", TRACER_PATH)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def config():
+    return parse_config(
+        {
+            "latency": {"dispatch": 1.0, "transfer": 0.5},
+            "dataset": {"num_classes": 4, "samples_per_class": 60, "input_dim": 4},
+            "partition": {"mode": "noniid", "classes_per_client": 2},
+            "clients": {"count": 10, "per_round": 5},
+            "training": {
+                "rounds": 4,
+                "local_updates": 8,
+                "batch_size": 8,
+                "learning_rate": 0.05,
+                "hidden_dim": 8,
+            },
+        }
+    )
+
+
+def test_every_target_resolves(tracer_module):
+    for owner_path, attr, _ in tracer_module.TARGETS:
+        owner = tracer_module._resolve(owner_path)
+        assert attr in vars(owner), f"{owner_path}.{attr}"
+
+
+@pytest.mark.parametrize(
+    "strategy", [DeadlineDrop(multiplier=1.0), FreezeOffload()], ids=lambda s: s.label
+)
+def test_step_counters_see_each_phase_once(tracer_module, strategy):
+    cfg = config()
+    tracer = tracer_module.Tracer()
+    original = engine.local_train
+    drops = handoffs = 0
+    with tracer.installed():
+        state = engine.build_state(cfg, strategy, seed=3)
+        for r in range(cfg.training.rounds):
+            plan = engine.plan_round(state, r)
+            kept = [p for p in plan.clients if not p.dropped]
+            full = max((p.full_steps for p in kept), default=0)
+            frozen = max((p.frozen_steps for p in kept), default=0)
+            donated = max((p.donated_steps for p in kept), default=0)
+            before = dict(tracer.counts)
+            trace = engine.run_round(state, r)
+            counted = {
+                name: tracer.counts[f"engine.{name}.steps"]
+                - before.get(f"engine.{name}.steps", 0)
+                for name in ("local_train", "execute_offloaded")
+            }
+            assert counted == {"local_train": full + frozen, "execute_offloaded": donated}
+            drops += len(trace.dropped)
+            handoffs += len(trace.offload_records)
+    assert engine.local_train is original
+    # The round hook reads each dropped client's cursor; nothing dropped
+    # ever trains.
+    assert tracer.counts["engine.steps_wasted"] == 0
+    assert tracer.counts["engine.offload_records"] == handoffs
+    if isinstance(strategy, DeadlineDrop):
+        assert drops > 0
+    else:
+        assert handoffs > 0

@@ -21,6 +21,7 @@ from fedsim.scheduling import (
     offload_points,
     split_sending_receiving,
 )
+from fedsim.similarity import ClassCountSubmission, SimilarityOracle
 
 from distance_table import DistanceTable
 
@@ -334,6 +335,16 @@ class TestBuildSchedule:
     def test_unknown_client_rejected(self):
         with pytest.raises(ValueError, match="missing"):
             build_schedule([profile(9, 3.0, 5)], uniform_matrix([0, 1]), 1.0)
+
+    def test_client_missing_from_oracle_distances_rejected(self):
+        oracle = SimilarityOracle([0, 1, 2], num_classes=2)
+        for cid, counts in enumerate([(3, 1), (1, 3), (2, 2)]):
+            oracle.submit(ClassCountSubmission(client_id=cid, counts=counts))
+        distances = oracle.compute_matrix()
+        assert 2 in distances and 9 not in distances
+        profiles = [profile(0, 3.0, 5), profile(9, 1.0, 5), profile(2, 2.0, 5)]
+        with pytest.raises(ValueError, match=r"^client 9 missing from the similarity distances$"):
+            build_schedule(profiles, distances, 1.0)
 
     def test_negative_factor_rejected(self):
         with pytest.raises(ValueError):
