@@ -31,7 +31,7 @@ import sys
 from concurrent.futures import ProcessPoolExecutor
 
 from .config import ConfigError, ExperimentConfig, echo_dict, load_config
-from .engine import ExperimentResult, Strategy, build_state, run_experiments
+from .engine import ExperimentResult, FreezeOffload, SeedData, Strategy, run_experiments
 from .errors import out_of_memory_as_config_error
 
 # Bound here for perfbench/tracer.py, which wraps `cli.run_experiment`; `run`
@@ -160,14 +160,51 @@ def _cmd_run(args: argparse.Namespace) -> int:
     return 0
 
 
+def _is_number(x) -> bool:
+    """Whether a JSON value is a number that a float holds, finite."""
+    return type(x) in (int, float) and abs(x) <= sys.float_info.max
+
+
+# What `compare` reads of each summary.json entry, and what each must be.
+_ENTRY_CHECKS = {
+    "strategy": (lambda x: type(x) is str, "a string"),
+    "seed": (lambda x: type(x) is int, "an integer"),
+    "total_time_s": (lambda x: _is_number(x) and x > 0, "a positive number"),
+    "final_accuracy": (_is_number, "a number"),
+}
+
+
+def _summary_problem(doc) -> str | None:
+    """What keeps `doc` from being a summary.json that `compare` can read."""
+    if not isinstance(doc, dict) or not isinstance(doc.get("experiments"), list):
+        return 'expected an object with an "experiments" list'
+    for i, entry in enumerate(doc["experiments"]):
+        if not isinstance(entry, dict):
+            return f"experiments[{i}] is not an object"
+        for key, (valid, what) in _ENTRY_CHECKS.items():
+            if key not in entry:
+                return f"experiments[{i}] has no {key!r}"
+            if not valid(entry[key]):
+                return f"experiments[{i}].{key} must be {what}, got {entry[key]!r}"
+    return None
+
+
 def _cmd_compare(args: argparse.Namespace) -> int:
     path = os.path.join(args.out, "summary.json")
     if not os.path.exists(path):
         print(f"error: {path} not found; run `fedsim run` first", file=sys.stderr)
         return 2
-    with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
-    experiments = doc.get("experiments", [])
+    try:
+        with open(path, "rb") as fh:
+            doc = json.load(fh)
+    except ValueError as exc:
+        problem = f"not valid JSON: {exc}"
+    else:
+        problem = _summary_problem(doc)
+    if problem is not None:
+        print(f"error: {path}: {problem}", file=sys.stderr)
+        return 2
+    experiments = doc["experiments"]
     available = sorted({e["strategy"] for e in experiments})
 
     def rows_for(label: str) -> list[dict]:
@@ -227,24 +264,22 @@ def _similarity_lines(similarity: HistogramDistances) -> list[str]:
 def _cmd_inspect(args: argparse.Namespace) -> int:
     config = _load(args)
     seed = config.seed
-    # One state with every strategy's setup: the similarity distances are
-    # there if any strategy needs them, computed once however many need them.
-    state = build_state(config, config.strategies[0], seed)
-    for strategy in config.strategies[1:]:
-        strategy.setup(state)
+    shared = SeedData.build(config, seed)
+    offloading = any(isinstance(s, FreezeOffload) for s in config.strategies)
+    similarity = shared.similarity() if offloading else None
 
-    print(f"seed {seed}: {len(state.clients)} clients,"
-          f" {state.dataset.num_classes} classes, partition mode {config.partition.mode}")
+    print(f"seed {seed}: {len(shared.clients)} clients,"
+          f" {shared.dataset.num_classes} classes, partition mode {config.partition.mode}")
     header = f"{'client':>6} {'speed':>6} {'batch_s':>8} {'samples':>8}  class counts"
     print(header)
-    for c in state.clients:
+    for c in shared.clients:
         counts = " ".join(str(int(x)) for x in c.partition.class_counts)
         print(
             f"{c.client_id:>6} {c.speed_factor:6.3f} {c.timings.full_time:8.3f}"
             f" {c.num_samples:>8}  [{counts}]"
         )
-    if state.similarity is not None and len(state.clients) <= 16:
-        for line in _similarity_lines(state.similarity):
+    if similarity is not None and len(shared.clients) <= 16:
+        for line in _similarity_lines(similarity):
             print(line)
 
     if args.json:
@@ -258,19 +293,19 @@ def _cmd_inspect(args: argparse.Namespace) -> int:
                     "num_samples": c.num_samples,
                     "class_counts": [int(x) for x in c.partition.class_counts],
                 }
-                for c in state.clients
+                for c in shared.clients
             ],
             "similarity": None,
         }
-        if state.similarity is None:
+        if similarity is None:
             _write_json(args.json, doc)
         else:
             # The whole clients x clients table, as float64 and then as JSON.
-            n = len(state.similarity.client_ids)
+            n = len(similarity.client_ids)
             with out_of_memory_as_config_error(
                 f"the {n} x {n} similarity table for --json", 8 * n * n
             ):
-                doc["similarity"] = state.similarity.to_dict()
+                doc["similarity"] = similarity.to_dict()
                 _write_json(args.json, doc)
         print(f"wrote {args.json}")
     return 0

@@ -138,7 +138,7 @@ def _largest_remainder(weights: list[float], total: int) -> list[int]:
     return counts
 
 
-def _counts_from_assignment(assigned: list[list[int]], labels: np.ndarray, num_classes: int):
+def _counts_from_assignment(assigned: list, labels: np.ndarray, num_classes: int):
     partitions = []
     for cid, idx in enumerate(assigned):
         arr = np.sort(np.asarray(idx, dtype=np.int64))
@@ -185,6 +185,19 @@ def _draw_class_choices(
     return [np.sort(rng.choice(num_classes, size=k, replace=False)) for _ in range(num_clients)]
 
 
+def _deal_round_robin(pool: np.ndarray, demand: list[int]) -> list[np.ndarray]:
+    """Each member's share of the pool's first sum(demand) samples, dealt in
+    sweeps 0..demand[pos]-1 for member pos: the pool's i-th sample goes to
+    the i-th (sweep, member) pair in sweep-major order, found by one sort."""
+    owner = np.repeat(np.arange(len(demand)), demand)
+    ends = np.cumsum(demand)
+    sweep = np.arange(ends[-1]) - np.repeat(ends - demand, demand)
+    dealt = np.empty(ends[-1], dtype=pool.dtype)  # member by member
+    dealt[np.lexsort((owner, sweep))] = pool[: ends[-1]]
+    bounds = [0, *ends.tolist()]
+    return [dealt[a:b] for a, b in zip(bounds, bounds[1:])]
+
+
 def _partition_label_skew(
     dataset: Dataset,
     num_clients: int,
@@ -224,7 +237,7 @@ def _partition_label_skew(
         for c, t in zip(chosen, split):
             targets[(cid, int(c))] = t
 
-    assigned: list[list[int]] = [[] for _ in range(num_clients)]
+    shares: list[list[np.ndarray]] = [[] for _ in range(num_clients)]
     for c in range(dataset.num_classes):
         clients = choosers[c]
         if not clients:
@@ -239,15 +252,10 @@ def _partition_label_skew(
             while sum(demand) > available:
                 demand[int(np.argmax(demand))] -= 1
         # Round-robin deal over competing clients in ascending id order.
-        remaining = list(demand)
-        cursor = 0
-        while any(r > 0 for r in remaining):
-            for pos, cid in enumerate(clients):
-                if remaining[pos] > 0:
-                    assigned[cid].append(int(pools[c][cursor]))
-                    cursor += 1
-                    remaining[pos] -= 1
+        for cid, share in zip(clients, _deal_round_robin(pools[c], demand)):
+            shares[cid].append(share)
 
+    assigned = [np.concatenate(parts) for parts in shares]
     partitions = _counts_from_assignment(assigned, dataset.labels, dataset.num_classes)
     for part, chosen in zip(partitions, choices):
         nonzero = np.nonzero(part.class_counts)[0]

@@ -3,16 +3,17 @@
 A round runs in two passes.
 
 * The plan (`plan_round`) computes the round's timeline from the state's
-  clock. A round's steps come in a fixed order (clients profile, the
-  federator schedules once the last report is in, a straggler hands off and
-  then submits two parts), so each strategy's `plan` writes every time as a
+  clock and moves the clock to the round's end; nothing else moves it. A
+  round's steps come in a fixed order (clients profile, the federator
+  schedules once the last report is in, a straggler hands off and then
+  submits two parts), so each strategy's `plan` writes every time as a
   closed-form expression of the per-batch costs of the four-phase timing
   model in `profiling`: the submit times, the freeze_offload schedule, the
-  handoffs and the deadline drops follow from timings alone, never from
-  model values. The plan trains nothing: it is a `RoundPlan` that gives each
-  selected client its full, frozen and donated step counts, the receiver of
-  its donated steps, its submit times and whether it is dropped. Virtual
-  time never waits on wall-clock time.
+  handoffs and the deadline drops follow from timings, speed tiers and
+  similarity distances, never from model values. The plan trains nothing:
+  it is a `RoundPlan` that gives each selected client its full, frozen and
+  donated step counts, the receiver of its donated steps, its submit times
+  and whether it is dropped. Virtual time never waits on wall-clock time.
 * The executor trains the plan. Training is real: every client the plan
   keeps runs SGD on its own partition, so model quality reacts to the
   strategy as round durations do. A dropped client runs no steps. Each
@@ -29,17 +30,17 @@ A round runs in two passes.
   take; these are split by phase, and each phase gathers its clients'
   batches once, into one `CohortCursor`. Every client sees the batches it
   would draw alone, in the same order, and comes out bitwise equal to
-  training alone.
+  training alone. A round's `RoundTrace` is its plan plus its accuracy.
 
 `run_experiments` runs several experiments, each a (strategy, seed) *lane*
 with its own model and clock on its seed's shared data (`SeedData`, built
-once per seed: the dataset and the clients), in lockstep: round r of each
-lane is planned from that lane's own clock, then every phase of all lanes
-trains as one stack (the full phases as one stack per FedProx mu, each
-member pulled toward its own lane's global model), and each lane
-aggregates and evaluates on its own. A row of a stack trains as its lane
-alone would, so each lane's traces and models are bitwise those of running
-it alone; `run_experiment` and `run_round` are the one-lane case.
+once per seed: the dataset and the clients), in lockstep: every round of
+every lane is planned first, from that lane's own clock; then in each round
+every phase of all lanes trains as one stack (the full phases as one stack
+per FedProx mu, each member pulled toward its own lane's global model), and
+each lane aggregates and evaluates on its own. A row of a stack trains as
+its lane alone would, so each lane's traces and models are bitwise those of
+running it alone; `run_experiment` and `run_round` are the one-lane case.
 
 Each strategy is a `Strategy` subclass below; its docstring says what it does
 in a round, and its methods are the only place the engine tells strategies
@@ -101,11 +102,10 @@ from .similarity import ClassCountSubmission, HistogramDistances, SimilarityOrac
 class Strategy:
     """A round strategy; the defaults are FedAvg's.
 
-    The engine tells strategies apart only through these: `setup` once per
-    experiment, then in each round `plan` (which calls `select` and returns
-    the round's `RoundPlan`), `prox_mu` (training) and `aggregate`. The
-    config parser adds the problems `check` finds with the `clients` and
-    `training` sections.
+    The engine tells strategies apart only through these: in each round
+    `plan` (which calls `select` and returns the round's `RoundPlan`),
+    `prox_mu` (training) and `aggregate`. The config parser adds the
+    problems `check` finds with the `clients` and `training` sections.
     """
 
     name: ClassVar[str]
@@ -114,9 +114,6 @@ class Strategy:
     @property
     def label(self) -> str:
         return self.name
-
-    def setup(self, state: ExperimentState) -> None:
-        """Build the per-experiment state the strategy needs."""
 
     def select(self, state: ExperimentState, round_index: int) -> list[int]:
         per_round = state.config.clients.per_round
@@ -180,11 +177,9 @@ class Tifl(Strategy):
     def label(self) -> str:
         return f"tifl_t{self.num_tiers}"
 
-    def setup(self, state):
-        state.tiers = build_tiers(state.clients, self.num_tiers)
-
     def select(self, state, round_index):
-        tier = state.tiers[round_index % len(state.tiers)]
+        tiers = state.shared.tiers(self.num_tiers)
+        tier = tiers[round_index % len(tiers)]
         take = min(state.config.clients.per_round, len(tier))
         rng = spawn_rng(state.seed, TAG_SELECTION, round_index)
         chosen = rng.choice(len(tier), size=take, replace=False)
@@ -246,9 +241,6 @@ class FreezeOffload(Strategy):
     def label(self) -> str:
         return f"freeze_offload_f{self.similarity_factor:g}"
 
-    def setup(self, state):
-        state.similarity = state.shared.similarity()
-
     def plan(self, state, round_index):
         selected = self.select(state, round_index)
         start, updates = state.clock, state.config.training.local_updates
@@ -263,7 +255,8 @@ class FreezeOffload(Strategy):
         )
         arrival = computed_at + latency.dispatch
         profiles = [self._profile(state, round_index, cid, computed_at) for cid in selected]
-        schedule = build_schedule(profiles, state.similarity, self.similarity_factor, round_index)
+        similarity = state.shared.similarity()
+        schedule = build_schedule(profiles, similarity, self.similarity_factor, round_index)
 
         handoffs: list[tuple[float, OffloadRecord]] = []
         for a in schedule.assignments:
@@ -602,7 +595,7 @@ def evaluate_accuracy(model: PartitionedModel, dataset: Dataset) -> float:
 
 
 # --------------------------------------------------------------------------
-# Round traces
+# Offload records and results
 # --------------------------------------------------------------------------
 
 
@@ -628,19 +621,6 @@ class OffloadRecord:
             "offloaded_batches": self.offloaded_batches,
             "handoff_time": self.handoff_time,
         }
-
-
-@dataclass(frozen=True)
-class RoundTrace:
-    round_index: int
-    duration: float
-    accuracy: float
-    selected: tuple[int, ...]
-    completion_times: dict[int, float]
-    dropped: tuple[int, ...]
-    num_offloads: int
-    schedule: OffloadSchedule | None = None
-    offload_records: tuple[OffloadRecord, ...] = ()
 
 
 @dataclass(frozen=True)
@@ -686,17 +666,19 @@ class SeedData:
     """What every lane of one seed reads and none writes, built once.
 
     The dataset and the clients (each one's partition, speed factor and
-    phase timings) are a function of the config and the seed, and so are the
-    similarity distances: built on first use, they keep the clients'
-    normalized class histograms (clients x classes floats) and compute each
-    round's cohort block on demand. Every lane of the seed reads the same
-    `ClientState`s; a lane keeps only its model, clock and tiers on top.
+    phase timings) are a function of the config and the seed, and so are
+    the speed tiers and the similarity distances, each built on first use.
+    The distances keep the clients' normalized class histograms (clients x
+    classes floats) and compute each round's cohort block on demand. Every
+    lane of the seed reads the same `ClientState`s; a lane keeps only its
+    model and clock on top.
     """
 
     seed: int
     dataset: Dataset
     clients: tuple[ClientState, ...]
     _similarity: HistogramDistances | None = field(default=None, init=False, repr=False)
+    _tiers: dict[int, list[list[int]]] = field(default_factory=dict, init=False, repr=False)
 
     @classmethod
     def build(cls, config, seed: int) -> SeedData:
@@ -743,16 +725,20 @@ class SeedData:
             self._similarity = oracle.compute_matrix()
         return self._similarity
 
+    def tiers(self, num_tiers: int) -> list[list[int]]:
+        if num_tiers not in self._tiers:
+            self._tiers[num_tiers] = build_tiers(self.clients, num_tiers)
+        return self._tiers[num_tiers]
+
 
 @dataclass
 class ExperimentState:
+    """One lane: a global model that training moves, a clock that `plan_round` moves."""
+
     config: Any
     strategy: Strategy
     shared: SeedData
     global_model: PartitionedModel
-    # Built by `Strategy.setup`: freeze_offload's and tifl's.
-    similarity: HistogramDistances | None = None
-    tiers: list[list[int]] | None = None
     clock: float = 0.0
 
     @property
@@ -864,6 +850,32 @@ class RoundPlan:
         # deadline with the global model unchanged.
         return self.deadline if self.deadline is not None else 0.0
 
+    @property
+    def selected(self) -> tuple[int, ...]:
+        return tuple(p.client_id for p in self.clients)
+
+    @property
+    def dropped(self) -> tuple[int, ...]:
+        return tuple(p.client_id for p in self.clients if p.dropped)
+
+    @property
+    def completion_times(self) -> dict[int, float]:
+        return {p.client_id: p.completion for p in self.clients}
+
+    @property
+    def num_offloads(self) -> int:
+        """The schedule's assignments, not its executed handoffs: a weak
+        client that finishes before the schedule arrives is assigned but
+        hands nothing off. `len(offload_records)` counts the handoffs."""
+        return len(self.schedule.assignments) if self.schedule else 0
+
+
+@dataclass(frozen=True)
+class RoundTrace(RoundPlan):
+    """A round as it ran: its plan plus the global model's accuracy after it."""
+
+    accuracy: float
+
 
 def _whole_models(
     state: ExperimentState,
@@ -888,8 +900,11 @@ def _whole_models(
 
 
 def plan_round(state: ExperimentState, round_index: int) -> RoundPlan:
-    """Plan a round from the state's clock under its strategy; trains nothing."""
-    return state.strategy.plan(state, round_index)
+    """Plan a round from the state's clock under its strategy and move the clock
+    to the round's end. Reads no model and trains nothing."""
+    plan = state.strategy.plan(state, round_index)
+    state.clock = state.clock + plan.duration
+    return plan
 
 
 # --------------------------------------------------------------------------
@@ -1067,7 +1082,7 @@ def _train_lanes(
 def _finish_round(
     state: ExperimentState, plan: RoundPlan, trained: dict[int, PartitionedModel]
 ) -> RoundTrace:
-    """Aggregate a lane's trained models, evaluate and advance its clock."""
+    """Aggregate and evaluate a lane's round; its trace is the plan plus the accuracy."""
     included = [p for p in plan.clients if not p.dropped]
     if included:
         state.global_model = state.strategy.aggregate(
@@ -1076,34 +1091,19 @@ def _finish_round(
             [float(state.client(p.client_id).num_samples) for p in included],
             [p.full_steps + p.frozen_steps for p in included],
         )
-
-    trace = RoundTrace(
-        round_index=plan.round_index,
-        duration=plan.duration,
-        accuracy=evaluate_accuracy(state.global_model, state.dataset),
-        selected=tuple(p.client_id for p in plan.clients),
-        completion_times={p.client_id: p.completion for p in plan.clients},
-        dropped=tuple(p.client_id for p in plan.clients if p.dropped),
-        num_offloads=len(plan.schedule.assignments) if plan.schedule else 0,
-        schedule=plan.schedule,
-        offload_records=plan.offload_records,
-    )
-    state.clock = state.clock + trace.duration
-    return trace
+    return RoundTrace(**vars(plan), accuracy=evaluate_accuracy(state.global_model, state.dataset))
 
 
 def _run_lanes(
-    states: list[ExperimentState], round_index: int, data: _LaneData
+    states: list[ExperimentState], plans: list[RoundPlan], data: _LaneData
 ) -> list[RoundTrace]:
-    """Run round `round_index` of every lane: plan each, train all of them
-    stacked, then aggregate and evaluate each."""
-    plans = [plan_round(state, round_index) for state in states]
+    """Train one round of every lane from its plan, stacked; aggregate and evaluate each."""
     try:
         trained = _train_lanes(states, plans, data)
     except DivergenceError as exc:
         # Whether training diverges depends on the seed's data and draws.
         state, exc = _first_diverged(states, plans, exc)
-        problem = f"training: diverged in round {round_index} (seed {state.seed}): {exc}"
+        problem = f"training: diverged in round {plans[0].round_index} (seed {state.seed}): {exc}"
         raise ConfigError([problem]) from exc
     return [_finish_round(*lane) for lane in zip(states, plans, trained)]
 
@@ -1124,8 +1124,8 @@ def _first_diverged(
 
 
 def run_round(state: ExperimentState, round_index: int) -> RoundTrace:
-    """Simulate one round under the state's strategy and advance the clock."""
-    return _run_lanes([state], round_index, _LaneData.of([state]))[0]
+    """Plan one round under the state's strategy (moving its clock), then train it."""
+    return _run_lanes([state], [plan_round(state, round_index)], _LaneData.of([state]))[0]
 
 
 # --------------------------------------------------------------------------
@@ -1150,7 +1150,7 @@ def build_state(config, strategy: Strategy, seed: int) -> ExperimentState:
 
 
 def _lane_state(config, strategy: Strategy, shared: SeedData) -> ExperimentState:
-    """A lane's own state on its seed's shared data: model, clock, tiers."""
+    """A lane's own state on its seed's shared data: model and clock."""
     init_seed = int(
         np.random.SeedSequence([shared.seed, TAG_MODEL_INIT]).generate_state(1)[0]
     )
@@ -1160,24 +1160,18 @@ def _lane_state(config, strategy: Strategy, shared: SeedData) -> ExperimentState
         config.dataset.num_classes,
         init_seed,
     )
-    state = ExperimentState(
-        config=config,
-        strategy=strategy,
-        shared=shared,
-        global_model=global_model,
-    )
-    strategy.setup(state)
-    return state
+    return ExperimentState(config, strategy, shared, global_model)
 
 
 def run_experiments(config, tasks: list[tuple[Strategy, int]]) -> list[ExperimentResult]:
     """Run all configured rounds for each (strategy, seed) task, in lockstep.
 
     Each task is a lane with its own state. The lanes of one seed share its
-    `SeedData`, built once. Round r of every lane is planned from that
-    lane's clock, and then all lanes train it together, one stack per phase
-    (see `_train_lanes`); each lane's results are bitwise those of running
-    it alone. Every lane's state is held for the whole run.
+    `SeedData`, built once. Every round of every lane is planned first
+    (round-major, lanes in order), then round r of all lanes trains
+    together, one stack per phase (see `_train_lanes`); each lane's results
+    are bitwise those of running it alone. Every lane's state and plans are
+    held for the whole run.
     """
     seeds: dict[int, SeedData] = {}
     states = []
@@ -1185,10 +1179,11 @@ def run_experiments(config, tasks: list[tuple[Strategy, int]]) -> list[Experimen
         if seed not in seeds:
             seeds[seed] = SeedData.build(config, seed)
         states.append(_lane_state(config, strategy, seeds[seed]))
+    plans = [[plan_round(state, r) for state in states] for r in range(config.training.rounds)]
     data = _LaneData.of(states)
     traces: list[list[RoundTrace]] = [[] for _ in states]
-    for r in range(config.training.rounds):
-        for lane, trace in zip(traces, _run_lanes(states, r, data)):
+    for round_plans in plans:
+        for lane, trace in zip(traces, _run_lanes(states, round_plans, data)):
             lane.append(trace)
     return [_result(state, lane) for state, lane in zip(states, traces)]
 

@@ -692,8 +692,54 @@ class TestCompareCommand:
         assert code == 2
         assert "summary.json" in capsys.readouterr().err
 
+    def compare_malformed(self, tmp_path, capsys, text):
+        """Exit code and stderr of `compare` on a summary.json holding `text`,
+        which must print nothing to stdout."""
+        (tmp_path / "summary.json").write_text(text)
+        code = main(["compare", "--out", str(tmp_path), "--a", "a", "--b", "b"])
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.count("\n") == 1
+        assert err.startswith(f"error: {tmp_path / 'summary.json'}: ")
+        return code, err
+
+    def test_non_json_summary_exits_2(self, tmp_path, capsys):
+        code, err = self.compare_malformed(tmp_path, capsys, "{not json")
+        assert code == 2
+        assert "not valid JSON" in err
+
+    def test_top_level_list_exits_2(self, tmp_path, capsys):
+        code, err = self.compare_malformed(tmp_path, capsys, "[]")
+        assert code == 2
+        assert 'expected an object with an "experiments" list' in err
+
+    def test_entry_without_total_time_exits_2_before_printing(self, tmp_path, capsys):
+        row = {"strategy": "a", "seed": 1, "final_accuracy": 0.5}
+        doc = {"experiments": [row, dict(row, strategy="b", total_time_s=3.0)]}
+        code, err = self.compare_malformed(tmp_path, capsys, json.dumps(doc))
+        assert code == 2
+        assert "experiments[0] has no 'total_time_s'" in err
+
+    def test_non_numeric_total_time_exits_2(self, tmp_path, capsys):
+        row = {"strategy": "a", "seed": 1, "total_time_s": "3", "final_accuracy": 0.5}
+        code, err = self.compare_malformed(tmp_path, capsys, json.dumps({"experiments": [row]}))
+        assert code == 2
+        assert "experiments[0].total_time_s must be a positive number, got '3'" in err
+
 
 class TestInspectCommand:
+    def test_builds_no_model(self, tmp_path, monkeypatch, capsys):
+        # inspect reads only the seed's data: no lane state and no model.
+        def refuse(*args, **kwargs):
+            raise AssertionError("inspect built a model")
+
+        monkeypatch.setattr(engine, "init_model", refuse)
+        raw = dict(FAST_RAW, strategies=["fedavg", "tifl", {"name": "freeze_offload"}])
+        config_path = write_yaml(tmp_path / "exp.yaml", raw)
+        report = tmp_path / "report.json"
+        assert main(["inspect", "--config", config_path, "--json", str(report)]) == 0
+        assert json.loads(report.read_text())["similarity"] is not None
+
     def test_prints_client_table(self, tmp_path, capsys):
         raw = dict(FAST_RAW, strategies=[{"name": "freeze_offload"}])
         config_path = write_yaml(tmp_path / "exp.yaml", raw)

@@ -1,10 +1,13 @@
 """Tests for synthetic data generation and client partitioning."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from fedsim import data as data_module
 from fedsim.data import (
     PartitionError,
     _largest_remainder,
@@ -221,6 +224,57 @@ class TestLabelSkewPartition:
         parts = partition(data, 20, mode="noniid", classes_per_client=3, seed=3)
         for p in parts:
             assert np.count_nonzero(p.class_counts) == 3
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        num_classes=st.integers(2, 6),
+        samples_per_class=st.integers(1, 30),
+        data=st.data(),
+    )
+    @example(num_classes=4, samples_per_class=50, data=None)
+    def test_deal_matches_one_sample_at_a_time(self, num_classes, samples_per_class, data):
+        # Reference: the deal as first written, one sample per client and
+        # sweep. The example is the shortage case above, where the demands
+        # are scaled down before the deal.
+        def one_at_a_time(pool, demand):
+            shares = [[] for _ in demand]
+            remaining, cursor = list(demand), 0
+            while any(r > 0 for r in remaining):
+                for pos in range(len(demand)):
+                    if remaining[pos] > 0:
+                        shares[pos].append(int(pool[cursor]))
+                        cursor += 1
+                        remaining[pos] -= 1
+            return [np.asarray(share, dtype=np.int64) for share in shares]
+
+        if data is None:
+            source = generate_synthetic(4, 50, 3, seed=7, noise_sigma=0.3)
+            clients, k, sizes, seed = 20, 3, "equal", 3
+        else:
+            source = generate_synthetic(num_classes, samples_per_class, 2, seed=1)
+            n_train = source.train_indices.shape[0]
+            k = data.draw(st.integers(1, num_classes))
+            clients = data.draw(st.integers(1, max(1, n_train // k)))
+            sizes = data.draw(st.sampled_from(["equal", "weights"]))
+            if sizes == "weights":
+                sizes = data.draw(st.lists(st.integers(1, 9), min_size=clients, max_size=clients))
+            seed = data.draw(st.integers(0, 50))
+
+        def run():
+            try:
+                return partition(source, clients, "noniid", k, sizes, seed)
+            except PartitionError as exc:
+                return str(exc)
+
+        with mock.patch.object(data_module, "_deal_round_robin", one_at_a_time):
+            expected = run()
+        got = run()
+        if isinstance(expected, str):
+            assert got == expected
+            return
+        for part, want in zip(got, expected, strict=True):
+            assert np.array_equal(part.sample_indices, want.sample_indices)
+            assert np.array_equal(part.class_counts, want.class_counts)
 
     def test_requires_k(self, dataset):
         with pytest.raises(PartitionError):

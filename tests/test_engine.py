@@ -16,6 +16,7 @@ from fedsim.engine import (
     FedNova,
     FedProx,
     FreezeOffload,
+    RoundPlan,
     Tifl,
     aggregate_fedavg,
     aggregate_fednova,
@@ -71,6 +72,49 @@ class TestRoundPlan:
             state.clock = 1.75e308
             with pytest.raises(ValueError, match="plan times must be finite, got inf"):
                 plan_round(state, 0)
+
+    @pytest.mark.parametrize(
+        "strategy",
+        [FedAvg(), FedProx(mu=0.1), FedNova(), Tifl(num_tiers=2), DeadlineDrop(multiplier=0.8),
+         FreezeOffload(profile_noise_sigma=0.1)],
+        ids=lambda s: s.label,
+    )
+    def test_plans_read_no_model(self, strategy):
+        # Every round planned up front from a model of NaNs is the round the
+        # experiment ran, so planning reads no model value.
+        cfg = tiny_config(
+            clients={"count": 8, "per_round": 4}, training={"rounds": 6}, latency={"dispatch": 0.5}
+        )
+        state = build_state(cfg, strategy, seed=3)
+        for array in state.global_model.arrays():
+            array.fill(np.nan)
+        plans = [plan_round(state, r) for r in range(cfg.training.rounds)]
+        names = [f.name for f in dataclasses.fields(RoundPlan)]
+        traces = run_experiment(cfg, strategy, seed=3).traces
+        assert plans == [RoundPlan(**{k: getattr(t, k) for k in names}) for t in traces]
+        assert state.clock == sum(t.duration for t in traces)
+        if isinstance(strategy, FreezeOffload):
+            assert any(p.offload_records for p in plans)
+        if isinstance(strategy, DeadlineDrop):
+            assert any(p.dropped for p in plans)
+
+    def test_every_round_is_planned_before_any_trains(self, monkeypatch):
+        calls = []
+        plan, train = engine.plan_round, engine.local_train
+
+        def planning(*args):
+            calls.append("plan")
+            return plan(*args)
+
+        def training(*args, **kwargs):
+            calls.append("train")
+            return train(*args, **kwargs)
+
+        monkeypatch.setattr(engine, "plan_round", planning)
+        monkeypatch.setattr(engine, "local_train", training)
+        cfg = tiny_config(training={"rounds": 5})
+        run_experiments(cfg, [(FedAvg(), 3), (FreezeOffload(), 4)])
+        assert calls.count("plan") == calls.index("train") == 10
 
 
 class TestBatchCursor:

@@ -63,13 +63,12 @@ def test_step_counters_see_each_phase_once(tracer_module, strategy):
     with tracer.installed():
         state = engine.build_state(cfg, strategy, seed=3)
         for r in range(cfg.training.rounds):
-            plan = engine.plan_round(state, r)
-            kept = [p for p in plan.clients if not p.dropped]
+            before = dict(tracer.counts)
+            trace = engine.run_round(state, r)
+            kept = [p for p in trace.clients if not p.dropped]
             full = max((p.full_steps for p in kept), default=0)
             frozen = max((p.frozen_steps for p in kept), default=0)
             donated = max((p.donated_steps for p in kept), default=0)
-            before = dict(tracer.counts)
-            trace = engine.run_round(state, r)
             counted = {
                 name: tracer.counts[f"engine.{name}.steps"]
                 - before.get(f"engine.{name}.steps", 0)

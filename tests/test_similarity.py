@@ -251,7 +251,8 @@ class TestOnDemandDistances:
 
     def test_freeze_offload_setup_never_builds_the_dense_table(self):
         # 10 000 clients: a dense float64 table would take 800 MB, its
-        # former validation more. Set-up now keeps clients x classes floats.
+        # former validation more. The seed's distances keep clients x
+        # classes floats.
         config = parse_config({
             "dataset": {"num_classes": 10, "samples_per_class": 5000, "input_dim": 2},
             "clients": {"count": 10000, "per_round": 50},
@@ -261,10 +262,11 @@ class TestOnDemandDistances:
         tracemalloc.start()
         try:
             state = build_state(config, config.strategies[0], 5)
+            similarity = state.shared.similarity()
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert len(state.similarity.client_ids) == 10000
+        assert len(similarity.client_ids) == 10000
         assert peak < 64 * 2**20
 
 
