@@ -13,9 +13,13 @@ lockstep (`engine.run_experiments`); with a process pool of W workers, each
 worker runs a contiguous slice of the lanes in seed-major order (see `_deal`),
 so that a seed's data is built in as few workers as the split allows. All
 outputs are deterministic given the config, so reruns produce byte-identical
-files, whatever the worker count. Each file is written to a temp file in the
-same directory and then renamed over its final name, so an interrupted run
-leaves whole files or none, never a truncated one.
+files, whatever the worker count. Each process that trains lanes, serial or
+pooled, first sets the OpenBLAS that numpy loaded to one thread (`_run_group`),
+so that helper threads left spinning after a large evaluation do not compete
+with the pool's workers for the CPUs; library calls leave BLAS alone. Each
+file is written to a temp file in the same directory and then renamed over
+its final name, so an interrupted run leaves whole files or none, never a
+truncated one.
 
 Exit codes: 0 on success, 1 for configuration problems, 2 for runtime
 failures such as missing files.
@@ -25,6 +29,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import ctypes
 import json
 import os
 import sys
@@ -51,9 +56,12 @@ def _write_atomic(path: str, text: str) -> None:
         with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(text)
         os.replace(tmp, path)
-    except BaseException:
+    except BaseException as exc:
         with contextlib.suppress(FileNotFoundError):
             os.remove(tmp)
+        if isinstance(exc, OSError) and exc.filename is not None:
+            # Name the file the caller asked for, not the temp file.
+            raise OSError(exc.errno, exc.strerror, path) from exc
         raise
 
 
@@ -79,9 +87,58 @@ def write_trace(out_dir: str, result: ExperimentResult) -> str:
     return path
 
 
+_MAPS = "/proc/self/maps"
+# OpenBLAS's thread-count setter under each build's symbol names: plain, with
+# the 64-bit-integer suffix, and as numpy's scipy-openblas wheels export it.
+# Each build's getter is the same name with "_get_" for "_set_".
+_OPENBLAS_SETTERS = (
+    "openblas_set_num_threads",
+    "openblas_set_num_threads64_",
+    "scipy_openblas_set_num_threads",
+    "scipy_openblas_set_num_threads64_",
+)
+
+
+def _one_openblas_thread() -> None:
+    """Set each OpenBLAS mapped into this process to one thread.
+
+    After a product large enough to split, OpenBLAS's helper threads spin for
+    a while, and a pool worker's helpers then take CPU time from the other
+    workers. Results do not change: OpenBLAS splits a product's output among
+    threads, never its inner sums. `ctypes.CDLL` on a mapped path returns the
+    loaded library. A count that reads one already is left alone: setting it
+    in a forked child restarts the helper thread, which then spins. Where the
+    maps cannot be read (not Linux) or no library exports a setter (numpy on
+    MKL or Accelerate), this does nothing.
+    """
+    try:
+        with open(_MAPS, encoding="utf-8", errors="replace") as fh:
+            # A line's last field is the mapped path, if it has one.
+            paths = dict.fromkeys(line.split(maxsplit=5)[-1].rstrip("\n") for line in fh)
+    except OSError:
+        return
+    for path in paths:
+        if "openblas" not in os.path.basename(path):
+            continue
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        name = next((n for n in _OPENBLAS_SETTERS if hasattr(lib, n)), None)
+        if name is None:
+            continue
+        get, set_ = getattr(lib, name.replace("_set_", "_get_")), getattr(lib, name)
+        get.argtypes, get.restype = [], ctypes.c_int
+        if get() != 1:
+            set_.argtypes, set_.restype = [ctypes.c_int], None
+            set_(1)
+
+
 def _run_group(task: tuple[ExperimentConfig, list[tuple[Strategy, int]], str]) -> list[dict]:
     """Run a group of lanes in lockstep, write their traces and return their
-    summaries in lane order."""
+    summaries in lane order. Every process that trains for `run`, serial or
+    pooled under any start method, runs this, so BLAS is limited here."""
+    _one_openblas_thread()
     config, lanes, out_dir = task
     results = run_experiments(config, lanes)
     for result in results:
@@ -129,6 +186,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
     if workers == 1:
         summaries = _run_group((config, tasks, args.out))
     else:
+        # Workers forked from here inherit one BLAS thread and leave it be.
+        _one_openblas_thread()
         deal = _deal(tasks, workers)
         groups = [(config, [tasks[i] for i in dealt], args.out) for dealt in deal]
         with ProcessPoolExecutor(max_workers=workers) as pool:
@@ -359,7 +418,7 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except FileNotFoundError as exc:
+    except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # pragma: no cover - defensive catch-all

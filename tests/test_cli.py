@@ -1,10 +1,16 @@
 """Tests for config parsing and the command line interface."""
 
+import ctypes
+import errno
+import functools
 import json
+import multiprocessing
 import os
 import subprocess
 import sys
+from concurrent.futures import ProcessPoolExecutor
 
+import numpy as np
 import pytest
 import yaml
 
@@ -25,6 +31,7 @@ from fedsim.engine import (
     Tifl,
     run_experiment,
 )
+from fedsim.model import Batch, forward_logits, init_model
 from fedsim.similarity import HistogramDistances, SimilarityOracle
 
 FAST_RAW = {
@@ -44,6 +51,43 @@ FAST_RAW = {
 def write_yaml(path, doc):
     path.write_text(yaml.safe_dump(doc), encoding="utf-8")
     return str(path)
+
+
+def openblas():
+    """(get_num_threads, set_num_threads) of the first OpenBLAS mapped into
+    this process that exports a setter `cli` knows, or None."""
+    try:
+        with open("/proc/self/maps", encoding="utf-8", errors="replace") as fh:
+            paths = dict.fromkeys(line.split(maxsplit=5)[-1].rstrip("\n") for line in fh)
+    except OSError:
+        return None
+    for path in paths:
+        if "openblas" in os.path.basename(path):
+            lib = ctypes.CDLL(path)
+            for name in cli._OPENBLAS_SETTERS:
+                if hasattr(lib, name):
+                    get = getattr(lib, name.replace("_set_", "_get_"))
+                    get.argtypes, get.restype = [], ctypes.c_int
+                    set_ = getattr(lib, name)
+                    set_.argtypes, set_.restype = [ctypes.c_int], None
+                    return get, set_
+    return None
+
+
+def threads_after_limit():
+    """In a pool worker: limit BLAS as `run` does, then read its threads
+    (None without OpenBLAS)."""
+    cli._one_openblas_thread()
+    blas = openblas()
+    return None if blas is None else blas[0]()
+
+
+def threads_around_limit():
+    """In a pool worker: the threads of this process before and after it
+    limits BLAS as `run` does."""
+    before = len(os.listdir("/proc/self/task"))
+    cli._one_openblas_thread()
+    return before, len(os.listdir("/proc/self/task"))
 
 
 class TestParseConfig:
@@ -637,6 +681,23 @@ class TestRunCommand:
                      "--out", str(tmp_path / "o")])
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "config, out, code, culprit",
+        [
+            ("exp.yaml", "file", errno.EEXIST, "out"),
+            ("exp.yaml", "file/sub", errno.ENOTDIR, "out"),
+            (".", "o", errno.EISDIR, "config"),
+        ],
+        ids=["out-is-a-file", "out-below-a-file", "config-is-a-directory"],
+    )
+    def test_os_error_on_a_named_path_exits_2(self, tmp_path, capsys, config, out, code, culprit):
+        write_yaml(tmp_path / "exp.yaml", FAST_RAW)
+        (tmp_path / "file").write_text("")
+        paths = {"config": str(tmp_path / config), "out": str(tmp_path / out)}
+        assert main(["run", "--config", paths["config"], "--out", paths["out"]]) == 2
+        expected = OSError(code, os.strerror(code), paths[culprit])
+        assert capsys.readouterr().err == f"error: {expected}\n"
+
 
 class TestCompareCommand:
     @pytest.fixture()
@@ -793,6 +854,13 @@ class TestInspectCommand:
         assert len(calls) == 1
         assert "label-distribution distance" in capsys.readouterr().out
 
+    def test_json_in_missing_directory_names_the_path(self, tmp_path, capsys):
+        config_path = write_yaml(tmp_path / "exp.yaml", FAST_RAW)
+        report = tmp_path / "missing" / "report.json"
+        assert main(["inspect", "--config", config_path, "--json", str(report)]) == 2
+        expected = OSError(errno.ENOENT, os.strerror(errno.ENOENT), str(report))
+        assert capsys.readouterr().err == f"error: {expected}\n"
+
     def test_similarity_null_without_freeze_offload(self, tmp_path, capsys):
         config_path = write_yaml(tmp_path / "exp.yaml", FAST_RAW)
         report = tmp_path / "report.json"
@@ -889,6 +957,124 @@ class TestOutOfMemory:
         done = self.run_limited(tmp_path, raw, "inspect", "--json", str(tmp_path / "r.json"))
         assert done.returncode == 1, done.stderr
         assert "out of memory building the 30000 x 30000 similarity table" in done.stderr
+
+
+class TestOpenBlasThreads:
+    """Each process that trains for `run` sets OpenBLAS to one thread."""
+
+    def test_run_leaves_one_thread_and_the_library_none(self, tmp_path):
+        # In a child interpreter, because any `run` in this one has already
+        # limited its BLAS. The child first sets two threads, so that a
+        # library call that touched them would show.
+        if openblas() is None:
+            pytest.skip("no OpenBLAS mapped")
+        child = (
+            "import sys\n"
+            "from test_cli import openblas\n"
+            "from fedsim import cli, config, engine\n"
+            "get, set_ = openblas()\n"
+            "set_(2)\n"
+            "cfg = config.load_config(sys.argv[3])\n"
+            "engine.run_experiment(cfg, cfg.strategies[0], cfg.seed)\n"
+            "library = get()\n"
+            "code = cli.main(sys.argv[1:])\n"
+            "print(code, library, get())\n"
+        )
+        tests = os.path.dirname(os.path.abspath(__file__))
+        src = os.path.dirname(os.path.dirname(fedsim.__file__))
+        done = subprocess.run(
+            [sys.executable, "-c", child, "run", "--config",
+             write_yaml(tmp_path / "exp.yaml", FAST_RAW), "--out", str(tmp_path / "out"),
+             "--workers", "1"],
+            env=dict(os.environ, PYTHONPATH=os.pathsep.join([src, tests])),
+            capture_output=True, text=True, timeout=300,
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.splitlines()[-1] == "0 2 1"
+
+    def test_without_maps_does_nothing(self, tmp_path, monkeypatch):
+        def refuse(path):
+            raise AssertionError(f"opened {path}")
+
+        monkeypatch.setattr(cli, "_MAPS", str(tmp_path / "missing"))
+        monkeypatch.setattr(cli.ctypes, "CDLL", refuse)
+        assert cli._one_openblas_thread() is None
+
+    def test_without_setter_does_nothing(self, tmp_path, monkeypatch):
+        # Only mapped files named like OpenBLAS are opened, each once; a
+        # library with no known setter is left alone.
+        maps = tmp_path / "maps"
+        maps.write_text(
+            "7f00-7f01 r-xp 00000000 08:01 11 /usr/lib/libopenblasp-r0.3.so\n"
+            "7f01-7f02 r--p 00001000 08:01 11 /usr/lib/libopenblasp-r0.3.so\n"
+            "7f02-7f03 r-xp 00000000 08:01 12 /usr/lib/libm.so.6\n"
+            "7f03-7f04 rw-p 00000000 00:00 0\n"
+            "7f04-7f05 rw-p 00000000 00:00 0 [heap]\n"
+        )
+        opened = []
+
+        class NoSetter:
+            def __init__(self, path):
+                opened.append(path)
+
+        monkeypatch.setattr(cli, "_MAPS", str(maps))
+        monkeypatch.setattr(cli.ctypes, "CDLL", NoSetter)
+        assert cli._one_openblas_thread() is None
+        assert opened == ["/usr/lib/libopenblasp-r0.3.so"]
+
+    def test_forward_logits_same_bytes_at_one_and_two_threads(self):
+        # What the limit rests on: OpenBLAS splits a product's output among
+        # threads, never its inner sums, so its thread count changes no bits.
+        blas = openblas()
+        if blas is None or cli._usable_cpus() < 2:
+            pytest.skip("needs OpenBLAS and at least 2 usable CPUs")
+        get, set_ = blas
+        model = init_model(8, 32, 10, seed=3)
+        rng = np.random.default_rng(5)
+        batch = Batch(inputs=rng.standard_normal((8000, 8)), labels=rng.integers(0, 10, 8000))
+        before = get()
+        try:
+            logits = []
+            for threads in (1, 2):
+                set_(threads)
+                assert get() == threads
+                logits.append(forward_logits(model, batch)[1].tobytes())
+        finally:
+            set_(before)
+        assert logits[0] == logits[1]
+
+    def test_forked_worker_of_a_limited_process_starts_no_thread(self):
+        # `run` limits its own process before it forks the pool. A forked
+        # worker then reads one thread and leaves it be: setting the count
+        # there would restart OpenBLAS's helper thread, which then spins.
+        if openblas() is None or not os.path.isdir("/proc/self/task"):
+            pytest.skip("needs OpenBLAS and /proc/self/task")
+        cli._one_openblas_thread()
+        fork = multiprocessing.get_context("fork")
+        with ProcessPoolExecutor(max_workers=1, mp_context=fork) as pool:
+            before, after = pool.submit(threads_around_limit).result(timeout=300)
+        assert after == before
+
+    def test_spawn_pool_writes_the_serial_files_and_limits_blas(self, tmp_path, monkeypatch):
+        # A spawned worker inherits nothing through fork, as under
+        # Python 3.14's default `forkserver`: it must limit BLAS itself.
+        spawn = multiprocessing.get_context("spawn")
+        monkeypatch.setattr(
+            cli, "ProcessPoolExecutor", functools.partial(ProcessPoolExecutor, mp_context=spawn)
+        )
+        raw = dict(FAST_RAW, replicates=2, strategies=["fedavg", "freeze_offload"])
+        config_path = write_yaml(tmp_path / "exp.yaml", raw)
+        outputs = []
+        for workers in ("1", "2"):
+            out = tmp_path / f"w{workers}"
+            assert main(["run", "--config", config_path, "--out", str(out),
+                         "--workers", workers]) == 0
+            outputs.append({p.name: p.read_bytes() for p in sorted(out.iterdir())})
+        assert len(outputs[0]) == 4 + 2
+        assert outputs[0] == outputs[1]
+        with ProcessPoolExecutor(max_workers=1, mp_context=spawn) as pool:
+            threads = pool.submit(threads_after_limit).result(timeout=300)
+        assert threads == (None if openblas() is None else 1)
 
 
 class TestArgumentErrors:
