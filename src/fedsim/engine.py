@@ -43,8 +43,8 @@ its lane alone would, so each lane's traces and models are bitwise those of
 running it alone; `run_experiment` and `run_round` are the one-lane case.
 
 Each strategy is a `Strategy` subclass below; its docstring says what it does
-in a round, and its methods are the only place the engine tells strategies
-apart.
+in a round. Planning calls its methods; training and aggregation read it
+only as data, through `prox_mu` and `normalized_averaging`.
 """
 
 from __future__ import annotations
@@ -103,13 +103,16 @@ class Strategy:
     """A round strategy; the defaults are FedAvg's.
 
     The engine tells strategies apart only through these: in each round
-    `plan` (which calls `select` and returns the round's `RoundPlan`),
-    `prox_mu` (training) and `aggregate`. The config parser adds the
-    problems `check` finds with the `clients` and `training` sections.
+    `plan` (which calls `select` and returns the round's `RoundPlan`), then
+    two values that training reads as data: `prox_mu`, the FedProx pull, and
+    `normalized_averaging`, whether aggregation is FedNova's rather than
+    FedAvg's. The config parser adds the problems `check` finds with the
+    `clients` and `training` sections.
     """
 
     name: ClassVar[str]
     prox_mu: ClassVar[float] = 0.0
+    normalized_averaging: ClassVar[bool] = False
 
     @property
     def label(self) -> str:
@@ -122,11 +125,6 @@ class Strategy:
     def plan(self, state: ExperimentState, round_index: int) -> RoundPlan:
         """Every selected client submits its whole model after its budget."""
         return _whole_models(state, round_index, self.select(state, round_index))
-
-    def aggregate(self, global_model, models, weights, steps) -> PartitionedModel:
-        """The new global model from the kept clients' models, their sample
-        counts and the steps each ran on its own model."""
-        return aggregate_fedavg(models, weights)
 
     def check(self, clients, training) -> list[str]:
         return []
@@ -160,9 +158,7 @@ class FedNova(Strategy):
     """FedAvg's selection with normalized averaging by local step counts."""
 
     name: ClassVar[str] = "fednova"
-
-    def aggregate(self, global_model, models, weights, steps):
-        return aggregate_fednova(global_model, models, weights, steps)
+    normalized_averaging: ClassVar[bool] = True
 
 
 @dataclass(frozen=True)
@@ -181,9 +177,7 @@ class Tifl(Strategy):
         tiers = state.shared.tiers(self.num_tiers)
         tier = tiers[round_index % len(tiers)]
         take = min(state.config.clients.per_round, len(tier))
-        rng = spawn_rng(state.seed, TAG_SELECTION, round_index)
-        chosen = rng.choice(len(tier), size=take, replace=False)
-        return sorted(int(tier[int(i)]) for i in chosen)
+        return sorted(tier[i] for i in select_clients(len(tier), take, round_index, state.seed))
 
     def check(self, clients, training):
         if self.num_tiers > clients.count:
@@ -1082,15 +1076,20 @@ def _train_lanes(
 def _finish_round(
     state: ExperimentState, plan: RoundPlan, trained: dict[int, PartitionedModel]
 ) -> RoundTrace:
-    """Aggregate and evaluate a lane's round; its trace is the plan plus the accuracy."""
+    """Aggregate and evaluate a lane's round; its trace is the plan plus the accuracy.
+
+    The weights are the kept clients' sample counts; FedNova's normalized
+    averaging also reads the steps each ran on its own model.
+    """
     included = [p for p in plan.clients if not p.dropped]
     if included:
-        state.global_model = state.strategy.aggregate(
-            state.global_model,
-            [trained[p.client_id] for p in included],
-            [float(state.client(p.client_id).num_samples) for p in included],
-            [p.full_steps + p.frozen_steps for p in included],
-        )
+        models = [trained[p.client_id] for p in included]
+        weights = [float(state.client(p.client_id).num_samples) for p in included]
+        if state.strategy.normalized_averaging:
+            steps = [p.full_steps + p.frozen_steps for p in included]
+            state.global_model = aggregate_fednova(state.global_model, models, weights, steps)
+        else:
+            state.global_model = aggregate_fedavg(models, weights)
     return RoundTrace(**vars(plan), accuracy=evaluate_accuracy(state.global_model, state.dataset))
 
 

@@ -23,30 +23,14 @@ in the same order, so the bytes are those of the reference. A step on k
 members uses the last k rows of the stack and of every buffer, so members
 can leave the front of the stack as they finish and keep their bytes.
 
-Checkpoint binary layout (little endian):
-
-    bytes 0..3    magic ``b"PMC1"``
-    bytes 4..7    uint32 format version (currently 1)
-    bytes 8..39   four int64 header fields: input_dim, hidden_dim,
-                  num_classes, seed
-    bytes 40..    float64 parameter payload, in order:
-                  W1 row-major (input_dim x hidden_dim), b1 (hidden_dim),
-                  W2 row-major (hidden_dim x num_classes), b2 (num_classes)
-
 All arithmetic is float64.
 """
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
-
-_MAGIC = b"PMC1"
-_VERSION = 1
-_HEADER = struct.Struct("<4sIqqqq")
 
 # Floor applied inside log() so an exactly-zero predicted probability cannot
 # produce -inf loss.
@@ -58,7 +42,7 @@ class ShapeError(ValueError):
 
 
 class DivergenceError(ValueError):
-    """Raised when a step's gradients are not finite; no parameter has moved."""
+    """Raised when a step would make a parameter non-finite; no parameter has moved."""
 
 
 @dataclass
@@ -276,34 +260,21 @@ def backward_frozen(model: PartitionedModel, batch: Batch) -> Gradients:
 def sgd_step(model: PartitionedModel, grads: Gradients, lr: float) -> PartitionedModel:
     """Return a new model moved one SGD step along the given gradients.
 
-    Blocks without gradients are carried over unchanged.
+    Blocks without gradients are carried over unchanged. Raises
+    DivergenceError if a moved parameter comes out non-finite, whether from
+    a non-finite gradient or from `lr * g` or `p - lr * g` overflowing.
     """
-    present = [
-        g
-        for g in (
-            grads.feature_weights,
-            grads.feature_bias,
-            grads.classifier_weights,
-            grads.classifier_bias,
-        )
-        if g is not None
-    ]
-    for g in present:
-        if not np.isfinite(g).all():
-            raise DivergenceError("non-finite gradient values")
-    if grads.feature_weights is None:
-        fw = model.feature_weights.copy()
-        fb = model.feature_bias.copy()
-    else:
-        fw = model.feature_weights - lr * grads.feature_weights
-        fb = model.feature_bias - lr * grads.feature_bias
-    return PartitionedModel(
-        feature_weights=fw,
-        feature_bias=fb,
-        classifier_weights=model.classifier_weights - lr * grads.classifier_weights,
-        classifier_bias=model.classifier_bias - lr * grads.classifier_bias,
-        num_classes=model.num_classes,
+    gradients = (
+        grads.feature_weights,
+        grads.feature_bias,
+        grads.classifier_weights,
+        grads.classifier_bias,
     )
+    new = [p.copy() if g is None else p - lr * g for p, g in zip(model.arrays(), gradients)]
+    for p, g in zip(new, gradients):
+        if g is not None and not np.isfinite(p).all():
+            raise DivergenceError("non-finite gradient values")
+    return PartitionedModel(*new, num_classes=model.num_classes)
 
 
 class Workspace:
@@ -386,8 +357,10 @@ def sgd_step_in_place(
     Every intermediate lives in `workspace`, and each is computed with the
     ufunc, operands, order and reduction axis of the allocating functions
     above (`ndarray.max` and `ndarray.sum` are `maximum.reduce` and
-    `add.reduce`), so the new parameters are bitwise theirs. Every gradient
-    the step applies is checked to be finite before any parameter moves.
+    `add.reduce`), so the new parameters are bitwise theirs. The new
+    parameters are computed into the gradient buffers and checked to be
+    finite before any parameter moves, so a non-finite gradient and an
+    overflow of `lr * g` or `p - lr * g` both raise DivergenceError.
     """
     moving = _MOVING.get(mode)
     if moving is None:
@@ -438,12 +411,14 @@ def sgd_step_in_place(
             np.multiply(prox_mu, diff, out=diff)
             np.add(g, diff, out=g)
     for i in moving:
+        # g -> p - lr * g, bitwise the new parameter, checked before any moves.
+        np.multiply(grads[i], lr, out=grads[i])
+        np.subtract(params[i], grads[i], out=grads[i])
+    for i in moving:
         if not np.isfinite(grads[i]).all():
             raise DivergenceError("non-finite gradient values")
     for i in moving:
-        # g *= lr; p -= g is bitwise p - lr * g.
-        np.multiply(grads[i], lr, out=grads[i])
-        np.subtract(params[i], grads[i], out=params[i])
+        np.copyto(params[i], grads[i])
 
 
 def split(model: PartitionedModel) -> tuple[FeatureBlock, ClassifierBlock]:
@@ -468,45 +443,3 @@ def merge(feature: FeatureBlock, classifier: ClassifierBlock) -> PartitionedMode
         classifier_bias=classifier.bias.copy(),
         num_classes=classifier.weights.shape[-1],
     )
-
-
-def save_checkpoint(model: PartitionedModel, path: str | Path, seed: int = 0) -> None:
-    """Write the binary checkpoint format documented in the module docstring."""
-    header = _HEADER.pack(
-        _MAGIC, _VERSION, model.input_dim, model.hidden_dim, model.num_classes, seed
-    )
-    flat = np.concatenate([a.ravel() for a in model.arrays()]).astype("<f8")
-    Path(path).write_bytes(header + flat.tobytes())
-
-
-def load_checkpoint(path: str | Path) -> tuple[PartitionedModel, int]:
-    """Read a checkpoint written by save_checkpoint; returns (model, seed)."""
-    raw = Path(path).read_bytes()
-    if len(raw) < _HEADER.size:
-        raise ValueError(f"checkpoint truncated: {len(raw)} bytes")
-    magic, version, input_dim, hidden_dim, num_classes, seed = _HEADER.unpack_from(raw)
-    if magic != _MAGIC:
-        raise ValueError(f"bad checkpoint magic {magic!r}")
-    if version != _VERSION:
-        raise ValueError(f"unsupported checkpoint version {version}")
-    counts = [
-        input_dim * hidden_dim,
-        hidden_dim,
-        hidden_dim * num_classes,
-        num_classes,
-    ]
-    flat = np.frombuffer(raw, dtype="<f8", offset=_HEADER.size)
-    if flat.shape[0] != sum(counts):
-        raise ValueError(
-            f"checkpoint payload has {flat.shape[0]} floats, expected {sum(counts)}"
-        )
-    parts = np.split(flat.astype(np.float64), np.cumsum(counts)[:-1])
-    model = PartitionedModel(
-        feature_weights=parts[0].reshape(input_dim, hidden_dim),
-        feature_bias=parts[1],
-        classifier_weights=parts[2].reshape(hidden_dim, num_classes),
-        classifier_bias=parts[3],
-        num_classes=num_classes,
-    )
-    return model, seed
-

@@ -619,6 +619,27 @@ class TestRunCommand:
         assert "invalid configuration:\n  - training: diverged in round 0 (seed 7):" in err
         assert "non-finite gradient values" in err
 
+    def test_step_that_overflows_exits_1(self, tmp_path, capsys):
+        # The gradients stay finite; lr * g overflows on a member's last step.
+        raw = {
+            "dataset": {"num_classes": 3, "samples_per_class": 20, "input_dim": 2},
+            "clients": {"count": 6, "per_round": 4},
+            "training": {
+                "rounds": 1,
+                "local_updates": 2,
+                "batch_size": 4,
+                "hidden_dim": 4,
+                "learning_rate": 1.0e300,
+            },
+            "strategies": ["fedprox"],
+            "seed": 1,
+        }
+        code, out = self.run_cli(tmp_path, raw)
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "invalid configuration:\n  - training: diverged in round 0 (seed 1):" in err
+        assert not (out / "summary.json").exists()
+
     @pytest.mark.parametrize(
         "raw, problem",
         [

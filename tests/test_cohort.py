@@ -38,6 +38,7 @@ from fedsim.engine import (
 )
 from fedsim.model import (
     Batch,
+    DivergenceError,
     Gradients,
     PartitionedModel,
     ShapeError,
@@ -531,6 +532,25 @@ def test_in_place_step_checks_every_member(mode):
         assert a.tobytes() == b.tobytes()
     with pytest.raises(ValueError, match="mode"):
         sgd_step_in_place(stacked, Batch(inputs, labels), workspace, 0.1, "half")
+
+
+@pytest.mark.parametrize("mode", ["full", "feature"])
+def test_in_place_step_that_overflows_moves_nothing(mode):
+    # The gradients are finite, but lr * g overflows in the feature block.
+    rng = np.random.default_rng(5)
+    models = [init_model(4, 6, 3, seed=k) for k in range(3)]
+    stacked = stack(models)
+    before = [a.copy() for a in stacked.arrays()]
+    workspace = Workspace(stacked, 8)
+    batch = Batch(100.0 * rng.standard_normal((3, 8, 4)), rng.integers(0, 3, size=(3, 8)))
+    if mode == "full":
+        # The reference step raises on the same step.
+        with pytest.raises(DivergenceError, match="non-finite gradient values"):
+            reference_step(models[1], Batch(batch.inputs[1], batch.labels[1]), 1.7e308, mode)
+    with pytest.raises(DivergenceError, match="non-finite gradient values"):
+        sgd_step_in_place(stacked, batch, workspace, 1.7e308, mode)
+    for a, b in zip(stacked.arrays(), before):
+        assert a.tobytes() == b.tobytes()
 
 
 def test_workspace_rejects_batches_that_do_not_fit():

@@ -1,10 +1,11 @@
-"""Tests for the two-block model: forward, gradients, SGD, checkpoints."""
+"""Tests for the two-block model: forward, gradients, SGD, split and merge."""
 
 import numpy as np
 import pytest
 
 from fedsim.model import (
     Batch,
+    DivergenceError,
     Gradients,
     PartitionedModel,
     ShapeError,
@@ -14,9 +15,7 @@ from fedsim.model import (
     forward,
     forward_logits,
     init_model,
-    load_checkpoint,
     merge,
-    save_checkpoint,
     sgd_step,
     split,
 )
@@ -265,6 +264,15 @@ class TestSgdStep:
         with pytest.raises(ValueError):
             sgd_step(model, bad, lr=0.1)
 
+    def test_rejects_an_overflowing_step(self):
+        # Finite gradients whose product with a huge learning rate overflows.
+        model = init_model(3, 3, 2, seed=7)
+        batch = random_batch(model, 4, seed=8)
+        grads = backward_full(model, Batch(batch.inputs * 100.0, batch.labels))
+        assert all(np.isfinite(g).all() for g in (grads.feature_weights, grads.feature_bias))
+        with pytest.raises(DivergenceError, match="non-finite gradient values"):
+            sgd_step(model, grads, lr=1.7e308)
+
 
 class TestSplitMerge:
     def test_roundtrip_is_identity(self):
@@ -297,33 +305,3 @@ class TestSplitMerge:
         assert np.array_equal(mixed.feature_weights, a.feature_weights)
         assert np.array_equal(mixed.classifier_weights, b.classifier_weights)
 
-
-class TestCheckpoint:
-    def test_roundtrip_bitwise(self, tmp_path):
-        model = init_model(4, 5, 3, seed=17)
-        path = tmp_path / "model.bin"
-        save_checkpoint(model, path, seed=17)
-        loaded, seed = load_checkpoint(path)
-        assert seed == 17
-        assert loaded.num_classes == 3
-        for a, b in zip(model.arrays(), loaded.arrays()):
-            assert np.array_equal(a, b)
-
-    def test_rejects_bad_magic(self, tmp_path):
-        model = init_model(4, 5, 3, seed=17)
-        path = tmp_path / "model.bin"
-        save_checkpoint(model, path)
-        raw = bytearray(path.read_bytes())
-        raw[0] = 0
-        path.write_bytes(bytes(raw))
-        with pytest.raises(ValueError):
-            load_checkpoint(path)
-
-    def test_rejects_truncated_payload(self, tmp_path):
-        model = init_model(4, 5, 3, seed=17)
-        path = tmp_path / "model.bin"
-        save_checkpoint(model, path)
-        raw = path.read_bytes()
-        path.write_bytes(raw[:-8])
-        with pytest.raises(ValueError):
-            load_checkpoint(path)

@@ -2,12 +2,14 @@
 
 `perfbench/tracer.py` wraps fedsim's functions by name and counts training
 steps from the calls it sees. These tests load it as it is and check that
-every name it wraps exists, and that its step counters see each lockstep
-phase once: one `local_train` call per full or classifier-only phase and one
+every name it wraps exists, that fedsim imports no name for it beyond the
+ones it wraps, and that its step counters see each lockstep phase once:
+one `local_train` call per full or classifier-only phase and one
 `execute_offloaded` call per donated phase, each running the longest
 member's steps.
 """
 
+import ast
 import importlib.util
 from pathlib import Path
 
@@ -18,6 +20,7 @@ from fedsim.config import parse_config
 from fedsim.engine import DeadlineDrop, FreezeOffload
 
 TRACER_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+PACKAGE_DIR = Path(__file__).resolve().parents[1] / "src" / "fedsim"
 
 
 @pytest.fixture(scope="module")
@@ -50,6 +53,37 @@ def test_every_target_resolves(tracer_module):
     for owner_path, attr, _ in tracer_module.TARGETS:
         owner = tracer_module._resolve(owner_path)
         assert attr in vars(owner), f"{owner_path}.{attr}"
+
+
+def unused_imports(source):
+    """The names a module imports and never reads, apart from its `__all__`."""
+    tree = ast.parse(source)
+    imported = set()
+    for node in tree.body:
+        if isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported.update(alias.asname or alias.name for alias in node.names)
+        elif isinstance(node, ast.Import):
+            imported.update((alias.asname or alias.name).split(".")[0] for alias in node.names)
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            used.update(ast.literal_eval(node.value))
+    return imported - used
+
+
+def test_unused_imports_are_tracer_targets(tracer_module):
+    # A name imported only for the tracer to wrap must go when the tracer
+    # stops wrapping it there.
+    targets = {(owner, attr) for owner, attr, _ in tracer_module.TARGETS}
+    assert unused_imports("import os.path\nfrom a import b, c as d\n__all__ = ['b']\nos") == {"d"}
+    shims = {
+        (f"fedsim.{path.stem}", name)
+        for path in sorted(PACKAGE_DIR.glob("*.py"))
+        for name in unused_imports(path.read_text(encoding="utf-8"))
+    }
+    assert shims <= targets, sorted(shims - targets)
 
 
 @pytest.mark.parametrize(
