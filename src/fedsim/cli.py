@@ -35,6 +35,8 @@ import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 
+import numpy as np
+
 from .config import ConfigError, ExperimentConfig, echo_dict, load_config
 from .engine import ExperimentResult, FreezeOffload, SeedData, Strategy, run_experiments
 from .errors import out_of_memory_as_config_error
@@ -140,7 +142,10 @@ def _run_group(task: tuple[ExperimentConfig, list[tuple[Strategy, int]], str]) -
     pooled under any start method, runs this, so BLAS is limited here."""
     _one_openblas_thread()
     config, lanes, out_dir = task
-    results = run_experiments(config, lanes)
+    # A diverging step raises on its own non-finite values; numpy's warnings
+    # on the way there would only print source lines before the error.
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        results = run_experiments(config, lanes)
     for result in results:
         write_trace(out_dir, result)
     return [result.summary.to_dict() for result in results]

@@ -16,31 +16,36 @@ A round runs in two passes.
   and whether it is dropped. Virtual time never waits on wall-clock time.
 * The executor trains the plan. Training is real: every client the plan
   keeps runs SGD on its own partition, so model quality reacts to the
-  strategy as round durations do. A dropped client runs no steps. Each
-  phase (full steps, classifier-only steps, steps on a donated feature
-  block) trains its clients stacked, in lockstep: their parameters and
-  batches carry a leading cohort axis (see `model`), and a client leaves
-  the stack when it has run its steps: each lockstep step moves only the
-  clients still running, a suffix of the stack, so one `local_train` call
-  (full or classifier-only) or `execute_offloaded` call (donated) trains a
-  whole phase. The call trains a copy of the stack in place, in one
-  `model.Workspace` that holds every per-step intermediate, so the steps
-  allocate no arrays; the untouched stack is FedProx's anchor. Each kept
-  client's stream is opened for the round and draws all its batches in one
-  take; these are split by phase, and each phase gathers its clients'
-  batches once, into one `CohortCursor`. Every client sees the batches it
-  would draw alone, in the same order, and comes out bitwise equal to
-  training alone. A round's `RoundTrace` is its plan plus its accuracy.
+  strategy as round durations do. A dropped client runs no steps. A round
+  trains its kept clients stacked, in lockstep, as one phase of
+  `local_updates` steps: their parameters and batches carry a leading
+  cohort axis (see `model`). Every kept client runs exactly `local_updates`
+  steps of its own, so every row of the stack runs to the same last step.
+  A weak client's row switches from full steps to classifier-only steps at
+  its handoff step, in place, and at that step a donated row joins the
+  stack as a copy of it and from then on moves only its feature block, on
+  the receiver's batches. So at each step the rows that run, the rows that
+  move the feature block and the rows that move the classifier are each
+  one range of the stack, and one `local_train` call trains the round. The
+  call trains a copy of the stack in place, in one `model.Workspace` that
+  holds every per-step intermediate, so the steps allocate no arrays; the
+  untouched stack is FedProx's anchor. Each kept client's stream is opened
+  for the round and draws all its batches in one take, split into its own
+  steps and a donated block's, and the round gathers every row's batches
+  once, into one `CohortCursor`. Every client sees the batches it would
+  draw alone, in the same order, and comes out bitwise equal to training
+  alone, a weak client as its full, classifier-only and donated steps one
+  after another. A round's `RoundTrace` is its plan plus its accuracy.
 
 `run_experiments` runs several experiments, each a (strategy, seed) *lane*
 with its own model and clock on its seed's shared data (`SeedData`, built
 once per seed: the dataset and the clients), in lockstep: every round of
 every lane is planned first, from that lane's own clock; then in each round
-every phase of all lanes trains as one stack (the full phases as one stack
-per FedProx mu, each member pulled toward its own lane's global model), and
-each lane aggregates and evaluates on its own. A row of a stack trains as
-its lane alone would, so each lane's traces and models are bitwise those of
-running it alone; `run_experiment` and `run_round` are the one-lane case.
+all lanes train as one stack per FedProx mu, each row pulled toward its own
+lane's global model, and each lane aggregates and evaluates on its own. A
+row of a stack trains as its lane alone would, so each lane's traces and
+models are bitwise those of running it alone; `run_experiment` and
+`run_round` are the one-lane case.
 
 Each strategy is a `Strategy` subclass below; its docstring says what it does
 in a round. Planning calls its methods; training and aggregation read it
@@ -69,12 +74,13 @@ from .model import (
     init_model,
     merge,
     sgd_step_in_place,
+    split,
 )
 
 # The allocating reference step functions. Training runs through
 # `sgd_step_in_place`; these stay bound here because perfbench/tracer.py
 # looks them up on this module.
-from .model import backward_frozen, backward_full, sgd_step, split  # noqa: F401
+from .model import backward_frozen, backward_full, sgd_step  # noqa: F401
 from .profiling import ClientProfile, PhaseTimings, measure, scale_timings
 from .scheduling import OffloadSchedule, build_schedule
 from .seeding import (
@@ -362,7 +368,8 @@ class BatchCursor:
         self._indices = np.asarray(indices, dtype=np.int64)
         self.batch_size = batch_size
         self._rng = rng
-        self._order = self._rng.permutation(self._indices)
+        # No pass is drawn until the first take.
+        self._order = self._indices[:0]
         self._pos = 0
 
     def _take(self, n: int) -> np.ndarray:
@@ -373,17 +380,19 @@ class BatchCursor:
         `permuted` call, which shuffles row after row with the same draws as
         that many `permutation` calls.
         """
-        pos, size = self._pos, self._order.shape[0]
-        if pos + n <= size:
+        pos, order = self._pos, self._order
+        if pos + n <= order.shape[0]:
             self._pos = pos + n
-            return self._order[pos : pos + n]
-        head = self._order[pos:]
-        n -= size - pos
+            return order[pos : pos + n]
+        n -= order.shape[0] - pos
+        size = self._indices.shape[0]
         passes = -(-n // size)
         fresh = self._rng.permuted(np.tile(self._indices, (passes, 1)), axis=1)
         self._order = fresh[-1]
         self._pos = n - (passes - 1) * size
-        return np.concatenate([head, fresh.ravel()[:n]])
+        if pos == order.shape[0]:
+            return fresh.ravel()[:n]
+        return np.concatenate([order[pos:], fresh.ravel()[:n]])
 
     def next_batch(self) -> Batch:
         idx = self._take(self.batch_size)
@@ -391,35 +400,76 @@ class BatchCursor:
 
 
 class CohortCursor:
-    """Stacked batches of one phase of a cohort that trains in lockstep.
+    """Stacked batches of a cohort that trains in lockstep, and the rows that join it.
 
-    `blocks` holds each member's sample indices for the phase, one row of
-    `batch_size` indices per step, with the members in order of step count.
-    On construction they are gathered from the shared data arrays in one go,
+    `blocks` holds each row's sample indices, one row of `batch_size` indices
+    per step it runs, with the rows in order of step count. Every row runs
+    until the last step, so a row with fewer steps joins the stack later,
+    and the rows that run a step are a suffix of the stack. On construction
+    the indices are gathered from the shared data arrays in one go,
     step-major, so that each step is one contiguous block. `next_batch` then
-    serves one step at a time as a Batch of shape (K, batch_size, input_dim)
-    whose row k is what member k's own cursor serves at that step. Only the
-    members that still have the step are served, as a view of a suffix of
-    the stack: the members that have run all their steps leave from the
-    front.
+    serves one step at a time as a Batch of shape (k, batch_size, input_dim)
+    for the k rows that run it, as a view, whose row i is what that row's
+    own cursor serves at that step.
+
+    `handoffs`, non-increasing, pairs the first d rows of the stack, the
+    donated rows, with the last d, the weak rows, in order. Weak row i takes
+    full steps until step handoffs[i] and classifier-only steps from there
+    on. Donated row i joins at that step as a copy of weak row i (`join`
+    makes the copy), and from then on moves only its feature block. The rows
+    in between take full steps throughout. So the rows that move the feature
+    block are the first n - d that run each step, and the rows that move the
+    classifier the last n - d of a stack of n: `mode` is that pair for
+    `sgd_step_in_place`, or None without handoffs.
     """
 
-    def __init__(self, inputs: np.ndarray, labels: np.ndarray, blocks: list[np.ndarray]) -> None:
+    def __init__(
+        self,
+        inputs: np.ndarray,
+        labels: np.ndarray,
+        blocks: list[np.ndarray],
+        handoffs: Sequence[int] = (),
+    ) -> None:
         steps = [b.shape[0] for b in blocks]
         if steps != sorted(steps):
             raise ValueError("cohort members must come in order of step count")
         size = blocks[0].shape[1]
         if any(b.shape[1] != size for b in blocks):
             raise ValueError("cohort members must share one batch size")
-        idx = np.zeros((steps[-1], len(blocks), size), dtype=np.int64)
-        # Steps a member does not run read sample 0 and are never served.
-        running = np.arange(steps[-1]) < np.asarray(steps)[:, None]
+        handoffs = list(handoffs)
+        last, rows, d = steps[-1], len(blocks), len(handoffs)
+        joins = [last - n for n in steps]
+        if d and (2 * d > rows or handoffs != joins[:d] or any(joins[d:])):
+            raise ValueError(
+                "each handoff needs a donated row at the front of the stack that joins"
+                " at its step and a weak row at the back, and every other row runs"
+                " every step"
+            )
+        idx = np.zeros((last, rows, size), dtype=np.int64)
+        # Steps before a row joins read sample 0 and are never served.
+        running = np.arange(last) >= np.asarray(joins)[:, None]
         idx.swapaxes(0, 1)[running] = np.concatenate(blocks)
         self._inputs = inputs.take(idx, axis=0)
         self._labels = labels.take(idx)
         self.batch_size = size
-        self._first = np.searchsorted(steps, np.arange(steps[-1]), side="right").tolist()
+        self._first = np.searchsorted(steps, last - np.arange(last)).tolist()
         self._step = 0
+        self.mode = (rows - d, rows - d) if d else None
+        # The donated rows that join at each step, and their weak rows: the
+        # rows with one handoff step are one range of each block.
+        self._joins = {}
+        for step in set(handoffs):
+            first = handoffs.index(step)
+            stop = first + handoffs.count(step)
+            self._joins[step] = (slice(first, stop), slice(rows - d + first, rows - d + stop))
+
+    def join(self, model: PartitionedModel) -> None:
+        """Copy the donated rows that join at the next step from their weak rows."""
+        rows = self._joins.get(self._step)
+        if rows is not None:
+            into, source = rows
+            for a in model.arrays():
+                a[into] = a[source]
 
     def next_batch(self) -> Batch:
         step, first = self._step, self._first[self._step]
@@ -456,19 +506,27 @@ def local_train(
     In "frozen" mode only the classifier block moves. The model passed in is
     left as it is: the steps train a copy of it in place, in one `Workspace`
     for the call. A stacked model on a `CohortCursor` trains in lockstep:
-    each step moves the members that still have that step, a suffix of the
-    stack, so one call trains a whole phase and each member comes out
-    trained on its own steps only.
+    each step moves the rows that run it, a suffix of the stack, so one call
+    trains a whole round and each row comes out trained on its own steps
+    only. A cursor with handoffs trains in "full" mode: its `mode` says
+    which rows move which block, and each donated row joins as a copy of its
+    weak row.
     """
     if updates < 0:
         raise ValueError(f"updates must be >= 0, got {updates}")
     if mode not in ("full", "frozen"):
         raise ValueError(f"unknown training mode {mode!r}")
+    handoffs = getattr(cursor, "mode", None) is not None
+    if handoffs and mode != "full":
+        raise ValueError("a cohort with handoffs trains in full mode")
+    step_mode = cursor.mode if handoffs else mode
     model = model.copy()
     workspace = Workspace(model, cursor.batch_size)
     for _ in range(updates):
+        if handoffs:
+            cursor.join(model)
         sgd_step_in_place(
-            model, cursor.next_batch(), workspace, learning_rate, mode, prox_mu, anchor
+            model, cursor.next_batch(), workspace, learning_rate, step_mode, prox_mu, anchor
         )
     return model
 
@@ -918,64 +976,77 @@ def _rows(model: PartitionedModel, rows: int) -> PartitionedModel:
 
 def _lockstep(
     start: dict[Any, PartitionedModel],
-    blocks: dict[Any, np.ndarray],
+    own: dict[Any, np.ndarray],
+    handoffs: dict[Any, int],
+    donated: dict[Any, np.ndarray],
     data: _LaneData,
-    mode: str,
     learning_rate: float,
     prox_mu: float = 0.0,
 ) -> dict[Any, PartitionedModel]:
-    """Train the members of one phase stacked, in lockstep; return their models.
+    """Train a round of kept clients stacked, in lockstep; return their models.
 
-    A member is a (lane, client) pair that starts from `start[m]`.
-    `blocks[m]` holds member m's batch indices for the phase into `data`'s
-    arrays, one row per step. They are gathered into one `CohortCursor`, and
-    the stack of start models trains on it in one call: `local_train` in
-    "full" or "frozen" mode, `execute_offloaded` in "feature" mode, where
-    each member trains its feature block under its own classifier. The
-    members that run the fewest steps sit first, and each leaves the stack
-    once it has run its steps: every later step serves and moves only the
-    members still running, a suffix of the stack. So each member's row comes
-    out as trained on its own steps. Members with no steps are left out.
-    The FedProx anchor is the start stack itself, which training leaves as
-    it is.
+    A member is a (lane, client) pair that starts from `start[m]` and runs
+    its own steps on `own[m]`: its batch indices into `data`'s arrays, one
+    row per step, the same number for every member. A weak member hands off
+    at step `handoffs[m]`: from there on its row moves only the classifier,
+    and a donated row, which joins the stack at that step as a copy of it,
+    moves only the feature block, on `donated[m]`, the receiver's batches
+    after the receiver's own. The stack is [donated rows][full rows][weak
+    rows], the donated and the weak rows in descending order of handoff
+    step, so that at each step the rows that run, the rows that move the
+    feature block and the rows that move the classifier are each one range
+    of it (see `CohortCursor`), and one `local_train` call trains the
+    round. A weak member's model joins its donated row's feature block to
+    its own row's classifier, both as views. The FedProx anchor is the start
+    stack, which training leaves as it is.
     """
-    steps = {m: len(b) for m, b in blocks.items()}
-    members = sorted((m for m, n in steps.items() if n > 0), key=steps.__getitem__)
-    if not members:
+    if not own:
         return {}
-    cursor = CohortCursor(data.inputs, data.labels, [blocks[m] for m in members])
-    model, n = _stack([start[m] for m in members]), steps[members[-1]]
-    if mode == "feature":
-        classifier = ClassifierBlock(model.classifier_weights, model.classifier_bias)
-        feature = FeatureBlock(model.feature_weights, model.feature_bias)
-        feature = execute_offloaded(feature, classifier, cursor, n, learning_rate)
-        model = PartitionedModel(
-            feature.weights, feature.bias, classifier.weights, classifier.bias, model.num_classes
+    weak = sorted(handoffs, key=lambda m: -handoffs[m])
+    full = [m for m in own if m not in handoffs]
+    blocks = [donated[m] for m in weak] + [own[m] for m in full + weak]
+    cursor = CohortCursor(data.inputs, data.labels, blocks, [handoffs[m] for m in weak])
+    model = _stack([start[m] for m in weak + full + weak])
+    model = local_train(model, cursor, len(blocks[-1]), learning_rate, "full", prox_mu, model)
+    d, rows = len(weak), len(blocks)
+    if d:
+        # perfbench/run.py reports `engine.execute_offloaded.steps`, a count
+        # its tracer makes only when this function is called. The donated
+        # rows trained above, so this call runs no step and keeps it at 0.
+        execute_offloaded(*split(_rows(model, 0)), cursor, 0, learning_rate)
+    trained = {m: _rows(model, d + k) for k, m in enumerate(full)}
+    for i, m in enumerate(weak):
+        feature, classifier = _rows(model, i), _rows(model, rows - d + i)
+        trained[m] = PartitionedModel(
+            feature.feature_weights,
+            feature.feature_bias,
+            classifier.classifier_weights,
+            classifier.classifier_bias,
+            model.num_classes,
         )
-    else:
-        model = local_train(model, cursor, n, learning_rate, mode, prox_mu, anchor=model)
-    return {m: _rows(model, k) for k, m in enumerate(members)}
+    return trained
 
 
 def _phase_blocks(
     state: ExperimentState, plan: RoundPlan
-) -> tuple[dict[int, np.ndarray], dict[int, np.ndarray], dict[int, np.ndarray]]:
-    """Each phase's batch indices per client, from one take per stream.
+) -> tuple[dict[int, np.ndarray], dict[int, np.ndarray]]:
+    """Each kept client's batch indices for the round, from one take per stream.
 
     Opens every kept client's batch stream for the round and draws all the
-    batches that stream serves in the round at once: a weak client's full
-    and classifier-only steps, a receiver's full steps and then the donated
-    block's steps, which follow its own budget. `build_schedule` gives a
-    receiver at most one block per round. A take of a + b indices is the
-    take of a followed by the take of b, so the stream serves each phase the
-    batches it would serve alone.
-    Returns the (steps, batch_size) index blocks of the full, frozen and
-    donated phases, each keyed by the client whose model trains on them.
+    batches that stream serves in the round at once: the client's own steps
+    (a weak client's full and then classifier-only steps), then, for a
+    receiver, the donated block's steps, which follow its own budget.
+    `build_schedule` gives a receiver at most one block per round. A take of
+    a + b indices is the take of a followed by the take of b, so the stream
+    serves each block the batches it would serve alone.
+    Returns the (steps, batch_size) index blocks of the clients' own steps,
+    keyed by client, and of the donated blocks, keyed by the weak client
+    whose feature block trains on them.
     """
     size = state.config.training.batch_size
     weak = [p for p in plan.clients if p.receiver is not None]
     donated_to = {p.receiver: p.donated_steps for p in weak}
-    full_steps = {p.client_id: p.full_steps for p in plan.clients}
+    own_steps = {p.client_id: p.full_steps + p.frozen_steps for p in plan.clients}
     draws: dict[int, np.ndarray] = {}
     for p in plan.clients:
         if p.dropped:
@@ -987,19 +1058,18 @@ def _phase_blocks(
             size,
             spawn_rng(state.seed, TAG_BATCHES, plan.round_index, p.client_id),
         )
-        steps = p.full_steps + p.frozen_steps + donated_to.get(p.client_id, 0)
+        steps = own_steps[p.client_id] + donated_to.get(p.client_id, 0)
         draws[p.client_id] = cursor._take(steps * size).reshape(steps, size)
-    full = {cid: rows[: full_steps[cid]] for cid, rows in draws.items()}
-    frozen = {p.client_id: draws[p.client_id][p.full_steps :] for p in weak}
-    donated = {p.client_id: draws[p.receiver][full_steps[p.receiver] :] for p in weak}
-    return full, frozen, donated
+    own = {cid: rows[: own_steps[cid]] for cid, rows in draws.items()}
+    donated = {p.client_id: draws[p.receiver][own_steps[p.receiver] :] for p in weak}
+    return own, donated
 
 
 @dataclass(frozen=True)
 class _LaneData:
     """The training data of a group of lanes as one pair of arrays.
 
-    Lane i's dataset is rows `bases[i]` onward, so that a phase of every
+    Lane i's dataset is rows `bases[i]` onward, so that a round of every
     lane gathers its batches in one take. A lane's dataset is a function of
     the config and its seed, so lanes of one seed share the seed's rows.
     """
@@ -1031,42 +1101,42 @@ def _train_lanes(
 ) -> list[dict[int, PartitionedModel]]:
     """Run every lane's plan stacked; return each lane's kept clients' models.
 
-    Phases run in the order each client's batch stream serves them: full
-    steps, then a weak client's classifier-only steps, then the receiver's
-    steps on the donated feature block. `_phase_blocks` draws each lane's
-    batches, and each phase of all lanes trains in one `_lockstep` call;
-    the full phases of lanes with different FedProx mu train as one stack
-    per mu, each member pulled toward its own lane's global model, its start
-    model. A weak client's model joins the feature block of its donated
-    phase to the classifier of its frozen phase, both as views.
+    `_phase_blocks` draws each lane's batches, and the round trains as one
+    lockstep phase of `local_updates` steps per FedProx mu (see
+    `_lockstep`), each row pulled toward its own lane's global model, its
+    start model: every kept client runs exactly `local_updates` steps of its
+    own, full and then classifier-only, and each donated block runs the weak
+    client's classifier-only steps, so all of them end together. A plan
+    that breaks this raises ValueError.
     """
     lr = states[0].config.training.learning_rate
-    full_blocks: dict[float, dict[tuple[int, int], np.ndarray]] = {}
-    frozen_blocks: dict[tuple[int, int], np.ndarray] = {}
-    donated_blocks: dict[tuple[int, int], np.ndarray] = {}
+    updates = states[0].config.training.local_updates
+    stacks: dict[float, tuple[dict, dict, dict, dict]] = {}
     for lane, (state, plan) in enumerate(zip(states, plans)):
         base = data.bases[lane]
-        full_blocks.setdefault(state.strategy.prox_mu, {})
-        for into, phase in zip(
-            (full_blocks[state.strategy.prox_mu], frozen_blocks, donated_blocks),
-            _phase_blocks(state, plan),
-        ):
-            into.update(((lane, cid), rows + base if base else rows) for cid, rows in phase.items())
+        start, own, handoffs, donated = stacks.setdefault(state.strategy.prox_mu, ({}, {}, {}, {}))
+        own_blocks, donated_blocks = _phase_blocks(state, plan)
+        for p in plan.clients:
+            if p.dropped:
+                continue
+            broken = p.full_steps + p.frozen_steps != updates or p.donated_steps != p.frozen_steps
+            if broken or (p.frozen_steps and p.receiver is None):
+                raise ValueError(
+                    f"round {plan.round_index} (seed {state.seed}): client {p.client_id} plans"
+                    f" {p.full_steps} full, {p.frozen_steps} classifier-only and"
+                    f" {p.donated_steps} donated steps; a kept client runs local_updates"
+                    f" ({updates}) steps of its own and donates its classifier-only ones"
+                )
+            m = (lane, p.client_id)
+            start[m] = state.global_model
+            own[m] = own_blocks[p.client_id] + base if base else own_blocks[p.client_id]
+            if p.frozen_steps:
+                handoffs[m] = p.full_steps
+                rows = donated_blocks[p.client_id]
+                donated[m] = rows + base if base else rows
     trained: dict[tuple[int, int], PartitionedModel] = {}
-    for prox_mu, blocks in full_blocks.items():
-        start = {m: states[m[0]].global_model for m in blocks}
-        trained.update(_lockstep(start, blocks, data, "full", lr, prox_mu))
-    classifier_parts = _lockstep(trained, frozen_blocks, data, "frozen", lr)
-    feature_parts = _lockstep(trained, donated_blocks, data, "feature", lr)
-    for m in frozen_blocks:
-        feature, classifier = feature_parts[m], classifier_parts[m]
-        trained[m] = PartitionedModel(
-            feature.feature_weights,
-            feature.feature_bias,
-            classifier.classifier_weights,
-            classifier.classifier_bias,
-            classifier.num_classes,
-        )
+    for prox_mu, (start, own, handoffs, donated) in stacks.items():
+        trained.update(_lockstep(start, own, handoffs, donated, data, lr, prox_mu))
     lanes: list[dict[int, PartitionedModel]] = [{} for _ in states]
     for (lane, cid), model in trained.items():
         lanes[lane][cid] = model
@@ -1168,7 +1238,7 @@ def run_experiments(config, tasks: list[tuple[Strategy, int]]) -> list[Experimen
     Each task is a lane with its own state. The lanes of one seed share its
     `SeedData`, built once. Every round of every lane is planned first
     (round-major, lanes in order), then round r of all lanes trains
-    together, one stack per phase (see `_train_lanes`); each lane's results
+    together, one stack per FedProx mu (see `_train_lanes`); each lane's results
     are bitwise those of running it alone. Every lane's state and plans are
     held for the whole run.
     """

@@ -16,12 +16,15 @@ order as in the unstacked case.
 
 `forward`, `backward_full`, `backward_frozen` and `sgd_step` allocate their
 results and are the reference. Training runs `sgd_step_in_place` instead:
-a `Workspace` preallocates every intermediate of a step for the largest
-stack of a training phase, and each step writes into it with `out=` and
-updates the parameters in place, with the same ufuncs on the same operands
-in the same order, so the bytes are those of the reference. A step on k
-members uses the last k rows of the stack and of every buffer, so members
-can leave the front of the stack as they finish and keep their bytes.
+a `Workspace` preallocates every intermediate of a step for the whole stack
+of a lockstep call, and each step writes into it with `out=` and updates
+the parameters in place, with the same ufuncs on the same operands in the
+same order, so the bytes are those of the reference. A step on k rows runs
+the last k rows of the stack and of every buffer, so rows can join the
+front of the stack later, and it moves the feature block on one range of
+those rows and the classifier on another: full, classifier-only and
+donated rows step side by side, and a row that does not move keeps its
+bytes.
 
 All arithmetic is float64.
 """
@@ -280,37 +283,39 @@ def sgd_step(model: PartitionedModel, grads: Gradients, lr: float) -> Partitione
 class Workspace:
     """Preallocated buffers for in-place SGD steps of one model or one stack.
 
-    A lockstep phase makes one workspace and runs every step in it: the
+    A lockstep call makes one workspace and runs every step in it: the
     hidden activations and their gradient, the logits (which become the
     probabilities and then their gradient), each row's max and sum, the
     one-hot label mask, the four gradient arrays and the proximal
-    differences, all sized for the phase's largest stack. A batch of k
-    members, the ones still running, uses the last k rows of every buffer
-    and moves the last k models of the stack; members leave from the front
-    and keep their bytes.
+    differences, all sized for the whole stack. Row i of every buffer serves
+    row i of the stack. A step on a batch of k rows runs the last k rows of
+    the stack and moves each block on a range of those (see
+    `sgd_step_in_place`); the views of each such layout are made once and
+    kept. A lone model is served as a stack of one.
     """
 
     def __init__(self, model: PartitionedModel, batch_size: int) -> None:
         lead = model.feature_weights.shape[:-2]
         if len(lead) > 1:
             raise ShapeError(f"a workspace serves one model or one stack, got shape {lead}")
-        rows = (*lead, batch_size)
         self.stack = lead[0] if lead else None
+        rows = (self.stack or 1, batch_size)
         self.batch_size = batch_size
         self.classes = np.arange(model.num_classes)
+        shapes = [(rows[0], *a.shape[len(lead) :]) for a in model.arrays()]
         self._buffers = (
             np.empty((*rows, model.hidden_dim)),  # hidden
             np.empty((*rows, model.hidden_dim)),  # dhidden
             np.empty((*rows, model.num_classes)),  # logits
             np.empty((*rows, 1)),  # each row's max, then its sum
             np.empty((*rows, model.num_classes), dtype=bool),  # one-hot labels
-            tuple(np.empty(a.shape) for a in model.arrays()),  # gradients
-            tuple(np.empty(a.shape) for a in model.arrays()),  # proximal differences
+            tuple(np.empty(shape) for shape in shapes),  # gradients
+            tuple(np.empty(shape) for shape in shapes),  # proximal differences
         )
-        self._views = {self.stack: self._buffers}
+        self._views: dict[tuple, _StepViews] = {}
 
-    def views(self, batch: Batch) -> tuple:
-        """The buffers' rows that train on `batch`: the last k for k members."""
+    def views(self, batch: Batch, mode: str | tuple[int, int]) -> _StepViews:
+        """The rows and buffer views of one step on `batch` under `mode`."""
         labels = batch.labels
         stacked = self.stack is not None
         if labels.shape[-1] != self.batch_size or labels.ndim != 1 + stacked:
@@ -318,21 +323,70 @@ class Workspace:
                 f"a workspace for {self.stack or 'a lone'} model(s) and batches of "
                 f"{self.batch_size} cannot train on labels of shape {labels.shape}"
             )
-        k = labels.shape[0] if stacked else None
-        views = self._views.get(k)
+        k = labels.shape[0] if stacked else 1
+        views = self._views.get((k, mode))
         if views is None:
-            if not 1 <= k <= self.stack:
-                raise ShapeError(f"{k} members do not fit a stack of {self.stack}")
-            views = tuple(
-                tuple(a[-k:] for a in buf) if isinstance(buf, tuple) else buf[-k:]
-                for buf in self._buffers
-            )
-            self._views[k] = views
+            views = self._views[(k, mode)] = _StepViews(self._buffers, k, mode)
         return views
 
 
-# Indices into PartitionedModel.arrays() of the parameters each mode moves.
-_MOVING = {"full": (0, 1, 2, 3), "frozen": (2, 3), "feature": (0, 1)}
+_WHOLE = slice(None)
+
+
+def _rows(arrays, rows: slice) -> tuple:
+    return tuple(arrays) if rows is _WHOLE else tuple(a[rows] for a in arrays)
+
+
+class _StepViews:
+    """Which rows of a stack of n one step runs and moves, and the buffers' rows.
+
+    The step runs the last k rows. In `mode` (f, c) the first f of those
+    move the feature block and the last c move the classifier; the rows in
+    both ranges are full steps. "full" is (k, k), "frozen" (0, k) and
+    "feature" (k, 0). Each range is a slice of the stack, `_WHOLE` where it
+    is every row, so that the usual full step slices nothing.
+    """
+
+    def __init__(self, buffers: tuple, k: int, mode: str | tuple[int, int]) -> None:
+        hidden, dhidden, logits, reduced, onehot, grads, diffs = buffers
+        n = hidden.shape[0]
+        if not 1 <= k <= n:
+            raise ShapeError(f"{k} members do not fit a stack of {n}")
+        if isinstance(mode, str):
+            if mode not in ("full", "frozen", "feature"):
+                raise ValueError(f"unknown training mode {mode!r}")
+            f, c = k * (mode != "frozen"), k * (mode != "feature")
+        else:
+            f, c = mode
+            if not (0 <= f <= k and 0 <= c <= k):
+                raise ValueError(f"training mode {mode!r} names rows outside the {k} running")
+        lo = n - k
+
+        def span(start: int, stop: int) -> slice | None:
+            if start >= stop:
+                return None
+            return _WHOLE if (start, stop) == (0, n) else slice(start, stop)
+
+        self.run = span(lo, n)
+        self.feature = span(lo, lo + f)
+        self.classifier = span(n - c, n)
+        self.both = span(n - c, lo + f)
+        # The feature rows as rows of the batch.
+        self.feature_inputs = _WHOLE if f == k else slice(0, f)
+        self.running = _rows((hidden, logits, reduced, onehot), self.run)
+        if self.classifier is not None:
+            self.classifier_views = _rows((hidden, logits, grads[2], grads[3]), self.classifier)
+        if self.feature is not None:
+            self.feature_views = _rows((hidden, dhidden, logits, grads[0], grads[1]), self.feature)
+        if self.both is not None:
+            self.both_views = (_rows(grads, self.both), _rows(diffs, self.both))
+        # The gradient buffer of each moving parameter and its rows.
+        blocks = (self.feature, self.feature, self.classifier, self.classifier)
+        self.moving = [
+            (i, grads[i] if rows is _WHOLE else grads[i][rows], rows)
+            for i, rows in enumerate(blocks)
+            if rows is not None
+        ]
 
 
 def sgd_step_in_place(
@@ -340,7 +394,7 @@ def sgd_step_in_place(
     batch: Batch,
     workspace: Workspace,
     lr: float,
-    mode: str = "full",
+    mode: str | tuple[int, int] = "full",
     prox_mu: float = 0.0,
     anchor: PartitionedModel | None = None,
 ) -> None:
@@ -349,30 +403,37 @@ def sgd_step_in_place(
     Modes: "full" moves both blocks, as `sgd_step(model, backward_full(model,
     batch), lr)`; "frozen" moves the classifier only, as with
     `backward_frozen`; "feature" moves the feature block only, with full
-    gradients and a fixed classifier (a donated block). In "full" mode a
-    nonzero `prox_mu` adds `prox_mu * (p - anchor)` to each gradient; the
-    anchor is one model for every member, or a stack of one per member. A
-    stacked batch of k members moves the last k models of the stack.
+    gradients and a fixed classifier (a donated block). A stacked batch of k
+    rows runs the last k models of the stack, and the mode may then be a
+    pair (f, c): the first f of those k rows move their feature block, as in
+    "feature", and the last c move their classifier, as in "frozen"; a row
+    in both takes a full step. So one step can train full, classifier-only
+    and donated rows side by side, each as its own mode would. A nonzero
+    `prox_mu` adds `prox_mu * (p - anchor)` to each gradient of the rows
+    that take full steps; the anchor is one model for every row, or a stack
+    of one per row.
 
     Every intermediate lives in `workspace`, and each is computed with the
     ufunc, operands, order and reduction axis of the allocating functions
     above (`ndarray.max` and `ndarray.sum` are `maximum.reduce` and
-    `add.reduce`), so the new parameters are bitwise theirs. The new
-    parameters are computed into the gradient buffers and checked to be
-    finite before any parameter moves, so a non-finite gradient and an
-    overflow of `lr * g` or `p - lr * g` both raise DivergenceError.
+    `add.reduce`), so the new parameters are bitwise theirs. The classifier
+    gradients are computed for the rows that move the classifier only, and
+    the backward pass through the feature block for the rows that move it
+    only. The new parameters of both blocks are computed into the gradient
+    buffers and checked to be finite before any parameter moves, so a
+    non-finite gradient and an overflow of `lr * g` or `p - lr * g` both
+    raise DivergenceError.
     """
-    moving = _MOVING.get(mode)
-    if moving is None:
-        raise ValueError(f"unknown training mode {mode!r}")
-    if mode == "full" and prox_mu != 0.0 and anchor is None:
-        raise ValueError("proximal training requires an anchor model")
     _check_batch(model, batch)
-    hidden, dhidden, logits, reduced, onehot, grads, diffs = workspace.views(batch)
-    k = hidden.shape[0] if workspace.stack is not None else None
-    params = model.arrays() if k == workspace.stack else tuple(a[-k:] for a in model.arrays())
-    fw, fb, cw, cb = params
-    g_fw, g_fb, g_cw, g_cb = grads
+    views = workspace.views(batch, mode)
+    if prox_mu != 0.0 and views.both is not None and anchor is None:
+        raise ValueError("proximal training requires an anchor model")
+    if workspace.stack is None:
+        model = PartitionedModel(*(a[None] for a in model.arrays()), num_classes=model.num_classes)
+        batch = Batch(batch.inputs[None], batch.labels[None])
+    params = model.arrays()
+    fw, fb, cw, cb = _rows(params, views.run)
+    hidden, logits, reduced, onehot = views.running
     inputs = batch.inputs
     np.matmul(inputs, fw, out=hidden)
     np.add(hidden, fb[..., None, :], out=hidden)
@@ -388,37 +449,43 @@ def sgd_step_in_place(
     np.equal(batch.labels[..., None], workspace.classes, out=onehot)
     np.subtract(logits, onehot, out=logits)
     np.divide(logits, batch.labels.shape[-1], out=logits)
-    if mode != "feature":
-        np.matmul(hidden.swapaxes(-1, -2), logits, out=g_cw)
-        np.add.reduce(logits, axis=-2, out=g_cb)
-    if mode != "frozen":
-        np.matmul(logits, cw.swapaxes(-1, -2), out=dhidden)
+    if views.classifier is not None:
+        # Before the feature rows' `hidden` turns into the tanh derivative.
+        c_hidden, c_logits, g_cw, g_cb = views.classifier_views
+        np.matmul(c_hidden.swapaxes(-1, -2), c_logits, out=g_cw)
+        np.add.reduce(c_logits, axis=-2, out=g_cb)
+    if views.feature is not None:
+        f_hidden, dhidden, f_logits, g_fw, g_fb = views.feature_views
+        f_cw = params[2] if views.feature is _WHOLE else params[2][views.feature]
+        f_inputs = inputs if views.feature_inputs is _WHOLE else inputs[views.feature_inputs]
+        np.matmul(f_logits, f_cw.swapaxes(-1, -2), out=dhidden)
         # hidden -> 1 - hidden**2, the tanh derivative; dhidden -> dpre.
-        np.multiply(hidden, hidden, out=hidden)
-        np.subtract(1.0, hidden, out=hidden)
-        np.multiply(dhidden, hidden, out=dhidden)
-        np.matmul(inputs.swapaxes(-1, -2), dhidden, out=g_fw)
+        np.multiply(f_hidden, f_hidden, out=f_hidden)
+        np.subtract(1.0, f_hidden, out=f_hidden)
+        np.multiply(dhidden, f_hidden, out=dhidden)
+        np.matmul(f_inputs.swapaxes(-1, -2), dhidden, out=g_fw)
         np.add.reduce(dhidden, axis=-2, out=g_fb)
-    if mode == "full" and prox_mu != 0.0:
-        # The anchor is one model broadcast over the stack, or a stack with
-        # one row per member, sliced to the running members like the
-        # parameters.
+    if prox_mu != 0.0 and views.both is not None:
+        # The anchor is one model broadcast over the rows, or a stack with
+        # one row per row of the model, sliced like the parameters.
         anchors = anchor.arrays()
-        if k != workspace.stack and anchor.feature_weights.ndim == 3:
-            anchors = tuple(a[-k:] for a in anchors)
-        for g, p, a, diff in zip(grads, params, anchors, diffs):
+        if anchor.feature_weights.ndim == 3:
+            anchors = _rows(anchors, views.both)
+        grads, diffs = views.both_views
+        for g, p, a, diff in zip(grads, _rows(params, views.both), anchors, diffs):
             np.subtract(p, a, out=diff)
             np.multiply(prox_mu, diff, out=diff)
             np.add(g, diff, out=g)
-    for i in moving:
+    moving = [(g, params[i] if rows is _WHOLE else params[i][rows]) for i, g, rows in views.moving]
+    for g, p in moving:
         # g -> p - lr * g, bitwise the new parameter, checked before any moves.
-        np.multiply(grads[i], lr, out=grads[i])
-        np.subtract(params[i], grads[i], out=grads[i])
-    for i in moving:
-        if not np.isfinite(grads[i]).all():
+        np.multiply(g, lr, out=g)
+        np.subtract(p, g, out=g)
+    for g, _ in moving:
+        if not np.isfinite(g).all():
             raise DivergenceError("non-finite gradient values")
-    for i in moving:
-        np.copyto(params[i], grads[i])
+    for g, p in moving:
+        np.copyto(p, g)
 
 
 def split(model: PartitionedModel) -> tuple[FeatureBlock, ClassifierBlock]:

@@ -619,26 +619,41 @@ class TestRunCommand:
         assert "invalid configuration:\n  - training: diverged in round 0 (seed 7):" in err
         assert "non-finite gradient values" in err
 
+    # The gradients stay finite; lr * g overflows on a member's last step.
+    OVERFLOWING = {
+        "dataset": {"num_classes": 3, "samples_per_class": 20, "input_dim": 2},
+        "clients": {"count": 6, "per_round": 4},
+        "training": {
+            "rounds": 1,
+            "local_updates": 2,
+            "batch_size": 4,
+            "hidden_dim": 4,
+            "learning_rate": 1.0e300,
+        },
+        "strategies": ["fedprox"],
+        "seed": 1,
+    }
+
     def test_step_that_overflows_exits_1(self, tmp_path, capsys):
-        # The gradients stay finite; lr * g overflows on a member's last step.
-        raw = {
-            "dataset": {"num_classes": 3, "samples_per_class": 20, "input_dim": 2},
-            "clients": {"count": 6, "per_round": 4},
-            "training": {
-                "rounds": 1,
-                "local_updates": 2,
-                "batch_size": 4,
-                "hidden_dim": 4,
-                "learning_rate": 1.0e300,
-            },
-            "strategies": ["fedprox"],
-            "seed": 1,
-        }
-        code, out = self.run_cli(tmp_path, raw)
+        code, out = self.run_cli(tmp_path, self.OVERFLOWING)
         assert code == 1
         err = capsys.readouterr().err
         assert "invalid configuration:\n  - training: diverged in round 0 (seed 1):" in err
         assert not (out / "summary.json").exists()
+
+    def test_step_that_overflows_prints_no_numpy_warning(self, tmp_path):
+        # In a child process, whose stderr shows numpy's warnings as a user
+        # sees them; the step's own check reports the divergence.
+        src = os.path.dirname(os.path.dirname(fedsim.__file__))
+        done = subprocess.run(
+            [sys.executable, "-m", "fedsim.cli", "run", "--workers", "1",
+             "--config", write_yaml(tmp_path / "exp.yaml", self.OVERFLOWING),
+             "--out", str(tmp_path / "out")],
+            env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, timeout=300,
+        )
+        assert done.returncode == 1, done.stderr
+        assert "training: diverged in round 0 (seed 1)" in done.stderr
+        assert "Warning" not in done.stderr
 
     @pytest.mark.parametrize(
         "raw, problem",

@@ -6,6 +6,7 @@ a small config under every strategy, so any change to the arithmetic or the
 order of a round's steps shows up as a digest mismatch.
 """
 
+import dataclasses
 import hashlib
 import json
 import math
@@ -172,15 +173,14 @@ def test_golden_digest_freeze_offload_cohort_of_40():
 
 
 def record_lockstep(monkeypatch):
-    """Record, per `_lockstep` call, the lanes in its stack and their step
-    counts."""
+    """Record, per `_lockstep` call, the lanes in its stack and their
+    handoff steps."""
     calls = []
     original = engine._lockstep
 
-    def recording(start, blocks, data, mode, learning_rate, prox_mu=0.0):
-        steps = {m: len(b) for m, b in blocks.items() if len(b)}
-        calls.append(({lane for lane, _ in steps}, set(steps.values())))
-        return original(start, blocks, data, mode, learning_rate, prox_mu)
+    def recording(start, own, handoffs, donated, data, learning_rate, prox_mu=0.0):
+        calls.append(({lane for lane, _ in own}, set(handoffs.values())))
+        return original(start, own, handoffs, donated, data, learning_rate, prox_mu)
 
     monkeypatch.setattr(engine, "_lockstep", recording)
     return calls
@@ -206,8 +206,7 @@ def test_lockstep_lanes_match_each_lane_alone(monkeypatch):
     tasks = [(strategy, seed) for strategy in LANE_STRATEGIES for seed in (3, 4)]
     calls = record_lockstep(monkeypatch)
     results = run_experiments(config, tasks)
-    # Each round, the full phases of all 14 lanes train as one stack per
-    # FedProx mu.
+    # Each round, all 14 lanes train as one stack per FedProx mu.
     stacks = [lanes for lanes, _ in calls]
     assert stacks.count({0, 1, 4, 5, 6, 7, 8, 9, 10, 11}) == config.training.rounds
     assert stacks.count({2, 3}) == config.training.rounds  # mu 0.01
@@ -225,18 +224,15 @@ def test_lockstep_lanes_match_each_lane_alone(monkeypatch):
 
 
 def test_lockstep_ragged_freeze_offload_lanes_match_each_lane_alone(monkeypatch):
-    # The freeze_offload lanes stack their ragged full, frozen and donated
-    # phases together, the full ones with a FedAvg lane.
+    # The freeze_offload lanes, with their handoffs at ragged steps, train
+    # in one stack with a FedAvg lane.
     config = cohort_40_config()
     tasks = [(COHORT_40_STRATEGY, 6), (FedAvg(), 6), (COHORT_40_STRATEGY, 7)]
     calls = record_lockstep(monkeypatch)
     results = run_experiments(config, tasks)
-    # Each round: one full stack of all three lanes, then the frozen and the
-    # donated stacks of both freeze_offload lanes, each with several step
-    # counts.
-    assert len(calls) == 3 * config.training.rounds
-    assert all(lanes == {0, 1, 2} for lanes, _ in calls[::3])
-    assert all(lanes == {0, 2} and len(steps) >= 3 for lanes, steps in calls[1::3] + calls[2::3])
+    # Each round: one stack of all three lanes, with several handoff steps.
+    assert len(calls) == config.training.rounds
+    assert all(lanes == {0, 1, 2} and len(steps) >= 3 for lanes, steps in calls)
     monkeypatch.undo()
     digest = trace_digest(results[0].traces, results[0].final_model)
     assert digest == GOLDEN_COHORT_40
@@ -338,8 +334,8 @@ def test_execute_offloaded_stacked_matches_per_client():
 
 
 def test_local_train_ragged_stack_matches_per_client():
-    # One call trains members with 1, 3, 3 and 6 steps: each leaves the
-    # stack after its own steps and comes out as trained alone.
+    # One call trains members with 1, 3, 3 and 6 steps: each joins the
+    # stack for its own last steps and comes out as trained alone.
     steps = [1, 3, 3, 6]
     anchor = init_model(4, 6, 3, seed=99)
     reference = []
@@ -357,6 +353,54 @@ def test_local_train_ragged_stack_matches_per_client():
     for a, b, c in zip(start.arrays(), before, trained.arrays()):
         assert a.tobytes() == b.tobytes()
         assert not np.shares_memory(a, c)
+
+
+def test_local_train_with_handoffs_matches_each_clients_three_phases():
+    # Weak members hand off at steps 4, 2 and 2 of 6. Alone, each trains its
+    # full steps, then its classifier-only steps on its own stream, and its
+    # donated block trains from the handoff on another stream. Stacked as
+    # [donated rows][full row][weak rows], one call trains all of it.
+    steps, handoffs = 6, [4, 2, 2]
+    own = member_cursors()
+    donors = [BatchCursor(INPUTS, LABELS, idx, 8, np.random.default_rng(200 + k))
+              for k, idx in enumerate(MEMBER_INDICES[:3])]
+    starts = member_models()
+    expected = []
+    for i, f in enumerate(handoffs):
+        full = local_train(starts[i], own[i], f, 0.1, prox_mu=0.01, anchor=starts[i])
+        classifier = local_train(full, own[i], steps - f, 0.1, mode="frozen")
+        feature = execute_offloaded(*split(full), donors[i], steps - f, 0.1)
+        expected.append((feature.weights, feature.bias, *classifier.arrays()[2:]))
+    full_member = local_train(starts[3], own[3], steps, 0.1, prox_mu=0.01, anchor=starts[3])
+
+    own = member_cursors()
+    donors = [BatchCursor(INPUTS, LABELS, idx, 8, np.random.default_rng(200 + k))
+              for k, idx in enumerate(MEMBER_INDICES[:3])]
+    blocks = [c._take((steps - f) * 8).reshape(steps - f, 8) for c, f in zip(donors, handoffs)]
+    blocks += [own[k]._take(steps * 8).reshape(steps, 8) for k in (3, 0, 1, 2)]
+    start = stack([starts[k] for k in (0, 1, 2, 3, 0, 1, 2)])
+    cursor = CohortCursor(INPUTS, LABELS, blocks, handoffs)
+    assert cursor.mode == (4, 4)
+    trained = local_train(start, cursor, steps, 0.1, prox_mu=0.01, anchor=start)
+    arrays = trained.arrays()
+    assert_rows_equal(arrays, [()] * 3 + [full_member.arrays()])
+    for i, want in enumerate(expected):
+        got = (arrays[0][i], arrays[1][i], arrays[2][4 + i], arrays[3][4 + i])
+        assert [a.tobytes() for a in got] == [b.tobytes() for b in want]
+    with pytest.raises(ValueError, match="full mode"):
+        local_train(start, CohortCursor(INPUTS, LABELS, blocks, handoffs), 1, 0.1, mode="frozen")
+
+
+def test_cohort_cursor_rejects_handoffs_without_their_rows():
+    blocks = [np.zeros((n, 8), dtype=np.int64) for n in (2, 6, 6, 6)]
+    CohortCursor(INPUTS, LABELS, blocks, [4])
+    # A donated row that joins at another step, too many handoffs for the
+    # stack, and a row after the donated ones that does not run every step.
+    for handoffs in ([3], [4, 4, 4]):
+        with pytest.raises(ValueError, match="handoff"):
+            CohortCursor(INPUTS, LABELS, blocks, handoffs)
+    with pytest.raises(ValueError, match="handoff"):
+        CohortCursor(INPUTS, LABELS, blocks[:1] + blocks[:1] + blocks[1:], [4])
 
 
 @pytest.mark.parametrize("size", [1, 5, 16, 40])
@@ -385,16 +429,18 @@ def test_cursor_take_matches_step_by_step_loop(size):
 
 
 def test_cohort_cursor_serves_each_members_batches():
-    # Members with 1, 2, 2 and 4 steps: each step serves the members that
-    # still have it, as a suffix of the stack.
+    # Members with 1, 2, 2 and 4 steps: each runs the last of the 4 steps,
+    # and each step serves the members that have joined, as a suffix of the
+    # stack.
     steps = [1, 2, 2, 4]
     plain = member_cursors()
     cohort = CohortCursor(
         INPUTS, LABELS, [c._take(n * 8).reshape(n, 8) for c, n in zip(member_cursors(), steps)]
     )
+    assert cohort.mode is None
     for step in range(4):
         batch = cohort.next_batch()
-        running = [k for k, n in enumerate(steps) if n > step]
+        running = [k for k, n in enumerate(steps) if n >= 4 - step]
         assert batch.inputs.shape == (len(running), 8, 4)
         for row, k in enumerate(running):
             expected = plain[k].next_batch()
@@ -509,6 +555,33 @@ def test_in_place_step_matches_reference_on_a_lone_model(mode, prox_mu):
         sgd_step_in_place(trained, batch, workspace, 0.1, mode, prox_mu, anchor)
     for a, b in zip(trained.arrays(), model.arrays()):
         assert a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize(
+    "rows, k, f, c", [(5, 5, 3, 3), (6, 4, 3, 2), (7, 5, 5, 4), (4, 4, 1, 4), (6, 5, 2, 2)]
+)
+def test_in_place_step_moves_each_block_on_its_rows(rows, k, f, c):
+    # One step runs the last k of the stack's rows: the first f of those
+    # move the feature block, the last c the classifier. Each row comes out
+    # as its own mode's reference step: full (with the proximal pull) in
+    # both ranges, feature or frozen in one, unmoved in neither.
+    rng = np.random.default_rng(100 * rows + 10 * k + f)
+    models = [init_model(5, 7, 4, seed=r) for r in range(rows)]
+    anchors = [init_model(5, 7, 4, seed=50 + r) for r in range(rows)]
+    stacked = stack(models)
+    batch = Batch(rng.standard_normal((k, 9, 5)), rng.integers(0, 4, size=(k, 9)))
+    sgd_step_in_place(stacked, batch, Workspace(stacked, 9), 0.1, (f, c), 0.01, stack(anchors))
+    modes = {(True, True): "full", (True, False): "feature", (False, True): "frozen"}
+    for r, model in enumerate(models):
+        i = r - (rows - k)
+        mode = modes.get((0 <= i < f, i >= 0 and i >= k - c))
+        if mode is not None:
+            mu = 0.01 if mode == "full" else 0.0
+            model = reference_step(
+                model, Batch(batch.inputs[i], batch.labels[i]), 0.1, mode, mu, anchors[r]
+            )
+        for a, b in zip(stacked.arrays(), model.arrays()):
+            assert a[r].tobytes() == b.tobytes()
 
 
 @pytest.mark.parametrize("mode", ["full", "frozen", "feature"])
@@ -648,10 +721,10 @@ def test_deadline_round_never_trains_dropped_clients(monkeypatch):
 
 
 def test_phase_gathers_serve_each_stream_in_phase_order(monkeypatch):
-    # Each kept client's stream is drawn from once per round; its phases'
-    # index blocks, in phase order, are the batches the stream serves alone:
-    # full then classifier-only steps for a weak client, full steps then the
-    # donated block's steps for its receiver.
+    # Each kept client's stream is drawn from once per round; its index
+    # blocks, in order, are the batches the stream serves alone: its own
+    # steps (full then classifier-only for a weak client), then the donated
+    # block's steps for a receiver.
     # The cursors themselves, held so that no id is reused within a round.
     takes = []
     original_take = BatchCursor._take
@@ -667,13 +740,13 @@ def test_phase_gathers_serve_each_stream_in_phase_order(monkeypatch):
     for r in range(config.training.rounds):
         plan = plan_round(state, r)
         takes.clear()
-        full, frozen, donated = engine._phase_blocks(state, plan)
+        own, donated = engine._phase_blocks(state, plan)
         weak = {p.client_id: p.receiver for p in plan.clients if p.receiver is not None}
         assert len(weak) >= 8
-        frozen_counts |= {len(b) for b in frozen.values()}
-        sequences = {cid: [full[cid]] for cid in full}
+        assert {len(b) for b in own.values()} == {config.training.local_updates}
+        frozen_counts |= {len(b) for b in donated.values()}
+        sequences = {cid: [own[cid]] for cid in own}
         for cid, receiver in weak.items():
-            sequences[cid].append(frozen[cid])
             sequences[receiver].append(donated[cid])
         assert set(sequences) == {p.client_id for p in plan.clients if not p.dropped}
         # One take per kept client, each from its own stream over its own
@@ -691,6 +764,95 @@ def test_phase_gathers_serve_each_stream_in_phase_order(monkeypatch):
                 assert np.array_equal(state.dataset.inputs[row], batch.inputs)
                 assert np.array_equal(state.dataset.labels[row], batch.labels)
     assert len(frozen_counts) >= 3
+
+
+# --------------------------------------------------------------------------
+# One lockstep phase per round
+# --------------------------------------------------------------------------
+
+
+def quick_start_config():
+    """The README quick start."""
+    return parse_config(
+        {
+            "dataset": {
+                "num_classes": 10,
+                "samples_per_class": 1000,
+                "input_dim": 8,
+                "noise_sigma": 0.8,
+            },
+            "partition": {"mode": "noniid", "classes_per_client": 3},
+            "clients": {"count": 24, "per_round": 3, "speed_low": 0.1, "speed_high": 1.0},
+            "training": {
+                "rounds": 100,
+                "local_updates": 16,
+                "batch_size": 32,
+                "learning_rate": 0.05,
+                "hidden_dim": 32,
+            },
+        }
+    )
+
+
+def count_steps_per_round(monkeypatch):
+    """Count `sgd_step_in_place` calls, one entry per round of all lanes."""
+    counts = []
+    step, run_lanes = engine.sgd_step_in_place, engine._run_lanes
+
+    def stepping(*args, **kwargs):
+        counts[-1] += 1
+        return step(*args, **kwargs)
+
+    def running(*args, **kwargs):
+        counts.append(0)
+        return run_lanes(*args, **kwargs)
+
+    monkeypatch.setattr(engine, "sgd_step_in_place", stepping)
+    monkeypatch.setattr(engine, "_run_lanes", running)
+    return counts
+
+
+def test_quick_start_freeze_offload_rounds_run_local_updates_steps(monkeypatch):
+    # A round with handoffs runs no more lockstep steps than one without:
+    # the classifier-only and donated steps run beside the full ones.
+    config = quick_start_config()
+    counts = count_steps_per_round(monkeypatch)
+    result = run_experiment(config, FreezeOffload(), seed=5)
+    assert counts == [config.training.local_updates] * config.training.rounds
+    assert sum(len(t.offload_records) for t in result.traces) >= 50
+
+
+def test_ragged_lanes_run_local_updates_steps_per_prox_mu_stack(monkeypatch):
+    # Two freeze_offload lanes with handoffs at several steps per round, a
+    # FedAvg lane and a FedProx lane: one stack per FedProx mu.
+    config = cohort_40_config()
+    tasks = [(COHORT_40_STRATEGY, 6), (FedAvg(), 6), (COHORT_40_STRATEGY, 7), (FedProx(0.5), 6)]
+    counts = count_steps_per_round(monkeypatch)
+    results = run_experiments(config, tasks)
+    assert counts == [2 * config.training.local_updates] * config.training.rounds
+    for r in range(config.training.rounds):
+        handoffs = {rec.full_batches for res in results for rec in res.traces[r].offload_records}
+        assert len(handoffs) >= 3
+
+
+def test_train_lanes_rejects_a_plan_that_breaks_the_one_phase_layout():
+    config = small_config()
+    updates = config.training.local_updates
+    state = build_state(config, FreezeOffload(), seed=3)
+    plan = next(p for p in (plan_round(state, r) for r in range(4)) if p.offload_records)
+    weak = next(i for i, p in enumerate(plan.clients) if p.receiver is not None)
+    alone = next(i for i, p in enumerate(plan.clients) if p.receiver is None and not p.dropped)
+    w, a = plan.clients[weak], plan.clients[alone]
+    for index, broken in [
+        (weak, dataclasses.replace(w, full_steps=w.full_steps - 1)),
+        (weak, dataclasses.replace(w, donated_steps=w.donated_steps + 1)),
+        (alone, dataclasses.replace(a, full_steps=updates - 1, frozen_steps=1)),
+    ]:
+        clients = list(plan.clients)
+        clients[index] = broken
+        doctored = dataclasses.replace(plan, clients=tuple(clients))
+        with pytest.raises(ValueError, match=r"local_updates \(8\)"):
+            engine._train_lanes([state], [doctored], engine._LaneData.of([state]))
 
 
 # --------------------------------------------------------------------------
@@ -773,6 +935,12 @@ def test_plan_invariants(case):
         for p in plan.clients:
             assert all(math.isfinite(t) and t >= 0.0 for t in p.submit_times)
             assert p.completion == trace.completion_times[p.client_id]
+            # Every kept client runs exactly its budget of its own steps, and
+            # a handoff donates the weak client's classifier-only steps: so a
+            # round trains as one lockstep phase of `updates` steps.
+            if not p.dropped:
+                assert p.full_steps + p.frozen_steps == updates
+            assert p.donated_steps == (p.frozen_steps if p.receiver is not None else 0)
             if p.receiver is not None:
                 assert p.full_steps + p.frozen_steps == updates
                 assert p.donated_steps == p.frozen_steps >= 1
@@ -792,6 +960,7 @@ def test_plan_invariants(case):
         for p in weak:
             assert records[p.client_id].full_batches == p.full_steps
             assert records[p.client_id].offloaded_batches == p.donated_steps
+            assert records[p.client_id].frozen_batches == p.frozen_steps
         included = [trace.completion_times[c] for c in trace.selected if c not in trace.dropped]
         if included:
             assert trace.duration == max(included)

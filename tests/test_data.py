@@ -19,6 +19,18 @@ from fedsim.data import (
 from fedsim.seeding import TAG_PARTITION, spawn_rng
 
 
+KEYS = st.integers(0, 2**41) | st.sampled_from([0, 2**32 - 1, 2**32, 2**40])
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(KEYS, min_size=1, max_size=5))
+def test_spawn_rng_streams_match_seeding_by_key_list(keys):
+    # spawn_rng hands small keys to SeedSequence as one uint32 array; the
+    # stream must be the one the list of keys seeds.
+    expected = np.random.default_rng(np.random.SeedSequence(keys))
+    assert spawn_rng(*keys).bit_generator.state == expected.bit_generator.state
+
+
 @pytest.fixture(scope="module")
 def dataset():
     return generate_synthetic(

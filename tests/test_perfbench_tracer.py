@@ -4,9 +4,8 @@
 steps from the calls it sees. These tests load it as it is and check that
 every name it wraps exists, that fedsim imports no name for it beyond the
 ones it wraps, and that its step counters see each lockstep phase once:
-one `local_train` call per full or classifier-only phase and one
-`execute_offloaded` call per donated phase, each running the longest
-member's steps.
+a round trains as one `local_train` call of `local_updates` steps, its
+handoffs included, and no `execute_offloaded` call.
 """
 
 import ast
@@ -100,15 +99,13 @@ def test_step_counters_see_each_phase_once(tracer_module, strategy):
             before = dict(tracer.counts)
             trace = engine.run_round(state, r)
             kept = [p for p in trace.clients if not p.dropped]
-            full = max((p.full_steps for p in kept), default=0)
-            frozen = max((p.frozen_steps for p in kept), default=0)
-            donated = max((p.donated_steps for p in kept), default=0)
             counted = {
                 name: tracer.counts[f"engine.{name}.steps"]
                 - before.get(f"engine.{name}.steps", 0)
                 for name in ("local_train", "execute_offloaded")
             }
-            assert counted == {"local_train": full + frozen, "execute_offloaded": donated}
+            steps = cfg.training.local_updates if kept else 0
+            assert counted == {"local_train": steps, "execute_offloaded": 0}
             drops += len(trace.dropped)
             handoffs += len(trace.offload_records)
     assert engine.local_train is original
