@@ -11,9 +11,11 @@ A round runs in two passes.
   model in `profiling`: the submit times, the freeze_offload schedule, the
   handoffs and the deadline drops follow from timings, speed tiers and
   similarity distances, never from model values. The plan trains nothing:
-  it is a `RoundPlan` that gives each selected client its full, frozen and
-  donated step counts, the receiver of its donated steps, its submit times
-  and whether it is dropped. Virtual time never waits on wall-clock time.
+  it is a `RoundPlan` that gives each selected client a `ClientPlan`: its
+  full and classifier-only step counts, its submit times, whether it is
+  dropped and, for a client that hands off, the receiver and the handoff
+  time. A handoff is described there and nowhere else. Virtual time never
+  waits on wall-clock time.
 * The executor trains the plan. Training is real: every client the plan
   keeps runs SGD on its own partition, so model quality reacts to the
   strategy as round durations do. A dropped client runs no steps. A round
@@ -228,7 +230,8 @@ class FreezeOffload(Strategy):
     own budget, then trains the received feature block for the same
     remaining updates on its own data. Every update of the weak client's
     budget therefore executes exactly once per block, split across the two
-    machines after the handoff.
+    machines after the handoff. The weak client's `ClientPlan` records the
+    handoff: the receiver, the handoff time and the step counts.
     """
 
     name: ClassVar[str] = "freeze_offload"
@@ -258,7 +261,6 @@ class FreezeOffload(Strategy):
         similarity = state.shared.similarity()
         schedule = build_schedule(profiles, similarity, self.similarity_factor, round_index)
 
-        handoffs: list[tuple[float, OffloadRecord]] = []
         for a in schedule.assignments:
             weak, strong = state.client(a.weak_client_id), state.client(a.strong_client_id)
             done = _batches_done(start, weak.timings.full_time, arrival, updates)
@@ -280,28 +282,10 @@ class FreezeOffload(Strategy):
                     (donated_start + remaining * strong.timings.bf) - start,
                 ),
                 frozen_steps=remaining,
-                donated_steps=remaining,
                 receiver=strong.client_id,
-            )
-            record = OffloadRecord(
-                weak_client_id=weak.client_id,
-                strong_client_id=strong.client_id,
-                offload_point=a.offload_point,
-                full_batches=full,
-                frozen_batches=remaining,
-                offloaded_batches=remaining,
                 handoff_time=handoff - start,
             )
-            handoffs.append((handoff, record))
-        # In handoff order; the sort is stable, so ties keep schedule order.
-        handoffs.sort(key=lambda h: h[0])
-        return RoundPlan(
-            round_index=round_index,
-            clients=tuple(clients.values()),
-            deadline=None,
-            schedule=schedule,
-            offload_records=tuple(record for _, record in handoffs),
-        )
+        return RoundPlan(round_index, tuple(clients.values()), deadline=None, schedule=schedule)
 
     def _profile(self, state, round_index, cid, computed_at) -> ClientProfile:
         """Client cid's profile as the federator holds it at `computed_at`."""
@@ -647,32 +631,8 @@ def evaluate_accuracy(model: PartitionedModel, dataset: Dataset) -> float:
 
 
 # --------------------------------------------------------------------------
-# Offload records and results
+# Results
 # --------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class OffloadRecord:
-    """Audit row for one executed handoff (all times relative to round start)."""
-
-    weak_client_id: int
-    strong_client_id: int
-    offload_point: int
-    full_batches: int
-    frozen_batches: int
-    offloaded_batches: int
-    handoff_time: float
-
-    def to_dict(self) -> dict:
-        return {
-            "weak_client_id": self.weak_client_id,
-            "strong_client_id": self.strong_client_id,
-            "offload_point": self.offload_point,
-            "full_batches": self.full_batches,
-            "frozen_batches": self.frozen_batches,
-            "offloaded_batches": self.offloaded_batches,
-            "handoff_time": self.handoff_time,
-        }
 
 
 @dataclass(frozen=True)
@@ -813,7 +773,8 @@ def _batches_done(start: float, per_batch: float, now: float, cap: int) -> int:
     """Number of whole batches finished by `now`, robust to float rounding."""
     if now < start:
         return 0
-    k = int((now - start) / per_batch)
+    # Capped before the conversion: a tiny batch time makes the quotient inf.
+    k = int(min((now - start) / per_batch, cap))
     while k + 1 <= cap and start + (k + 1) * per_batch <= now:
         k += 1
     while k > 0 and start + k * per_batch > now:
@@ -855,19 +816,21 @@ class ClientPlan:
     """One selected client's part in a round, worked out from timings alone.
 
     The client runs `full_steps` full SGD steps on its copy of the global
-    model. After an executed handoff it runs `frozen_steps` classifier-only
-    steps, and `receiver` trains its feature block for `donated_steps` steps
-    once the receiver's own budget is done. `submit_times` are relative to
-    the round start: the whole model's, or the classifier part's and the
-    feature part's after a handoff. A dropped client runs no steps.
+    model. A client with a `receiver` hands its feature block off at
+    `handoff_time` and then runs `frozen_steps` classifier-only steps, and
+    the receiver trains the handed-off block for the same number of steps
+    once its own budget is done; a client without one has no frozen steps.
+    Times are relative to the round start; `submit_times` are the whole
+    model's, or the classifier part's and the feature part's after a
+    handoff. A dropped client runs no steps.
     """
 
     client_id: int
     full_steps: int
     submit_times: tuple[float, ...]
     frozen_steps: int = 0
-    donated_steps: int = 0
     receiver: int | None = None
+    handoff_time: float | None = None
     dropped: bool = False
 
     @property
@@ -884,11 +847,10 @@ class RoundPlan:
     clients: tuple[ClientPlan, ...]  # in selection order
     deadline: float | None
     schedule: OffloadSchedule | None
-    offload_records: tuple[OffloadRecord, ...]
 
     def __post_init__(self) -> None:
         times = [t for p in self.clients for t in p.submit_times]
-        times += [rec.handoff_time for rec in self.offload_records]
+        times += [p.handoff_time for p in self.clients if p.handoff_time is not None]
         bad = next((t for t in times if not math.isfinite(t)), None)
         if bad is not None:
             raise ValueError(f"round {self.round_index}: plan times must be finite, got {bad}")
@@ -913,6 +875,14 @@ class RoundPlan:
     @property
     def completion_times(self) -> dict[int, float]:
         return {p.client_id: p.completion for p in self.clients}
+
+    @property
+    def offload_records(self) -> tuple[ClientPlan, ...]:
+        """The plans of the clients that hand off, in handoff order, ties in
+        schedule order."""
+        assigned = [a.weak_client_id for a in self.schedule.assignments] if self.schedule else []
+        weak = [p for p in self.clients if p.receiver is not None]
+        return tuple(sorted(weak, key=lambda p: (p.handoff_time, assigned.index(p.client_id))))
 
     @property
     def num_offloads(self) -> int:
@@ -948,7 +918,7 @@ def _whole_models(
         )
         for cid in selected
     )
-    return RoundPlan(round_index, clients, deadline, schedule=None, offload_records=())
+    return RoundPlan(round_index, clients, deadline, schedule=None)
 
 
 def plan_round(state: ExperimentState, round_index: int) -> RoundPlan:
@@ -1045,7 +1015,7 @@ def _phase_blocks(
     """
     size = state.config.training.batch_size
     weak = [p for p in plan.clients if p.receiver is not None]
-    donated_to = {p.receiver: p.donated_steps for p in weak}
+    donated_to = {p.receiver: p.frozen_steps for p in weak}
     own_steps = {p.client_id: p.full_steps + p.frozen_steps for p in plan.clients}
     draws: dict[int, np.ndarray] = {}
     for p in plan.clients:
@@ -1119,13 +1089,12 @@ def _train_lanes(
         for p in plan.clients:
             if p.dropped:
                 continue
-            broken = p.full_steps + p.frozen_steps != updates or p.donated_steps != p.frozen_steps
-            if broken or (p.frozen_steps and p.receiver is None):
+            if p.full_steps + p.frozen_steps != updates or (p.frozen_steps and p.receiver is None):
                 raise ValueError(
                     f"round {plan.round_index} (seed {state.seed}): client {p.client_id} plans"
-                    f" {p.full_steps} full, {p.frozen_steps} classifier-only and"
-                    f" {p.donated_steps} donated steps; a kept client runs local_updates"
-                    f" ({updates}) steps of its own and donates its classifier-only ones"
+                    f" {p.full_steps} full and {p.frozen_steps} classifier-only steps; a kept"
+                    f" client runs local_updates ({updates}) steps of its own and donates its"
+                    " classifier-only ones"
                 )
             m = (lane, p.client_id)
             start[m] = state.global_model
@@ -1167,8 +1136,19 @@ def _run_lanes(
     states: list[ExperimentState], plans: list[RoundPlan], data: _LaneData
 ) -> list[RoundTrace]:
     """Train one round of every lane from its plan, stacked; aggregate and evaluate each."""
+    training, width = states[0].config.training, states[0].config.dataset.input_dim
+    params = sum(a.size for a in states[0].global_model.arrays())
+    # A row per kept client and per donated block, each with four models (start,
+    # trained, gradients, FedProx differences), its batches and its workspace.
+    rows = sum((not p.dropped) + (p.receiver is not None) for plan in plans for p in plan.clients)
+    per_sample = training.local_updates * (width + 2) + 2 * training.hidden_dim
     try:
-        trained = _train_lanes(states, plans, data)
+        with out_of_memory_as_config_error(
+            f"round {plans[0].round_index}'s training: {rows} stacked models of {params}"
+            f" parameters and {training.local_updates} batches of {training.batch_size} samples",
+            8 * rows * (4 * params + training.batch_size * per_sample),
+        ):
+            trained = _train_lanes(states, plans, data)
     except DivergenceError as exc:
         # Whether training diverges depends on the seed's data and draws.
         state, exc = _first_diverged(states, plans, exc)
@@ -1223,12 +1203,13 @@ def _lane_state(config, strategy: Strategy, shared: SeedData) -> ExperimentState
     init_seed = int(
         np.random.SeedSequence([shared.seed, TAG_MODEL_INIT]).generate_state(1)[0]
     )
-    global_model = init_model(
-        config.dataset.input_dim,
-        config.training.hidden_dim,
-        config.dataset.num_classes,
-        init_seed,
-    )
+    dims, hidden = config.dataset, config.training.hidden_dim
+    with out_of_memory_as_config_error(
+        f"the {strategy.label} model of seed {shared.seed}: {dims.input_dim} inputs,"
+        f" {hidden} hidden units and {dims.num_classes} classes",
+        8 * ((dims.input_dim + 1) * hidden + (hidden + 1) * dims.num_classes),
+    ):
+        global_model = init_model(dims.input_dim, hidden, dims.num_classes, init_seed)
     return ExperimentState(config, strategy, shared, global_model)
 
 

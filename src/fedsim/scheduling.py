@@ -40,14 +40,6 @@ class OffloadAssignment:
     offload_point: int
     estimated_completion: float
 
-    def to_dict(self) -> dict:
-        return {
-            "weak_client_id": self.weak_client_id,
-            "strong_client_id": self.strong_client_id,
-            "offload_point": self.offload_point,
-            "estimated_completion": self.estimated_completion,
-        }
-
 
 @dataclass(frozen=True)
 class OffloadSchedule:
@@ -56,15 +48,6 @@ class OffloadSchedule:
     receiving_ids: tuple[int, ...]
     mean_completion: float
     round_index: int
-
-    def to_dict(self) -> dict:
-        return {
-            "round_index": self.round_index,
-            "mean_completion": self.mean_completion,
-            "sending_ids": list(self.sending_ids),
-            "receiving_ids": list(self.receiving_ids),
-            "assignments": [a.to_dict() for a in self.assignments],
-        }
 
 
 def mean_completion_time(profiles: list[ClientProfile]) -> float:

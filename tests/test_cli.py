@@ -655,6 +655,23 @@ class TestRunCommand:
         assert "training: diverged in round 0 (seed 1)" in done.stderr
         assert "Warning" not in done.stderr
 
+    def test_tiny_batches_against_a_long_dispatch_run(self, tmp_path, capsys):
+        # Batch times of 4e-300 s against a 1e10 s dispatch latency: the count
+        # of batches a weak client has run when the schedule arrives is
+        # (1e10 / 4e-300), which overflows a float.
+        raw = {
+            "dataset": {"num_classes": 3, "samples_per_class": 20, "input_dim": 2},
+            "clients": {"count": 6, "per_round": 4},
+            "training": {"rounds": 2, "local_updates": 4, "batch_size": 4, "hidden_dim": 4},
+            "profile": {"base": {"ff": 1.0e-300, "fc": 1.0e-300, "bc": 1.0e-300, "bf": 1.0e-300}},
+            "latency": {"dispatch": 1.0e10},
+            "strategies": ["freeze_offload"],
+            "seed": 1,
+        }
+        code, out = self.run_cli(tmp_path, raw)
+        assert code == 0, capsys.readouterr().err
+        assert (out / "summary.json").exists()
+
     @pytest.mark.parametrize(
         "raw, problem",
         [
@@ -977,6 +994,28 @@ class TestOutOfMemory:
                                 "run", "--out", str(tmp_path / "out"), "--workers", "1")
         assert done.returncode == 1, done.stderr
         assert "out of memory building the dataset of seed 42" in done.stderr
+
+    @pytest.mark.parametrize(
+        "training, problem",
+        [
+            (
+                {"hidden_dim": 10**8},
+                "out of memory building the fedavg model of seed 42: 8 inputs,"
+                " 100000000 hidden units and 10 classes (14.16 GiB)",
+            ),
+            (
+                {"batch_size": 10**8},
+                "out of memory building round 0's training: 3 stacked models of 618"
+                " parameters and 16 batches of 100000000 samples",
+            ),
+        ],
+        ids=["hidden_dim", "batch_size"],
+    )
+    def test_huge_model_or_batches_exit_1(self, tmp_path, training, problem):
+        done = self.run_limited(tmp_path, {"training": training},
+                                "run", "--out", str(tmp_path / "out"), "--workers", "1")
+        assert done.returncode == 1, done.stderr
+        assert problem in done.stderr
 
     def test_thirty_thousand_clients_run_and_inspect_json(self, tmp_path):
         # The whole 30 000 x 30 000 table would take 6.7 GiB: a run never

@@ -80,6 +80,29 @@ def run_digest(config, strategy, seed):
     return trace_digest(traces, state.global_model)
 
 
+def schedule_doc(plan):
+    return None if plan.schedule is None else dataclasses.asdict(plan.schedule)
+
+
+def record_docs(plan):
+    """Each handoff as the audit row the digests were recorded with: the weak
+    client's plan plus its assignment's offload point."""
+    assignments = plan.schedule.assignments if plan.schedule else ()
+    points = {a.weak_client_id: a.offload_point for a in assignments}
+    return [
+        {
+            "weak_client_id": p.client_id,
+            "strong_client_id": p.receiver,
+            "offload_point": points[p.client_id],
+            "full_batches": p.full_steps,
+            "frozen_batches": p.frozen_steps,
+            "offloaded_batches": p.frozen_steps,
+            "handoff_time": p.handoff_time,
+        }
+        for p in plan.offload_records
+    ]
+
+
 def trace_digest(traces, model):
     h = hashlib.sha256()
     for t in traces:
@@ -91,8 +114,8 @@ def trace_digest(traces, model):
             "dropped": list(t.dropped),
             "completion": [[c, repr(v)] for c, v in sorted(t.completion_times.items())],
             "num_offloads": t.num_offloads,
-            "schedule": None if t.schedule is None else t.schedule.to_dict(),
-            "records": [rec.to_dict() for rec in t.offload_records],
+            "schedule": schedule_doc(t),
+            "records": record_docs(t),
         }
         h.update(json.dumps(row, sort_keys=True).encode())
     for a in model.arrays():
@@ -831,7 +854,7 @@ def test_ragged_lanes_run_local_updates_steps_per_prox_mu_stack(monkeypatch):
     results = run_experiments(config, tasks)
     assert counts == [2 * config.training.local_updates] * config.training.rounds
     for r in range(config.training.rounds):
-        handoffs = {rec.full_batches for res in results for rec in res.traces[r].offload_records}
+        handoffs = {p.full_steps for res in results for p in res.traces[r].offload_records}
         assert len(handoffs) >= 3
 
 
@@ -845,7 +868,6 @@ def test_train_lanes_rejects_a_plan_that_breaks_the_one_phase_layout():
     w, a = plan.clients[weak], plan.clients[alone]
     for index, broken in [
         (weak, dataclasses.replace(w, full_steps=w.full_steps - 1)),
-        (weak, dataclasses.replace(w, donated_steps=w.donated_steps + 1)),
         (alone, dataclasses.replace(a, full_steps=updates - 1, frozen_steps=1)),
     ]:
         clients = list(plan.clients)
@@ -929,8 +951,9 @@ def test_plan_invariants(case):
         receivers = [p.receiver for p in weak]
         assert len(set(receivers)) == len(receivers)
         assert not set(receivers) & {p.client_id for p in weak}
-        records = {rec.weak_client_id: rec for rec in trace.offload_records}
-        handoffs = [rec.handoff_time for rec in trace.offload_records]
+        records = trace.offload_records
+        assert set(records) == set(weak)
+        handoffs = [p.handoff_time for p in records]
         assert handoffs == sorted(handoffs)
         for p in plan.clients:
             assert all(math.isfinite(t) and t >= 0.0 for t in p.submit_times)
@@ -940,13 +963,13 @@ def test_plan_invariants(case):
             # round trains as one lockstep phase of `updates` steps.
             if not p.dropped:
                 assert p.full_steps + p.frozen_steps == updates
-            assert p.donated_steps == (p.frozen_steps if p.receiver is not None else 0)
+            assert (p.handoff_time is None) == (p.receiver is None)
             if p.receiver is not None:
                 assert p.full_steps + p.frozen_steps == updates
-                assert p.donated_steps == p.frozen_steps >= 1
+                assert p.frozen_steps >= 1
                 assert p.receiver in trace.selected
                 assert len(p.submit_times) == 2
-                handoff = records[p.client_id].handoff_time
+                handoff = p.handoff_time
                 classifier_part, feature_part = p.submit_times
                 assert math.isfinite(handoff) and 0.0 <= handoff <= classifier_part
                 assert at_least(feature_part, handoff + transfer, start)
@@ -955,12 +978,7 @@ def test_plan_invariants(case):
             elif p.dropped:
                 assert p.full_steps == 0
             else:
-                assert (p.full_steps, p.frozen_steps, p.donated_steps) == (updates, 0, 0)
-        assert set(records) == {p.client_id for p in weak}
-        for p in weak:
-            assert records[p.client_id].full_batches == p.full_steps
-            assert records[p.client_id].offloaded_batches == p.donated_steps
-            assert records[p.client_id].frozen_batches == p.frozen_steps
+                assert (p.full_steps, p.frozen_steps) == (updates, 0)
         included = [trace.completion_times[c] for c in trace.selected if c not in trace.dropped]
         if included:
             assert trace.duration == max(included)
@@ -1018,13 +1036,15 @@ def plan_doc(plan):
     return {
         "round": plan.round_index,
         "clients": [
-            [p.client_id, p.full_steps, p.frozen_steps, p.donated_steps, p.receiver, p.dropped,
+            # The recorded digest lists the donated steps, which are the
+            # classifier-only steps, after them.
+            [p.client_id, p.full_steps, p.frozen_steps, p.frozen_steps, p.receiver, p.dropped,
              [repr(t) for t in p.submit_times]]
             for p in plan.clients
         ],
         "deadline": repr(plan.deadline),
-        "schedule": None if plan.schedule is None else plan.schedule.to_dict(),
-        "records": [rec.to_dict() for rec in plan.offload_records],
+        "schedule": schedule_doc(plan),
+        "records": record_docs(plan),
     }
 
 

@@ -9,7 +9,9 @@ boundary number, and an int field may also get a whole number outside
 int64. The learning rate, the data noise and the profile noise may get
 1e308, the hidden width 2**62 and the client count 2**63 - 1; a document
 with that profile noise also gets a freeze_offload entry that inherits it,
-the one strategy that profiles. A document that parses must run all of its
+the one strategy that profiles. Phase times of 1e-300 s may meet a
+dispatch latency of 1e10 s, with a freeze_offload entry, a pair that no one
+field's extreme reaches. A document that parses must run all of its
 strategies for its rounds (at most 2) to completion, in lockstep as `fedsim
 run` does; any other exception is an escape that `fedsim run` would report
 through its catch-all with exit 2.
@@ -158,6 +160,13 @@ def documents(draw):
         doc["profile"]["base"] = draw(
             st.fixed_dictionaries({"ff": phase, "fc": phase, "bc": phase, "bf": phase})
         )
+    if draw(st.booleans()):
+        # Tiny phase times against a long dispatch latency, which no one
+        # field's extreme reaches: the batches a client has run by the time
+        # the schedule arrives overflow a float.
+        doc["profile"]["base"] = {"ff": 1e-300, "fc": 1e-300, "bc": 1e-300, "bf": 1e-300}
+        doc["latency"]["dispatch"] = 1e10
+        doc["strategies"].append({"name": "freeze_offload", "similarity_factor": 4.0})
     if draw(st.booleans()):
         # Each huge value on its own, so that documents which otherwise
         # parse reach it often.

@@ -5,6 +5,8 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from fedsim import engine
 from fedsim.config import parse_config
@@ -544,6 +546,39 @@ class TestDeadlineRound:
         assert result.traces[0].duration == pytest.approx(16.0)
 
 
+def batches_done_uncapped(start, per_batch, now, cap):
+    """`engine._batches_done` as it was, converting the uncapped quotient."""
+    if now < start:
+        return 0
+    k = int((now - start) / per_batch)
+    while k + 1 <= cap and start + (k + 1) * per_batch <= now:
+        k += 1
+    while k > 0 and start + k * per_batch > now:
+        k -= 1
+    return min(k, cap)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.floats(0.0, 1e12),
+    st.floats(1e-300, 1e6),
+    st.floats(-10.0, 1e12),
+    st.integers(0, 40),
+)
+# A finite quotient past 2**53 whose truncation overshoots `now`: counting
+# down from it by 1 never moved the product.
+@example(0.0, 1.9205508798359996e-278, 506309313164.471, 16)
+def test_batches_done_caps_before_converting(start, per_batch, elapsed, cap):
+    now = start + elapsed
+    done = engine._batches_done(start, per_batch, now, cap)
+    # The largest count up to the cap whose batches end by `now`.
+    assert done == max((k for k in range(cap + 1) if start + k * per_batch <= now), default=0)
+    # Where the old quotient is finite and below 2**53, so that its count's
+    # downward steps of 1 still move the product, the old count ends and agrees.
+    if (now - start) / per_batch < 2**53:
+        assert done == batches_done_uncapped(start, per_batch, now, cap)
+
+
 class TestFreezeOffloadRound:
     def worked_example(self):
         # Two clients, base full batch 1s split 0.15/0.10/0.15/0.60, speeds
@@ -570,17 +605,36 @@ class TestFreezeOffloadRound:
         result = run_experiment(cfg, FreezeOffload(profile_batches=2), seed=0)
         trace = result.traces[0]
         assert trace.num_offloads == 1
-        record = trace.offload_records[0]
-        assert record.weak_client_id == 1
-        assert record.strong_client_id == 0
-        assert record.offload_point == 8
-        assert record.full_batches == 8
-        assert record.frozen_batches == 8
-        assert record.offloaded_batches == 8
+        (record,) = trace.offload_records
+        assert record.client_id == 1
+        assert record.receiver == 0
+        assert trace.schedule.assignments[0].offload_point == 8
+        assert record.full_steps == 8
+        assert record.frozen_steps == 8
         assert record.handoff_time == pytest.approx(32.0)
         assert trace.completion_times[1] == pytest.approx(44.8)
         assert trace.completion_times[0] == pytest.approx(16.0)
         assert trace.duration == pytest.approx(44.8)
+
+    def test_handoffs_at_the_arrival_keep_schedule_order(self):
+        # Batch times of 5, 4, 1 and 1 s. Profiles land by 5 s; clients 1
+        # and then 0, in ascending estimate, are scheduled to keep 5 full
+        # steps, but the schedule arrives at 5 + 30 = 35 s, after both have
+        # passed that point and before either has finished. So both hand off
+        # at the arrival, and the tie keeps schedule order, not selection
+        # order.
+        cfg = tiny_config(
+            clients={"count": 4, "per_round": 4, "speed_factors": [0.2, 0.25, 1.0, 1.0]},
+            training={"rounds": 1, "local_updates": 16},
+            latency={"dispatch": 30.0},
+        )
+        plan = plan_round(build_state(cfg, FreezeOffload(), seed=0), 0)
+        records = plan.offload_records
+        assert [a.weak_client_id for a in plan.schedule.assignments] == [1, 0]
+        assert [p.client_id for p in records] == [1, 0]
+        assert [p.handoff_time for p in records] == [35.0, 35.0]
+        assert [(p.full_steps, p.frozen_steps) for p in records] == [(8, 8), (7, 9)]
+        assert set(records) == {p for p in plan.clients if p.receiver is not None}
 
     def test_beats_plain_fedavg_duration(self):
         cfg = self.worked_example()
@@ -603,9 +657,8 @@ class TestFreezeOffloadRound:
             records = [r for t in result.traces for r in t.offload_records]
             assert records, "expected at least one offload across the run"
             for r in records:
-                assert r.full_batches + r.frozen_batches == 8
-                assert r.offloaded_batches == r.frozen_batches
-                assert 1 <= r.full_batches <= 7
+                assert r.full_steps + r.frozen_steps == 8
+                assert 1 <= r.full_steps <= 7
 
     def test_round_durations_never_exceed_fedavg(self):
         # With zero dispatch and transfer latency an offload round can never

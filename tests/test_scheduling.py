@@ -262,9 +262,7 @@ class TestBuildSchedule:
             friendly = uniform_matrix(sorted(ids), 0.0)
             a = build_schedule(profiles, hostile, 0.0)
             b = build_schedule(profiles, friendly, 0.0)
-            assert [x.to_dict() for x in a.assignments] == [
-                x.to_dict() for x in b.assignments
-            ]
+            assert a.assignments == b.assignments
 
     def test_assignment_stores_raw_completion(self):
         # The similarity factor steers the choice but the stored estimate is
@@ -460,7 +458,7 @@ def test_build_schedule_matches_pairwise_loop(case):
     profiles, matrix, factor = case
     got = build_schedule(profiles, matrix, factor).assignments
     want = reference_schedule(profiles, matrix, factor)
-    assert [a.to_dict() for a in got] == [a.to_dict() for a in want]
+    assert got == tuple(want)
     for a, b in zip(got, want):
         assert type(a.offload_point) is int and type(a.estimated_completion) is float
         assert np.float64(a.estimated_completion).tobytes() == np.float64(b.estimated_completion).tobytes()
