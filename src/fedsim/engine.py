@@ -333,7 +333,14 @@ STRATEGIES = (FedAvg, FedProx, FedNova, Tifl, DeadlineDrop, FreezeOffload)
 
 
 class BatchCursor:
-    """Deterministic endless stream of mini-batches over a client's samples."""
+    """Deterministic endless stream of mini-batches over a client's samples.
+
+    It serves a lone model, a stack of one row that takes full steps and
+    that no row joins: `mode` is that row's pair for `sgd_step_in_place`,
+    and `join` does nothing.
+    """
+
+    mode = (1, 1)
 
     def __init__(
         self,
@@ -378,6 +385,9 @@ class BatchCursor:
             return fresh.ravel()[:n]
         return np.concatenate([order[pos:], fresh.ravel()[:n]])
 
+    def join(self, model: PartitionedModel) -> None:
+        pass
+
     def next_batch(self) -> Batch:
         idx = self._take(self.batch_size)
         return Batch(inputs=self._inputs[idx], labels=self._labels[idx])
@@ -403,8 +413,9 @@ class CohortCursor:
     makes the copy), and from then on moves only its feature block. The rows
     in between take full steps throughout. So the rows that move the feature
     block are the first n - d that run each step, and the rows that move the
-    classifier the last n - d of a stack of n: `mode` is that pair for
-    `sgd_step_in_place`, or None without handoffs.
+    classifier the last n - d of a stack of n: `mode` is the pair
+    (n - d, n - d) for every step of `sgd_step_in_place`, and (n, n), a full
+    step for every row that runs, without handoffs.
     """
 
     def __init__(
@@ -438,7 +449,7 @@ class CohortCursor:
         self.batch_size = size
         self._first = np.searchsorted(steps, last - np.arange(last)).tolist()
         self._step = 0
-        self.mode = (rows - d, rows - d) if d else None
+        self.mode = (rows - d, rows - d)
         # The donated rows that join at each step, and their weak rows: the
         # rows with one handoff step are one range of each block.
         self._joins = {}
@@ -481,36 +492,29 @@ def local_train(
     cursor: BatchCursor | CohortCursor,
     updates: int,
     learning_rate: float,
-    mode: str = "full",
     prox_mu: float = 0.0,
     anchor: PartitionedModel | None = None,
 ) -> PartitionedModel:
     """Run `updates` SGD steps and return the new model.
 
-    In "frozen" mode only the classifier block moves. The model passed in is
-    left as it is: the steps train a copy of it in place, in one `Workspace`
-    for the call. A stacked model on a `CohortCursor` trains in lockstep:
-    each step moves the rows that run it, a suffix of the stack, so one call
-    trains a whole round and each row comes out trained on its own steps
-    only. A cursor with handoffs trains in "full" mode: its `mode` says
-    which rows move which block, and each donated row joins as a copy of its
-    weak row.
+    The model passed in is left as it is: the steps train a copy of it in
+    place, in one `Workspace` for the call. Every step takes the cursor's
+    `mode`, the pair that says which rows move which block. A lone model on
+    a `BatchCursor` takes full steps. A stacked model on a `CohortCursor`
+    trains in lockstep: each step moves the rows that run it, a suffix of
+    the stack, so one call trains a whole round and each row comes out
+    trained on its own steps only; before each step, the donated rows that
+    join at it are copied from their weak rows.
     """
     if updates < 0:
         raise ValueError(f"updates must be >= 0, got {updates}")
-    if mode not in ("full", "frozen"):
-        raise ValueError(f"unknown training mode {mode!r}")
-    handoffs = getattr(cursor, "mode", None) is not None
-    if handoffs and mode != "full":
-        raise ValueError("a cohort with handoffs trains in full mode")
-    step_mode = cursor.mode if handoffs else mode
     model = model.copy()
     workspace = Workspace(model, cursor.batch_size)
+    mode = cursor.mode
     for _ in range(updates):
-        if handoffs:
-            cursor.join(model)
+        cursor.join(model)
         sgd_step_in_place(
-            model, cursor.next_batch(), workspace, learning_rate, step_mode, prox_mu, anchor
+            model, cursor.next_batch(), workspace, learning_rate, mode, prox_mu, anchor
         )
     return model
 
@@ -532,8 +536,9 @@ def execute_offloaded(
         raise ValueError(f"updates must be >= 0, got {updates}")
     model = merge(feature, classifier_snapshot)
     workspace = Workspace(model, cursor.batch_size)
+    mode = (workspace.stack or 1, 0)
     for _ in range(updates):
-        sgd_step_in_place(model, cursor.next_batch(), workspace, learning_rate, mode="feature")
+        sgd_step_in_place(model, cursor.next_batch(), workspace, learning_rate, mode)
     return FeatureBlock(model.feature_weights, model.feature_bias)
 
 
@@ -873,10 +878,6 @@ class RoundPlan:
         return tuple(p.client_id for p in self.clients if p.dropped)
 
     @property
-    def completion_times(self) -> dict[int, float]:
-        return {p.client_id: p.completion for p in self.clients}
-
-    @property
     def offload_records(self) -> tuple[ClientPlan, ...]:
         """The plans of the clients that hand off, in handoff order, ties in
         schedule order."""
@@ -977,7 +978,7 @@ def _lockstep(
     blocks = [donated[m] for m in weak] + [own[m] for m in full + weak]
     cursor = CohortCursor(data.inputs, data.labels, blocks, [handoffs[m] for m in weak])
     model = _stack([start[m] for m in weak + full + weak])
-    model = local_train(model, cursor, len(blocks[-1]), learning_rate, "full", prox_mu, model)
+    model = local_train(model, cursor, len(blocks[-1]), learning_rate, prox_mu, model)
     d, rows = len(weak), len(blocks)
     if d:
         # perfbench/run.py reports `engine.execute_offloaded.steps`, a count

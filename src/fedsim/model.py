@@ -21,10 +21,12 @@ of a lockstep call, and each step writes into it with `out=` and updates
 the parameters in place, with the same ufuncs on the same operands in the
 same order, so the bytes are those of the reference. A step on k rows runs
 the last k rows of the stack and of every buffer, so rows can join the
-front of the stack later, and it moves the feature block on one range of
-those rows and the classifier on another: full, classifier-only and
-donated rows step side by side, and a row that does not move keeps its
-bytes.
+front of the stack later. Its mode is one pair (f, c) of row counts: the
+first min(f, k) running rows move the feature block and the last min(c, k)
+move the classifier. So full, classifier-only and donated rows step side
+by side, a row that does not move keeps its bytes, and one pair serves
+every step of a stack of n rows: (n, n) is a full step, (0, n)
+classifier-only and (n, 0) a donated step.
 
 All arithmetic is float64.
 """
@@ -34,10 +36,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-
-# Floor applied inside log() so an exactly-zero predicted probability cannot
-# produce -inf loss.
-LOG_EPS = 1e-12
 
 
 class ShapeError(ValueError):
@@ -130,7 +128,7 @@ class PartitionedModel:
 
 @dataclass
 class Gradients:
-    """Per-block gradients. Feature gradients are None in frozen mode."""
+    """Per-block gradients. Feature gradients are None from `backward_frozen`."""
 
     feature_weights: np.ndarray | None
     feature_bias: np.ndarray | None
@@ -196,31 +194,6 @@ def forward(model: PartitionedModel, batch: Batch) -> tuple[np.ndarray, np.ndarr
     exp = np.exp(shifted)
     probs = exp / exp.sum(axis=-1, keepdims=True)
     return hidden, probs
-
-
-def cross_entropy(
-    probs: np.ndarray,
-    labels: np.ndarray,
-    proximal: tuple[float, PartitionedModel, PartitionedModel] | None = None,
-) -> float:
-    """Mean negative log likelihood, optionally plus a proximal penalty.
-
-    Args:
-        probs: (batch, num_classes) probabilities from forward().
-        labels: (batch,) int class indices.
-        proximal: optional (mu, anchor_model, current_model); adds
-            (mu / 2) * squared l2 distance between the two parameter sets.
-    """
-    picked = probs[np.arange(labels.shape[0]), labels]
-    loss = float(-np.mean(np.log(np.maximum(picked, LOG_EPS))))
-    if proximal is not None:
-        mu, anchor, current = proximal
-        sq = 0.0
-        for a, c in zip(anchor.arrays(), current.arrays()):
-            diff = c - a
-            sq += float(np.sum(diff * diff))
-        loss += 0.5 * mu * sq
-    return loss
 
 
 def _classifier_grads(
@@ -314,7 +287,7 @@ class Workspace:
         )
         self._views: dict[tuple, _StepViews] = {}
 
-    def views(self, batch: Batch, mode: str | tuple[int, int]) -> _StepViews:
+    def views(self, batch: Batch, mode: tuple[int, int]) -> _StepViews:
         """The rows and buffer views of one step on `batch` under `mode`."""
         labels = batch.labels
         stacked = self.stack is not None
@@ -340,26 +313,22 @@ def _rows(arrays, rows: slice) -> tuple:
 class _StepViews:
     """Which rows of a stack of n one step runs and moves, and the buffers' rows.
 
-    The step runs the last k rows. In `mode` (f, c) the first f of those
-    move the feature block and the last c move the classifier; the rows in
-    both ranges are full steps. "full" is (k, k), "frozen" (0, k) and
-    "feature" (k, 0). Each range is a slice of the stack, `_WHOLE` where it
-    is every row, so that the usual full step slices nothing.
+    The step runs the last k rows. In `mode` (f, c) the first min(f, k) of
+    those move the feature block and the last min(c, k) move the
+    classifier; the rows in both ranges are full steps. Each range is a
+    slice of the stack, `_WHOLE` where it is every row, so that the usual
+    full step slices nothing.
     """
 
-    def __init__(self, buffers: tuple, k: int, mode: str | tuple[int, int]) -> None:
+    def __init__(self, buffers: tuple, k: int, mode: tuple[int, int]) -> None:
         hidden, dhidden, logits, reduced, onehot, grads, diffs = buffers
         n = hidden.shape[0]
         if not 1 <= k <= n:
             raise ShapeError(f"{k} members do not fit a stack of {n}")
-        if isinstance(mode, str):
-            if mode not in ("full", "frozen", "feature"):
-                raise ValueError(f"unknown training mode {mode!r}")
-            f, c = k * (mode != "frozen"), k * (mode != "feature")
-        else:
-            f, c = mode
-            if not (0 <= f <= k and 0 <= c <= k):
-                raise ValueError(f"training mode {mode!r} names rows outside the {k} running")
+        f, c = mode
+        if f < 0 or c < 0:
+            raise ValueError(f"training mode {mode!r} has a negative row count")
+        f, c = min(f, k), min(c, k)
         lo = n - k
 
         def span(start: int, stop: int) -> slice | None:
@@ -394,24 +363,25 @@ def sgd_step_in_place(
     batch: Batch,
     workspace: Workspace,
     lr: float,
-    mode: str | tuple[int, int] = "full",
+    mode: tuple[int, int],
     prox_mu: float = 0.0,
     anchor: PartitionedModel | None = None,
 ) -> None:
     """One SGD step that writes the new parameters into `model`'s arrays.
 
-    Modes: "full" moves both blocks, as `sgd_step(model, backward_full(model,
-    batch), lr)`; "frozen" moves the classifier only, as with
-    `backward_frozen`; "feature" moves the feature block only, with full
-    gradients and a fixed classifier (a donated block). A stacked batch of k
-    rows runs the last k models of the stack, and the mode may then be a
-    pair (f, c): the first f of those k rows move their feature block, as in
-    "feature", and the last c move their classifier, as in "frozen"; a row
-    in both takes a full step. So one step can train full, classifier-only
-    and donated rows side by side, each as its own mode would. A nonzero
-    `prox_mu` adds `prox_mu * (p - anchor)` to each gradient of the rows
-    that take full steps; the anchor is one model for every row, or a stack
-    of one per row.
+    A stacked batch of k rows runs the last k models of the stack (a lone
+    model is a stack of one). `mode` is a pair (f, c) of row counts: the
+    first min(f, k) of the k rows move their feature block, with full
+    gradients and a fixed classifier (a donated block), and the last
+    min(c, k) move their classifier only, as with `backward_frozen`; a row
+    in both takes a full step, as `sgd_step(model, backward_full(model,
+    batch), lr)`. So on a stack of n rows (n, n) is a full step, (0, n)
+    classifier-only and (n, 0) a donated step, whatever k is, and one step
+    can train full, classifier-only and donated rows side by side. A
+    negative count raises ValueError. A nonzero `prox_mu` adds
+    `prox_mu * (p - anchor)` to each gradient of the rows that take full
+    steps; the anchor is one model for every row, or a stack of one per
+    row.
 
     Every intermediate lives in `workspace`, and each is computed with the
     ufunc, operands, order and reduction axis of the allocating functions

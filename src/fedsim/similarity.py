@@ -6,8 +6,7 @@ answers distances on demand: the only information that ever leaves this
 module is the distances between the clients asked for. A round asks for its
 cohort's senders x receivers block; only `fedsim inspect` asks for the whole
 clients x clients table. There is intentionally no accessor for stored counts
-or histograms, and the store is synchronized so submissions may arrive from
-concurrent contexts.
+or histograms.
 
 The distance used is the L1 distance between the two normalized class
 histograms, which for histograms on a shared label set coincides with twice
@@ -16,7 +15,6 @@ the total variation distance and ranges over [0, 2].
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,24 +26,15 @@ class ClassCountSubmission:
     counts: tuple[int, ...]
 
 
-def histogram_distance(counts_a, counts_b) -> float:
-    """L1 distance between normalized histograms of equal length."""
-    a = np.asarray(counts_a, dtype=np.float64)
-    b = np.asarray(counts_b, dtype=np.float64)
-    if a.shape != b.shape:
-        raise ValueError(f"histogram length mismatch: {a.shape} vs {b.shape}")
-    return float(np.abs(a / a.sum() - b / b.sum()).sum())
-
-
 class HistogramDistances:
     """Pairwise histogram distances, indexed by client id, computed on demand.
 
     Every distance is the sum of one contiguous row of absolute differences,
-    `abs(n[i] - n[cols]).sum(axis=1)` for row client i, which sums in the same
-    order as `histogram_distance` does for a single pair. So `get`, `block`
-    and `values` agree bitwise, and since `abs(x - y) == abs(y - x)` exactly,
-    the distances are symmetric, zero on the diagonal and, for validated
-    submissions, finite and within [0, 2] up to a few ulps.
+    `abs(n[i] - n[cols]).sum(axis=1)` for row client i, so a pair's
+    distance sums in the same order whichever call asks for it. So `get`,
+    `block` and `values` agree bitwise, and since `abs(x - y) == abs(y - x)`
+    exactly, the distances are symmetric, zero on the diagonal and, for
+    validated submissions, finite and within [0, 2] up to a few ulps.
     """
 
     def __init__(self, client_ids: tuple[int, ...], normalized: np.ndarray) -> None:
@@ -93,7 +82,6 @@ class SimilarityOracle:
         if num_classes < 1:
             raise ValueError(f"num_classes must be >= 1, got {num_classes}")
         self._num_classes = num_classes
-        self._lock = threading.Lock()
         self._counts: dict[int, np.ndarray] = {}
 
     def submit(self, submission: ClassCountSubmission) -> None:
@@ -110,17 +98,15 @@ class SimilarityOracle:
             raise ValueError(f"client {cid} submitted negative counts")
         if counts.sum() <= 0:
             raise ValueError(f"client {cid} submitted an all-zero histogram")
-        with self._lock:
-            if cid in self._counts:
-                raise ValueError(f"client {cid} already submitted")
-            self._counts[cid] = counts
+        if cid in self._counts:
+            raise ValueError(f"client {cid} already submitted")
+        self._counts[cid] = counts
 
     def compute_matrix(self) -> HistogramDistances:
         """The distances between every expected client, once all submitted."""
         ids = tuple(sorted(self._expected))
-        with self._lock:
-            missing = [c for c in ids if c not in self._counts]
-            if missing:
-                raise ValueError(f"missing submissions from clients {missing}")
-            normalized = np.stack([self._counts[c] / self._counts[c].sum() for c in ids])
+        missing = [c for c in ids if c not in self._counts]
+        if missing:
+            raise ValueError(f"missing submissions from clients {missing}")
+        normalized = np.stack([self._counts[c] / self._counts[c].sum() for c in ids])
         return HistogramDistances(ids, normalized)

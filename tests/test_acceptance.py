@@ -28,12 +28,12 @@ from fedsim.engine import (
     run_experiment,
     run_round,
 )
-from fedsim.model import Batch, backward_full, cross_entropy, forward, init_model
+from fedsim.model import Batch, backward_full, forward, init_model
 from fedsim.profiling import ClientProfile, PhaseTimings
 from fedsim.scheduling import build_schedule, find_offload_point
-from fedsim.similarity import histogram_distance
 
 from distance_table import DistanceTable
+from reference import cross_entropy, histogram_distance
 
 SEEDS = (5, 8, 12)
 

@@ -112,7 +112,7 @@ def trace_digest(traces, model):
             "accuracy": repr(t.accuracy),
             "selected": list(t.selected),
             "dropped": list(t.dropped),
-            "completion": [[c, repr(v)] for c, v in sorted(t.completion_times.items())],
+            "completion": sorted([p.client_id, repr(p.completion)] for p in t.clients),
             "num_offloads": t.num_offloads,
             "schedule": schedule_doc(t),
             "records": record_docs(t),
@@ -312,19 +312,15 @@ def assert_rows_equal(stacked_arrays, per_member):
             assert a[k].tobytes() == b.tobytes()
 
 
-@pytest.mark.parametrize(
-    "mode, prox_mu", [("full", 0.0), ("frozen", 0.0), ("full", 0.01), ("full", 0.5)]
-)
-def test_local_train_stacked_matches_per_client(mode, prox_mu):
+@pytest.mark.parametrize("prox_mu", [0.0, 0.01, 0.5], ids=lambda mu: f"full-{mu}")
+def test_local_train_stacked_matches_per_client(prox_mu):
     anchor = init_model(4, 6, 3, seed=99) if prox_mu else None
     cursors = member_cursors()
     # Two calls on the same streams: the second starts where the first ended.
     reference = []
     for model, cursor in zip(member_models(), cursors):
         for steps in (5, 3):
-            model = local_train(
-                model, cursor, steps, 0.1, mode=mode, prox_mu=prox_mu, anchor=anchor
-            )
+            model = local_train(model, cursor, steps, 0.1, prox_mu=prox_mu, anchor=anchor)
         reference.append(model.arrays())
 
     stacked = stack(member_models())
@@ -335,7 +331,6 @@ def test_local_train_stacked_matches_per_client(mode, prox_mu):
             CohortCursor(INPUTS, LABELS, draw_blocks(cursors, steps)),
             steps,
             0.1,
-            mode=mode,
             prox_mu=prox_mu,
             anchor=anchor,
         )
@@ -391,7 +386,9 @@ def test_local_train_with_handoffs_matches_each_clients_three_phases():
     expected = []
     for i, f in enumerate(handoffs):
         full = local_train(starts[i], own[i], f, 0.1, prox_mu=0.01, anchor=starts[i])
-        classifier = local_train(full, own[i], steps - f, 0.1, mode="frozen")
+        classifier = full
+        for _ in range(steps - f):
+            classifier = reference_step(classifier, own[i].next_batch(), 0.1, "frozen")
         feature = execute_offloaded(*split(full), donors[i], steps - f, 0.1)
         expected.append((feature.weights, feature.bias, *classifier.arrays()[2:]))
     full_member = local_train(starts[3], own[3], steps, 0.1, prox_mu=0.01, anchor=starts[3])
@@ -410,8 +407,6 @@ def test_local_train_with_handoffs_matches_each_clients_three_phases():
     for i, want in enumerate(expected):
         got = (arrays[0][i], arrays[1][i], arrays[2][4 + i], arrays[3][4 + i])
         assert [a.tobytes() for a in got] == [b.tobytes() for b in want]
-    with pytest.raises(ValueError, match="full mode"):
-        local_train(start, CohortCursor(INPUTS, LABELS, blocks, handoffs), 1, 0.1, mode="frozen")
 
 
 def test_cohort_cursor_rejects_handoffs_without_their_rows():
@@ -460,7 +455,7 @@ def test_cohort_cursor_serves_each_members_batches():
     cohort = CohortCursor(
         INPUTS, LABELS, [c._take(n * 8).reshape(n, 8) for c, n in zip(member_cursors(), steps)]
     )
-    assert cohort.mode is None
+    assert cohort.mode == (4, 4)
     for step in range(4):
         batch = cohort.next_batch()
         running = [k for k, n in enumerate(steps) if n >= 4 - step]
@@ -505,6 +500,12 @@ def reference_step(model, batch, lr, mode, prox_mu=0.0, anchor=None):
     return sgd_step(model, grads, lr)
 
 
+def pair(mode, rows):
+    """The pair of row counts that takes `mode`'s step on every row of a
+    stack of `rows`, for `sgd_step_in_place`."""
+    return (rows * (mode != "frozen"), rows * (mode != "feature"))
+
+
 MODES = [("full", 0.0), ("full", 0.01), ("frozen", 0.0), ("feature", 0.0)]
 
 
@@ -546,7 +547,7 @@ def check_members_leave(mode, prox_mu, members, per_member_anchor):
             Batch(inputs[step, first:], labels[step, first:]),
             workspace,
             0.05,
-            mode,
+            pair(mode, members),
             prox_mu,
             anchor,
         )
@@ -575,17 +576,19 @@ def test_in_place_step_matches_reference_on_a_lone_model(mode, prox_mu):
     for _ in range(4):
         batch = Batch(rng.standard_normal((9, 5)), rng.integers(0, 4, size=9))
         model = reference_step(model, batch, 0.1, mode, prox_mu, anchor)
-        sgd_step_in_place(trained, batch, workspace, 0.1, mode, prox_mu, anchor)
+        sgd_step_in_place(trained, batch, workspace, 0.1, pair(mode, 1), prox_mu, anchor)
     for a, b in zip(trained.arrays(), model.arrays()):
         assert a.tobytes() == b.tobytes()
 
 
 @pytest.mark.parametrize(
-    "rows, k, f, c", [(5, 5, 3, 3), (6, 4, 3, 2), (7, 5, 5, 4), (4, 4, 1, 4), (6, 5, 2, 2)]
+    "rows, k, f, c",
+    [(5, 5, 3, 3), (6, 4, 3, 2), (7, 5, 5, 4), (4, 4, 1, 4), (6, 5, 2, 2), (6, 4, 6, 6)],
 )
 def test_in_place_step_moves_each_block_on_its_rows(rows, k, f, c):
-    # One step runs the last k of the stack's rows: the first f of those
-    # move the feature block, the last c the classifier. Each row comes out
+    # One step runs the last k of the stack's rows: the first min(f, k) of
+    # those move the feature block, the last min(c, k) the classifier, so
+    # (6, 6) on 4 of 6 rows is a full step of the 4. Each row comes out
     # as its own mode's reference step: full (with the proximal pull) in
     # both ranges, feature or frozen in one, unmoved in neither.
     rng = np.random.default_rng(100 * rows + 10 * k + f)
@@ -607,8 +610,17 @@ def test_in_place_step_moves_each_block_on_its_rows(rows, k, f, c):
             assert a[r].tobytes() == b.tobytes()
 
 
-@pytest.mark.parametrize("mode", ["full", "frozen", "feature"])
+@pytest.mark.parametrize(
+    "mode",
+    [
+        pytest.param((3, 3), id="full"),
+        pytest.param((0, 3), id="frozen"),
+        pytest.param((3, 0), id="feature"),
+        pytest.param((5, 5), id="full-capped"),
+    ],
+)
 def test_in_place_step_checks_every_member(mode):
+    # The batch has 3 of the stack's 5 rows.
     rng = np.random.default_rng(5)
     stacked = stack([init_model(4, 6, 3, seed=k) for k in range(5)])
     before = [a.copy() for a in stacked.arrays()]
@@ -626,8 +638,8 @@ def test_in_place_step_checks_every_member(mode):
     # Neither failed step moved a parameter of any member.
     for a, b in zip(stacked.arrays(), before):
         assert a.tobytes() == b.tobytes()
-    with pytest.raises(ValueError, match="mode"):
-        sgd_step_in_place(stacked, Batch(inputs, labels), workspace, 0.1, "half")
+    with pytest.raises(ValueError, match="negative row count"):
+        sgd_step_in_place(stacked, Batch(inputs, labels), workspace, 0.1, (-1, 3))
 
 
 @pytest.mark.parametrize("mode", ["full", "feature"])
@@ -644,7 +656,7 @@ def test_in_place_step_that_overflows_moves_nothing(mode):
         with pytest.raises(DivergenceError, match="non-finite gradient values"):
             reference_step(models[1], Batch(batch.inputs[1], batch.labels[1]), 1.7e308, mode)
     with pytest.raises(DivergenceError, match="non-finite gradient values"):
-        sgd_step_in_place(stacked, batch, workspace, 1.7e308, mode)
+        sgd_step_in_place(stacked, batch, workspace, 1.7e308, pair(mode, 3))
     for a, b in zip(stacked.arrays(), before):
         assert a.tobytes() == b.tobytes()
 
@@ -656,7 +668,7 @@ def test_workspace_rejects_batches_that_do_not_fit():
     for shape in [(4, 8), (3, 7), (8,)]:
         batch = Batch(rng.standard_normal((*shape, 4)), np.zeros(shape, dtype=np.int64))
         with pytest.raises(ShapeError):
-            sgd_step_in_place(stacked, batch, workspace, 0.1)
+            sgd_step_in_place(stacked, batch, workspace, 0.1, (3, 3))
 
 
 # --------------------------------------------------------------------------
@@ -957,7 +969,6 @@ def test_plan_invariants(case):
         assert handoffs == sorted(handoffs)
         for p in plan.clients:
             assert all(math.isfinite(t) and t >= 0.0 for t in p.submit_times)
-            assert p.completion == trace.completion_times[p.client_id]
             # Every kept client runs exactly its budget of its own steps, and
             # a handoff donates the weak client's classifier-only steps: so a
             # round trains as one lockstep phase of `updates` steps.
@@ -979,7 +990,7 @@ def test_plan_invariants(case):
                 assert p.full_steps == 0
             else:
                 assert (p.full_steps, p.frozen_steps) == (updates, 0)
-        included = [trace.completion_times[c] for c in trace.selected if c not in trace.dropped]
+        included = [p.completion for p in plan.clients if not p.dropped]
         if included:
             assert trace.duration == max(included)
         assert trace.dropped == tuple(p.client_id for p in plan.clients if p.dropped)

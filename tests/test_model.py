@@ -11,7 +11,6 @@ from fedsim.model import (
     ShapeError,
     backward_frozen,
     backward_full,
-    cross_entropy,
     forward,
     forward_logits,
     init_model,
@@ -19,6 +18,8 @@ from fedsim.model import (
     sgd_step,
     split,
 )
+
+from reference import cross_entropy
 
 
 def random_batch(model, size, seed):

@@ -65,7 +65,7 @@ class TestMeasure:
     def test_zero_noise_is_exact(self):
         truth = scale_timings(DEFAULT_BASE_TIMINGS, 0.37)
         profile = measure(0, truth, total_updates=16, profile_batches=2,
-                          noise_sigma=0.0, rng=123)
+                          noise_sigma=0.0, rng=np.random.default_rng(123))
         assert profile.timings == truth
         assert profile.remaining_updates == 14
 
@@ -98,44 +98,44 @@ class TestMeasure:
     def test_awaiting_batches_reduce_remaining(self):
         truth = scale_timings(DEFAULT_BASE_TIMINGS, 0.5)
         profile = measure(0, truth, total_updates=16, profile_batches=2,
-                          noise_sigma=0.0, rng=0, batches_awaiting_schedule=5)
+                          noise_sigma=0.0, rng=None, batches_awaiting_schedule=5)
         assert profile.remaining_updates == 9
 
     def test_budget_overrun_rejected(self):
         truth = scale_timings(DEFAULT_BASE_TIMINGS, 0.5)
         with pytest.raises(ValueError):
             measure(0, truth, total_updates=16, profile_batches=2,
-                    noise_sigma=0.0, rng=0, batches_awaiting_schedule=15)
+                    noise_sigma=0.0, rng=None, batches_awaiting_schedule=15)
 
     def test_reproducible_given_seed(self):
         truth = scale_timings(DEFAULT_BASE_TIMINGS, 0.8)
-        a = measure(0, truth, 16, 4, 0.1, rng=42)
-        b = measure(0, truth, 16, 4, 0.1, rng=42)
+        a = measure(0, truth, 16, 4, 0.1, rng=np.random.default_rng(42))
+        b = measure(0, truth, 16, 4, 0.1, rng=np.random.default_rng(42))
         assert a.timings == b.timings
 
     def test_noise_changes_with_seed(self):
         truth = scale_timings(DEFAULT_BASE_TIMINGS, 0.8)
-        a = measure(0, truth, 16, 4, 0.1, rng=42)
-        b = measure(0, truth, 16, 4, 0.1, rng=43)
+        a = measure(0, truth, 16, 4, 0.1, rng=np.random.default_rng(42))
+        b = measure(0, truth, 16, 4, 0.1, rng=np.random.default_rng(43))
         assert a.timings != b.timings
 
     def test_noisy_timings_stay_positive(self):
         truth = scale_timings(DEFAULT_BASE_TIMINGS, 0.8)
         for seed in range(50):
-            profile = measure(0, truth, 200, 100, 2.0, rng=seed)
+            profile = measure(0, truth, 200, 100, 2.0, rng=np.random.default_rng(seed))
             assert profile.timings.ff > 0
             assert profile.timings.bf > 0
 
     def test_validation(self):
         truth = DEFAULT_BASE_TIMINGS
         with pytest.raises(ValueError):
-            measure(0, truth, 16, 0, 0.0, rng=0)
+            measure(0, truth, 16, 0, 0.0, rng=None)
         with pytest.raises(ValueError):
-            measure(0, truth, 16, 17, 0.0, rng=0)
+            measure(0, truth, 16, 17, 0.0, rng=None)
         with pytest.raises(ValueError):
-            measure(0, truth, 16, 2, -0.5, rng=0)
+            measure(0, truth, 16, 2, -0.5, rng=None)
         with pytest.raises(ValueError):
-            measure(0, truth, 16, 2, 0.0, rng=0, batches_awaiting_schedule=-1)
+            measure(0, truth, 16, 2, 0.0, rng=None, batches_awaiting_schedule=-1)
 
     def test_averaging_concentrates(self):
         # With sigma 0.05 over 100 profiled batches the per-phase mean has
@@ -144,7 +144,7 @@ class TestMeasure:
         truth = scale_timings(DEFAULT_BASE_TIMINGS, 0.6)
         hits = 0
         for seed in range(1000):
-            profile = measure(0, truth, 200, 100, 0.05, rng=seed)
+            profile = measure(0, truth, 200, 100, 0.05, rng=np.random.default_rng(seed))
             rel = abs(profile.timings.full_time - truth.full_time) / truth.full_time
             if rel < 0.015:
                 hits += 1
