@@ -12,11 +12,12 @@ Example::
     partition: {mode: noniid, classes_per_client: 3}
     clients: {count: 24, per_round: 3, speed_low: 0.1, speed_high: 1.0}
     training: {rounds: 100, local_updates: 16, batch_size: 32, learning_rate: 0.05, hidden_dim: 32}
-    profile: {batches: 1, noise_sigma: 0.0}
+    profile: {base: {ff: 0.15, fc: 0.05, bc: 0.15, bf: 0.65}}
     latency: {dispatch: 0.0, transfer: 0.0}
     strategies:
       - {name: fedavg}
-      - {name: freeze_offload, similarity_factor: 1.0}
+      - {name: freeze_offload, similarity_factor: 1.0, profile_batches: 1,
+         profile_noise_sigma: 0.0}
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ import numpy as np
 import yaml
 
 from .data import client_quotas, train_count
-from .engine import STRATEGIES, FedAvg, Strategy
+from .engine import STRATEGIES, FedAvg, FreezeOffload, Strategy
 from .errors import ConfigError
 from .profiling import DEFAULT_BASE_TIMINGS, PhaseTimings
 
@@ -75,8 +76,6 @@ class TrainingConfig:
 
 @dataclass(frozen=True)
 class ProfileConfig:
-    batches: int = field(default=1, metadata={"ge": 1})
-    noise_sigma: float = field(default=0.0, metadata={"ge": 0})
     base: PhaseTimings = DEFAULT_BASE_TIMINGS
 
 
@@ -143,19 +142,17 @@ def _get(raw: dict, section: str, key: str, default, kind, problems: list[str]):
     return default
 
 
-def _read(cls, raw: dict, where: str, defaults: dict, problems: list[str]) -> tuple[dict, bool]:
+def _read(cls, raw: dict, where: str, problems: list[str]) -> tuple[dict, bool]:
     """Read the scalar fields of dataclass `cls` from the mapping `raw`, each
-    checked by `_get` and then against its field's bound. `defaults`
-    overrides field defaults by field name. Returns the values by field name
-    and whether every bound held."""
+    checked by `_get` and then against its field's bound. Returns the values
+    by field name and whether every bound held."""
     values, ok = {}, True
     for f in fields(cls):
         kind = _KINDS.get(f.type)
         if kind is None:
             continue
         key = _key(f)
-        default = defaults.get(f.name, f.default)
-        value = values[f.name] = _get(raw, where, key, default, kind, problems)
+        value = values[f.name] = _get(raw, where, key, f.default, kind, problems)
         # A top-level bound names the key alone ("seed: must be >= 0").
         name = key if where == "top level" else f"{where}.{key}"
         if "ge" in f.metadata and value < f.metadata["ge"]:
@@ -167,9 +164,7 @@ def _read(cls, raw: dict, where: str, defaults: dict, problems: list[str]) -> tu
     return values, ok
 
 
-def _parse_strategy(
-    entry: Any, index: int, inherited: dict, problems: list[str]
-) -> Strategy | None:
+def _parse_strategy(entry: Any, index: int, problems: list[str]) -> Strategy | None:
     """One `strategies` entry; None when it names no strategy or breaks a bound."""
     where = f"strategies[{index}]"
     if isinstance(entry, str):
@@ -183,7 +178,7 @@ def _parse_strategy(
         names = ", ".join(c.name for c in STRATEGIES)
         problems.append(f"{where}.name: expected one of {names}, got {name!r}")
         return None
-    values, ok = _read(cls, entry, where, inherited, problems)
+    values, ok = _read(cls, entry, where, problems)
     unknown = set(entry) - _keys(cls) - {"name"}
     if unknown:
         problems.append(f"{where}: unknown keys {sorted(unknown, key=str)}")
@@ -325,7 +320,7 @@ def parse_config(raw: Any) -> ExperimentConfig:
             mapping = {}
         for key in set(mapping) - _keys(cls):
             problems.append(f"{name}: unknown key {key!r}")
-        values, _ = _read(cls, mapping, name, {}, problems)
+        values, _ = _read(cls, mapping, name, problems)
         return cls(**values, **{k: parse(mapping, problems) for k, parse in by_hand.items()})
 
     dataset = section(DatasetConfig, "dataset")
@@ -370,11 +365,6 @@ def parse_config(raw: Any) -> ExperimentConfig:
     training = section(TrainingConfig, "training")
 
     profile = section(ProfileConfig, "profile", base=_base)
-    if profile.batches >= training.local_updates:
-        problems.append(
-            f"profile.batches: must be < training.local_updates"
-            f" ({training.local_updates}), got {profile.batches}"
-        )
 
     latency = section(LatencyConfig, "latency")
 
@@ -383,17 +373,15 @@ def parse_config(raw: Any) -> ExperimentConfig:
     if not isinstance(raw_strategies, list) or not raw_strategies:
         problems.append(f"strategies: expected a non-empty list, got {raw_strategies!r}")
     else:
-        # freeze_offload's profiling knobs default to the profile section.
-        inherited = {"profile_batches": profile.batches, "profile_noise_sigma": profile.noise_sigma}
         for i, entry in enumerate(raw_strategies):
-            strategy = _parse_strategy(entry, i, inherited, problems)
+            strategy = _parse_strategy(entry, i, problems)
             if strategy is not None:
                 strategies.append(strategy)
         labels = [s.label for s in strategies]
         for label in sorted({x for x in labels if labels.count(x) > 1}):
             problems.append(f"strategies: duplicate label {label!r}")
 
-    top, _ = _read(ExperimentConfig, raw, "top level", {}, problems)
+    top, _ = _read(ExperimentConfig, raw, "top level", problems)
 
     if isinstance(part.sizes, list) and len(part.sizes) != clients.count:
         problems.append(
@@ -429,8 +417,18 @@ def load_config(path: str, **overrides: Any) -> ExperimentConfig:
 
 
 def echo_dict(config: ExperimentConfig) -> dict:
-    """Fully resolved configuration, defaults included, for config_echo.json."""
+    """Fully resolved configuration, defaults included, for config_echo.json.
+
+    The `profile` section also lists `batches` and `noise_sigma`, the
+    defaults of freeze_offload's `profile_batches` and `profile_noise_sigma`,
+    which a config document may not set: they keep the echo's bytes, which
+    perfbench/golden.json pins. Each freeze_offload entry lists the values
+    it runs with.
+    """
     doc = asdict(config)
+    doc["profile"].update(
+        batches=FreezeOffload.profile_batches, noise_sigma=FreezeOffload.profile_noise_sigma
+    )
     doc["strategies"] = [
         {"label": s.label, "name": s.name, **{_key(f): getattr(s, f.name) for f in fields(s)}}
         for s in config.strategies

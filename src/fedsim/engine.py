@@ -236,7 +236,6 @@ class FreezeOffload(Strategy):
 
     name: ClassVar[str] = "freeze_offload"
     similarity_factor: float = field(default=1.0, metadata={"ge": 0})
-    # The parser defaults these two to the `profile` section's values.
     profile_batches: int = field(default=1, metadata={"ge": 1})
     profile_noise_sigma: float = field(default=0.0, metadata={"ge": 0})
 
@@ -259,7 +258,7 @@ class FreezeOffload(Strategy):
         arrival = computed_at + latency.dispatch
         profiles = [self._profile(state, round_index, cid, computed_at) for cid in selected]
         similarity = state.shared.similarity()
-        schedule = build_schedule(profiles, similarity, self.similarity_factor, round_index)
+        schedule = build_schedule(profiles, similarity, self.similarity_factor)
 
         for a in schedule.assignments:
             weak, strong = state.client(a.weak_client_id), state.client(a.strong_client_id)
@@ -297,21 +296,15 @@ class FreezeOffload(Strategy):
         rng = spawn_rng(state.seed, TAG_PROFILE, round_index, cid) if noisy else None
         try:
             return measure(
-                cid,
-                c.timings,
-                updates,
-                self.profile_batches,
-                self.profile_noise_sigma,
-                rng,
-                batches_awaiting_schedule=done - self.profile_batches,
+                cid, c.timings, updates - done, self.profile_batches, self.profile_noise_sigma, rng
             )
         except ValueError as exc:
             if not noisy:
                 raise
             # The noise overflowed a profiled phase time.
             problem = (
-                f"profile.noise_sigma: {self.profile_noise_sigma:g} breaks the profiles"
-                f" in round {round_index} (seed {state.seed}): {exc}"
+                f"strategies: {self.label} profile_noise_sigma {self.profile_noise_sigma:g}"
+                f" breaks the profiles in round {round_index} (seed {state.seed}): {exc}"
             )
             raise ConfigError([problem]) from exc
 

@@ -86,44 +86,30 @@ def scale_timings(base: PhaseTimings, speed_factor: float) -> PhaseTimings:
 def measure(
     client_id: int,
     true_timings: PhaseTimings,
-    total_updates: int,
+    remaining_updates: int,
     profile_batches: int,
     noise_sigma: float,
     rng: np.random.Generator | None,
-    batches_awaiting_schedule: int = 0,
 ) -> ClientProfile:
     """Profile a client over its first `profile_batches` updates.
 
     Each profiled batch yields one noisy sample per phase (multiplicative
     Gaussian noise, clamped positive); the reported value is the per-phase
-    mean. remaining_updates subtracts both the profiled batches and any
-    batches the client executed while the schedule was being computed.
+    mean. `remaining_updates` is what the client has left of its budget when
+    the federator schedules: the profiled batches and any batches it ran
+    while the schedule was being computed are already done.
 
     With zero noise every sample is 1.0 + 0.0 * z == 1.0, so the true
     timings come back exactly and `rng` is never drawn from; it may be None.
     """
-    if total_updates < 1:
-        raise ValueError(f"total_updates must be >= 1, got {total_updates}")
-    if not 1 <= profile_batches <= total_updates:
-        raise ValueError(
-            f"profile_batches must be in [1, {total_updates}], got {profile_batches}"
-        )
+    if remaining_updates < 0:
+        raise ValueError(f"remaining_updates must be >= 0, got {remaining_updates}")
+    if profile_batches < 1:
+        raise ValueError(f"profile_batches must be >= 1, got {profile_batches}")
     if noise_sigma < 0:
         raise ValueError(f"noise_sigma must be >= 0, got {noise_sigma}")
-    if batches_awaiting_schedule < 0:
-        raise ValueError(
-            f"batches_awaiting_schedule must be >= 0, got {batches_awaiting_schedule}"
-        )
-    remaining = total_updates - profile_batches - batches_awaiting_schedule
-    if remaining < 0:
-        raise ValueError(
-            f"client {client_id} executed more batches than its budget of "
-            f"{total_updates}"
-        )
     if noise_sigma == 0.0:
-        return ClientProfile(
-            client_id=client_id, timings=true_timings, remaining_updates=remaining
-        )
+        return ClientProfile(client_id, true_timings, remaining_updates)
     if rng is None:
         raise ValueError("a noisy measurement needs an rng")
     factors = np.maximum(
@@ -136,6 +122,4 @@ def measure(
         bc=true_timings.bc * means[2],
         bf=true_timings.bf * means[3],
     )
-    return ClientProfile(
-        client_id=client_id, timings=measured, remaining_updates=remaining
-    )
+    return ClientProfile(client_id, measured, remaining_updates)

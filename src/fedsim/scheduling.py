@@ -47,7 +47,6 @@ class OffloadSchedule:
     sending_ids: tuple[int, ...]
     receiving_ids: tuple[int, ...]
     mean_completion: float
-    round_index: int
 
 
 def mean_completion_time(profiles: list[ClientProfile]) -> float:
@@ -140,7 +139,6 @@ def build_schedule(
     profiles: list[ClientProfile],
     similarity: HistogramDistances,
     similarity_factor: float,
-    round_index: int = 0,
 ) -> OffloadSchedule:
     """Pair senders with receivers for one round.
 
@@ -201,5 +199,4 @@ def build_schedule(
         sending_ids=tuple(p.client_id for p in sending),
         receiving_ids=tuple(p.client_id for p in receiving),
         mean_completion=mean,
-        round_index=round_index,
     )

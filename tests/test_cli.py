@@ -30,8 +30,10 @@ from fedsim.engine import (
     FreezeOffload,
     Tifl,
     run_experiment,
+    run_experiments,
 )
 from fedsim.model import Batch, forward_logits, init_model
+from fedsim.profiling import DEFAULT_BASE_TIMINGS
 from fedsim.similarity import HistogramDistances, SimilarityOracle
 
 FAST_RAW = {
@@ -97,7 +99,7 @@ class TestParseConfig:
         assert cfg.clients.per_round == 3
         assert cfg.training.rounds == 100
         assert cfg.training.local_updates == 16
-        assert cfg.profile.batches == 1
+        assert cfg.profile.base == DEFAULT_BASE_TIMINGS
         assert cfg.seed == 42
         assert len(cfg.strategies) == 1
         assert isinstance(cfg.strategies[0], FedAvg)
@@ -265,15 +267,6 @@ class TestParseConfig:
         assert freeze.similarity_factor == 0.5
         assert freeze.profile_batches == 3
 
-    def test_freeze_offload_inherits_profile_section(self):
-        cfg = parse_config(
-            {"profile": {"batches": 2, "noise_sigma": 0.1},
-             "strategies": [{"name": "freeze_offload"}]}
-        )
-        s = cfg.strategies[0]
-        assert s.profile_batches == 2
-        assert s.profile_noise_sigma == 0.1
-
     def test_unknown_strategy_key(self):
         with pytest.raises(ConfigError) as info:
             parse_config({"strategies": [{"name": "fedavg", "mu": 0.1}]})
@@ -301,8 +294,15 @@ class TestParseConfig:
             )
 
     def test_profile_batches_below_updates(self):
-        with pytest.raises(ConfigError):
-            parse_config({"training": {"local_updates": 4}, "profile": {"batches": 4}})
+        # Only freeze_offload profiles, so one local update (FedSGD) runs
+        # under every other strategy.
+        cfg = parse_config(
+            dict(FAST_RAW, training=dict(FAST_RAW["training"], local_updates=1),
+                 strategies=["fedavg", "fedprox", "fednova", {"name": "tifl", "tiers": 2},
+                             "deadline"])
+        )
+        results = run_experiments(cfg, [(s, cfg.seed) for s in cfg.strategies])
+        assert [len(r.traces) for r in results] == [2] * 5
         with pytest.raises(ConfigError):
             parse_config(
                 {"training": {"local_updates": 4},
@@ -676,8 +676,10 @@ class TestRunCommand:
         "raw, problem",
         [
             (
-                dict(FAST_RAW, profile={"noise_sigma": 1e308}, strategies=["freeze_offload"]),
-                "profile.noise_sigma: 1e+308 breaks the profiles in round 0 (seed 7):",
+                dict(FAST_RAW,
+                     strategies=[{"name": "freeze_offload", "profile_noise_sigma": 1e308}]),
+                "strategies: freeze_offload_f1 profile_noise_sigma 1e+308 breaks the profiles"
+                " in round 0 (seed 7):",
             ),
             (
                 dict(FAST_RAW, training=dict(FAST_RAW["training"], hidden_dim=2**62)),

@@ -81,7 +81,10 @@ def run_digest(config, strategy, seed):
 
 
 def schedule_doc(plan):
-    return None if plan.schedule is None else dataclasses.asdict(plan.schedule)
+    """The schedule as the digests were recorded, round index included."""
+    if plan.schedule is None:
+        return None
+    return {**dataclasses.asdict(plan.schedule), "round_index": plan.round_index}
 
 
 def record_docs(plan):
@@ -898,6 +901,10 @@ def test_train_lanes_rejects_a_plan_that_breaks_the_one_phase_layout():
 def configs(draw):
     count = draw(st.integers(2, 8))
     updates = draw(st.integers(2, 10))
+    profiling = {
+        "profile_batches": draw(st.integers(1, updates - 1)),
+        "profile_noise_sigma": draw(st.sampled_from([0.0, 0.1, 0.5])),
+    }
     raw = {
         "dataset": {"num_classes": 3, "samples_per_class": 30, "input_dim": 3},
         "partition": draw(
@@ -910,10 +917,6 @@ def configs(draw):
             "batch_size": draw(st.integers(1, 6)),
             "hidden_dim": 4,
         },
-        "profile": {
-            "batches": draw(st.integers(1, updates - 1)),
-            "noise_sigma": draw(st.sampled_from([0.0, 0.1, 0.5])),
-        },
         "latency": {
             "dispatch": draw(st.sampled_from([0.0, 0.5, 3.0, 20.0])),
             "transfer": draw(st.sampled_from([0.0, 1.0, 5.0])),
@@ -923,8 +926,8 @@ def configs(draw):
             draw(
                 st.sampled_from(
                     [
-                        {"name": "freeze_offload", "similarity_factor": 1.0},
-                        {"name": "freeze_offload", "similarity_factor": 0.0},
+                        {"name": "freeze_offload", "similarity_factor": 1.0, **profiling},
+                        {"name": "freeze_offload", "similarity_factor": 0.0, **profiling},
                         {"name": "fedavg"},
                         {"name": "fedprox", "mu": 0.1},
                         {"name": "fednova"},
@@ -1006,17 +1009,21 @@ def random_plan_config(rng):
     profile noise: a plan is a function of these alone."""
     count = int(rng.integers(2, 13))
     updates = int(rng.integers(2, 13))
+    partition = [{"mode": "iid"}, {"mode": "noniid", "classes_per_client": 2}][
+        int(rng.integers(2))
+    ]
+    per_round = int(rng.integers(min(2, count), count + 1))
+    # Drawn whatever the strategy, so that each later draw comes from the
+    # same point of the stream; only a freeze_offload entry reads them.
+    profiling = {
+        "profile_batches": int(rng.integers(1, updates)),
+        "profile_noise_sigma": float(rng.choice([0.0, 0.1, 0.5])),
+    }
     raw = {
         "dataset": {"num_classes": 3, "samples_per_class": 30, "input_dim": 2},
-        "partition": [{"mode": "iid"}, {"mode": "noniid", "classes_per_client": 2}][
-            int(rng.integers(2))
-        ],
-        "clients": {"count": count, "per_round": int(rng.integers(min(2, count), count + 1))},
+        "partition": partition,
+        "clients": {"count": count, "per_round": per_round},
         "training": {"rounds": 3, "local_updates": updates, "batch_size": 2, "hidden_dim": 2},
-        "profile": {
-            "batches": int(rng.integers(1, updates)),
-            "noise_sigma": float(rng.choice([0.0, 0.1, 0.5])),
-        },
         "latency": {
             "dispatch": float(rng.choice([0.0, 0.5, 3.0, 20.0])),
             "transfer": float(rng.choice([0.0, 1.0, 5.0])),
@@ -1029,12 +1036,12 @@ def random_plan_config(rng):
         raw["clients"].update(speed_low=low, speed_high=float(rng.uniform(low, 1.0)))
     if rng.random() < 0.3:
         phases = ("ff", "fc", "bc", "bf")
-        raw["profile"]["base"] = {k: float(rng.uniform(1e-3, 2.0)) for k in phases}
+        raw["profile"] = {"base": {k: float(rng.uniform(1e-3, 2.0)) for k in phases}}
     factor = float(rng.choice([0.0, 0.5, 1.0, 2.0]))
     raw["strategies"] = [
         [
-            {"name": "freeze_offload", "similarity_factor": factor},
-            {"name": "freeze_offload", "similarity_factor": 1.0},
+            {"name": "freeze_offload", "similarity_factor": factor, **profiling},
+            {"name": "freeze_offload", "similarity_factor": 1.0, **profiling},
             {"name": "deadline", "multiplier": float(rng.choice([0.5, 0.8, 1.0, 1.5]))},
             {"name": "fedavg"},
             {"name": "tifl", "tiers": min(3, count)},

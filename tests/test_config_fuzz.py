@@ -2,19 +2,22 @@
 
 A document starts from values each field accepts on its own, drawn so that
 the fields can still disagree with one another (partition weights against
-the dataset size, classes per client against the client count, profile
-batches against local updates, tiers against clients). Up to two fields are
-then replaced with a value of the wrong type, a non-finite float or a
-boundary number, and an int field may also get a whole number outside
-int64. The learning rate, the data noise and the profile noise may get
-1e308, the hidden width 2**62 and the client count 2**63 - 1; a document
-with that profile noise also gets a freeze_offload entry that inherits it,
-the one strategy that profiles. Phase times of 1e-300 s may meet a
-dispatch latency of 1e10 s, with a freeze_offload entry, a pair that no one
-field's extreme reaches. A document that parses must run all of its
-strategies for its rounds (at most 2) to completion, in lockstep as `fedsim
-run` does; any other exception is an escape that `fedsim run` would report
-through its catch-all with exit 2.
+the dataset size, classes per client against the client count,
+freeze_offload's profiled batches against local updates, tiers against
+clients). A document may have a single local update (FedSGD), which only
+freeze_offload rejects. Up to two fields are then replaced with a value of
+the wrong type, a non-finite float or a boundary number, and an int field
+may also get a whole number outside int64. The learning rate, the data
+noise and freeze_offload's profile noise may get 1e308, the hidden width
+2**62 and the client count 2**63 - 1. A value for freeze_offload's
+profiling knobs goes to the document's last freeze_offload entry, or to
+one added when the document has none, as only that strategy profiles.
+Phase times of 1e-300 s may meet a dispatch latency of 1e10 s, with a
+freeze_offload entry, a pair that no one field's extreme reaches. A
+document that parses must run all of its strategies for its rounds (at
+most 2) to completion, in lockstep as `fedsim run` does; any other
+exception is an escape that `fedsim run` would report through its
+catch-all with exit 2.
 """
 
 import math
@@ -41,12 +44,13 @@ OUT_OF_INT64 = st.sampled_from([2**63, 10**30, 1e300])
 HUGE = {
     ("training", "learning_rate"): 1e308,
     ("dataset", "noise_sigma"): 1e308,
-    ("profile", "noise_sigma"): 1e308,
+    ("freeze_offload", "profile_noise_sigma"): 1e308,
     ("training", "hidden_dim"): 2**62,
     ("clients", "count"): 2**63 - 1,
 }
 
-# Where a bad value may go: (section or None for the top level, key).
+# Where a bad value may go: (section, key). The section None is the top
+# level, and "freeze_offload" the document's last freeze_offload entry.
 FIELDS = [
     ("dataset", "num_classes"),
     ("dataset", "samples_per_class"),
@@ -65,8 +69,8 @@ FIELDS = [
     ("training", "batch_size"),
     ("training", "learning_rate"),
     ("training", "hidden_dim"),
-    ("profile", "batches"),
-    ("profile", "noise_sigma"),
+    ("freeze_offload", "profile_batches"),
+    ("freeze_offload", "profile_noise_sigma"),
     ("profile", "base"),
     ("latency", "dispatch"),
     ("latency", "transfer"),
@@ -84,7 +88,7 @@ INT_FIELDS = {
     ("training", "local_updates"),
     ("training", "batch_size"),
     ("training", "hidden_dim"),
-    ("profile", "batches"),
+    ("freeze_offload", "profile_batches"),
     (None, "seed"),
 }
 
@@ -93,8 +97,7 @@ STRATEGIES = st.one_of(
     st.builds(lambda mu: {"name": "fedprox", "mu": mu}, st.sampled_from([0.0, 0.01, 1.0])),
     st.builds(lambda t: {"name": "tifl", "tiers": t}, st.integers(1, 4)),
     st.builds(lambda m: {"name": "deadline", "multiplier": m}, st.floats(0.1, 3.0)),
-    # Without its own profile_noise_sigma, freeze_offload takes the
-    # profile section's.
+    # Without its own profile_noise_sigma, freeze_offload measures exactly.
     st.builds(
         lambda f, b, s: {
             "name": "freeze_offload",
@@ -113,7 +116,7 @@ STRATEGIES = st.one_of(
 def documents(draw):
     num_classes = draw(st.integers(2, 5))
     count = draw(st.integers(1, 12))
-    updates = draw(st.integers(2, 6))
+    updates = draw(st.integers(1, 6))
     low = draw(st.floats(0.05, 1.0))
     doc = {
         "dataset": {
@@ -136,10 +139,7 @@ def documents(draw):
             "learning_rate": draw(st.floats(1e-3, 1.0)),
             "hidden_dim": draw(st.integers(1, 6)),
         },
-        "profile": {
-            "batches": draw(st.integers(1, updates - 1)),
-            "noise_sigma": draw(st.sampled_from([0.0, 0.1])),
-        },
+        "profile": {},
         "latency": {
             "dispatch": draw(st.sampled_from([0.0, 0.5, 3.0, 30.0])),
             "transfer": draw(st.sampled_from([0.0, 1.0, 10.0])),
@@ -171,19 +171,33 @@ def documents(draw):
         # Each huge value on its own, so that documents which otherwise
         # parse reach it often.
         section, key = draw(st.sampled_from(sorted(HUGE)))
-        doc[section][key] = HUGE[section, key]
+        holder(doc, section)[key] = HUGE[section, key]
     for section, key in draw(st.lists(st.sampled_from(FIELDS), max_size=2, unique=True)):
         # The narrow pools come before BAD so that hypothesis draws them often.
         pools = [st.just(HUGE[section, key])] if (section, key) in HUGE else []
         if (section, key) in INT_FIELDS:
             pools.append(OUT_OF_INT64)
-        (doc if section is None else doc[section])[key] = draw(st.one_of(*pools, BAD))
-    if doc["profile"]["noise_sigma"] == HUGE["profile", "noise_sigma"] and isinstance(
-        doc["strategies"], list
-    ):
-        # Its label is one no drawn entry has.
-        doc["strategies"].append({"name": "freeze_offload", "similarity_factor": 3.0})
+        holder(doc, section)[key] = draw(st.one_of(*pools, BAD))
     return doc
+
+
+def holder(doc, section):
+    """The mapping that holds `section`'s keys. For "freeze_offload" that is
+    the last freeze_offload entry, added if there is none; when `strategies`
+    is not a list, a mapping the document does not hold."""
+    if section is None:
+        return doc
+    if section != "freeze_offload":
+        return doc[section]
+    entries = doc["strategies"]
+    if not isinstance(entries, list):
+        return {}
+    for entry in reversed(entries):
+        if isinstance(entry, dict) and entry.get("name") == "freeze_offload":
+            return entry
+    # Its label is one no drawn entry has.
+    entries.append({"name": "freeze_offload", "similarity_factor": 3.0})
+    return entries[-1]
 
 
 @settings(max_examples=400, deadline=None, suppress_health_check=[HealthCheck.too_slow])

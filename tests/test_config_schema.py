@@ -105,9 +105,7 @@ PROBLEMS = {
     ),
     "rounds": ({"training": {"rounds": 0}}, ["training.rounds: must be >= 1, got 0"]),
     "local_updates": (
-        {"training": {"local_updates": 0}},
-        ["profile.batches: must be < training.local_updates (0), got 1",
-         "training.local_updates: must be >= 1, got 0"],
+        {"training": {"local_updates": 0}}, ["training.local_updates: must be >= 1, got 0"],
     ),
     "batch_size": (
         {"training": {"batch_size": 0}}, ["training.batch_size: must be >= 1, got 0"]
@@ -118,15 +116,9 @@ PROBLEMS = {
     "hidden_dim": (
         {"training": {"hidden_dim": -3}}, ["training.hidden_dim: must be >= 1, got -3"]
     ),
-    "profile-batches": (
-        {"profile": {"batches": 0}}, ["profile.batches: must be >= 1, got 0"]
-    ),
-    "profile-batches-vs-updates": (
-        {"training": {"local_updates": 4}, "profile": {"batches": 4}},
-        ["profile.batches: must be < training.local_updates (4), got 4"],
-    ),
-    "profile-noise_sigma": (
-        {"profile": {"noise_sigma": -0.1}}, ["profile.noise_sigma: must be >= 0, got -0.1"]
+    "profile-knobs-belong-to-freeze_offload": (
+        {"profile": {"batches": 2, "noise_sigma": 0.1}},
+        ["profile: unknown key 'batches'", "profile: unknown key 'noise_sigma'"],
     ),
     "profile-base-keys": (
         {"profile": {"base": {"ff": 0.1}}},
@@ -204,13 +196,6 @@ PROBLEMS = {
          "strategies": [{"name": "freeze_offload", "profile_batches": 4}]},
         ["strategies: freeze_offload profile_batches must be < training.local_updates (4)"],
     ),
-    "freeze-inherits-bad-profile": (
-        {"profile": {"batches": 0, "noise_sigma": -1.0}, "strategies": ["freeze_offload"]},
-        ["profile.batches: must be >= 1, got 0",
-         "profile.noise_sigma: must be >= 0, got -1.0",
-         "strategies[0].profile_batches: must be >= 1, got 0",
-         "strategies[0].profile_noise_sigma: must be >= 0, got -1.0"],
-    ),
     "duplicate-label": (
         {"strategies": ["fedavg", {"name": "fedavg"}, {"name": "fedprox", "mu": 0.1},
                         {"name": "fedprox", "mu": 0.1}]},
@@ -259,8 +244,7 @@ def test_problem_lists_are_pinned(raw, expected):
     assert sorted(info.value.problems) == expected
 
 
-# Every strategy with non-default values; freeze_offload takes its profile
-# knobs from a non-default profile section.
+# Every strategy with non-default values.
 ECHO_DOC = {
     "seed": 11,
     "replicates": 2,
@@ -270,8 +254,7 @@ ECHO_DOC = {
                 "speed_factors": [0.2, 0.4, 0.6, 0.8, 1, 0.5]},
     "training": {"rounds": 7, "local_updates": 12, "batch_size": 16, "learning_rate": 0.1,
                  "hidden_dim": 24},
-    "profile": {"batches": 3, "noise_sigma": 0.05,
-                "base": {"ff": 0.1, "fc": 0.2, "bc": 0.3, "bf": 0.4}},
+    "profile": {"base": {"ff": 0.1, "fc": 0.2, "bc": 0.3, "bf": 0.4}},
     "latency": {"dispatch": 1.5, "transfer": 2},
     "strategies": [
         "fedavg",
@@ -279,7 +262,8 @@ ECHO_DOC = {
         {"name": "fednova"},
         {"name": "tifl", "tiers": 2},
         {"name": "deadline", "multiplier": 1.25},
-        {"name": "freeze_offload", "similarity_factor": 0.75},
+        {"name": "freeze_offload", "similarity_factor": 0.75, "profile_batches": 3,
+         "profile_noise_sigma": 0.05},
     ],
 }
 
@@ -288,8 +272,8 @@ ECHO_JSON = (
     ' "speed_high": 0.9, "speed_low": 0.2}, "dataset": {"input_dim": 6, "noise_sigma": 0.5,'
     ' "num_classes": 5, "samples_per_class": 50}, "latency": {"dispatch": 1.5, "transfer": 2.0},'
     ' "partition": {"classes_per_client": 2, "mode": "noniid", "sizes": [1, 2.5, 1, 1, 3, 1]},'
-    ' "profile": {"base": {"bc": 0.3, "bf": 0.4, "fc": 0.2, "ff": 0.1}, "batches": 3,'
-    ' "noise_sigma": 0.05}, "replicates": 2, "seed": 11, "strategies":'
+    ' "profile": {"base": {"bc": 0.3, "bf": 0.4, "fc": 0.2, "ff": 0.1}, "batches": 1,'
+    ' "noise_sigma": 0.0}, "replicates": 2, "seed": 11, "strategies":'
     ' [{"label": "fedavg", "name": "fedavg"},'
     ' {"label": "fedprox_mu0.5", "mu": 0.5, "name": "fedprox"},'
     ' {"label": "fednova", "name": "fednova"},'

@@ -582,8 +582,8 @@ class TestFreezeOffloadRound:
             clients={"count": 2, "per_round": 2, "speed_factors": [1.0, 0.25]},
             training={"rounds": 1, "local_updates": 16, "batch_size": 4,
                       "hidden_dim": 4},
-            profile={"batches": 2,
-                     "base": {"ff": 0.15, "fc": 0.10, "bc": 0.15, "bf": 0.60}},
+            profile={"base": {"ff": 0.15, "fc": 0.10, "bc": 0.15, "bf": 0.60}},
+            strategies=[{"name": "freeze_offload", "profile_batches": 2}],
         )
 
     def test_hand_computed_timeline(self):
@@ -596,7 +596,7 @@ class TestFreezeOffloadRound:
         # work at 16 and the donated block at 32 + 8*0.6*1.0... the block
         # requires bf=0.6 per batch: 32 + 4.8 = 36.8. Round lasts 44.8s.
         cfg = self.worked_example()
-        result = run_experiment(cfg, FreezeOffload(profile_batches=2), seed=0)
+        result = run_experiment(cfg, cfg.strategies[0], seed=0)
         trace = result.traces[0]
         assert trace.num_offloads == 1
         (record,) = trace.offload_records
@@ -632,7 +632,7 @@ class TestFreezeOffloadRound:
 
     def test_beats_plain_fedavg_duration(self):
         cfg = self.worked_example()
-        offload = run_experiment(cfg, FreezeOffload(profile_batches=2), seed=0)
+        offload = run_experiment(cfg, cfg.strategies[0], seed=0)
         plain = run_experiment(cfg, FedAvg(), seed=0)
         assert plain.traces[0].duration == pytest.approx(64.0)
         assert offload.traces[0].duration < plain.traces[0].duration
@@ -684,8 +684,8 @@ class TestFreezeOffloadRound:
         cfg_slow = dataclasses.replace(
             cfg_fast, latency=LatencyConfig(dispatch=0.0, transfer=30.0)
         )
-        fast = run_experiment(cfg_fast, FreezeOffload(profile_batches=2), seed=0)
-        slow = run_experiment(cfg_slow, FreezeOffload(profile_batches=2), seed=0)
+        fast = run_experiment(cfg_fast, cfg_fast.strategies[0], seed=0)
+        slow = run_experiment(cfg_slow, cfg_slow.strategies[0], seed=0)
         # Handoff at 32, transfer 30: block arrives at 62 after the fast
         # client's own work, so the offloaded part lands at 62 + 4.8 = 66.8
         # and the weak contribution completes there instead of at 44.8.

@@ -44,7 +44,6 @@ CONFIG = parse_config(
         "partition": {"mode": "noniid", "classes_per_client": 2},
         "clients": {"count": 8, "per_round": 4},
         "training": {"rounds": 5, "local_updates": 8, "batch_size": 8, "hidden_dim": 8},
-        "profile": {"noise_sigma": 0.1},
         "latency": {"dispatch": 0.5, "transfer": 0.2},
         "strategies": [
             "fedavg",
@@ -52,7 +51,7 @@ CONFIG = parse_config(
             "fednova",
             {"name": "tifl", "tiers": 2},
             {"name": "deadline", "multiplier": 0.8},
-            "freeze_offload",
+            {"name": "freeze_offload", "profile_noise_sigma": 0.1},
         ],
     }
 )

@@ -64,7 +64,7 @@ class TestClientProfile:
 class TestMeasure:
     def test_zero_noise_is_exact(self):
         truth = scale_timings(DEFAULT_BASE_TIMINGS, 0.37)
-        profile = measure(0, truth, total_updates=16, profile_batches=2,
+        profile = measure(0, truth, remaining_updates=14, profile_batches=2,
                           noise_sigma=0.0, rng=np.random.default_rng(123))
         assert profile.timings == truth
         assert profile.remaining_updates == 14
@@ -76,8 +76,8 @@ class TestMeasure:
 
         truth = scale_timings(DEFAULT_BASE_TIMINGS, 0.37)
         for rng in (Untouchable(), None):
-            profile = measure(0, truth, total_updates=16, profile_batches=3,
-                              noise_sigma=0.0, rng=rng, batches_awaiting_schedule=2)
+            profile = measure(0, truth, remaining_updates=11, profile_batches=3,
+                              noise_sigma=0.0, rng=rng)
             assert profile.timings == truth
             assert profile.remaining_updates == 11
 
@@ -96,16 +96,19 @@ class TestMeasure:
             measure(0, DEFAULT_BASE_TIMINGS, 16, 2, 0.1, rng=None)
 
     def test_awaiting_batches_reduce_remaining(self):
+        # The caller's count already excludes the profiled batches and those
+        # run while the schedule was computed; measure subtracts nothing more.
         truth = scale_timings(DEFAULT_BASE_TIMINGS, 0.5)
-        profile = measure(0, truth, total_updates=16, profile_batches=2,
-                          noise_sigma=0.0, rng=None, batches_awaiting_schedule=5)
-        assert profile.remaining_updates == 9
+        for noise_sigma in (0.0, 0.1):
+            profile = measure(0, truth, remaining_updates=9, profile_batches=2,
+                              noise_sigma=noise_sigma, rng=np.random.default_rng(1))
+            assert profile.remaining_updates == 9
 
     def test_budget_overrun_rejected(self):
         truth = scale_timings(DEFAULT_BASE_TIMINGS, 0.5)
-        with pytest.raises(ValueError):
-            measure(0, truth, total_updates=16, profile_batches=2,
-                    noise_sigma=0.0, rng=None, batches_awaiting_schedule=15)
+        with pytest.raises(ValueError, match="remaining_updates"):
+            measure(0, truth, remaining_updates=-1, profile_batches=2,
+                    noise_sigma=0.0, rng=None)
 
     def test_reproducible_given_seed(self):
         truth = scale_timings(DEFAULT_BASE_TIMINGS, 0.8)
@@ -128,14 +131,10 @@ class TestMeasure:
 
     def test_validation(self):
         truth = DEFAULT_BASE_TIMINGS
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="profile_batches"):
             measure(0, truth, 16, 0, 0.0, rng=None)
-        with pytest.raises(ValueError):
-            measure(0, truth, 16, 17, 0.0, rng=None)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="noise_sigma"):
             measure(0, truth, 16, 2, -0.5, rng=None)
-        with pytest.raises(ValueError):
-            measure(0, truth, 16, 2, 0.0, rng=None, batches_awaiting_schedule=-1)
 
     def test_averaging_concentrates(self):
         # With sigma 0.05 over 100 profiled batches the per-phase mean has
