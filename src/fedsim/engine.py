@@ -30,14 +30,16 @@ A round runs in two passes.
   move the feature block and the rows that move the classifier are each
   one range of the stack, and one `local_train` call trains the round. The
   call trains a copy of the stack in place, in one `model.Workspace` that
-  holds every per-step intermediate, so the steps allocate no arrays; the
-  untouched stack is FedProx's anchor. Each kept client's stream is opened
-  for the round and draws all its batches in one take, split into its own
-  steps and a donated block's, and the round gathers every row's batches
-  once, into one `CohortCursor`. Every client sees the batches it would
-  draw alone, in the same order, and comes out bitwise equal to training
-  alone, a weak client as its full, classifier-only and donated steps one
-  after another. A round's `RoundTrace` is its plan plus its accuracy.
+  holds every per-step intermediate, so a step allocates no array the size
+  of the stack's activations, only a value per sample for the one-hot
+  labels and the finite check's masks; the untouched stack is FedProx's
+  anchor. Each kept client's stream is opened for the round and draws all
+  its batches in one take, split into its own steps and a donated block's,
+  and the round gathers every row's batches once, into one `CohortCursor`.
+  Every client sees the batches it would draw alone, in the same order, and
+  comes out bitwise equal to training alone, a weak client as its full,
+  classifier-only and donated steps one after another. A round's
+  `RoundTrace` is its plan plus its accuracy.
 
 `run_experiments` runs several experiments, each a (strategy, seed) *lane*
 with its own model and clock on its seed's shared data (`SeedData`, built
@@ -1130,12 +1132,17 @@ def _run_lanes(
     states: list[ExperimentState], plans: list[RoundPlan], data: _LaneData
 ) -> list[RoundTrace]:
     """Train one round of every lane from its plan, stacked; aggregate and evaluate each."""
-    training, width = states[0].config.training, states[0].config.dataset.input_dim
+    training, dataset = states[0].config.training, states[0].config.dataset
     params = sum(a.size for a in states[0].global_model.arrays())
     # A row per kept client and per donated block, each with four models (start,
-    # trained, gradients, FedProx differences), its batches and its workspace.
+    # trained, gradients, FedProx differences), its batches and its workspace:
+    # per sample, the hidden units and their gradient, the logits and their
+    # class-major copy.
     rows = sum((not p.dropped) + (p.receiver is not None) for plan in plans for p in plan.clients)
-    per_sample = training.local_updates * (width + 2) + 2 * training.hidden_dim
+    per_sample = (
+        training.local_updates * (dataset.input_dim + 2)
+        + 2 * (training.hidden_dim + dataset.num_classes)
+    )
     try:
         with out_of_memory_as_config_error(
             f"round {plans[0].round_index}'s training: {rows} stacked models of {params}"

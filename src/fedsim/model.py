@@ -19,14 +19,22 @@ results and are the reference. Training runs `sgd_step_in_place` instead:
 a `Workspace` preallocates every intermediate of a step for the whole stack
 of a lockstep call, and each step writes into it with `out=` and updates
 the parameters in place, with the same ufuncs on the same operands in the
-same order, so the bytes are those of the reference. A step on k rows runs
-the last k rows of the stack and of every buffer, so rows can join the
-front of the stack later. Its mode is one pair (f, c) of row counts: the
-first min(f, k) running rows move the feature block and the last min(c, k)
-move the classifier. So full, classifier-only and donated rows step side
-by side, a row that does not move keeps its bytes, and one pair serves
-every step of a stack of n rows: (n, n) is a full step, (0, n)
-classifier-only and (n, 0) a donated step.
+same order, so the bytes are those of the reference. The layouts differ
+where that saves numpy a small loop per sample: the activations, their
+gradient and the logits are kept samples first, (batch, k, features), so
+that adding a bias and summing over the samples run over whole rows, and
+the softmax runs class-major, in a (classes, batch, k) copy of the logits,
+so that each reduction over the classes is a few ufunc calls on whole rows
+of k * batch values: the max is exact in any order, and the sum adds the
+rows in numpy's own pairwise order for a contiguous axis (`_class_sum`).
+A step on k rows runs the last k rows of the stack, so rows can join the
+front of the stack later, and its intermediates fill the start of each
+workspace buffer, so they are whole arrays whatever k is. Its mode is one
+pair (f, c) of row counts: the first min(f, k) running rows move the
+feature block and the last min(c, k) move the classifier. So full,
+classifier-only and donated rows step side by side, a row that does not
+move keeps its bytes, and one pair serves every step of a stack of n rows:
+(n, n) is a full step, (0, n) classifier-only and (n, 0) a donated step.
 
 All arithmetic is float64.
 """
@@ -257,14 +265,15 @@ class Workspace:
     """Preallocated buffers for in-place SGD steps of one model or one stack.
 
     A lockstep call makes one workspace and runs every step in it: the
-    hidden activations and their gradient, the logits (which become the
-    probabilities and then their gradient), each row's max and sum, the
-    one-hot label mask, the four gradient arrays and the proximal
-    differences, all sized for the whole stack. Row i of every buffer serves
-    row i of the stack. A step on a batch of k rows runs the last k rows of
-    the stack and moves each block on a range of those (see
-    `sgd_step_in_place`); the views of each such layout are made once and
-    kept. A lone model is served as a stack of one.
+    hidden activations and their gradient, the logits (which end as their
+    gradient), a class-major copy of the logits in which the softmax runs,
+    one value and one index per sample, the four gradient arrays and the
+    proximal differences, all sized for the whole stack. Row i of the stack
+    is row i of the gradient arrays and the differences; the other buffers
+    serve the running rows of a step from their start. A step on a batch of
+    k rows runs the last k rows of the stack and moves each block on a
+    range of those (see `sgd_step_in_place`); the views of each such layout
+    are made once and kept. A lone model is served as a stack of one.
     """
 
     def __init__(self, model: PartitionedModel, batch_size: int) -> None:
@@ -272,16 +281,20 @@ class Workspace:
         if len(lead) > 1:
             raise ShapeError(f"a workspace serves one model or one stack, got shape {lead}")
         self.stack = lead[0] if lead else None
-        rows = (self.stack or 1, batch_size)
+        rows = self.stack or 1
+        samples = rows * batch_size
         self.batch_size = batch_size
-        self.classes = np.arange(model.num_classes)
-        shapes = [(rows[0], *a.shape[len(lead) :]) for a in model.arrays()]
+        shapes = [(rows, *a.shape[len(lead) :]) for a in model.arrays()]
         self._buffers = (
-            np.empty((*rows, model.hidden_dim)),  # hidden
-            np.empty((*rows, model.hidden_dim)),  # dhidden
-            np.empty((*rows, model.num_classes)),  # logits
-            np.empty((*rows, 1)),  # each row's max, then its sum
-            np.empty((*rows, model.num_classes), dtype=bool),  # one-hot labels
+            # Samples first, (batch, k, features) for a step on k rows.
+            np.empty(samples * model.hidden_dim),  # hidden
+            np.empty(samples * model.hidden_dim),  # dhidden
+            np.empty(samples * model.num_classes),  # logits
+            # The class-major block, (classes, batch, k) for a step on k rows.
+            np.empty(samples * model.num_classes),
+            np.empty(samples),  # each sample's max, then its sum
+            np.empty(samples, dtype=np.intp),  # where each sample's label's entry lies
+            np.arange(samples),  # each sample's place in a class's row of the block
             tuple(np.empty(shape) for shape in shapes),  # gradients
             tuple(np.empty(shape) for shape in shapes),  # proximal differences
         )
@@ -310,6 +323,11 @@ def _rows(arrays, rows: slice) -> tuple:
     return tuple(arrays) if rows is _WHOLE else tuple(a[rows] for a in arrays)
 
 
+def _sample_rows(buffers, rows: slice) -> tuple:
+    """The given rows of samples-first (batch, k, features) views."""
+    return tuple(buffers) if rows is _WHOLE else tuple(b[:, rows] for b in buffers)
+
+
 class _StepViews:
     """Which rows of a stack of n one step runs and moves, and the buffers' rows.
 
@@ -317,12 +335,15 @@ class _StepViews:
     those move the feature block and the last min(c, k) move the
     classifier; the rows in both ranges are full steps. Each range is a
     slice of the stack, `_WHOLE` where it is every row, so that the usual
-    full step slices nothing.
+    full step slices nothing. The buffers other than the gradients and the
+    differences serve the k running rows from their start, the activations
+    and logits as (batch, k, features).
     """
 
     def __init__(self, buffers: tuple, k: int, mode: tuple[int, int]) -> None:
-        hidden, dhidden, logits, reduced, onehot, grads, diffs = buffers
-        n = hidden.shape[0]
+        hidden, dhidden, logits, block, values, picks, places, grads, diffs = buffers
+        n = grads[0].shape[0]
+        batch, classes = values.size // n, logits.size // values.size
         if not 1 <= k <= n:
             raise ShapeError(f"{k} members do not fit a stack of {n}")
         f, c = mode
@@ -340,13 +361,41 @@ class _StepViews:
         self.feature = span(lo, lo + f)
         self.classifier = span(n - c, n)
         self.both = span(n - c, lo + f)
-        # The feature rows as rows of the batch.
+        # The feature and classifier rows as rows of the batch.
         self.feature_inputs = _WHOLE if f == k else slice(0, f)
-        self.running = _rows((hidden, logits, reduced, onehot), self.run)
+        classifier_rows = _WHOLE if c == k else slice(k - c, k)
+        samples = k * batch
+        # Every buffer serves the running rows from its start, so each of
+        # their views is whole for every k.
+        hidden, dhidden, logits, block = (
+            b[: samples * (b.size // values.size)] for b in (hidden, dhidden, logits, block)
+        )
+        # The running rows' logits, free while the softmax runs, hold the
+        # class sum's partial sums.
+        self.softmax = (
+            block.reshape(classes, batch, k),
+            block.reshape(classes, samples),
+            logits.reshape(classes, samples),
+            values[:samples],
+        )
+        hidden, dhidden, logits = (b.reshape(batch, k, -1) for b in (hidden, dhidden, logits))
+        self.running = (hidden, logits)
+        # The flat block, and where each sample's label's entry lies in it.
+        self.onehot = (
+            block,
+            picks[:samples].reshape(k, batch),
+            places[:samples].reshape(batch, k).T,
+        )
         if self.classifier is not None:
-            self.classifier_views = _rows((hidden, logits, grads[2], grads[3]), self.classifier)
+            self.classifier_views = (
+                *_sample_rows((hidden, logits), classifier_rows),
+                *_rows((grads[2], grads[3]), self.classifier),
+            )
         if self.feature is not None:
-            self.feature_views = _rows((hidden, dhidden, logits, grads[0], grads[1]), self.feature)
+            self.feature_views = (
+                *_sample_rows((hidden, dhidden, logits), self.feature_inputs),
+                *_rows((grads[0], grads[1]), self.feature),
+            )
         if self.both is not None:
             self.both_views = (_rows(grads, self.both), _rows(diffs, self.both))
         # The gradient buffer of each moving parameter and its rows.
@@ -356,6 +405,52 @@ class _StepViews:
             for i, rows in enumerate(blocks)
             if rows is not None
         ]
+
+
+def _class_sum(terms: np.ndarray, out: np.ndarray, scratch: np.ndarray) -> None:
+    """Write the sum of `terms` over its first axis into `out`, bitwise as
+    `np.add.reduce` sums a contiguous axis of that many terms.
+
+    Each add is one ufunc call on whole rows, so a class-major block sums
+    over its classes in a few calls instead of one small loop per sample.
+    numpy's order is pairwise: fewer than 8 terms add one after another;
+    up to 128 go into eight running sums, r0..r7, one for every eighth
+    term, which combine as ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7))
+    before the terms past the last block of eight add one after another;
+    more than 128 are the sum of two halves, split at a multiple of 8.
+    numpy starts from 0.0 and this from the first term, which differs only
+    where every term is -0.0: the sum is then -0.0 here and 0.0 there (the
+    terms of a softmax sum to 1 or more). `scratch` holds the partial sums,
+    in as many rows of `out`'s shape as there are terms (12 rows plus one
+    per halving at most), and overlaps neither `terms` nor `out`.
+    """
+    n = len(terms)
+    if n < 8:
+        np.copyto(out, terms[0])
+        for term in terms[1:]:
+            np.add(out, term, out=out)
+        return
+    if n > 128:
+        half = n // 2
+        half -= half % 8
+        _class_sum(terms[:half], scratch[-1], scratch[:-1])
+        _class_sum(terms[half:], out, scratch[:-1])
+        np.add(scratch[-1], out, out=out)
+        return
+    full = n - n % 8
+    if full > 8:
+        sums = scratch[:8]
+        np.add(terms[:8], terms[8:16], out=sums)
+        for i in range(16, full, 8):
+            np.add(sums, terms[i : i + 8], out=sums)
+        pairs, halves = scratch[8:12], sums[:2]
+    else:
+        sums, pairs, halves = terms[:8], scratch[:4], scratch[4:6]
+    np.add(sums[0::2], sums[1::2], out=pairs)
+    np.add(pairs[0::2], pairs[1::2], out=halves)
+    np.add(halves[0], halves[1], out=out)
+    for term in terms[full:]:
+        np.add(out, term, out=out)
 
 
 def sgd_step_in_place(
@@ -383,10 +478,18 @@ def sgd_step_in_place(
     steps; the anchor is one model for every row, or a stack of one per
     row.
 
-    Every intermediate lives in `workspace`, and each is computed with the
-    ufunc, operands, order and reduction axis of the allocating functions
-    above (`ndarray.max` and `ndarray.sum` are `maximum.reduce` and
-    `add.reduce`), so the new parameters are bitwise theirs. The classifier
+    Every intermediate lives in `workspace`, and each entry is computed
+    with the ufunc, operands and order of the allocating functions above,
+    so the new parameters are bitwise theirs. The activations and logits
+    are kept samples first, so the bias adds and the bias gradients' sums
+    over the samples, in order, run over whole rows, and the products read
+    them as the same matrices with a longer row stride (BLAS's leading
+    dimension), which moves no bit of a product. The softmax and its
+    gradient run class-major, in a (classes, batch, k) copy of the logits:
+    the max over the classes is exact in any order, the sum over them
+    follows numpy's pairwise order (`_class_sum`), and the one-hot labels
+    come off as 1.0 subtracted at each sample's label; the gradient then
+    goes back to the logits that the products read. The classifier
     gradients are computed for the rows that move the classifier only, and
     the backward pass through the feature block for the rows that move it
     only. The new parameters of both blocks are computed into the gradient
@@ -403,38 +506,48 @@ def sgd_step_in_place(
         batch = Batch(batch.inputs[None], batch.labels[None])
     params = model.arrays()
     fw, fb, cw, cb = _rows(params, views.run)
-    hidden, logits, reduced, onehot = views.running
+    hidden, logits = views.running
+    by_class, terms, partials, values = views.softmax
     inputs = batch.inputs
-    np.matmul(inputs, fw, out=hidden)
-    np.add(hidden, fb[..., None, :], out=hidden)
+    np.matmul(inputs, fw, out=hidden.swapaxes(0, 1))
+    np.add(hidden, fb, out=hidden)
     np.tanh(hidden, out=hidden)
-    np.matmul(hidden, cw, out=logits)
-    np.add(logits, cb[..., None, :], out=logits)
-    np.maximum.reduce(logits, axis=-1, keepdims=True, out=reduced)
-    np.subtract(logits, reduced, out=logits)
-    np.exp(logits, out=logits)
-    np.add.reduce(logits, axis=-1, keepdims=True, out=reduced)
-    # From here on `logits` holds the probabilities, then their gradient.
-    np.divide(logits, reduced, out=logits)
-    np.equal(batch.labels[..., None], workspace.classes, out=onehot)
-    np.subtract(logits, onehot, out=logits)
-    np.divide(logits, batch.labels.shape[-1], out=logits)
+    np.matmul(hidden.swapaxes(0, 1), cw, out=logits.swapaxes(0, 1))
+    np.add(logits.transpose(2, 0, 1), cb.T[:, None, :], out=by_class)
+    # Only a max that ties +0.0 with -0.0 or is NaN can differ from the
+    # reference's, in its sign or its NaN payload: exp(+-0.0) is 1 either
+    # way, and a NaN fails the finite check before any parameter moves.
+    np.maximum.reduce(terms, axis=0, out=values)
+    np.subtract(terms, values, out=terms)
+    np.exp(terms, out=terms)
+    _class_sum(terms, values, partials)
+    # From here on the block holds the probabilities, then their gradient.
+    np.divide(terms, values, out=terms)
+    # Subtracting the one-hot labels takes exactly 1.0 off each label's
+    # probability and leaves every other entry as it is (x - 0.0 == x).
+    # The labels were checked to lie in range: a negative one would wrap.
+    flat, picks, places = views.onehot
+    np.multiply(batch.labels, picks.size, out=picks)
+    np.add(picks, places, out=picks)
+    flat[picks] -= 1.0
+    np.divide(terms, batch.labels.shape[-1], out=terms)
+    np.copyto(logits, by_class.transpose(1, 2, 0))
     if views.classifier is not None:
         # Before the feature rows' `hidden` turns into the tanh derivative.
         c_hidden, c_logits, g_cw, g_cb = views.classifier_views
-        np.matmul(c_hidden.swapaxes(-1, -2), c_logits, out=g_cw)
-        np.add.reduce(c_logits, axis=-2, out=g_cb)
+        np.matmul(c_hidden.transpose(1, 2, 0), c_logits.swapaxes(0, 1), out=g_cw)
+        np.add.reduce(c_logits, axis=0, out=g_cb)
     if views.feature is not None:
         f_hidden, dhidden, f_logits, g_fw, g_fb = views.feature_views
         f_cw = params[2] if views.feature is _WHOLE else params[2][views.feature]
         f_inputs = inputs if views.feature_inputs is _WHOLE else inputs[views.feature_inputs]
-        np.matmul(f_logits, f_cw.swapaxes(-1, -2), out=dhidden)
+        np.matmul(f_logits.swapaxes(0, 1), f_cw.swapaxes(-1, -2), out=dhidden.swapaxes(0, 1))
         # hidden -> 1 - hidden**2, the tanh derivative; dhidden -> dpre.
         np.multiply(f_hidden, f_hidden, out=f_hidden)
         np.subtract(1.0, f_hidden, out=f_hidden)
         np.multiply(dhidden, f_hidden, out=dhidden)
-        np.matmul(f_inputs.swapaxes(-1, -2), dhidden, out=g_fw)
-        np.add.reduce(dhidden, axis=-2, out=g_fb)
+        np.matmul(f_inputs.swapaxes(-1, -2), dhidden.swapaxes(0, 1), out=g_fw)
+        np.add.reduce(dhidden, axis=0, out=g_fb)
     if prox_mu != 0.0 and views.both is not None:
         # The anchor is one model broadcast over the rows, or a stack with
         # one row per row of the model, sliced like the parameters.

@@ -510,6 +510,9 @@ def pair(mode, rows):
 
 
 MODES = [("full", 0.0), ("full", 0.01), ("frozen", 0.0), ("feature", 0.0)]
+# The step sums over the classes as numpy sums a contiguous axis: one after
+# another below 8, in blocks of 8 up to 128, by halves above.
+CLASS_COUNTS = (2, 7, 8, 9, 10, 17, 130)
 
 
 @pytest.mark.parametrize("mode, prox_mu", MODES)
@@ -525,9 +528,14 @@ def test_in_place_step_with_one_anchor_per_member(members):
 
 
 def check_members_leave(mode, prox_mu, members, per_member_anchor):
+    for classes in CLASS_COUNTS:
+        check_members_leave_with(classes, mode, prox_mu, members, per_member_anchor)
+
+
+def check_members_leave_with(classes, mode, prox_mu, members, per_member_anchor):
     # Batch 32 and hidden 32: at 32 members and up, each (K, batch, hidden)
     # buffer is 256 KB or more, past glibc's 128 KB mmap threshold.
-    input_dim, hidden, classes, batch = 8, 32, 10, 32
+    input_dim, hidden, batch = 8, 32, 32
     rng = np.random.default_rng(members)
     steps = np.sort(rng.integers(1, 6, size=members))
     steps[-1] = 6
@@ -560,7 +568,7 @@ def check_members_leave(mode, prox_mu, members, per_member_anchor):
                 model, Batch(inputs[step, k], labels[step, k]), 0.05, mode, prox_mu, anchors[k]
             )
         for a, b in zip(stacked.arrays(), model.arrays()):
-            assert a[k].tobytes() == b.tobytes()
+            assert a[k].tobytes() == b.tobytes(), f"{classes} classes, member {k}"
         # A member that left kept its bytes while the rest trained on.
         for a, kept in zip(stacked.arrays(), left.get(k, ())):
             assert a[k].tobytes() == kept.tobytes()
@@ -571,17 +579,18 @@ def check_members_leave(mode, prox_mu, members, per_member_anchor):
 def test_in_place_step_matches_reference_on_a_lone_model(mode, prox_mu):
     # Batch 9, so that dividing by the batch size and multiplying by its
     # inexact inverse would differ.
-    rng = np.random.default_rng(3)
-    model = init_model(5, 7, 4, seed=8)
-    anchor = init_model(5, 7, 4, seed=9)
-    trained = model.copy()
-    workspace = Workspace(trained, 9)
-    for _ in range(4):
-        batch = Batch(rng.standard_normal((9, 5)), rng.integers(0, 4, size=9))
-        model = reference_step(model, batch, 0.1, mode, prox_mu, anchor)
-        sgd_step_in_place(trained, batch, workspace, 0.1, pair(mode, 1), prox_mu, anchor)
-    for a, b in zip(trained.arrays(), model.arrays()):
-        assert a.tobytes() == b.tobytes()
+    for classes in CLASS_COUNTS:
+        rng = np.random.default_rng(3)
+        model = init_model(5, 7, classes, seed=8)
+        anchor = init_model(5, 7, classes, seed=9)
+        trained = model.copy()
+        workspace = Workspace(trained, 9)
+        for _ in range(4):
+            batch = Batch(rng.standard_normal((9, 5)), rng.integers(0, classes, size=9))
+            model = reference_step(model, batch, 0.1, mode, prox_mu, anchor)
+            sgd_step_in_place(trained, batch, workspace, 0.1, pair(mode, 1), prox_mu, anchor)
+        for a, b in zip(trained.arrays(), model.arrays()):
+            assert a.tobytes() == b.tobytes(), f"{classes} classes"
 
 
 @pytest.mark.parametrize(
@@ -594,11 +603,16 @@ def test_in_place_step_moves_each_block_on_its_rows(rows, k, f, c):
     # (6, 6) on 4 of 6 rows is a full step of the 4. Each row comes out
     # as its own mode's reference step: full (with the proximal pull) in
     # both ranges, feature or frozen in one, unmoved in neither.
+    for classes in CLASS_COUNTS:
+        check_block_rows(classes, rows, k, f, c)
+
+
+def check_block_rows(classes, rows, k, f, c):
     rng = np.random.default_rng(100 * rows + 10 * k + f)
-    models = [init_model(5, 7, 4, seed=r) for r in range(rows)]
-    anchors = [init_model(5, 7, 4, seed=50 + r) for r in range(rows)]
+    models = [init_model(5, 7, classes, seed=r) for r in range(rows)]
+    anchors = [init_model(5, 7, classes, seed=50 + r) for r in range(rows)]
     stacked = stack(models)
-    batch = Batch(rng.standard_normal((k, 9, 5)), rng.integers(0, 4, size=(k, 9)))
+    batch = Batch(rng.standard_normal((k, 9, 5)), rng.integers(0, classes, size=(k, 9)))
     sgd_step_in_place(stacked, batch, Workspace(stacked, 9), 0.1, (f, c), 0.01, stack(anchors))
     modes = {(True, True): "full", (True, False): "feature", (False, True): "frozen"}
     for r, model in enumerate(models):
@@ -610,7 +624,7 @@ def test_in_place_step_moves_each_block_on_its_rows(rows, k, f, c):
                 model, Batch(batch.inputs[i], batch.labels[i]), 0.1, mode, mu, anchors[r]
             )
         for a, b in zip(stacked.arrays(), model.arrays()):
-            assert a[r].tobytes() == b.tobytes()
+            assert a[r].tobytes() == b.tobytes(), f"{classes} classes, row {r}"
 
 
 @pytest.mark.parametrize(

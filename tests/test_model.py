@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from fedsim.model import (
     Batch,
@@ -9,6 +11,7 @@ from fedsim.model import (
     Gradients,
     PartitionedModel,
     ShapeError,
+    _class_sum,
     backward_frozen,
     backward_full,
     forward,
@@ -306,3 +309,95 @@ class TestSplitMerge:
         assert np.array_equal(mixed.feature_weights, a.feature_weights)
         assert np.array_equal(mixed.classifier_weights, b.classifier_weights)
 
+
+
+class TestClassMajorSoftmax:
+    """The in-place step's softmax runs class-major: the reductions over the
+    classes of a (k, batch, classes) array become adds and maxima of whole
+    class rows of a (classes, k * batch) copy, with the same bits."""
+
+    SPECIAL = [0.0, -0.0, 1.0, -1.0, 0.5, 5e-324, -5e-324, 1e308, -1e308, np.inf, -np.inf]
+
+    @staticmethod
+    def class_major(x):
+        k, batch, classes = x.shape
+        return np.ascontiguousarray(x.transpose(2, 0, 1)).reshape(classes, k * batch)
+
+    @staticmethod
+    def assert_same_bits(a, b):
+        # NaN (from inf - inf) compares by its bytes too.
+        assert a.shape == b.shape and a.tobytes() == b.tobytes()
+
+    # 2..300 classes cross numpy's blocks of 8 and its halving above 128.
+    @settings(max_examples=150, deadline=None)
+    @given(
+        classes=st.integers(2, 300),
+        rows=st.integers(1, 100),
+        batch=st.integers(1, 40),
+        seed=st.integers(0, 2**32 - 1),
+        signed=st.booleans(),
+        special=st.lists(st.sampled_from(SPECIAL), max_size=4),
+    )
+    @example(classes=10, rows=100, batch=32, seed=0, signed=False, special=[])
+    @example(classes=129, rows=3, batch=7, seed=1, signed=True, special=[-0.0, np.inf])
+    @example(classes=300, rows=1, batch=1, seed=2, signed=True, special=[])
+    def test_class_sum_is_numpys_sum_over_a_contiguous_axis(
+        self, classes, rows, batch, seed, signed, special
+    ):
+        with np.errstate(over="ignore", invalid="ignore"):
+            self.check_class_sum(classes, rows, batch, seed, signed, special)
+
+    def check_class_sum(self, classes, rows, batch, seed, signed, special):
+        rng = np.random.default_rng(seed)
+        shape = (rows, batch, classes)
+        if signed:
+            # Any magnitude, so that sums round, overflow and cancel.
+            x = rng.standard_normal(shape) * 10.0 ** rng.integers(-320, 309, size=shape)
+        else:
+            # What the step sums: exp of shifted logits.
+            logits = 10.0 * rng.standard_normal(shape)
+            x = np.exp(logits - logits.max(axis=-1, keepdims=True))
+        if special:
+            picks = rng.random(shape) < 0.3
+            x[picks] = rng.choice(special, size=int(picks.sum()))
+        expected = np.add.reduce(x, axis=-1, keepdims=True).ravel()
+        out = np.empty(rows * batch)
+        _class_sum(self.class_major(x), out, np.empty((classes, rows * batch)))
+        # numpy adds its terms to 0.0 and the helper starts from the first
+        # one, so a sample whose terms are all -0.0 sums to 0.0 in numpy and
+        # to -0.0 in the helper; a softmax's terms never are.
+        kept = ~np.all((x == 0) & np.signbit(x), axis=-1).ravel()
+        self.assert_same_bits(out[kept], expected[kept])
+
+    def test_class_sum_on_all_negative_zero_terms(self):
+        # The one case where the helper and numpy differ, in a zero's sign.
+        x = np.full((2, 3, 10), -0.0)
+        out = np.empty(6)
+        _class_sum(self.class_major(x), out, np.empty((10, 6)))
+        assert np.all(out == 0.0) and np.all(np.signbit(out))
+        assert not np.signbit(np.add.reduce(x, axis=-1)).any()
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        classes=st.integers(2, 40),
+        rows=st.integers(1, 20),
+        batch=st.integers(1, 20),
+        pool=st.lists(st.sampled_from(SPECIAL), min_size=1, max_size=5),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_class_major_max_shifts_the_logits_as_the_reference_does(
+        self, classes, rows, batch, pool, seed
+    ):
+        # Logits drawn from a few values tie often, +0.0 with -0.0 included.
+        rng = np.random.default_rng(seed)
+        x = rng.choice(np.array(pool), size=(rows, batch, classes))
+        reference = np.maximum.reduce(x, axis=-1, keepdims=True)
+        terms = self.class_major(x)
+        top = np.maximum.reduce(terms, axis=0)
+        # The same value; a tie of +0.0 and -0.0 may take either sign...
+        assert np.array_equal(top, reference.ravel())
+        # ...which the shift and exp erase: exp(+-0.0) is 1.
+        with np.errstate(over="ignore", invalid="ignore"):
+            shifted = np.exp(terms - top)
+            expected = np.exp(x - reference)
+        self.assert_same_bits(shifted, self.class_major(expected))
