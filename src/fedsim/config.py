@@ -288,6 +288,12 @@ def _check_sizes(
         "workspace (strategies * replicates * per_round, batch_size, hidden_dim)": (
             k, training.batch_size, hidden
         ),
+        # A round's batches, as `CohortCursor` gathers them. This also bounds
+        # the indices: the gather's index block holds one per sample, and a
+        # client's take of at most 2 * local_updates * batch_size indices is
+        # two rows' worth at most, as a donated block needs two or more rows.
+        "batches (local_updates, strategies * replicates * per_round, batch_size,"
+        " input_dim)": (training.local_updates, k, training.batch_size, width),
     }
     limit = np.iinfo(np.intp).max
     for name, shape in arrays.items():

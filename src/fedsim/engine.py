@@ -330,12 +330,9 @@ STRATEGIES = (FedAvg, FedProx, FedNova, Tifl, DeadlineDrop, FreezeOffload)
 class BatchCursor:
     """Deterministic endless stream of mini-batches over a client's samples.
 
-    It serves a lone model, a stack of one row that takes full steps and
-    that no row joins: `mode` is that row's pair for `sgd_step_in_place`,
-    and `join` does nothing.
+    `_phase_blocks` reads a round's batches in one `_take`; `next_batch`
+    serves one batch. Training reads the batches through a `CohortCursor`.
     """
-
-    mode = (1, 1)
 
     def __init__(
         self,
@@ -380,9 +377,6 @@ class BatchCursor:
             return fresh.ravel()[:n]
         return np.concatenate([order[pos:], fresh.ravel()[:n]])
 
-    def join(self, model: PartitionedModel) -> None:
-        pass
-
     def next_batch(self) -> Batch:
         idx = self._take(self.batch_size)
         return Batch(inputs=self._inputs[idx], labels=self._labels[idx])
@@ -401,24 +395,20 @@ class CohortCursor:
     for the k rows that run it, as a view, whose row i is what that row's
     own cursor serves at that step.
 
-    `handoffs`, non-increasing, pairs the first d rows of the stack, the
-    donated rows, with the last d, the weak rows, in order. Weak row i takes
-    full steps until step handoffs[i] and classifier-only steps from there
-    on. Donated row i joins at that step as a copy of weak row i (`join`
-    makes the copy), and from then on moves only its feature block. The rows
-    in between take full steps throughout. So the rows that move the feature
-    block are the first n - d that run each step, and the rows that move the
-    classifier the last n - d of a stack of n: `mode` is the pair
-    (n - d, n - d) for every step of `sgd_step_in_place`, and (n, n), a full
-    step for every row that runs, without handoffs.
+    The first d = `donated` rows of the stack, the donated rows, pair with
+    the last d, the weak rows, in order. Donated row i joins at its handoff
+    step as a copy of weak row i (`join` makes the copy) and from then on
+    moves only its feature block; weak row i takes full steps until that
+    step and classifier-only steps from there on. The rows in between take
+    full steps throughout. So the rows that move the feature block are the
+    first n - d that run each step, and the rows that move the classifier
+    the last n - d of a stack of n: `mode` is the pair (n - d, n - d) for
+    every step of `sgd_step_in_place`, and (n, n), a full step for every
+    row that runs, without donated rows.
     """
 
     def __init__(
-        self,
-        inputs: np.ndarray,
-        labels: np.ndarray,
-        blocks: list[np.ndarray],
-        handoffs: Sequence[int] = (),
+        self, inputs: np.ndarray, labels: np.ndarray, blocks: list[np.ndarray], donated: int = 0
     ) -> None:
         steps = [b.shape[0] for b in blocks]
         if steps != sorted(steps):
@@ -426,14 +416,12 @@ class CohortCursor:
         size = blocks[0].shape[1]
         if any(b.shape[1] != size for b in blocks):
             raise ValueError("cohort members must share one batch size")
-        handoffs = list(handoffs)
-        last, rows, d = steps[-1], len(blocks), len(handoffs)
+        last, rows, d = steps[-1], len(blocks), donated
         joins = [last - n for n in steps]
-        if d and (2 * d > rows or handoffs != joins[:d] or any(joins[d:])):
+        if d < 0 or 2 * d > rows or d and any(joins[d:]):
             raise ValueError(
-                "each handoff needs a donated row at the front of the stack that joins"
-                " at its step and a weak row at the back, and every other row runs"
-                " every step"
+                "each handoff needs a donated row at the front of the stack and a weak"
+                " row at the back, and every other row runs every step"
             )
         idx = np.zeros((last, rows, size), dtype=np.int64)
         # Steps before a row joins read sample 0 and are never served.
@@ -447,6 +435,7 @@ class CohortCursor:
         self.mode = (rows - d, rows - d)
         # The donated rows that join at each step, and their weak rows: the
         # rows with one handoff step are one range of each block.
+        handoffs = joins[:d]
         self._joins = {}
         for step in set(handoffs):
             first = handoffs.index(step)
@@ -484,22 +473,22 @@ class ClientState:
 
 def local_train(
     model: PartitionedModel,
-    cursor: BatchCursor | CohortCursor,
+    cursor: CohortCursor,
     updates: int,
     learning_rate: float,
     prox_mu: float = 0.0,
     anchor: PartitionedModel | None = None,
 ) -> PartitionedModel:
-    """Run `updates` SGD steps and return the new model.
+    """Run `updates` lockstep SGD steps of a stack and return the new stack.
 
-    The model passed in is left as it is: the steps train a copy of it in
+    The stack passed in is left as it is: the steps train a copy of it in
     place, in one `Workspace` for the call. Every step takes the cursor's
-    `mode`, the pair that says which rows move which block. A lone model on
-    a `BatchCursor` takes full steps. A stacked model on a `CohortCursor`
-    trains in lockstep: each step moves the rows that run it, a suffix of
-    the stack, so one call trains a whole round and each row comes out
-    trained on its own steps only; before each step, the donated rows that
-    join at it are copied from their weak rows.
+    `mode`, the pair that says which rows move which block, and moves the
+    rows that run it, a suffix of the stack, so one call trains a whole
+    round and each row comes out trained on its own steps only; before each
+    step, the donated rows that join at it are copied from their weak rows.
+    A model trains alone as a stack of one; a lone model raises ShapeError.
+    The anchor, if any, is a stack with the model's rows.
     """
     if updates < 0:
         raise ValueError(f"updates must be >= 0, got {updates}")
@@ -517,21 +506,21 @@ def local_train(
 def execute_offloaded(
     feature: FeatureBlock,
     classifier_snapshot: ClassifierBlock,
-    cursor: BatchCursor | CohortCursor,
+    cursor: CohortCursor,
     updates: int,
     learning_rate: float,
 ) -> FeatureBlock:
-    """Train someone else's feature block on local data.
+    """Train stacked feature blocks that others donated on local data.
 
-    The donated classifier snapshot stays fixed; only the feature block
-    moves, trained in place on a copy of both blocks. Stacked blocks on a
-    `CohortCursor` train in lockstep, as in `local_train`.
+    The donated classifier snapshots stay fixed; only the feature blocks
+    move, trained in lockstep, as in `local_train`, in place on a copy of
+    both blocks.
     """
     if updates < 0:
         raise ValueError(f"updates must be >= 0, got {updates}")
     model = merge(feature, classifier_snapshot)
     workspace = Workspace(model, cursor.batch_size)
-    mode = (workspace.stack or 1, 0)
+    mode = (workspace.stack, 0)
     for _ in range(updates):
         sgd_step_in_place(model, cursor.next_batch(), workspace, learning_rate, mode)
     return FeatureBlock(model.feature_weights, model.feature_bias)
@@ -935,15 +924,14 @@ def _stack(models: list[PartitionedModel]) -> PartitionedModel:
     return PartitionedModel(*arrays, num_classes=models[0].num_classes)
 
 
-def _rows(model: PartitionedModel, rows: int) -> PartitionedModel:
-    """One member of a stacked model, as views."""
+def _rows(model: PartitionedModel, rows: int | slice) -> PartitionedModel:
+    """One member of a stacked model, or a slice of its rows, as views."""
     return PartitionedModel(*(a[rows] for a in model.arrays()), num_classes=model.num_classes)
 
 
 def _lockstep(
     start: dict[Any, PartitionedModel],
     own: dict[Any, np.ndarray],
-    handoffs: dict[Any, int],
     donated: dict[Any, np.ndarray],
     data: _LaneData,
     learning_rate: float,
@@ -953,25 +941,25 @@ def _lockstep(
 
     A member is a (lane, client) pair that starts from `start[m]` and runs
     its own steps on `own[m]`: its batch indices into `data`'s arrays, one
-    row per step, the same number for every member. A weak member hands off
-    at step `handoffs[m]`: from there on its row moves only the classifier,
-    and a donated row, which joins the stack at that step as a copy of it,
-    moves only the feature block, on `donated[m]`, the receiver's batches
-    after the receiver's own. The stack is [donated rows][full rows][weak
-    rows], the donated and the weak rows in descending order of handoff
-    step, so that at each step the rows that run, the rows that move the
-    feature block and the rows that move the classifier are each one range
-    of it (see `CohortCursor`), and one `local_train` call trains the
-    round. A weak member's model joins its donated row's feature block to
-    its own row's classifier, both as views. The FedProx anchor is the start
-    stack, which training leaves as it is.
+    row per step, the same number for every member. A weak member also has
+    `donated[m]`, the receiver's batches after the receiver's own, one row
+    per step from its handoff on: from that step its row moves only the
+    classifier, and a donated row, which joins the stack then as a copy of
+    it, moves only the feature block, on those batches. The stack is
+    [donated rows][full rows][weak rows], the donated and the weak rows in
+    ascending order of donated steps, so that at each step the rows that
+    run, the rows that move the feature block and the rows that move the
+    classifier are each one range of it (see `CohortCursor`), and one
+    `local_train` call trains the round. A weak member's model joins its
+    donated row's feature block to its own row's classifier, both as views.
+    The FedProx anchor is the start stack, which training leaves as it is.
     """
     if not own:
         return {}
-    weak = sorted(handoffs, key=lambda m: -handoffs[m])
-    full = [m for m in own if m not in handoffs]
+    weak = sorted(donated, key=lambda m: len(donated[m]))
+    full = [m for m in own if m not in donated]
     blocks = [donated[m] for m in weak] + [own[m] for m in full + weak]
-    cursor = CohortCursor(data.inputs, data.labels, blocks, [handoffs[m] for m in weak])
+    cursor = CohortCursor(data.inputs, data.labels, blocks, len(weak))
     model = _stack([start[m] for m in weak + full + weak])
     model = local_train(model, cursor, len(blocks[-1]), learning_rate, prox_mu, model)
     d, rows = len(weak), len(blocks)
@@ -979,7 +967,7 @@ def _lockstep(
         # perfbench/run.py reports `engine.execute_offloaded.steps`, a count
         # its tracer makes only when this function is called. The donated
         # rows trained above, so this call runs no step and keeps it at 0.
-        execute_offloaded(*split(_rows(model, 0)), cursor, 0, learning_rate)
+        execute_offloaded(*split(_rows(model, slice(0, 1))), cursor, 0, learning_rate)
     trained = {m: _rows(model, d + k) for k, m in enumerate(full)}
     for i, m in enumerate(weak):
         feature, classifier = _rows(model, i), _rows(model, rows - d + i)
@@ -1077,10 +1065,10 @@ def _train_lanes(
     """
     lr = states[0].config.training.learning_rate
     updates = states[0].config.training.local_updates
-    stacks: dict[float, tuple[dict, dict, dict, dict]] = {}
+    stacks: dict[float, tuple[dict, dict, dict]] = {}
     for lane, (state, plan) in enumerate(zip(states, plans)):
         base = data.bases[lane]
-        start, own, handoffs, donated = stacks.setdefault(state.strategy.prox_mu, ({}, {}, {}, {}))
+        start, own, donated = stacks.setdefault(state.strategy.prox_mu, ({}, {}, {}))
         own_blocks, donated_blocks = _phase_blocks(state, plan)
         for p in plan.clients:
             if p.dropped:
@@ -1096,12 +1084,11 @@ def _train_lanes(
             start[m] = state.global_model
             own[m] = own_blocks[p.client_id] + base if base else own_blocks[p.client_id]
             if p.frozen_steps:
-                handoffs[m] = p.full_steps
                 rows = donated_blocks[p.client_id]
                 donated[m] = rows + base if base else rows
     trained: dict[tuple[int, int], PartitionedModel] = {}
-    for prox_mu, (start, own, handoffs, donated) in stacks.items():
-        trained.update(_lockstep(start, own, handoffs, donated, data, lr, prox_mu))
+    for prox_mu, (start, own, donated) in stacks.items():
+        trained.update(_lockstep(start, own, donated, data, lr, prox_mu))
     lanes: list[dict[int, PartitionedModel]] = [{} for _ in states]
     for (lane, cid), model in trained.items():
         lanes[lane][cid] = model

@@ -15,11 +15,12 @@ per-slice matmul and every reduction runs over the same axis in the same
 order as in the unstacked case.
 
 `forward`, `backward_full`, `backward_frozen` and `sgd_step` allocate their
-results and are the reference. Training runs `sgd_step_in_place` instead:
-a `Workspace` preallocates every intermediate of a step for the whole stack
-of a lockstep call, and each step writes into it with `out=` and updates
-the parameters in place, with the same ufuncs on the same operands in the
-same order, so the bytes are those of the reference. The layouts differ
+results and are the reference. Training runs `sgd_step_in_place` instead,
+on a stack only, so a model trains alone as a stack of one: a `Workspace`
+preallocates every intermediate of a step for the whole stack of a lockstep
+call, and each step writes into it with `out=` and updates the parameters
+in place, with the same ufuncs on the same operands in the same order, so
+the bytes are those of the reference. The layouts differ
 where that saves numpy a small loop per sample: the activations, their
 gradient and the logits are kept samples first, (batch, k, features), so
 that adding a bias and summing over the samples run over whole rows, and
@@ -262,7 +263,7 @@ def sgd_step(model: PartitionedModel, grads: Gradients, lr: float) -> Partitione
 
 
 class Workspace:
-    """Preallocated buffers for in-place SGD steps of one model or one stack.
+    """Preallocated buffers for in-place SGD steps of one stack.
 
     A lockstep call makes one workspace and runs every step in it: the
     hidden activations and their gradient, the logits (which end as their
@@ -273,18 +274,18 @@ class Workspace:
     serve the running rows of a step from their start. A step on a batch of
     k rows runs the last k rows of the stack and moves each block on a
     range of those (see `sgd_step_in_place`); the views of each such layout
-    are made once and kept. A lone model is served as a stack of one.
+    are made once and kept. A model without exactly one leading axis raises
+    ShapeError.
     """
 
     def __init__(self, model: PartitionedModel, batch_size: int) -> None:
         lead = model.feature_weights.shape[:-2]
-        if len(lead) > 1:
-            raise ShapeError(f"a workspace serves one model or one stack, got shape {lead}")
-        self.stack = lead[0] if lead else None
-        rows = self.stack or 1
-        samples = rows * batch_size
+        if len(lead) != 1:
+            raise ShapeError(f"a workspace serves one stack, got leading axes {lead}")
+        self.stack = lead[0]
+        samples = self.stack * batch_size
         self.batch_size = batch_size
-        shapes = [(rows, *a.shape[len(lead) :]) for a in model.arrays()]
+        shapes = [a.shape for a in model.arrays()]
         self._buffers = (
             # Samples first, (batch, k, features) for a step on k rows.
             np.empty(samples * model.hidden_dim),  # hidden
@@ -303,13 +304,12 @@ class Workspace:
     def views(self, batch: Batch, mode: tuple[int, int]) -> _StepViews:
         """The rows and buffer views of one step on `batch` under `mode`."""
         labels = batch.labels
-        stacked = self.stack is not None
-        if labels.shape[-1] != self.batch_size or labels.ndim != 1 + stacked:
+        if labels.ndim != 2 or labels.shape[-1] != self.batch_size:
             raise ShapeError(
-                f"a workspace for {self.stack or 'a lone'} model(s) and batches of "
+                f"a workspace for a stack of {self.stack} and batches of "
                 f"{self.batch_size} cannot train on labels of shape {labels.shape}"
             )
-        k = labels.shape[0] if stacked else 1
+        k = labels.shape[0]
         views = self._views.get((k, mode))
         if views is None:
             views = self._views[(k, mode)] = _StepViews(self._buffers, k, mode)
@@ -464,19 +464,18 @@ def sgd_step_in_place(
 ) -> None:
     """One SGD step that writes the new parameters into `model`'s arrays.
 
-    A stacked batch of k rows runs the last k models of the stack (a lone
-    model is a stack of one). `mode` is a pair (f, c) of row counts: the
-    first min(f, k) of the k rows move their feature block, with full
-    gradients and a fixed classifier (a donated block), and the last
-    min(c, k) move their classifier only, as with `backward_frozen`; a row
-    in both takes a full step, as `sgd_step(model, backward_full(model,
-    batch), lr)`. So on a stack of n rows (n, n) is a full step, (0, n)
-    classifier-only and (n, 0) a donated step, whatever k is, and one step
-    can train full, classifier-only and donated rows side by side. A
-    negative count raises ValueError. A nonzero `prox_mu` adds
-    `prox_mu * (p - anchor)` to each gradient of the rows that take full
-    steps; the anchor is one model for every row, or a stack of one per
-    row.
+    `model` is the stack that `workspace` serves, and a batch of k rows
+    runs its last k models; any other model raises ShapeError. `mode` is a
+    pair (f, c) of row counts: the first min(f, k) of the k rows move their
+    feature block, with full gradients and a fixed classifier (a donated
+    block), and the last min(c, k) move their classifier only, as with
+    `backward_frozen`; a row in both takes a full step, as
+    `sgd_step(model, backward_full(model, batch), lr)`. So on a stack of n
+    rows (n, n) is a full step, (0, n) classifier-only and (n, 0) a donated
+    step, whatever k is, and one step can train full, classifier-only and
+    donated rows side by side. A negative count raises ValueError. A
+    nonzero `prox_mu` adds `prox_mu * (p - anchor)` to each gradient of the
+    rows that take full steps; the anchor is a stack with the model's rows.
 
     Every intermediate lives in `workspace`, and each entry is computed
     with the ufunc, operands and order of the allocating functions above,
@@ -498,12 +497,17 @@ def sgd_step_in_place(
     raise DivergenceError.
     """
     _check_batch(model, batch)
+    if model.feature_weights.shape[:-2] != (workspace.stack,):
+        raise ShapeError(
+            f"a workspace for a stack of {workspace.stack} cannot train a model of"
+            f" shape {model.feature_weights.shape}"
+        )
     views = workspace.views(batch, mode)
-    if prox_mu != 0.0 and views.both is not None and anchor is None:
+    pull = prox_mu != 0.0 and views.both is not None
+    if pull and anchor is None:
         raise ValueError("proximal training requires an anchor model")
-    if workspace.stack is None:
-        model = PartitionedModel(*(a[None] for a in model.arrays()), num_classes=model.num_classes)
-        batch = Batch(batch.inputs[None], batch.labels[None])
+    if pull and anchor.feature_weights.shape != model.feature_weights.shape:
+        raise ShapeError("the anchor must be a stack with the model's rows")
     params = model.arrays()
     fw, fb, cw, cb = _rows(params, views.run)
     hidden, logits = views.running
@@ -548,13 +552,9 @@ def sgd_step_in_place(
         np.multiply(dhidden, f_hidden, out=dhidden)
         np.matmul(f_inputs.swapaxes(-1, -2), dhidden.swapaxes(0, 1), out=g_fw)
         np.add.reduce(dhidden, axis=0, out=g_fb)
-    if prox_mu != 0.0 and views.both is not None:
-        # The anchor is one model broadcast over the rows, or a stack with
-        # one row per row of the model, sliced like the parameters.
-        anchors = anchor.arrays()
-        if anchor.feature_weights.ndim == 3:
-            anchors = _rows(anchors, views.both)
+    if pull:
         grads, diffs = views.both_views
+        anchors = _rows(anchor.arrays(), views.both)
         for g, p, a, diff in zip(grads, _rows(params, views.both), anchors, diffs):
             np.subtract(p, a, out=diff)
             np.multiply(prox_mu, diff, out=diff)

@@ -202,6 +202,9 @@ class TestParseConfig:
             ({"training": {"hidden_dim": 2**62}}, "stacked models"),
             ({"training": {"batch_size": 2**60}}, "workspace"),
             ({"dataset": {"samples_per_class": 2**60}}, "dataset (num_classes"),
+            # A round's batches, where no one of the two counts is too large.
+            ({"training": {"local_updates": 2**40, "batch_size": 2**30}}, "batches (local_updates"),
+            ({"training": {"local_updates": 2**62, "batch_size": 1}}, "batches (local_updates"),
         ],
     )
     def test_rejects_bools_and_strings_as_numbers(self, raw, where):
@@ -687,8 +690,14 @@ class TestRunCommand:
                 " max(input_dim, num_classes), hidden_dim):"
                 " 2 x 4 x 4611686018427387904 float64 values exceed",
             ),
+            (
+                dict(FAST_RAW, training=dict(FAST_RAW["training"], local_updates=2**40,
+                                             batch_size=2**30)),
+                "batches (local_updates, strategies * replicates * per_round, batch_size,"
+                " input_dim): 1099511627776 x 2 x 1073741824 x 4 float64 values exceed",
+            ),
         ],
-        ids=["profile-noise_sigma", "hidden_dim"],
+        ids=["profile-noise_sigma", "hidden_dim", "local_updates-batch_size"],
     )
     def test_value_too_large_to_run_exits_1(self, tmp_path, capsys, raw, problem):
         code, out = self.run_cli(tmp_path, raw)

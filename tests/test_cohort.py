@@ -40,6 +40,7 @@ from fedsim.engine import (
 from fedsim.model import (
     Batch,
     DivergenceError,
+    FeatureBlock,
     Gradients,
     PartitionedModel,
     ShapeError,
@@ -200,13 +201,14 @@ def test_golden_digest_freeze_offload_cohort_of_40():
 
 def record_lockstep(monkeypatch):
     """Record, per `_lockstep` call, the lanes in its stack and their
-    handoff steps."""
+    handoff steps, read from the block lengths."""
     calls = []
     original = engine._lockstep
 
-    def recording(start, own, handoffs, donated, data, learning_rate, prox_mu=0.0):
-        calls.append(({lane for lane, _ in own}, set(handoffs.values())))
-        return original(start, own, handoffs, donated, data, learning_rate, prox_mu)
+    def recording(start, own, donated, data, learning_rate, prox_mu=0.0):
+        handoffs = {len(own[m]) - len(donated[m]) for m in donated}
+        calls.append(({lane for lane, _ in own}, handoffs))
+        return original(start, own, donated, data, learning_rate, prox_mu)
 
     monkeypatch.setattr(engine, "_lockstep", recording)
     return calls
@@ -309,6 +311,26 @@ def stack(models):
     return PartitionedModel(*arrays, num_classes=models[0].num_classes)
 
 
+def first_row(stacked):
+    return PartitionedModel(*(a[0] for a in stacked.arrays()), num_classes=stacked.num_classes)
+
+
+def train_alone(model, cursor, steps, lr, prox_mu=0.0, anchor=None):
+    """`local_train` on `model` alone, as a stack of one, on the next
+    `steps` batches of its own stream."""
+    anchor = None if anchor is None else stack([anchor])
+    cohort = CohortCursor(INPUTS, LABELS, draw_blocks([cursor], steps))
+    return first_row(local_train(stack([model]), cohort, steps, lr, prox_mu, anchor))
+
+
+def offload_alone(model, cursor, steps, lr):
+    """`execute_offloaded` on `model`'s blocks alone, as a stack of one, on
+    the next `steps` batches of the receiver's stream."""
+    cohort = CohortCursor(INPUTS, LABELS, draw_blocks([cursor], steps))
+    trained = execute_offloaded(*split(stack([model])), cohort, steps, lr)
+    return FeatureBlock(trained.weights[0], trained.bias[0])
+
+
 def assert_rows_equal(stacked_arrays, per_member):
     for k, member_arrays in enumerate(per_member):
         for a, b in zip(stacked_arrays, member_arrays):
@@ -323,7 +345,7 @@ def test_local_train_stacked_matches_per_client(prox_mu):
     reference = []
     for model, cursor in zip(member_models(), cursors):
         for steps in (5, 3):
-            model = local_train(model, cursor, steps, 0.1, prox_mu=prox_mu, anchor=anchor)
+            model = train_alone(model, cursor, steps, 0.1, prox_mu=prox_mu, anchor=anchor)
         reference.append(model.arrays())
 
     stacked = stack(member_models())
@@ -335,7 +357,7 @@ def test_local_train_stacked_matches_per_client(prox_mu):
             steps,
             0.1,
             prox_mu=prox_mu,
-            anchor=anchor,
+            anchor=None if anchor is None else stack([anchor] * len(cursors)),
         )
     assert_rows_equal(stacked.arrays(), reference)
 
@@ -343,8 +365,7 @@ def test_local_train_stacked_matches_per_client(prox_mu):
 def test_execute_offloaded_stacked_matches_per_client():
     reference = []
     for model, cursor in zip(member_models(), member_cursors()):
-        feature, snapshot = split(model)
-        trained = execute_offloaded(feature, snapshot, cursor, 6, 0.1)
+        trained = offload_alone(model, cursor, 6, 0.1)
         reference.append((trained.weights, trained.bias))
 
     feature, snapshot = split(stack(member_models()))
@@ -361,13 +382,14 @@ def test_local_train_ragged_stack_matches_per_client():
     anchor = init_model(4, 6, 3, seed=99)
     reference = []
     for model, cursor, n in zip(member_models(), member_cursors(), steps):
-        model = local_train(model, cursor, n, 0.1, prox_mu=0.01, anchor=anchor)
+        model = train_alone(model, cursor, n, 0.1, prox_mu=0.01, anchor=anchor)
         reference.append(model.arrays())
     start = stack(member_models())
     before = [a.copy() for a in start.arrays()]
     blocks = [c._take(n * 8).reshape(n, 8) for c, n in zip(member_cursors(), steps)]
+    anchors = stack([anchor] * len(steps))
     trained = local_train(
-        start, CohortCursor(INPUTS, LABELS, blocks), max(steps), 0.1, prox_mu=0.01, anchor=anchor
+        start, CohortCursor(INPUTS, LABELS, blocks), max(steps), 0.1, prox_mu=0.01, anchor=anchors
     )
     assert_rows_equal(trained.arrays(), reference)
     # The model passed in is left as it was and shares nothing with the result.
@@ -388,13 +410,13 @@ def test_local_train_with_handoffs_matches_each_clients_three_phases():
     starts = member_models()
     expected = []
     for i, f in enumerate(handoffs):
-        full = local_train(starts[i], own[i], f, 0.1, prox_mu=0.01, anchor=starts[i])
+        full = train_alone(starts[i], own[i], f, 0.1, prox_mu=0.01, anchor=starts[i])
         classifier = full
         for _ in range(steps - f):
             classifier = reference_step(classifier, own[i].next_batch(), 0.1, "frozen")
-        feature = execute_offloaded(*split(full), donors[i], steps - f, 0.1)
+        feature = offload_alone(full, donors[i], steps - f, 0.1)
         expected.append((feature.weights, feature.bias, *classifier.arrays()[2:]))
-    full_member = local_train(starts[3], own[3], steps, 0.1, prox_mu=0.01, anchor=starts[3])
+    full_member = train_alone(starts[3], own[3], steps, 0.1, prox_mu=0.01, anchor=starts[3])
 
     own = member_cursors()
     donors = [BatchCursor(INPUTS, LABELS, idx, 8, np.random.default_rng(200 + k))
@@ -402,7 +424,7 @@ def test_local_train_with_handoffs_matches_each_clients_three_phases():
     blocks = [c._take((steps - f) * 8).reshape(steps - f, 8) for c, f in zip(donors, handoffs)]
     blocks += [own[k]._take(steps * 8).reshape(steps, 8) for k in (3, 0, 1, 2)]
     start = stack([starts[k] for k in (0, 1, 2, 3, 0, 1, 2)])
-    cursor = CohortCursor(INPUTS, LABELS, blocks, handoffs)
+    cursor = CohortCursor(INPUTS, LABELS, blocks, len(handoffs))
     assert cursor.mode == (4, 4)
     trained = local_train(start, cursor, steps, 0.1, prox_mu=0.01, anchor=start)
     arrays = trained.arrays()
@@ -414,14 +436,13 @@ def test_local_train_with_handoffs_matches_each_clients_three_phases():
 
 def test_cohort_cursor_rejects_handoffs_without_their_rows():
     blocks = [np.zeros((n, 8), dtype=np.int64) for n in (2, 6, 6, 6)]
-    CohortCursor(INPUTS, LABELS, blocks, [4])
-    # A donated row that joins at another step, too many handoffs for the
-    # stack, and a row after the donated ones that does not run every step.
-    for handoffs in ([3], [4, 4, 4]):
-        with pytest.raises(ValueError, match="handoff"):
-            CohortCursor(INPUTS, LABELS, blocks, handoffs)
+    CohortCursor(INPUTS, LABELS, blocks, 1)
+    # Too many donated rows for the stack, and a row after the donated ones
+    # that does not run every step.
     with pytest.raises(ValueError, match="handoff"):
-        CohortCursor(INPUTS, LABELS, blocks[:1] + blocks[:1] + blocks[1:], [4])
+        CohortCursor(INPUTS, LABELS, blocks, 3)
+    with pytest.raises(ValueError, match="handoff"):
+        CohortCursor(INPUTS, LABELS, blocks[:1] + blocks[:1] + blocks[1:], 1)
 
 
 @pytest.mark.parametrize("size", [1, 5, 16, 40])
@@ -542,7 +563,8 @@ def check_members_leave_with(classes, mode, prox_mu, members, per_member_anchor)
     models = [init_model(input_dim, hidden, classes, seed=k) for k in range(members)]
     anchors = [init_model(input_dim, hidden, classes, seed=1000 + per_member_anchor * k)
                for k in range(members)]
-    anchor = stack(anchors) if per_member_anchor else anchors[0]
+    # Without one anchor per member, every row is pulled toward the same one.
+    anchor = stack(anchors)
     inputs = rng.standard_normal((6, members, batch, input_dim))
     labels = rng.integers(0, classes, size=(6, members, batch))
 
@@ -577,19 +599,20 @@ def check_members_leave_with(classes, mode, prox_mu, members, per_member_anchor)
 
 @pytest.mark.parametrize("mode, prox_mu", MODES)
 def test_in_place_step_matches_reference_on_a_lone_model(mode, prox_mu):
-    # Batch 9, so that dividing by the batch size and multiplying by its
-    # inexact inverse would differ.
+    # A lone model steps as a stack of one. Batch 9, so that dividing by the
+    # batch size and multiplying by its inexact inverse would differ.
     for classes in CLASS_COUNTS:
         rng = np.random.default_rng(3)
         model = init_model(5, 7, classes, seed=8)
         anchor = init_model(5, 7, classes, seed=9)
-        trained = model.copy()
+        trained = stack([model])
         workspace = Workspace(trained, 9)
         for _ in range(4):
             batch = Batch(rng.standard_normal((9, 5)), rng.integers(0, classes, size=9))
             model = reference_step(model, batch, 0.1, mode, prox_mu, anchor)
-            sgd_step_in_place(trained, batch, workspace, 0.1, pair(mode, 1), prox_mu, anchor)
-        for a, b in zip(trained.arrays(), model.arrays()):
+            one = Batch(batch.inputs[None], batch.labels[None])
+            sgd_step_in_place(trained, one, workspace, 0.1, pair(mode, 1), prox_mu, stack([anchor]))
+        for a, b in zip(first_row(trained).arrays(), model.arrays()):
             assert a.tobytes() == b.tobytes(), f"{classes} classes"
 
 
@@ -676,6 +699,28 @@ def test_in_place_step_that_overflows_moves_nothing(mode):
         sgd_step_in_place(stacked, batch, workspace, 1.7e308, pair(mode, 3))
     for a, b in zip(stacked.arrays(), before):
         assert a.tobytes() == b.tobytes()
+
+
+def test_training_takes_only_stacks():
+    # A model trains alone as a stack of one. A lone model, a stack of
+    # other rows than the workspace's, and an anchor that is not a stack
+    # with the model's rows are refused before anything moves.
+    model = init_model(4, 6, 3, seed=0)
+    rng = np.random.default_rng(0)
+    batch = Batch(rng.standard_normal((1, 8, 4)), rng.integers(0, 3, size=(1, 8)))
+    with pytest.raises(ShapeError, match="one stack"):
+        Workspace(model, 8)
+    workspace = Workspace(stack([model]), 8)
+    for wrong in (model, stack([model, model])):
+        with pytest.raises(ShapeError, match="stack of 1"):
+            sgd_step_in_place(wrong, batch, workspace, 0.1, (1, 1))
+    lone_batch = Batch(batch.inputs[0], batch.labels[0])
+    with pytest.raises(ShapeError, match="labels of shape"):
+        sgd_step_in_place(stack([model]), lone_batch, workspace, 0.1, (1, 1))
+    with pytest.raises(ShapeError, match="anchor"):
+        sgd_step_in_place(stack([model]), batch, workspace, 0.1, (1, 1), 0.01, model)
+    with pytest.raises(ShapeError, match="one stack"):
+        local_train(model, CohortCursor(INPUTS, LABELS, [np.arange(16).reshape(2, 8)]), 2, 0.1)
 
 
 def test_workspace_rejects_batches_that_do_not_fit():

@@ -13,11 +13,11 @@ noise and freeze_offload's profile noise may get 1e308, the hidden width
 profiling knobs goes to the document's last freeze_offload entry, or to
 one added when the document has none, as only that strategy profiles.
 Phase times of 1e-300 s may meet a dispatch latency of 1e10 s, with a
-freeze_offload entry, a pair that no one field's extreme reaches. A
-document that parses must run all of its strategies for its rounds (at
-most 2) to completion, in lockstep as `fedsim run` does; any other
-exception is an escape that `fedsim run` would report through its
-catch-all with exit 2.
+freeze_offload entry, and 2**40 local updates may meet batches of 2**30
+samples: pairs that no one field's extreme reaches. A document that
+parses must run all of its strategies for its rounds (at most 2) to
+completion, in lockstep as `fedsim run` does; any other exception is an
+escape that `fedsim run` would report through its catch-all with exit 2.
 """
 
 import math
@@ -167,6 +167,10 @@ def documents(draw):
         doc["profile"]["base"] = {"ff": 1e-300, "fc": 1e-300, "bc": 1e-300, "bf": 1e-300}
         doc["latency"]["dispatch"] = 1e10
         doc["strategies"].append({"name": "freeze_offload", "similarity_factor": 4.0})
+    if draw(st.booleans()):
+        # A round's batches more than numpy can address, though neither
+        # count is on its own.
+        doc["training"].update(local_updates=2**40, batch_size=2**30)
     if draw(st.booleans()):
         # Each huge value on its own, so that documents which otherwise
         # parse reach it often.

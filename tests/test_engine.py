@@ -13,6 +13,7 @@ from fedsim.config import parse_config
 from fedsim.data import generate_synthetic
 from fedsim.engine import (
     BatchCursor,
+    CohortCursor,
     DeadlineDrop,
     FedAvg,
     FedNova,
@@ -33,7 +34,7 @@ from fedsim.engine import (
     run_round,
     select_clients,
 )
-from fedsim.model import Batch, forward, init_model, merge, split
+from fedsim.model import Batch, PartitionedModel, forward, init_model, merge, split
 from fedsim.seeding import TAG_BATCHES, spawn_rng
 from fedsim.similarity import SimilarityOracle
 
@@ -162,31 +163,41 @@ class TestBatchCursor:
             )
 
 
+def stack_of_one(model):
+    """A lone model as the stack of one that training takes."""
+    return PartitionedModel(*(a[None] for a in model.arrays()), num_classes=model.num_classes)
+
+
+def stream_of_one(inputs, labels, batch_size, rng, steps):
+    """The next `steps` batches of a stream over every sample, for a stack of one."""
+    stream = BatchCursor(inputs, labels, np.arange(len(labels)), batch_size, rng)
+    block = stream._take(steps * batch_size).reshape(steps, batch_size)
+    return CohortCursor(inputs, labels, [block])
+
+
 class TestLocalTrain:
     def setup_method(self):
-        self.model = init_model(4, 6, 3, seed=1)
+        self.model = stack_of_one(init_model(4, 6, 3, seed=1))
         rng = np.random.default_rng(2)
         self.inputs = rng.standard_normal((40, 4))
         self.labels = rng.integers(0, 3, size=40)
 
-    def cursor(self, seed=9):
-        return BatchCursor(
-            self.inputs, self.labels, np.arange(40), 8, np.random.default_rng(seed)
-        )
+    def cursor(self, steps, seed=9):
+        return stream_of_one(self.inputs, self.labels, 8, np.random.default_rng(seed), steps)
 
     def test_zero_updates_is_identity(self):
-        trained = local_train(self.model, self.cursor(), 0, 0.05)
+        trained = local_train(self.model, self.cursor(0), 0, 0.05)
         assert np.array_equal(trained.feature_weights, self.model.feature_weights)
 
     def test_prox_zero_matches_plain_bitwise(self):
-        plain = local_train(self.model, self.cursor(), 6, 0.05)
-        prox = local_train(self.model, self.cursor(), 6, 0.05, prox_mu=0.0, anchor=self.model)
+        plain = local_train(self.model, self.cursor(6), 6, 0.05)
+        prox = local_train(self.model, self.cursor(6), 6, 0.05, prox_mu=0.0, anchor=self.model)
         for a, b in zip(plain.arrays(), prox.arrays()):
             assert np.array_equal(a, b)
 
     def test_prox_pulls_toward_anchor(self):
-        plain = local_train(self.model, self.cursor(), 20, 0.05)
-        prox = local_train(self.model, self.cursor(), 20, 0.05, prox_mu=1.0, anchor=self.model)
+        plain = local_train(self.model, self.cursor(20), 20, 0.05)
+        prox = local_train(self.model, self.cursor(20), 20, 0.05, prox_mu=1.0, anchor=self.model)
         drift_plain = sum(
             float(np.sum((a - b) ** 2))
             for a, b in zip(plain.arrays(), self.model.arrays())
@@ -199,32 +210,31 @@ class TestLocalTrain:
 
     def test_prox_requires_anchor(self):
         with pytest.raises(ValueError, match="requires an anchor"):
-            local_train(self.model, self.cursor(), 2, 0.05, prox_mu=0.5)
+            local_train(self.model, self.cursor(2), 2, 0.05, prox_mu=0.5)
 
 
 class TestExecuteOffloaded:
     def test_matches_manual_loop_and_freezes_classifier(self):
         donor = init_model(4, 6, 3, seed=4)
-        feature, classifier = split(donor)
         rng = np.random.default_rng(5)
         inputs = rng.standard_normal((30, 4))
         labels = rng.integers(0, 3, size=30)
 
-        cursor = BatchCursor(inputs, labels, np.arange(30), 10, np.random.default_rng(6))
+        cursor = stream_of_one(inputs, labels, 10, np.random.default_rng(6), 4)
+        feature, classifier = split(stack_of_one(donor))
         trained = execute_offloaded(feature, classifier, cursor, 4, 0.1)
 
-        # Manual oracle: full-model gradients, feature-only updates.
+        # Manual oracle on the lone model: full-model gradients, feature-only
+        # updates.
         from fedsim.model import backward_full
 
         oracle_cursor = BatchCursor(
             inputs, labels, np.arange(30), 10, np.random.default_rng(6)
         )
-        model = merge(feature, classifier)
+        model = donor
         for _ in range(4):
             batch = oracle_cursor.next_batch()
             grads = backward_full(model, batch)
-            from fedsim.model import PartitionedModel
-
             model = PartitionedModel(
                 feature_weights=model.feature_weights - 0.1 * grads.feature_weights,
                 feature_bias=model.feature_bias - 0.1 * grads.feature_bias,
@@ -232,11 +242,11 @@ class TestExecuteOffloaded:
                 classifier_bias=model.classifier_bias,
                 num_classes=model.num_classes,
             )
-        assert np.array_equal(trained.weights, model.feature_weights)
-        assert np.array_equal(trained.bias, model.feature_bias)
+        assert np.array_equal(trained.weights[0], model.feature_weights)
+        assert np.array_equal(trained.bias[0], model.feature_bias)
         # The donated classifier must come back untouched.
         rebuilt = merge(trained, classifier)
-        assert np.array_equal(rebuilt.classifier_weights, donor.classifier_weights)
+        assert np.array_equal(rebuilt.classifier_weights[0], donor.classifier_weights)
 
 
 class TestAggregation:
