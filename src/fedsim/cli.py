@@ -40,6 +40,7 @@ import numpy as np
 from .config import ConfigError, ExperimentConfig, echo_dict, load_config
 from .engine import ExperimentResult, FreezeOffload, SeedData, Strategy, run_experiments
 from .errors import out_of_memory_as_config_error
+from .seeding import left_sum
 
 # Bound here for perfbench/tracer.py, which wraps `cli.run_experiment`; `run`
 # itself calls `run_experiments`.
@@ -212,9 +213,9 @@ def _cmd_run(args: argparse.Namespace) -> int:
         rows = [s for s in summaries if s["strategy"] == label]
         aggregates[label] = {
             "replicates": len(rows),
-            "mean_total_time_s": sum(r["total_time_s"] for r in rows) / len(rows),
-            "mean_final_accuracy": sum(r["final_accuracy"] for r in rows) / len(rows),
-            "mean_round_duration_s": sum(r["mean_round_duration_s"] for r in rows)
+            "mean_total_time_s": left_sum(r["total_time_s"] for r in rows) / len(rows),
+            "mean_final_accuracy": left_sum(r["final_accuracy"] for r in rows) / len(rows),
+            "mean_round_duration_s": left_sum(r["mean_round_duration_s"] for r in rows)
             / len(rows),
         }
     summary_doc = {"experiments": summaries, "aggregates": aggregates}
@@ -305,7 +306,7 @@ def _cmd_compare(args: argparse.Namespace) -> int:
             f" accuracy {row['final_accuracy']:.4f} vs {base['final_accuracy']:.4f}"
         )
     def mean(rows: list[dict], key: str) -> float:
-        return sum(r[key] for r in rows) / len(rows)
+        return left_sum(r[key] for r in rows) / len(rows)
 
     bt, tt = mean(base_rows, "total_time_s"), mean(target_rows, "total_time_s")
     ba, ta = mean(base_rows, "final_accuracy"), mean(target_rows, "final_accuracy")
@@ -337,7 +338,7 @@ def _cmd_inspect(args: argparse.Namespace) -> int:
     header = f"{'client':>6} {'speed':>6} {'batch_s':>8} {'samples':>8}  class counts"
     print(header)
     for c in shared.clients:
-        counts = " ".join(str(int(x)) for x in c.partition.class_counts)
+        counts = " ".join(map(str, c.partition.class_counts.tolist()))
         print(
             f"{c.client_id:>6} {c.speed_factor:6.3f} {c.timings.full_time:8.3f}"
             f" {c.num_samples:>8}  [{counts}]"
@@ -355,7 +356,7 @@ def _cmd_inspect(args: argparse.Namespace) -> int:
                     "speed_factor": c.speed_factor,
                     "full_batch_time": c.timings.full_time,
                     "num_samples": c.num_samples,
-                    "class_counts": [int(x) for x in c.partition.class_counts],
+                    "class_counts": c.partition.class_counts.tolist(),
                 }
                 for c in shared.clients
             ],

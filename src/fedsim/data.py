@@ -5,6 +5,16 @@ unit-spacing grid in the first one or two input dimensions (remaining
 dimensions carry noise only). Partitioning supports an IID mode, where every
 client's class histogram matches the global one up to integer rounding, and a
 label-skew mode where each client holds samples from exactly k classes.
+
+A partition is a function of the dataset, the client count, the mode, the
+sizes and the seed. Only two kinds of draw fix its random stream, in this
+order: one permutation of each class's training samples, class by class,
+then, in label-skew mode, one draw of k classes per client in id order
+(all of them again on each retry). Everything else is arithmetic on whole
+arrays: every apportionment (the client quotas, the IID deal of each class,
+the split of a quota over k classes) is one largest-remainder call, every
+class's deal is written into one (owner, sample) pair per dealt sample, and
+one sort orders every client's samples.
 """
 
 from __future__ import annotations
@@ -114,7 +124,7 @@ def train_count(num_samples: int) -> int:
 def client_quotas(total: int, num_clients: int, sizes) -> list[int]:
     """Integer per-client sample targets, either equal or weight-proportional."""
     if sizes is None or (isinstance(sizes, str) and sizes == "equal"):
-        weights = [1.0] * num_clients
+        weights = np.ones(num_clients)
     else:
         weights = [float(w) for w in sizes]
         if len(weights) != num_clients:
@@ -123,148 +133,168 @@ def client_quotas(total: int, num_clients: int, sizes) -> list[int]:
             )
         if any(w <= 0 for w in weights):
             raise PartitionError("size weights must be positive")
-    return _largest_remainder(weights, total)
+    return _largest_remainder(np.asarray(weights, dtype=np.float64), total).tolist()
 
 
-def _largest_remainder(weights: list[float], total: int) -> list[int]:
-    """Apportion `total` units proportionally to weights, summing exactly."""
-    scale = total / sum(weights)
-    raw = [w * scale for w in weights]
-    counts = [int(math.floor(r)) for r in raw]
-    short = total - sum(counts)
-    remainders = sorted(range(len(raw)), key=lambda i: (-(raw[i] - counts[i]), i))
-    for i in remainders[:short]:
-        counts[i] += 1
-    return counts
+def _largest_remainder(weights: np.ndarray, totals) -> np.ndarray:
+    """Apportion each total proportionally to the weights, summing exactly.
+
+    `totals` is one int or a 1-D array of them; the int64 result has one
+    row per total, with one count per weight. In each row the scale is the
+    total over the weights' left-to-right sum, each count is the floor of
+    weight times scale, and the units still short go one each to the
+    largest remainders, the lowest index first among equals.
+    """
+    totals = np.asarray(totals)
+    with np.errstate(over="ignore", invalid="ignore"):
+        raw = weights * (totals[..., None] / np.add.accumulate(weights)[-1])
+    if not np.isfinite(raw).all():
+        math.floor(float(raw[~np.isfinite(raw)][0]))  # raises as int() of it would
+    floors = np.floor(raw)
+    counts = floors.astype(np.int64)
+    # Python slice semantics: a negative shortfall leaves that many units
+    # out from the end of the order instead.
+    short = totals - counts.sum(axis=-1)
+    n = weights.shape[0]
+    first = np.where(short < 0, np.maximum(short + n, 0), short)
+    rank = np.argsort(np.argsort(floors - raw, axis=-1, kind="stable"), axis=-1)
+    return counts + (rank < first[..., None])
 
 
-def _counts_from_assignment(assigned: list, labels: np.ndarray, num_classes: int):
-    partitions = []
-    for cid, idx in enumerate(assigned):
-        arr = np.sort(np.asarray(idx, dtype=np.int64))
-        counts = np.bincount(labels[arr], minlength=num_classes).astype(np.int64)
-        partitions.append(ClientPartition(cid, arr, counts))
-    return partitions
+def _class_pools(dataset: Dataset, rng: np.random.Generator) -> list[np.ndarray]:
+    """Each class's training samples in a random order, class by class."""
+    train_labels = dataset.labels[dataset.train_indices]
+    return [
+        rng.permutation(dataset.train_indices[train_labels == c])
+        for c in range(dataset.num_classes)
+    ]
+
+
+def _client_partitions(
+    owner: np.ndarray, sample: np.ndarray, num_samples: int, counts: np.ndarray
+) -> list[ClientPartition]:
+    """Every client's samples, ascending, from an (owner, sample) pair per
+    dealt sample and the clients x classes counts. Each client's indices
+    and counts are views of one array each.
+
+    Sorting `owner * num_samples + sample` puts every sample in its place;
+    the key stays below clients x samples, which int64 holds for any
+    dataset that fits in memory.
+    """
+    indices = np.sort(owner * num_samples + sample) % num_samples
+    ends = np.cumsum(counts.sum(axis=1)).tolist()
+    return [
+        ClientPartition(cid, indices[a:b], counts[cid])
+        for cid, (a, b) in enumerate(zip([0, *ends], ends))
+    ]
 
 
 def _partition_iid(
-    dataset: Dataset, num_clients: int, quotas: list[int], rng: np.random.Generator
+    dataset: Dataset, quotas: list[int], rng: np.random.Generator
 ) -> list[ClientPartition]:
-    train_labels = dataset.labels[dataset.train_indices]
-    assigned: list[list[int]] = [[] for _ in range(num_clients)]
-    weights = [float(q) for q in quotas]
-    for c in range(dataset.num_classes):
-        pool = dataset.train_indices[train_labels == c]
-        pool = rng.permutation(pool)
-        # Each class is dealt in proportion to the quotas.
-        takes = _largest_remainder(weights, pool.shape[0])
-        start = 0
-        for cid, take in enumerate(takes):
-            assigned[cid].extend(pool[start : start + take].tolist())
-            start += take
+    num_clients = len(quotas)
+    pools = _class_pools(dataset, rng)
+    # Each class is dealt in proportion to the quotas, in client order.
+    takes = _largest_remainder(
+        np.asarray(quotas, dtype=np.float64), [p.shape[0] for p in pools]
+    )
+    owner = np.repeat(np.tile(np.arange(num_clients), len(pools)), takes.ravel())
     # Class pools smaller than the client count can round a client down to
     # no sample at all, though every quota is at least 1. Each such client,
     # in id order, takes the last sample dealt to the client holding the most
     # (the lowest id among equals), so every client has data to train on.
-    # The heap holds (-size, id) of every client with data; empty clients
-    # hold 0 and never win while it has an entry.
-    heap = [(-len(a), cid) for cid, a in enumerate(assigned) if a]
-    heapq.heapify(heap)
-    for cid in range(num_clients):
-        if not assigned[cid]:
+    # The heap holds (-size, id) of every client with data. A donor holds
+    # two or more while a client is empty, so no client that took a sample
+    # gives one, and a donor's samples are the ones it was dealt, in order.
+    held = takes.sum(axis=0).tolist()
+    empty = [cid for cid, h in enumerate(held) if not h]
+    if empty:
+        by_client = np.argsort(owner, kind="stable")  # each client's in deal order
+        last = (np.cumsum(held) - 1).tolist()
+        heap = [(-h, cid) for cid, h in enumerate(held) if h]
+        heapq.heapify(heap)
+        for cid in empty:
             neg_size, donor = heap[0]
-            assigned[cid].append(assigned[donor].pop())
+            owner[by_client[last[donor]]] = cid
+            last[donor] -= 1
             heapq.heapreplace(heap, (neg_size + 1, donor))
             heapq.heappush(heap, (-1, cid))
-    return _counts_from_assignment(assigned, dataset.labels, dataset.num_classes)
+    sample = np.concatenate(pools)
+    cells = owner * dataset.num_classes + dataset.labels[sample]
+    counts = np.bincount(cells, minlength=num_clients * dataset.num_classes)
+    counts = counts.reshape(num_clients, dataset.num_classes).astype(np.int64, copy=False)
+    return _client_partitions(owner, sample, dataset.labels.shape[0], counts)
 
 
-def _draw_class_choices(
-    num_clients: int, num_classes: int, k: int, rng: np.random.Generator
-) -> list[np.ndarray]:
-    return [np.sort(rng.choice(num_classes, size=k, replace=False)) for _ in range(num_clients)]
-
-
-def _deal_round_robin(pool: np.ndarray, demand: list[int]) -> list[np.ndarray]:
-    """Each member's share of the pool's first sum(demand) samples, dealt in
-    sweeps 0..demand[pos]-1 for member pos: the pool's i-th sample goes to
-    the i-th (sweep, member) pair in sweep-major order, found by one sort."""
-    owner = np.repeat(np.arange(len(demand)), demand)
-    ends = np.cumsum(demand)
-    sweep = np.arange(ends[-1]) - np.repeat(ends - demand, demand)
-    dealt = np.empty(ends[-1], dtype=pool.dtype)  # member by member
-    dealt[np.lexsort((owner, sweep))] = pool[: ends[-1]]
-    bounds = [0, *ends.tolist()]
-    return [dealt[a:b] for a, b in zip(bounds, bounds[1:])]
+def _shrink_demand(demand: np.ndarray, available: int) -> np.ndarray:
+    """Scale demands down proportionally to `available` while keeping one
+    sample per chooser, so the k-nonzero-classes guarantee survives shortage."""
+    demand = np.maximum(_largest_remainder(demand.astype(np.float64), available), 1)
+    while demand.sum() > available:
+        demand[np.argmax(demand)] -= 1
+    return demand
 
 
 def _partition_label_skew(
-    dataset: Dataset,
-    num_clients: int,
-    k: int,
-    quotas: list[int],
-    rng: np.random.Generator,
+    dataset: Dataset, k: int, quotas: list[int], rng: np.random.Generator
 ) -> list[ClientPartition]:
     """Give each client exactly k classes, dealing shared classes round-robin."""
-    train_labels = dataset.labels[dataset.train_indices]
-    pools = {
-        c: rng.permutation(dataset.train_indices[train_labels == c])
-        for c in range(dataset.num_classes)
-    }
-    class_sizes = {c: pools[c].shape[0] for c in pools}
+    num_clients, num_classes = len(quotas), dataset.num_classes
+    pools = _class_pools(dataset, rng)
+    class_sizes = np.array([p.shape[0] for p in pools])
 
+    chosen = np.empty((num_clients, k), dtype=np.int64)
     for attempt in range(MAX_CLASS_DRAW_RETRIES):
-        choices = _draw_class_choices(num_clients, dataset.num_classes, k, rng)
-        choosers: dict[int, list[int]] = {c: [] for c in range(dataset.num_classes)}
-        for cid, chosen in enumerate(choices):
-            for c in chosen:
-                choosers[int(c)].append(cid)
+        for cid in range(num_clients):
+            chosen[cid] = rng.choice(num_classes, size=k, replace=False)
         # Every client must be able to take at least one sample of each of
         # its classes, otherwise its histogram would not have k nonzero rows.
-        if all(len(choosers[c]) <= class_sizes[c] for c in choosers):
+        if (np.bincount(chosen.ravel(), minlength=num_classes) <= class_sizes).all():
             break
     else:
         raise PartitionError(
             f"could not draw feasible class choices for {num_clients} clients with "
             f"{k} classes each after {MAX_CLASS_DRAW_RETRIES} attempts"
         )
+    chosen.sort(axis=1)
+    rows = np.arange(num_clients)[:, None]
+    held = np.zeros((num_clients, num_classes), dtype=bool)
+    held[rows, chosen] = True
 
-    # Per-client per-class targets: the quota split as evenly as possible
-    # across the client's k classes.
-    targets: dict[tuple[int, int], int] = {}
-    for cid, chosen in enumerate(choices):
-        split = _largest_remainder([1.0] * k, quotas[cid])
-        for c, t in zip(chosen, split):
-            targets[(cid, int(c))] = t
+    # Per-client per-class demand: the quota split as evenly as possible
+    # across the client's k classes, in ascending class order.
+    demand = np.zeros((num_clients, num_classes), dtype=np.int64)
+    demand[rows, chosen] = _largest_remainder(np.ones(k), quotas)
+    for c in np.flatnonzero(demand.sum(axis=0) > class_sizes).tolist():
+        takers = np.flatnonzero(held[:, c])
+        demand[takers, c] = _shrink_demand(demand[takers, c], class_sizes[c])
+    # Each client is dealt exactly its demand of each class, so the demand
+    # matrix is the clients x classes histogram of the partition.
+    wrong = np.flatnonzero(((demand > 0) != held).any(axis=1))
+    if wrong.size:
+        bad = int(wrong[0])
+        raise PartitionError(
+            f"client {bad} ended with classes {np.flatnonzero(demand[bad]).tolist()}, "
+            f"expected {chosen[bad].tolist()}"
+        )
 
-    shares: list[list[np.ndarray]] = [[] for _ in range(num_clients)]
-    for c in range(dataset.num_classes):
-        clients = choosers[c]
-        if not clients:
-            continue
-        demand = [max(1, targets[(cid, c)]) for cid in clients]
-        available = class_sizes[c]
-        if sum(demand) > available:
-            # Scale demands down proportionally while keeping one sample per
-            # chooser, so the k-nonzero-classes guarantee survives shortage.
-            scaled = _largest_remainder([float(d) for d in demand], available)
-            demand = [max(1, s) for s in scaled]
-            while sum(demand) > available:
-                demand[int(np.argmax(demand))] -= 1
-        # Round-robin deal over competing clients in ascending id order.
-        for cid, share in zip(clients, _deal_round_robin(pools[c], demand)):
-            shares[cid].append(share)
-
-    assigned = [np.concatenate(parts) for parts in shares]
-    partitions = _counts_from_assignment(assigned, dataset.labels, dataset.num_classes)
-    for part, chosen in zip(partitions, choices):
-        nonzero = np.nonzero(part.class_counts)[0]
-        if nonzero.shape[0] != k or not np.array_equal(nonzero, chosen):
-            raise PartitionError(
-                f"client {part.client_id} ended with classes {nonzero.tolist()}, "
-                f"expected {chosen.tolist()}"
-            )
-    return partitions
+    # Each class is dealt round-robin over its clients in ascending id order:
+    # its pool's i-th sample goes to the i-th (sweep, client) pair in
+    # sweep-major order, where a client takes part in sweeps 0..demand-1.
+    # One sort of a (class, sweep, client) key per pair puts the pairs of
+    # every class in that order, class after class. A class's keys span its
+    # largest demand times the clients, so every key stays below the train
+    # samples times the clients.
+    cls, cid = np.nonzero(demand.T)
+    takes = demand[cid, cls]
+    ends = np.cumsum(takes)
+    sweep = np.arange(ends[-1]) - np.repeat(ends - takes, takes)
+    span = demand.max(axis=0) * num_clients
+    keys = np.repeat((np.cumsum(span) - span)[cls] + cid, takes) + sweep * num_clients
+    keys.sort()
+    dealt = demand.sum(axis=0).tolist()
+    sample = np.concatenate([pool[:d] for pool, d in zip(pools, dealt)])
+    return _client_partitions(keys % num_clients, sample, dataset.labels.shape[0], demand)
 
 
 def partition(
@@ -276,6 +306,16 @@ def partition(
     seed: int = 0,
 ) -> list[ClientPartition]:
     """Split the training indices across clients.
+
+    The quotas apportion the train split by the weights (largest remainder,
+    the weights summed left to right). IID mode deals each class's shuffled
+    pool to the clients in proportion to their quotas, in client order; a
+    client that rounds down to nothing takes the last sample dealt to the
+    client holding the most. Noniid mode draws k classes per client, splits
+    each quota evenly over them, scales a class's demands down where its
+    pool is short, and deals each class round-robin over its clients in id
+    order. The random stream is fixed by the class pools' permutations and
+    the per-client class draws alone (see the module docstring).
 
     Args:
         dataset: source dataset; only its train split is assigned.
@@ -302,7 +342,7 @@ def partition(
     rng = spawn_rng(seed, TAG_PARTITION)
 
     if mode == "iid":
-        return _partition_iid(dataset, num_clients, quotas, rng)
+        return _partition_iid(dataset, quotas, rng)
     if mode == "noniid":
         if classes_per_client is None:
             raise PartitionError("noniid mode requires classes_per_client")
@@ -315,6 +355,6 @@ def partition(
             raise PartitionError(
                 f"smallest client quota {min(quotas)} cannot cover {k} classes"
             )
-        return _partition_label_skew(dataset, num_clients, k, quotas, rng)
+        return _partition_label_skew(dataset, k, quotas, rng)
     raise PartitionError(f"unknown partition mode {mode!r}")
 

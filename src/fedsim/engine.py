@@ -93,6 +93,7 @@ from .seeding import (
     TAG_PROFILE,
     TAG_SELECTION,
     TAG_SPEEDS,
+    left_sum,
     spawn_rng,
 )
 from .similarity import ClassCountSubmission, HistogramDistances, SimilarityOracle
@@ -212,7 +213,7 @@ class DeadlineDrop(Strategy):
         selected = self.select(state, round_index)
         updates = state.config.training.local_updates
         completions = {cid: updates * state.client(cid).timings.full_time for cid in selected}
-        deadline = self.multiplier * (sum(completions.values()) / len(completions))
+        deadline = self.multiplier * (left_sum(completions.values()) / len(completions))
         dropped = frozenset(cid for cid in selected if completions[cid] > deadline)
         return _whole_models(state, round_index, selected, deadline, dropped)
 
@@ -541,7 +542,7 @@ def aggregate_fedavg(
         raise ValueError(f"{len(models)} models but {len(weights)} weights")
     if any(w <= 0 for w in weights):
         raise ValueError("aggregation weights must be positive")
-    total = sum(weights)
+    total = left_sum(weights)
     acc = [np.zeros_like(a) for a in models[0].arrays()]
     for model, w in zip(models, weights):
         p = w / total
@@ -566,9 +567,9 @@ def aggregate_fednova(
         raise ValueError("models, weights and local_steps must align")
     if any(t < 1 for t in local_steps):
         raise ValueError("local step counts must be >= 1")
-    total = sum(weights)
+    total = left_sum(weights)
     p = [w / total for w in weights]
-    effective = sum(pi * tau for pi, tau in zip(p, local_steps))
+    effective = left_sum(pi * tau for pi, tau in zip(p, local_steps))
     acc = [np.zeros_like(a) for a in global_model.arrays()]
     for model, pi, tau in zip(models, p, local_steps):
         for slot, arr, base in zip(acc, model.arrays(), global_model.arrays()):
@@ -721,7 +722,7 @@ class SeedData:
             ids = [c.client_id for c in self.clients]
             oracle = SimilarityOracle(ids, self.dataset.num_classes)
             for c in self.clients:
-                counts = tuple(int(x) for x in c.partition.class_counts)
+                counts = tuple(c.partition.class_counts.tolist())
                 oracle.submit(ClassCountSubmission(client_id=c.client_id, counts=counts))
             self._similarity = oracle.compute_matrix()
         return self._similarity
@@ -792,7 +793,7 @@ def build_tiers(clients: Sequence[ClientState], num_tiers: int) -> list[list[int
         )
     order = sorted(clients, key=lambda c: (c.timings.full_time, c.client_id))
     ids = np.asarray([c.client_id for c in order])
-    return [[int(x) for x in part] for part in np.array_split(ids, num_tiers)]
+    return [part.tolist() for part in np.array_split(ids, num_tiers)]
 
 
 # --------------------------------------------------------------------------
@@ -1175,10 +1176,7 @@ def _draw_speed_factors(config, seed: int) -> list[float]:
     if clients.speed_factors is not None:
         return [float(f) for f in clients.speed_factors]
     rng = spawn_rng(seed, TAG_SPEEDS)
-    return [
-        float(f)
-        for f in rng.uniform(clients.speed_low, clients.speed_high, clients.count)
-    ]
+    return rng.uniform(clients.speed_low, clients.speed_high, clients.count).tolist()
 
 
 def build_state(config, strategy: Strategy, seed: int) -> ExperimentState:

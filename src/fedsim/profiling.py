@@ -17,6 +17,7 @@ ground truth exactly.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,7 +40,7 @@ class PhaseTimings:
     def __post_init__(self) -> None:
         for name in ("ff", "fc", "bc", "bf"):
             v = getattr(self, name)
-            if not np.isfinite(v) or v <= 0:
+            if not math.isfinite(v) or v <= 0:
                 raise ValueError(f"phase time {name} must be positive, got {v}")
 
     @property

@@ -30,6 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .profiling import ClientProfile
+from .seeding import left_sum
 from .similarity import HistogramDistances
 
 
@@ -53,7 +54,7 @@ def mean_completion_time(profiles: list[ClientProfile]) -> float:
     """Mean of the clients' estimated remaining completion times."""
     if not profiles:
         raise ValueError("mean_completion_time needs at least one profile")
-    return sum(p.estimated_remaining_time() for p in profiles) / len(profiles)
+    return left_sum(p.estimated_remaining_time() for p in profiles) / len(profiles)
 
 
 def split_sending_receiving(

@@ -1,9 +1,11 @@
-"""Deterministic RNG derivation.
+"""Deterministic RNG derivation and float sums.
 
 Every random draw in the simulator comes from a generator derived from the
 experiment master seed plus a purpose tag (and usually a round / client id),
 so that any output is a pure function of (config, seed) regardless of the
-order in which components consume randomness.
+order in which components consume randomness. Float sums that reach an
+output add from left to right (`left_sum`), so the bytes do not depend on
+the Python version either.
 """
 
 from __future__ import annotations
@@ -36,3 +38,15 @@ def spawn_rng(*keys: int) -> np.random.Generator:
         # each, and coerces the array about twice as fast.
         entropy = np.array(entropy, dtype=np.uint32)
     return np.random.default_rng(np.random.SeedSequence(entropy))
+
+
+def left_sum(values):
+    """Sum from left to right in plain float arithmetic.
+
+    This is `sum` up to Python 3.11; from 3.12 `sum` compensates float
+    rounding and can differ in the last bit, which would move outputs.
+    """
+    total = 0
+    for v in values:
+        total += v
+    return total

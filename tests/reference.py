@@ -1,9 +1,16 @@
 """Reference functions that only the tests use as oracles: the loss whose
-gradients the model's backward pass computes, and the distance between two
+gradients the model's backward pass computes, the distance between two
 clients' class histograms that `fedsim.similarity.HistogramDistances`
-answers for many pairs at once."""
+answers for many pairs at once, and the partitioner as first written, one
+Python pass per client, that `fedsim.data.partition` must match bit for bit."""
+
+import heapq
+import math
 
 import numpy as np
+
+from fedsim.data import MAX_CLASS_DRAW_RETRIES, ClientPartition, PartitionError
+from fedsim.seeding import TAG_PARTITION, spawn_rng
 
 # Floor applied inside log() so an exactly-zero predicted probability cannot
 # produce -inf loss.
@@ -38,3 +45,173 @@ def histogram_distance(counts_a, counts_b) -> float:
     if a.shape != b.shape:
         raise ValueError(f"histogram length mismatch: {a.shape} vs {b.shape}")
     return float(np.abs(a / a.sum() - b / b.sum()).sum())
+
+
+def largest_remainder(weights: list[float], total: int) -> list[int]:
+    """Apportion `total` units proportionally to weights, summing exactly."""
+    scale = total / _left_sum(weights)
+    raw = [w * scale for w in weights]
+    counts = [int(math.floor(r)) for r in raw]
+    short = total - sum(counts)
+    remainders = sorted(range(len(raw)), key=lambda i: (-(raw[i] - counts[i]), i))
+    for i in remainders[:short]:
+        counts[i] += 1
+    return counts
+
+
+def _left_sum(values) -> float:
+    # The float sum that `sum` computed before Python 3.12.
+    total = 0
+    for v in values:
+        total += v
+    return total
+
+
+def client_quotas(total: int, num_clients: int, sizes) -> list[int]:
+    if sizes is None or (isinstance(sizes, str) and sizes == "equal"):
+        weights = [1.0] * num_clients
+    else:
+        weights = [float(w) for w in sizes]
+        if len(weights) != num_clients:
+            raise PartitionError(
+                f"sizes list has {len(weights)} entries for {num_clients} clients"
+            )
+        if any(w <= 0 for w in weights):
+            raise PartitionError("size weights must be positive")
+    return largest_remainder(weights, total)
+
+
+def counts_from_assignment(assigned: list, labels: np.ndarray, num_classes: int):
+    partitions = []
+    for cid, idx in enumerate(assigned):
+        arr = np.sort(np.asarray(idx, dtype=np.int64))
+        counts = np.bincount(labels[arr], minlength=num_classes).astype(np.int64)
+        partitions.append(ClientPartition(cid, arr, counts))
+    return partitions
+
+
+def partition_iid(dataset, num_clients: int, quotas: list[int], rng) -> list[ClientPartition]:
+    train_labels = dataset.labels[dataset.train_indices]
+    assigned: list[list[int]] = [[] for _ in range(num_clients)]
+    weights = [float(q) for q in quotas]
+    for c in range(dataset.num_classes):
+        pool = dataset.train_indices[train_labels == c]
+        pool = rng.permutation(pool)
+        takes = largest_remainder(weights, pool.shape[0])
+        start = 0
+        for cid, take in enumerate(takes):
+            assigned[cid].extend(pool[start : start + take].tolist())
+            start += take
+    # Each empty client, in id order, takes the last sample dealt to the
+    # client holding the most (the lowest id among equals).
+    heap = [(-len(a), cid) for cid, a in enumerate(assigned) if a]
+    heapq.heapify(heap)
+    for cid in range(num_clients):
+        if not assigned[cid]:
+            neg_size, donor = heap[0]
+            assigned[cid].append(assigned[donor].pop())
+            heapq.heapreplace(heap, (neg_size + 1, donor))
+            heapq.heappush(heap, (-1, cid))
+    return counts_from_assignment(assigned, dataset.labels, dataset.num_classes)
+
+
+def deal_round_robin(pool: np.ndarray, demand: list[int]) -> list[np.ndarray]:
+    """Each member's share of the pool's first sum(demand) samples, dealt in
+    sweeps 0..demand[pos]-1 for member pos, sweep-major."""
+    owner = np.repeat(np.arange(len(demand)), demand)
+    ends = np.cumsum(demand)
+    sweep = np.arange(ends[-1]) - np.repeat(ends - demand, demand)
+    dealt = np.empty(ends[-1], dtype=pool.dtype)
+    dealt[np.lexsort((owner, sweep))] = pool[: ends[-1]]
+    bounds = [0, *ends.tolist()]
+    return [dealt[a:b] for a, b in zip(bounds, bounds[1:])]
+
+
+def partition_label_skew(dataset, num_clients: int, k: int, quotas: list[int], rng):
+    train_labels = dataset.labels[dataset.train_indices]
+    pools = {
+        c: rng.permutation(dataset.train_indices[train_labels == c])
+        for c in range(dataset.num_classes)
+    }
+    class_sizes = {c: pools[c].shape[0] for c in pools}
+
+    for attempt in range(MAX_CLASS_DRAW_RETRIES):
+        choices = [
+            np.sort(rng.choice(dataset.num_classes, size=k, replace=False))
+            for _ in range(num_clients)
+        ]
+        choosers: dict[int, list[int]] = {c: [] for c in range(dataset.num_classes)}
+        for cid, chosen in enumerate(choices):
+            for c in chosen:
+                choosers[int(c)].append(cid)
+        if all(len(choosers[c]) <= class_sizes[c] for c in choosers):
+            break
+    else:
+        raise PartitionError(
+            f"could not draw feasible class choices for {num_clients} clients with "
+            f"{k} classes each after {MAX_CLASS_DRAW_RETRIES} attempts"
+        )
+
+    targets: dict[tuple[int, int], int] = {}
+    for cid, chosen in enumerate(choices):
+        split = largest_remainder([1.0] * k, quotas[cid])
+        for c, t in zip(chosen, split):
+            targets[(cid, int(c))] = t
+
+    shares: list[list[np.ndarray]] = [[] for _ in range(num_clients)]
+    for c in range(dataset.num_classes):
+        clients = choosers[c]
+        if not clients:
+            continue
+        demand = [max(1, targets[(cid, c)]) for cid in clients]
+        available = class_sizes[c]
+        if sum(demand) > available:
+            scaled = largest_remainder([float(d) for d in demand], available)
+            demand = [max(1, s) for s in scaled]
+            while sum(demand) > available:
+                demand[int(np.argmax(demand))] -= 1
+        for cid, share in zip(clients, deal_round_robin(pools[c], demand)):
+            shares[cid].append(share)
+
+    assigned = [np.concatenate(parts) for parts in shares]
+    partitions = counts_from_assignment(assigned, dataset.labels, dataset.num_classes)
+    for part, chosen in zip(partitions, choices):
+        nonzero = np.nonzero(part.class_counts)[0]
+        if nonzero.shape[0] != k or not np.array_equal(nonzero, chosen):
+            raise PartitionError(
+                f"client {part.client_id} ended with classes {nonzero.tolist()}, "
+                f"expected {chosen.tolist()}"
+            )
+    return partitions
+
+
+def partition(dataset, num_clients, mode="iid", classes_per_client=None, sizes=None, seed=0):
+    """`fedsim.data.partition` with one Python pass per client."""
+    n_train = dataset.train_indices.shape[0]
+    if num_clients < 1:
+        raise PartitionError(f"num_clients must be >= 1, got {num_clients}")
+    if n_train < num_clients:
+        raise PartitionError(
+            f"cannot split {n_train} training samples across {num_clients} clients"
+        )
+    quotas = client_quotas(n_train, num_clients, sizes)
+    if min(quotas) < 1:
+        raise PartitionError("every client needs at least one sample; adjust sizes")
+    rng = spawn_rng(seed, TAG_PARTITION)
+
+    if mode == "iid":
+        return partition_iid(dataset, num_clients, quotas, rng)
+    if mode == "noniid":
+        if classes_per_client is None:
+            raise PartitionError("noniid mode requires classes_per_client")
+        k = int(classes_per_client)
+        if not 1 <= k <= dataset.num_classes:
+            raise PartitionError(
+                f"classes_per_client must be in [1, {dataset.num_classes}], got {k}"
+            )
+        if min(quotas) < k:
+            raise PartitionError(
+                f"smallest client quota {min(quotas)} cannot cover {k} classes"
+            )
+        return partition_label_skew(dataset, num_clients, k, quotas, rng)
+    raise PartitionError(f"unknown partition mode {mode!r}")

@@ -1,5 +1,6 @@
 """Tests for synthetic data generation and client partitioning."""
 
+import math
 from unittest import mock
 
 import numpy as np
@@ -7,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from fedsim import data as data_module
+import reference
 from fedsim.data import (
     PartitionError,
     _largest_remainder,
@@ -17,6 +18,7 @@ from fedsim.data import (
     partition,
 )
 from fedsim.seeding import TAG_PARTITION, spawn_rng
+from reference import largest_remainder
 
 
 KEYS = st.integers(0, 2**41) | st.sampled_from([0, 2**32 - 1, 2**32, 2**40])
@@ -36,6 +38,26 @@ def dataset():
     return generate_synthetic(
         num_classes=5, samples_per_class=40, input_dim=6, seed=3, noise_sigma=0.5
     )
+
+
+def same_partitions(got, want):
+    """Bitwise equality of two partitions, or of two PartitionError messages."""
+    if isinstance(want, str) or isinstance(got, str):
+        assert got == want
+        return
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert g.client_id == w.client_id
+        for a, b in ((g.sample_indices, w.sample_indices), (g.class_counts, w.class_counts)):
+            assert a.dtype == b.dtype and a.shape == b.shape
+            assert np.array_equal(a, b)
+
+
+def outcome(partitioner, *args):
+    try:
+        return partitioner(*args)
+    except PartitionError as exc:
+        return str(exc)
 
 
 class TestGenerate:
@@ -141,7 +163,7 @@ class TestIidPartition:
         for c in range(dataset.num_classes):
             pool = rng.permutation(dataset.train_indices[train_labels == c])
             start = 0
-            for cid, take in enumerate(_largest_remainder(weights, pool.shape[0])):
+            for cid, take in enumerate(largest_remainder(weights, pool.shape[0])):
                 expected[cid].extend(pool[start : start + take].tolist())
                 start += take
         parts = partition(dataset, clients, mode="iid", sizes=sizes, seed=7)
@@ -177,7 +199,7 @@ class TestIidPartition:
         for c in range(num_classes):
             pool = rng.permutation(tiny.train_indices[train_labels == c])
             start = 0
-            for cid, take in enumerate(_largest_remainder(weights, pool.shape[0])):
+            for cid, take in enumerate(largest_remainder(weights, pool.shape[0])):
                 expected[cid].extend(pool[start : start + take].tolist())
                 start += take
         for cid in range(clients):
@@ -245,9 +267,10 @@ class TestLabelSkewPartition:
     )
     @example(num_classes=4, samples_per_class=50, data=None)
     def test_deal_matches_one_sample_at_a_time(self, num_classes, samples_per_class, data):
-        # Reference: the deal as first written, one sample per client and
-        # sweep. The example is the shortage case above, where the demands
-        # are scaled down before the deal.
+        # Reference: the partitioner as first written, with the deal as first
+        # written, one sample per client and sweep. The example is the
+        # shortage case above, where the demands are scaled down before the
+        # deal.
         def one_at_a_time(pool, demand):
             shares = [[] for _ in demand]
             remaining, cursor = list(demand), 0
@@ -272,21 +295,13 @@ class TestLabelSkewPartition:
                 sizes = data.draw(st.lists(st.integers(1, 9), min_size=clients, max_size=clients))
             seed = data.draw(st.integers(0, 50))
 
-        def run():
-            try:
-                return partition(source, clients, "noniid", k, sizes, seed)
-            except PartitionError as exc:
-                return str(exc)
-
-        with mock.patch.object(data_module, "_deal_round_robin", one_at_a_time):
-            expected = run()
-        got = run()
-        if isinstance(expected, str):
-            assert got == expected
-            return
-        for part, want in zip(got, expected, strict=True):
-            assert np.array_equal(part.sample_indices, want.sample_indices)
-            assert np.array_equal(part.class_counts, want.class_counts)
+        args = (source, clients, "noniid", k, sizes, seed)
+        with mock.patch.object(
+            reference, "deal_round_robin", side_effect=one_at_a_time
+        ) as deal:
+            expected = outcome(reference.partition, *args)
+        assert isinstance(expected, str) or deal.called
+        same_partitions(outcome(partition, *args), expected)
 
     def test_requires_k(self, dataset):
         with pytest.raises(PartitionError):
@@ -295,6 +310,110 @@ class TestLabelSkewPartition:
     def test_rejects_k_above_num_classes(self, dataset):
         with pytest.raises(PartitionError):
             partition(dataset, 5, mode="noniid", classes_per_client=6)
+
+
+SIZES = st.sampled_from(["equal", "integer", "fractional"])
+
+
+def draw_sizes(data, clients):
+    kind = data.draw(SIZES)
+    if kind == "integer":
+        return data.draw(st.lists(st.integers(1, 9), min_size=clients, max_size=clients))
+    if kind == "fractional":
+        weight = st.floats(0.01, 10.0, allow_nan=False, allow_infinity=False)
+        return data.draw(st.lists(weight, min_size=clients, max_size=clients))
+    return kind
+
+
+class TestAgainstReference:
+    """The whole-array partitioner against the loops it replaced
+    (`reference.partition`), bit for bit, errors included."""
+
+    @pytest.mark.parametrize(
+        "weights, total, left_to_right",
+        [
+            # A compensated sum (Python 3.12's `sum`) gives [5, 18, 50, 82].
+            ([0.2, 0.7, 2.0, 3.3], 155, [5, 17, 50, 83]),
+            # A compensated or a pairwise sum (numpy's `sum` over 9 or more
+            # values) gives [54, 21, 5, 44, 16, 36, 40, 18, 63].
+            ([3.6, 1.4, 0.3, 2.9, 1.1, 2.4, 2.7, 1.2, 4.2], 297,
+             [54, 21, 4, 44, 16, 36, 41, 18, 63]),
+        ],
+    )
+    def test_fractional_quotas_sum_left_to_right(self, weights, total, left_to_right):
+        # Every recorded output used the left-to-right apportionment.
+        assert client_quotas(total, len(weights), weights) == left_to_right
+        assert reference.client_quotas(total, len(weights), weights) == left_to_right
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        weights=st.lists(
+            st.integers(1, 20).map(float) | st.floats(1e-3, 1e3, allow_nan=False),
+            min_size=1, max_size=30,
+        ),
+        totals=st.lists(st.integers(0, 500), min_size=1, max_size=5),
+    )
+    def test_largest_remainder_rows(self, weights, totals):
+        rows = _largest_remainder(np.asarray(weights), totals)
+        assert rows.dtype == np.int64 and rows.shape == (len(totals), len(weights))
+        for row, total in zip(rows, totals):
+            assert row.tolist() == largest_remainder(weights, total)
+        assert _largest_remainder(np.asarray(weights), totals[0]).tolist() == rows[0].tolist()
+
+    @pytest.mark.parametrize("weights", [[5e-324, 5e-324], [1.0, math.nan], [1.0, math.inf]])
+    def test_largest_remainder_errors(self, weights):
+        # A subnormal sum overflows the scale; a NaN or infinite weight
+        # leaves a NaN share. Both raise as the reference's int() does.
+        with pytest.raises((OverflowError, ValueError)) as want:
+            largest_remainder(weights, 10)
+        with pytest.raises(want.type, match=str(want.value)):
+            _largest_remainder(np.asarray(weights), 10)
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        num_classes=st.integers(2, 6),
+        samples_per_class=st.integers(1, 30),
+        data=st.data(),
+    )
+    def test_iid_matches_reference(self, num_classes, samples_per_class, data):
+        source = generate_synthetic(num_classes, samples_per_class, 2, seed=data.draw(st.integers(0, 9)))
+        n_train = source.train_indices.shape[0]
+        clients = data.draw(st.integers(1, n_train))
+        args = (source, clients, "iid", None, draw_sizes(data, clients), data.draw(st.integers(0, 50)))
+        same_partitions(outcome(partition, *args), outcome(reference.partition, *args))
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        num_classes=st.integers(2, 6),
+        samples_per_class=st.integers(1, 30),
+        data=st.data(),
+    )
+    def test_noniid_matches_reference(self, num_classes, samples_per_class, data):
+        source = generate_synthetic(num_classes, samples_per_class, 2, seed=data.draw(st.integers(0, 9)))
+        n_train = source.train_indices.shape[0]
+        k = data.draw(st.integers(1, num_classes))
+        clients = data.draw(st.integers(1, n_train))
+        args = (source, clients, "noniid", k, draw_sizes(data, clients), data.draw(st.integers(0, 50)))
+        same_partitions(outcome(partition, *args), outcome(reference.partition, *args))
+
+    def test_infeasible_class_draws_match_reference(self):
+        # Five one-sample classes among six, five clients of one class each:
+        # every draw of this seed picks some class twice or the empty one.
+        source = generate_synthetic(6, 1, 2, seed=0)
+        args = (source, 5, "noniid", 1, None, 0)
+        got = outcome(partition, *args)
+        assert got.startswith("could not draw feasible class choices")
+        assert got == outcome(reference.partition, *args)
+
+    @pytest.mark.parametrize(
+        "samples_per_class, clients, mode, k",
+        [(4000, 2000, "noniid", 3), (1000, 500, "iid", None)],
+    )
+    def test_many_clients_match_reference(self, samples_per_class, clients, mode, k):
+        for seed in (5, 6):
+            source = generate_synthetic(10, samples_per_class, 8, seed=seed)
+            args = (source, clients, mode, k, None, seed)
+            same_partitions(partition(*args), reference.partition(*args))
 
 
 class TestValidation:

@@ -1,6 +1,7 @@
 """Tests for round planning, training paths, and aggregation rules."""
 
 import dataclasses
+import math
 from collections import Counter
 
 import numpy as np
@@ -320,6 +321,31 @@ class TestAggregation:
         assert [t.duration for t in nova.traces] == [t.duration for t in avg.traces]
         assert [t.accuracy for t in nova.traces] == [t.accuracy for t in avg.traces]
         assert len({t.accuracy for t in avg.traces}) > 1
+
+    def test_fednova_sums_left_to_right(self):
+        # The weights and the p_k * tau_k terms are summed left to right, as
+        # `sum` did up to Python 3.11; a compensated sum (math.fsum, or `sum`
+        # from 3.12) gives other totals on these inputs.
+        models = self.models(11)
+        base = init_model(3, 4, 2, seed=99)
+        weights = [1.0] + [1e-16] * 10
+        steps = [3] + [7] * 10
+        total = 0.0
+        for w in weights:
+            total += w
+        p = [w / total for w in weights]
+        effective = 0.0
+        for pi, tau in zip(p, steps):
+            effective += pi * tau
+        assert math.fsum(weights) != total
+        assert math.fsum(pi * tau for pi, tau in zip(p, steps)) != effective
+        acc = [np.zeros_like(a) for a in base.arrays()]
+        for model, pi, tau in zip(models, p, steps):
+            for slot, arr, b in zip(acc, model.arrays(), base.arrays()):
+                slot += pi * (arr - b) / tau
+        merged = aggregate_fednova(base, models, weights, steps)
+        for got, b, slot in zip(merged.arrays(), base.arrays(), acc):
+            assert np.array_equal(got, b + effective * slot)
 
     def test_fednova_rejects_bad_steps(self):
         base = init_model(3, 4, 2, seed=99)
