@@ -1,28 +1,11 @@
-"""Virtual-time federated learning simulator with straggler offloading."""
+"""Virtual-time federated learning simulator with straggler offloading.
 
-from .config import (
-    ClientsConfig,
-    ConfigError,
-    DatasetConfig,
-    ExperimentConfig,
-    LatencyConfig,
-    PartitionConfig,
-    ProfileConfig,
-    TrainingConfig,
-    echo_dict,
-    load_config,
-    parse_config,
-)
-from .data import (
-    ClientPartition,
-    Dataset,
-    PartitionError,
-    generate_synthetic,
-    partition,
-)
+`__all__` is the package's API; everything else is imported from its module.
+"""
+
+from .config import ConfigError, load_config, parse_config
 from .engine import (
-    BatchCursor,
-    ClientState,
+    ClientPlan,
     DeadlineDrop,
     ExperimentResult,
     ExperimentSummary,
@@ -30,122 +13,35 @@ from .engine import (
     FedNova,
     FedProx,
     FreezeOffload,
+    RoundPlan,
     RoundTrace,
-    Strategy,
     Tifl,
-    aggregate_fedavg,
-    aggregate_fednova,
-    build_state,
-    evaluate_accuracy,
-    execute_offloaded,
-    local_train,
     run_experiment,
     run_experiments,
-    run_round,
-    select_clients,
 )
-from .model import (
-    Batch,
-    ClassifierBlock,
-    FeatureBlock,
-    Gradients,
-    PartitionedModel,
-    ShapeError,
-    backward_frozen,
-    backward_full,
-    forward,
-    init_model,
-    merge,
-    sgd_step,
-    split,
-)
-from .profiling import (
-    DEFAULT_BASE_TIMINGS,
-    ClientProfile,
-    PhaseTimings,
-    measure,
-    scale_timings,
-)
-from .scheduling import (
-    OffloadAssignment,
-    OffloadSchedule,
-    build_schedule,
-    find_offload_point,
-    mean_completion_time,
-    split_sending_receiving,
-)
-from .similarity import (
-    ClassCountSubmission,
-    HistogramDistances,
-    SimilarityOracle,
-)
+from .model import PartitionedModel
+from .scheduling import OffloadAssignment, OffloadSchedule
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "Batch",
-    "BatchCursor",
-    "ClassCountSubmission",
-    "ClassifierBlock",
-    "ClientPartition",
-    "ClientProfile",
-    "ClientState",
-    "ClientsConfig",
-    "ConfigError",
-    "Dataset",
-    "DatasetConfig",
-    "DeadlineDrop",
-    "DEFAULT_BASE_TIMINGS",
-    "ExperimentConfig",
-    "ExperimentResult",
-    "ExperimentSummary",
-    "FeatureBlock",
-    "FedAvg",
-    "FedNova",
-    "FedProx",
-    "FreezeOffload",
-    "Gradients",
-    "HistogramDistances",
-    "LatencyConfig",
-    "OffloadAssignment",
-    "OffloadSchedule",
-    "PartitionConfig",
-    "PartitionError",
-    "PartitionedModel",
-    "PhaseTimings",
-    "ProfileConfig",
-    "RoundTrace",
-    "ShapeError",
-    "SimilarityOracle",
-    "Strategy",
-    "Tifl",
-    "TrainingConfig",
-    "aggregate_fedavg",
-    "aggregate_fednova",
-    "backward_frozen",
-    "backward_full",
-    "build_schedule",
-    "build_state",
-    "echo_dict",
-    "evaluate_accuracy",
-    "execute_offloaded",
-    "find_offload_point",
-    "forward",
-    "generate_synthetic",
-    "init_model",
-    "load_config",
-    "local_train",
-    "mean_completion_time",
-    "measure",
-    "merge",
     "parse_config",
-    "partition",
+    "load_config",
+    "ConfigError",
     "run_experiment",
     "run_experiments",
-    "run_round",
-    "scale_timings",
-    "select_clients",
-    "sgd_step",
-    "split",
-    "split_sending_receiving",
+    "FedAvg",
+    "FedProx",
+    "FedNova",
+    "Tifl",
+    "DeadlineDrop",
+    "FreezeOffload",
+    "ExperimentResult",
+    "ExperimentSummary",
+    "RoundTrace",
+    "RoundPlan",
+    "ClientPlan",
+    "OffloadSchedule",
+    "OffloadAssignment",
+    "PartitionedModel",
 ]

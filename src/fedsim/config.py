@@ -311,9 +311,10 @@ def parse_config(raw: Any) -> ExperimentConfig:
         raw = {}
     if not isinstance(raw, dict):
         raise ConfigError([f"top level: expected a mapping, got {type(raw).__name__}"])
-    problems: list[str] = []
-    for key in set(raw) - _keys(ExperimentConfig):
-        problems.append(f"top level: unknown section {key!r}")
+    # Unknown sections and keys are listed in document order, so the same
+    # document gives the same message whatever the string hash seed.
+    sections = _keys(ExperimentConfig)
+    problems = [f"top level: unknown section {key!r}" for key in raw if key not in sections]
 
     def section(cls, name: str, **by_hand: Callable[[dict, list[str]], Any]):
         """Read section `name` into `cls`; `by_hand` parses the fields that
@@ -324,8 +325,8 @@ def parse_config(raw: Any) -> ExperimentConfig:
         elif not isinstance(mapping, dict):
             problems.append(f"{name}: expected a mapping, got {mapping!r}")
             mapping = {}
-        for key in set(mapping) - _keys(cls):
-            problems.append(f"{name}: unknown key {key!r}")
+        known = _keys(cls)
+        problems.extend(f"{name}: unknown key {key!r}" for key in mapping if key not in known)
         values, _ = _read(cls, mapping, name, problems)
         return cls(**values, **{k: parse(mapping, problems) for k, parse in by_hand.items()})
 

@@ -2,19 +2,83 @@
 gradients the model's backward pass computes, the distance between two
 clients' class histograms that `fedsim.similarity.HistogramDistances`
 answers for many pairs at once, and the partitioner as first written, one
-Python pass per client, that `fedsim.data.partition` must match bit for bit."""
+Python pass per client, that `fedsim.data.partition` must match bit for bit.
+Also the mapped OpenBLAS, found as `fedsim.cli` finds it, and the numeric
+environment that a model digest's failure message names."""
 
+import ctypes
 import heapq
 import math
+import os
 
 import numpy as np
 
+from fedsim import cli
 from fedsim.data import MAX_CLASS_DRAW_RETRIES, ClientPartition, PartitionError
 from fedsim.seeding import TAG_PARTITION, spawn_rng
 
 # Floor applied inside log() so an exactly-zero predicted probability cannot
 # produce -inf loss.
 LOG_EPS = 1e-12
+
+
+# What `numeric_environment()` reads on the host where the model digests in
+# tests/test_cohort.py were recorded and pass; X86_V4 is numpy's AVX-512
+# target. Another numpy build, SIMD target or OpenBLAS kernel can move a
+# model's last bits: float64 exp and log follow numpy's dispatch, matmul
+# follows the OpenBLAS kernel.
+RECORDED_ENVIRONMENT = (
+    "numpy 2.4.6, float64 exp and log on X86_V4, OpenBLAS 0.3.31.188.0 with the"
+    " SkylakeX kernel"
+)
+
+
+def mapped_openblas():
+    """(library, thread-count setter name) of the first OpenBLAS mapped into
+    this process that exports a setter `fedsim.cli` knows, found as
+    `cli._one_openblas_thread` finds it, or None."""
+    try:
+        with open(cli._MAPS, encoding="utf-8", errors="replace") as fh:
+            paths = dict.fromkeys(line.split(maxsplit=5)[-1].rstrip("\n") for line in fh)
+    except OSError:
+        return None
+    for path in paths:
+        if "openblas" in os.path.basename(path):
+            lib = ctypes.CDLL(path)
+            name = next((n for n in cli._OPENBLAS_SETTERS if hasattr(lib, n)), None)
+            if name is not None:
+                return lib, name
+    return None
+
+
+def numeric_environment() -> str:
+    """numpy's version, the SIMD target its float64 exp and log dispatch to,
+    and the version and kernel of the mapped OpenBLAS."""
+    try:
+        from numpy.lib.introspect import opt_func_info
+    except ImportError:  # numpy before 2.0
+        simd = "an unknown target"
+    else:
+        found = opt_func_info(func_name="^(exp|log)$", signature="float64")
+        simd = "/".join(sorted({t["current"] for sigs in found.values() for t in sigs.values()}))
+    blas = "no OpenBLAS found"
+    if (mapped := mapped_openblas()) is not None:
+        lib, setter = mapped
+
+        def text(getter):
+            fn = getattr(lib, setter.replace("set_num_threads", getter))
+            fn.argtypes, fn.restype = [], ctypes.c_char_p
+            return fn().decode()
+
+        blas = f"OpenBLAS {text('get_config').split()[1]} with the {text('get_corename')} kernel"
+    return f"numpy {np.__version__}, float64 exp and log on {simd}, {blas}"
+
+
+def environment_note() -> str:
+    """A model digest's failure message: where the digests hold, and this run."""
+    return (
+        f"model digests recorded under: {RECORDED_ENVIRONMENT}; this run: {numeric_environment()}"
+    )
 
 
 def cross_entropy(probs, labels, proximal=None) -> float:

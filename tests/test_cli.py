@@ -36,6 +36,8 @@ from fedsim.model import Batch, forward_logits, init_model
 from fedsim.profiling import DEFAULT_BASE_TIMINGS
 from fedsim.similarity import HistogramDistances, SimilarityOracle
 
+from reference import mapped_openblas
+
 FAST_RAW = {
     "dataset": {"num_classes": 4, "samples_per_class": 40, "input_dim": 4},
     "clients": {"count": 6, "per_round": 2},
@@ -58,22 +60,14 @@ def write_yaml(path, doc):
 def openblas():
     """(get_num_threads, set_num_threads) of the first OpenBLAS mapped into
     this process that exports a setter `cli` knows, or None."""
-    try:
-        with open("/proc/self/maps", encoding="utf-8", errors="replace") as fh:
-            paths = dict.fromkeys(line.split(maxsplit=5)[-1].rstrip("\n") for line in fh)
-    except OSError:
+    mapped = mapped_openblas()
+    if mapped is None:
         return None
-    for path in paths:
-        if "openblas" in os.path.basename(path):
-            lib = ctypes.CDLL(path)
-            for name in cli._OPENBLAS_SETTERS:
-                if hasattr(lib, name):
-                    get = getattr(lib, name.replace("_set_", "_get_"))
-                    get.argtypes, get.restype = [], ctypes.c_int
-                    set_ = getattr(lib, name)
-                    set_.argtypes, set_.restype = [ctypes.c_int], None
-                    return get, set_
-    return None
+    lib, name = mapped
+    get, set_ = getattr(lib, name.replace("_set_", "_get_")), getattr(lib, name)
+    get.argtypes, get.restype = [], ctypes.c_int
+    set_.argtypes, set_.restype = [ctypes.c_int], None
+    return get, set_
 
 
 def threads_after_limit():
@@ -535,6 +529,33 @@ class TestRunCommand:
         code, _ = self.run_cli(tmp_path, raw)
         assert code == 1
         assert "invalid configuration" in capsys.readouterr().err
+
+    def test_unknown_names_listed_in_document_order(self, tmp_path):
+        # In child processes with two string hash seeds: iterating a set of
+        # the keys would list them in a different order under each.
+        path = tmp_path / "exp.yaml"
+        path.write_text("aa: 1\nbb: 2\ncc: 3\nclients: {zz: 1, yy: 2, count: 8}\n",
+                        encoding="utf-8")
+        src = os.path.dirname(os.path.dirname(fedsim.__file__))
+        errs = []
+        for hash_seed in ("0", "1"):
+            done = subprocess.run(
+                [sys.executable, "-m", "fedsim.cli", "run", "--workers", "1",
+                 "--config", str(path), "--out", str(tmp_path / "out")],
+                env=dict(os.environ, PYTHONPATH=src, PYTHONHASHSEED=hash_seed),
+                capture_output=True, text=True, timeout=300,
+            )
+            assert done.returncode == 1, done.stderr
+            errs.append(done.stderr)
+        assert errs[0] == errs[1]
+        assert errs[0] == (
+            "error: invalid configuration:\n"
+            "  - top level: unknown section 'aa'\n"
+            "  - top level: unknown section 'bb'\n"
+            "  - top level: unknown section 'cc'\n"
+            "  - clients: unknown key 'zz'\n"
+            "  - clients: unknown key 'yy'\n"
+        )
 
     @pytest.mark.parametrize(
         "raw",

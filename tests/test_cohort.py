@@ -3,7 +3,9 @@
 The golden digests below were recorded before rounds were split into a
 timing-only plan and a stacked executor; they pin traces and final models of
 a small config under every strategy, so any change to the arithmetic or the
-order of a round's steps shows up as a digest mismatch.
+order of a round's steps shows up as a digest mismatch. Model bytes hold for
+one numpy build, SIMD target and OpenBLAS kernel, so a mismatch's message
+names the environment the digests were recorded in and the one it ran in.
 """
 
 import dataclasses
@@ -53,6 +55,8 @@ from fedsim.model import (
     split,
 )
 from fedsim.seeding import TAG_BATCHES, spawn_rng
+
+from reference import environment_note
 
 
 def small_config(latency=None, **training):
@@ -180,18 +184,20 @@ STRATEGIES = [
 
 @pytest.mark.parametrize("strategy", STRATEGIES, ids=lambda s: s.label)
 def test_golden_digest(strategy):
-    assert run_digest(small_config(), strategy, seed=3) == GOLDEN[strategy.label]
+    digest = run_digest(small_config(), strategy, seed=3)
+    assert digest == GOLDEN[strategy.label], environment_note()
 
 
 @pytest.mark.parametrize("dispatch", sorted(GOLDEN_LATENCY))
 def test_golden_digest_freeze_offload_with_latency(dispatch):
     config = small_config(latency={"dispatch": dispatch, "transfer": 2.0}, local_updates=12)
     strategy = FreezeOffload(profile_batches=2, profile_noise_sigma=0.2)
-    assert run_digest(config, strategy, seed=4) == GOLDEN_LATENCY[dispatch]
+    assert run_digest(config, strategy, seed=4) == GOLDEN_LATENCY[dispatch], environment_note()
 
 
 def test_golden_digest_freeze_offload_cohort_of_40():
-    assert run_digest(cohort_40_config(), COHORT_40_STRATEGY, seed=6) == GOLDEN_COHORT_40
+    digest = run_digest(cohort_40_config(), COHORT_40_STRATEGY, seed=6)
+    assert digest == GOLDEN_COHORT_40, environment_note()
 
 
 # --------------------------------------------------------------------------
@@ -246,7 +252,7 @@ def test_lockstep_lanes_match_each_lane_alone(monkeypatch):
     for (strategy, seed), result in zip(tasks, results):
         if seed == 3 and strategy.label in GOLDEN:
             digest = trace_digest(result.traces, result.final_model)
-            assert digest == GOLDEN[strategy.label]
+            assert digest == GOLDEN[strategy.label], environment_note()
     deadline = [r for (s, _), r in zip(tasks, results) if isinstance(s, DeadlineDrop)]
     assert all(any(t.dropped for t in r.traces) for r in deadline)
 
@@ -263,7 +269,7 @@ def test_lockstep_ragged_freeze_offload_lanes_match_each_lane_alone(monkeypatch)
     assert all(lanes == {0, 1, 2} and len(steps) >= 3 for lanes, steps in calls)
     monkeypatch.undo()
     digest = trace_digest(results[0].traces, results[0].final_model)
-    assert digest == GOLDEN_COHORT_40
+    assert digest == GOLDEN_COHORT_40, environment_note()
     assert_lanes_match_alone(config, tasks, results)
 
 
@@ -814,7 +820,8 @@ def test_deadline_round_never_trains_dropped_clients(monkeypatch):
         drops += len(trace.dropped)
     assert drops > 0
     # Skipping the dropped clients changes no output.
-    assert run_digest(config, DeadlineDrop(multiplier=1.0), seed=3) == GOLDEN["deadline_m1"]
+    digest = run_digest(config, DeadlineDrop(multiplier=1.0), seed=3)
+    assert digest == GOLDEN["deadline_m1"], environment_note()
 
 
 def test_phase_gathers_serve_each_stream_in_phase_order(monkeypatch):
