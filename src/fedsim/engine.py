@@ -29,7 +29,7 @@ A round runs in two passes.
   the receiver's batches. So at each step the rows that run, the rows that
   move the feature block and the rows that move the classifier are each
   one range of the stack, and one `local_train` call trains the round. The
-  call trains a copy of the stack in place, in one `model.Workspace` that
+  call trains a copy of the stack in place, in a `model.Workspace` that
   holds every per-step intermediate, so a step allocates no array the size
   of the stack's activations, only a value per sample for the one-hot
   labels and the finite check's masks; the untouched stack is FedProx's
@@ -40,6 +40,13 @@ A round runs in two passes.
   comes out bitwise equal to training alone, a weak client as its full,
   classifier-only and donated steps one after another. A round's
   `RoundTrace` is its plan plus its accuracy.
+* The round's memory is kept from round to round in a `model.Arena`, made
+  at the first round: the gathered batches, the start stack and its
+  trained copy, each laid out as one flat block, and the workspace. So a
+  warm round maps no new pages, and a step in which every row moves both
+  blocks moves the whole parameter block in one pass. Evaluation runs in
+  the gathered batches' array, which the round no longer reads once it is
+  trained. What a round hands out, its global model, is never the arena's.
 
 `run_experiments` runs several experiments, each a (strategy, seed) *lane*
 with its own model and clock on its seed's shared data (`SeedData`, built
@@ -49,7 +56,8 @@ all lanes train as one stack per FedProx mu, each row pulled toward its own
 lane's global model, and each lane aggregates and evaluates on its own. A
 row of a stack trains as its lane alone would, so each lane's traces and
 models are bitwise those of running it alone; `run_experiment` and
-`run_round` are the one-lane case.
+`run_round` are the one-lane case. A run keeps one arena, with one part per
+FedProx-mu stack; `run_round` keeps one on the lane's `ExperimentState`.
 
 Each strategy is a `Strategy` subclass below; its docstring says what it does
 in a round. Planning calls its methods; training and aggregation read it
@@ -67,6 +75,7 @@ import numpy as np
 from .data import ClientPartition, Dataset, PartitionError, generate_synthetic, partition
 from .errors import ConfigError, out_of_memory_as_config_error
 from .model import (
+    Arena,
     Batch,
     ClassifierBlock,
     DivergenceError,
@@ -77,7 +86,10 @@ from .model import (
     forward_logits,
     init_model,
     merge,
+    on_block,
+    scratch,
     sgd_step_in_place,
+    softmax,
     split,
 )
 
@@ -383,6 +395,11 @@ class BatchCursor:
         return Batch(inputs=self._inputs[idx], labels=self._labels[idx])
 
 
+# The arena array that holds a round's gathered inputs while the round
+# trains, and the evaluation's forward pass once it is trained.
+_BATCHES = "inputs"
+
+
 class CohortCursor:
     """Stacked batches of a cohort that trains in lockstep, and the rows that join it.
 
@@ -390,11 +407,13 @@ class CohortCursor:
     per step it runs, with the rows in order of step count. Every row runs
     until the last step, so a row with fewer steps joins the stack later,
     and the rows that run a step are a suffix of the stack. On construction
-    the indices are gathered from the shared data arrays in one go,
-    step-major, so that each step is one contiguous block. `next_batch` then
-    serves one step at a time as a Batch of shape (k, batch_size, input_dim)
-    for the k rows that run it, as a view, whose row i is what that row's
-    own cursor serves at that step.
+    the indices are checked to lie in the data and gathered from the shared
+    data arrays, one `take` for the inputs and one for the labels,
+    step-major, so that each step is one contiguous block: into new arrays,
+    or into `arena`'s, which the cursor then holds until the arena's next
+    use. `next_batch` then serves one step at a time as a Batch of shape
+    (k, batch_size, input_dim) for the k rows that run it, as a view, whose
+    row i is what that row's own cursor serves at that step.
 
     The first d = `donated` rows of the stack, the donated rows, pair with
     the last d, the weak rows, in order. Donated row i joins at its handoff
@@ -409,7 +428,12 @@ class CohortCursor:
     """
 
     def __init__(
-        self, inputs: np.ndarray, labels: np.ndarray, blocks: list[np.ndarray], donated: int = 0
+        self,
+        inputs: np.ndarray,
+        labels: np.ndarray,
+        blocks: list[np.ndarray],
+        donated: int = 0,
+        arena: Arena | None = None,
     ) -> None:
         steps = [b.shape[0] for b in blocks]
         if steps != sorted(steps):
@@ -424,12 +448,23 @@ class CohortCursor:
                 "each handoff needs a donated row at the front of the stack and a weak"
                 " row at the back, and every other row runs every step"
             )
-        idx = np.zeros((last, rows, size), dtype=np.int64)
+        samples = np.concatenate(blocks)
+        # `take` into a given array in its default mode first gathers into a
+        # buffer of its own; in `clip` mode it writes in place but clamps an
+        # index out of range, so the indices are checked here.
+        low, high = (samples.min(), samples.max()) if samples.size else (0, 0)
+        if low < 0 or high >= labels.shape[0]:
+            bad = low if low < 0 else high
+            raise IndexError(f"sample index {bad} is out of bounds for {labels.shape[0]} samples")
+        idx = scratch(arena, "index", (last, rows, size), np.int64)
         # Steps before a row joins read sample 0 and are never served.
+        idx.fill(0)
         running = np.arange(last) >= np.asarray(joins)[:, None]
-        idx.swapaxes(0, 1)[running] = np.concatenate(blocks)
-        self._inputs = inputs.take(idx, axis=0)
-        self._labels = labels.take(idx)
+        idx.swapaxes(0, 1)[running] = samples
+        gathered = scratch(arena, _BATCHES, idx.shape + inputs.shape[1:], inputs.dtype)
+        self._inputs = inputs.take(idx, axis=0, out=gathered, mode="clip")
+        gathered = scratch(arena, "labels", idx.shape, labels.dtype)
+        self._labels = labels.take(idx, out=gathered, mode="clip")
         self.batch_size = size
         self._first = np.searchsorted(steps, last - np.arange(last)).tolist()
         self._step = 0
@@ -479,11 +514,14 @@ def local_train(
     learning_rate: float,
     prox_mu: float = 0.0,
     anchor: PartitionedModel | None = None,
+    arena: Arena | None = None,
 ) -> PartitionedModel:
     """Run `updates` lockstep SGD steps of a stack and return the new stack.
 
     The stack passed in is left as it is: the steps train a copy of it in
-    place, in one `Workspace` for the call. Every step takes the cursor's
+    place, laid out as one block, in one `Workspace` for the call. The copy
+    and the workspace are new arrays, or `arena`'s: the stack returned is
+    then the arena's until its next use. Every step takes the cursor's
     `mode`, the pair that says which rows move which block, and moves the
     rows that run it, a suffix of the stack, so one call trains a whole
     round and each row comes out trained on its own steps only; before each
@@ -493,8 +531,8 @@ def local_train(
     """
     if updates < 0:
         raise ValueError(f"updates must be >= 0, got {updates}")
-    model = model.copy()
-    workspace = Workspace(model, cursor.batch_size)
+    model = model.copy(None if arena is None else arena.get("trained", (model.size,)))
+    workspace = Workspace(model, cursor.batch_size, arena)
     mode = cursor.mode
     for _ in range(updates):
         cursor.join(model)
@@ -582,8 +620,13 @@ def aggregate_fednova(
     )
 
 
-def evaluate_accuracy(model: PartitionedModel, dataset: Dataset) -> float:
+def evaluate_accuracy(
+    model: PartitionedModel, dataset: Dataset, arena: Arena | None = None
+) -> float:
     """Share of correctly classified held-out samples.
+
+    The forward pass runs in new arrays, or in `arena`'s array of a round's
+    gathered batches, which a round no longer reads once it is trained.
 
     A sample's prediction is the arg-max of its class probabilities from
     `forward`, the first index on a tie. Most of the time it is read off the
@@ -596,10 +639,15 @@ def evaluate_accuracy(model: PartitionedModel, dataset: Dataset) -> float:
     gap is some 1e9 ulps wide. The probabilities' arg-max is then the logits'
     unique arg-max, and a row's label hits it iff its logit equals m. If any
     row misses the lead (a tie, a lead inside the margin, a NaN or an
-    infinite max), every row takes the softmax path.
+    infinite max), every row takes the softmax path, in place on the logits.
     """
     batch = Batch(*dataset.test_rows)
-    _, logits = forward_logits(model, batch)
+    out = None
+    if arena is not None:
+        rows, hidden = batch.labels.shape[0], model.hidden_dim
+        flat = arena.get(_BATCHES, (rows * (hidden + model.num_classes),))
+        out = flat[: rows * hidden].reshape(rows, hidden), flat[rows * hidden :].reshape(rows, -1)
+    _, logits = forward_logits(model, batch, out)
     # The row max, exact, as an elementwise chain over the few classes.
     top = logits[:, 0].copy()
     for c in range(1, logits.shape[1]):
@@ -615,8 +663,7 @@ def evaluate_accuracy(model: PartitionedModel, dataset: Dataset) -> float:
     if exact:
         hits = logits[np.arange(top.shape[0]), batch.labels] == top
     else:
-        _, probs = forward(model, batch)
-        hits = np.argmax(probs, axis=1) == batch.labels
+        hits = np.argmax(softmax(logits), axis=1) == batch.labels
     return float(np.mean(hits))
 
 
@@ -735,13 +782,18 @@ class SeedData:
 
 @dataclass
 class ExperimentState:
-    """One lane: a global model that training moves, a clock that `plan_round` moves."""
+    """One lane: a global model that training moves, a clock that `plan_round` moves.
+
+    `arena` holds the buffers `run_round` trains and evaluates the lane's
+    rounds in, made at its first round and kept for the next.
+    """
 
     config: Any
     strategy: Strategy
     shared: SeedData
     global_model: PartitionedModel
     clock: float = 0.0
+    arena: Arena | None = field(default=None, repr=False)
 
     @property
     def seed(self) -> int:
@@ -920,9 +972,15 @@ def plan_round(state: ExperimentState, round_index: int) -> RoundPlan:
 # --------------------------------------------------------------------------
 
 
-def _stack(models: list[PartitionedModel]) -> PartitionedModel:
-    arrays = [np.stack(parts) for parts in zip(*(m.arrays() for m in models))]
-    return PartitionedModel(*arrays, num_classes=models[0].num_classes)
+def _stack(models: list[PartitionedModel], arena: Arena | None = None) -> PartitionedModel:
+    """The models as one stack, laid out as one block: `arena`'s, or a new array."""
+    first = models[0]
+    shapes = [(len(models), *a.shape) for a in first.arrays()]
+    block = scratch(arena, "start", (len(models) * first.size,))
+    stack = on_block(block, shapes, first.num_classes)
+    for out, parts in zip(stack.arrays(), zip(*(m.arrays() for m in models))):
+        np.stack(parts, out=out)
+    return stack
 
 
 def _rows(model: PartitionedModel, rows: int | slice) -> PartitionedModel:
@@ -937,6 +995,7 @@ def _lockstep(
     data: _LaneData,
     learning_rate: float,
     prox_mu: float = 0.0,
+    arena: Arena | None = None,
 ) -> dict[Any, PartitionedModel]:
     """Train a round of kept clients stacked, in lockstep; return their models.
 
@@ -954,15 +1013,17 @@ def _lockstep(
     `local_train` call trains the round. A weak member's model joins its
     donated row's feature block to its own row's classifier, both as views.
     The FedProx anchor is the start stack, which training leaves as it is.
+    The batches, the start stack, the trained stack and the workspace are
+    new arrays, or `arena`'s, and so are the models returned.
     """
     if not own:
         return {}
     weak = sorted(donated, key=lambda m: len(donated[m]))
     full = [m for m in own if m not in donated]
     blocks = [donated[m] for m in weak] + [own[m] for m in full + weak]
-    cursor = CohortCursor(data.inputs, data.labels, blocks, len(weak))
-    model = _stack([start[m] for m in weak + full + weak])
-    model = local_train(model, cursor, len(blocks[-1]), learning_rate, prox_mu, model)
+    cursor = CohortCursor(data.inputs, data.labels, blocks, len(weak), arena)
+    model = _stack([start[m] for m in weak + full + weak], arena)
+    model = local_train(model, cursor, len(blocks[-1]), learning_rate, prox_mu, model, arena)
     d, rows = len(weak), len(blocks)
     if d:
         # perfbench/run.py reports `engine.execute_offloaded.steps`, a count
@@ -1052,7 +1113,10 @@ class _LaneData:
 
 
 def _train_lanes(
-    states: list[ExperimentState], plans: list[RoundPlan], data: _LaneData
+    states: list[ExperimentState],
+    plans: list[RoundPlan],
+    data: _LaneData,
+    arena: Arena | None = None,
 ) -> list[dict[int, PartitionedModel]]:
     """Run every lane's plan stacked; return each lane's kept clients' models.
 
@@ -1062,7 +1126,9 @@ def _train_lanes(
     start model: every kept client runs exactly `local_updates` steps of its
     own, full and then classifier-only, and each donated block runs the weak
     client's classifier-only steps, so all of them end together. A plan
-    that breaks this raises ValueError.
+    that breaks this raises ValueError. The i-th stack trains in `arena`'s
+    i-th part, if there is an arena, so the models of one stack outlive
+    the training of the next.
     """
     lr = states[0].config.training.learning_rate
     updates = states[0].config.training.local_updates
@@ -1088,8 +1154,9 @@ def _train_lanes(
                 rows = donated_blocks[p.client_id]
                 donated[m] = rows + base if base else rows
     trained: dict[tuple[int, int], PartitionedModel] = {}
-    for prox_mu, (start, own, donated) in stacks.items():
-        trained.update(_lockstep(start, own, donated, data, lr, prox_mu))
+    for i, (prox_mu, (start, own, donated)) in enumerate(stacks.items()):
+        part = None if arena is None else arena.part(i)
+        trained.update(_lockstep(start, own, donated, data, lr, prox_mu, part))
     lanes: list[dict[int, PartitionedModel]] = [{} for _ in states]
     for (lane, cid), model in trained.items():
         lanes[lane][cid] = model
@@ -1097,12 +1164,17 @@ def _train_lanes(
 
 
 def _finish_round(
-    state: ExperimentState, plan: RoundPlan, trained: dict[int, PartitionedModel]
+    state: ExperimentState,
+    plan: RoundPlan,
+    trained: dict[int, PartitionedModel],
+    arena: Arena,
 ) -> RoundTrace:
     """Aggregate and evaluate a lane's round; its trace is the plan plus the accuracy.
 
     The weights are the kept clients' sample counts; FedNova's normalized
-    averaging also reads the steps each ran on its own model.
+    averaging also reads the steps each ran on its own model. The
+    evaluation runs in `arena`'s gathered batches, which no lane reads
+    once the round is trained.
     """
     included = [p for p in plan.clients if not p.dropped]
     if included:
@@ -1113,13 +1185,15 @@ def _finish_round(
             state.global_model = aggregate_fednova(state.global_model, models, weights, steps)
         else:
             state.global_model = aggregate_fedavg(models, weights)
-    return RoundTrace(**vars(plan), accuracy=evaluate_accuracy(state.global_model, state.dataset))
+    accuracy = evaluate_accuracy(state.global_model, state.dataset, arena)
+    return RoundTrace(**vars(plan), accuracy=accuracy)
 
 
 def _run_lanes(
-    states: list[ExperimentState], plans: list[RoundPlan], data: _LaneData
+    states: list[ExperimentState], plans: list[RoundPlan], data: _LaneData, arena: Arena
 ) -> list[RoundTrace]:
-    """Train one round of every lane from its plan, stacked; aggregate and evaluate each."""
+    """Train one round of every lane from its plan, stacked, in `arena` (see
+    `_train_lanes`); aggregate and evaluate each."""
     training, dataset = states[0].config.training, states[0].config.dataset
     params = sum(a.size for a in states[0].global_model.arrays())
     # A row per kept client and per donated block, each with four models (start,
@@ -1137,13 +1211,13 @@ def _run_lanes(
             f" parameters and {training.local_updates} batches of {training.batch_size} samples",
             8 * rows * (4 * params + training.batch_size * per_sample),
         ):
-            trained = _train_lanes(states, plans, data)
+            trained = _train_lanes(states, plans, data, arena)
     except DivergenceError as exc:
         # Whether training diverges depends on the seed's data and draws.
         state, exc = _first_diverged(states, plans, exc)
         problem = f"training: diverged in round {plans[0].round_index} (seed {state.seed}): {exc}"
         raise ConfigError([problem]) from exc
-    return [_finish_round(*lane) for lane in zip(states, plans, trained)]
+    return [_finish_round(*lane, arena.part(0)) for lane in zip(states, plans, trained)]
 
 
 def _first_diverged(
@@ -1162,8 +1236,15 @@ def _first_diverged(
 
 
 def run_round(state: ExperimentState, round_index: int) -> RoundTrace:
-    """Plan one round under the state's strategy (moving its clock), then train it."""
-    return _run_lanes([state], [plan_round(state, round_index)], _LaneData.of([state]))[0]
+    """Plan one round under the state's strategy (moving its clock), then train it
+    in the state's arena, which the config's last round lets go."""
+    if state.arena is None:
+        state.arena = Arena()
+    plan = plan_round(state, round_index)
+    trace = _run_lanes([state], [plan], _LaneData.of([state]), state.arena)[0]
+    if round_index + 1 >= state.config.training.rounds:
+        state.arena = None
+    return trace
 
 
 # --------------------------------------------------------------------------
@@ -1207,7 +1288,8 @@ def run_experiments(config, tasks: list[tuple[Strategy, int]]) -> list[Experimen
     (round-major, lanes in order), then round r of all lanes trains
     together, one stack per FedProx mu (see `_train_lanes`); each lane's results
     are bitwise those of running it alone. Every lane's state and plans are
-    held for the whole run.
+    held for the whole run, and so is one arena that every round trains
+    and evaluates in.
     """
     seeds: dict[int, SeedData] = {}
     states = []
@@ -1216,10 +1298,10 @@ def run_experiments(config, tasks: list[tuple[Strategy, int]]) -> list[Experimen
             seeds[seed] = SeedData.build(config, seed)
         states.append(_lane_state(config, strategy, seeds[seed]))
     plans = [[plan_round(state, r) for state in states] for r in range(config.training.rounds)]
-    data = _LaneData.of(states)
+    data, arena = _LaneData.of(states), Arena()
     traces: list[list[RoundTrace]] = [[] for _ in states]
     for round_plans in plans:
-        for lane, trace in zip(traces, _run_lanes(states, round_plans, data)):
+        for lane, trace in zip(traces, _run_lanes(states, round_plans, data, arena)):
             lane.append(trace)
     return [_result(state, lane) for state, lane in zip(states, traces)]
 

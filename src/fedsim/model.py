@@ -17,10 +17,14 @@ order as in the unstacked case.
 `forward`, `backward_full`, `backward_frozen` and `sgd_step` allocate their
 results and are the reference. Training runs `sgd_step_in_place` instead,
 on a stack only, so a model trains alone as a stack of one: a `Workspace`
-preallocates every intermediate of a step for the whole stack of a lockstep
-call, and each step writes into it with `out=` and updates the parameters
-in place, with the same ufuncs on the same operands in the same order, so
-the bytes are those of the reference. The layouts differ
+holds every intermediate of a step for the whole stack of a lockstep call,
+in new arrays or in an `Arena`'s, which keeps them for the next call, and
+each step writes into it with `out=` and updates the parameters in place,
+with the same ufuncs on the same operands in the same order, so the bytes
+are those of the reference. A stack whose four arrays are views of one flat
+block (`on_block`, `PartitionedModel.copy`) moves that block in one pass
+where every row moves both blocks: elementwise, each entry meets the same
+operands in the same ufuncs either way. The layouts differ
 where that saves numpy a small loop per sample: the activations, their
 gradient and the logits are kept samples first, (batch, k, features), so
 that adding a bias and summing over the samples run over whole rows, and
@@ -42,7 +46,10 @@ All arithmetic is float64.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import errno
+import math
+import mmap
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -101,13 +108,21 @@ class ClassifierBlock:
 
 @dataclass
 class PartitionedModel:
-    """Dense two-block classifier parameters."""
+    """Dense two-block classifier parameters.
+
+    `block`, where it is set, is the flat array whose consecutive views the
+    four arrays are, in order (see `on_block`); a step that moves every
+    parameter of such a stack moves the block in one pass. Only `on_block`
+    sets it: a model built from arrays, by `dataclasses.replace`, `pickle`
+    or `copy` has none, since its arrays need not be views of one block.
+    """
 
     feature_weights: np.ndarray
     feature_bias: np.ndarray
     classifier_weights: np.ndarray
     classifier_bias: np.ndarray
     num_classes: int
+    block: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def input_dim(self) -> int:
@@ -117,6 +132,11 @@ class PartitionedModel:
     def hidden_dim(self) -> int:
         return self.feature_weights.shape[-1]
 
+    @property
+    def size(self) -> int:
+        """The number of parameters, over every row of a stack."""
+        return sum(a.size for a in self.arrays())
+
     def arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         return (
             self.feature_weights,
@@ -125,14 +145,73 @@ class PartitionedModel:
             self.classifier_bias,
         )
 
-    def copy(self) -> "PartitionedModel":
-        return PartitionedModel(
-            self.feature_weights.copy(),
-            self.feature_bias.copy(),
-            self.classifier_weights.copy(),
-            self.classifier_bias.copy(),
-            self.num_classes,
-        )
+    def __getstate__(self) -> dict:
+        return {**vars(self), "block": None}
+
+    def copy(self, into: np.ndarray | None = None) -> "PartitionedModel":
+        """A copy laid out as one block: the start of the flat `into`, or a new array."""
+        arrays = self.arrays()
+        block = np.empty(self.size) if into is None else into[: self.size]
+        copy = on_block(block, [a.shape for a in arrays], self.num_classes)
+        for out, a in zip(copy.arrays(), arrays):
+            np.copyto(out, a)
+        return copy
+
+
+def on_block(block: np.ndarray, shapes, num_classes: int) -> PartitionedModel:
+    """A model whose four arrays, of `shapes`, are consecutive views of the
+    start of the flat array `block`, which holds no other value."""
+    views, pos = [], 0
+    for shape in shapes:
+        size = math.prod(shape)
+        views.append(block[pos : pos + size].reshape(shape))
+        pos += size
+    model = PartitionedModel(*views, num_classes=num_classes)
+    model.block = block[:pos]
+    return model
+
+
+class Arena:
+    """Named flat arrays kept from one use to the next.
+
+    `get` returns a view of the given shape over the start of the array of
+    that name, made anew when it is too small and never shrunk, so what one
+    use leaves there the next overwrites. Whatever is built on an arena's
+    arrays is the arena's until its next use. Each array is mapped on pages
+    of its own, twice the size asked for: a page counts in memory only once
+    written, so the unused half costs none, and the pages go back to the
+    system as soon as no array uses them, leaving no hole in the heap.
+    """
+
+    def __init__(self) -> None:
+        self._arrays: dict = {}
+
+    def get(self, name, shape, dtype=np.float64) -> np.ndarray:
+        size = math.prod(shape)
+        array = self._arrays.get(name)
+        if array is None or array.size < size:
+            self._arrays.pop(name, None)
+            dtype = np.dtype(dtype)
+            try:
+                pages = mmap.mmap(-1, 2 * size * dtype.itemsize or 1)
+            except OSError as exc:
+                if exc.errno != errno.ENOMEM:
+                    raise
+                raise MemoryError(f"cannot map {2 * size} x {dtype} for {name!r}") from exc
+            array = self._arrays[name] = np.frombuffer(pages, dtype, 2 * size)
+        return array[:size].reshape(shape)
+
+    def part(self, name) -> Arena:
+        """The arena kept under `name`, made on first use."""
+        part = self._arrays.get(name)
+        if part is None:
+            part = self._arrays[name] = Arena()
+        return part
+
+
+def scratch(arena: Arena | None, name, shape, dtype=np.float64) -> np.ndarray:
+    """`arena`'s array `name` as `shape` (see `Arena.get`), or a new array."""
+    return np.empty(shape, dtype) if arena is None else arena.get(name, shape, dtype)
 
 
 @dataclass
@@ -180,29 +259,40 @@ def _check_batch(model: PartitionedModel, batch: Batch) -> None:
         )
 
 
-def forward_logits(model: PartitionedModel, batch: Batch) -> tuple[np.ndarray, np.ndarray]:
+def forward_logits(
+    model: PartitionedModel, batch: Batch, out: tuple[np.ndarray, np.ndarray] | None = None
+) -> tuple[np.ndarray, np.ndarray]:
     """Run the network up to the softmax: (hidden activations, logits).
 
     `forward` takes its logits from here, so anything read off these is
     bitwise what `forward` computes. The in-place adds and tanh are the
-    same ufuncs on the same operands as their allocating forms.
+    same ufuncs on the same operands as their allocating forms, and so are
+    the products into `out`, a pair of C-contiguous arrays of the results'
+    shapes, when it is given.
     """
     _check_batch(model, batch)
-    hidden = batch.inputs @ model.feature_weights
+    hidden, logits = (None, None) if out is None else out
+    hidden = np.matmul(batch.inputs, model.feature_weights, out=hidden)
     hidden += model.feature_bias[..., None, :]
     np.tanh(hidden, out=hidden)
-    logits = hidden @ model.classifier_weights
+    logits = np.matmul(hidden, model.classifier_weights, out=logits)
     logits += model.classifier_bias[..., None, :]
     return hidden, logits
+
+
+def softmax(logits: np.ndarray) -> np.ndarray:
+    """Turn C-contiguous logits into class probabilities over the last axis,
+    in place, and return them."""
+    np.subtract(logits, logits.max(axis=-1, keepdims=True), out=logits)
+    np.exp(logits, out=logits)
+    np.divide(logits, logits.sum(axis=-1, keepdims=True), out=logits)
+    return logits
 
 
 def forward(model: PartitionedModel, batch: Batch) -> tuple[np.ndarray, np.ndarray]:
     """Run the network and return (hidden activations, class probabilities)."""
     hidden, logits = forward_logits(model, batch)
-    shifted = logits - logits.max(axis=-1, keepdims=True)
-    exp = np.exp(shifted)
-    probs = exp / exp.sum(axis=-1, keepdims=True)
-    return hidden, probs
+    return hidden, softmax(logits)
 
 
 def _classifier_grads(
@@ -263,41 +353,52 @@ def sgd_step(model: PartitionedModel, grads: Gradients, lr: float) -> Partitione
 
 
 class Workspace:
-    """Preallocated buffers for in-place SGD steps of one stack.
+    """Buffers for in-place SGD steps of one stack.
 
     A lockstep call makes one workspace and runs every step in it: the
     hidden activations and their gradient, the logits (which end as their
     gradient), a class-major copy of the logits in which the softmax runs,
     one value and one index per sample, the four gradient arrays and the
-    proximal differences, all sized for the whole stack. Row i of the stack
-    is row i of the gradient arrays and the differences; the other buffers
+    proximal differences, all sized for the whole stack. The gradient
+    arrays are consecutive views of one flat block, laid out as `on_block`
+    lays out a stack, and so are the differences. Row i of the stack is
+    row i of the gradient arrays and the differences; the other buffers
     serve the running rows of a step from their start. A step on a batch of
     k rows runs the last k rows of the stack and moves each block on a
     range of those (see `sgd_step_in_place`); the views of each such layout
-    are made once and kept. A model without exactly one leading axis raises
-    ShapeError.
+    are made once and kept. The buffers are new arrays, or views of
+    `arena`'s, which the workspace then holds until the arena's next use. A
+    model without exactly one leading axis raises ShapeError.
     """
 
-    def __init__(self, model: PartitionedModel, batch_size: int) -> None:
+    def __init__(
+        self, model: PartitionedModel, batch_size: int, arena: Arena | None = None
+    ) -> None:
         lead = model.feature_weights.shape[:-2]
         if len(lead) != 1:
             raise ShapeError(f"a workspace serves one stack, got leading axes {lead}")
         self.stack = lead[0]
         samples = self.stack * batch_size
         self.batch_size = batch_size
-        shapes = [a.shape for a in model.arrays()]
+        shapes, params = [a.shape for a in model.arrays()], model.size
+
+        def empty(name, size, dtype=np.float64):
+            return scratch(arena, name, (size,), dtype)
+
+        places = empty("places", samples, np.intp)
+        np.copyto(places, np.arange(samples))
         self._buffers = (
             # Samples first, (batch, k, features) for a step on k rows.
-            np.empty(samples * model.hidden_dim),  # hidden
-            np.empty(samples * model.hidden_dim),  # dhidden
-            np.empty(samples * model.num_classes),  # logits
+            empty("hidden", samples * model.hidden_dim),
+            empty("dhidden", samples * model.hidden_dim),
+            empty("logits", samples * model.num_classes),
             # The class-major block, (classes, batch, k) for a step on k rows.
-            np.empty(samples * model.num_classes),
-            np.empty(samples),  # each sample's max, then its sum
-            np.empty(samples, dtype=np.intp),  # where each sample's label's entry lies
-            np.arange(samples),  # each sample's place in a class's row of the block
-            tuple(np.empty(shape) for shape in shapes),  # gradients
-            tuple(np.empty(shape) for shape in shapes),  # proximal differences
+            empty("by_class", samples * model.num_classes),
+            empty("values", samples),  # each sample's max, then its sum
+            empty("picks", samples, np.intp),  # where each sample's label's entry lies
+            places,  # each sample's place in a class's row of the block
+            on_block(empty("grads", params), shapes, model.num_classes),
+            on_block(empty("diffs", params), shapes, model.num_classes),
         )
         self._views: dict[tuple, _StepViews] = {}
 
@@ -335,14 +436,16 @@ class _StepViews:
     those move the feature block and the last min(c, k) move the
     classifier; the rows in both ranges are full steps. Each range is a
     slice of the stack, `_WHOLE` where it is every row, so that the usual
-    full step slices nothing. The buffers other than the gradients and the
-    differences serve the k running rows from their start, the activations
-    and logits as (batch, k, features).
+    full step slices nothing and, where every row moves both blocks
+    (`whole`), moves the parameters in one pass over their flat block. The
+    buffers other than the gradients and the differences serve the k
+    running rows from their start, the activations and logits as (batch,
+    k, features).
     """
 
     def __init__(self, buffers: tuple, k: int, mode: tuple[int, int]) -> None:
         hidden, dhidden, logits, block, values, picks, places, grads, diffs = buffers
-        n = grads[0].shape[0]
+        n = grads.feature_weights.shape[0]
         batch, classes = values.size // n, logits.size // values.size
         if not 1 <= k <= n:
             raise ShapeError(f"{k} members do not fit a stack of {n}")
@@ -361,6 +464,8 @@ class _StepViews:
         self.feature = span(lo, lo + f)
         self.classifier = span(n - c, n)
         self.both = span(n - c, lo + f)
+        self.whole = self.both is _WHOLE
+        self.flat = (grads.block, diffs.block)
         # The feature and classifier rows as rows of the batch.
         self.feature_inputs = _WHOLE if f == k else slice(0, f)
         classifier_rows = _WHOLE if c == k else slice(k - c, k)
@@ -378,6 +483,7 @@ class _StepViews:
             logits.reshape(classes, samples),
             values[:samples],
         )
+        self.logit_rows = logits.reshape(batch, k * classes)
         hidden, dhidden, logits = (b.reshape(batch, k, -1) for b in (hidden, dhidden, logits))
         self.running = (hidden, logits)
         # The flat block, and where each sample's label's entry lies in it.
@@ -386,6 +492,7 @@ class _StepViews:
             picks[:samples].reshape(k, batch),
             places[:samples].reshape(batch, k).T,
         )
+        grads, diffs = grads.arrays(), diffs.arrays()
         if self.classifier is not None:
             self.classifier_views = (
                 *_sample_rows((hidden, logits), classifier_rows),
@@ -517,7 +624,11 @@ def sgd_step_in_place(
     np.add(hidden, fb, out=hidden)
     np.tanh(hidden, out=hidden)
     np.matmul(hidden.swapaxes(0, 1), cw, out=logits.swapaxes(0, 1))
-    np.add(logits.transpose(2, 0, 1), cb.T[:, None, :], out=by_class)
+    # The running rows' biases are one contiguous run of k * classes values,
+    # so the add runs over whole rows of the samples-first logits.
+    logit_rows = views.logit_rows
+    np.add(logit_rows, cb.reshape(-1), out=logit_rows)
+    np.copyto(by_class, logits.transpose(2, 0, 1))
     # Only a max that ties +0.0 with -0.0 or is NaN can differ from the
     # reference's, in its sign or its NaN payload: exp(+-0.0) is 1 either
     # way, and a NaN fails the finite check before any parameter moves.
@@ -552,14 +663,28 @@ def sgd_step_in_place(
         np.multiply(dhidden, f_hidden, out=dhidden)
         np.matmul(f_inputs.swapaxes(-1, -2), dhidden.swapaxes(0, 1), out=g_fw)
         np.add.reduce(dhidden, axis=0, out=g_fb)
+    # Where every row moves both blocks, the gradients, the differences and
+    # the parameters of a stack laid out as one block move as one array
+    # each: each entry meets the same operands in the same ufuncs.
+    whole = views.whole and model.block is not None
     if pull:
-        grads, diffs = views.both_views
-        anchors = _rows(anchor.arrays(), views.both)
-        for g, p, a, diff in zip(grads, _rows(params, views.both), anchors, diffs):
+        if whole and anchor.block is not None and anchor.block.shape == model.block.shape:
+            grads, diffs = views.flat
+            terms = [(grads, model.block, anchor.block, diffs)]
+        else:
+            grads, diffs = views.both_views
+            anchors = _rows(anchor.arrays(), views.both)
+            terms = zip(grads, _rows(params, views.both), anchors, diffs)
+        for g, p, a, diff in terms:
             np.subtract(p, a, out=diff)
             np.multiply(prox_mu, diff, out=diff)
             np.add(g, diff, out=g)
-    moving = [(g, params[i] if rows is _WHOLE else params[i][rows]) for i, g, rows in views.moving]
+    if whole:
+        moving = [(views.flat[0], model.block)]
+    else:
+        moving = [
+            (g, params[i] if rows is _WHOLE else params[i][rows]) for i, g, rows in views.moving
+        ]
     for g, p in moving:
         # g -> p - lr * g, bitwise the new parameter, checked before any moves.
         np.multiply(g, lr, out=g)

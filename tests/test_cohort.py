@@ -40,6 +40,7 @@ from fedsim.engine import (
     run_round,
 )
 from fedsim.model import (
+    Arena,
     Batch,
     DivergenceError,
     FeatureBlock,
@@ -211,10 +212,10 @@ def record_lockstep(monkeypatch):
     calls = []
     original = engine._lockstep
 
-    def recording(start, own, donated, data, learning_rate, prox_mu=0.0):
+    def recording(start, own, donated, *args):
         handoffs = {len(own[m]) - len(donated[m]) for m in donated}
         calls.append(({lane for lane, _ in own}, handoffs))
-        return original(start, own, donated, data, learning_rate, prox_mu)
+        return original(start, own, donated, *args)
 
     monkeypatch.setattr(engine, "_lockstep", recording)
     return calls
@@ -496,6 +497,20 @@ def test_cohort_cursor_serves_each_members_batches():
             assert np.array_equal(batch.labels[row], expected.labels)
 
 
+@pytest.mark.parametrize("bad", [len(INPUTS), -1])
+@pytest.mark.parametrize("arena", [None, Arena()], ids=["new", "arena"])
+def test_cohort_cursor_rejects_samples_outside_the_data(bad, arena):
+    # The gather writes into its arrays in numpy's `clip` mode, which would
+    # clamp an index out of range; the cursor checks them first.
+    blocks = [np.arange(16).reshape(2, 8), np.arange(16, 32).reshape(2, 8)]
+    blocks[1][1, 3] = bad
+    with pytest.raises(IndexError, match=f"sample index {bad} is out of bounds for 60 samples"):
+        CohortCursor(INPUTS, LABELS, blocks, arena=arena)
+    blocks[1][1, 3] = len(INPUTS) - 1
+    batch = CohortCursor(INPUTS, LABELS, blocks, arena=arena).next_batch()
+    assert np.array_equal(batch.inputs, INPUTS[np.stack([b[0] for b in blocks])])
+
+
 def test_cohort_cursor_rejects_mixed_batch_sizes():
     blocks = [np.arange(16).reshape(2, 8), np.arange(8).reshape(2, 4)]
     with pytest.raises(ValueError, match="batch size"):
@@ -556,10 +571,11 @@ def test_in_place_step_with_one_anchor_per_member(members):
 
 def check_members_leave(mode, prox_mu, members, per_member_anchor):
     for classes in CLASS_COUNTS:
-        check_members_leave_with(classes, mode, prox_mu, members, per_member_anchor)
+        for flat in (False, True):
+            check_members_leave_with(classes, mode, prox_mu, members, per_member_anchor, flat)
 
 
-def check_members_leave_with(classes, mode, prox_mu, members, per_member_anchor):
+def check_members_leave_with(classes, mode, prox_mu, members, per_member_anchor, flat):
     # Batch 32 and hidden 32: at 32 members and up, each (K, batch, hidden)
     # buffer is 256 KB or more, past glibc's 128 KB mmap threshold.
     input_dim, hidden, batch = 8, 32, 32
@@ -575,6 +591,10 @@ def check_members_leave_with(classes, mode, prox_mu, members, per_member_anchor)
     labels = rng.integers(0, classes, size=(6, members, batch))
 
     stacked = stack(models)
+    if flat:
+        # Laid out as one block, the steps where every member runs and
+        # moves both blocks move the block, and pull toward the anchor's.
+        stacked, anchor = stacked.copy(), anchor.copy()
     workspace = Workspace(stacked, batch)
     left = {}
     for step in range(6):
@@ -691,20 +711,21 @@ def test_in_place_step_checks_every_member(mode):
 @pytest.mark.parametrize("mode", ["full", "feature"])
 def test_in_place_step_that_overflows_moves_nothing(mode):
     # The gradients are finite, but lr * g overflows in the feature block.
+    # A stack laid out as one block takes the full step on the whole block.
     rng = np.random.default_rng(5)
     models = [init_model(4, 6, 3, seed=k) for k in range(3)]
-    stacked = stack(models)
-    before = [a.copy() for a in stacked.arrays()]
-    workspace = Workspace(stacked, 8)
     batch = Batch(100.0 * rng.standard_normal((3, 8, 4)), rng.integers(0, 3, size=(3, 8)))
     if mode == "full":
         # The reference step raises on the same step.
         with pytest.raises(DivergenceError, match="non-finite gradient values"):
             reference_step(models[1], Batch(batch.inputs[1], batch.labels[1]), 1.7e308, mode)
-    with pytest.raises(DivergenceError, match="non-finite gradient values"):
-        sgd_step_in_place(stacked, batch, workspace, 1.7e308, pair(mode, 3))
-    for a, b in zip(stacked.arrays(), before):
-        assert a.tobytes() == b.tobytes()
+    for stacked in (stack(models), stack(models).copy()):
+        before = [a.copy() for a in stacked.arrays()]
+        workspace = Workspace(stacked, 8)
+        with pytest.raises(DivergenceError, match="non-finite gradient values"):
+            sgd_step_in_place(stacked, batch, workspace, 1.7e308, pair(mode, 3))
+        for a, b in zip(stacked.arrays(), before):
+            assert a.tobytes() == b.tobytes()
 
 
 def test_training_takes_only_stacks():
@@ -737,6 +758,84 @@ def test_workspace_rejects_batches_that_do_not_fit():
         batch = Batch(rng.standard_normal((*shape, 4)), np.zeros(shape, dtype=np.int64))
         with pytest.raises(ShapeError):
             sgd_step_in_place(stacked, batch, workspace, 0.1, (3, 3))
+
+
+# --------------------------------------------------------------------------
+# Round memory is kept across rounds, and nothing handed out lives in it
+# --------------------------------------------------------------------------
+
+
+def record_round_memory(monkeypatch):
+    """Per `local_train` call: the cursor's gathered inputs, the stack it
+    trains and the workspace's gradients, each as its flat array."""
+    calls = []
+    train, step = engine.local_train, engine.sgd_step_in_place
+
+    def training(model, cursor, *args):
+        calls.append({"batches": cursor._inputs})
+        return train(model, cursor, *args)
+
+    def stepping(model, batch, workspace, *args):
+        gradients = workspace._buffers[7]
+        calls[-1].update(stack=model.block, gradients=gradients.block)
+        return step(model, batch, workspace, *args)
+
+    monkeypatch.setattr(engine, "local_train", training)
+    monkeypatch.setattr(engine, "sgd_step_in_place", stepping)
+    return calls
+
+
+def test_warm_rounds_of_a_lane_train_in_the_same_memory(monkeypatch):
+    config = small_config(rounds=4)
+    calls = record_round_memory(monkeypatch)
+    state = build_state(config, FedAvg(), seed=3)
+    assert state.arena is None  # made at the first round
+    for r in range(3):
+        run_round(state, r)
+    for name in ("batches", "stack", "gradients"):
+        assert np.shares_memory(calls[1][name], calls[2][name]), name
+    # The config's last round lets the arena go.
+    run_round(state, 3)
+    assert state.arena is None
+    # A run keeps one arena for all its rounds, with one set of training
+    # buffers per FedProx mu: the two stacks of a round share none.
+    calls.clear()
+    run_experiments(config, [(FedAvg(), 3), (FedProx(), 3)])
+    assert len(calls) == 2 * config.training.rounds
+    for name in ("batches", "stack", "gradients"):
+        for mu in range(2):
+            assert np.shares_memory(calls[mu][name], calls[mu + 2][name]), name
+        assert not np.shares_memory(calls[2][name], calls[3][name]), name
+
+
+def test_nothing_handed_out_shares_the_arena():
+    config = small_config()
+    state = build_state(config, FreezeOffload(), seed=3)
+    kept = []
+    for r in range(config.training.rounds):
+        run_round(state, r)
+        kept.append((state.global_model, [a.tobytes() for a in state.global_model.arrays()]))
+    # Each round's global model keeps its bytes through the later rounds.
+    for model, saved in kept:
+        assert [a.tobytes() for a in model.arrays()] == saved
+    # A final model keeps its bytes through other runs in the process.
+    first = run_experiment(config, FedAvg(), 3)
+    saved = [a.tobytes() for a in first.final_model.arrays()]
+    run_experiment(config, FedAvg(), 4)
+    run_experiments(config, [(FedProx(), 3), (FreezeOffload(), 4)])
+    assert [a.tobytes() for a in first.final_model.arrays()] == saved
+    # So does a model that `local_train` returns, through a second call.
+    start = stack(member_models())
+
+    def cursor():
+        return CohortCursor(INPUTS, LABELS, draw_blocks(member_cursors(), 4))
+
+    trained = local_train(start, cursor(), 4, 0.1)
+    saved = [a.tobytes() for a in trained.arrays()]
+    again = local_train(start, cursor(), 4, 0.1)
+    assert [a.tobytes() for a in trained.arrays()] == saved
+    assert [a.tobytes() for a in again.arrays()] == saved
+    assert not np.shares_memory(trained.block, again.block)
 
 
 # --------------------------------------------------------------------------

@@ -35,7 +35,7 @@ from fedsim.engine import (
     run_round,
     select_clients,
 )
-from fedsim.model import Batch, PartitionedModel, forward, init_model, merge, split
+from fedsim.model import Batch, PartitionedModel, forward, init_model, merge, softmax, split
 from fedsim.seeding import TAG_BATCHES, spawn_rng
 from fedsim.similarity import SimilarityOracle
 
@@ -372,11 +372,11 @@ class TestEvaluateAccuracy:
         """How many evaluations took the softmax path."""
         calls = []
 
-        def counting(model, batch):
-            calls.append(batch)
-            return forward(model, batch)
+        def counting(logits):
+            calls.append(logits)
+            return softmax(logits)
 
-        monkeypatch.setattr(engine, "forward", counting)
+        monkeypatch.setattr(engine, "softmax", counting)
         return calls
 
     def with_logits(self, bias):

@@ -1,11 +1,16 @@
 """Tests for the two-block model: forward, gradients, SGD, split and merge."""
 
+import dataclasses
+import pickle
+from copy import deepcopy
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fedsim.model import (
+    Arena,
     Batch,
     DivergenceError,
     Gradients,
@@ -19,6 +24,7 @@ from fedsim.model import (
     init_model,
     merge,
     sgd_step,
+    softmax,
     split,
 )
 
@@ -110,6 +116,24 @@ class TestForward:
             assert hidden.tobytes() == plain.tobytes()
             plain = plain @ m.classifier_weights + m.classifier_bias[..., None, :]
             assert logits.tobytes() == plain.tobytes()
+
+    def test_into_given_arrays_and_in_place_softmax_bitwise(self):
+        # Products into an arena's arrays and the softmax in place on the
+        # logits give the bytes of the allocating expressions.
+        model = init_model(4, 7, 5, seed=1)
+        batch = random_batch(model, 9, seed=2)
+        flat = Arena().get("scratch", (9 * 12,))
+        out = flat[:63].reshape(9, 7), flat[63:].reshape(9, 5)
+        hidden, logits = forward_logits(model, batch, out)
+        assert hidden.base is flat.base and logits.base is flat.base
+        plain_hidden, plain_logits = forward_logits(model, batch)
+        assert hidden.tobytes() == plain_hidden.tobytes()
+        assert logits.tobytes() == plain_logits.tobytes()
+        exp = np.exp(plain_logits - plain_logits.max(axis=-1, keepdims=True))
+        plain = exp / exp.sum(axis=-1, keepdims=True)
+        assert softmax(logits) is logits
+        assert logits.tobytes() == plain.tobytes()
+        assert forward(model, batch)[1].tobytes() == plain.tobytes()
 
     def test_softmax_stable_for_large_logits(self):
         model = init_model(2, 2, 2, seed=1)
@@ -276,6 +300,46 @@ class TestSgdStep:
         assert all(np.isfinite(g).all() for g in (grads.feature_weights, grads.feature_bias))
         with pytest.raises(DivergenceError, match="non-finite gradient values"):
             sgd_step(model, grads, lr=1.7e308)
+
+
+class TestArena:
+    def test_arrays_are_kept_and_grow_to_what_is_asked(self):
+        arena = Arena()
+        a = arena.get("a", (2, 3))
+        a[...] = 7.0
+        # The same name views the start of the same array, in any shape.
+        b = arena.get("a", (5,))
+        assert np.shares_memory(a, b) and b.shape == (5,) and np.all(b == 7.0)
+        assert not np.shares_memory(a, arena.get("b", (6,)))
+        assert arena.get("i", (4,), np.intp).dtype == np.intp
+        # Asking for more makes a new array; the views already handed out
+        # keep theirs.
+        grown = arena.get("a", (1000,))
+        assert grown.size == 1000 and not np.shares_memory(a, grown)
+        assert np.all(a == 7.0)
+        assert np.shares_memory(grown, arena.get("a", (3,)))
+        assert arena.part("p") is arena.part("p") and arena.part("p") is not arena.part("q")
+
+    def test_a_map_the_system_refuses_is_out_of_memory(self):
+        with pytest.raises(MemoryError, match="cannot map"):
+            Arena().get("huge", (2**46,))
+
+    def test_copy_lays_a_model_out_as_one_block(self):
+        model = init_model(3, 4, 2, seed=5)
+        into = Arena().get("m", (model.size,))
+        for copy in (model.copy(), model.copy(into), model.copy().copy()):
+            assert copy.block.shape == (3 * 4 + 4 + 4 * 2 + 2,)
+            assert copy.block.tobytes() == b"".join(a.tobytes() for a in model.arrays())
+            for a in copy.arrays():
+                assert np.shares_memory(a, copy.block)
+                assert not np.shares_memory(a, model.feature_weights)
+        assert np.shares_memory(model.copy(into).block, into)
+        # A model whose arrays are its own, however it was made, has no block.
+        copy = model.copy()
+        for other in (pickle.loads(pickle.dumps(copy)), deepcopy(copy),
+                      dataclasses.replace(copy, feature_weights=copy.feature_weights.copy())):
+            assert other.block is None
+            assert [a.tobytes() for a in other.arrays()] == [a.tobytes() for a in copy.arrays()]
 
 
 class TestSplitMerge:
