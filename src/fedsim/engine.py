@@ -50,14 +50,15 @@ A round runs in two passes.
 
 `run_experiments` runs several experiments, each a (strategy, seed) *lane*
 with its own model and clock on its seed's shared data (`SeedData`, built
-once per seed: the dataset and the clients), in lockstep: every round of
-every lane is planned first, from that lane's own clock; then in each round
-all lanes train as one stack per FedProx mu, each row pulled toward its own
-lane's global model, and each lane aggregates and evaluates on its own. A
-row of a stack trains as its lane alone would, so each lane's traces and
-models are bitwise those of running it alone; `run_experiment` and
-`run_round` are the one-lane case. A run keeps one arena, with one part per
-FedProx-mu stack; `run_round` keeps one on the lane's `ExperimentState`.
+once per seed: the dataset and the clients), in lockstep, one round at a
+time (`_run_lanes`): a round is planned and then trained. Every lane plans
+the round from its own clock; then all lanes train it as one stack per
+FedProx mu, each row pulled toward its own lane's global model, and each
+lane aggregates and evaluates on its own. A row of a stack trains as its
+lane alone would, so each lane's traces and models are bitwise those of
+running it alone; `run_experiment` and `run_round` are the one-lane case.
+A run keeps one arena, with one part per FedProx-mu stack; `run_round`
+keeps one on the lane's `ExperimentState`.
 
 Each strategy is a `Strategy` subclass below; its docstring says what it does
 in a round. Planning calls its methods; training and aggregation read it
@@ -972,11 +973,11 @@ def plan_round(state: ExperimentState, round_index: int) -> RoundPlan:
 # --------------------------------------------------------------------------
 
 
-def _stack(models: list[PartitionedModel], arena: Arena | None = None) -> PartitionedModel:
-    """The models as one stack, laid out as one block: `arena`'s, or a new array."""
+def _stack(models: list[PartitionedModel], arena: Arena) -> PartitionedModel:
+    """The models as one stack, laid out as one block of `arena`'s."""
     first = models[0]
     shapes = [(len(models), *a.shape) for a in first.arrays()]
-    block = scratch(arena, "start", (len(models) * first.size,))
+    block = arena.get("start", (len(models) * first.size,))
     stack = on_block(block, shapes, first.num_classes)
     for out, parts in zip(stack.arrays(), zip(*(m.arrays() for m in models))):
         np.stack(parts, out=out)
@@ -994,8 +995,8 @@ def _lockstep(
     donated: dict[Any, np.ndarray],
     data: _LaneData,
     learning_rate: float,
-    prox_mu: float = 0.0,
-    arena: Arena | None = None,
+    prox_mu: float,
+    arena: Arena,
 ) -> dict[Any, PartitionedModel]:
     """Train a round of kept clients stacked, in lockstep; return their models.
 
@@ -1014,7 +1015,7 @@ def _lockstep(
     donated row's feature block to its own row's classifier, both as views.
     The FedProx anchor is the start stack, which training leaves as it is.
     The batches, the start stack, the trained stack and the workspace are
-    new arrays, or `arena`'s, and so are the models returned.
+    `arena`'s, and so are the models returned.
     """
     if not own:
         return {}
@@ -1116,7 +1117,7 @@ def _train_lanes(
     states: list[ExperimentState],
     plans: list[RoundPlan],
     data: _LaneData,
-    arena: Arena | None = None,
+    arena: Arena,
 ) -> list[dict[int, PartitionedModel]]:
     """Run every lane's plan stacked; return each lane's kept clients' models.
 
@@ -1127,8 +1128,7 @@ def _train_lanes(
     own, full and then classifier-only, and each donated block runs the weak
     client's classifier-only steps, so all of them end together. A plan
     that breaks this raises ValueError. The i-th stack trains in `arena`'s
-    i-th part, if there is an arena, so the models of one stack outlive
-    the training of the next.
+    i-th part, so the models of one stack outlive the training of the next.
     """
     lr = states[0].config.training.learning_rate
     updates = states[0].config.training.local_updates
@@ -1155,8 +1155,7 @@ def _train_lanes(
                 donated[m] = rows + base if base else rows
     trained: dict[tuple[int, int], PartitionedModel] = {}
     for i, (prox_mu, (start, own, donated)) in enumerate(stacks.items()):
-        part = None if arena is None else arena.part(i)
-        trained.update(_lockstep(start, own, donated, data, lr, prox_mu, part))
+        trained.update(_lockstep(start, own, donated, data, lr, prox_mu, arena.part(i)))
     lanes: list[dict[int, PartitionedModel]] = [{} for _ in states]
     for (lane, cid), model in trained.items():
         lanes[lane][cid] = model
@@ -1190,10 +1189,12 @@ def _finish_round(
 
 
 def _run_lanes(
-    states: list[ExperimentState], plans: list[RoundPlan], data: _LaneData, arena: Arena
+    states: list[ExperimentState], round_index: int, data: _LaneData, arena: Arena
 ) -> list[RoundTrace]:
-    """Train one round of every lane from its plan, stacked, in `arena` (see
-    `_train_lanes`); aggregate and evaluate each."""
+    """Run round `round_index` of every lane: plan it, lanes in order, each from
+    its own clock; train the plans stacked, in `arena` (see `_train_lanes`);
+    aggregate and evaluate each lane."""
+    plans = [plan_round(state, round_index) for state in states]
     training, dataset = states[0].config.training, states[0].config.dataset
     params = sum(a.size for a in states[0].global_model.arrays())
     # A row per kept client and per donated block, each with four models (start,
@@ -1207,7 +1208,7 @@ def _run_lanes(
     )
     try:
         with out_of_memory_as_config_error(
-            f"round {plans[0].round_index}'s training: {rows} stacked models of {params}"
+            f"round {round_index}'s training: {rows} stacked models of {params}"
             f" parameters and {training.local_updates} batches of {training.batch_size} samples",
             8 * rows * (4 * params + training.batch_size * per_sample),
         ):
@@ -1215,7 +1216,7 @@ def _run_lanes(
     except DivergenceError as exc:
         # Whether training diverges depends on the seed's data and draws.
         state, exc = _first_diverged(states, plans, exc)
-        problem = f"training: diverged in round {plans[0].round_index} (seed {state.seed}): {exc}"
+        problem = f"training: diverged in round {round_index} (seed {state.seed}): {exc}"
         raise ConfigError([problem]) from exc
     return [_finish_round(*lane, arena.part(0)) for lane in zip(states, plans, trained)]
 
@@ -1229,19 +1230,18 @@ def _first_diverged(
         return states[0], exc
     for state, plan in zip(states, plans):
         try:
-            _train_lanes([state], [plan], _LaneData.of([state]))
+            _train_lanes([state], [plan], _LaneData.of([state]), Arena())
         except DivergenceError as lane_exc:
             return state, lane_exc
     raise exc
 
 
 def run_round(state: ExperimentState, round_index: int) -> RoundTrace:
-    """Plan one round under the state's strategy (moving its clock), then train it
-    in the state's arena, which the config's last round lets go."""
+    """Run one round of the state's lane, `_run_lanes` for one lane, in the
+    state's arena, which the config's last round lets go."""
     if state.arena is None:
         state.arena = Arena()
-    plan = plan_round(state, round_index)
-    trace = _run_lanes([state], [plan], _LaneData.of([state]), state.arena)[0]
+    trace = _run_lanes([state], round_index, _LaneData.of([state]), state.arena)[0]
     if round_index + 1 >= state.config.training.rounds:
         state.arena = None
     return trace
@@ -1284,12 +1284,11 @@ def run_experiments(config, tasks: list[tuple[Strategy, int]]) -> list[Experimen
     """Run all configured rounds for each (strategy, seed) task, in lockstep.
 
     Each task is a lane with its own state. The lanes of one seed share its
-    `SeedData`, built once. Every round of every lane is planned first
-    (round-major, lanes in order), then round r of all lanes trains
-    together, one stack per FedProx mu (see `_train_lanes`); each lane's results
-    are bitwise those of running it alone. Every lane's state and plans are
-    held for the whole run, and so is one arena that every round trains
-    and evaluates in.
+    `SeedData`, built once. Round by round, every lane plans the round and
+    then all lanes train it together, one stack per FedProx mu (see
+    `_run_lanes`); each lane's results are bitwise those of running it alone.
+    Every lane's state is held for the whole run, and so is one arena that
+    every round trains and evaluates in.
     """
     seeds: dict[int, SeedData] = {}
     states = []
@@ -1297,11 +1296,10 @@ def run_experiments(config, tasks: list[tuple[Strategy, int]]) -> list[Experimen
         if seed not in seeds:
             seeds[seed] = SeedData.build(config, seed)
         states.append(_lane_state(config, strategy, seeds[seed]))
-    plans = [[plan_round(state, r) for state in states] for r in range(config.training.rounds)]
     data, arena = _LaneData.of(states), Arena()
     traces: list[list[RoundTrace]] = [[] for _ in states]
-    for round_plans in plans:
-        for lane, trace in zip(traces, _run_lanes(states, round_plans, data, arena)):
+    for r in range(config.training.rounds):
+        for lane, trace in zip(traces, _run_lanes(states, r, data, arena)):
             lane.append(trace)
     return [_result(state, lane) for state, lane in zip(states, traces)]
 

@@ -31,8 +31,8 @@ class HistogramDistances:
 
     Every distance is the sum of one contiguous row of absolute differences,
     `abs(n[i] - n[cols]).sum(axis=1)` for row client i, so a pair's
-    distance sums in the same order whichever call asks for it. So `get`,
-    `block` and `values` agree bitwise, and since `abs(x - y) == abs(y - x)`
+    distance sums in the same order whichever call asks for it. So `block`
+    and `values` agree bitwise, and since `abs(x - y) == abs(y - x)`
     exactly, the distances are symmetric, zero on the diagonal and, for
     validated submissions, finite and within [0, 2] up to a few ulps.
     """
@@ -52,9 +52,6 @@ class HistogramDistances:
         for k, i in enumerate(rows):
             out[k] = np.abs(n[i] - others).sum(axis=1)
         return out
-
-    def get(self, client_a: int, client_b: int) -> float:
-        return float(self._rows([self._index[client_a]], [self._index[client_b]])[0, 0])
 
     def block(self, rows, cols) -> np.ndarray:
         """Distances between the clients `rows` and `cols`, as a matrix."""

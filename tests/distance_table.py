@@ -1,5 +1,5 @@
 """A hand-written distance table, for tests that give `build_schedule` chosen
-distances. It answers `client_ids`, `in`, `get` and `block` as
+distances. It answers `client_ids`, `in` and `block` as
 `fedsim.similarity.HistogramDistances` does, from a dense matrix."""
 
 import numpy as np
@@ -13,9 +13,6 @@ class DistanceTable:
 
     def __contains__(self, client_id: int) -> bool:
         return client_id in self._index
-
-    def get(self, client_a: int, client_b: int) -> float:
-        return float(self.values[self._index[client_a], self._index[client_b]])
 
     def block(self, rows, cols) -> np.ndarray:
         index = self._index

@@ -12,6 +12,9 @@ import dataclasses
 import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
 from collections import Counter
 
 import numpy as np
@@ -1054,7 +1057,7 @@ def test_train_lanes_rejects_a_plan_that_breaks_the_one_phase_layout():
         clients[index] = broken
         doctored = dataclasses.replace(plan, clients=tuple(clients))
         with pytest.raises(ValueError, match=r"local_updates \(8\)"):
-            engine._train_lanes([state], [doctored], engine._LaneData.of([state]))
+            engine._train_lanes([state], [doctored], engine._LaneData.of([state]), Arena())
 
 
 # --------------------------------------------------------------------------
@@ -1235,7 +1238,8 @@ def plan_doc(plan):
 GOLDEN_PLANS = "0cccdb2fa9cd579e804b1f46e09673ece9e537b95cb1eef09c04ba2ca0954e6e"
 
 
-def test_golden_plan_digest():
+def plan_digest():
+    """The digest of every round plan of 200 drawn configs, and their handoffs."""
     rng = np.random.default_rng(2022)
     h = hashlib.sha256()
     handoffs = 0
@@ -1247,5 +1251,36 @@ def test_golden_plan_digest():
             plan = plan_round(state, r)
             handoffs += len(plan.offload_records)
             h.update(json.dumps(plan_doc(plan), sort_keys=True).encode())
+    return h.hexdigest(), handoffs
+
+
+def test_golden_plan_digest():
+    digest, handoffs = plan_digest()
     assert handoffs > 100
-    assert h.hexdigest() == GOLDEN_PLANS
+    assert digest == GOLDEN_PLANS
+
+
+def test_golden_plan_digest_on_another_numeric_build():
+    # Plans are host-independent. numpy's AVX2 loops in place of its AVX-512
+    # ones and an OpenBLAS kernel without FMA change the models' last bits,
+    # but no plan's. The child reports whether numpy took the override.
+    child = (
+        "import numpy._core._multiarray_umath as umath\n"
+        "from test_cohort import plan_digest\n"
+        "print(plan_digest()[0], umath.__cpu_features__.get('X86_V4'))\n"
+    )
+    tests = os.path.dirname(os.path.abspath(__file__))
+    src = os.path.dirname(os.path.dirname(engine.__file__))
+    env = dict(
+        os.environ,
+        PYTHONPATH=os.pathsep.join([src, tests]),
+        NPY_DISABLE_CPU_FEATURES="X86_V4 AVX512_ICL AVX512_SPR",
+        OPENBLAS_CORETYPE="Sandybridge",
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", child], env=env, capture_output=True, text=True, timeout=300
+    )
+    assert done.returncode == 0, done.stderr
+    digest, x86_v4 = done.stdout.split()
+    assert x86_v4 in ("False", "None"), "numpy still dispatches to its X86_V4 loops"
+    assert digest == GOLDEN_PLANS

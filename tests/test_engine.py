@@ -6,11 +6,13 @@ from collections import Counter
 
 import numpy as np
 import pytest
+import yaml
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fedsim import engine
-from fedsim.config import parse_config
+from fedsim.cli import main
+from fedsim.config import ConfigError, parse_config
 from fedsim.data import generate_synthetic
 from fedsim.engine import (
     BatchCursor,
@@ -107,7 +109,9 @@ class TestRoundPlan:
         if isinstance(strategy, DeadlineDrop):
             assert any(p.dropped for p in plans)
 
-    def test_every_round_is_planned_before_any_trains(self, monkeypatch):
+    def test_each_round_is_planned_just_before_it_trains(self, monkeypatch):
+        # Two lanes with one FedProx mu train as one stack: each round, both
+        # lanes plan it, then one `local_train` call trains it.
         calls = []
         plan, train = engine.plan_round, engine.local_train
 
@@ -123,7 +127,44 @@ class TestRoundPlan:
         monkeypatch.setattr(engine, "local_train", training)
         cfg = tiny_config(training={"rounds": 5})
         run_experiments(cfg, [(FedAvg(), 3), (FreezeOffload(), 4)])
-        assert calls.count("plan") == calls.index("train") == 10
+        assert calls == ["plan", "plan", "train"] * 5
+
+    def test_a_planning_error_surfaces_after_the_rounds_before_it_train(
+        self, monkeypatch, tmp_path, capsys
+    ):
+        # Round 2's plan fails: rounds 0 and 1 train first, then the library
+        # raises the plan's error, and `fedsim run` exits 1 with it.
+        problem = "strategies: fedavg cannot plan round 2"
+        plan, train = FedAvg.plan, engine.local_train
+        trained = []
+
+        def planning(self, state, round_index):
+            if round_index == 2:
+                raise ConfigError([problem])
+            return plan(self, state, round_index)
+
+        def training(*args, **kwargs):
+            trained.append(args)
+            return train(*args, **kwargs)
+
+        monkeypatch.setattr(FedAvg, "plan", planning)
+        monkeypatch.setattr(engine, "local_train", training)
+        raw = {
+            "dataset": {"num_classes": 4, "samples_per_class": 40, "input_dim": 4},
+            "clients": {"count": 6, "per_round": 3},
+            "training": {"rounds": 4, "local_updates": 8, "batch_size": 8, "hidden_dim": 8},
+            "strategies": [{"name": "fedavg"}],
+        }
+        with pytest.raises(ConfigError, match=problem):
+            run_experiments(parse_config(raw), [(FedAvg(), 3)])
+        assert len(trained) == 2
+        config_path = tmp_path / "exp.yaml"
+        config_path.write_text(yaml.safe_dump(raw), encoding="utf-8")
+        out = tmp_path / "out"
+        args = ["run", "--config", str(config_path), "--out", str(out), "--workers", "1"]
+        assert main(args) == 1
+        assert problem in capsys.readouterr().err
+        assert list(out.iterdir()) == []
 
 
 class TestBatchCursor:

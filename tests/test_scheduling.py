@@ -186,7 +186,7 @@ def greedy_oracle(profiles, matrix, factor):
                 )
             ]
             completion = min(costs)
-            s = matrix.get(weak.client_id, strong.client_id)
+            s = float(matrix.block([weak.client_id], [strong.client_id])[0, 0])
             scored.append(
                 (completion * (1.0 + math.log(s * factor + 1.0)), strong.client_id)
             )
@@ -418,7 +418,7 @@ def reference_schedule(profiles, similarity, factor):
                 weak.remaining_updates,
                 strong.remaining_updates,
             )
-            s = similarity.get(weak.client_id, strong.client_id)
+            s = float(similarity.block([weak.client_id], [strong.client_id])[0, 0])
             cost = completion * (1.0 + math.log(s * factor + 1.0))
             if cost < best_cost or (
                 cost == best_cost

@@ -70,7 +70,7 @@ class TestOracle:
         matrix = filled_oracle(counts, 3).compute_matrix()
         for a in counts:
             for b in counts:
-                assert matrix.get(a, b) == pytest.approx(
+                assert matrix.block([a], [b])[0, 0] == pytest.approx(
                     histogram_distance(counts[a], counts[b])
                 )
 
@@ -174,7 +174,7 @@ class TestMatrixValidation:
         matrix = filled_oracle({0: (1, 1), 3: (2, 0)}, 2).compute_matrix()
         doc = matrix.to_dict()
         assert doc["client_ids"] == [0, 3]
-        assert doc["values"][0][1] == matrix.get(0, 3)
+        assert doc["values"][0][1] == matrix.block([0], [3])[0, 0]
 
 
 @st.composite
@@ -214,7 +214,7 @@ def pair_loop_distance(counts_a, counts_b) -> float:
 class TestOnDemandDistances:
     @settings(max_examples=200, deadline=None)
     @given(histogram_queries())
-    def test_block_and_get_match_pair_loop_bitwise(self, query):
+    def test_block_matches_pair_loop_bitwise(self, query):
         counts, rows, cols = query
         distances = filled_oracle(counts, len(next(iter(counts.values())))).compute_matrix()
         want = np.array(
@@ -224,7 +224,7 @@ class TestOnDemandDistances:
         assert got.shape == want.shape
         assert got.tobytes() == want.tobytes()
         for a, b in zip(rows, cols):
-            assert np.float64(distances.get(a, b)).tobytes() == np.float64(
+            assert distances.block([a], [b])[0, 0].tobytes() == np.float64(
                 pair_loop_distance(counts[a], counts[b])
             ).tobytes()
 
