@@ -176,6 +176,11 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
+def _mean(rows: list[dict], key: str) -> float:
+    """The mean of `key` over summary rows, summed left to right."""
+    return left_sum(r[key] for r in rows) / len(rows)
+
+
 def _cmd_run(args: argparse.Namespace) -> int:
     if args.workers < 0:
         raise ConfigError([f"workers: must be >= 0, got {args.workers}"])
@@ -213,10 +218,9 @@ def _cmd_run(args: argparse.Namespace) -> int:
         rows = [s for s in summaries if s["strategy"] == label]
         aggregates[label] = {
             "replicates": len(rows),
-            "mean_total_time_s": left_sum(r["total_time_s"] for r in rows) / len(rows),
-            "mean_final_accuracy": left_sum(r["final_accuracy"] for r in rows) / len(rows),
-            "mean_round_duration_s": left_sum(r["mean_round_duration_s"] for r in rows)
-            / len(rows),
+            "mean_total_time_s": _mean(rows, "total_time_s"),
+            "mean_final_accuracy": _mean(rows, "final_accuracy"),
+            "mean_round_duration_s": _mean(rows, "mean_round_duration_s"),
         }
     summary_doc = {"experiments": summaries, "aggregates": aggregates}
     _write_json(os.path.join(args.out, "summary.json"), summary_doc)
@@ -243,6 +247,7 @@ def _summary_problem(doc) -> str | None:
     """What keeps `doc` from being a summary.json that `compare` can read."""
     if not isinstance(doc, dict) or not isinstance(doc.get("experiments"), list):
         return 'expected an object with an "experiments" list'
+    seen = set()
     for i, entry in enumerate(doc["experiments"]):
         if not isinstance(entry, dict):
             return f"experiments[{i}] is not an object"
@@ -251,6 +256,10 @@ def _summary_problem(doc) -> str | None:
                 return f"experiments[{i}] has no {key!r}"
             if not valid(entry[key]):
                 return f"experiments[{i}].{key} must be {what}, got {entry[key]!r}"
+        run = (entry["strategy"], entry["seed"])
+        if run in seen:
+            return f"experiments[{i}] repeats seed {run[1]} of {run[0]!r}"
+        seen.add(run)
     return None
 
 
@@ -285,10 +294,13 @@ def _cmd_compare(args: argparse.Namespace) -> int:
     base_rows = rows_for(args.b)
     if not base_rows or not target_rows:
         return 2
-    if len(base_rows) != len(target_rows):
+    # Replicates pair by seed, so both labels must have run on the same seeds.
+    target_seeds = sorted(r["seed"] for r in target_rows)
+    base_seeds = sorted(r["seed"] for r in base_rows)
+    if target_seeds != base_seeds:
+        what = "replicate counts" if len(target_seeds) != len(base_seeds) else "seeds"
         print(
-            f"error: replicate counts differ ({args.a}: {len(target_rows)},"
-            f" {args.b}: {len(base_rows)})",
+            f"error: {what} differ ({args.a}: {target_seeds}, {args.b}: {base_seeds})",
             file=sys.stderr,
         )
         return 2
@@ -296,20 +308,15 @@ def _cmd_compare(args: argparse.Namespace) -> int:
     print(f"{args.a} vs {args.b} ({len(target_rows)} replicate(s))")
     base_by_seed = {r["seed"]: r for r in base_rows}
     for row in target_rows:
-        base = base_by_seed.get(row["seed"])
-        if base is None:
-            continue
+        base = base_by_seed[row["seed"]]
         reduction = 100.0 * (1.0 - row["total_time_s"] / base["total_time_s"])
         print(
             f"  seed {row['seed']}: {row['total_time_s']:.1f}s vs"
             f" {base['total_time_s']:.1f}s ({reduction:+.1f}% time reduction),"
             f" accuracy {row['final_accuracy']:.4f} vs {base['final_accuracy']:.4f}"
         )
-    def mean(rows: list[dict], key: str) -> float:
-        return left_sum(r[key] for r in rows) / len(rows)
-
-    bt, tt = mean(base_rows, "total_time_s"), mean(target_rows, "total_time_s")
-    ba, ta = mean(base_rows, "final_accuracy"), mean(target_rows, "final_accuracy")
+    bt, tt = _mean(base_rows, "total_time_s"), _mean(target_rows, "total_time_s")
+    ba, ta = _mean(base_rows, "final_accuracy"), _mean(target_rows, "final_accuracy")
     print(f"total time: {tt:.1f}s vs {bt:.1f}s ({100.0 * (1.0 - tt / bt):+.1f}% reduction)")
     print(f"final accuracy: {ta:.4f} vs {ba:.4f} ({ta - ba:+.4f})")
     return 0

@@ -53,11 +53,12 @@ with its own model and clock on its seed's shared data (`SeedData`, built
 once per seed: the dataset and the clients), in lockstep, one round at a
 time (`_run_lanes`): a round is planned and then trained. Every lane plans
 the round from its own clock; then all lanes train it as one stack per
-FedProx mu, each row pulled toward its own lane's global model, and each
-lane aggregates and evaluates on its own. A row of a stack trains as its
-lane alone would, so each lane's traces and models are bitwise those of
-running it alone; `run_experiment` and `run_round` are the one-lane case.
-A run keeps one arena, with one part per FedProx-mu stack; `run_round`
+FedProx mu, each row pulled toward its own lane's global model. Each stack
+is aggregated as soon as it has trained, so the next trains in the same
+arena; once all have trained, each lane takes its new model and evaluates
+it. A row of a stack trains as its lane alone would, so each lane's traces
+and models are bitwise those of running it alone; `run_experiment` and
+`run_round` are the one-lane case. A run keeps one arena; `run_round`
 keeps one on the lane's `ExperimentState`.
 
 Each strategy is a `Strategy` subclass below; its docstring says what it does
@@ -68,7 +69,7 @@ only as data, through `prox_mu` and `normalized_averaging`.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Any, ClassVar, Sequence
 
 import numpy as np
@@ -120,7 +121,8 @@ from .similarity import ClassCountSubmission, HistogramDistances, SimilarityOrac
 # each field is one YAML knob, and its methods are its round behaviour. The
 # config parser and echo read the fields through `dataclasses.fields`: a
 # field's default is the knob's default, its metadata holds its lower bound
-# (`ge` or `gt`) and, where it differs from the field name, its YAML key.
+# (`ge` or `gt`), its YAML key where it differs from the field name (`key`)
+# and, for a knob that names the run, its format in the `label`.
 
 
 class Strategy:
@@ -140,7 +142,13 @@ class Strategy:
 
     @property
     def label(self) -> str:
-        return self.name
+        """The name, then each labelled field's value in its format, joined by `_`."""
+        parts = [
+            f.metadata["label"].format(getattr(self, f.name))
+            for f in fields(self)
+            if "label" in f.metadata
+        ]
+        return "_".join([self.name, *parts])
 
     def select(self, state: ExperimentState, round_index: int) -> list[int]:
         per_round = state.config.clients.per_round
@@ -166,11 +174,7 @@ class FedProx(Strategy):
     """FedAvg plus a proximal pull toward the round's global model."""
 
     name: ClassVar[str] = "fedprox"
-    mu: float = field(default=0.01, metadata={"ge": 0})
-
-    @property
-    def label(self) -> str:
-        return f"fedprox_mu{self.mu:g}"
+    mu: float = field(default=0.01, metadata={"ge": 0, "label": "mu{:g}"})
 
     @property
     def prox_mu(self) -> float:
@@ -191,11 +195,7 @@ class Tifl(Strategy):
     round-robin."""
 
     name: ClassVar[str] = "tifl"
-    num_tiers: int = field(default=3, metadata={"ge": 1, "key": "tiers"})
-
-    @property
-    def label(self) -> str:
-        return f"tifl_t{self.num_tiers}"
+    num_tiers: int = field(default=3, metadata={"ge": 1, "key": "tiers", "label": "t{}"})
 
     def select(self, state, round_index):
         tiers = state.shared.tiers(self.num_tiers)
@@ -216,11 +216,7 @@ class DeadlineDrop(Strategy):
     dropped client trains nothing."""
 
     name: ClassVar[str] = "deadline"
-    multiplier: float = field(default=1.0, metadata={"gt": 0})
-
-    @property
-    def label(self) -> str:
-        return f"deadline_m{self.multiplier:g}"
+    multiplier: float = field(default=1.0, metadata={"gt": 0, "label": "m{:g}"})
 
     def plan(self, state, round_index):
         selected = self.select(state, round_index)
@@ -251,13 +247,9 @@ class FreezeOffload(Strategy):
     """
 
     name: ClassVar[str] = "freeze_offload"
-    similarity_factor: float = field(default=1.0, metadata={"ge": 0})
+    similarity_factor: float = field(default=1.0, metadata={"ge": 0, "label": "f{:g}"})
     profile_batches: int = field(default=1, metadata={"ge": 1})
     profile_noise_sigma: float = field(default=0.0, metadata={"ge": 0})
-
-    @property
-    def label(self) -> str:
-        return f"freeze_offload_f{self.similarity_factor:g}"
 
     def plan(self, state, round_index):
         selected = self.select(state, round_index)
@@ -1015,7 +1007,7 @@ def _lockstep(
     donated row's feature block to its own row's classifier, both as views.
     The FedProx anchor is the start stack, which training leaves as it is.
     The batches, the start stack, the trained stack and the workspace are
-    `arena`'s, and so are the models returned.
+    `arena`'s, and so are the models returned, until its next use.
     """
     if not own:
         return {}
@@ -1118,8 +1110,8 @@ def _train_lanes(
     plans: list[RoundPlan],
     data: _LaneData,
     arena: Arena,
-) -> list[dict[int, PartitionedModel]]:
-    """Run every lane's plan stacked; return each lane's kept clients' models.
+) -> list[PartitionedModel]:
+    """Run every lane's plan stacked; return each lane's new global model.
 
     `_phase_blocks` draws each lane's batches, and the round trains as one
     lockstep phase of `local_updates` steps per FedProx mu (see
@@ -1127,8 +1119,9 @@ def _train_lanes(
     start model: every kept client runs exactly `local_updates` steps of its
     own, full and then classifier-only, and each donated block runs the weak
     client's classifier-only steps, so all of them end together. A plan
-    that breaks this raises ValueError. The i-th stack trains in `arena`'s
-    i-th part, so the models of one stack outlive the training of the next.
+    that breaks this raises ValueError. Each stack trains in `arena` and is
+    aggregated (`_aggregate`) before the next trains there; no lane's state
+    is touched, so an error in any stack leaves every lane as it was.
     """
     lr = states[0].config.training.learning_rate
     updates = states[0].config.training.local_updates
@@ -1153,55 +1146,54 @@ def _train_lanes(
             if p.frozen_steps:
                 rows = donated_blocks[p.client_id]
                 donated[m] = rows + base if base else rows
-    trained: dict[tuple[int, int], PartitionedModel] = {}
-    for i, (prox_mu, (start, own, donated)) in enumerate(stacks.items()):
-        trained.update(_lockstep(start, own, donated, data, lr, prox_mu, arena.part(i)))
-    lanes: list[dict[int, PartitionedModel]] = [{} for _ in states]
-    for (lane, cid), model in trained.items():
-        lanes[lane][cid] = model
-    return lanes
+    models = [state.global_model for state in states]
+    for prox_mu, (start, own, donated) in stacks.items():
+        trained = _lockstep(start, own, donated, data, lr, prox_mu, arena)
+        for lane, state in enumerate(states):
+            if state.strategy.prox_mu == prox_mu:
+                models[lane] = _aggregate(state, plans[lane], lane, trained)
+    return models
 
 
-def _finish_round(
-    state: ExperimentState,
-    plan: RoundPlan,
-    trained: dict[int, PartitionedModel],
-    arena: Arena,
-) -> RoundTrace:
-    """Aggregate and evaluate a lane's round; its trace is the plan plus the accuracy.
+def _aggregate(state: ExperimentState, plan: RoundPlan, lane: int, trained) -> PartitionedModel:
+    """A lane's global model after its round, from its kept clients' models,
+    `trained[lane, client]`; the lane's own if it keeps no client.
 
     The weights are the kept clients' sample counts; FedNova's normalized
-    averaging also reads the steps each ran on its own model. The
-    evaluation runs in `arena`'s gathered batches, which no lane reads
-    once the round is trained.
+    averaging also reads the steps each ran on its own model.
     """
     included = [p for p in plan.clients if not p.dropped]
-    if included:
-        models = [trained[p.client_id] for p in included]
-        weights = [float(state.client(p.client_id).num_samples) for p in included]
-        if state.strategy.normalized_averaging:
-            steps = [p.full_steps + p.frozen_steps for p in included]
-            state.global_model = aggregate_fednova(state.global_model, models, weights, steps)
-        else:
-            state.global_model = aggregate_fedavg(models, weights)
-    accuracy = evaluate_accuracy(state.global_model, state.dataset, arena)
-    return RoundTrace(**vars(plan), accuracy=accuracy)
+    if not included:
+        return state.global_model
+    models = [trained[lane, p.client_id] for p in included]
+    weights = [float(state.client(p.client_id).num_samples) for p in included]
+    if state.strategy.normalized_averaging:
+        steps = [p.full_steps + p.frozen_steps for p in included]
+        return aggregate_fednova(state.global_model, models, weights, steps)
+    return aggregate_fedavg(models, weights)
 
 
 def _run_lanes(
     states: list[ExperimentState], round_index: int, data: _LaneData, arena: Arena
 ) -> list[RoundTrace]:
     """Run round `round_index` of every lane: plan it, lanes in order, each from
-    its own clock; train the plans stacked, in `arena` (see `_train_lanes`);
-    aggregate and evaluate each lane."""
+    its own clock; train and aggregate the plans stacked, in `arena` (see
+    `_train_lanes`); then give each lane its new global model and evaluate
+    it in the same arena, whose gathered batches no lane reads once the
+    round is trained. A lane's trace is its plan plus its accuracy."""
     plans = [plan_round(state, round_index) for state in states]
     training, dataset = states[0].config.training, states[0].config.dataset
     params = sum(a.size for a in states[0].global_model.arrays())
-    # A row per kept client and per donated block, each with four models (start,
+    # The arena holds one stack at a time, so the largest stack bounds it: a
+    # row per kept client and per donated block, each with four models (start,
     # trained, gradients, FedProx differences), its batches and its workspace:
     # per sample, the hidden units and their gradient, the logits and their
     # class-major copy.
-    rows = sum((not p.dropped) + (p.receiver is not None) for plan in plans for p in plan.clients)
+    stacks: dict[float, int] = {}
+    for state, plan in zip(states, plans):
+        kept = sum((not p.dropped) + (p.receiver is not None) for p in plan.clients)
+        stacks[state.strategy.prox_mu] = stacks.get(state.strategy.prox_mu, 0) + kept
+    rows = max(stacks.values())
     per_sample = (
         training.local_updates * (dataset.input_dim + 2)
         + 2 * (training.hidden_dim + dataset.num_classes)
@@ -1212,13 +1204,18 @@ def _run_lanes(
             f" parameters and {training.local_updates} batches of {training.batch_size} samples",
             8 * rows * (4 * params + training.batch_size * per_sample),
         ):
-            trained = _train_lanes(states, plans, data, arena)
+            models = _train_lanes(states, plans, data, arena)
     except DivergenceError as exc:
         # Whether training diverges depends on the seed's data and draws.
         state, exc = _first_diverged(states, plans, exc)
         problem = f"training: diverged in round {round_index} (seed {state.seed}): {exc}"
         raise ConfigError([problem]) from exc
-    return [_finish_round(*lane, arena.part(0)) for lane in zip(states, plans, trained)]
+    traces = []
+    for state, plan, model in zip(states, plans, models):
+        state.global_model = model
+        accuracy = evaluate_accuracy(model, state.dataset, arena)
+        traces.append(RoundTrace(**vars(plan), accuracy=accuracy))
+    return traces
 
 
 def _first_diverged(
@@ -1285,10 +1282,10 @@ def run_experiments(config, tasks: list[tuple[Strategy, int]]) -> list[Experimen
 
     Each task is a lane with its own state. The lanes of one seed share its
     `SeedData`, built once. Round by round, every lane plans the round and
-    then all lanes train it together, one stack per FedProx mu (see
-    `_run_lanes`); each lane's results are bitwise those of running it alone.
-    Every lane's state is held for the whole run, and so is one arena that
-    every round trains and evaluates in.
+    then all lanes train it together, one stack per FedProx mu, each
+    aggregated as soon as it trains (see `_run_lanes`); each lane's results
+    are bitwise those of running it alone. Every lane's state is held for
+    the whole run, and so is one arena that every stack trains in.
     """
     seeds: dict[int, SeedData] = {}
     states = []

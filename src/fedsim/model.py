@@ -201,13 +201,6 @@ class Arena:
             array = self._arrays[name] = np.frombuffer(pages, dtype, 2 * size)
         return array[:size].reshape(shape)
 
-    def part(self, name) -> Arena:
-        """The arena kept under `name`, made on first use."""
-        part = self._arrays.get(name)
-        if part is None:
-            part = self._arrays[name] = Arena()
-        return part
-
 
 def scratch(arena: Arena | None, name, shape, dtype=np.float64) -> np.ndarray:
     """`arena`'s array `name` as `shape` (see `Arena.get`), or a new array."""

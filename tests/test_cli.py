@@ -833,6 +833,17 @@ class TestCompareCommand:
         assert code == 2
         assert "replicate counts differ" in capsys.readouterr().err
 
+    def test_replicates_on_different_seeds_rejected(self, tmp_path, capsys):
+        row = {"strategy": "a", "seed": 1, "total_time_s": 10.0, "final_accuracy": 0.5}
+        doc = {"experiments": [
+            row, dict(row, seed=2), dict(row, strategy="b"), dict(row, strategy="b", seed=3),
+        ]}
+        (tmp_path / "summary.json").write_text(json.dumps(doc))
+        code = main(["compare", "--out", str(tmp_path), "--a", "a", "--b", "b"])
+        out, err = capsys.readouterr()
+        assert code == 2 and out == ""
+        assert "seeds differ (a: [1, 2], b: [1, 3])" in err
+
     def test_missing_summary_exits_2(self, tmp_path, capsys):
         code = main(["compare", "--out", str(tmp_path), "--target", "x"])
         assert code == 2
@@ -865,6 +876,16 @@ class TestCompareCommand:
         code, err = self.compare_malformed(tmp_path, capsys, json.dumps(doc))
         assert code == 2
         assert "experiments[0] has no 'total_time_s'" in err
+
+    def test_seed_listed_twice_under_one_label_exits_2(self, tmp_path, capsys):
+        row = {"strategy": "a", "seed": 1, "total_time_s": 10.0, "final_accuracy": 0.5}
+        doc = {"experiments": [
+            row, dict(row, total_time_s=30.0), dict(row, strategy="b"),
+            dict(row, strategy="b", seed=2),
+        ]}
+        code, err = self.compare_malformed(tmp_path, capsys, json.dumps(doc))
+        assert code == 2
+        assert "experiments[1] repeats seed 1 of 'a'" in err
 
     def test_non_numeric_total_time_exits_2(self, tmp_path, capsys):
         row = {"strategy": "a", "seed": 1, "total_time_s": "3", "final_accuracy": 0.5}

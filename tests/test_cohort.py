@@ -800,15 +800,29 @@ def test_warm_rounds_of_a_lane_train_in_the_same_memory(monkeypatch):
     # The config's last round lets the arena go.
     run_round(state, 3)
     assert state.arena is None
-    # A run keeps one arena for all its rounds, with one set of training
-    # buffers per FedProx mu: the two stacks of a round share none.
+    # A run keeps one arena for all its rounds, and each stack of a round is
+    # aggregated before the next trains: the FedAvg and the FedProx stack of
+    # every round, here of one size, train in the same buffers.
     calls.clear()
     run_experiments(config, [(FedAvg(), 3), (FedProx(), 3)])
     assert len(calls) == 2 * config.training.rounds
     for name in ("batches", "stack", "gradients"):
-        for mu in range(2):
-            assert np.shares_memory(calls[mu][name], calls[mu + 2][name]), name
-        assert not np.shares_memory(calls[2][name], calls[3][name]), name
+        for call in calls[1:]:
+            assert np.shares_memory(calls[0][name], call[name]), name
+
+
+def test_a_later_stacks_divergence_leaves_every_lane_as_it_was():
+    # The mu-0 stack trains first and the FedProx stack diverges: no lane's
+    # model may change before every stack of the round has trained.
+    config = small_config()
+    states = [build_state(config, FedAvg(), seed=3), build_state(config, FedProx(mu=1e308), seed=4)]
+    before = states[0].global_model
+    saved = [a.tobytes() for a in before.arrays()]
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(ConfigError, match=r"diverged in round 0 \(seed 4\)"):
+            engine._run_lanes(states, 0, engine._LaneData.of(states), Arena())
+    assert states[0].global_model is before
+    assert [a.tobytes() for a in before.arrays()] == saved
 
 
 def test_nothing_handed_out_shares_the_arena():

@@ -15,7 +15,7 @@ from pathlib import Path
 import pytest
 
 from fedsim.config import ConfigError, ExperimentConfig, echo_dict, parse_config
-from fedsim.engine import STRATEGIES
+from fedsim.engine import STRATEGIES, DeadlineDrop, FedAvg, FedNova, FedProx, FreezeOffload, Tifl
 
 PROBLEMS = {
     "top-level-list": ([1, 2], ["top level: expected a mapping, got list"]),
@@ -309,3 +309,20 @@ def test_readme_config_reference_names_every_key():
     assert {"tiers", "profile_noise_sigma", "speed_factors", "base", "replicates"} <= keys
     missing = sorted(k for k in keys if f"`{k}`" not in reference)
     assert missing == []
+
+
+def test_strategy_labels_are_pinned():
+    labels = {
+        FedAvg(): "fedavg",
+        FedNova(): "fednova",
+        FedProx(mu=1e-05): "fedprox_mu1e-05",
+        FedProx(mu=0.01): "fedprox_mu0.01",
+        Tifl(num_tiers=3): "tifl_t3",
+        # `{:g}` would read 1e+06: a tier count is written whole.
+        Tifl(num_tiers=10**6): "tifl_t1000000",
+        DeadlineDrop(multiplier=1): "deadline_m1",
+        DeadlineDrop(multiplier=0.5): "deadline_m0.5",
+        FreezeOffload(similarity_factor=1): "freeze_offload_f1",
+        FreezeOffload(similarity_factor=0.5, profile_batches=3): "freeze_offload_f0.5",
+    }
+    assert {s: s.label for s in labels} == labels
