@@ -9,9 +9,10 @@ Subcommands::
 `run` executes every configured strategy for every replicate seed and writes
 one trace CSV per (strategy, seed) plus summary.json and config_echo.json.
 Each (strategy, seed) experiment is a lane, and a process trains its lanes in
-lockstep (`engine.run_experiments`); with a process pool of W workers, each
-worker runs a contiguous slice of the lanes in seed-major order (see `_deal`),
-so that a seed's data is built in as few workers as the split allows. All
+lockstep (`engine.run_experiments`). The lanes run in seed-major order, dealt
+as near-equal contiguous slices to the workers (see `_deal`), so that a seed's
+data is built in as few workers as the split allows; a serial run is the
+case of one worker, which runs all the lanes as one group in-process. All
 outputs are deterministic given the config, so reruns produce byte-identical
 files, whatever the worker count. Each process that trains lanes, serial or
 pooled, first sets the OpenBLAS that numpy loaded to one thread (`_run_group`),
@@ -194,17 +195,17 @@ def _cmd_run(args: argparse.Namespace) -> int:
     ]
     workers = args.workers if args.workers else _usable_cpus()
     workers = max(1, min(workers, len(tasks)))
+    deal = _deal(tasks, workers)
+    groups = [(config, [tasks[i] for i in dealt], args.out) for dealt in deal]
     if workers == 1:
-        summaries = _run_group((config, tasks, args.out))
+        parts = [_run_group(groups[0])]
     else:
         # Workers forked from here inherit one BLAS thread and leave it be.
         _one_openblas_thread()
-        deal = _deal(tasks, workers)
-        groups = [(config, [tasks[i] for i in dealt], args.out) for dealt in deal]
         with ProcessPoolExecutor(max_workers=workers) as pool:
             parts = list(pool.map(_run_group, groups))
-        by_task = {i: s for dealt, part in zip(deal, parts) for i, s in zip(dealt, part)}
-        summaries = [by_task[i] for i in range(len(tasks))]
+    by_task = {i: s for dealt, part in zip(deal, parts) for i, s in zip(dealt, part)}
+    summaries = [by_task[i] for i in range(len(tasks))]
 
     for s in summaries:
         print(

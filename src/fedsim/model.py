@@ -16,25 +16,26 @@ order as in the unstacked case.
 
 `forward`, `backward_full`, `backward_frozen` and `sgd_step` allocate their
 results and are the reference. Training runs `sgd_step_in_place` instead,
-on a stack only, so a model trains alone as a stack of one: a `Workspace`
-holds every intermediate of a step for the whole stack of a lockstep call,
-in new arrays or in an `Arena`'s, which keeps them for the next call, and
-each step writes into it with `out=` and updates the parameters in place,
-with the same ufuncs on the same operands in the same order, so the bytes
-are those of the reference. A stack whose four arrays are views of one flat
-block (`on_block`, `PartitionedModel.copy`) moves that block in one pass
-where every row moves both blocks: elementwise, each entry meets the same
-operands in the same ufuncs either way. The layouts differ
+on a stack laid out as one flat block (`on_block`, `PartitionedModel.copy`)
+only, so a model trains alone as a stack of one: a `Workspace` holds every
+intermediate of a step for the entire stack of a lockstep call, in new
+arrays or in an `Arena`'s, which keeps them for the next call, and each
+step writes into it with `out=` and updates the parameters in place, with
+the same ufuncs on the same operands in the same order, so the bytes are
+those of the reference. The parameters move, and are pulled toward a
+FedProx anchor, over ranges of the flat block, one range where every row
+moves both blocks: elementwise, each entry meets the same operands in the
+same ufuncs however the block is cut. The layouts differ
 where that saves numpy a small loop per sample: the activations, their
 gradient and the logits are kept samples first, (batch, k, features), so
-that adding a bias and summing over the samples run over whole rows, and
+that adding a bias and summing over the samples run over entire rows, and
 the softmax runs class-major, in a (classes, batch, k) copy of the logits,
-so that each reduction over the classes is a few ufunc calls on whole rows
+so that each reduction over the classes is a few ufunc calls on entire rows
 of k * batch values: the max is exact in any order, and the sum adds the
 rows in numpy's own pairwise order for a contiguous axis (`_class_sum`).
 A step on k rows runs the last k rows of the stack, so rows can join the
 front of the stack later, and its intermediates fill the start of each
-workspace buffer, so they are whole arrays whatever k is. Its mode is one
+workspace buffer, so they are entire arrays whatever k is. Its mode is one
 pair (f, c) of row counts: the first min(f, k) running rows move the
 feature block and the last min(c, k) move the classifier. So full,
 classifier-only and donated rows step side by side, a row that does not
@@ -111,10 +112,11 @@ class PartitionedModel:
     """Dense two-block classifier parameters.
 
     `block`, where it is set, is the flat array whose consecutive views the
-    four arrays are, in order (see `on_block`); a step that moves every
-    parameter of such a stack moves the block in one pass. Only `on_block`
-    sets it: a model built from arrays, by `dataclasses.replace`, `pickle`
-    or `copy` has none, since its arrays need not be views of one block.
+    four arrays are, in order (see `on_block`); `sgd_step_in_place` trains
+    only such a stack, and moves its parameters over ranges of the block.
+    Only `on_block` sets it, and so `copy` and `merge`, which lay their
+    model out on one: a model built from arrays, by `dataclasses.replace`
+    or by `pickle` has none, since its arrays need not be views of one block.
     """
 
     feature_weights: np.ndarray
@@ -352,7 +354,7 @@ class Workspace:
     hidden activations and their gradient, the logits (which end as their
     gradient), a class-major copy of the logits in which the softmax runs,
     one value and one index per sample, the four gradient arrays and the
-    proximal differences, all sized for the whole stack. The gradient
+    proximal differences, all sized for the entire stack. The gradient
     arrays are consecutive views of one flat block, laid out as `on_block`
     lays out a stack, and so are the differences. Row i of the stack is
     row i of the gradient arrays and the differences; the other buffers
@@ -410,30 +412,36 @@ class Workspace:
         return views
 
 
-_WHOLE = slice(None)
-
-
-def _rows(arrays, rows: slice) -> tuple:
-    return tuple(arrays) if rows is _WHOLE else tuple(a[rows] for a in arrays)
-
-
-def _sample_rows(buffers, rows: slice) -> tuple:
-    """The given rows of samples-first (batch, k, features) views."""
-    return tuple(buffers) if rows is _WHOLE else tuple(b[:, rows] for b in buffers)
+def _ranges(arrays, rows) -> list[slice]:
+    """The ranges of a stack's flat block that hold the rows `rows[i]`, a
+    slice, of each of `arrays`, the stack's four arrays on the block in
+    order (see `on_block`); ranges that meet are joined into one."""
+    ranges, pos = [], 0
+    for a, r in zip(arrays, rows):
+        row = a.size // len(a)
+        if r.start < r.stop:
+            lo, hi = pos + r.start * row, pos + r.stop * row
+            if ranges and ranges[-1].stop == lo:
+                lo = ranges.pop().start
+            ranges.append(slice(lo, hi))
+        pos += a.size
+    return ranges
 
 
 class _StepViews:
-    """Which rows of a stack of n one step runs and moves, and the buffers' rows.
+    """Which rows of a stack of n one step runs and moves, and the buffers' views.
 
-    The step runs the last k rows. In `mode` (f, c) the first min(f, k) of
-    those move the feature block and the last min(c, k) move the
-    classifier; the rows in both ranges are full steps. Each range is a
-    slice of the stack, `_WHOLE` where it is every row, so that the usual
-    full step slices nothing and, where every row moves both blocks
-    (`whole`), moves the parameters in one pass over their flat block. The
-    buffers other than the gradients and the differences serve the k
-    running rows from their start, the activations and logits as (batch,
-    k, features).
+    The step runs the last k rows (`run`). In `mode` (f, c) the first
+    min(f, k) of those move the feature block (`feature`) and the last
+    min(c, k) the classifier; the rows in both ranges take full steps.
+    `moved` holds the ranges of the stack's flat block whose
+    parameters the step moves, and `pulled` those of the full steps' rows,
+    whose gradients a FedProx anchor pulls on: each array's rows are one
+    range of the block, and ranges that meet are joined, so a step where
+    every row moves both blocks moves one range, all of the block. The
+    gradients and the differences are laid out as the stack, so the same
+    ranges cut them. The other buffers serve the k running rows from their
+    start, the activations and logits as (batch, k, features).
     """
 
     def __init__(self, buffers: tuple, k: int, mode: tuple[int, int]) -> None:
@@ -447,24 +455,16 @@ class _StepViews:
             raise ValueError(f"training mode {mode!r} has a negative row count")
         f, c = min(f, k), min(c, k)
         lo = n - k
-
-        def span(start: int, stop: int) -> slice | None:
-            if start >= stop:
-                return None
-            return _WHOLE if (start, stop) == (0, n) else slice(start, stop)
-
-        self.run = span(lo, n)
-        self.feature = span(lo, lo + f)
-        self.classifier = span(n - c, n)
-        self.both = span(n - c, lo + f)
-        self.whole = self.both is _WHOLE
+        self.run, self.feature, classifier = slice(lo, n), slice(lo, lo + f), slice(n - c, n)
+        arrays = grads.arrays()
+        self.moved = _ranges(arrays, (self.feature,) * 2 + (classifier,) * 2)
+        self.pulled = _ranges(arrays, (slice(n - c, lo + f),) * 4)
         self.flat = (grads.block, diffs.block)
-        # The feature and classifier rows as rows of the batch.
-        self.feature_inputs = _WHOLE if f == k else slice(0, f)
-        classifier_rows = _WHOLE if c == k else slice(k - c, k)
+        # The feature rows as rows of the batch.
+        self.feature_inputs = slice(0, f)
         samples = k * batch
         # Every buffer serves the running rows from its start, so each of
-        # their views is whole for every k.
+        # their views is an entire array for every k.
         hidden, dhidden, logits, block = (
             b[: samples * (b.size // values.size)] for b in (hidden, dhidden, logits, block)
         )
@@ -485,33 +485,17 @@ class _StepViews:
             picks[:samples].reshape(k, batch),
             places[:samples].reshape(batch, k).T,
         )
-        grads, diffs = grads.arrays(), diffs.arrays()
-        if self.classifier is not None:
-            self.classifier_views = (
-                *_sample_rows((hidden, logits), classifier_rows),
-                *_rows((grads[2], grads[3]), self.classifier),
-            )
-        if self.feature is not None:
-            self.feature_views = (
-                *_sample_rows((hidden, dhidden, logits), self.feature_inputs),
-                *_rows((grads[0], grads[1]), self.feature),
-            )
-        if self.both is not None:
-            self.both_views = (_rows(grads, self.both), _rows(diffs, self.both))
-        # The gradient buffer of each moving parameter and its rows.
-        blocks = (self.feature, self.feature, self.classifier, self.classifier)
-        self.moving = [
-            (i, grads[i] if rows is _WHOLE else grads[i][rows], rows)
-            for i, rows in enumerate(blocks)
-            if rows is not None
-        ]
+        # Empty where no row moves the block.
+        c_rows, f_rows = (g[classifier] for g in arrays[2:]), (g[self.feature] for g in arrays[:2])
+        self.classifier_views = (hidden[:, k - c :], logits[:, k - c :], *c_rows) if c else ()
+        self.feature_views = (hidden[:, :f], dhidden[:, :f], logits[:, :f], *f_rows) if f else ()
 
 
 def _class_sum(terms: np.ndarray, out: np.ndarray, scratch: np.ndarray) -> None:
     """Write the sum of `terms` over its first axis into `out`, bitwise as
     `np.add.reduce` sums a contiguous axis of that many terms.
 
-    Each add is one ufunc call on whole rows, so a class-major block sums
+    Each add is one ufunc call on entire rows, so a class-major block sums
     over its classes in a few calls instead of one small loop per sample.
     numpy's order is pairwise: fewer than 8 terms add one after another;
     up to 128 go into eight running sums, r0..r7, one for every eighth
@@ -564,8 +548,9 @@ def sgd_step_in_place(
 ) -> None:
     """One SGD step that writes the new parameters into `model`'s arrays.
 
-    `model` is the stack that `workspace` serves, and a batch of k rows
-    runs its last k models; any other model raises ShapeError. `mode` is a
+    `model` is the stack that `workspace` serves, laid out as one block
+    (`on_block`), and a batch of k rows runs its last k models; any other
+    model raises ShapeError before any parameter moves. `mode` is a
     pair (f, c) of row counts: the first min(f, k) of the k rows move their
     feature block, with full gradients and a fixed classifier (a donated
     block), and the last min(c, k) move their classifier only, as with
@@ -575,13 +560,14 @@ def sgd_step_in_place(
     step, whatever k is, and one step can train full, classifier-only and
     donated rows side by side. A negative count raises ValueError. A
     nonzero `prox_mu` adds `prox_mu * (p - anchor)` to each gradient of the
-    rows that take full steps; the anchor is a stack with the model's rows.
+    rows that take full steps; the anchor is then a stack with the model's
+    rows, laid out as one block, or the step raises ShapeError.
 
     Every intermediate lives in `workspace`, and each entry is computed
     with the ufunc, operands and order of the allocating functions above,
     so the new parameters are bitwise theirs. The activations and logits
     are kept samples first, so the bias adds and the bias gradients' sums
-    over the samples, in order, run over whole rows, and the products read
+    over the samples, in order, run over entire rows, and the products read
     them as the same matrices with a longer row stride (BLAS's leading
     dimension), which moves no bit of a product. The softmax and its
     gradient run class-major, in a (classes, batch, k) copy of the logits:
@@ -591,10 +577,11 @@ def sgd_step_in_place(
     goes back to the logits that the products read. The classifier
     gradients are computed for the rows that move the classifier only, and
     the backward pass through the feature block for the rows that move it
-    only. The new parameters of both blocks are computed into the gradient
-    buffers and checked to be finite before any parameter moves, so a
-    non-finite gradient and an overflow of `lr * g` or `p - lr * g` both
-    raise DivergenceError.
+    only. The pull and the move then run over the ranges of the flat
+    block that the step's rows cover (`_StepViews`): the new parameters
+    are computed into the gradient buffer and checked to be finite before
+    any parameter moves, so a non-finite gradient and an overflow of
+    `lr * g` or `p - lr * g` both raise DivergenceError.
     """
     _check_batch(model, batch)
     if model.feature_weights.shape[:-2] != (workspace.stack,):
@@ -602,14 +589,20 @@ def sgd_step_in_place(
             f"a workspace for a stack of {workspace.stack} cannot train a model of"
             f" shape {model.feature_weights.shape}"
         )
+    if model.block is None:
+        raise ShapeError("training takes a stack laid out as one block (see on_block)")
     views = workspace.views(batch, mode)
-    pull = prox_mu != 0.0 and views.both is not None
+    pull = prox_mu != 0.0 and bool(views.pulled)
     if pull and anchor is None:
         raise ValueError("proximal training requires an anchor model")
-    if pull and anchor.feature_weights.shape != model.feature_weights.shape:
-        raise ShapeError("the anchor must be a stack with the model's rows")
+    if pull and (
+        anchor.block is None
+        or anchor.block.shape != model.block.shape
+        or anchor.feature_weights.shape != model.feature_weights.shape
+    ):
+        raise ShapeError("the anchor must be a stack with the model's rows, on one block")
     params = model.arrays()
-    fw, fb, cw, cb = _rows(params, views.run)
+    fw, fb, cw, cb = (a[views.run] for a in params)
     hidden, logits = views.running
     by_class, terms, partials, values = views.softmax
     inputs = batch.inputs
@@ -618,7 +611,7 @@ def sgd_step_in_place(
     np.tanh(hidden, out=hidden)
     np.matmul(hidden.swapaxes(0, 1), cw, out=logits.swapaxes(0, 1))
     # The running rows' biases are one contiguous run of k * classes values,
-    # so the add runs over whole rows of the samples-first logits.
+    # so the add runs over entire rows of the samples-first logits.
     logit_rows = views.logit_rows
     np.add(logit_rows, cb.reshape(-1), out=logit_rows)
     np.copyto(by_class, logits.transpose(2, 0, 1))
@@ -640,15 +633,14 @@ def sgd_step_in_place(
     flat[picks] -= 1.0
     np.divide(terms, batch.labels.shape[-1], out=terms)
     np.copyto(logits, by_class.transpose(1, 2, 0))
-    if views.classifier is not None:
+    if views.classifier_views:
         # Before the feature rows' `hidden` turns into the tanh derivative.
         c_hidden, c_logits, g_cw, g_cb = views.classifier_views
         np.matmul(c_hidden.transpose(1, 2, 0), c_logits.swapaxes(0, 1), out=g_cw)
         np.add.reduce(c_logits, axis=0, out=g_cb)
-    if views.feature is not None:
+    if views.feature_views:
         f_hidden, dhidden, f_logits, g_fw, g_fb = views.feature_views
-        f_cw = params[2] if views.feature is _WHOLE else params[2][views.feature]
-        f_inputs = inputs if views.feature_inputs is _WHOLE else inputs[views.feature_inputs]
+        f_cw, f_inputs = params[2][views.feature], inputs[views.feature_inputs]
         np.matmul(f_logits.swapaxes(0, 1), f_cw.swapaxes(-1, -2), out=dhidden.swapaxes(0, 1))
         # hidden -> 1 - hidden**2, the tanh derivative; dhidden -> dpre.
         np.multiply(f_hidden, f_hidden, out=f_hidden)
@@ -656,36 +648,25 @@ def sgd_step_in_place(
         np.multiply(dhidden, f_hidden, out=dhidden)
         np.matmul(f_inputs.swapaxes(-1, -2), dhidden.swapaxes(0, 1), out=g_fw)
         np.add.reduce(dhidden, axis=0, out=g_fb)
-    # Where every row moves both blocks, the gradients, the differences and
-    # the parameters of a stack laid out as one block move as one array
-    # each: each entry meets the same operands in the same ufuncs.
-    whole = views.whole and model.block is not None
+    # Each range of the flat block moves as one array: elementwise, each
+    # entry meets the same operands in the same ufuncs however it is cut.
+    grads, diffs = views.flat
+    block = model.block
     if pull:
-        if whole and anchor.block is not None and anchor.block.shape == model.block.shape:
-            grads, diffs = views.flat
-            terms = [(grads, model.block, anchor.block, diffs)]
-        else:
-            grads, diffs = views.both_views
-            anchors = _rows(anchor.arrays(), views.both)
-            terms = zip(grads, _rows(params, views.both), anchors, diffs)
-        for g, p, a, diff in terms:
-            np.subtract(p, a, out=diff)
+        for rows in views.pulled:
+            g, diff = grads[rows], diffs[rows]
+            np.subtract(block[rows], anchor.block[rows], out=diff)
             np.multiply(prox_mu, diff, out=diff)
             np.add(g, diff, out=g)
-    if whole:
-        moving = [(views.flat[0], model.block)]
-    else:
-        moving = [
-            (g, params[i] if rows is _WHOLE else params[i][rows]) for i, g, rows in views.moving
-        ]
-    for g, p in moving:
+    moves = [(grads[rows], block[rows]) for rows in views.moved]
+    for g, p in moves:
         # g -> p - lr * g, bitwise the new parameter, checked before any moves.
         np.multiply(g, lr, out=g)
         np.subtract(p, g, out=g)
-    for g, _ in moving:
+    for g, _ in moves:
         if not np.isfinite(g).all():
             raise DivergenceError("non-finite gradient values")
-    for g, p in moving:
+    for g, p in moves:
         np.copyto(p, g)
 
 
@@ -698,16 +679,12 @@ def split(model: PartitionedModel) -> tuple[FeatureBlock, ClassifierBlock]:
 
 
 def merge(feature: FeatureBlock, classifier: ClassifierBlock) -> PartitionedModel:
-    """Recombine two blocks into a model; inverse of split()."""
+    """Recombine two blocks into a model laid out as one new block, which
+    shares no memory with either; inverse of split()."""
     if feature.weights.shape[-1] != classifier.weights.shape[-2]:
         raise ShapeError(
             f"hidden dim mismatch: feature block has {feature.weights.shape[-1]}, "
             f"classifier block expects {classifier.weights.shape[-2]}"
         )
-    return PartitionedModel(
-        feature_weights=feature.weights.copy(),
-        feature_bias=feature.bias.copy(),
-        classifier_weights=classifier.weights.copy(),
-        classifier_bias=classifier.bias.copy(),
-        num_classes=classifier.weights.shape[-1],
-    )
+    blocks = (feature.weights, feature.bias, classifier.weights, classifier.bias)
+    return PartitionedModel(*blocks, num_classes=classifier.weights.shape[-1]).copy()

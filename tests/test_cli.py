@@ -643,6 +643,27 @@ class TestRunCommand:
         assert "invalid configuration:\n  - training: diverged in round 0 (seed 7):" in err
         assert "non-finite gradient values" in err
 
+    # Seed 9's fedavg lane and seed 10's deadline lane diverge in round 0;
+    # seed 9's deadline lane does not.
+    DIVERGING_LANES = {
+        "dataset": {"num_classes": 3, "samples_per_class": 20, "input_dim": 2,
+                    "noise_sigma": 1.0e308},
+        "clients": {"count": 6, "per_round": 3},
+        "training": {"rounds": 1, "local_updates": 2, "batch_size": 4, "hidden_dim": 4},
+        "strategies": [{"name": "deadline", "multiplier": 0.5}, "fedavg"],
+        "seed": 9,
+        "replicates": 2,
+    }
+
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_serial_and_pooled_name_the_same_diverged_lane(self, tmp_path, capsys, workers):
+        # Serial and pooled runs order the lanes seed-major alike, so both
+        # name seed 9's fedavg lane rather than the deadline lane of seed 10,
+        # which comes first in task order.
+        code, _ = self.run_cli(tmp_path, self.DIVERGING_LANES, extra=("--workers", workers))
+        assert code == 1
+        assert "training: diverged in round 0 (seed 9):" in capsys.readouterr().err
+
     # The gradients stay finite; lr * g overflows on a member's last step.
     OVERFLOWING = {
         "dataset": {"num_classes": 3, "samples_per_class": 20, "input_dim": 2},

@@ -317,8 +317,9 @@ def member_models():
 
 
 def stack(models):
+    """The models as one stack, laid out as one block, as training takes it."""
     arrays = [np.stack(parts) for parts in zip(*(m.arrays() for m in models))]
-    return PartitionedModel(*arrays, num_classes=models[0].num_classes)
+    return PartitionedModel(*arrays, num_classes=models[0].num_classes).copy()
 
 
 def first_row(stacked):
@@ -574,11 +575,10 @@ def test_in_place_step_with_one_anchor_per_member(members):
 
 def check_members_leave(mode, prox_mu, members, per_member_anchor):
     for classes in CLASS_COUNTS:
-        for flat in (False, True):
-            check_members_leave_with(classes, mode, prox_mu, members, per_member_anchor, flat)
+        check_members_leave_with(classes, mode, prox_mu, members, per_member_anchor)
 
 
-def check_members_leave_with(classes, mode, prox_mu, members, per_member_anchor, flat):
+def check_members_leave_with(classes, mode, prox_mu, members, per_member_anchor):
     # Batch 32 and hidden 32: at 32 members and up, each (K, batch, hidden)
     # buffer is 256 KB or more, past glibc's 128 KB mmap threshold.
     input_dim, hidden, batch = 8, 32, 32
@@ -594,10 +594,6 @@ def check_members_leave_with(classes, mode, prox_mu, members, per_member_anchor,
     labels = rng.integers(0, classes, size=(6, members, batch))
 
     stacked = stack(models)
-    if flat:
-        # Laid out as one block, the steps where every member runs and
-        # moves both blocks move the block, and pull toward the anchor's.
-        stacked, anchor = stacked.copy(), anchor.copy()
     workspace = Workspace(stacked, batch)
     left = {}
     for step in range(6):
@@ -647,7 +643,15 @@ def test_in_place_step_matches_reference_on_a_lone_model(mode, prox_mu):
 
 @pytest.mark.parametrize(
     "rows, k, f, c",
-    [(5, 5, 3, 3), (6, 4, 3, 2), (7, 5, 5, 4), (4, 4, 1, 4), (6, 5, 2, 2), (6, 4, 6, 6)],
+    [
+        (5, 5, 3, 3),
+        (6, 4, 3, 2),
+        (7, 5, 5, 4),
+        (4, 4, 1, 4),
+        (4, 4, 4, 1),
+        (6, 5, 2, 2),
+        (6, 4, 6, 6),
+    ],
 )
 def test_in_place_step_moves_each_block_on_its_rows(rows, k, f, c):
     # One step runs the last k of the stack's rows: the first min(f, k) of
@@ -733,8 +737,8 @@ def test_in_place_step_that_overflows_moves_nothing(mode):
 
 def test_training_takes_only_stacks():
     # A model trains alone as a stack of one. A lone model, a stack of
-    # other rows than the workspace's, and an anchor that is not a stack
-    # with the model's rows are refused before anything moves.
+    # other rows than the workspace's or not laid out as one block, and an
+    # anchor that is not such a stack are refused before anything moves.
     model = init_model(4, 6, 3, seed=0)
     rng = np.random.default_rng(0)
     batch = Batch(rng.standard_normal((1, 8, 4)), rng.integers(0, 3, size=(1, 8)))
@@ -749,6 +753,14 @@ def test_training_takes_only_stacks():
         sgd_step_in_place(stack([model]), lone_batch, workspace, 0.1, (1, 1))
     with pytest.raises(ShapeError, match="anchor"):
         sgd_step_in_place(stack([model]), batch, workspace, 0.1, (1, 1), 0.01, model)
+    stacked = stack([model])
+    loose = PartitionedModel(*(a.copy() for a in stacked.arrays()), num_classes=3)
+    for trained, prox_mu, anchor in [(loose, 0.0, None), (stacked, 0.01, loose)]:
+        before = [a.copy() for a in trained.arrays()]
+        with pytest.raises(ShapeError, match="one block"):
+            sgd_step_in_place(trained, batch, workspace, 0.1, (1, 1), prox_mu, anchor)
+        for a, b in zip(trained.arrays(), before):
+            assert a.tobytes() == b.tobytes()
     with pytest.raises(ShapeError, match="one stack"):
         local_train(model, CohortCursor(INPUTS, LABELS, [np.arange(16).reshape(2, 8)]), 2, 0.1)
 

@@ -239,7 +239,8 @@ class TestLocalTrain:
 
     def test_prox_pulls_toward_anchor(self):
         plain = local_train(self.model, self.cursor(20), 20, 0.05)
-        prox = local_train(self.model, self.cursor(20), 20, 0.05, prox_mu=1.0, anchor=self.model)
+        anchor = self.model.copy()
+        prox = local_train(self.model, self.cursor(20), 20, 0.05, prox_mu=1.0, anchor=anchor)
         drift_plain = sum(
             float(np.sum((a - b) ** 2))
             for a, b in zip(plain.arrays(), self.model.arrays())

@@ -355,6 +355,15 @@ class TestSplitMerge:
         feature.weights[0, 0] = 99.0
         assert model.feature_weights[0, 0] != 99.0
 
+    def test_merge_lays_out_one_new_block(self):
+        feature, classifier = split(init_model(5, 6, 4, seed=13))
+        merged = merge(feature, classifier)
+        assert merged.block.shape == (merged.size,)
+        for a in merged.arrays():
+            assert np.shares_memory(a, merged.block)
+        for part in (feature.weights, feature.bias, classifier.weights, classifier.bias):
+            assert not np.shares_memory(merged.block, part)
+
     def test_merge_rejects_mismatched_hidden(self):
         a = init_model(5, 6, 4, seed=13)
         b = init_model(5, 7, 4, seed=13)
