@@ -273,33 +273,37 @@ def _check_sizes(
     lanes: int,
     problems: list[str],
 ) -> None:
-    """Check that the largest float64 arrays of a run each fit in one numpy
-    array; reports the first that does not. `fedsim run` trains the run's
-    `lanes` experiments (strategies x replicates) in lockstep, so one phase
-    may stack lanes * per_round models. Runs on an otherwise valid
-    document."""
+    """Check that the largest arrays of a run each fit in one numpy array;
+    reports the first that does not. `fedsim run` trains the run's `lanes`
+    experiments (strategies x replicates) in lockstep, so one phase may
+    stack lanes * per_round models. Runs on an otherwise valid document."""
     k, hidden, width = lanes * clients.per_round, training.hidden_dim, dataset.input_dim
     arrays = {
         "dataset (num_classes * samples_per_class, input_dim)": (
-            dataset.num_classes * dataset.samples_per_class, width
+            "float64", (dataset.num_classes * dataset.samples_per_class, width)
         ),
         "stacked models (strategies * replicates * per_round,"
-        " max(input_dim, num_classes), hidden_dim)": (k, max(width, dataset.num_classes), hidden),
-        "workspace (strategies * replicates * per_round, batch_size, hidden_dim)": (
-            k, training.batch_size, hidden
+        " max(input_dim, num_classes), hidden_dim)": (
+            "float64", (k, max(width, dataset.num_classes), hidden)
         ),
-        # A round's batches, as `CohortCursor` gathers them. This also bounds
-        # the indices: the gather's index block holds one per sample, and a
-        # client's take of at most 2 * local_updates * batch_size indices is
-        # two rows' worth at most, as a donated block needs two or more rows.
-        "batches (local_updates, strategies * replicates * per_round, batch_size,"
-        " input_dim)": (training.local_updates, k, training.batch_size, width),
+        "workspace (strategies * replicates * per_round, batch_size, hidden_dim)": (
+            "float64", (k, training.batch_size, hidden)
+        ),
+        # A round's sample indices, as `CohortCursor` lays them out, and the
+        # one step's batch it gathers from them. A client's take of at most
+        # 2 * local_updates * batch_size indices is two rows' worth of the
+        # indices at most, as a donated block needs two or more rows.
+        "batches (local_updates, strategies * replicates * per_round, batch_size)"
+        " of sample indices": ("int64", (training.local_updates, k, training.batch_size)),
+        "a step's batch (strategies * replicates * per_round, batch_size, input_dim)": (
+            "float64", (k, training.batch_size, width)
+        ),
     }
     limit = np.iinfo(np.intp).max
-    for name, shape in arrays.items():
+    for name, (dtype, shape) in arrays.items():
         if 8 * math.prod(shape) > limit:
             problems.append(
-                f"{name}: {' x '.join(map(str, shape))} float64 values exceed the"
+                f"{name}: {' x '.join(map(str, shape))} {dtype} values exceed the"
                 f" {limit} bytes one array can hold"
             )
             return

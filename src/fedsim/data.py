@@ -103,7 +103,11 @@ def generate_synthetic(
     rng = spawn_rng(seed, TAG_DATASET)
     means = class_means(num_classes, input_dim)
     labels = np.repeat(np.arange(num_classes, dtype=np.int64), samples_per_class)
-    inputs = means[labels] + noise_sigma * rng.standard_normal((labels.shape[0], input_dim))
+    # In place, with no temporary of the dataset's size: each class is one
+    # block of rows, and sigma * z + mean is bitwise mean + sigma * z.
+    inputs = rng.standard_normal((labels.shape[0], input_dim))
+    inputs *= noise_sigma
+    inputs.reshape(num_classes, samples_per_class, input_dim)[...] += means[:, None]
 
     order = rng.permutation(labels.shape[0])
     n_train = train_count(labels.shape[0])

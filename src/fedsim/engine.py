@@ -35,18 +35,21 @@ A round runs in two passes.
   labels and the finite check's masks; the untouched stack is FedProx's
   anchor. Each kept client's stream is opened for the round and draws all
   its batches in one take, split into its own steps and a donated block's,
-  and the round gathers every row's batches once, into one `CohortCursor`.
-  Every client sees the batches it would draw alone, in the same order, and
-  comes out bitwise equal to training alone, a weak client as its full,
-  classifier-only and donated steps one after another. A round's
-  `RoundTrace` is its plan plus its accuracy.
+  and a `CohortCursor` lays every row's batch indices out once and gathers
+  each step's batch as the step trains. Every client sees the batches it
+  would draw alone, in the same order, and comes out bitwise equal to
+  training alone, a weak client as its full, classifier-only and donated
+  steps one after another. A round's `RoundTrace` is its plan plus its
+  accuracy.
 * The round's memory is kept from round to round in a `model.Arena`, made
-  at the first round: the gathered batches, the start stack and its
-  trained copy, each laid out as one flat block, and the workspace. So a
-  warm round maps no new pages, and a step in which every row moves both
-  blocks moves the whole parameter block in one pass. Evaluation runs in
-  the gathered batches' array, which the round no longer reads once it is
-  trained. What a round hands out, its global model, is never the arena's.
+  at the first round: the batch indices, one step's batch, the start stack
+  and its trained copy, each laid out as one flat block, and the
+  workspace. Only the indices, an integer per sample and step, grow with
+  `local_updates`. So a warm round maps no new pages, and a step in which
+  every row moves both blocks moves the whole parameter block in one
+  pass. Evaluation runs its forward pass in the workspace's activations,
+  which the round no longer reads once it is trained. What a round hands
+  out, its global model, is never the arena's.
 
 `run_experiments` runs several experiments, each a (strategy, seed) *lane*
 with its own model and clock on its seed's shared data (`SeedData`, built
@@ -70,6 +73,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, fields
+from itertools import groupby
 from typing import Any, ClassVar, Sequence
 
 import numpy as np
@@ -376,7 +380,9 @@ class BatchCursor:
         n -= order.shape[0] - pos
         size = self._indices.shape[0]
         passes = -(-n // size)
-        fresh = self._rng.permuted(np.tile(self._indices, (passes, 1)), axis=1)
+        fresh = np.empty((passes, size), np.int64)
+        fresh[:] = self._indices
+        self._rng.permuted(fresh, axis=1, out=fresh)
         self._order = fresh[-1]
         self._pos = n - (passes - 1) * size
         if pos == order.shape[0]:
@@ -388,11 +394,6 @@ class BatchCursor:
         return Batch(inputs=self._inputs[idx], labels=self._labels[idx])
 
 
-# The arena array that holds a round's gathered inputs while the round
-# trains, and the evaluation's forward pass once it is trained.
-_BATCHES = "inputs"
-
-
 class CohortCursor:
     """Stacked batches of a cohort that trains in lockstep, and the rows that join it.
 
@@ -400,13 +401,15 @@ class CohortCursor:
     per step it runs, with the rows in order of step count. Every row runs
     until the last step, so a row with fewer steps joins the stack later,
     and the rows that run a step are a suffix of the stack. On construction
-    the indices are checked to lie in the data and gathered from the shared
-    data arrays, one `take` for the inputs and one for the labels,
-    step-major, so that each step is one contiguous block: into new arrays,
-    or into `arena`'s, which the cursor then holds until the arena's next
-    use. `next_batch` then serves one step at a time as a Batch of shape
-    (k, batch_size, input_dim) for the k rows that run it, as a view, whose
-    row i is what that row's own cursor serves at that step.
+    the indices are checked to lie in the data and laid out step-major, as
+    one (steps, rows, batch_size) block. `next_batch` then gathers one step
+    from the shared data arrays, one `take` for the inputs and one for the
+    labels, into one step's worth of arrays, and serves it as a Batch of
+    shape (k, batch_size, input_dim) for the k rows that run it, whose row i
+    is what that row's own cursor serves at that step. A batch is valid
+    until the next call. The index block and the step's arrays are new
+    arrays, or `arena`'s, which the cursor then holds until the arena's next
+    use; only the index block grows with the step count.
 
     The first d = `donated` rows of the stack, the donated rows, pair with
     the last d, the weak rows, in order. Donated row i joins at its handoff
@@ -449,15 +452,14 @@ class CohortCursor:
         if low < 0 or high >= labels.shape[0]:
             bad = low if low < 0 else high
             raise IndexError(f"sample index {bad} is out of bounds for {labels.shape[0]} samples")
-        idx = scratch(arena, "index", (last, rows, size), np.int64)
+        idx = self._index = scratch(arena, "index", (last, rows, size), np.int64)
         # Steps before a row joins read sample 0 and are never served.
         idx.fill(0)
         running = np.arange(last) >= np.asarray(joins)[:, None]
         idx.swapaxes(0, 1)[running] = samples
-        gathered = scratch(arena, _BATCHES, idx.shape + inputs.shape[1:], inputs.dtype)
-        self._inputs = inputs.take(idx, axis=0, out=gathered, mode="clip")
-        gathered = scratch(arena, "labels", idx.shape, labels.dtype)
-        self._labels = labels.take(idx, out=gathered, mode="clip")
+        self._data = inputs, labels
+        self._inputs = scratch(arena, "inputs", (rows, size) + inputs.shape[1:], inputs.dtype)
+        self._labels = scratch(arena, "labels", (rows, size), labels.dtype)
         self.batch_size = size
         self._first = np.searchsorted(steps, last - np.arange(last)).tolist()
         self._step = 0
@@ -482,7 +484,11 @@ class CohortCursor:
     def next_batch(self) -> Batch:
         step, first = self._step, self._first[self._step]
         self._step += 1
-        return Batch(inputs=self._inputs[step, first:], labels=self._labels[step, first:])
+        idx, (inputs, labels) = self._index[step, first:], self._data
+        return Batch(
+            inputs=inputs.take(idx, axis=0, out=self._inputs[first:], mode="clip"),
+            labels=labels.take(idx, out=self._labels[first:], mode="clip"),
+        )
 
 
 @dataclass(frozen=True)
@@ -514,11 +520,13 @@ def local_train(
     The stack passed in is left as it is: the steps train a copy of it in
     place, laid out as one block, in one `Workspace` for the call. The copy
     and the workspace are new arrays, or `arena`'s: the stack returned is
-    then the arena's until its next use. Every step takes the cursor's
-    `mode`, the pair that says which rows move which block, and moves the
-    rows that run it, a suffix of the stack, so one call trains a whole
-    round and each row comes out trained on its own steps only; before each
-    step, the donated rows that join at it are copied from their weak rows.
+    then the arena's until its next use. Each step trains on the batch the
+    cursor gathers for it, which the next step's gather overwrites. Every
+    step takes the cursor's `mode`, the pair that says which rows move
+    which block, and moves the rows that run it, a suffix of the stack, so
+    one call trains a whole round and each row comes out trained on its own
+    steps only; before each step, the donated rows that join at it are
+    copied from their weak rows.
     A model trains alone as a stack of one; a lone model raises ShapeError.
     The anchor, if any, is a stack with the model's rows.
     """
@@ -618,8 +626,9 @@ def evaluate_accuracy(
 ) -> float:
     """Share of correctly classified held-out samples.
 
-    The forward pass runs in new arrays, or in `arena`'s array of a round's
-    gathered batches, which a round no longer reads once it is trained.
+    The forward pass runs in new arrays, or at the start of the array of
+    `arena`'s workspace activations (see `Workspace`), which a round no
+    longer reads once it is trained.
 
     A sample's prediction is the arg-max of its class probabilities from
     `forward`, the first index on a tie. Most of the time it is read off the
@@ -638,7 +647,7 @@ def evaluate_accuracy(
     out = None
     if arena is not None:
         rows, hidden = batch.labels.shape[0], model.hidden_dim
-        flat = arena.get(_BATCHES, (rows * (hidden + model.num_classes),))
+        flat = arena.get("activations", (rows * (hidden + model.num_classes),))
         out = flat[: rows * hidden].reshape(rows, hidden), flat[rows * hidden :].reshape(rows, -1)
     _, logits = forward_logits(model, batch, out)
     # The row max, exact, as an elementwise chain over the few classes.
@@ -966,13 +975,18 @@ def plan_round(state: ExperimentState, round_index: int) -> RoundPlan:
 
 
 def _stack(models: list[PartitionedModel], arena: Arena) -> PartitionedModel:
-    """The models as one stack, laid out as one block of `arena`'s."""
+    """The models as one stack, laid out as one block of `arena`'s; each run
+    of rows that holds the same model is copied in from it by broadcast."""
     first = models[0]
     shapes = [(len(models), *a.shape) for a in first.arrays()]
     block = arena.get("start", (len(models) * first.size,))
     stack = on_block(block, shapes, first.num_classes)
-    for out, parts in zip(stack.arrays(), zip(*(m.arrays() for m in models))):
-        np.stack(parts, out=out)
+    row = 0
+    for _, run in groupby(models, key=id):
+        run = list(run)
+        for out, a in zip(stack.arrays(), run[0].arrays()):
+            out[row : row + len(run)] = a
+        row += len(run)
     return stack
 
 
@@ -1179,25 +1193,23 @@ def _run_lanes(
     """Run round `round_index` of every lane: plan it, lanes in order, each from
     its own clock; train and aggregate the plans stacked, in `arena` (see
     `_train_lanes`); then give each lane its new global model and evaluate
-    it in the same arena, whose gathered batches no lane reads once the
-    round is trained. A lane's trace is its plan plus its accuracy."""
+    it in the same arena, whose workspace no lane reads once the round is
+    trained. A lane's trace is its plan plus its accuracy."""
     plans = [plan_round(state, round_index) for state in states]
     training, dataset = states[0].config.training, states[0].config.dataset
     params = sum(a.size for a in states[0].global_model.arrays())
     # The arena holds one stack at a time, so the largest stack bounds it: a
     # row per kept client and per donated block, each with four models (start,
-    # trained, gradients, FedProx differences), its batches and its workspace:
-    # per sample, the hidden units and their gradient, the logits and their
-    # class-major copy.
+    # trained, gradients, FedProx differences) and, per sample, an index for
+    # every step, one step's inputs and label, and its workspace: the hidden
+    # units and their gradient, the logits and their class-major copy.
     stacks: dict[float, int] = {}
     for state, plan in zip(states, plans):
         kept = sum((not p.dropped) + (p.receiver is not None) for p in plan.clients)
         stacks[state.strategy.prox_mu] = stacks.get(state.strategy.prox_mu, 0) + kept
     rows = max(stacks.values())
-    per_sample = (
-        training.local_updates * (dataset.input_dim + 2)
-        + 2 * (training.hidden_dim + dataset.num_classes)
-    )
+    per_sample = training.local_updates + dataset.input_dim + 1
+    per_sample += 2 * (training.hidden_dim + dataset.num_classes)
     try:
         with out_of_memory_as_config_error(
             f"round {round_index}'s training: {rows} stacked models of {params}"

@@ -354,16 +354,18 @@ class Workspace:
     hidden activations and their gradient, the logits (which end as their
     gradient), a class-major copy of the logits in which the softmax runs,
     one value and one index per sample, the four gradient arrays and the
-    proximal differences, all sized for the entire stack. The gradient
-    arrays are consecutive views of one flat block, laid out as `on_block`
-    lays out a stack, and so are the differences. Row i of the stack is
-    row i of the gradient arrays and the differences; the other buffers
-    serve the running rows of a step from their start. A step on a batch of
-    k rows runs the last k rows of the stack and moves each block on a
-    range of those (see `sgd_step_in_place`); the views of each such layout
-    are made once and kept. The buffers are new arrays, or views of
-    `arena`'s, which the workspace then holds until the arena's next use. A
-    model without exactly one leading axis raises ShapeError.
+    proximal differences, all sized for the entire stack. The first four,
+    the activations, are consecutive views of one flat array, in that
+    order, whose start `engine.evaluate_accuracy` reuses once training is
+    done. The gradient arrays are consecutive views of one flat block, laid
+    out as `on_block` lays out a stack, and so are the differences. Row i
+    of the stack is row i of the gradient arrays and the differences; the
+    other buffers serve the running rows of a step from their start. A step
+    on a batch of k rows runs the last k rows of the stack and moves each
+    block on a range of those (see `sgd_step_in_place`); the views of each
+    such layout are made once and kept. The buffers are new arrays, or
+    views of `arena`'s, which the workspace then holds until the arena's
+    next use. A model without exactly one leading axis raises ShapeError.
     """
 
     def __init__(
@@ -382,13 +384,15 @@ class Workspace:
 
         places = empty("places", samples, np.intp)
         np.copyto(places, np.arange(samples))
+        hidden, logits = samples * model.hidden_dim, samples * model.num_classes
+        activations = empty("activations", 2 * (hidden + logits))
         self._buffers = (
             # Samples first, (batch, k, features) for a step on k rows.
-            empty("hidden", samples * model.hidden_dim),
-            empty("dhidden", samples * model.hidden_dim),
-            empty("logits", samples * model.num_classes),
+            activations[:hidden],
+            activations[hidden : 2 * hidden],
+            activations[2 * hidden : 2 * hidden + logits],
             # The class-major block, (classes, batch, k) for a step on k rows.
-            empty("by_class", samples * model.num_classes),
+            activations[2 * hidden + logits :],
             empty("values", samples),  # each sample's max, then its sum
             empty("picks", samples, np.intp),  # where each sample's label's entry lies
             places,  # each sample's place in a class's row of the block

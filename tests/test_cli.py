@@ -735,8 +735,8 @@ class TestRunCommand:
             (
                 dict(FAST_RAW, training=dict(FAST_RAW["training"], local_updates=2**40,
                                              batch_size=2**30)),
-                "batches (local_updates, strategies * replicates * per_round, batch_size,"
-                " input_dim): 1099511627776 x 2 x 1073741824 x 4 float64 values exceed",
+                "batches (local_updates, strategies * replicates * per_round, batch_size)"
+                " of sample indices: 1099511627776 x 2 x 1073741824 int64 values exceed",
             ),
         ],
         ids=["profile-noise_sigma", "hidden_dim", "local_updates-batch_size"],

@@ -501,6 +501,38 @@ def test_cohort_cursor_serves_each_members_batches():
             assert np.array_equal(batch.labels[row], expected.labels)
 
 
+@pytest.mark.parametrize("arena", [None, Arena()], ids=["new", "arena"])
+def test_cohort_cursor_serves_each_rows_stream_with_handoffs(arena):
+    # Donated rows that join at steps 4, 2 and 2 of 6, on their receivers'
+    # streams, then a full row and three weak rows on their own streams.
+    # Each step gathers only its own batch, so the cursor holds one step's
+    # inputs whatever the step count; each batch row is what that row's own
+    # stream serves at that step.
+    steps, handoffs = 6, [4, 2, 2]
+
+    def streams():
+        donors = [BatchCursor(INPUTS, LABELS, idx, 8, np.random.default_rng(200 + k))
+                  for k, idx in enumerate(MEMBER_INDICES[:3])]
+        own = member_cursors()
+        return donors + [own[k] for k in (3, 0, 1, 2)]
+
+    counts = [steps - f for f in handoffs] + [steps] * 4
+    blocks = [c._take(n * 8).reshape(n, 8) for c, n in zip(streams(), counts)]
+    for _ in range(2):  # the second cursor reuses the arena's arrays
+        cursor = CohortCursor(INPUTS, LABELS, blocks, len(handoffs), arena)
+        assert cursor._inputs.shape == (len(blocks), 8, 4)
+        plain = streams()
+        for step in range(steps):
+            batch = cursor.next_batch()
+            running = [k for k, n in enumerate(counts) if n >= steps - step]
+            assert batch.labels.shape == (len(running), 8)
+            assert np.shares_memory(batch.inputs, cursor._inputs)
+            for row, k in enumerate(running):
+                expected = plain[k].next_batch()
+                assert np.array_equal(batch.inputs[row], expected.inputs)
+                assert np.array_equal(batch.labels[row], expected.labels)
+
+
 @pytest.mark.parametrize("bad", [len(INPUTS), -1])
 @pytest.mark.parametrize("arena", [None, Arena()], ids=["new", "arena"])
 def test_cohort_cursor_rejects_samples_outside_the_data(bad, arena):
@@ -821,6 +853,78 @@ def test_warm_rounds_of_a_lane_train_in_the_same_memory(monkeypatch):
     for name in ("batches", "stack", "gradients"):
         for call in calls[1:]:
             assert np.shares_memory(calls[0][name], call[name]), name
+
+
+def test_only_the_index_block_grows_with_local_updates():
+    # Only the index block holds a value per step; every other array of the
+    # arena, the step's batch among them, is the same size at 4 and 32 local
+    # updates.
+    sizes = []
+    for updates in (4, 32):
+        state = build_state(small_config(local_updates=updates), FedAvg(), seed=3)
+        run_round(state, 0)
+        sizes.append({name: a.size for name, a in state.arena._arrays.items()})
+    short, long = sizes
+    assert set(short) == set(long)
+    assert long.pop("index") == 8 * short.pop("index")
+    assert short == long
+
+
+def test_evaluation_runs_in_the_workspace_activations(monkeypatch):
+    workspaces = []
+    step = engine.sgd_step_in_place
+
+    def stepping(model, batch, workspace, *args):
+        workspaces.append(workspace)
+        return step(model, batch, workspace, *args)
+
+    monkeypatch.setattr(engine, "sgd_step_in_place", stepping)
+    state = build_state(small_config(), FedAvg(), seed=3)
+    run_round(state, 0)
+    arena, arrays = state.arena, dict(state.arena._arrays)
+    buffers = workspaces[-1]._buffers[:4]  # hidden, dhidden, logits, by_class
+    assert all(np.shares_memory(b, arrays["activations"]) for b in buffers)
+    passes = []
+    forward_logits = engine.forward_logits
+
+    def recording(model, batch, out=None):
+        passes.append(out)
+        return forward_logits(model, batch, out)
+
+    monkeypatch.setattr(engine, "forward_logits", recording)
+    accuracy = engine.evaluate_accuracy(state.global_model, state.dataset, arena)
+    assert accuracy == engine.evaluate_accuracy(state.global_model, state.dataset)
+    hidden, logits = passes[0]
+    assert np.shares_memory(hidden, buffers[0])
+    assert np.shares_memory(logits, arrays["activations"])
+    # Evaluation maps nothing training has not.
+    assert arena._arrays.keys() == arrays.keys()
+    assert all(arena._arrays[name] is a for name, a in arrays.items())
+
+
+@pytest.mark.parametrize("updates, nbytes", [(4, 22720), (64, 41920)])
+def test_round_memory_estimate(monkeypatch, updates, nbytes):
+    # 5 kept rows of 76 parameters and batches of 8 samples: per row four
+    # models, and per sample an index for each step, one step's 4 inputs
+    # and label, and the workspace's 2 x (8 hidden units + 4 classes).
+    assert nbytes == 8 * 5 * (4 * 76 + 8 * (updates + 4 + 1 + 2 * (8 + 4)))
+    estimates = []
+    guard = engine.out_of_memory_as_config_error
+
+    def recording(what, size):
+        estimates.append((what, size))
+        return guard(what, size)
+
+    state = build_state(small_config(local_updates=updates), FedAvg(), seed=3)
+    monkeypatch.setattr(engine, "out_of_memory_as_config_error", recording)
+    run_round(state, 0)
+    assert estimates == [
+        (
+            f"round 0's training: 5 stacked models of 76 parameters and {updates} batches"
+            " of 8 samples",
+            nbytes,
+        )
+    ]
 
 
 def test_a_later_stacks_divergence_leaves_every_lane_as_it_was():

@@ -16,8 +16,9 @@ from fedsim.data import (
     client_quotas,
     generate_synthetic,
     partition,
+    train_count,
 )
-from fedsim.seeding import TAG_PARTITION, spawn_rng
+from fedsim.seeding import TAG_DATASET, TAG_PARTITION, spawn_rng
 from reference import largest_remainder
 
 
@@ -92,6 +93,17 @@ class TestGenerate:
         means = class_means(6, 4)
         dists = np.linalg.norm(data.inputs[:, None, :] - means[None, :, :], axis=2)
         assert np.array_equal(np.argmin(dists, axis=1), data.labels)
+
+    @pytest.mark.parametrize("input_dim", [1, 8])
+    @pytest.mark.parametrize("noise_sigma", [0.0, 0.8])
+    def test_inputs_bitwise_the_mean_plus_scaled_noise(self, input_dim, noise_sigma):
+        # The inputs are built in place, noise first; they are the bytes of
+        # each sample's class mean plus the scaled draws of the same stream.
+        data = generate_synthetic(5, 7, input_dim, seed=4, noise_sigma=noise_sigma)
+        rng = spawn_rng(4, TAG_DATASET)
+        noise = noise_sigma * rng.standard_normal((35, input_dim))
+        assert data.inputs.tobytes() == (class_means(5, input_dim)[data.labels] + noise).tobytes()
+        assert np.array_equal(data.test_indices, np.sort(rng.permutation(35)[train_count(35):]))
 
     def test_class_means_distinct(self):
         for c, d in [(2, 1), (5, 2), (10, 8), (9, 2)]:
