@@ -33,13 +33,17 @@ A round runs in two passes.
   holds every per-step intermediate, so a step allocates no array the size
   of the stack's activations, only a value per sample for the one-hot
   labels and the finite check's masks; the untouched stack is FedProx's
-  anchor. Each kept client's stream is opened for the round and draws all
-  its batches in one take, split into its own steps and a donated block's,
-  and a `CohortCursor` lays every row's batch indices out once and gathers
-  each step's batch as the step trains. Every client sees the batches it
-  would draw alone, in the same order, and comes out bitwise equal to
-  training alone, a weak client as its full, classifier-only and donated
-  steps one after another. A round's `RoundTrace` is its plan plus its
+  anchor. The kept clients' streams are opened for the round in one
+  seeding pass (`seeding.spawn_rngs`), each draws all its batches in one
+  take, split into its own steps and a donated block's, and a
+  `CohortCursor` copies every row's batch indices straight into one index
+  block and gathers each step's batch as the step trains. Every client
+  sees the batches it would draw alone, in the same order, and comes out
+  bitwise equal to training alone, a weak client as its full,
+  classifier-only and donated steps one after another. A lane aggregates
+  its kept clients' rows of the trained stack, gathered into one
+  (members, parameters) array, in one reduction, bitwise the sum of adding
+  them one after another. A round's `RoundTrace` is its plan plus its
   accuracy.
 * The round's memory is kept from round to round in a `model.Arena`, made
   at the first round: the batch indices, one step's batch, the start stack
@@ -47,9 +51,10 @@ A round runs in two passes.
   workspace. Only the indices, an integer per sample and step, grow with
   `local_updates`. So a warm round maps no new pages, and a step in which
   every row moves both blocks moves the whole parameter block in one
-  pass. Evaluation runs its forward pass in the workspace's activations,
-  which the round no longer reads once it is trained. What a round hands
-  out, its global model, is never the arena's.
+  pass. Once a stack has trained, its start block holds each lane's
+  members' parameters in turn for aggregation, and evaluation runs its
+  forward pass in the workspace's activations: the round reads neither
+  again. What a round hands out, its global model, is never the arena's.
 
 `run_experiments` runs several experiments, each a (strategy, seed) *lane*
 with its own model and clock on its seed's shared data (`SeedData`, built
@@ -113,6 +118,7 @@ from .seeding import (
     TAG_SPEEDS,
     left_sum,
     spawn_rng,
+    spawn_rngs,
 )
 from .similarity import ClassCountSubmission, HistogramDistances, SimilarityOracle
 
@@ -268,7 +274,15 @@ class FreezeOffload(Strategy):
             start + self.profile_batches * state.client(cid).timings.full_time for cid in selected
         )
         arrival = computed_at + latency.dispatch
-        profiles = [self._profile(state, round_index, cid, computed_at) for cid in selected]
+        # Noiseless profiles draw nothing, so they need no streams.
+        if self.profile_noise_sigma != 0.0:
+            rngs = spawn_rngs((state.seed, TAG_PROFILE, round_index), selected)
+        else:
+            rngs = [None] * len(selected)
+        profiles = [
+            self._profile(state, round_index, cid, computed_at, rng)
+            for cid, rng in zip(selected, rngs)
+        ]
         similarity = state.shared.similarity()
         schedule = build_schedule(profiles, similarity, self.similarity_factor)
 
@@ -298,20 +312,18 @@ class FreezeOffload(Strategy):
             )
         return RoundPlan(round_index, tuple(clients.values()), deadline=None, schedule=schedule)
 
-    def _profile(self, state, round_index, cid, computed_at) -> ClientProfile:
-        """Client cid's profile as the federator holds it at `computed_at`."""
+    def _profile(self, state, round_index, cid, computed_at, rng) -> ClientProfile:
+        """Client cid's profile as the federator holds it at `computed_at`,
+        its noise drawn from `rng`, the client's profile stream, if noisy."""
         c = state.client(cid)
         updates = state.config.training.local_updates
         done = _batches_done(state.clock, c.timings.full_time, computed_at, updates)
-        # Noiseless profiles draw nothing, so they need no stream.
-        noisy = self.profile_noise_sigma != 0.0
-        rng = spawn_rng(state.seed, TAG_PROFILE, round_index, cid) if noisy else None
         try:
             return measure(
                 cid, c.timings, updates - done, self.profile_batches, self.profile_noise_sigma, rng
             )
         except ValueError as exc:
-            if not noisy:
+            if rng is None:
                 raise
             # The noise overflowed a profiled phase time.
             problem = (
@@ -401,8 +413,10 @@ class CohortCursor:
     per step it runs, with the rows in order of step count. Every row runs
     until the last step, so a row with fewer steps joins the stack later,
     and the rows that run a step are a suffix of the stack. On construction
-    the indices are checked to lie in the data and laid out step-major, as
-    one (steps, rows, batch_size) block. `next_batch` then gathers one step
+    the indices are laid out step-major, as one (steps, rows, batch_size)
+    block: the blocks of each run of rows that join at one step are copied
+    straight into their rows of it, in one `np.stack`, and the block is then
+    checked to lie in the data. `next_batch` then gathers one step
     from the shared data arrays, one `take` for the inputs and one for the
     labels, into one step's worth of arrays, and serves it as a Batch of
     shape (k, batch_size, input_dim) for the k rows that run it, whose row i
@@ -444,19 +458,22 @@ class CohortCursor:
                 "each handoff needs a donated row at the front of the stack and a weak"
                 " row at the back, and every other row runs every step"
             )
-        samples = np.concatenate(blocks)
+        idx = self._index = scratch(arena, "index", (last, rows, size), np.int64)
+        row = 0
+        for count, run in groupby(blocks, key=len):
+            run = list(run)
+            into = idx[:, row : row + len(run)]
+            # Steps before a row joins read sample 0 and are never served.
+            into[: last - count] = 0
+            np.stack(run, axis=1, out=into[last - count :])
+            row += len(run)
         # `take` into a given array in its default mode first gathers into a
         # buffer of its own; in `clip` mode it writes in place but clamps an
         # index out of range, so the indices are checked here.
-        low, high = (samples.min(), samples.max()) if samples.size else (0, 0)
+        low, high = (idx.min(), idx.max()) if idx.size else (0, 0)
         if low < 0 or high >= labels.shape[0]:
             bad = low if low < 0 else high
             raise IndexError(f"sample index {bad} is out of bounds for {labels.shape[0]} samples")
-        idx = self._index = scratch(arena, "index", (last, rows, size), np.int64)
-        # Steps before a row joins read sample 0 and are never served.
-        idx.fill(0)
-        running = np.arange(last) >= np.asarray(joins)[:, None]
-        idx.swapaxes(0, 1)[running] = samples
         self._data = inputs, labels
         self._inputs = scratch(arena, "inputs", (rows, size) + inputs.shape[1:], inputs.dtype)
         self._labels = scratch(arena, "labels", (rows, size), labels.dtype)
@@ -498,7 +515,8 @@ class ClientState:
     timings: PhaseTimings
     partition: ClientPartition
     # Read by perfbench/tracer.py's round hook for dropped clients. A
-    # client's batch stream lives only inside `_phase_blocks`.
+    # client's batch stream lives only inside `_phase_blocks`, which opens
+    # the streams of a round's kept clients in one `spawn_rngs` pass.
     cursor: ClassVar[None] = None
 
     @property
@@ -572,53 +590,66 @@ def execute_offloaded(
 
 
 def aggregate_fedavg(
-    models: list[PartitionedModel], weights: list[float]
+    global_model: PartitionedModel, members: np.ndarray, weights: list[float]
 ) -> PartitionedModel:
-    """Weighted parameter average, weights proportional to sample counts."""
-    if not models:
-        raise ValueError("aggregate_fedavg needs at least one model")
-    if len(models) != len(weights):
-        raise ValueError(f"{len(models)} models but {len(weights)} weights")
+    """Weighted parameter average, weights proportional to sample counts.
+
+    `members` is a (members, parameters) array whose row k holds member k's
+    parameters, flat, in the order of `arrays()`; it is overwritten. Each
+    row is scaled by its share w_k / sum(w) in place, and one reduction sums
+    the rows from the first to the last, bitwise the sum of adding each
+    scaled member in turn into zeros. The average replaces `global_model`,
+    of which only the layout is read, and is laid out as one new block.
+    """
+    _check_members(global_model, members, len(weights))
     if any(w <= 0 for w in weights):
         raise ValueError("aggregation weights must be positive")
-    total = left_sum(weights)
-    acc = [np.zeros_like(a) for a in models[0].arrays()]
-    for model, w in zip(models, weights):
-        p = w / total
-        for slot, arr in zip(acc, model.arrays()):
-            slot += p * arr
-    return PartitionedModel(acc[0], acc[1], acc[2], acc[3], models[0].num_classes)
+    members *= (np.asarray(weights, dtype=np.float64) / left_sum(weights))[:, None]
+    average = np.add.reduce(members, axis=0, initial=0.0)
+    return on_block(average, [a.shape for a in global_model.arrays()], global_model.num_classes)
 
 
 def aggregate_fednova(
     global_model: PartitionedModel,
-    models: list[PartitionedModel],
+    members: np.ndarray,
     weights: list[float],
     local_steps: list[int],
 ) -> PartitionedModel:
     """Normalized averaging: per-client deltas divided by their step counts.
 
     new = global + (sum_k p_k tau_k) * sum_k p_k (w_k - global) / tau_k
+
+    `members` is laid out as for `aggregate_fedavg` and overwritten: row k
+    becomes p_k * (w_k - global) / tau_k, in that order of operations, and
+    one reduction sums the rows from the first to the last. The new model
+    is laid out as one new block.
     """
-    if not models:
-        raise ValueError("aggregate_fednova needs at least one model")
-    if not len(models) == len(weights) == len(local_steps):
+    _check_members(global_model, members, len(weights))
+    if len(weights) != len(local_steps):
         raise ValueError("models, weights and local_steps must align")
     if any(t < 1 for t in local_steps):
         raise ValueError("local step counts must be >= 1")
-    total = left_sum(weights)
-    p = [w / total for w in weights]
-    effective = left_sum(pi * tau for pi, tau in zip(p, local_steps))
-    acc = [np.zeros_like(a) for a in global_model.arrays()]
-    for model, pi, tau in zip(models, p, local_steps):
-        for slot, arr, base in zip(acc, model.arrays(), global_model.arrays()):
-            slot += pi * (arr - base) / tau
-    merged = [
-        base + effective * slot for base, slot in zip(global_model.arrays(), acc)
-    ]
-    return PartitionedModel(
-        merged[0], merged[1], merged[2], merged[3], global_model.num_classes
-    )
+    p = np.asarray(weights, dtype=np.float64) / left_sum(weights)
+    tau = np.asarray(local_steps, dtype=np.float64)
+    effective = left_sum((p * tau).tolist())
+    base = np.concatenate([a.ravel() for a in global_model.arrays()])
+    members -= base
+    members *= p[:, None]
+    members /= tau[:, None]
+    step = np.add.reduce(members, axis=0, initial=0.0)
+    shapes = [a.shape for a in global_model.arrays()]
+    return on_block(base + effective * step, shapes, global_model.num_classes)
+
+
+def _check_members(model: PartitionedModel, members: np.ndarray, weights: int) -> None:
+    """Raise ValueError unless `members` holds one row of `model`'s
+    parameters for each of `weights` members, and at least one."""
+    if members.ndim != 2 or members.shape[1] != model.size:
+        raise ValueError(f"members of shape {members.shape} do not hold models of {model.size}")
+    if not members.shape[0]:
+        raise ValueError("aggregation needs at least one model")
+    if members.shape[0] != weights:
+        raise ValueError(f"{members.shape[0]} models but {weights} weights")
 
 
 def evaluate_accuracy(
@@ -1003,8 +1034,9 @@ def _lockstep(
     learning_rate: float,
     prox_mu: float,
     arena: Arena,
-) -> dict[Any, PartitionedModel]:
-    """Train a round of kept clients stacked, in lockstep; return their models.
+) -> tuple[PartitionedModel | None, dict[Any, tuple[int, int]]]:
+    """Train a round of kept clients stacked, in lockstep; return the trained
+    stack and, per member, the rows of it that hold its model.
 
     A member is a (lane, client) pair that starts from `start[m]` and runs
     its own steps on `own[m]`: its batch indices into `data`'s arrays, one
@@ -1017,14 +1049,16 @@ def _lockstep(
     ascending order of donated steps, so that at each step the rows that
     run, the rows that move the feature block and the rows that move the
     classifier are each one range of it (see `CohortCursor`), and one
-    `local_train` call trains the round. A weak member's model joins its
-    donated row's feature block to its own row's classifier, both as views.
-    The FedProx anchor is the start stack, which training leaves as it is.
-    The batches, the start stack, the trained stack and the workspace are
-    `arena`'s, and so are the models returned, until its next use.
+    `local_train` call trains the round. A member's rows are the pair
+    (feature row, classifier row): one row for a full member, and for a weak
+    member its donated row's feature block joined to its own row's
+    classifier. The FedProx anchor is the start stack, which training leaves
+    as it is and nothing reads once it has trained. The batches, the start
+    stack, the trained stack and the workspace are `arena`'s, and so is the
+    stack returned, until its next use; with no member it is None.
     """
     if not own:
-        return {}
+        return None, {}
     weak = sorted(donated, key=lambda m: len(donated[m]))
     full = [m for m in own if m not in donated]
     blocks = [donated[m] for m in weak] + [own[m] for m in full + weak]
@@ -1037,17 +1071,9 @@ def _lockstep(
         # its tracer makes only when this function is called. The donated
         # rows trained above, so this call runs no step and keeps it at 0.
         execute_offloaded(*split(_rows(model, slice(0, 1))), cursor, 0, learning_rate)
-    trained = {m: _rows(model, d + k) for k, m in enumerate(full)}
-    for i, m in enumerate(weak):
-        feature, classifier = _rows(model, i), _rows(model, rows - d + i)
-        trained[m] = PartitionedModel(
-            feature.feature_weights,
-            feature.feature_bias,
-            classifier.classifier_weights,
-            classifier.classifier_bias,
-            model.num_classes,
-        )
-    return trained
+    members = {m: (d + k, d + k) for k, m in enumerate(full)}
+    members.update({m: (i, rows - d + i) for i, m in enumerate(weak)})
+    return model, members
 
 
 def _phase_blocks(
@@ -1055,10 +1081,12 @@ def _phase_blocks(
 ) -> tuple[dict[int, np.ndarray], dict[int, np.ndarray]]:
     """Each kept client's batch indices for the round, from one take per stream.
 
-    Opens every kept client's batch stream for the round and draws all the
-    batches that stream serves in the round at once: the client's own steps
-    (a weak client's full and then classifier-only steps), then, for a
-    receiver, the donated block's steps, which follow its own budget.
+    Opens every kept client's batch stream for the round, all in one
+    `spawn_rngs` pass, each bitwise `spawn_rng(seed, TAG_BATCHES, round,
+    client)`, and draws all the batches that stream serves in the round in
+    one `BatchCursor._take`: the client's own steps (a weak client's full
+    and then classifier-only steps), then, for a receiver, the donated
+    block's steps, which follow its own budget.
     `build_schedule` gives a receiver at most one block per round. A take of
     a + b indices is the take of a followed by the take of b, so the stream
     serves each block the batches it would serve alone.
@@ -1070,19 +1098,19 @@ def _phase_blocks(
     weak = [p for p in plan.clients if p.receiver is not None]
     donated_to = {p.receiver: p.frozen_steps for p in weak}
     own_steps = {p.client_id: p.full_steps + p.frozen_steps for p in plan.clients}
+    kept = [p.client_id for p in plan.clients if not p.dropped]
+    rngs = spawn_rngs((state.seed, TAG_BATCHES, plan.round_index), kept)
     draws: dict[int, np.ndarray] = {}
-    for p in plan.clients:
-        if p.dropped:
-            continue
+    for cid, rng in zip(kept, rngs):
         cursor = BatchCursor(
             state.dataset.inputs,
             state.dataset.labels,
-            state.client(p.client_id).partition.sample_indices,
+            state.client(cid).partition.sample_indices,
             size,
-            spawn_rng(state.seed, TAG_BATCHES, plan.round_index, p.client_id),
+            rng,
         )
-        steps = own_steps[p.client_id] + donated_to.get(p.client_id, 0)
-        draws[p.client_id] = cursor._take(steps * size).reshape(steps, size)
+        steps = own_steps[cid] + donated_to.get(cid, 0)
+        draws[cid] = cursor._take(steps * size).reshape(steps, size)
     own = {cid: rows[: own_steps[cid]] for cid, rows in draws.items()}
     donated = {p.client_id: draws[p.receiver][own_steps[p.receiver] :] for p in weak}
     return own, donated
@@ -1162,29 +1190,47 @@ def _train_lanes(
                 donated[m] = rows + base if base else rows
     models = [state.global_model for state in states]
     for prox_mu, (start, own, donated) in stacks.items():
-        trained = _lockstep(start, own, donated, data, lr, prox_mu, arena)
+        trained, rows = _lockstep(start, own, donated, data, lr, prox_mu, arena)
         for lane, state in enumerate(states):
             if state.strategy.prox_mu == prox_mu:
-                models[lane] = _aggregate(state, plans[lane], lane, trained)
+                models[lane] = _aggregate(state, plans[lane], lane, trained, rows, arena)
     return models
 
 
-def _aggregate(state: ExperimentState, plan: RoundPlan, lane: int, trained) -> PartitionedModel:
-    """A lane's global model after its round, from its kept clients' models,
-    `trained[lane, client]`; the lane's own if it keeps no client.
+def _aggregate(
+    state: ExperimentState,
+    plan: RoundPlan,
+    lane: int,
+    trained: PartitionedModel | None,
+    rows: dict[Any, tuple[int, int]],
+    arena: Arena,
+) -> PartitionedModel:
+    """A lane's global model after its round, from its kept clients' models
+    in the trained stack; the lane's own if it keeps no client.
 
+    Member (lane, client) has its feature block in row `rows[lane, client][0]`
+    of `trained` and its classifier in row `rows[lane, client][1]`. The
+    lane's members are gathered in plan order into one (members, parameters)
+    array, one `take` per array of the stack into its columns, laid out on
+    `arena`'s start block, which nothing reads once the stack has trained.
     The weights are the kept clients' sample counts; FedNova's normalized
     averaging also reads the steps each ran on its own model.
     """
     included = [p for p in plan.clients if not p.dropped]
     if not included:
         return state.global_model
-    models = [trained[lane, p.client_id] for p in included]
+    feature, classifier = np.array([rows[lane, p.client_id] for p in included]).T
+    members = arena.get("start", (len(included), state.global_model.size))
+    col = 0
+    for a, take in zip(trained.arrays(), (feature, feature, classifier, classifier)):
+        a = a.reshape(a.shape[0], -1)
+        a.take(take, axis=0, out=members[:, col : col + a.shape[1]], mode="clip")
+        col += a.shape[1]
     weights = [float(state.client(p.client_id).num_samples) for p in included]
     if state.strategy.normalized_averaging:
         steps = [p.full_steps + p.frozen_steps for p in included]
-        return aggregate_fednova(state.global_model, models, weights, steps)
-    return aggregate_fedavg(models, weights)
+        return aggregate_fednova(state.global_model, members, weights, steps)
+    return aggregate_fedavg(state.global_model, members, weights)
 
 
 def _run_lanes(

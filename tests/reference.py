@@ -2,8 +2,10 @@
 gradients the model's backward pass computes, the distance between two
 clients' class histograms that `fedsim.similarity.HistogramDistances`
 answers for many pairs at once, and the partitioner as first written, one
-Python pass per client, that `fedsim.data.partition` must match bit for bit.
-Also the mapped OpenBLAS, found as `fedsim.cli` finds it, and the numeric
+Python pass per client, that `fedsim.data.partition` must match bit for bit,
+and the aggregations as first written, one member after another, that
+`fedsim.engine`'s one reduction over a stack of members must match bit for
+bit. Also the mapped OpenBLAS, found as `fedsim.cli` finds it, and the numeric
 environment that a model digest's failure message names."""
 
 import ctypes
@@ -15,6 +17,7 @@ import numpy as np
 
 from fedsim import cli
 from fedsim.data import MAX_CLASS_DRAW_RETRIES, ClientPartition, PartitionError
+from fedsim.model import PartitionedModel
 from fedsim.seeding import TAG_PARTITION, spawn_rng
 
 # Floor applied inside log() so an exactly-zero predicted probability cannot
@@ -279,3 +282,36 @@ def partition(dataset, num_clients, mode="iid", classes_per_client=None, sizes=N
             )
         return partition_label_skew(dataset, num_clients, k, quotas, rng)
     raise PartitionError(f"unknown partition mode {mode!r}")
+
+
+def member_rows(models) -> np.ndarray:
+    """The models as the aggregations take them: a (members, parameters)
+    array whose row k is models[k]'s parameters, flat, in order."""
+    return np.stack([np.concatenate([a.ravel() for a in m.arrays()]) for m in models])
+
+
+def aggregate_fedavg(models, weights) -> PartitionedModel:
+    """`fedsim.engine.aggregate_fedavg` on a list of models: each member's
+    parameters times its share, added in turn into zeros."""
+    total = _left_sum(weights)
+    acc = [np.zeros_like(a) for a in models[0].arrays()]
+    for model, w in zip(models, weights):
+        p = w / total
+        for slot, arr in zip(acc, model.arrays()):
+            slot += p * arr
+    return PartitionedModel(*acc, num_classes=models[0].num_classes)
+
+
+def aggregate_fednova(global_model, models, weights, local_steps) -> PartitionedModel:
+    """`fedsim.engine.aggregate_fednova` on a list of models: each member's
+    normalized delta added in turn into zeros, then scaled onto the global
+    model."""
+    total = _left_sum(weights)
+    p = [w / total for w in weights]
+    effective = _left_sum(pi * tau for pi, tau in zip(p, local_steps))
+    acc = [np.zeros_like(a) for a in global_model.arrays()]
+    for model, pi, tau in zip(models, p, local_steps):
+        for slot, arr, base in zip(acc, model.arrays(), global_model.arrays()):
+            slot += pi * (arr - base) / tau
+    merged = [base + effective * slot for base, slot in zip(global_model.arrays(), acc)]
+    return PartitionedModel(*merged, num_classes=global_model.num_classes)

@@ -33,7 +33,7 @@ from fedsim.profiling import ClientProfile, PhaseTimings
 from fedsim.scheduling import build_schedule, find_offload_point
 
 from distance_table import DistanceTable
-from reference import cross_entropy, histogram_distance
+from reference import cross_entropy, histogram_distance, member_rows
 
 SEEDS = (5, 8, 12)
 
@@ -240,14 +240,14 @@ def test_criterion_04_aggregation_equivalences():
     models = [init_model(6, 5, 4, seed=40 + i) for i in range(5)]
     weights = [float(w) for w in rng.uniform(1.0, 50.0, size=5)]
 
-    merged = aggregate_fedavg(models, weights)
+    merged = aggregate_fedavg(models[0], member_rows(models), weights)
     total = sum(weights)
     for pos, arr in enumerate(merged.arrays()):
         oracle = sum((w / total) * m.arrays()[pos] for m, w in zip(models, weights))
         assert np.allclose(arr, oracle, rtol=0.0, atol=1e-14)
 
     base = init_model(6, 5, 4, seed=99)
-    nova = aggregate_fednova(base, models, weights, [11] * 5)
+    nova = aggregate_fednova(base, member_rows(models), weights, [11] * 5)
     for a, b in zip(nova.arrays(), merged.arrays()):
         assert np.allclose(a, b, rtol=0.0, atol=1e-12)
 

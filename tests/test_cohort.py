@@ -15,6 +15,8 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
+import warnings
 from collections import Counter
 
 import numpy as np
@@ -58,7 +60,7 @@ from fedsim.model import (
     sgd_step_in_place,
     split,
 )
-from fedsim.seeding import TAG_BATCHES, spawn_rng
+from fedsim.seeding import TAG_BATCHES, TAG_PROFILE, TAG_SELECTION, spawn_rng
 
 from reference import environment_note
 
@@ -555,6 +557,28 @@ def test_cohort_cursor_rejects_mixed_batch_sizes():
         CohortCursor(INPUTS, LABELS, [np.arange(16).reshape(2, 8), np.arange(8).reshape(1, 8)])
 
 
+def test_cohort_cursor_lays_blocks_out_with_no_copy_of_them():
+    # Each run of rows that join at one step is copied straight into the
+    # index block; the cursor makes no copy of the blocks on the way.
+    rng = np.random.default_rng(0)
+    steps = [40] * 15 + [60] * 15 + [100] * 230
+    blocks = [rng.integers(0, len(LABELS), (n, 8)) for n in steps]
+    size = sum(b.nbytes for b in blocks)
+    arena = Arena()
+    CohortCursor(INPUTS, LABELS, blocks, 30, arena)
+    tracemalloc.start()
+    try:
+        cursor = CohortCursor(INPUTS, LABELS, blocks, 30, arena)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < size / 20
+    index = cursor._index
+    for row, block in enumerate(blocks):
+        assert np.array_equal(index[100 - len(block) :, row], block)
+        assert not index[: 100 - len(block), row].any()
+
+
 # --------------------------------------------------------------------------
 # In-place steps equal the allocating reference
 # --------------------------------------------------------------------------
@@ -939,6 +963,157 @@ def test_a_later_stacks_divergence_leaves_every_lane_as_it_was():
             engine._run_lanes(states, 0, engine._LaneData.of(states), Arena())
     assert states[0].global_model is before
     assert [a.tobytes() for a in before.arrays()] == saved
+
+
+def test_members_gather_into_the_start_block(monkeypatch):
+    # A lane's members are gathered into one (members, parameters) array on
+    # the start stack's block, which the round already holds, so a warm
+    # round maps nothing new.
+    received = []
+    for name in ("aggregate_fedavg", "aggregate_fednova"):
+        original = getattr(engine, name)
+
+        def recording(*args, original=original):
+            received.append(args[1])
+            return original(*args)
+
+        monkeypatch.setattr(engine, name, recording)
+    config = small_config()
+    for strategy in (FedNova(), FreezeOffload()):
+        state = build_state(config, strategy, seed=3)
+        run_round(state, 0)
+        arena, arrays = state.arena, dict(state.arena._arrays)
+        run_round(state, 1)
+        assert np.shares_memory(received[-1], arrays["start"])
+        assert arena._arrays.keys() == arrays.keys()
+        assert all(arena._arrays[name] is a for name, a in arrays.items())
+
+
+class Watched(np.ndarray):
+    """An array that records each ufunc applied to it, by name."""
+
+    ufuncs: list = []
+
+    def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+        Watched.ufuncs.append(ufunc.__name__)
+        inputs = [a.view(np.ndarray) if isinstance(a, Watched) else a for a in inputs]
+        return getattr(ufunc, method)(*inputs, **kwargs)
+
+
+@pytest.mark.parametrize("strategy", [FedAvg(), FedNova(), FreezeOffload()], ids=lambda s: s.label)
+def test_aggregation_makes_as_many_calls_for_any_cohort(monkeypatch, strategy):
+    # A lane's aggregation makes the same C calls, whatever the number of
+    # members (cohorts of 5 and 40), and reads the trained stack only
+    # through them: no arithmetic runs on a member's rows of it.
+    lockstep, aggregate = engine._lockstep, engine._aggregate
+    calls = []
+
+    def watching(*args):
+        trained, rows = lockstep(*args)
+        arrays = (a.view(Watched) for a in trained.arrays())
+        return PartitionedModel(*arrays, num_classes=trained.num_classes), rows
+
+    def recording(*args):
+        names = []
+
+        def profile(frame, event, arg):
+            if event == "c_call":
+                names.append(getattr(arg, "__qualname__", repr(arg)))
+
+        sys.setprofile(profile)
+        try:
+            return aggregate(*args)
+        finally:
+            sys.setprofile(None)
+            calls.append(names)
+
+    monkeypatch.setattr(engine, "_lockstep", watching)
+    monkeypatch.setattr(engine, "_aggregate", recording)
+    Watched.ufuncs.clear()
+    run_round(build_state(small_config(), strategy, seed=3), 0)
+    run_round(build_state(cohort_40_config(), strategy, seed=6), 0)
+    small, large = calls
+    assert small.count("Watched.take") == 4
+    assert small == large
+    assert Watched.ufuncs == []
+
+
+def test_a_round_opens_no_stream_one_by_one(monkeypatch):
+    # The kept clients' batch streams and the selected clients' profile
+    # streams are opened in one `spawn_rngs` pass per round.
+    keys = []
+    spawn = engine.spawn_rng
+
+    def recording(*args):
+        keys.append(args)
+        return spawn(*args)
+
+    monkeypatch.setattr(engine, "spawn_rng", recording)
+    config = small_config()
+    for strategy in [*STRATEGIES, FreezeOffload(profile_noise_sigma=0.2)]:
+        state = build_state(config, strategy, seed=3)
+        for r in range(config.training.rounds):
+            run_round(state, r)
+    tags = {k[1] for k in keys}
+    assert TAG_SELECTION in tags
+    assert not tags & {TAG_BATCHES, TAG_PROFILE}
+
+
+def test_a_seed_past_32_bits_serves_each_row_its_own_stream(monkeypatch):
+    # A seed of 2**32 or more reaches SeedSequence as two words, so a batch
+    # stream's last key goes through its mixing of words past the pool.
+    # Every row of a round's index block holds its client's stream, drawn
+    # alone: a donated row, from its handoff on, the receiver's batches
+    # after the receiver's own.
+    seed = 2**32 + 5
+    stacks = []
+    lockstep, train = engine._lockstep, engine.local_train
+
+    def recording(start, own, donated, *args):
+        stacks.append([own, donated])
+        return lockstep(start, own, donated, *args)
+
+    def training(model, cursor, *args, **kwargs):
+        stacks[-1].append(cursor._index.copy())
+        return train(model, cursor, *args, **kwargs)
+
+    monkeypatch.setattr(engine, "_lockstep", recording)
+    monkeypatch.setattr(engine, "local_train", training)
+    config = small_config()
+    updates, inputs, labels = config.training.local_updates, INPUTS, LABELS
+    state = build_state(config, FreezeOffload(profile_noise_sigma=0.2), seed=seed)
+    inputs, labels = state.dataset.inputs, state.dataset.labels
+    handoffs = 0
+    for r in range(config.training.rounds):
+        stacks.clear()
+        trace = run_round(state, r)
+        ((own, donated, index),) = stacks
+        weak = sorted(donated, key=lambda m: len(donated[m]))
+        full = [m for m in own if m not in donated]
+        receiver = {p.client_id: p.receiver for p in trace.clients}
+        # Per row: the client whose stream it reads, the first batch of the
+        # stream it reads and the step at which it joins.
+        rows = [(receiver[cid], updates, updates - len(donated[lane, cid])) for lane, cid in weak]
+        rows += [(cid, 0, 0) for _, cid in full + weak]
+        assert index.shape[:2] == (updates, len(rows))
+        for row, (cid, first, join) in enumerate(rows):
+            stream = lone_batches(state, r, cid, first + updates - join)[first:]
+            for step, batch in zip(range(join, updates), stream, strict=True):
+                assert np.array_equal(inputs[index[step, row]], batch.inputs)
+                assert np.array_equal(labels[index[step, row]], batch.labels)
+        handoffs += len(weak)
+    assert handoffs > 0
+
+
+def test_a_round_raises_no_warning():
+    # NumPy 2 warns when a scalar integer operation overflows; seeding a
+    # round's streams must not.
+    config = small_config()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for strategy in (FedAvg(), FedNova(), FreezeOffload(profile_noise_sigma=0.2)):
+            for seed in (3, 2**32 + 5):
+                run_round(build_state(config, strategy, seed=seed), 0)
 
 
 def test_nothing_handed_out_shares_the_arena():

@@ -1,6 +1,7 @@
 """Tests for synthetic data generation and client partitioning."""
 
 import math
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -18,7 +19,7 @@ from fedsim.data import (
     partition,
     train_count,
 )
-from fedsim.seeding import TAG_DATASET, TAG_PARTITION, spawn_rng
+from fedsim.seeding import TAG_DATASET, TAG_PARTITION, spawn_rng, spawn_rngs
 from reference import largest_remainder
 
 
@@ -32,6 +33,43 @@ def test_spawn_rng_streams_match_seeding_by_key_list(keys):
     # stream must be the one the list of keys seeds.
     expected = np.random.default_rng(np.random.SeedSequence(keys))
     assert spawn_rng(*keys).bit_generator.state == expected.bit_generator.state
+
+
+IDS = st.integers(0, 2**32 - 1) | st.sampled_from([0, 1, 2**31, 2**32 - 1])
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(KEYS, max_size=5), st.lists(IDS, min_size=1, max_size=64, unique=True))
+def test_cohort_streams_match_one_stream_per_client(keys, ids):
+    # Keys past 2**32 reach SeedSequence as two or more words, and words past
+    # its pool of four go through its extra-entropy mixing.
+    got = spawn_rngs(keys, ids)
+    assert len(got) == len(ids)
+    for cid, rng in zip(ids, got):
+        alone = spawn_rng(*keys, cid)
+        assert rng.bit_generator.state == alone.bit_generator.state
+        assert np.array_equal(rng.permuted(np.arange(20)), alone.permuted(np.arange(20)))
+
+
+def test_cohort_streams_reject_what_one_stream_rejects():
+    assert spawn_rngs((5, 6), []) == []
+    with pytest.raises(ValueError, match="non-negative"):
+        spawn_rngs((5, -1), [0])
+    for bad in (-1, 2**32):
+        with pytest.raises(ValueError, match=r"ids must lie in \[0, 2\*\*32\)"):
+            spawn_rngs((5, 6), [0, bad])
+
+
+def test_cohort_streams_raise_no_warning():
+    # NumPy 2 warns when a scalar integer operation overflows; the pass
+    # wraps its uint32 words only in arrays and folds its constants as
+    # Python ints.
+    keys = [(), (5, 6, 3), (2**32 - 1, 6, 2**32 - 1), (2**40 + 5, 6, 9), (2**70, 1, 2, 3, 4)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for k in keys:
+            for ids in ([0], [2**32 - 1], list(range(0, 300, 7))):
+                spawn_rngs(k, ids)
 
 
 @pytest.fixture(scope="module")

@@ -3,6 +3,7 @@
 import dataclasses
 import math
 from collections import Counter
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -37,9 +38,11 @@ from fedsim.engine import (
     run_round,
     select_clients,
 )
-from fedsim.model import Batch, PartitionedModel, forward, init_model, merge, softmax, split
+from fedsim.model import Arena, Batch, PartitionedModel, forward, init_model, merge, softmax, split
 from fedsim.seeding import TAG_BATCHES, spawn_rng
 from fedsim.similarity import SimilarityOracle
+import reference
+from reference import member_rows
 
 
 def tiny_config(**overrides):
@@ -299,7 +302,7 @@ class TestAggregation:
     def test_fedavg_elementwise_oracle(self):
         models = self.models()
         weights = [10.0, 30.0, 60.0]
-        merged = aggregate_fedavg(models, weights)
+        merged = aggregate_fedavg(models[0], member_rows(models), weights)
         for pos, arr in enumerate(merged.arrays()):
             expected = sum(
                 (w / 100.0) * m.arrays()[pos] for m, w in zip(models, weights)
@@ -308,17 +311,18 @@ class TestAggregation:
 
     def test_fedavg_single_model_identity(self):
         model = self.models(1)[0]
-        merged = aggregate_fedavg([model], [5.0])
+        merged = aggregate_fedavg(model, member_rows([model]), [5.0])
         for a, b in zip(merged.arrays(), model.arrays()):
             assert np.allclose(a, b, atol=1e-15)
 
     def test_fedavg_rejects_bad_weights(self):
+        models = self.models(2)
         with pytest.raises(ValueError):
-            aggregate_fedavg(self.models(2), [1.0])
+            aggregate_fedavg(models[0], member_rows(models), [1.0])
         with pytest.raises(ValueError):
-            aggregate_fedavg(self.models(2), [1.0, 0.0])
+            aggregate_fedavg(models[0], member_rows(models), [1.0, 0.0])
         with pytest.raises(ValueError):
-            aggregate_fedavg([], [])
+            aggregate_fedavg(models[0], member_rows(models)[:0], [])
 
     def test_fednova_hand_example(self):
         # Scalar-like check on real arrays: global 0, two equal-weight
@@ -326,7 +330,7 @@ class TestAggregation:
         # effective = 0.5*1 + 0.5*4 = 2.5
         # step = 0.5*(2-0)/1 + 0.5*(4-0)/4 = 1.5 -> new = 2.5 * 1.5 = 3.75
         base = self.models(1)[0]
-        zeros = aggregate_fedavg([base], [1.0])
+        zeros = aggregate_fedavg(base, member_rows([base]), [1.0])
         g = zeros.arrays()
         from fedsim.model import PartitionedModel
 
@@ -340,7 +344,7 @@ class TestAggregation:
             )
 
         merged = aggregate_fednova(
-            constant(0.0), [constant(2.0), constant(4.0)], [1.0, 1.0], [1, 4]
+            constant(0.0), member_rows([constant(2.0), constant(4.0)]), [1.0, 1.0], [1, 4]
         )
         for arr in merged.arrays():
             assert np.allclose(arr, 3.75, atol=1e-12)
@@ -349,8 +353,8 @@ class TestAggregation:
         models = self.models()
         weights = [10.0, 30.0, 60.0]
         base = init_model(3, 4, 2, seed=99)
-        nova = aggregate_fednova(base, models, weights, [7, 7, 7])
-        avg = aggregate_fedavg(models, weights)
+        nova = aggregate_fednova(base, member_rows(models), weights, [7, 7, 7])
+        avg = aggregate_fedavg(base, member_rows(models), weights)
         for a, b in zip(nova.arrays(), avg.arrays()):
             assert np.allclose(a, b, atol=1e-12)
 
@@ -385,14 +389,85 @@ class TestAggregation:
         for model, pi, tau in zip(models, p, steps):
             for slot, arr, b in zip(acc, model.arrays(), base.arrays()):
                 slot += pi * (arr - b) / tau
-        merged = aggregate_fednova(base, models, weights, steps)
+        merged = aggregate_fednova(base, member_rows(models), weights, steps)
         for got, b, slot in zip(merged.arrays(), base.arrays(), acc):
             assert np.array_equal(got, b + effective * slot)
+
+    @settings(max_examples=120, deadline=None)
+    @given(
+        members=st.integers(1, 150),
+        hidden=st.sampled_from([1, 3]),
+        updates=st.integers(1, 12),
+        nova=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(members=150, hidden=1, updates=12, nova=True, seed=0)
+    @example(members=1, hidden=1, updates=1, nova=False, seed=1)
+    def test_one_reduction_is_the_member_loop_bitwise(self, members, hidden, updates, nova, seed):
+        # `_aggregate` gathers each member's rows of the trained stack (a
+        # weak member's feature and classifier rows differ) and reduces them
+        # in one pass; the loops in `reference` add one member after
+        # another. Tied weights, 0.0 and -0.0 entries and FedNova's tau from
+        # 1 to local_updates.
+        rng = np.random.default_rng(seed)
+        stack_rows = members + int(rng.integers(0, members + 1))
+
+        def values(*shape):
+            v = rng.standard_normal(shape) * 10.0 ** rng.integers(-3, 4, shape)
+            v[rng.random(shape) < 0.2] = 0.0
+            v[rng.random(shape) < 0.2] = -0.0
+            return v
+
+        dims = [(2, hidden), (hidden,), (hidden, 3), (3,)]
+        trained = PartitionedModel(*(values(stack_rows, *d) for d in dims), num_classes=3).copy()
+        start = PartitionedModel(*(values(*d) for d in dims), num_classes=3)
+        feature = rng.permutation(stack_rows)[:members]
+        weak = rng.random(members) < 0.3
+        classifier = np.where(weak, rng.permutation(stack_rows)[:members], feature)
+        counts = rng.integers(1, 4, members)
+        taus = rng.integers(1, updates + 1, members)
+        dropped = rng.random(members) < 0.1
+        dropped[0] = False
+        plan = SimpleNamespace(
+            clients=[
+                SimpleNamespace(
+                    client_id=k, dropped=bool(dropped[k]), full_steps=int(taus[k]), frozen_steps=0
+                )
+                for k in range(members)
+            ]
+        )
+        state = SimpleNamespace(
+            global_model=start,
+            strategy=SimpleNamespace(normalized_averaging=nova),
+            client=lambda cid: SimpleNamespace(num_samples=int(counts[cid])),
+        )
+        rows = {(0, k): (int(feature[k]), int(classifier[k])) for k in range(members)}
+        got = engine._aggregate(state, plan, 0, trained, rows, Arena())
+        kept = [k for k in range(members) if not dropped[k]]
+        models = [
+            PartitionedModel(
+                trained.feature_weights[feature[k]],
+                trained.feature_bias[feature[k]],
+                trained.classifier_weights[classifier[k]],
+                trained.classifier_bias[classifier[k]],
+                num_classes=3,
+            )
+            for k in kept
+        ]
+        weights = [float(counts[k]) for k in kept]
+        if nova:
+            steps = [int(taus[k]) for k in kept]
+            want = reference.aggregate_fednova(start, models, weights, steps)
+        else:
+            want = reference.aggregate_fedavg(models, weights)
+        for a, b in zip(got.arrays(), want.arrays()):
+            assert a.shape == b.shape
+            assert a.tobytes() == b.tobytes()
 
     def test_fednova_rejects_bad_steps(self):
         base = init_model(3, 4, 2, seed=99)
         with pytest.raises(ValueError):
-            aggregate_fednova(base, self.models(2), [1.0, 1.0], [3, 0])
+            aggregate_fednova(base, member_rows(self.models(2)), [1.0, 1.0], [3, 0])
 
 
 class TestEvaluateAccuracy:
