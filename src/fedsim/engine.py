@@ -34,7 +34,8 @@ A round runs in two passes.
   of the stack's activations, only a value per sample for the one-hot
   labels and the finite check's masks; the untouched stack is FedProx's
   anchor. The kept clients' streams are opened for the round in one
-  seeding pass (`seeding.spawn_rngs`), each draws all its batches in one
+  seeding pass per seed (`seeding.spawn_rngs`), for every lane of that
+  seed at once, each draws all its batches in one
   take, split into its own steps and a donated block's, and a
   `CohortCursor` copies every row's batch indices straight into one index
   block and gathers each step's batch as the step trains. Every client
@@ -515,8 +516,8 @@ class ClientState:
     timings: PhaseTimings
     partition: ClientPartition
     # Read by perfbench/tracer.py's round hook for dropped clients. A
-    # client's batch stream lives only inside `_phase_blocks`, which opens
-    # the streams of a round's kept clients in one `spawn_rngs` pass.
+    # client's batch stream lives only inside `_phase_blocks`; the streams
+    # of a round's kept clients are opened in one `spawn_rngs` pass per seed.
     cursor: ClassVar[None] = None
 
     @property
@@ -1077,13 +1078,13 @@ def _lockstep(
 
 
 def _phase_blocks(
-    state: ExperimentState, plan: RoundPlan
+    state: ExperimentState, plan: RoundPlan, rngs: list[np.random.Generator]
 ) -> tuple[dict[int, np.ndarray], dict[int, np.ndarray]]:
     """Each kept client's batch indices for the round, from one take per stream.
 
-    Opens every kept client's batch stream for the round, all in one
-    `spawn_rngs` pass, each bitwise `spawn_rng(seed, TAG_BATCHES, round,
-    client)`, and draws all the batches that stream serves in the round in
+    `rngs` holds the batch stream of each kept client, in plan order, each
+    bitwise `spawn_rng(seed, TAG_BATCHES, round, client)` (see
+    `_batch_streams`). Each draws all the batches it serves in the round in
     one `BatchCursor._take`: the client's own steps (a weak client's full
     and then classifier-only steps), then, for a receiver, the donated
     block's steps, which follow its own budget.
@@ -1099,7 +1100,6 @@ def _phase_blocks(
     donated_to = {p.receiver: p.frozen_steps for p in weak}
     own_steps = {p.client_id: p.full_steps + p.frozen_steps for p in plan.clients}
     kept = [p.client_id for p in plan.clients if not p.dropped]
-    rngs = spawn_rngs((state.seed, TAG_BATCHES, plan.round_index), kept)
     draws: dict[int, np.ndarray] = {}
     for cid, rng in zip(kept, rngs):
         cursor = BatchCursor(
@@ -1114,6 +1114,28 @@ def _phase_blocks(
     own = {cid: rows[: own_steps[cid]] for cid, rows in draws.items()}
     donated = {p.client_id: draws[p.receiver][own_steps[p.receiver] :] for p in weak}
     return own, donated
+
+
+def _batch_streams(
+    states: list[ExperimentState], plans: list[RoundPlan]
+) -> list[list[np.random.Generator]]:
+    """Each lane's kept clients' batch streams for the round, in plan order.
+
+    The lanes of one seed open theirs in one `spawn_rngs` pass, a client
+    kept by several of them once per lane, each stream bitwise
+    `spawn_rng(seed, TAG_BATCHES, round, client)`.
+    """
+    kept = [[p.client_id for p in plan.clients if not p.dropped] for plan in plans]
+    by_key: dict[tuple[int, int], list[int]] = {}
+    for lane, (state, plan) in enumerate(zip(states, plans)):
+        by_key.setdefault((state.seed, plan.round_index), []).append(lane)
+    streams: list[list[np.random.Generator]] = [[] for _ in states]
+    for (seed, round_index), lanes in by_key.items():
+        ids = [cid for lane in lanes for cid in kept[lane]]
+        opened = iter(spawn_rngs((seed, TAG_BATCHES, round_index), ids))
+        for lane in lanes:
+            streams[lane] = [next(opened) for _ in kept[lane]]
+    return streams
 
 
 @dataclass(frozen=True)
@@ -1155,6 +1177,7 @@ def _train_lanes(
 ) -> list[PartitionedModel]:
     """Run every lane's plan stacked; return each lane's new global model.
 
+    `_batch_streams` opens the round's batch streams, one pass per seed,
     `_phase_blocks` draws each lane's batches, and the round trains as one
     lockstep phase of `local_updates` steps per FedProx mu (see
     `_lockstep`), each row pulled toward its own lane's global model, its
@@ -1168,10 +1191,11 @@ def _train_lanes(
     lr = states[0].config.training.learning_rate
     updates = states[0].config.training.local_updates
     stacks: dict[float, tuple[dict, dict, dict]] = {}
+    streams = _batch_streams(states, plans)
     for lane, (state, plan) in enumerate(zip(states, plans)):
         base = data.bases[lane]
         start, own, donated = stacks.setdefault(state.strategy.prox_mu, ({}, {}, {}))
-        own_blocks, donated_blocks = _phase_blocks(state, plan)
+        own_blocks, donated_blocks = _phase_blocks(state, plan, streams[lane])
         for p in plan.clients:
             if p.dropped:
                 continue

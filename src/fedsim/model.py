@@ -35,9 +35,13 @@ of k * batch values: the max is exact in any order, and the sum adds the
 rows in numpy's own pairwise order for a contiguous axis (`_class_sum`).
 A step on k rows runs the last k rows of the stack, so rows can join the
 front of the stack later, and its intermediates fill the start of each
-workspace buffer, so they are entire arrays whatever k is. Its mode is one
-pair (f, c) of row counts: the first min(f, k) running rows move the
-feature block and the last min(c, k) move the classifier. So full,
+workspace buffer, so they are entire arrays whatever k is. Every view a
+step reads, of the buffers, the model's running rows and the FedProx
+anchor, is built once per k, mode and model, at the first such step, and
+kept in the workspace (`_StepViews`): a later step binds only its batch
+and runs a fixed sequence of ufunc calls. A step's mode is one pair
+(f, c) of row counts: the first min(f, k) running rows move the feature
+block and the last min(c, k) move the classifier. So full,
 classifier-only and donated rows step side by side, a row that does not
 move keeps its bytes, and one pair serves every step of a stack of n rows:
 (n, n) is a full step, (0, n) classifier-only and (n, 0) a donated step.
@@ -241,16 +245,27 @@ def init_model(input_dim: int, hidden_dim: int, num_classes: int, seed: int) -> 
     )
 
 
+# Each signed integer type as the unsigned type of its width and byte order.
+_UNSIGNED = {np.dtype(f"{o}i{n}"): np.dtype(f"{o}u{n}") for n in (1, 2, 4, 8) for o in "<>"}
+
+
 def _check_batch(model: PartitionedModel, batch: Batch) -> None:
     if batch.inputs.shape[-1] != model.input_dim:
         raise ShapeError(
             f"batch input_dim {batch.inputs.shape[-1]} does not match model "
             f"input_dim {model.input_dim}"
         )
-    if batch.labels.min() < 0 or batch.labels.max() >= model.num_classes:
+    labels = batch.labels
+    # Read as unsigned words of their width, negative integer labels exceed
+    # any class, so one max finds a label out of range at either end.
+    unsigned = _UNSIGNED.get(labels.dtype)
+    words = labels if unsigned is None else labels.view(unsigned)
+    if np.maximum.reduce(words, axis=None) >= model.num_classes or (
+        unsigned is None and labels.dtype.kind != "u" and labels.min() < 0
+    ):
         raise ValueError(
             f"labels must lie in [0, {model.num_classes}), got range "
-            f"[{batch.labels.min()}, {batch.labels.max()}]"
+            f"[{labels.min()}, {labels.max()}]"
         )
 
 
@@ -362,9 +377,13 @@ class Workspace:
     of the stack is row i of the gradient arrays and the differences; the
     other buffers serve the running rows of a step from their start. A step
     on a batch of k rows runs the last k rows of the stack and moves each
-    block on a range of those (see `sgd_step_in_place`); the views of each
-    such layout are made once and kept. The buffers are new arrays, or
-    views of `arena`'s, which the workspace then holds until the arena's
+    block on a range of those (see `sgd_step_in_place`). Every view that
+    such a step reads or writes, of the buffers, the model and the anchor,
+    is built at the first step of its k and mode, as that shape's program
+    (`_StepViews`), and kept for the next while the model and the anchor
+    are the same, so a later step binds only its batch. Programs live as
+    long as the workspace: one lockstep call. The buffers are new arrays,
+    or views of `arena`'s, which the workspace then holds until the arena's
     next use. A model without exactly one leading axis raises ShapeError.
     """
 
@@ -401,18 +420,31 @@ class Workspace:
         )
         self._views: dict[tuple, _StepViews] = {}
 
-    def views(self, batch: Batch, mode: tuple[int, int]) -> _StepViews:
-        """The rows and buffer views of one step on `batch` under `mode`."""
+    def views(
+        self,
+        batch: Batch,
+        mode: tuple[int, int],
+        model: PartitionedModel,
+        anchor: PartitionedModel | None = None,
+    ) -> _StepViews:
+        """The program of one step on `batch` under `mode` for `model` and,
+        where it pulls, `anchor`: built at the first step of that shape and
+        kept for the next, as long as the model, and the anchor, are on the
+        same blocks as when it was built."""
         labels = batch.labels
         if labels.ndim != 2 or labels.shape[-1] != self.batch_size:
             raise ShapeError(
                 f"a workspace for a stack of {self.stack} and batches of "
                 f"{self.batch_size} cannot train on labels of shape {labels.shape}"
             )
-        k = labels.shape[0]
-        views = self._views.get((k, mode))
-        if views is None:
-            views = self._views[(k, mode)] = _StepViews(self._buffers, k, mode)
+        key = (labels.shape[0], mode)
+        views = self._views.get(key)
+        if (
+            views is None
+            or views.block is not model.block
+            or views.anchor is not (None if anchor is None else anchor.block)
+        ):
+            views = self._views[key] = _StepViews(self._buffers, *key, model, anchor)
         return views
 
 
@@ -433,23 +465,41 @@ def _ranges(arrays, rows) -> list[slice]:
 
 
 class _StepViews:
-    """Which rows of a stack of n one step runs and moves, and the buffers' views.
+    """The program of one step: every operand it reads but the batch.
 
-    The step runs the last k rows (`run`). In `mode` (f, c) the first
-    min(f, k) of those move the feature block (`feature`) and the last
-    min(c, k) the classifier; the rows in both ranges take full steps.
-    `moved` holds the ranges of the stack's flat block whose
-    parameters the step moves, and `pulled` those of the full steps' rows,
-    whose gradients a FedProx anchor pulls on: each array's rows are one
-    range of the block, and ranges that meet are joined, so a step where
-    every row moves both blocks moves one range, all of the block. The
-    gradients and the differences are laid out as the stack, so the same
-    ranges cut them. The other buffers serve the k running rows from their
-    start, the activations and logits as (batch, k, features).
+    A program serves steps on the last k rows of a stack of n (the running
+    rows) in one `mode`, for one model and at most one anchor, each on its
+    flat block: it holds the running rows of the model's four arrays, the
+    views of the workspace's buffers that each ufunc call reads and writes,
+    in the layouts the step passes them in (so a product meets the same
+    strides as ever), the class sum's additions, and the ranges of the
+    blocks that the step pulls and moves. In `mode` (f, c) the first
+    min(f, k) running rows move the feature block and the last min(c, k)
+    the classifier; the rows in both ranges take full steps. `moves` pairs
+    the ranges of the gradient block and of the model's block whose
+    parameters the step moves, and `pulls` those of the full steps' rows,
+    whose gradients the anchor pulls on, with the same ranges of the
+    differences and of the anchor's block; `pulled` says whether there are
+    any such rows. Each array's rows are one range of the block, and ranges
+    that meet are joined, so a step where every row moves both blocks
+    moves one range, all of the block. The gradients and the differences
+    are laid out as the stack, so the same ranges cut them. The other
+    buffers serve the k running rows from their start, the activations and
+    logits as (batch, k, features), so each of their views is an entire
+    array whatever k is. `pulls` is empty when no anchor is given or the
+    anchor is not a stack with the model's rows on one block; the step
+    then raises if it pulls.
     """
 
-    def __init__(self, buffers: tuple, k: int, mode: tuple[int, int]) -> None:
-        hidden, dhidden, logits, block, values, picks, places, grads, diffs = buffers
+    def __init__(
+        self,
+        buffers: tuple,
+        k: int,
+        mode: tuple[int, int],
+        model: PartitionedModel,
+        anchor: PartitionedModel | None,
+    ) -> None:
+        hidden, dhidden, logits, by_class, values, picks, places, grads, diffs = buffers
         n = grads.feature_weights.shape[0]
         batch, classes = values.size // n, logits.size // values.size
         if not 1 <= k <= n:
@@ -459,45 +509,72 @@ class _StepViews:
             raise ValueError(f"training mode {mode!r} has a negative row count")
         f, c = min(f, k), min(c, k)
         lo = n - k
-        self.run, self.feature, classifier = slice(lo, n), slice(lo, lo + f), slice(n - c, n)
-        arrays = grads.arrays()
-        self.moved = _ranges(arrays, (self.feature,) * 2 + (classifier,) * 2)
-        self.pulled = _ranges(arrays, (slice(n - c, lo + f),) * 4)
-        self.flat = (grads.block, diffs.block)
-        # The feature rows as rows of the batch.
-        self.feature_inputs = slice(0, f)
+        feature, classifier = slice(lo, lo + f), slice(n - c, n)
+        block = self.block = model.block
+        self.anchor = None if anchor is None else anchor.block
         samples = k * batch
-        # Every buffer serves the running rows from its start, so each of
-        # their views is an entire array for every k.
-        hidden, dhidden, logits, block = (
-            b[: samples * (b.size // values.size)] for b in (hidden, dhidden, logits, block)
+        hidden, dhidden, logits, by_class = (
+            b[: samples * (b.size // values.size)] for b in (hidden, dhidden, logits, by_class)
         )
-        # The running rows' logits, free while the softmax runs, hold the
-        # class sum's partial sums.
+        values = values[:samples]
+        h, dh, lg = (b.reshape(batch, k, -1) for b in (hidden, dhidden, logits))
+        fw, fb, cw, cb = (a[lo:] for a in model.arrays())
+        # The running rows' biases are one contiguous run of k * classes
+        # values, so their add runs over entire rows of the logits.
+        logit_rows = logits.reshape(batch, k * classes)
+        self.forward = (
+            fw, h.swapaxes(0, 1), h, fb, cw, lg.swapaxes(0, 1), logit_rows, cb.reshape(-1)
+        )
+        # The class-major block and, while the softmax runs, its rows; the
+        # running rows' logits, free meanwhile, hold the class sum's
+        # partial sums.
+        class_major = by_class.reshape(classes, batch, k)
+        terms = by_class.reshape(classes, samples)
+        partials = logits.reshape(classes, samples)
         self.softmax = (
-            block.reshape(classes, batch, k),
-            block.reshape(classes, samples),
-            logits.reshape(classes, samples),
-            values[:samples],
+            class_major, lg.transpose(2, 0, 1), terms, values, _class_sum(terms, values, partials)
         )
-        self.logit_rows = logits.reshape(batch, k * classes)
-        hidden, dhidden, logits = (b.reshape(batch, k, -1) for b in (hidden, dhidden, logits))
-        self.running = (hidden, logits)
         # The flat block, and where each sample's label's entry lies in it.
-        self.onehot = (
-            block,
-            picks[:samples].reshape(k, batch),
-            places[:samples].reshape(batch, k).T,
-        )
+        picks, places = picks[:samples].reshape(k, batch), places[:samples].reshape(batch, k).T
+        self.onehot = (by_class, picks, samples, places, batch)
+        self.gradient = (lg, class_major.transpose(1, 2, 0))
+        g_fw, g_fb, g_cw, g_cb = arrays = grads.arrays()
         # Empty where no row moves the block.
-        c_rows, f_rows = (g[classifier] for g in arrays[2:]), (g[self.feature] for g in arrays[:2])
-        self.classifier_views = (hidden[:, k - c :], logits[:, k - c :], *c_rows) if c else ()
-        self.feature_views = (hidden[:, :f], dhidden[:, :f], logits[:, :f], *f_rows) if f else ()
+        self.classifier_views = ()
+        if c:
+            c_hidden, c_logits = h[:, k - c :].transpose(1, 2, 0), lg[:, k - c :]
+            c_rows = (g_cw[classifier], g_cb[classifier])
+            self.classifier_views = (c_hidden, c_logits.swapaxes(0, 1), c_logits, *c_rows)
+        self.feature_views = ()
+        if f:
+            f_hidden, f_dhidden = h[:, :f], dh[:, :f]
+            f_logits, f_cw = lg[:, :f], model.classifier_weights[feature]
+            f_rows = (g_fw[feature], g_fb[feature])
+            self.feature_views = (
+                f, f_logits.swapaxes(0, 1), f_cw.swapaxes(-1, -2), f_dhidden.swapaxes(0, 1),
+                f_hidden, f_dhidden, *f_rows,
+            )
+        pulled = _ranges(arrays, (slice(n - c, lo + f),) * 4)
+        self.pulled = bool(pulled)
+        stacked = (
+            anchor is not None
+            and anchor.block is not None
+            and anchor.block.shape == block.shape
+            and anchor.feature_weights.shape == model.feature_weights.shape
+        )
+        grads, diffs = grads.block, diffs.block
+        self.pulls = []
+        if stacked:
+            self.pulls = [(grads[r], diffs[r], block[r], anchor.block[r]) for r in pulled]
+        moved = _ranges(arrays, (feature,) * 2 + (classifier,) * 2)
+        self.moves = [(grads[r], block[r]) for r in moved]
 
 
-def _class_sum(terms: np.ndarray, out: np.ndarray, scratch: np.ndarray) -> None:
-    """Write the sum of `terms` over its first axis into `out`, bitwise as
-    `np.add.reduce` sums a contiguous axis of that many terms.
+def _class_sum(terms: np.ndarray, out: np.ndarray, scratch: np.ndarray) -> list[tuple]:
+    """The additions, each the operands (a, b, out) of one `np.add(a, b,
+    out=out)`, that write the sum of `terms` over its first axis into
+    `out`, in order, bitwise as `np.add.reduce` sums a contiguous axis of
+    that many terms.
 
     Each add is one ufunc call on entire rows, so a class-major block sums
     over its classes in a few calls instead of one small loop per sample.
@@ -514,31 +591,30 @@ def _class_sum(terms: np.ndarray, out: np.ndarray, scratch: np.ndarray) -> None:
     """
     n = len(terms)
     if n < 8:
-        np.copyto(out, terms[0])
-        for term in terms[1:]:
-            np.add(out, term, out=out)
-        return
+        # A lone term is copied: x + -0.0 is x, bitwise, for every x.
+        first = (terms[0], terms[1] if n > 1 else -0.0, out)
+        return [first] + [(out, term, out) for term in terms[2:]]
     if n > 128:
         half = n // 2
         half -= half % 8
-        _class_sum(terms[:half], scratch[-1], scratch[:-1])
-        _class_sum(terms[half:], out, scratch[:-1])
-        np.add(scratch[-1], out, out=out)
-        return
+        return [
+            *_class_sum(terms[:half], scratch[-1], scratch[:-1]),
+            *_class_sum(terms[half:], out, scratch[:-1]),
+            (scratch[-1], out, out),
+        ]
     full = n - n % 8
+    adds = []
     if full > 8:
         sums = scratch[:8]
-        np.add(terms[:8], terms[8:16], out=sums)
-        for i in range(16, full, 8):
-            np.add(sums, terms[i : i + 8], out=sums)
+        adds.append((terms[:8], terms[8:16], sums))
+        adds += [(sums, terms[i : i + 8], sums) for i in range(16, full, 8)]
         pairs, halves = scratch[8:12], sums[:2]
     else:
         sums, pairs, halves = terms[:8], scratch[:4], scratch[4:6]
-    np.add(sums[0::2], sums[1::2], out=pairs)
-    np.add(pairs[0::2], pairs[1::2], out=halves)
-    np.add(halves[0], halves[1], out=out)
-    for term in terms[full:]:
-        np.add(out, term, out=out)
+    adds.append((sums[0::2], sums[1::2], pairs))
+    adds.append((pairs[0::2], pairs[1::2], halves))
+    adds.append((halves[0], halves[1], out))
+    return adds + [(out, term, out) for term in terms[full:]]
 
 
 def sgd_step_in_place(
@@ -562,30 +638,35 @@ def sgd_step_in_place(
     `sgd_step(model, backward_full(model, batch), lr)`. So on a stack of n
     rows (n, n) is a full step, (0, n) classifier-only and (n, 0) a donated
     step, whatever k is, and one step can train full, classifier-only and
-    donated rows side by side. A negative count raises ValueError. A
-    nonzero `prox_mu` adds `prox_mu * (p - anchor)` to each gradient of the
-    rows that take full steps; the anchor is then a stack with the model's
-    rows, laid out as one block, or the step raises ShapeError.
+    donated rows side by side. A negative count raises ValueError, and so
+    does a label outside [0, num_classes). A nonzero `prox_mu` adds
+    `prox_mu * (p - anchor)` to each gradient of the rows that take full
+    steps; the anchor is then a stack with the model's rows, laid out as
+    one block, or the step raises ShapeError.
 
     Every intermediate lives in `workspace`, and each entry is computed
     with the ufunc, operands and order of the allocating functions above,
-    so the new parameters are bitwise theirs. The activations and logits
-    are kept samples first, so the bias adds and the bias gradients' sums
-    over the samples, in order, run over entire rows, and the products read
-    them as the same matrices with a longer row stride (BLAS's leading
-    dimension), which moves no bit of a product. The softmax and its
-    gradient run class-major, in a (classes, batch, k) copy of the logits:
-    the max over the classes is exact in any order, the sum over them
-    follows numpy's pairwise order (`_class_sum`), and the one-hot labels
-    come off as 1.0 subtracted at each sample's label; the gradient then
-    goes back to the logits that the products read. The classifier
-    gradients are computed for the rows that move the classifier only, and
-    the backward pass through the feature block for the rows that move it
-    only. The pull and the move then run over the ranges of the flat
-    block that the step's rows cover (`_StepViews`): the new parameters
-    are computed into the gradient buffer and checked to be finite before
-    any parameter moves, so a non-finite gradient and an overflow of
-    `lr * g` or `p - lr * g` both raise DivergenceError.
+    so the new parameters are bitwise theirs. Every operand but the batch
+    comes from the workspace's program for the step's k and mode
+    (`_StepViews`), built at the first such step for this model and
+    anchor, so a step binds only the batch's inputs and labels, `lr` and
+    `prox_mu` and runs a fixed sequence of ufunc calls. The activations and
+    logits are kept samples first, so the bias adds and the bias
+    gradients' sums over the samples, in order, run over entire rows, and
+    the products read them as the same matrices with a longer row stride
+    (BLAS's leading dimension), which moves no bit of a product. The
+    softmax and its gradient run class-major, in a (classes, batch, k)
+    copy of the logits: the max over the classes is exact in any order,
+    the sum over them follows numpy's pairwise order (`_class_sum`), and
+    the one-hot labels come off as 1.0 subtracted at each sample's label;
+    the gradient then goes back to the logits that the products read. The
+    classifier gradients are computed for the rows that move the classifier
+    only, and the backward pass through the feature block for the rows that
+    move it only. The pull and the move then run over the ranges of the
+    flat block that the step's rows cover: the new parameters are computed
+    into the gradient buffer and checked to be finite before any parameter
+    moves, so a non-finite gradient and an overflow of `lr * g` or
+    `p - lr * g` both raise DivergenceError.
     """
     _check_batch(model, batch)
     if model.feature_weights.shape[:-2] != (workspace.stack,):
@@ -595,82 +676,71 @@ def sgd_step_in_place(
         )
     if model.block is None:
         raise ShapeError("training takes a stack laid out as one block (see on_block)")
-    views = workspace.views(batch, mode)
-    pull = prox_mu != 0.0 and bool(views.pulled)
+    pull = prox_mu != 0.0
+    views = workspace.views(batch, mode, model, anchor if pull else None)
+    pull = pull and views.pulled
     if pull and anchor is None:
         raise ValueError("proximal training requires an anchor model")
-    if pull and (
-        anchor.block is None
-        or anchor.block.shape != model.block.shape
-        or anchor.feature_weights.shape != model.feature_weights.shape
-    ):
+    if pull and not views.pulls:
         raise ShapeError("the anchor must be a stack with the model's rows, on one block")
-    params = model.arrays()
-    fw, fb, cw, cb = (a[views.run] for a in params)
-    hidden, logits = views.running
-    by_class, terms, partials, values = views.softmax
-    inputs = batch.inputs
-    np.matmul(inputs, fw, out=hidden.swapaxes(0, 1))
+    inputs, labels = batch.inputs, batch.labels
+    fw, row_hidden, hidden, fb, cw, row_logits, logit_rows, cb = views.forward
+    np.matmul(inputs, fw, out=row_hidden)
     np.add(hidden, fb, out=hidden)
     np.tanh(hidden, out=hidden)
-    np.matmul(hidden.swapaxes(0, 1), cw, out=logits.swapaxes(0, 1))
-    # The running rows' biases are one contiguous run of k * classes values,
-    # so the add runs over entire rows of the samples-first logits.
-    logit_rows = views.logit_rows
-    np.add(logit_rows, cb.reshape(-1), out=logit_rows)
-    np.copyto(by_class, logits.transpose(2, 0, 1))
+    np.matmul(row_hidden, cw, out=row_logits)
+    np.add(logit_rows, cb, out=logit_rows)
+    class_major, by_class, terms, values, sums = views.softmax
+    np.copyto(class_major, by_class)
     # Only a max that ties +0.0 with -0.0 or is NaN can differ from the
     # reference's, in its sign or its NaN payload: exp(+-0.0) is 1 either
     # way, and a NaN fails the finite check before any parameter moves.
     np.maximum.reduce(terms, axis=0, out=values)
     np.subtract(terms, values, out=terms)
     np.exp(terms, out=terms)
-    _class_sum(terms, values, partials)
+    for a, b, out in sums:
+        np.add(a, b, out=out)
     # From here on the block holds the probabilities, then their gradient.
     np.divide(terms, values, out=terms)
     # Subtracting the one-hot labels takes exactly 1.0 off each label's
     # probability and leaves every other entry as it is (x - 0.0 == x).
     # The labels were checked to lie in range: a negative one would wrap.
-    flat, picks, places = views.onehot
-    np.multiply(batch.labels, picks.size, out=picks)
+    flat, picks, samples, places, size = views.onehot
+    np.multiply(labels, samples, out=picks)
     np.add(picks, places, out=picks)
     flat[picks] -= 1.0
-    np.divide(terms, batch.labels.shape[-1], out=terms)
-    np.copyto(logits, by_class.transpose(1, 2, 0))
+    np.divide(terms, size, out=terms)
+    logits, by_sample = views.gradient
+    np.copyto(logits, by_sample)
     if views.classifier_views:
         # Before the feature rows' `hidden` turns into the tanh derivative.
-        c_hidden, c_logits, g_cw, g_cb = views.classifier_views
-        np.matmul(c_hidden.transpose(1, 2, 0), c_logits.swapaxes(0, 1), out=g_cw)
-        np.add.reduce(c_logits, axis=0, out=g_cb)
+        c_hidden, c_logits, c_samples, g_cw, g_cb = views.classifier_views
+        np.matmul(c_hidden, c_logits, out=g_cw)
+        np.add.reduce(c_samples, axis=0, out=g_cb)
     if views.feature_views:
-        f_hidden, dhidden, f_logits, g_fw, g_fb = views.feature_views
-        f_cw, f_inputs = params[2][views.feature], inputs[views.feature_inputs]
-        np.matmul(f_logits.swapaxes(0, 1), f_cw.swapaxes(-1, -2), out=dhidden.swapaxes(0, 1))
+        f, f_logits, f_cw, dhidden_rows, f_hidden, dhidden, g_fw, g_fb = views.feature_views
+        np.matmul(f_logits, f_cw, out=dhidden_rows)
         # hidden -> 1 - hidden**2, the tanh derivative; dhidden -> dpre.
         np.multiply(f_hidden, f_hidden, out=f_hidden)
         np.subtract(1.0, f_hidden, out=f_hidden)
         np.multiply(dhidden, f_hidden, out=dhidden)
-        np.matmul(f_inputs.swapaxes(-1, -2), dhidden.swapaxes(0, 1), out=g_fw)
+        np.matmul(inputs[:f].swapaxes(-1, -2), dhidden_rows, out=g_fw)
         np.add.reduce(dhidden, axis=0, out=g_fb)
     # Each range of the flat block moves as one array: elementwise, each
     # entry meets the same operands in the same ufuncs however it is cut.
-    grads, diffs = views.flat
-    block = model.block
     if pull:
-        for rows in views.pulled:
-            g, diff = grads[rows], diffs[rows]
-            np.subtract(block[rows], anchor.block[rows], out=diff)
+        for g, diff, p, a in views.pulls:
+            np.subtract(p, a, out=diff)
             np.multiply(prox_mu, diff, out=diff)
             np.add(g, diff, out=g)
-    moves = [(grads[rows], block[rows]) for rows in views.moved]
-    for g, p in moves:
+    for g, p in views.moves:
         # g -> p - lr * g, bitwise the new parameter, checked before any moves.
         np.multiply(g, lr, out=g)
         np.subtract(p, g, out=g)
-    for g, _ in moves:
+    for g, _ in views.moves:
         if not np.isfinite(g).all():
             raise DivergenceError("non-finite gradient values")
-    for g, p in moves:
+    for g, p in views.moves:
         np.copyto(p, g)
 
 

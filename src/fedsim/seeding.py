@@ -9,12 +9,15 @@ the Python version either.
 
 `spawn_rngs` opens the generators of a whole cohort, `spawn_rng(*keys, i)`
 for each client id i, in one pass. It reproduces numpy's `SeedSequence`
-mixing, which numpy documents as stable across releases, on arrays of
-uint32 words, one per client, with the words the cohort shares mixed once
-as Python ints, and hands each client's four generated state words to
+mixing, which numpy documents as stable across releases, on Python ints:
+a word the cohort shares is one int, and a word that depends on the
+client's id is one int that holds each client's word in a 64-bit lane of
+its own, so each hash and mix of the pass is a few integer operations for
+the whole cohort, and the pass runs about as many of them for 3 clients
+as for 100. Each client's four generated state words go to
 `np.random.PCG64`, which seeds itself from them as it does from a
-`SeedSequence`. The pass uses integer operations only, so its generators do
-not depend on the host.
+`SeedSequence`. The pass uses integer operations only, so its generators
+do not depend on the host.
 """
 
 from __future__ import annotations
@@ -53,71 +56,45 @@ def spawn_rng(*keys: int) -> np.random.Generator:
 
 # numpy's SeedSequence: a pool of four uint32 words, the hash constants
 # that mixing the entropy in and generating the state out step through,
-# and the mixing multipliers. `_L`, `_R` and `_SHIFT` are the constants
-# every uint32 array meets, as arrays: numpy applies an operation with
-# another array about twice as fast as one with a Python int.
+# and the mixing multipliers.
 _MASK = 0xFFFFFFFF
 _POOL = 4
 _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
-_L, _R, _SHIFT = (np.array(c, np.uint32) for c in (_MIX_L, _MIX_R, 16))
+# One lane of a cohort's word, holding 1: 64 bits, little-endian.
+_LANE = (1).to_bytes(8, "little")
 
 
 @lru_cache(maxsize=None)
-def _hash_constants(init: int, mult: int, count: int):
-    """The first `count` (xor, multiplier) pairs a hash constant steps
-    through, as Python ints, and as their two columns of uint32 arrays."""
+def _hash_constants(init: int, mult: int, count: int) -> list[tuple[int, int]]:
+    """The first `count` (xor, multiplier) pairs a hash constant steps through."""
     pairs, const = [], init
     for _ in range(count):
         nxt = const * mult & _MASK
         pairs.append((const, nxt))
         const = nxt
-    xor, mul = (np.array(column, np.uint32) for column in zip(*pairs))
-    return pairs, xor, mul
+    return pairs
 
 
-def _hashmix(value, xor, mul):
-    """SeedSequence's hashmix of a Python int, or of a uint32 array."""
-    if isinstance(value, int):
-        value = (value ^ xor) * mul & _MASK
-        return value ^ value >> 16
-    value = (value ^ xor) * mul
-    return value ^ (value >> _SHIFT)
+def _hashmix(value: int, xor: int, mul: int, lanes: tuple[int, int, int]) -> int:
+    """SeedSequence's hashmix of each lane of `value` (see `spawn_rngs`).
+
+    A lane is 64 bits wide and holds one 32-bit word, so a word times a
+    constant fits its lane, and the mask drops the bits that a shift brings
+    down from the lane above."""
+    ones, mask, _ = lanes
+    value = (value ^ xor * ones) * mul & mask
+    return value ^ value >> 16 & mask
 
 
-def _mix(x, y):
-    """SeedSequence's mix of two Python ints, or of uint32 arrays or ints."""
-    if isinstance(x, int) and isinstance(y, int):
-        value = (_MIX_L * x - _MIX_R * y) & _MASK
-        return value ^ value >> 16
-    value = (_MIX_L * x & _MASK if isinstance(x, int) else x * _L) - (
-        _MIX_R * y & _MASK if isinstance(y, int) else y * _R
-    )
-    return value ^ (value >> _SHIFT)
-
-
-def _mix_in(pool: list, dsts: list[int], value, constants) -> None:
-    """`pool[d] = mix(pool[d], hashmix(value))` for each d of `dsts`, each
-    hashmix taking the next of `constants`. A word the cohort shares is a
-    Python int; a client's word is a uint32 array with one entry per client,
-    and is hashed for every destination in one (clients, dsts) operation."""
-    pairs, xor, mul = constants
-    if isinstance(value, int):
-        for d, (c, m) in zip(dsts, pairs):
-            pool[d] = _mix(pool[d], _hashmix(value, c, m))
-        return
-    mixed = _mix(_columns([pool[d] for d in dsts], len(value)), _hashmix(value[:, None], xor, mul))
-    for j, d in enumerate(dsts):
-        pool[d] = mixed[:, j]
-
-
-def _columns(values: list, rows: int) -> np.ndarray:
-    """A (rows, len(values)) uint32 array whose column j is values[j]."""
-    out = np.empty((rows, len(values)), np.uint32)
-    for j, value in enumerate(values):
-        out[:, j] = value
-    return out
+def _mix(x: int, y: int, lanes: tuple[int, int, int]) -> int:
+    """SeedSequence's mix of each lane of `x` with that lane of `y`. Its
+    (L * x - R * y) mod 2**32 is L * x mod 2**32 + R * (2**32 - 1 - y) + R,
+    modulo 2**32, a sum that fits a lane, so no lane borrows from the next."""
+    _, mask, r = lanes
+    value = ((_MIX_L * x & mask) + _MIX_R * (mask - y) + r) & mask
+    return value ^ value >> 16 & mask
 
 
 def _key_words(key: int) -> list[int]:
@@ -130,6 +107,15 @@ def _key_words(key: int) -> list[int]:
         key >>= 32
         words.append(key & _MASK)
     return words
+
+
+@lru_cache(maxsize=None)
+def _mixing_steps(extra: int) -> list[tuple[int, int]]:
+    """The (source, destination) of each step of SeedSequence's mixing in,
+    in order, with `extra` entropy words past the pool, numbered from
+    `_POOL` on."""
+    steps = [(src, dst) for src in range(_POOL) for dst in range(_POOL) if dst != src]
+    return steps + [(_POOL + i, dst) for i in range(extra) for dst in range(_POOL)]
 
 
 @lru_cache(maxsize=None)
@@ -159,40 +145,58 @@ def spawn_rngs(keys, ids) -> list[np.random.Generator]:
 
     Args:
         keys: the non-negative integer keys every generator shares.
-        ids: integers in [0, 2**32), such as client ids.
+        ids: integers in [0, 2**32), such as client ids; repeated ids
+            give separate generators of the same stream.
     """
     ids = list(ids)
-    if ids and (min(ids) < 0 or max(ids) > _MASK):
+    if not ids:
+        return []
+    if min(ids) < 0 or max(ids) > _MASK:
         bad = min(ids) if min(ids) < 0 else max(ids)
         raise ValueError(f"a cohort's ids must lie in [0, 2**32), got {bad}")
-    words = np.array(ids, dtype=np.uint32)
-    entropy = [w for k in keys for w in _key_words(k)] + [words]
+    # A word is an int and its lanes: one lane for a word the cohort
+    # shares, one per client, the first lowest, for a word that depends on
+    # the client's id. The lanes are a 1, 2**32 - 1 and `_MIX_R` in each.
+    # A shared word meets a client's as that many copies of itself.
+    n = len(ids)
+    ones = int.from_bytes(_LANE * n, "little")
+    shared, cohort = (1, _MASK, _MIX_R), (ones, ones * _MASK, ones * _MIX_R)
+    entropy = [(w, shared) for k in keys for w in _key_words(k)]
+    entropy.append((int.from_bytes(np.array(ids, "<u8").tobytes(), "little"), cohort))
     # Mixing in: the pool starts as the first four words hashed, zeros past
     # the entropy's end; each word then mixes into every other, and each
-    # word past the pool into all four.
-    extra = max(0, len(entropy) - _POOL)
-    pairs, xor, mul = _hash_constants(_INIT_A, _MULT_A, _POOL * _POOL + _POOL * extra)
-    pool = [_hashmix(entropy[i] if i < len(entropy) else 0, *pairs[i]) for i in range(_POOL)]
-    at = _POOL
-    for src in range(_POOL):
-        dsts = [d for d in range(_POOL) if d != src]
-        step = slice(at, at + len(dsts))
-        _mix_in(pool, dsts, pool[src], (pairs[step], xor[step], mul[step]))
-        at += len(dsts)
-    for word in entropy[_POOL:]:
-        step = slice(at, at + _POOL)
-        _mix_in(pool, list(range(_POOL)), word, (pairs[step], xor[step], mul[step]))
-        at += _POOL
-    # Generating out: eight uint32 words from the pool, cycled, read in
-    # little-endian pairs as the four uint64 words PCG64 asks for.
-    _, xor, mul = _hash_constants(_INIT_B, _MULT_B, 2 * _POOL)
-    state = _hashmix(_columns(pool, words.size)[:, None, :], xor.reshape(2, -1), mul.reshape(2, -1))
-    state = state.reshape(-1, 2 * _POOL).astype("<u4", copy=False).view("<u8")
-    sequence = _state_words()
-    return [
-        np.random.Generator(np.random.PCG64(sequence(w)))
-        for w in state.astype(np.uint64, copy=False)
+    # word past the pool into all four. The words past the pool follow it
+    # in `pool`, where the steps read them.
+    extra = entropy[_POOL:]
+    consts = _hash_constants(_INIT_A, _MULT_A, _POOL * _POOL + _POOL * len(extra))
+    pool = [
+        (_hashmix(value, *c, lanes), lanes)
+        for c, (value, lanes) in zip(consts, (entropy + [(0, shared)] * _POOL)[:_POOL])
     ]
+    pool += extra
+    for (xor, mul), (src, dst) in zip(consts[_POOL:], _mixing_steps(len(extra))):
+        (x, lanes), (y, y_lanes) = pool[dst], pool[src]
+        y = _hashmix(y, xor, mul, y_lanes)
+        # A shared word meets the cohort's as one copy of itself per lane.
+        if lanes is not y_lanes:
+            if lanes is shared:
+                x, lanes = x * ones, cohort
+            else:
+                y *= ones
+        pool[dst] = (_mix(x, y, lanes), lanes)
+    # Generating out: eight words from the pool, cycled, hashed; every pool
+    # word holds the cohort's lanes by now, as the ids' word mixed into
+    # each. Each pair, low word first, is one of the four uint64 words
+    # PCG64 asks for, and a client's four are one row of `state`.
+    gen = _hash_constants(_INIT_B, _MULT_B, 2 * _POOL)
+    words = [_hashmix(pool[i % _POOL][0], c, m, cohort) for i, (c, m) in enumerate(gen)]
+    state = b"".join(
+        (words[i] | words[i + 1] << 32).to_bytes(8 * n, "little") for i in range(0, 2 * _POOL, 2)
+    )
+    state = np.frombuffer(state, "<u8").reshape(_POOL, n).T
+    state = np.ascontiguousarray(state, dtype=np.uint64)
+    sequence, generator, pcg = _state_words(), np.random.Generator, np.random.PCG64
+    return [generator(pcg(sequence(row))) for row in state]
 
 
 def left_sum(values):

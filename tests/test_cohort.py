@@ -25,6 +25,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fedsim import engine
+from fedsim import model as model_module
 from fedsim.config import parse_config
 from fedsim.errors import ConfigError
 from fedsim.engine import (
@@ -831,6 +832,120 @@ def test_workspace_rejects_batches_that_do_not_fit():
             sgd_step_in_place(stacked, batch, workspace, 0.1, (3, 3))
 
 
+SIGNED = [np.int64, np.int32, np.int8, ">i4"]
+
+
+@pytest.mark.parametrize(
+    "dtype, bad",
+    [(t, -1) for t in SIGNED] + [(t, 3) for t in [*SIGNED, np.uint8, np.uint64]],
+)
+def test_a_label_out_of_range_moves_nothing(dtype, bad):
+    # One max over the labels read as unsigned words finds a label below 0
+    # or at num_classes (3), whatever the integer type, before any move.
+    rng = np.random.default_rng(9)
+    stacked = stack([init_model(4, 6, 3, seed=k) for k in range(3)])
+    before = stacked.block.copy()
+    workspace = Workspace(stacked, 8)
+    labels = rng.integers(0, 3, size=(3, 8)).astype(dtype)
+    labels[2, 5] = bad
+    for mode in [(3, 3), (0, 3), (3, 0)]:
+        with pytest.raises(ValueError, match=rf"labels must lie in \[0, 3\).*{bad}"):
+            sgd_step_in_place(
+                stacked, Batch(rng.standard_normal((3, 8, 4)), labels), workspace, 0.1, mode
+            )
+    assert stacked.block.tobytes() == before.tobytes()
+
+
+@pytest.mark.parametrize("bad", [-1, 3])
+def test_local_train_refuses_a_label_out_of_range_before_any_move(bad):
+    # The first step's batch holds the bad label: the stack handed in and
+    # the copy that trains in the arena both keep their bytes.
+    labels = LABELS.copy()
+    cursors = member_cursors()
+    blocks = draw_blocks(cursors, 3)
+    labels[blocks[1][0, 4]] = bad
+    start = stack(member_models())
+    before = start.block.copy()
+    arena = Arena()
+    with pytest.raises(ValueError, match=r"labels must lie in \[0, 3\)"):
+        local_train(start, CohortCursor(INPUTS, labels, blocks, arena=arena), 3, 0.1, arena=arena)
+    assert start.block.tobytes() == before.tobytes()
+    trained = arena.get("trained", (start.size,))
+    assert trained.tobytes() == before.tobytes()
+
+
+def test_a_workspace_trains_another_model_or_anchor_of_its_shape():
+    # A step's program is valid for the model and the anchor it was built
+    # for: the same workspace, handed a second stack or a second anchor of
+    # the same shape, trains that one as the reference does and leaves the
+    # other stack's bytes as they were.
+    for classes in (2, 10, 130):
+        rng = np.random.default_rng(classes)
+        rows = 3
+        models = {
+            name: [init_model(5, 7, classes, seed=10 * i + r) for r in range(rows)]
+            for i, name in enumerate("ab")
+        }
+        anchors = {
+            name: [init_model(5, 7, classes, seed=100 + 10 * i + r) for r in range(rows)]
+            for i, name in enumerate("AB")
+        }
+        stacks = {name: stack(ms) for name, ms in models.items()}
+        anchor_stacks = {name: stack(ms) for name, ms in anchors.items()}
+        workspace = Workspace(stacks["a"], 9)
+        for name, anchor in [("a", "A"), ("b", "A"), ("b", "B"), ("a", "B"), ("a", "A")]:
+            other = stacks["b" if name == "a" else "a"]
+            kept = other.block.copy()
+            batch = Batch(
+                rng.standard_normal((rows, 9, 5)), rng.integers(0, classes, size=(rows, 9))
+            )
+            sgd_step_in_place(
+                stacks[name], batch, workspace, 0.1, (rows, rows), 0.01, anchor_stacks[anchor]
+            )
+            assert other.block.tobytes() == kept.tobytes()
+            models[name] = [
+                reference_step(m, Batch(x, y), 0.1, "full", 0.01, a)
+                for m, x, y, a in zip(models[name], batch.inputs, batch.labels, anchors[anchor])
+            ]
+            for r, m in enumerate(models[name]):
+                for a, b in zip(stacks[name].arrays(), m.arrays()):
+                    assert a[r].tobytes() == b.tobytes(), f"{classes} classes, {name} row {r}"
+
+
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_step_programs_serve_any_sequence_of_shapes(data):
+    # One workspace steps a stack through a sequence of (k, mode) shapes and
+    # back to an earlier one: each shape's program is built once and each
+    # row comes out bitwise as its own sequence of reference steps.
+    classes = data.draw(st.sampled_from(CLASS_COUNTS))
+    n = data.draw(st.integers(1, 5))
+    shape = st.tuples(st.integers(1, n), st.integers(0, n + 1), st.integers(0, n + 1))
+    shapes = data.draw(st.lists(shape, min_size=1, max_size=6))
+    shapes += [shapes[data.draw(st.integers(0, len(shapes) - 1))]]
+    prox_mu = data.draw(st.sampled_from([0.0, 0.01]))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    models = [init_model(5, 7, classes, seed=r) for r in range(n)]
+    anchors = [init_model(5, 7, classes, seed=50 + r) for r in range(n)]
+    stacked, anchor = stack(models), stack(anchors)
+    workspace = Workspace(stacked, 9)
+    modes = {(True, True): "full", (True, False): "feature", (False, True): "frozen"}
+    for k, f, c in shapes:
+        batch = Batch(rng.standard_normal((k, 9, 5)), rng.integers(0, classes, size=(k, 9)))
+        sgd_step_in_place(stacked, batch, workspace, 0.1, (f, c), prox_mu, anchor)
+        for r in range(n - k, n):
+            i = r - (n - k)
+            mode = modes.get((i < f, i >= k - c))
+            if mode is not None:
+                mu = prox_mu if mode == "full" else 0.0
+                one = Batch(batch.inputs[i], batch.labels[i])
+                models[r] = reference_step(models[r], one, 0.1, mode, mu, anchors[r])
+    assert len(workspace._views) == len({(k, (f, c)) for k, f, c in shapes})
+    for r, model in enumerate(models):
+        for a, b in zip(stacked.arrays(), model.arrays()):
+            assert a[r].tobytes() == b.tobytes(), f"{classes} classes, row {r}"
+
+
 # --------------------------------------------------------------------------
 # Round memory is kept across rounds, and nothing handed out lives in it
 # --------------------------------------------------------------------------
@@ -1057,6 +1172,22 @@ def test_a_round_opens_no_stream_one_by_one(monkeypatch):
     tags = {k[1] for k in keys}
     assert TAG_SELECTION in tags
     assert not tags & {TAG_BATCHES, TAG_PROFILE}
+    # Many lanes open a round's batch streams in one pass per seed, for
+    # every lane of that seed: a client that several lanes keep is in it
+    # once per lane.
+    passes = []
+    spawn_many = engine.spawn_rngs
+
+    def opening(keys, ids):
+        passes.append((keys, list(ids)))
+        return spawn_many(keys, ids)
+
+    monkeypatch.setattr(engine, "spawn_rngs", opening)
+    run_experiments(config, [(strategy, seed) for seed in (3, 4) for strategy in STRATEGIES])
+    batches = [(keys, ids) for keys, ids in passes if keys[1] == TAG_BATCHES]
+    rounds = range(config.training.rounds)
+    assert sorted(k for k, _ in batches) == [(s, TAG_BATCHES, r) for s in (3, 4) for r in rounds]
+    assert all(len(ids) > len(set(ids)) for _, ids in batches)
 
 
 def test_a_seed_past_32_bits_serves_each_row_its_own_stream(monkeypatch):
@@ -1251,7 +1382,8 @@ def test_phase_gathers_serve_each_stream_in_phase_order(monkeypatch):
     for r in range(config.training.rounds):
         plan = plan_round(state, r)
         takes.clear()
-        own, donated = engine._phase_blocks(state, plan)
+        (streams,) = engine._batch_streams([state], [plan])
+        own, donated = engine._phase_blocks(state, plan, streams)
         weak = {p.client_id: p.receiver for p in plan.clients if p.receiver is not None}
         assert len(weak) >= 8
         assert {len(b) for b in own.values()} == {config.training.local_updates}
@@ -1331,6 +1463,39 @@ def test_quick_start_freeze_offload_rounds_run_local_updates_steps(monkeypatch):
     result = run_experiment(config, FreezeOffload(), seed=5)
     assert counts == [config.training.local_updates] * config.training.rounds
     assert sum(len(t.offload_records) for t in result.traces) >= 50
+
+
+def test_a_lockstep_call_builds_each_step_program_once(monkeypatch):
+    # A quick-start freeze_offload round steps on more running-row counts
+    # as donated rows join the stack; each count's program is built at its
+    # first step and serves the rest of the round.
+    builds, steps = [], []
+    views = model_module._StepViews
+
+    class Counting(views):
+        def __init__(self, buffers, k, mode, *args):
+            builds.append((k, mode))
+            super().__init__(buffers, k, mode, *args)
+
+    step = engine.sgd_step_in_place
+
+    def stepping(model, batch, workspace, lr, mode, *args):
+        steps.append((batch.labels.shape[0], mode))
+        return step(model, batch, workspace, lr, mode, *args)
+
+    monkeypatch.setattr(model_module, "_StepViews", Counting)
+    monkeypatch.setattr(engine, "sgd_step_in_place", stepping)
+    config = quick_start_config()
+    state = build_state(config, FreezeOffload(), seed=5)
+    shapes = []
+    for r in range(12):
+        builds.clear()
+        steps.clear()
+        run_round(state, r)
+        assert len(steps) == config.training.local_updates
+        assert builds == list(dict.fromkeys(steps))
+        shapes.append(len(builds))
+    assert max(shapes) >= 2, shapes
 
 
 def test_ragged_lanes_run_local_updates_steps_per_prox_mu_stack(monkeypatch):

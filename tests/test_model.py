@@ -391,6 +391,12 @@ class TestClassMajorSoftmax:
     SPECIAL = [0.0, -0.0, 1.0, -1.0, 0.5, 5e-324, -5e-324, 1e308, -1e308, np.inf, -np.inf]
 
     @staticmethod
+    def class_sum(terms, out, scratch):
+        """Run `_class_sum`'s additions, in order."""
+        for a, b, into in _class_sum(terms, out, scratch):
+            np.add(a, b, out=into)
+
+    @staticmethod
     def class_major(x):
         k, batch, classes = x.shape
         return np.ascontiguousarray(x.transpose(2, 0, 1)).reshape(classes, k * batch)
@@ -434,7 +440,7 @@ class TestClassMajorSoftmax:
             x[picks] = rng.choice(special, size=int(picks.sum()))
         expected = np.add.reduce(x, axis=-1, keepdims=True).ravel()
         out = np.empty(rows * batch)
-        _class_sum(self.class_major(x), out, np.empty((classes, rows * batch)))
+        self.class_sum(self.class_major(x), out, np.empty((classes, rows * batch)))
         # numpy adds its terms to 0.0 and the helper starts from the first
         # one, so a sample whose terms are all -0.0 sums to 0.0 in numpy and
         # to -0.0 in the helper; a softmax's terms never are.
@@ -445,7 +451,7 @@ class TestClassMajorSoftmax:
         # The one case where the helper and numpy differ, in a zero's sign.
         x = np.full((2, 3, 10), -0.0)
         out = np.empty(6)
-        _class_sum(self.class_major(x), out, np.empty((10, 6)))
+        self.class_sum(self.class_major(x), out, np.empty((10, 6)))
         assert np.all(out == 0.0) and np.all(np.signbit(out))
         assert not np.signbit(np.add.reduce(x, axis=-1)).any()
 
