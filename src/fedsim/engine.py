@@ -32,11 +32,12 @@ A round runs in two passes.
   call trains a copy of the stack in place, in a `model.Workspace` that
   holds every per-step intermediate, so a step allocates no array the size
   of the stack's activations, only a value per sample for the one-hot
-  labels and the finite check's masks; the untouched stack is FedProx's
-  anchor. The kept clients' streams are opened for the round in one
-  seeding pass per seed (`seeding.spawn_rngs`), for every lane of that
-  seed at once, each draws all its batches in one
-  take, split into its own steps and a donated block's, and a
+  labels and the finite check's masks. FedProx's anchor is the stack's own
+  start rows: each row is pulled toward its row of the stack passed in,
+  which training leaves as it is. The kept clients' streams are opened for
+  the round in one seeding pass per seed (`seeding.spawn_rngs`), for every
+  lane of that seed at once, each draws all its batches in one take, split
+  into its own steps and a donated block's, and a
   `CohortCursor` copies every row's batch indices straight into one index
   block and gathers each step's batch as the step trains. Every client
   sees the batches it would draw alone, in the same order, and comes out
@@ -99,7 +100,6 @@ from .model import (
     init_model,
     merge,
     on_block,
-    scratch,
     sgd_step_in_place,
     softmax,
     split,
@@ -422,9 +422,9 @@ class CohortCursor:
     labels, into one step's worth of arrays, and serves it as a Batch of
     shape (k, batch_size, input_dim) for the k rows that run it, whose row i
     is what that row's own cursor serves at that step. A batch is valid
-    until the next call. The index block and the step's arrays are new
-    arrays, or `arena`'s, which the cursor then holds until the arena's next
-    use; only the index block grows with the step count.
+    until the next call. The index block and the step's arrays are
+    `arena`'s, which the cursor then holds until the arena's next use; only
+    the index block grows with the step count.
 
     The first d = `donated` rows of the stack, the donated rows, pair with
     the last d, the weak rows, in order. Donated row i joins at its handoff
@@ -443,8 +443,8 @@ class CohortCursor:
         inputs: np.ndarray,
         labels: np.ndarray,
         blocks: list[np.ndarray],
+        arena: Arena,
         donated: int = 0,
-        arena: Arena | None = None,
     ) -> None:
         steps = [b.shape[0] for b in blocks]
         if steps != sorted(steps):
@@ -459,7 +459,7 @@ class CohortCursor:
                 "each handoff needs a donated row at the front of the stack and a weak"
                 " row at the back, and every other row runs every step"
             )
-        idx = self._index = scratch(arena, "index", (last, rows, size), np.int64)
+        idx = self._index = arena.get("index", (last, rows, size), np.int64)
         row = 0
         for count, run in groupby(blocks, key=len):
             run = list(run)
@@ -476,8 +476,8 @@ class CohortCursor:
             bad = low if low < 0 else high
             raise IndexError(f"sample index {bad} is out of bounds for {labels.shape[0]} samples")
         self._data = inputs, labels
-        self._inputs = scratch(arena, "inputs", (rows, size) + inputs.shape[1:], inputs.dtype)
-        self._labels = scratch(arena, "labels", (rows, size), labels.dtype)
+        self._inputs = arena.get("inputs", (rows, size) + inputs.shape[1:], inputs.dtype)
+        self._labels = arena.get("labels", (rows, size), labels.dtype)
         self.batch_size = size
         self._first = np.searchsorted(steps, last - np.arange(last)).tolist()
         self._step = 0
@@ -530,36 +530,37 @@ def local_train(
     cursor: CohortCursor,
     updates: int,
     learning_rate: float,
+    arena: Arena,
     prox_mu: float = 0.0,
-    anchor: PartitionedModel | None = None,
-    arena: Arena | None = None,
 ) -> PartitionedModel:
     """Run `updates` lockstep SGD steps of a stack and return the new stack.
 
     The stack passed in is left as it is: the steps train a copy of it in
     place, laid out as one block, in one `Workspace` for the call. The copy
-    and the workspace are new arrays, or `arena`'s: the stack returned is
-    then the arena's until its next use. Each step trains on the batch the
-    cursor gathers for it, which the next step's gather overwrites. Every
-    step takes the cursor's `mode`, the pair that says which rows move
-    which block, and moves the rows that run it, a suffix of the stack, so
-    one call trains a whole round and each row comes out trained on its own
-    steps only; before each step, the donated rows that join at it are
-    copied from their weak rows.
-    A model trains alone as a stack of one; a lone model raises ShapeError.
-    The anchor, if any, is a stack with the model's rows.
+    and the workspace are `arena`'s: the stack returned is then the arena's
+    until its next use. Each step trains on the batch the cursor gathers
+    for it, which the next step's gather overwrites. Every step takes the
+    cursor's `mode`, the pair that says which rows move which block, and
+    moves the rows that run it, a suffix of the stack, so one call trains a
+    whole round and each row comes out trained on its own steps only;
+    before each step, the donated rows that join at it are copied from
+    their weak rows. A model trains alone as a stack of one; a lone model
+    raises ShapeError. The FedProx anchor is the stack's own start rows: a
+    nonzero `prox_mu` pulls each full step of a row toward that row of the
+    stack passed in, which must then be laid out as one block (as `_stack`
+    lays it out), or the first step raises ShapeError.
     """
     if updates < 0:
         raise ValueError(f"updates must be >= 0, got {updates}")
-    model = model.copy(None if arena is None else arena.get("trained", (model.size,)))
-    workspace = Workspace(model, cursor.batch_size, arena)
+    trained = model.copy(arena.get("trained", (model.size,)))
+    workspace = Workspace(trained, cursor.batch_size, arena)
     mode = cursor.mode
     for _ in range(updates):
-        cursor.join(model)
+        cursor.join(trained)
         sgd_step_in_place(
-            model, cursor.next_batch(), workspace, learning_rate, mode, prox_mu, anchor
+            trained, cursor.next_batch(), workspace, learning_rate, mode, prox_mu, model
         )
-    return model
+    return trained
 
 
 def execute_offloaded(
@@ -568,17 +569,18 @@ def execute_offloaded(
     cursor: CohortCursor,
     updates: int,
     learning_rate: float,
+    arena: Arena,
 ) -> FeatureBlock:
     """Train stacked feature blocks that others donated on local data.
 
     The donated classifier snapshots stay fixed; only the feature blocks
     move, trained in lockstep, as in `local_train`, in place on a copy of
-    both blocks.
+    both blocks, in a `Workspace` of `arena`'s.
     """
     if updates < 0:
         raise ValueError(f"updates must be >= 0, got {updates}")
     model = merge(feature, classifier_snapshot)
-    workspace = Workspace(model, cursor.batch_size)
+    workspace = Workspace(model, cursor.batch_size, arena)
     mode = (workspace.stack, 0)
     for _ in range(updates):
         sgd_step_in_place(model, cursor.next_batch(), workspace, learning_rate, mode)
@@ -653,14 +655,12 @@ def _check_members(model: PartitionedModel, members: np.ndarray, weights: int) -
         raise ValueError(f"{members.shape[0]} models but {weights} weights")
 
 
-def evaluate_accuracy(
-    model: PartitionedModel, dataset: Dataset, arena: Arena | None = None
-) -> float:
+def evaluate_accuracy(model: PartitionedModel, dataset: Dataset, arena: Arena) -> float:
     """Share of correctly classified held-out samples.
 
-    The forward pass runs in new arrays, or at the start of the array of
-    `arena`'s workspace activations (see `Workspace`), which a round no
-    longer reads once it is trained.
+    The forward pass runs at the start of the array of `arena`'s workspace
+    activations (see `Workspace`), which a round no longer reads once it is
+    trained.
 
     A sample's prediction is the arg-max of its class probabilities from
     `forward`, the first index on a tie. Most of the time it is read off the
@@ -676,11 +676,9 @@ def evaluate_accuracy(
     infinite max), every row takes the softmax path, in place on the logits.
     """
     batch = Batch(*dataset.test_rows)
-    out = None
-    if arena is not None:
-        rows, hidden = batch.labels.shape[0], model.hidden_dim
-        flat = arena.get("activations", (rows * (hidden + model.num_classes),))
-        out = flat[: rows * hidden].reshape(rows, hidden), flat[rows * hidden :].reshape(rows, -1)
+    rows, hidden = batch.labels.shape[0], model.hidden_dim
+    flat = arena.get("activations", (rows * (hidden + model.num_classes),))
+    out = flat[: rows * hidden].reshape(rows, hidden), flat[rows * hidden :].reshape(rows, -1)
     _, logits = forward_logits(model, batch, out)
     # The row max, exact, as an elementwise chain over the few classes.
     top = logits[:, 0].copy()
@@ -1053,25 +1051,26 @@ def _lockstep(
     `local_train` call trains the round. A member's rows are the pair
     (feature row, classifier row): one row for a full member, and for a weak
     member its donated row's feature block joined to its own row's
-    classifier. The FedProx anchor is the start stack, which training leaves
-    as it is and nothing reads once it has trained. The batches, the start
-    stack, the trained stack and the workspace are `arena`'s, and so is the
-    stack returned, until its next use; with no member it is None.
+    classifier. FedProx pulls each row toward its own row of the start
+    stack, which training leaves as it is and nothing reads once it has
+    trained. The batches, the start stack, the trained stack and the
+    workspaces are `arena`'s, and so is the stack returned, until its next
+    use; with no member it is None.
     """
     if not own:
         return None, {}
     weak = sorted(donated, key=lambda m: len(donated[m]))
     full = [m for m in own if m not in donated]
     blocks = [donated[m] for m in weak] + [own[m] for m in full + weak]
-    cursor = CohortCursor(data.inputs, data.labels, blocks, len(weak), arena)
+    cursor = CohortCursor(data.inputs, data.labels, blocks, arena, len(weak))
     model = _stack([start[m] for m in weak + full + weak], arena)
-    model = local_train(model, cursor, len(blocks[-1]), learning_rate, prox_mu, model, arena)
+    model = local_train(model, cursor, len(blocks[-1]), learning_rate, arena, prox_mu)
     d, rows = len(weak), len(blocks)
     if d:
         # perfbench/run.py reports `engine.execute_offloaded.steps`, a count
         # its tracer makes only when this function is called. The donated
         # rows trained above, so this call runs no step and keeps it at 0.
-        execute_offloaded(*split(_rows(model, slice(0, 1))), cursor, 0, learning_rate)
+        execute_offloaded(*split(_rows(model, slice(0, 1))), cursor, 0, learning_rate, arena)
     members = {m: (d + k, d + k) for k, m in enumerate(full)}
     members.update({m: (i, rows - d + i) for i, m in enumerate(weak)})
     return model, members

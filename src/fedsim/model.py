@@ -18,11 +18,11 @@ order as in the unstacked case.
 results and are the reference. Training runs `sgd_step_in_place` instead,
 on a stack laid out as one flat block (`on_block`, `PartitionedModel.copy`)
 only, so a model trains alone as a stack of one: a `Workspace` holds every
-intermediate of a step for the entire stack of a lockstep call, in new
-arrays or in an `Arena`'s, which keeps them for the next call, and each
-step writes into it with `out=` and updates the parameters in place, with
-the same ufuncs on the same operands in the same order, so the bytes are
-those of the reference. The parameters move, and are pulled toward a
+intermediate of a step for the entire stack of a lockstep call, in an
+`Arena`'s arrays, which it keeps for the next call, and each step writes
+into it with `out=` and updates the parameters in place, with the same
+ufuncs on the same operands in the same order, so the bytes are those of
+the reference. The parameters move, and are pulled toward a
 FedProx anchor, over ranges of the flat block, one range where every row
 moves both blocks: elementwise, each entry meets the same operands in the
 same ufuncs however the block is cut. The layouts differ
@@ -181,23 +181,23 @@ class Arena:
     """Named flat arrays kept from one use to the next.
 
     `get` returns a view of the given shape over the start of the array of
-    that name, made anew when it is too small and never shrunk, so what one
-    use leaves there the next overwrites. Whatever is built on an arena's
-    arrays is the arena's until its next use. Each array is mapped on pages
-    of its own, twice the size asked for: a page counts in memory only once
-    written, so the unused half costs none, and the pages go back to the
-    system as soon as no array uses them, leaving no hole in the heap.
+    that name, made anew when it is too small or holds another dtype, and
+    never shrunk, so what one use leaves there the next overwrites.
+    Whatever is built on an arena's arrays is the arena's until its next
+    use. Each array is mapped on pages of its own, twice the size asked
+    for: a page counts in memory only once written, so the unused half
+    costs none, and the pages go back to the system as soon as no array
+    uses them, leaving no hole in the heap.
     """
 
     def __init__(self) -> None:
         self._arrays: dict = {}
 
     def get(self, name, shape, dtype=np.float64) -> np.ndarray:
-        size = math.prod(shape)
+        size, dtype = math.prod(shape), np.dtype(dtype)
         array = self._arrays.get(name)
-        if array is None or array.size < size:
+        if array is None or array.size < size or array.dtype != dtype:
             self._arrays.pop(name, None)
-            dtype = np.dtype(dtype)
             try:
                 pages = mmap.mmap(-1, 2 * size * dtype.itemsize or 1)
             except OSError as exc:
@@ -206,11 +206,6 @@ class Arena:
                 raise MemoryError(f"cannot map {2 * size} x {dtype} for {name!r}") from exc
             array = self._arrays[name] = np.frombuffer(pages, dtype, 2 * size)
         return array[:size].reshape(shape)
-
-
-def scratch(arena: Arena | None, name, shape, dtype=np.float64) -> np.ndarray:
-    """`arena`'s array `name` as `shape` (see `Arena.get`), or a new array."""
-    return np.empty(shape, dtype) if arena is None else arena.get(name, shape, dtype)
 
 
 @dataclass
@@ -382,14 +377,12 @@ class Workspace:
     is built at the first step of its k and mode, as that shape's program
     (`_StepViews`), and kept for the next while the model and the anchor
     are the same, so a later step binds only its batch. Programs live as
-    long as the workspace: one lockstep call. The buffers are new arrays,
-    or views of `arena`'s, which the workspace then holds until the arena's
-    next use. A model without exactly one leading axis raises ShapeError.
+    long as the workspace: one lockstep call. The buffers are views of
+    `arena`'s arrays, which the workspace then holds until the arena's next
+    use. A model without exactly one leading axis raises ShapeError.
     """
 
-    def __init__(
-        self, model: PartitionedModel, batch_size: int, arena: Arena | None = None
-    ) -> None:
+    def __init__(self, model: PartitionedModel, batch_size: int, arena: Arena) -> None:
         lead = model.feature_weights.shape[:-2]
         if len(lead) != 1:
             raise ShapeError(f"a workspace serves one stack, got leading axes {lead}")
@@ -399,7 +392,7 @@ class Workspace:
         shapes, params = [a.shape for a in model.arrays()], model.size
 
         def empty(name, size, dtype=np.float64):
-            return scratch(arena, name, (size,), dtype)
+            return arena.get(name, (size,), dtype)
 
         places = empty("places", samples, np.intp)
         np.copyto(places, np.arange(samples))
@@ -570,7 +563,7 @@ class _StepViews:
         self.moves = [(grads[r], block[r]) for r in moved]
 
 
-def _class_sum(terms: np.ndarray, out: np.ndarray, scratch: np.ndarray) -> list[tuple]:
+def _class_sum(terms: np.ndarray, out: np.ndarray, partials: np.ndarray) -> list[tuple]:
     """The additions, each the operands (a, b, out) of one `np.add(a, b,
     out=out)`, that write the sum of `terms` over its first axis into
     `out`, in order, bitwise as `np.add.reduce` sums a contiguous axis of
@@ -585,7 +578,7 @@ def _class_sum(terms: np.ndarray, out: np.ndarray, scratch: np.ndarray) -> list[
     more than 128 are the sum of two halves, split at a multiple of 8.
     numpy starts from 0.0 and this from the first term, which differs only
     where every term is -0.0: the sum is then -0.0 here and 0.0 there (the
-    terms of a softmax sum to 1 or more). `scratch` holds the partial sums,
+    terms of a softmax sum to 1 or more). `partials` holds the partial sums,
     in as many rows of `out`'s shape as there are terms (12 rows plus one
     per halving at most), and overlaps neither `terms` nor `out`.
     """
@@ -598,19 +591,19 @@ def _class_sum(terms: np.ndarray, out: np.ndarray, scratch: np.ndarray) -> list[
         half = n // 2
         half -= half % 8
         return [
-            *_class_sum(terms[:half], scratch[-1], scratch[:-1]),
-            *_class_sum(terms[half:], out, scratch[:-1]),
-            (scratch[-1], out, out),
+            *_class_sum(terms[:half], partials[-1], partials[:-1]),
+            *_class_sum(terms[half:], out, partials[:-1]),
+            (partials[-1], out, out),
         ]
     full = n - n % 8
     adds = []
     if full > 8:
-        sums = scratch[:8]
+        sums = partials[:8]
         adds.append((terms[:8], terms[8:16], sums))
         adds += [(sums, terms[i : i + 8], sums) for i in range(16, full, 8)]
-        pairs, halves = scratch[8:12], sums[:2]
+        pairs, halves = partials[8:12], sums[:2]
     else:
-        sums, pairs, halves = terms[:8], scratch[:4], scratch[4:6]
+        sums, pairs, halves = terms[:8], partials[:4], partials[4:6]
     adds.append((sums[0::2], sums[1::2], pairs))
     adds.append((pairs[0::2], pairs[1::2], halves))
     adds.append((halves[0], halves[1], out))

@@ -285,10 +285,12 @@ def test_divergence_names_the_first_diverged_lane_in_task_order():
     # A deadline this tight drops every client, so its lane trains nothing
     # and cannot diverge; the next lane in task order is named.
     tasks = [(DeadlineDrop(multiplier=0.01), 3), (FedAvg(), 5), (FedAvg(), 4)]
-    with pytest.raises(ConfigError, match=r"training: diverged in round 0 \(seed 5\): non-finite"):
-        run_experiments(config, tasks)
-    with pytest.raises(ConfigError, match=r"diverged in round 0 \(seed 4\)"):
-        run_experiments(config, tasks[::-1])
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        match = r"training: diverged in round 0 \(seed 5\): non-finite"
+        with pytest.raises(ConfigError, match=match):
+            run_experiments(config, tasks)
+        with pytest.raises(ConfigError, match=r"diverged in round 0 \(seed 4\)"):
+            run_experiments(config, tasks[::-1])
 
 
 # --------------------------------------------------------------------------
@@ -329,19 +331,20 @@ def first_row(stacked):
     return PartitionedModel(*(a[0] for a in stacked.arrays()), num_classes=stacked.num_classes)
 
 
-def train_alone(model, cursor, steps, lr, prox_mu=0.0, anchor=None):
+def train_alone(model, cursor, steps, lr, prox_mu=0.0):
     """`local_train` on `model` alone, as a stack of one, on the next
-    `steps` batches of its own stream."""
-    anchor = None if anchor is None else stack([anchor])
-    cohort = CohortCursor(INPUTS, LABELS, draw_blocks([cursor], steps))
-    return first_row(local_train(stack([model]), cohort, steps, lr, prox_mu, anchor))
+    `steps` batches of its own stream, pulled toward `model`."""
+    arena = Arena()
+    cohort = CohortCursor(INPUTS, LABELS, draw_blocks([cursor], steps), arena)
+    return first_row(local_train(stack([model]), cohort, steps, lr, arena, prox_mu))
 
 
 def offload_alone(model, cursor, steps, lr):
     """`execute_offloaded` on `model`'s blocks alone, as a stack of one, on
     the next `steps` batches of the receiver's stream."""
-    cohort = CohortCursor(INPUTS, LABELS, draw_blocks([cursor], steps))
-    trained = execute_offloaded(*split(stack([model])), cohort, steps, lr)
+    arena = Arena()
+    cohort = CohortCursor(INPUTS, LABELS, draw_blocks([cursor], steps), arena)
+    trained = execute_offloaded(*split(stack([model])), cohort, steps, lr, arena)
     return FeatureBlock(trained.weights[0], trained.bias[0])
 
 
@@ -353,26 +356,23 @@ def assert_rows_equal(stacked_arrays, per_member):
 
 @pytest.mark.parametrize("prox_mu", [0.0, 0.01, 0.5], ids=lambda mu: f"full-{mu}")
 def test_local_train_stacked_matches_per_client(prox_mu):
-    anchor = init_model(4, 6, 3, seed=99) if prox_mu else None
     cursors = member_cursors()
-    # Two calls on the same streams: the second starts where the first ended.
+    # Two calls on the same streams: the second starts where the first ended,
+    # and each call pulls toward the models it starts from.
     reference = []
     for model, cursor in zip(member_models(), cursors):
         for steps in (5, 3):
-            model = train_alone(model, cursor, steps, 0.1, prox_mu=prox_mu, anchor=anchor)
+            model = train_alone(model, cursor, steps, 0.1, prox_mu=prox_mu)
         reference.append(model.arrays())
 
     stacked = stack(member_models())
     cursors = member_cursors()
     for steps in (5, 3):
-        stacked = local_train(
-            stacked,
-            CohortCursor(INPUTS, LABELS, draw_blocks(cursors, steps)),
-            steps,
-            0.1,
-            prox_mu=prox_mu,
-            anchor=None if anchor is None else stack([anchor] * len(cursors)),
-        )
+        # A fresh arena for each call: the stack that one call returns is
+        # its arena's, and the next call starts from it.
+        arena = Arena()
+        cohort = CohortCursor(INPUTS, LABELS, draw_blocks(cursors, steps), arena)
+        stacked = local_train(stacked, cohort, steps, 0.1, arena, prox_mu)
     assert_rows_equal(stacked.arrays(), reference)
 
 
@@ -383,9 +383,9 @@ def test_execute_offloaded_stacked_matches_per_client():
         reference.append((trained.weights, trained.bias))
 
     feature, snapshot = split(stack(member_models()))
-    trained = execute_offloaded(
-        feature, snapshot, CohortCursor(INPUTS, LABELS, draw_blocks(member_cursors(), 6)), 6, 0.1
-    )
+    arena = Arena()
+    cohort = CohortCursor(INPUTS, LABELS, draw_blocks(member_cursors(), 6), arena)
+    trained = execute_offloaded(feature, snapshot, cohort, 6, 0.1, arena)
     assert_rows_equal((trained.weights, trained.bias), reference)
 
 
@@ -393,18 +393,16 @@ def test_local_train_ragged_stack_matches_per_client():
     # One call trains members with 1, 3, 3 and 6 steps: each joins the
     # stack for its own last steps and comes out as trained alone.
     steps = [1, 3, 3, 6]
-    anchor = init_model(4, 6, 3, seed=99)
     reference = []
     for model, cursor, n in zip(member_models(), member_cursors(), steps):
-        model = train_alone(model, cursor, n, 0.1, prox_mu=0.01, anchor=anchor)
+        model = train_alone(model, cursor, n, 0.1, prox_mu=0.01)
         reference.append(model.arrays())
     start = stack(member_models())
     before = [a.copy() for a in start.arrays()]
     blocks = [c._take(n * 8).reshape(n, 8) for c, n in zip(member_cursors(), steps)]
-    anchors = stack([anchor] * len(steps))
-    trained = local_train(
-        start, CohortCursor(INPUTS, LABELS, blocks), max(steps), 0.1, prox_mu=0.01, anchor=anchors
-    )
+    arena = Arena()
+    cohort = CohortCursor(INPUTS, LABELS, blocks, arena)
+    trained = local_train(start, cohort, max(steps), 0.1, arena, prox_mu=0.01)
     assert_rows_equal(trained.arrays(), reference)
     # The model passed in is left as it was and shares nothing with the result.
     for a, b, c in zip(start.arrays(), before, trained.arrays()):
@@ -424,13 +422,13 @@ def test_local_train_with_handoffs_matches_each_clients_three_phases():
     starts = member_models()
     expected = []
     for i, f in enumerate(handoffs):
-        full = train_alone(starts[i], own[i], f, 0.1, prox_mu=0.01, anchor=starts[i])
+        full = train_alone(starts[i], own[i], f, 0.1, prox_mu=0.01)
         classifier = full
         for _ in range(steps - f):
             classifier = reference_step(classifier, own[i].next_batch(), 0.1, "frozen")
         feature = offload_alone(full, donors[i], steps - f, 0.1)
         expected.append((feature.weights, feature.bias, *classifier.arrays()[2:]))
-    full_member = train_alone(starts[3], own[3], steps, 0.1, prox_mu=0.01, anchor=starts[3])
+    full_member = train_alone(starts[3], own[3], steps, 0.1, prox_mu=0.01)
 
     own = member_cursors()
     donors = [BatchCursor(INPUTS, LABELS, idx, 8, np.random.default_rng(200 + k))
@@ -438,9 +436,10 @@ def test_local_train_with_handoffs_matches_each_clients_three_phases():
     blocks = [c._take((steps - f) * 8).reshape(steps - f, 8) for c, f in zip(donors, handoffs)]
     blocks += [own[k]._take(steps * 8).reshape(steps, 8) for k in (3, 0, 1, 2)]
     start = stack([starts[k] for k in (0, 1, 2, 3, 0, 1, 2)])
-    cursor = CohortCursor(INPUTS, LABELS, blocks, len(handoffs))
+    arena = Arena()
+    cursor = CohortCursor(INPUTS, LABELS, blocks, arena, len(handoffs))
     assert cursor.mode == (4, 4)
-    trained = local_train(start, cursor, steps, 0.1, prox_mu=0.01, anchor=start)
+    trained = local_train(start, cursor, steps, 0.1, arena, prox_mu=0.01)
     arrays = trained.arrays()
     assert_rows_equal(arrays, [()] * 3 + [full_member.arrays()])
     for i, want in enumerate(expected):
@@ -450,13 +449,13 @@ def test_local_train_with_handoffs_matches_each_clients_three_phases():
 
 def test_cohort_cursor_rejects_handoffs_without_their_rows():
     blocks = [np.zeros((n, 8), dtype=np.int64) for n in (2, 6, 6, 6)]
-    CohortCursor(INPUTS, LABELS, blocks, 1)
+    CohortCursor(INPUTS, LABELS, blocks, Arena(), 1)
     # Too many donated rows for the stack, and a row after the donated ones
     # that does not run every step.
     with pytest.raises(ValueError, match="handoff"):
-        CohortCursor(INPUTS, LABELS, blocks, 3)
+        CohortCursor(INPUTS, LABELS, blocks, Arena(), 3)
     with pytest.raises(ValueError, match="handoff"):
-        CohortCursor(INPUTS, LABELS, blocks[:1] + blocks[:1] + blocks[1:], 1)
+        CohortCursor(INPUTS, LABELS, blocks[:1] + blocks[:1] + blocks[1:], Arena(), 1)
 
 
 @pytest.mark.parametrize("size", [1, 5, 16, 40])
@@ -490,9 +489,8 @@ def test_cohort_cursor_serves_each_members_batches():
     # stack.
     steps = [1, 2, 2, 4]
     plain = member_cursors()
-    cohort = CohortCursor(
-        INPUTS, LABELS, [c._take(n * 8).reshape(n, 8) for c, n in zip(member_cursors(), steps)]
-    )
+    blocks = [c._take(n * 8).reshape(n, 8) for c, n in zip(member_cursors(), steps)]
+    cohort = CohortCursor(INPUTS, LABELS, blocks, Arena())
     assert cohort.mode == (4, 4)
     for step in range(4):
         batch = cohort.next_batch()
@@ -504,8 +502,8 @@ def test_cohort_cursor_serves_each_members_batches():
             assert np.array_equal(batch.labels[row], expected.labels)
 
 
-@pytest.mark.parametrize("arena", [None, Arena()], ids=["new", "arena"])
-def test_cohort_cursor_serves_each_rows_stream_with_handoffs(arena):
+@pytest.mark.parametrize("fresh", [True, False], ids=["new", "arena"])
+def test_cohort_cursor_serves_each_rows_stream_with_handoffs(fresh):
     # Donated rows that join at steps 4, 2 and 2 of 6, on their receivers'
     # streams, then a full row and three weak rows on their own streams.
     # Each step gathers only its own batch, so the cursor holds one step's
@@ -521,8 +519,11 @@ def test_cohort_cursor_serves_each_rows_stream_with_handoffs(arena):
 
     counts = [steps - f for f in handoffs] + [steps] * 4
     blocks = [c._take(n * 8).reshape(n, 8) for c, n in zip(streams(), counts)]
-    for _ in range(2):  # the second cursor reuses the arena's arrays
-        cursor = CohortCursor(INPUTS, LABELS, blocks, len(handoffs), arena)
+    arena = Arena()
+    for _ in range(2):  # the second cursor maps new arrays, or reuses the first's
+        if fresh:
+            arena = Arena()
+        cursor = CohortCursor(INPUTS, LABELS, blocks, arena, len(handoffs))
         assert cursor._inputs.shape == (len(blocks), 8, 4)
         plain = streams()
         for step in range(steps):
@@ -537,25 +538,27 @@ def test_cohort_cursor_serves_each_rows_stream_with_handoffs(arena):
 
 
 @pytest.mark.parametrize("bad", [len(INPUTS), -1])
-@pytest.mark.parametrize("arena", [None, Arena()], ids=["new", "arena"])
-def test_cohort_cursor_rejects_samples_outside_the_data(bad, arena):
+@pytest.mark.parametrize("fresh", [True, False], ids=["new", "arena"])
+def test_cohort_cursor_rejects_samples_outside_the_data(bad, fresh):
     # The gather writes into its arrays in numpy's `clip` mode, which would
     # clamp an index out of range; the cursor checks them first.
     blocks = [np.arange(16).reshape(2, 8), np.arange(16, 32).reshape(2, 8)]
     blocks[1][1, 3] = bad
+    arena = Arena()
     with pytest.raises(IndexError, match=f"sample index {bad} is out of bounds for 60 samples"):
-        CohortCursor(INPUTS, LABELS, blocks, arena=arena)
+        CohortCursor(INPUTS, LABELS, blocks, arena)
     blocks[1][1, 3] = len(INPUTS) - 1
-    batch = CohortCursor(INPUTS, LABELS, blocks, arena=arena).next_batch()
+    batch = CohortCursor(INPUTS, LABELS, blocks, Arena() if fresh else arena).next_batch()
     assert np.array_equal(batch.inputs, INPUTS[np.stack([b[0] for b in blocks])])
 
 
 def test_cohort_cursor_rejects_mixed_batch_sizes():
     blocks = [np.arange(16).reshape(2, 8), np.arange(8).reshape(2, 4)]
     with pytest.raises(ValueError, match="batch size"):
-        CohortCursor(INPUTS, LABELS, blocks)
+        CohortCursor(INPUTS, LABELS, blocks, Arena())
     with pytest.raises(ValueError, match="step count"):
-        CohortCursor(INPUTS, LABELS, [np.arange(16).reshape(2, 8), np.arange(8).reshape(1, 8)])
+        blocks = [np.arange(16).reshape(2, 8), np.arange(8).reshape(1, 8)]
+        CohortCursor(INPUTS, LABELS, blocks, Arena())
 
 
 def test_cohort_cursor_lays_blocks_out_with_no_copy_of_them():
@@ -566,10 +569,10 @@ def test_cohort_cursor_lays_blocks_out_with_no_copy_of_them():
     blocks = [rng.integers(0, len(LABELS), (n, 8)) for n in steps]
     size = sum(b.nbytes for b in blocks)
     arena = Arena()
-    CohortCursor(INPUTS, LABELS, blocks, 30, arena)
+    CohortCursor(INPUTS, LABELS, blocks, arena, 30)
     tracemalloc.start()
     try:
-        cursor = CohortCursor(INPUTS, LABELS, blocks, 30, arena)
+        cursor = CohortCursor(INPUTS, LABELS, blocks, arena, 30)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -651,7 +654,7 @@ def check_members_leave_with(classes, mode, prox_mu, members, per_member_anchor)
     labels = rng.integers(0, classes, size=(6, members, batch))
 
     stacked = stack(models)
-    workspace = Workspace(stacked, batch)
+    workspace = Workspace(stacked, batch, Arena())
     left = {}
     for step in range(6):
         first = int(np.searchsorted(steps, step, side="right"))
@@ -688,7 +691,7 @@ def test_in_place_step_matches_reference_on_a_lone_model(mode, prox_mu):
         model = init_model(5, 7, classes, seed=8)
         anchor = init_model(5, 7, classes, seed=9)
         trained = stack([model])
-        workspace = Workspace(trained, 9)
+        workspace = Workspace(trained, 9, Arena())
         for _ in range(4):
             batch = Batch(rng.standard_normal((9, 5)), rng.integers(0, classes, size=9))
             model = reference_step(model, batch, 0.1, mode, prox_mu, anchor)
@@ -726,7 +729,8 @@ def check_block_rows(classes, rows, k, f, c):
     anchors = [init_model(5, 7, classes, seed=50 + r) for r in range(rows)]
     stacked = stack(models)
     batch = Batch(rng.standard_normal((k, 9, 5)), rng.integers(0, classes, size=(k, 9)))
-    sgd_step_in_place(stacked, batch, Workspace(stacked, 9), 0.1, (f, c), 0.01, stack(anchors))
+    workspace = Workspace(stacked, 9, Arena())
+    sgd_step_in_place(stacked, batch, workspace, 0.1, (f, c), 0.01, stack(anchors))
     modes = {(True, True): "full", (True, False): "feature", (False, True): "frozen"}
     for r, model in enumerate(models):
         i = r - (rows - k)
@@ -754,7 +758,7 @@ def test_in_place_step_checks_every_member(mode):
     rng = np.random.default_rng(5)
     stacked = stack([init_model(4, 6, 3, seed=k) for k in range(5)])
     before = [a.copy() for a in stacked.arrays()]
-    workspace = Workspace(stacked, 8)
+    workspace = Workspace(stacked, 8, Arena())
     inputs = rng.standard_normal((3, 8, 4))
     labels = rng.integers(0, 3, size=(3, 8))
     bad_labels = labels.copy()
@@ -782,12 +786,14 @@ def test_in_place_step_that_overflows_moves_nothing(mode):
     if mode == "full":
         # The reference step raises on the same step.
         with pytest.raises(DivergenceError, match="non-finite gradient values"):
-            reference_step(models[1], Batch(batch.inputs[1], batch.labels[1]), 1.7e308, mode)
+            with np.errstate(over="ignore"):
+                reference_step(models[1], Batch(batch.inputs[1], batch.labels[1]), 1.7e308, mode)
     for stacked in (stack(models), stack(models).copy()):
         before = [a.copy() for a in stacked.arrays()]
-        workspace = Workspace(stacked, 8)
+        workspace = Workspace(stacked, 8, Arena())
         with pytest.raises(DivergenceError, match="non-finite gradient values"):
-            sgd_step_in_place(stacked, batch, workspace, 1.7e308, pair(mode, 3))
+            with np.errstate(over="ignore"):
+                sgd_step_in_place(stacked, batch, workspace, 1.7e308, pair(mode, 3))
         for a, b in zip(stacked.arrays(), before):
             assert a.tobytes() == b.tobytes()
 
@@ -800,8 +806,8 @@ def test_training_takes_only_stacks():
     rng = np.random.default_rng(0)
     batch = Batch(rng.standard_normal((1, 8, 4)), rng.integers(0, 3, size=(1, 8)))
     with pytest.raises(ShapeError, match="one stack"):
-        Workspace(model, 8)
-    workspace = Workspace(stack([model]), 8)
+        Workspace(model, 8, Arena())
+    workspace = Workspace(stack([model]), 8, Arena())
     for wrong in (model, stack([model, model])):
         with pytest.raises(ShapeError, match="stack of 1"):
             sgd_step_in_place(wrong, batch, workspace, 0.1, (1, 1))
@@ -818,13 +824,21 @@ def test_training_takes_only_stacks():
             sgd_step_in_place(trained, batch, workspace, 0.1, (1, 1), prox_mu, anchor)
         for a, b in zip(trained.arrays(), before):
             assert a.tobytes() == b.tobytes()
+    arena = Arena()
+    cohort = CohortCursor(INPUTS, LABELS, [np.arange(16).reshape(2, 8)], arena)
     with pytest.raises(ShapeError, match="one stack"):
-        local_train(model, CohortCursor(INPUTS, LABELS, [np.arange(16).reshape(2, 8)]), 2, 0.1)
+        local_train(model, cohort, 2, 0.1, arena)
+    # `local_train` copies the stack it starts from onto one block and pulls
+    # toward the stack itself, which must then be on one block too.
+    local_train(loose, CohortCursor(INPUTS, LABELS, [np.arange(8)[None]], arena), 1, 0.1, arena)
+    with pytest.raises(ShapeError, match="one block"):
+        cohort = CohortCursor(INPUTS, LABELS, [np.arange(8)[None]], arena)
+        local_train(loose, cohort, 1, 0.1, arena, prox_mu=0.01)
 
 
 def test_workspace_rejects_batches_that_do_not_fit():
     stacked = stack([init_model(4, 6, 3, seed=k) for k in range(3)])
-    workspace = Workspace(stacked, 8)
+    workspace = Workspace(stacked, 8, Arena())
     rng = np.random.default_rng(0)
     for shape in [(4, 8), (3, 7), (8,)]:
         batch = Batch(rng.standard_normal((*shape, 4)), np.zeros(shape, dtype=np.int64))
@@ -845,7 +859,7 @@ def test_a_label_out_of_range_moves_nothing(dtype, bad):
     rng = np.random.default_rng(9)
     stacked = stack([init_model(4, 6, 3, seed=k) for k in range(3)])
     before = stacked.block.copy()
-    workspace = Workspace(stacked, 8)
+    workspace = Workspace(stacked, 8, Arena())
     labels = rng.integers(0, 3, size=(3, 8)).astype(dtype)
     labels[2, 5] = bad
     for mode in [(3, 3), (0, 3), (3, 0)]:
@@ -868,7 +882,7 @@ def test_local_train_refuses_a_label_out_of_range_before_any_move(bad):
     before = start.block.copy()
     arena = Arena()
     with pytest.raises(ValueError, match=r"labels must lie in \[0, 3\)"):
-        local_train(start, CohortCursor(INPUTS, labels, blocks, arena=arena), 3, 0.1, arena=arena)
+        local_train(start, CohortCursor(INPUTS, labels, blocks, arena), 3, 0.1, arena)
     assert start.block.tobytes() == before.tobytes()
     trained = arena.get("trained", (start.size,))
     assert trained.tobytes() == before.tobytes()
@@ -892,7 +906,7 @@ def test_a_workspace_trains_another_model_or_anchor_of_its_shape():
         }
         stacks = {name: stack(ms) for name, ms in models.items()}
         anchor_stacks = {name: stack(ms) for name, ms in anchors.items()}
-        workspace = Workspace(stacks["a"], 9)
+        workspace = Workspace(stacks["a"], 9, Arena())
         for name, anchor in [("a", "A"), ("b", "A"), ("b", "B"), ("a", "B"), ("a", "A")]:
             other = stacks["b" if name == "a" else "a"]
             kept = other.block.copy()
@@ -928,7 +942,7 @@ def test_step_programs_serve_any_sequence_of_shapes(data):
     models = [init_model(5, 7, classes, seed=r) for r in range(n)]
     anchors = [init_model(5, 7, classes, seed=50 + r) for r in range(n)]
     stacked, anchor = stack(models), stack(anchors)
-    workspace = Workspace(stacked, 9)
+    workspace = Workspace(stacked, 9, Arena())
     modes = {(True, True): "full", (True, False): "feature", (False, True): "frozen"}
     for k, f, c in shapes:
         batch = Batch(rng.standard_normal((k, 9, 5)), rng.integers(0, classes, size=(k, 9)))
@@ -994,6 +1008,34 @@ def test_warm_rounds_of_a_lane_train_in_the_same_memory(monkeypatch):
             assert np.shares_memory(calls[0][name], call[name]), name
 
 
+def test_warm_handoff_rounds_map_nothing_new(monkeypatch):
+    # A freeze_offload round with handoffs also makes the zero-step
+    # `execute_offloaded` call; its workspace is the round's arena's too, so
+    # once the arena is warm a round maps no new array.
+    offloads = []
+    workspace = engine.Workspace
+
+    def recording(model, batch_size, arena=None):
+        offloads.append(arena)
+        return workspace(model, batch_size, arena)
+
+    monkeypatch.setattr(engine, "Workspace", recording)
+    config = small_config(rounds=6)
+    state = build_state(config, FreezeOffload(), seed=3)
+    run_round(state, 0)
+    arena, arrays = state.arena, dict(state.arena._arrays)
+    handoffs = 0
+    for r in range(1, config.training.rounds - 1):
+        offloads.clear()
+        handed_off = bool(run_round(state, r).offload_records)
+        # One workspace for `local_train`, and one more in a round with handoffs.
+        assert offloads == [arena] * (1 + handed_off)
+        handoffs += handed_off
+        assert arena._arrays.keys() == arrays.keys()
+        assert all(arena._arrays[name] is a for name, a in arrays.items())
+    assert handoffs > 0
+
+
 def test_only_the_index_block_grows_with_local_updates():
     # Only the index block holds a value per step; every other array of the
     # arena, the step's batch among them, is the same size at 4 and 32 local
@@ -1032,7 +1074,7 @@ def test_evaluation_runs_in_the_workspace_activations(monkeypatch):
 
     monkeypatch.setattr(engine, "forward_logits", recording)
     accuracy = engine.evaluate_accuracy(state.global_model, state.dataset, arena)
-    assert accuracy == engine.evaluate_accuracy(state.global_model, state.dataset)
+    assert accuracy == engine.evaluate_accuracy(state.global_model, state.dataset, Arena())
     hidden, logits = passes[0]
     assert np.shares_memory(hidden, buffers[0])
     assert np.shares_memory(logits, arrays["activations"])
@@ -1263,15 +1305,18 @@ def test_nothing_handed_out_shares_the_arena():
     run_experiment(config, FedAvg(), 4)
     run_experiments(config, [(FedProx(), 3), (FreezeOffload(), 4)])
     assert [a.tobytes() for a in first.final_model.arrays()] == saved
-    # So does a model that `local_train` returns, through a second call.
+    # So does a model that `local_train` returns, through a second call in
+    # another arena.
     start = stack(member_models())
 
-    def cursor():
-        return CohortCursor(INPUTS, LABELS, draw_blocks(member_cursors(), 4))
+    def train():
+        arena = Arena()
+        cohort = CohortCursor(INPUTS, LABELS, draw_blocks(member_cursors(), 4), arena)
+        return local_train(start, cohort, 4, 0.1, arena)
 
-    trained = local_train(start, cursor(), 4, 0.1)
+    trained = train()
     saved = [a.tobytes() for a in trained.arrays()]
-    again = local_train(start, cursor(), 4, 0.1)
+    again = train()
     assert [a.tobytes() for a in trained.arrays()] == saved
     assert [a.tobytes() for a in again.arrays()] == saved
     assert not np.shares_memory(trained.block, again.block)

@@ -38,7 +38,18 @@ from fedsim.engine import (
     run_round,
     select_clients,
 )
-from fedsim.model import Arena, Batch, PartitionedModel, forward, init_model, merge, softmax, split
+from fedsim.model import (
+    Arena,
+    Batch,
+    PartitionedModel,
+    Workspace,
+    forward,
+    init_model,
+    merge,
+    sgd_step_in_place,
+    softmax,
+    split,
+)
 from fedsim.seeding import TAG_BATCHES, spawn_rng
 from fedsim.similarity import SimilarityOracle
 import reference
@@ -209,15 +220,16 @@ class TestBatchCursor:
 
 
 def stack_of_one(model):
-    """A lone model as the stack of one that training takes."""
-    return PartitionedModel(*(a[None] for a in model.arrays()), num_classes=model.num_classes)
+    """A lone model as the stack of one that training takes, laid out as one block."""
+    arrays = (a[None] for a in model.arrays())
+    return PartitionedModel(*arrays, num_classes=model.num_classes).copy()
 
 
-def stream_of_one(inputs, labels, batch_size, rng, steps):
+def stream_of_one(inputs, labels, batch_size, rng, steps, arena):
     """The next `steps` batches of a stream over every sample, for a stack of one."""
     stream = BatchCursor(inputs, labels, np.arange(len(labels)), batch_size, rng)
     block = stream._take(steps * batch_size).reshape(steps, batch_size)
-    return CohortCursor(inputs, labels, [block])
+    return CohortCursor(inputs, labels, [block], arena)
 
 
 class TestLocalTrain:
@@ -227,23 +239,26 @@ class TestLocalTrain:
         self.inputs = rng.standard_normal((40, 4))
         self.labels = rng.integers(0, 3, size=40)
 
-    def cursor(self, steps, seed=9):
-        return stream_of_one(self.inputs, self.labels, 8, np.random.default_rng(seed), steps)
+    def train(self, steps, **kwargs):
+        """`local_train` of `steps` steps on the stream of seed 9, in a fresh arena."""
+        arena = Arena()
+        cursor = stream_of_one(self.inputs, self.labels, 8, np.random.default_rng(9), steps, arena)
+        return local_train(self.model, cursor, steps, 0.05, arena, **kwargs)
 
     def test_zero_updates_is_identity(self):
-        trained = local_train(self.model, self.cursor(0), 0, 0.05)
+        trained = self.train(0)
         assert np.array_equal(trained.feature_weights, self.model.feature_weights)
 
     def test_prox_zero_matches_plain_bitwise(self):
-        plain = local_train(self.model, self.cursor(6), 6, 0.05)
-        prox = local_train(self.model, self.cursor(6), 6, 0.05, prox_mu=0.0, anchor=self.model)
+        plain = self.train(6)
+        prox = self.train(6, prox_mu=0.0)
         for a, b in zip(plain.arrays(), prox.arrays()):
             assert np.array_equal(a, b)
 
     def test_prox_pulls_toward_anchor(self):
-        plain = local_train(self.model, self.cursor(20), 20, 0.05)
-        anchor = self.model.copy()
-        prox = local_train(self.model, self.cursor(20), 20, 0.05, prox_mu=1.0, anchor=anchor)
+        # The anchor is the stack passed in, which training leaves as it is.
+        plain = self.train(20)
+        prox = self.train(20, prox_mu=1.0)
         drift_plain = sum(
             float(np.sum((a - b) ** 2))
             for a, b in zip(plain.arrays(), self.model.arrays())
@@ -255,8 +270,15 @@ class TestLocalTrain:
         assert drift_prox < drift_plain
 
     def test_prox_requires_anchor(self):
+        # `local_train` always hands its step the stack it starts from; the
+        # step itself refuses to pull without an anchor, before any move.
+        arena = Arena()
+        cursor = stream_of_one(self.inputs, self.labels, 8, np.random.default_rng(9), 1, arena)
+        before = self.model.block.copy()
+        workspace = Workspace(self.model, 8, arena)
         with pytest.raises(ValueError, match="requires an anchor"):
-            local_train(self.model, self.cursor(2), 2, 0.05, prox_mu=0.5)
+            sgd_step_in_place(self.model, cursor.next_batch(), workspace, 0.05, (1, 1), 0.5)
+        assert self.model.block.tobytes() == before.tobytes()
 
 
 class TestExecuteOffloaded:
@@ -266,9 +288,10 @@ class TestExecuteOffloaded:
         inputs = rng.standard_normal((30, 4))
         labels = rng.integers(0, 3, size=30)
 
-        cursor = stream_of_one(inputs, labels, 10, np.random.default_rng(6), 4)
+        arena = Arena()
+        cursor = stream_of_one(inputs, labels, 10, np.random.default_rng(6), 4, arena)
         feature, classifier = split(stack_of_one(donor))
-        trained = execute_offloaded(feature, classifier, cursor, 4, 0.1)
+        trained = execute_offloaded(feature, classifier, cursor, 4, 0.1, arena)
 
         # Manual oracle on the lone model: full-model gradients, feature-only
         # updates.
@@ -509,7 +532,7 @@ class TestEvaluateAccuracy:
         for seed in range(30):
             model = init_model(3, 5, 4, seed=seed)
             model.classifier_weights *= 1 + seed  # wider logit spreads
-            accuracy = evaluate_accuracy(model, self.DATASET)
+            accuracy = evaluate_accuracy(model, self.DATASET, Arena())
             assert accuracy == self.reference(model, self.DATASET)
             scores.add(accuracy)
         assert softmax_calls == []
@@ -520,7 +543,7 @@ class TestEvaluateAccuracy:
         for seed in (1, 2, 3):
             result = run_experiment(cfg, FedAvg(), seed=seed)
             dataset = build_state(cfg, FedAvg(), seed).dataset
-            assert evaluate_accuracy(result.final_model, dataset) == self.reference(
+            assert evaluate_accuracy(result.final_model, dataset, Arena()) == self.reference(
                 result.final_model, dataset
             )
             assert result.traces[-1].accuracy == self.reference(result.final_model, dataset)
@@ -547,17 +570,19 @@ class TestEvaluateAccuracy:
     def test_crafted_logits(self, softmax_calls, bias, predicted, softmax):
         model = self.with_logits(bias)
         labels = self.DATASET.labels[self.DATASET.test_indices]
-        accuracy = evaluate_accuracy(model, self.DATASET)
-        assert accuracy == self.reference(model, self.DATASET)
+        # NaN and infinite logits make the softmax's subtraction invalid.
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            accuracy = evaluate_accuracy(model, self.DATASET, Arena())
+            assert accuracy == self.reference(model, self.DATASET)
         assert accuracy == np.mean(labels == predicted)
         assert len(softmax_calls) == int(softmax)
 
     def test_test_rows_are_gathered_once(self):
         dataset = generate_synthetic(num_classes=4, samples_per_class=50, input_dim=3, seed=0)
         model = init_model(3, 5, 4, seed=1)
-        evaluate_accuracy(model, dataset)
+        evaluate_accuracy(model, dataset, Arena())
         inputs, labels = dataset.test_rows
-        evaluate_accuracy(model, dataset)
+        evaluate_accuracy(model, dataset, Arena())
         assert dataset.test_rows[0] is inputs and dataset.test_rows[1] is labels
         assert not inputs.flags.writeable and not labels.flags.writeable
         assert np.array_equal(inputs, dataset.inputs[dataset.test_indices])

@@ -299,7 +299,8 @@ class TestSgdStep:
         grads = backward_full(model, Batch(batch.inputs * 100.0, batch.labels))
         assert all(np.isfinite(g).all() for g in (grads.feature_weights, grads.feature_bias))
         with pytest.raises(DivergenceError, match="non-finite gradient values"):
-            sgd_step(model, grads, lr=1.7e308)
+            with np.errstate(over="ignore"):
+                sgd_step(model, grads, lr=1.7e308)
 
 
 class TestArena:
@@ -318,6 +319,18 @@ class TestArena:
         assert grown.size == 1000 and not np.shares_memory(a, grown)
         assert np.all(a == 7.0)
         assert np.shares_memory(grown, arena.get("a", (3,)))
+
+    def test_a_name_asked_for_another_dtype_gets_it(self):
+        # A name that holds a large enough array of another dtype is mapped
+        # anew; asking again for the first dtype maps anew once more.
+        arena = Arena()
+        first = arena.get("x", (4,), np.float64)
+        assert np.shares_memory(arena.get("x", (4,)), first)
+        other = arena.get("x", (4,), np.int32)
+        assert other.dtype == np.int32 and not np.shares_memory(other, first)
+        assert np.shares_memory(arena.get("x", (2,), np.int32), other)
+        again = arena.get("x", (4,), np.float64)
+        assert again.dtype == np.float64 and not np.shares_memory(again, other)
 
     def test_a_map_the_system_refuses_is_out_of_memory(self):
         with pytest.raises(MemoryError, match="cannot map"):
