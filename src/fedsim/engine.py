@@ -34,15 +34,16 @@ A round runs in two passes.
   of the stack's activations, only a value per sample for the one-hot
   labels and the finite check's masks. FedProx's anchor is the stack's own
   start rows: each row is pulled toward its row of the stack passed in,
-  which training leaves as it is. The kept clients' streams are opened for
-  the round in one seeding pass per seed (`seeding.spawn_rngs`), for every
-  lane of that seed at once, each draws all its batches in one take, split
-  into its own steps and a donated block's, and a
-  `CohortCursor` copies every row's batch indices straight into one index
-  block and gathers each step's batch as the step trains. Every client
-  sees the batches it would draw alone, in the same order, and comes out
-  bitwise equal to training alone, a weak client as its full,
-  classifier-only and donated steps one after another. A lane aggregates
+  which training leaves as it is. A client's batches for a round come from
+  one stream, whatever lane keeps it: the round opens a seed's kept
+  clients' streams in one seeding pass (`seeding.spawn_rngs`) and reads
+  each in one take of the most steps any lane needs from it, its own steps
+  and then the longest donated block it trains; a `CohortCursor` copies
+  every row's batch indices straight into one index block and gathers
+  each step's batch as the step trains. Every client sees the batches it
+  would draw alone, in the same order, and comes out bitwise equal to
+  training alone, a weak client as its full, classifier-only and donated
+  steps one after another. A lane aggregates
   its kept clients' rows of the trained stack, gathered into one
   (members, parameters) array, in one reduction, bitwise the sum of adding
   them one after another. A round's `RoundTrace` is its plan plus its
@@ -353,8 +354,9 @@ STRATEGIES = (FedAvg, FedProx, FedNova, Tifl, DeadlineDrop, FreezeOffload)
 class BatchCursor:
     """Deterministic endless stream of mini-batches over a client's samples.
 
-    `_phase_blocks` reads a round's batches in one `_take`; `next_batch`
-    serves one batch. Training reads the batches through a `CohortCursor`.
+    `_round_batches` reads a round's batches in one `_take`, for every lane
+    of the seed; `next_batch` serves one batch. Training reads the batches
+    through a `CohortCursor`.
     """
 
     def __init__(
@@ -516,8 +518,8 @@ class ClientState:
     timings: PhaseTimings
     partition: ClientPartition
     # Read by perfbench/tracer.py's round hook for dropped clients. A
-    # client's batch stream lives only inside `_phase_blocks`; the streams
-    # of a round's kept clients are opened in one `spawn_rngs` pass per seed.
+    # client's batch stream lives only inside `_round_batches`, opened once
+    # per round for every lane of its seed.
     cursor: ClassVar[None] = None
 
     @property
@@ -548,11 +550,16 @@ def local_train(
     raises ShapeError. The FedProx anchor is the stack's own start rows: a
     nonzero `prox_mu` pulls each full step of a row toward that row of the
     stack passed in, which must then be laid out as one block (as `_stack`
-    lays it out), or the first step raises ShapeError.
+    lays it out), or the first step raises ShapeError. A stack that lies in
+    the arena's trained block, as the stack returned does, raises
+    ValueError: the copy would overwrite it.
     """
     if updates < 0:
         raise ValueError(f"updates must be >= 0, got {updates}")
-    trained = model.copy(arena.get("trained", (model.size,)))
+    into = arena.get("trained", (model.size,))
+    if any(np.shares_memory(a, into) for a in model.arrays()):
+        raise ValueError("local_train cannot train a stack that lies in its arena's trained block")
+    trained = model.copy(into)
     workspace = Workspace(trained, cursor.batch_size, arena)
     mode = cursor.mode
     for _ in range(updates):
@@ -1076,79 +1083,18 @@ def _lockstep(
     return model, members
 
 
-def _phase_blocks(
-    state: ExperimentState, plan: RoundPlan, rngs: list[np.random.Generator]
-) -> tuple[dict[int, np.ndarray], dict[int, np.ndarray]]:
-    """Each kept client's batch indices for the round, from one take per stream.
-
-    `rngs` holds the batch stream of each kept client, in plan order, each
-    bitwise `spawn_rng(seed, TAG_BATCHES, round, client)` (see
-    `_batch_streams`). Each draws all the batches it serves in the round in
-    one `BatchCursor._take`: the client's own steps (a weak client's full
-    and then classifier-only steps), then, for a receiver, the donated
-    block's steps, which follow its own budget.
-    `build_schedule` gives a receiver at most one block per round. A take of
-    a + b indices is the take of a followed by the take of b, so the stream
-    serves each block the batches it would serve alone.
-    Returns the (steps, batch_size) index blocks of the clients' own steps,
-    keyed by client, and of the donated blocks, keyed by the weak client
-    whose feature block trains on them.
-    """
-    size = state.config.training.batch_size
-    weak = [p for p in plan.clients if p.receiver is not None]
-    donated_to = {p.receiver: p.frozen_steps for p in weak}
-    own_steps = {p.client_id: p.full_steps + p.frozen_steps for p in plan.clients}
-    kept = [p.client_id for p in plan.clients if not p.dropped]
-    draws: dict[int, np.ndarray] = {}
-    for cid, rng in zip(kept, rngs):
-        cursor = BatchCursor(
-            state.dataset.inputs,
-            state.dataset.labels,
-            state.client(cid).partition.sample_indices,
-            size,
-            rng,
-        )
-        steps = own_steps[cid] + donated_to.get(cid, 0)
-        draws[cid] = cursor._take(steps * size).reshape(steps, size)
-    own = {cid: rows[: own_steps[cid]] for cid, rows in draws.items()}
-    donated = {p.client_id: draws[p.receiver][own_steps[p.receiver] :] for p in weak}
-    return own, donated
-
-
-def _batch_streams(
-    states: list[ExperimentState], plans: list[RoundPlan]
-) -> list[list[np.random.Generator]]:
-    """Each lane's kept clients' batch streams for the round, in plan order.
-
-    The lanes of one seed open theirs in one `spawn_rngs` pass, a client
-    kept by several of them once per lane, each stream bitwise
-    `spawn_rng(seed, TAG_BATCHES, round, client)`.
-    """
-    kept = [[p.client_id for p in plan.clients if not p.dropped] for plan in plans]
-    by_key: dict[tuple[int, int], list[int]] = {}
-    for lane, (state, plan) in enumerate(zip(states, plans)):
-        by_key.setdefault((state.seed, plan.round_index), []).append(lane)
-    streams: list[list[np.random.Generator]] = [[] for _ in states]
-    for (seed, round_index), lanes in by_key.items():
-        ids = [cid for lane in lanes for cid in kept[lane]]
-        opened = iter(spawn_rngs((seed, TAG_BATCHES, round_index), ids))
-        for lane in lanes:
-            streams[lane] = [next(opened) for _ in kept[lane]]
-    return streams
-
-
 @dataclass(frozen=True)
 class _LaneData:
     """The training data of a group of lanes as one pair of arrays.
 
-    Lane i's dataset is rows `bases[i]` onward, so that a round of every
+    Seed s's dataset is rows `first[s]` onward, so that a round of every
     lane gathers its batches in one take. A lane's dataset is a function of
     the config and its seed, so lanes of one seed share the seed's rows.
     """
 
     inputs: np.ndarray
     labels: np.ndarray
-    bases: tuple[int, ...]
+    first: dict[int, int]
 
     @classmethod
     def of(cls, states: list[ExperimentState]) -> _LaneData:
@@ -1157,15 +1103,54 @@ class _LaneData:
             datasets.setdefault(state.seed, state.dataset)
         if len(datasets) == 1:
             (only,) = datasets.values()
-            return cls(only.inputs, only.labels, (0,) * len(states))
+            return cls(only.inputs, only.labels, dict.fromkeys(datasets, 0))
         first, rows = {}, 0
         for seed, d in datasets.items():
             first[seed], rows = rows, rows + len(d.labels)
         return cls(
             np.concatenate([d.inputs for d in datasets.values()]),
             np.concatenate([d.labels for d in datasets.values()]),
-            tuple(first[state.seed] for state in states),
+            first,
         )
+
+
+def _round_batches(
+    states: list[ExperimentState], plans: list[RoundPlan], data: _LaneData
+) -> dict[tuple[int, int], np.ndarray]:
+    """Each kept client's batch indices for the round, one draw for every lane.
+
+    The plans are of one round. A client's batches come from one stream,
+    `spawn_rng(seed, TAG_BATCHES, round, client)`, whatever lane keeps it.
+    The streams of a seed's kept clients are opened in one `spawn_rngs`
+    pass, and each is read in one `BatchCursor._take` of the most steps any
+    lane needs from it: `local_updates` of its own, plus, for a receiver,
+    the longest block any lane donates it (`build_schedule` gives a receiver
+    at most one block per round). A take of n indices is the first n of any
+    longer take, so a lane reads a client's own steps as `draw[:updates]`
+    and a block of f donated steps as `draw[updates : updates + f]` of the
+    receiver's draw, each the batches the stream serves alone. Returns the
+    (steps, batch_size) draws, keyed by (seed, client), as rows of `data`'s
+    arrays.
+    """
+    training = states[0].config.training
+    size, updates, round_index = training.batch_size, training.local_updates, plans[0].round_index
+    needs: dict[int, tuple[ExperimentState, dict[int, int]]] = {}
+    for state, plan in zip(states, plans):
+        steps = needs.setdefault(state.seed, (state, {}))[1]
+        for p in plan.clients:
+            if not p.dropped:
+                steps.setdefault(p.client_id, updates)
+            if p.receiver is not None:
+                steps[p.receiver] = max(steps.get(p.receiver, 0), updates + p.frozen_steps)
+    draws = {}
+    for seed, (state, steps) in needs.items():
+        rngs = spawn_rngs((seed, TAG_BATCHES, round_index), steps)
+        for (cid, n), rng in zip(steps.items(), rngs):
+            indices = state.client(cid).partition.sample_indices
+            cursor = BatchCursor(state.dataset.inputs, state.dataset.labels, indices, size, rng)
+            draw = draws[seed, cid] = cursor._take(n * size).reshape(n, size)
+            draw += data.first[seed]
+    return draws
 
 
 def _train_lanes(
@@ -1176,25 +1161,24 @@ def _train_lanes(
 ) -> list[PartitionedModel]:
     """Run every lane's plan stacked; return each lane's new global model.
 
-    `_batch_streams` opens the round's batch streams, one pass per seed,
-    `_phase_blocks` draws each lane's batches, and the round trains as one
-    lockstep phase of `local_updates` steps per FedProx mu (see
-    `_lockstep`), each row pulled toward its own lane's global model, its
-    start model: every kept client runs exactly `local_updates` steps of its
-    own, full and then classifier-only, and each donated block runs the weak
-    client's classifier-only steps, so all of them end together. A plan
-    that breaks this raises ValueError. Each stack trains in `arena` and is
-    aggregated (`_aggregate`) before the next trains there; no lane's state
-    is touched, so an error in any stack leaves every lane as it was.
+    `_round_batches` draws the round's batches, once for every lane of a
+    seed, and each member reads its blocks as views of those draws. The
+    round trains as one lockstep phase of `local_updates` steps per FedProx
+    mu (see `_lockstep`), each row pulled toward its own lane's global
+    model, its start model: every kept client runs exactly `local_updates`
+    steps of its own, full and then classifier-only, and each donated block
+    runs the weak client's classifier-only steps, so all of them end
+    together. A plan that breaks this raises ValueError. Each stack trains
+    in `arena` and is aggregated (`_aggregate`) before the next trains
+    there; no lane's state is touched, so an error in any stack leaves
+    every lane as it was.
     """
     lr = states[0].config.training.learning_rate
     updates = states[0].config.training.local_updates
     stacks: dict[float, tuple[dict, dict, dict]] = {}
-    streams = _batch_streams(states, plans)
+    draws = _round_batches(states, plans, data)
     for lane, (state, plan) in enumerate(zip(states, plans)):
-        base = data.bases[lane]
         start, own, donated = stacks.setdefault(state.strategy.prox_mu, ({}, {}, {}))
-        own_blocks, donated_blocks = _phase_blocks(state, plan, streams[lane])
         for p in plan.clients:
             if p.dropped:
                 continue
@@ -1207,10 +1191,9 @@ def _train_lanes(
                 )
             m = (lane, p.client_id)
             start[m] = state.global_model
-            own[m] = own_blocks[p.client_id] + base if base else own_blocks[p.client_id]
+            own[m] = draws[state.seed, p.client_id][:updates]
             if p.frozen_steps:
-                rows = donated_blocks[p.client_id]
-                donated[m] = rows + base if base else rows
+                donated[m] = draws[state.seed, p.receiver][updates : updates + p.frozen_steps]
     models = [state.global_model for state in states]
     for prox_mu, (start, own, donated) in stacks.items():
         trained, rows = _lockstep(start, own, donated, data, lr, prox_mu, arena)

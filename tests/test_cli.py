@@ -380,7 +380,8 @@ class TestWriteTrace:
         result = run_experiment(cfg, FedAvg(), seed=7)
         path = write_trace(str(tmp_path), result)
         assert path == trace_path(str(tmp_path), "fedavg", 7)
-        lines = open(path, encoding="utf-8").read().splitlines()
+        with open(path, encoding="utf-8") as f:
+            lines = f.read().splitlines()
         assert lines[0] == "round,duration_s,accuracy,dropped,num_offloads"
         assert len(lines) == 1 + cfg.training.rounds
         first = lines[1].split(",")

@@ -836,6 +836,27 @@ def test_training_takes_only_stacks():
         local_train(loose, cohort, 1, 0.1, arena, prox_mu=0.01)
 
 
+def test_local_train_refuses_the_stack_it_returned():
+    # The stack `local_train` returns lies in its arena's trained block. A
+    # second call in that arena would copy it onto itself, so that the
+    # FedProx anchor is the trained block and the pull is 0: it is refused
+    # before any step. A copy of it trains, and the pull moves the result.
+    arena = Arena()
+    blocks = draw_blocks(member_cursors()[:1], 3)
+
+    def train(model, prox_mu):
+        cohort = CohortCursor(INPUTS, LABELS, blocks, arena)
+        return local_train(model, cohort, 3, 0.1, arena, prox_mu)
+
+    first = train(stack(member_models()[:1]), 0.0)
+    before = first.block.tobytes()
+    with pytest.raises(ValueError, match="trained block"):
+        train(first, 5.0)
+    assert first.block.tobytes() == before
+    start = first.copy()
+    assert train(start, 0.0).block.tobytes() != train(start, 5.0).block.tobytes()
+
+
 def test_workspace_rejects_batches_that_do_not_fit():
     stacked = stack([init_model(4, 6, 3, seed=k) for k in range(3)])
     workspace = Workspace(stacked, 8, Arena())
@@ -1216,7 +1237,7 @@ def test_a_round_opens_no_stream_one_by_one(monkeypatch):
     assert not tags & {TAG_BATCHES, TAG_PROFILE}
     # Many lanes open a round's batch streams in one pass per seed, for
     # every lane of that seed: a client that several lanes keep is in it
-    # once per lane.
+    # once.
     passes = []
     spawn_many = engine.spawn_rngs
 
@@ -1229,7 +1250,7 @@ def test_a_round_opens_no_stream_one_by_one(monkeypatch):
     batches = [(keys, ids) for keys, ids in passes if keys[1] == TAG_BATCHES]
     rounds = range(config.training.rounds)
     assert sorted(k for k, _ in batches) == [(s, TAG_BATCHES, r) for s in (3, 4) for r in rounds]
-    assert all(len(ids) > len(set(ids)) for _, ids in batches)
+    assert all(len(ids) == len(set(ids)) for _, ids in batches)
 
 
 def test_a_seed_past_32_bits_serves_each_row_its_own_stream(monkeypatch):
@@ -1408,10 +1429,10 @@ def test_deadline_round_never_trains_dropped_clients(monkeypatch):
 
 
 def test_phase_gathers_serve_each_stream_in_phase_order(monkeypatch):
-    # Each kept client's stream is drawn from once per round; its index
-    # blocks, in order, are the batches the stream serves alone: its own
-    # steps (full then classifier-only for a weak client), then the donated
-    # block's steps for a receiver.
+    # Each kept client's stream is drawn from once per round; its draw, in
+    # order, is the batches the stream serves alone: its own steps (full
+    # then classifier-only for a weak client), then the donated block's
+    # steps for a receiver.
     # The cursors themselves, held so that no id is reused within a round.
     takes = []
     original_take = BatchCursor._take
@@ -1422,36 +1443,62 @@ def test_phase_gathers_serve_each_stream_in_phase_order(monkeypatch):
 
     monkeypatch.setattr(BatchCursor, "_take", counting)
     config = cohort_40_config()
+    updates = config.training.local_updates
     state = build_state(config, COHORT_40_STRATEGY, seed=6)
     frozen_counts = set()
     for r in range(config.training.rounds):
         plan = plan_round(state, r)
         takes.clear()
-        (streams,) = engine._batch_streams([state], [plan])
-        own, donated = engine._phase_blocks(state, plan, streams)
-        weak = {p.client_id: p.receiver for p in plan.clients if p.receiver is not None}
-        assert len(weak) >= 8
-        assert {len(b) for b in own.values()} == {config.training.local_updates}
-        frozen_counts |= {len(b) for b in donated.values()}
-        sequences = {cid: [own[cid]] for cid in own}
-        for cid, receiver in weak.items():
-            sequences[receiver].append(donated[cid])
-        assert set(sequences) == {p.client_id for p in plan.clients if not p.dropped}
+        draws = engine._round_batches([state], [plan], engine._LaneData.of([state]))
+        donated = {p.receiver: p.frozen_steps for p in plan.clients if p.receiver is not None}
+        assert len(donated) >= 8
+        frozen_counts |= set(donated.values())
+        kept = {p.client_id for p in plan.clients if not p.dropped}
+        assert set(draws) == {(6, cid) for cid in kept}
         # One take per kept client, each from its own stream over its own
         # samples: the clients' partitions are disjoint.
-        assert len({id(cursor) for cursor in takes}) == len(takes) == len(sequences)
+        assert len({id(cursor) for cursor in takes}) == len(takes) == len(kept)
         streamed = {cursor._indices.tobytes() for cursor in takes}
         owned = {
-            state.client(cid).partition.sample_indices.astype(np.int64).tobytes()
-            for cid in sequences
+            state.client(cid).partition.sample_indices.astype(np.int64).tobytes() for cid in kept
         }
         assert streamed == owned
-        for cid, blocks in sequences.items():
-            rows = np.concatenate(blocks)
+        for (_, cid), rows in draws.items():
+            assert len(rows) == updates + donated.get(cid, 0)
             for row, batch in zip(rows, lone_batches(state, r, cid, len(rows)), strict=True):
                 assert np.array_equal(state.dataset.inputs[row], batch.inputs)
                 assert np.array_equal(state.dataset.labels[row], batch.labels)
     assert len(frozen_counts) >= 3
+
+
+def test_lanes_of_a_seed_read_one_draw_per_client(monkeypatch):
+    # The lanes of one seed select the same clients, so a round draws each
+    # client's stream once for all of them. Freeze_offload at two similarity
+    # factors gives one receiver donated blocks of different lengths in the
+    # two lanes, both read from the receiver's one draw, and every lane
+    # still comes out bitwise as it does alone.
+    takes = []
+    original_take = BatchCursor._take
+
+    def counting(self, n):
+        takes.append(n)
+        return original_take(self, n)
+
+    monkeypatch.setattr(BatchCursor, "_take", counting)
+    config = cohort_40_config()
+    tasks = [(FedAvg(), 6), (FreezeOffload(similarity_factor=0.0), 6)]
+    tasks.append((FreezeOffload(similarity_factor=5.0), 6))
+    results = run_experiments(config, tasks)
+    monkeypatch.undo()
+    assert len(takes) == config.training.rounds * config.clients.per_round
+    ragged = 0
+    for traces in zip(*(r.traces for r in results[1:])):
+        lengths: dict[int, set[int]] = {}
+        for p in (p for trace in traces for p in trace.clients if p.receiver is not None):
+            lengths.setdefault(p.receiver, set()).add(p.frozen_steps)
+        ragged += sum(len(counts) > 1 for counts in lengths.values())
+    assert ragged > 0
+    assert_lanes_match_alone(config, tasks, results)
 
 
 # --------------------------------------------------------------------------
